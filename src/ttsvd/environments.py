@@ -10,13 +10,16 @@ The projected local matrix at position n,
 
     A_bar_n = (frame of U without core n)^T  A  (frame of V without core n),
 
-is never materialized at scale; instead its action on a local vector is
-computed by contracting (L^{<n}, y, A-core, R^{>n}) in that order, and the
-transpose map by the mirror order.  All kernels here run through the
-multiply-accumulate counting wrapper so complexity claims are testable.
+acts on a block of local vectors by contracting (L^{<n}, Y, A-core, R^{>n})
+in that order, and the transpose map by the mirror order; it can also be
+materialized, and ``local_operator_macs`` gives the cost of both forms from
+the operand shapes.  All kernels here run through the multiply-accumulate
+counting wrapper so complexity claims are testable.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -102,42 +105,92 @@ def env_init(u: BlockTT, a: MatrixTT, v: BlockTT) -> Environment:
 
 
 # ---------------------------------------------------------------------------
-# projected operators, single-core (one local position)
+# projected operators
+#
+# The kernels take the local tensor with a trailing column axis of width m,
+# so one contraction chain applies the operator to a whole block; the
+# ``projected_*`` wrappers accept a flat local vector or a (size, m) block
+# in the same column-major local layout.
 
 
-def _matvec_als(left, a_core, right, y3):
-    t = tdot(left, y3, axes=(2, 0))              # (ru, ra, j, rv_r)
-    t = tdot(t, a_core, axes=((1, 2), (0, 2)))   # (ru, rv_r, i, ra_r)
-    t = tdot(t, right, axes=((1, 3), (2, 1)))    # (ru, i, ru_r)
-    return t
+def _apply_flat(kernel, operands, in_shape, y):
+    """Run ``kernel`` on a flat vector or a (size, m) block of them."""
+    y = np.asarray(y)
+    out = kernel(*operands, _rf(y, in_shape + (-1,)))
+    return _rf(out, (-1,) + y.shape[1:])
 
 
-def _rmatvec_als(left, a_core, right, x3):
-    t = tdot(left, x3, axes=(0, 0))              # (ra, rv, i, ru_r)
-    t = tdot(t, a_core, axes=((0, 2), (0, 1)))   # (rv, ru_r, j, ra_r)
-    t = tdot(t, right, axes=((1, 3), (0, 1)))    # (rv, j, rv_r)
-    return t
+def local_operator_macs(left, a_cores, right, m: int):
+    """MACs of the projected operator on one core or a merged pair.
+
+    ``a_cores`` holds the A cores of the window.  Returns ``(build, matvec,
+    rmatvec)``: materializing the dense local matrix with
+    ``dense_local_matrix_*``, and applying the operator and its transpose
+    matrix-free to an m-column block with the ``_matvec_*``/``_rmatvec_*``
+    kernels.  Each equals what ``count_macs`` charges for that call.
+    """
+    ru, _, rv = left.shape
+    ru_r, _, rv_r = right.shape
+    ra = [c.shape[0] for c in a_cores] + [a_cores[-1].shape[3]]
+    rows = [c.shape[1] for c in a_cores]
+    cols = [c.shape[2] for c in a_cores]
+
+    build, size = 0, ru * rv
+    for t in range(len(a_cores)):
+        size *= rows[t] * cols[t]
+        build += size * ra[t + 1] * ra[t]
+    build += size * ru_r * rv_r * ra[-1]
+
+    def apply(r_out, r_in, n_out, n_in, rr_out, rr_in):
+        # left env, then one A core per step, then the right env
+        macs = r_out * ra[0] * r_in * math.prod(n_in) * rr_in * m
+        for t in range(len(a_cores)):
+            macs += (r_out * rr_in * m * math.prod(n_out[:t])
+                     * math.prod(n_in[t:]) * ra[t] * n_out[t] * ra[t + 1])
+        return macs + r_out * m * math.prod(n_out) * rr_out * rr_in * ra[-1]
+
+    return (build, apply(ru, rv, rows, cols, ru_r, rv_r),
+            apply(rv, ru, cols, rows, rv_r, ru_r))
+
+
+# single core (one local position)
+
+
+def _matvec_als(left, a_core, right, y):
+    """(rv, j, rv_r, m) -> (ru, i, ru_r, m)."""
+    t = tdot(left, y, axes=(2, 0))               # (ru, ra, j, rv_r, m)
+    t = tdot(t, a_core, axes=((1, 2), (0, 2)))   # (ru, rv_r, m, i, ra_r)
+    t = tdot(t, right, axes=((1, 4), (2, 1)))    # (ru, m, i, ru_r)
+    return t.transpose(0, 2, 3, 1)
+
+
+def _rmatvec_als(left, a_core, right, x):
+    """(ru, i, ru_r, m) -> (rv, j, rv_r, m)."""
+    t = tdot(left, x, axes=(0, 0))               # (ra, rv, i, ru_r, m)
+    t = tdot(t, a_core, axes=((0, 2), (0, 1)))   # (rv, ru_r, m, j, ra_r)
+    t = tdot(t, right, axes=((1, 4), (0, 1)))    # (rv, m, j, rv_r)
+    return t.transpose(0, 2, 3, 1)
 
 
 def projected_matvec_als(env: Environment, a_core: np.ndarray, n: int,
                          y: np.ndarray) -> np.ndarray:
-    """Apply the projected matrix at position n to a flat local vector."""
+    """Apply the projected matrix at position n to a local vector or block."""
     left, right = env.lefts[n], env.rights[n]
-    y3 = _rf(y, (left.shape[2], a_core.shape[2], right.shape[2]))
-    return _matvec_als(left, a_core, right, y3).ravel(order="F")
+    return _apply_flat(_matvec_als, (left, a_core, right),
+                       (left.shape[2], a_core.shape[2], right.shape[2]), y)
 
 
 def projected_rmatvec_als(env: Environment, a_core: np.ndarray, n: int,
                           x: np.ndarray) -> np.ndarray:
     """Apply the transpose of the projected matrix at position n."""
     left, right = env.lefts[n], env.rights[n]
-    x3 = _rf(x, (left.shape[0], a_core.shape[1], right.shape[0]))
-    return _rmatvec_als(left, a_core, right, x3).ravel(order="F")
+    return _apply_flat(_rmatvec_als, (left, a_core, right),
+                       (left.shape[0], a_core.shape[1], right.shape[0]), x)
 
 
 def dense_local_matrix_als(env: Environment, a_core: np.ndarray,
                            n: int) -> np.ndarray:
-    """Materialize the projected matrix at position n (small sizes only)."""
+    """Materialize the projected matrix at position n."""
     left, right = env.lefts[n], env.rights[n]
     t = tdot(left, a_core, axes=(1, 0))          # (ru, rv, i, j, ra_r)
     t = tdot(t, right, axes=(4, 1))              # (ru, rv, i, j, ru_r, rv_r)
@@ -146,43 +199,48 @@ def dense_local_matrix_als(env: Environment, a_core: np.ndarray,
     return _rf(t, (ru * i * ru_r, rv * j * rv_r))
 
 
-# ---------------------------------------------------------------------------
-# projected operators, merged two-core (pair at positions n, n+1)
+# merged two-core (pair at positions n, n+1)
 
 
-def _matvec_mals(left, a1, a2, right, y5):
-    t = tdot(left, y5, axes=(2, 0))              # (ru, ra, ja, jb, rv_r)
-    t = tdot(t, a1, axes=((1, 2), (0, 2)))       # (ru, jb, rv_r, ia, ra_m)
-    t = tdot(t, a2, axes=((4, 1), (0, 2)))       # (ru, rv_r, ia, ib, ra_r)
-    t = tdot(t, right, axes=((1, 4), (2, 1)))    # (ru, ia, ib, ru_r)
-    return t
+def _matvec_mals(left, a1, a2, right, y):
+    """(rv, ja, jb, rv_r, m) -> (ru, ia, ib, ru_r, m)."""
+    t = tdot(left, y, axes=(2, 0))               # (ru, ra, ja, jb, rv_r, m)
+    t = tdot(t, a1, axes=((1, 2), (0, 2)))       # (ru, jb, rv_r, m, ia, ra_m)
+    t = tdot(t, a2, axes=((5, 1), (0, 2)))       # (ru, rv_r, m, ia, ib, ra_r)
+    t = tdot(t, right, axes=((1, 5), (2, 1)))    # (ru, m, ia, ib, ru_r)
+    return t.transpose(0, 2, 3, 4, 1)
 
 
-def _rmatvec_mals(left, a1, a2, right, x5):
-    t = tdot(left, x5, axes=(0, 0))              # (ra, rv, ia, ib, ru_r)
-    t = tdot(t, a1, axes=((0, 2), (0, 1)))       # (rv, ib, ru_r, ja, ra_m)
-    t = tdot(t, a2, axes=((4, 1), (0, 1)))       # (rv, ru_r, ja, jb, ra_r)
-    t = tdot(t, right, axes=((1, 4), (0, 1)))    # (rv, ja, jb, rv_r)
-    return t
+def _rmatvec_mals(left, a1, a2, right, x):
+    """(ru, ia, ib, ru_r, m) -> (rv, ja, jb, rv_r, m)."""
+    t = tdot(left, x, axes=(0, 0))               # (ra, rv, ia, ib, ru_r, m)
+    t = tdot(t, a1, axes=((0, 2), (0, 1)))       # (rv, ib, ru_r, m, ja, ra_m)
+    t = tdot(t, a2, axes=((5, 1), (0, 1)))       # (rv, ru_r, m, ja, jb, ra_r)
+    t = tdot(t, right, axes=((1, 5), (0, 1)))    # (rv, m, ja, jb, rv_r)
+    return t.transpose(0, 2, 3, 4, 1)
 
 
 def projected_matvec_mals(env: Environment, a1: np.ndarray, a2: np.ndarray,
                           n: int, y: np.ndarray) -> np.ndarray:
-    """Apply the merged projected matrix for the core pair (n, n+1)."""
+    """Apply the merged projected matrix at (n, n+1) to a vector or block."""
     left, right = env.lefts[n], env.rights[n + 1]
-    y5 = _rf(y, (left.shape[2], a1.shape[2], a2.shape[2], right.shape[2]))
-    return _matvec_mals(left, a1, a2, right, y5).ravel(order="F")
+    return _apply_flat(_matvec_mals, (left, a1, a2, right),
+                       (left.shape[2], a1.shape[2], a2.shape[2],
+                        right.shape[2]), y)
 
 
 def projected_rmatvec_mals(env: Environment, a1: np.ndarray, a2: np.ndarray,
                            n: int, x: np.ndarray) -> np.ndarray:
+    """Apply the transpose of the merged projected matrix."""
     left, right = env.lefts[n], env.rights[n + 1]
-    x5 = _rf(x, (left.shape[0], a1.shape[1], a2.shape[1], right.shape[0]))
-    return _rmatvec_mals(left, a1, a2, right, x5).ravel(order="F")
+    return _apply_flat(_rmatvec_mals, (left, a1, a2, right),
+                       (left.shape[0], a1.shape[1], a2.shape[1],
+                        right.shape[0]), x)
 
 
 def dense_local_matrix_mals(env: Environment, a1: np.ndarray, a2: np.ndarray,
                             n: int) -> np.ndarray:
+    """Materialize the merged projected matrix for the pair (n, n+1)."""
     left, right = env.lefts[n], env.rights[n + 1]
     t = tdot(left, a1, axes=(1, 0))              # (ru, rv, ia, ja, ra_m)
     t = tdot(t, a2, axes=(4, 0))                 # (ru, rv, ia, ja, ib, jb, ra_r)

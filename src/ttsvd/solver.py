@@ -10,9 +10,20 @@ Two families are implemented on shared machinery:
 * ``als_eig_baseline`` / ``mals_eig_baseline`` run the same sweeps on the
   Gram matrix A^T A with a single chain V, then recover U = A V Sigma^{-1}.
 
-The local problems are solved densely below a size crossover and otherwise
-by a block Krylov iteration on the symmetric embedding [[0, A], [A^T, 0]]
-(or on the projected Gram matrix directly), with full reorthogonalization,
+Each local problem takes one of three paths, recorded per micro-iteration
+as ``local_path``:
+
+* ``"dense"``: at most ``dense_crossover`` rows plus columns (columns alone
+  for the Gram problem), the local matrix is built and decomposed directly.
+* ``"krylov-dense-op"``: above the crossover, when building the local
+  matrix plus one GEMM apply of it to the K-column block costs no more
+  multiply-accumulates than one matrix-free apply to that block, it is
+  built once and block Krylov applies it by GEMM.
+* ``"krylov-matrix-free"``: otherwise block Krylov applies the contraction
+  chain of the environments to the whole block.
+
+Block Krylov runs on the symmetric embedding [[0, A], [A^T, 0]] (or on the
+projected Gram matrix directly), with full reorthogonalization,
 deterministic seeded starts warm-started from the current block core, and
 Rayleigh-Ritz extraction of the K largest (positive) pairs.
 
@@ -24,6 +35,7 @@ make an end-of-chain local problem infeasible.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -31,18 +43,20 @@ from typing import Callable
 
 import numpy as np
 
+from .counting import tdot
 from .environments import (
     Environment,
-    _matvec_als,
-    _matvec_mals,
-    _rmatvec_als,
-    _rmatvec_mals,
     dense_local_matrix_als,
     dense_local_matrix_mals,
     env_init,
     env_update_left,
     env_update_right,
     environment_deviation,
+    local_operator_macs,
+    projected_matvec_als,
+    projected_matvec_mals,
+    projected_rmatvec_als,
+    projected_rmatvec_mals,
 )
 from .generators import random_block_tt
 from .tt import (
@@ -121,9 +135,10 @@ class SweepReport:
     """Execution trace of one solver run (all attempts included).
 
     ``micro`` holds one record per micro-iteration: position, direction,
-    bond ranks after the split, the current Sigma estimate, and the local
-    solver's iteration count (0 = dense direct solve).  ``residual_history``
-    has one entry per completed full sweep.  ``sweeps_used`` counts sweeps
+    bond ranks after the split, the current Sigma estimate, the local
+    solver's iteration count (0 = dense direct solve) and its
+    ``local_path`` (see the module docstring).  ``residual_history`` has
+    one entry per completed full sweep.  ``sweeps_used`` counts sweeps
     of the attempt that produced the returned iterate; ``total_sweeps``
     counts across restarts.
     """
@@ -305,20 +320,19 @@ def krylov_block_svd(matvec, rmatvec, p: int, q: int, k: int, tol: float = 1e-10
                      max_iter: int = 400, seed=0, start=None):
     """Matrix-free top-K singular triplets via the symmetric embedding.
 
-    The operator [[0, A], [A^T, 0]] has eigenvalues {+-sigma_i} plus zeros,
-    so the K largest positive Ritz values approximate the dominant singular
-    values and each Ritz vector carries (u_i, v_i)/sqrt(2) in its halves.
+    ``matvec`` maps a (q, m) block to the (p, m) block A Y and ``rmatvec`` a
+    (p, m) block to A^T X; each is called once per Krylov step on the whole
+    block.  The operator [[0, A], [A^T, 0]] has eigenvalues {+-sigma_i}
+    plus zeros, so the K largest positive Ritz values approximate the
+    dominant singular values and each Ritz vector carries (u_i, v_i)/sqrt(2)
+    in its halves.
     """
     if k > min(p, q):
         raise ValueError(f"cannot take {k} triplets from a {p} x {q} problem")
     dim = p + q
 
     def apply_b(blockm):
-        out = np.empty_like(blockm)
-        for c in range(blockm.shape[1]):
-            out[:p, c] = matvec(blockm[p:, c])
-            out[p:, c] = rmatvec(blockm[:p, c])
-        return out
+        return np.vstack([matvec(blockm[p:]), rmatvec(blockm[:p])])
 
     theta, z, iters = _krylov_symmetric(apply_b, dim, k, tol, max_iter, seed,
                                         start, positive_only=True)
@@ -351,21 +365,25 @@ def krylov_block_svd(matvec, rmatvec, p: int, q: int, k: int, tol: float = 1e-10
 
 def krylov_block_eig(matvec, dim: int, k: int, tol: float = 1e-10,
                      max_iter: int = 400, seed=0, start=None):
-    """Matrix-free K algebraically largest eigenpairs of a symmetric map."""
+    """Matrix-free K algebraically largest eigenpairs of a symmetric map.
+
+    ``matvec`` maps a (dim, m) block to its image, once per Krylov step.
+    """
     if k > dim:
         raise ValueError(f"cannot take {k} eigenpairs from dimension {dim}")
-
-    def apply_op(blockm):
-        out = np.empty_like(blockm)
-        for c in range(blockm.shape[1]):
-            out[:, c] = matvec(blockm[:, c])
-        return out
-
-    theta, z, iters = _krylov_symmetric(apply_op, dim, k, tol, max_iter, seed,
+    theta, z, iters = _krylov_symmetric(matvec, dim, k, tol, max_iter, seed,
                                         start, positive_only=False)
     z = z.copy()
     _sign_fix_single(z)
     return theta, z, iters
+
+
+def _gemm(mat: np.ndarray, axis: int):
+    """Block apply of a built local matrix (axis 1) or its transpose (axis 0).
+
+    Goes through ``tdot`` so MAC counters still see the work.
+    """
+    return lambda y: tdot(mat, y, axes=(axis, 0))
 
 
 def local_block_svd(matvec, rmatvec, p: int, q: int, k: int, tol: float = 1e-10,
@@ -373,9 +391,9 @@ def local_block_svd(matvec, rmatvec, p: int, q: int, k: int, tol: float = 1e-10,
                     dense_builder=None, crossover: int = 600):
     """K dominant singular triplets of the projected local matrix.
 
-    Below the size crossover (and when a dense materializer is supplied) the
-    matrix is contracted explicitly and decomposed directly; otherwise the
-    matrix-free block Krylov solver runs on the symmetric embedding.
+    With a dense materializer, at most ``crossover`` rows plus columns are
+    built and decomposed directly; otherwise block Krylov runs on
+    ``matvec``/``rmatvec`` (block maps, see krylov_block_svd).
     Returns (U_loc, Sigma, V_loc, iterations).
     """
     if k > min(p, q):
@@ -436,14 +454,71 @@ def _gram_residual(bmat: MatrixTT, v: BlockTT, sigma: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# sweep mechanics shared by the SVD drivers
+# sweep mechanics shared by the SVD and Gram drivers
 
 
-def _block_as_local(chain: BlockTT, p: int) -> np.ndarray:
-    """Block core at p in solver layout, flattened to (local size, K)."""
-    bc = chain.cores[p]
-    r, k, i, r2 = bc.shape
-    return _rf(bc.transpose(0, 2, 3, 1), (r * i * r2, k))
+def _block_as_local(chain: BlockTT, q: int, pair: bool) -> np.ndarray:
+    """Block core at q, or the merged pair (q, q+1), as a (local size, K) matrix."""
+    if pair:
+        t = merge_cores(chain, q + 1)
+    else:
+        t = chain.cores[q].transpose(0, 2, 3, 1)
+    return _rf(t, (-1, t.shape[-1]))
+
+
+@dataclass(frozen=True)
+class _LocalOperator:
+    matvec: Callable
+    rmatvec: Callable
+    build: Callable
+    rows: tuple  # local tensor shape of the row (U) side
+    cols: tuple  # local tensor shape of the column (V) side
+    path: str
+
+
+def _local_operator(env: Environment, a: MatrixTT, q: int, pair: bool,
+                    k: int, crossover: int, gram: bool) -> _LocalOperator:
+    """Projected operator at core q, or on the merged pair (q, q+1).
+
+    Above the crossover (on rows plus columns for the SVD, columns for the
+    Gram problem) the local matrix is built here, for block Krylov to apply
+    by GEMM, when building it plus one GEMM block apply costs no more MACs
+    than one matrix-free block apply (both directions for the SVD); the
+    built path then never costs more, however few Krylov steps it takes.
+    """
+    left = env.lefts[q]
+    if pair:
+        cores, right = (a.cores[q], a.cores[q + 1]), env.rights[q + 1]
+        matvec = functools.partial(projected_matvec_mals, env, *cores, q)
+        rmatvec = functools.partial(projected_rmatvec_mals, env, *cores, q)
+
+        def build():
+            return dense_local_matrix_mals(env, *cores, q)
+    else:
+        cores, right = (a.cores[q],), env.rights[q]
+        matvec = functools.partial(projected_matvec_als, env, *cores, q)
+        rmatvec = functools.partial(projected_rmatvec_als, env, *cores, q)
+
+        def build():
+            return dense_local_matrix_als(env, *cores, q)
+    rows = (left.shape[0], *(c.shape[1] for c in cores), right.shape[0])
+    cols = (left.shape[2], *(c.shape[2] for c in cores), right.shape[2])
+    nrow, ncol = math.prod(rows), math.prod(cols)
+    build_macs, mv_macs, rmv_macs = local_operator_macs(left, cores, right, k)
+    if gram:
+        size, free_macs, gemm_macs = ncol, mv_macs, nrow * ncol * k
+    else:
+        size, free_macs, gemm_macs = (nrow + ncol, mv_macs + rmv_macs,
+                                      2 * nrow * ncol * k)
+    if size <= crossover:
+        path = "dense"
+    elif build_macs + gemm_macs <= free_macs:
+        path = "krylov-dense-op"
+        mat = build()
+        matvec, rmatvec = _gemm(mat, 1), _gemm(mat, 0)
+    else:
+        path = "krylov-matrix-free"
+    return _LocalOperator(matvec, rmatvec, build, rows, cols, path)
 
 
 def _min_keep_r2l(chain: BlockTT, p: int, k: int, pair: bool) -> int:
@@ -472,57 +547,65 @@ def _min_keep_l2r(chain: BlockTT, p: int, k: int, pair: bool) -> int:
     return max(1, math.ceil(k / max(cap, 1)))
 
 
-def _apply_split_r2l_als(chain: BlockTT, p: int, local4: np.ndarray,
-                         delta: float, max_rank, min_keep: int) -> int:
-    carry, core, rank = split_block_core_als(local4, "right_to_left", delta,
-                                             max_rank=max_rank,
-                                             min_keep=min_keep)
-    chain.cores[p] = core
-    chain.orth[p] = "R"
-    nb = np.tensordot(chain.cores[p - 1], carry, axes=(2, 0))
-    chain.cores[p - 1] = nb.transpose(0, 2, 1, 3)
-    chain.orth[p - 1] = None
-    chain.block_position = p - 1
-    return rank
+def _split_into(chain: BlockTT, q: int, local: np.ndarray, delta: float,
+                cfg: SolverConfig, pair: bool, r2l: bool) -> None:
+    """Truncated split of a local solution; the block core moves one step.
+
+    The window is core q, or the pair (q, q+1).  Splitting right to left
+    leaves its rightmost core right-orthogonal, left to right its leftmost
+    core left-orthogonal.
+    """
+    direction = "right_to_left" if r2l else "left_to_right"
+    if r2l:
+        keep = _min_keep_r2l(chain, q + 1 if pair else q, cfg.k, pair)
+    else:
+        keep = _min_keep_l2r(chain, q, cfg.k, pair)
+    if pair:
+        chain.cores[q], chain.cores[q + 1], _ = split_block_core_mals(
+            local, direction, delta, max_rank=cfg.max_rank, min_keep=keep)
+        chain.orth[q], chain.orth[q + 1] = (None, "R") if r2l else ("L", None)
+        chain.block_position = q if r2l else q + 1
+    elif r2l:
+        carry, chain.cores[q], _ = split_block_core_als(
+            local, direction, delta, max_rank=cfg.max_rank, min_keep=keep)
+        nb = np.tensordot(chain.cores[q - 1], carry, axes=(2, 0))
+        chain.cores[q - 1] = nb.transpose(0, 2, 1, 3)
+        chain.orth[q - 1], chain.orth[q] = None, "R"
+        chain.block_position = q - 1
+    else:
+        chain.cores[q], carry, _ = split_block_core_als(
+            local, direction, delta, max_rank=cfg.max_rank, min_keep=keep)
+        chain.cores[q + 1] = np.tensordot(carry, chain.cores[q + 1], axes=(1, 0))
+        chain.orth[q], chain.orth[q + 1] = "L", None
+        chain.block_position = q + 1
 
 
-def _apply_split_l2r_als(chain: BlockTT, p: int, local4: np.ndarray,
-                         delta: float, max_rank, min_keep: int) -> int:
-    core, carry, rank = split_block_core_als(local4, "left_to_right", delta,
-                                             max_rank=max_rank,
-                                             min_keep=min_keep)
-    chain.cores[p] = core
-    chain.orth[p] = "L"
-    chain.cores[p + 1] = np.tensordot(carry, chain.cores[p + 1], axes=(1, 0))
-    chain.orth[p + 1] = None
-    chain.block_position = p + 1
-    return rank
+def _advance(env: Environment, a: MatrixTT, chains, locals_, q: int,
+             delta: float, cfg: SolverConfig, pair: bool, r2l: bool) -> None:
+    """Split each local solution into its chain and move the environment.
+
+    ``chains`` is (U, V) for the SVD problem and (V,) for the Gram problem.
+    """
+    for chain, local in zip(chains, locals_):
+        _split_into(chain, q, local, delta, cfg, pair, r2l)
+    u, v = chains[0], chains[-1]
+    if r2l:
+        env_update_right(env, u, a, v, q + 1 if pair else q)
+    else:
+        env_update_left(env, u, a, v, q)
 
 
-def _apply_split_r2l_mals(chain: BlockTT, q: int, local5: np.ndarray,
-                          delta: float, max_rank, min_keep: int) -> int:
-    block, core, rank = split_block_core_mals(local5, "right_to_left", delta,
-                                              max_rank=max_rank,
-                                              min_keep=min_keep)
-    chain.cores[q] = block
-    chain.cores[q + 1] = core
-    chain.orth[q + 1] = "R"
-    chain.orth[q] = None
-    chain.block_position = q
-    return rank
-
-
-def _apply_split_l2r_mals(chain: BlockTT, q: int, local5: np.ndarray,
-                          delta: float, max_rank, min_keep: int) -> int:
-    core, block, rank = split_block_core_mals(local5, "left_to_right", delta,
-                                              max_rank=max_rank,
-                                              min_keep=min_keep)
-    chain.cores[q] = core
-    chain.cores[q + 1] = block
-    chain.orth[q] = "L"
-    chain.orth[q + 1] = None
-    chain.block_position = q + 1
-    return rank
+def _micro_record(p: int, direction: str, u, v: BlockTT, sigma, iters: int,
+                  path: str) -> dict:
+    return {
+        "position": int(p),
+        "direction": direction,
+        "ranks_u": None if u is None else [int(r) for r in u.ranks],
+        "ranks_v": [int(r) for r in v.ranks],
+        "sigma": [float(s) for s in sigma],
+        "local_iterations": int(iters),
+        "local_path": path,
+    }
 
 
 def _svd_half_sweep(a: MatrixTT, u: BlockTT, v: BlockTT, env: Environment,
@@ -534,109 +617,31 @@ def _svd_half_sweep(a: MatrixTT, u: BlockTT, v: BlockTT, env: Environment,
     r2l = direction == "right_to_left"
     positions = range(n - 1, 0, -1) if r2l else range(0, n - 1)
     for p in positions:
-        if pair:
-            q = p - 1 if r2l else p
-            left, right = env.lefts[q], env.rights[q + 1]
-            a1, a2 = a.cores[q], a.cores[q + 1]
-            i1, i2 = a1.shape[1], a2.shape[1]
-            j1, j2 = a1.shape[2], a2.shape[2]
-            p_sz = left.shape[0] * i1 * i2 * right.shape[0]
-            q_sz = left.shape[2] * j1 * j2 * right.shape[2]
-
-            def mv(y, left=left, right=right, a1=a1, a2=a2, j1=j1, j2=j2):
-                y5 = _rf(y, (left.shape[2], j1, j2, right.shape[2]))
-                return _matvec_mals(left, a1, a2, right, y5).ravel(order="F")
-
-            def rmv(x, left=left, right=right, a1=a1, a2=a2, i1=i1, i2=i2):
-                x5 = _rf(x, (left.shape[0], i1, i2, right.shape[0]))
-                return _rmatvec_mals(left, a1, a2, right, x5).ravel(order="F")
-
-            def builder(env=env, a1=a1, a2=a2, q=q):
-                return dense_local_matrix_mals(env, a1, a2, q)
-
-            start = np.vstack([
-                _rf(merge_cores(u, q + 1), (p_sz, cfg.k)),
-                _rf(merge_cores(v, q + 1), (q_sz, cfg.k)),
-            ]) / math.sqrt(2.0)
-        else:
-            left, right = env.lefts[p], env.rights[p]
-            acore = a.cores[p]
-            i_sz, j_sz = acore.shape[1], acore.shape[2]
-            p_sz = left.shape[0] * i_sz * right.shape[0]
-            q_sz = left.shape[2] * j_sz * right.shape[2]
-
-            def mv(y, left=left, right=right, acore=acore, j_sz=j_sz):
-                y3 = _rf(y, (left.shape[2], j_sz, right.shape[2]))
-                return _matvec_als(left, acore, right, y3).ravel(order="F")
-
-            def rmv(x, left=left, right=right, acore=acore, i_sz=i_sz):
-                x3 = _rf(x, (left.shape[0], i_sz, right.shape[0]))
-                return _rmatvec_als(left, acore, right, x3).ravel(order="F")
-
-            def builder(env=env, acore=acore, p=p):
-                return dense_local_matrix_als(env, acore, p)
-
-            start = np.vstack([_block_as_local(u, p),
-                               _block_as_local(v, p)]) / math.sqrt(2.0)
-
+        q = p - 1 if pair and r2l else p
+        op = _local_operator(env, a, q, pair, cfg.k, cfg.dense_crossover,
+                             gram=False)
+        start = np.vstack([_block_as_local(u, q, pair),
+                           _block_as_local(v, q, pair)]) / math.sqrt(2.0)
         seed = int(rng.integers(0, 2**63 - 1))
         u_loc, sig, v_loc, iters = local_block_svd(
-            mv, rmv, p_sz, q_sz, cfg.k, tol=cfg.local_tol,
-            max_iter=cfg.local_max_iter, seed=seed, start=start,
-            dense_builder=builder, crossover=cfg.dense_crossover)
+            op.matvec, op.rmatvec, math.prod(op.rows), math.prod(op.cols),
+            cfg.k, tol=cfg.local_tol, max_iter=cfg.local_max_iter, seed=seed,
+            start=start, dense_builder=op.build, crossover=cfg.dense_crossover)
         sigma = np.asarray(sig, dtype=float)
-
-        if pair:
-            ul = _rf(u_loc, (left.shape[0], i1, i2, right.shape[0], cfg.k))
-            vl = _rf(v_loc, (left.shape[2], j1, j2, right.shape[2], cfg.k))
-            if r2l:
-                _apply_split_r2l_mals(u, q, ul, delta, cfg.max_rank,
-                                      _min_keep_r2l(u, q + 1, cfg.k, True))
-                _apply_split_r2l_mals(v, q, vl, delta, cfg.max_rank,
-                                      _min_keep_r2l(v, q + 1, cfg.k, True))
-                env_update_right(env, u, a, v, q + 1)
-            else:
-                _apply_split_l2r_mals(u, q, ul, delta, cfg.max_rank,
-                                      _min_keep_l2r(u, q, cfg.k, True))
-                _apply_split_l2r_mals(v, q, vl, delta, cfg.max_rank,
-                                      _min_keep_l2r(v, q, cfg.k, True))
-                env_update_left(env, u, a, v, q)
-        else:
-            ul = _rf(u_loc, (left.shape[0], i_sz, right.shape[0], cfg.k))
-            vl = _rf(v_loc, (left.shape[2], j_sz, right.shape[2], cfg.k))
-            if cfg.on_micro_iteration is not None:
-                u_cb, v_cb = u.copy(), v.copy()
-                u_cb.cores[p] = ul.transpose(0, 3, 1, 2)
-                v_cb.cores[p] = vl.transpose(0, 3, 1, 2)
-                cfg.on_micro_iteration(
-                    {"position": p, "direction": direction,
-                     "sigma": [float(s) for s in sigma]}, u_cb, v_cb)
-            if r2l:
-                _apply_split_r2l_als(u, p, ul, delta, cfg.max_rank,
-                                     _min_keep_r2l(u, p, cfg.k, False))
-                _apply_split_r2l_als(v, p, vl, delta, cfg.max_rank,
-                                     _min_keep_r2l(v, p, cfg.k, False))
-                env_update_right(env, u, a, v, p)
-            else:
-                _apply_split_l2r_als(u, p, ul, delta, cfg.max_rank,
-                                     _min_keep_l2r(u, p, cfg.k, False))
-                _apply_split_l2r_als(v, p, vl, delta, cfg.max_rank,
-                                     _min_keep_l2r(v, p, cfg.k, False))
-                env_update_left(env, u, a, v, p)
-
+        ul = _rf(u_loc, op.rows + (cfg.k,))
+        vl = _rf(v_loc, op.cols + (cfg.k,))
+        info = {"position": p, "direction": direction,
+                "sigma": [float(s) for s in sigma]}
+        if not pair and cfg.on_micro_iteration is not None:
+            u_cb, v_cb = u.copy(), v.copy()
+            u_cb.cores[p] = ul.transpose(0, 3, 1, 2)
+            v_cb.cores[p] = vl.transpose(0, 3, 1, 2)
+            cfg.on_micro_iteration(info, u_cb, v_cb)
+        _advance(env, a, (u, v), (ul, vl), q, delta, cfg, pair, r2l)
         if pair and cfg.on_micro_iteration is not None:
-            cfg.on_micro_iteration(
-                {"position": p, "direction": direction,
-                 "sigma": [float(s) for s in sigma]}, u.copy(), v.copy())
-
-        report.micro.append({
-            "position": int(p),
-            "direction": direction,
-            "ranks_u": [int(r) for r in u.ranks],
-            "ranks_v": [int(r) for r in v.ranks],
-            "sigma": [float(s) for s in sigma],
-            "local_iterations": int(iters),
-        })
+            cfg.on_micro_iteration(info, u.copy(), v.copy())
+        report.micro.append(_micro_record(p, direction, u, v, sigma, iters,
+                                          op.path))
     return sigma
 
 
@@ -745,73 +750,21 @@ def _eig_half_sweep(bmat: MatrixTT, v: BlockTT, env: Environment,
     r2l = direction == "right_to_left"
     positions = range(n - 1, 0, -1) if r2l else range(0, n - 1)
     for p in positions:
-        if pair:
-            q = p - 1 if r2l else p
-            left, right = env.lefts[q], env.rights[q + 1]
-            b1, b2 = bmat.cores[q], bmat.cores[q + 1]
-            j1, j2 = b1.shape[2], b2.shape[2]
-            dim = left.shape[2] * j1 * j2 * right.shape[2]
-
-            def mv(y, left=left, right=right, b1=b1, b2=b2, j1=j1, j2=j2):
-                y5 = _rf(y, (left.shape[2], j1, j2, right.shape[2]))
-                return _matvec_mals(left, b1, b2, right, y5).ravel(order="F")
-
-            def builder(env=env, b1=b1, b2=b2, q=q):
-                return dense_local_matrix_mals(env, b1, b2, q)
-
-            start = _rf(merge_cores(v, q + 1), (dim, cfg.k))
-        else:
-            left, right = env.lefts[p], env.rights[p]
-            bcore = bmat.cores[p]
-            j_sz = bcore.shape[2]
-            dim = left.shape[2] * j_sz * right.shape[2]
-
-            def mv(y, left=left, right=right, bcore=bcore, j_sz=j_sz):
-                y3 = _rf(y, (left.shape[2], j_sz, right.shape[2]))
-                return _matvec_als(left, bcore, right, y3).ravel(order="F")
-
-            def builder(env=env, bcore=bcore, p=p):
-                return dense_local_matrix_als(env, bcore, p)
-
-            start = _block_as_local(v, p)
-
+        q = p - 1 if pair and r2l else p
+        op = _local_operator(env, bmat, q, pair, cfg.k, cfg.dense_crossover,
+                             gram=True)
         seed = int(rng.integers(0, 2**63 - 1))
         lam, v_loc, iters = local_block_eig(
-            mv, dim, cfg.k, tol=cfg.local_tol, max_iter=cfg.local_max_iter,
-            seed=seed, start=start, dense_builder=builder,
+            op.matvec, math.prod(op.cols), cfg.k, tol=cfg.local_tol,
+            max_iter=cfg.local_max_iter, seed=seed,
+            start=_block_as_local(v, q, pair), dense_builder=op.build,
             crossover=cfg.dense_crossover)
         lam = np.asarray(lam, dtype=float)
-        sigma_now = np.sqrt(np.maximum(lam, 0.0))
-
-        if pair:
-            vl = _rf(v_loc, (left.shape[2], j1, j2, right.shape[2], cfg.k))
-            if r2l:
-                _apply_split_r2l_mals(v, q, vl, delta, cfg.max_rank,
-                                      _min_keep_r2l(v, q + 1, cfg.k, True))
-                env_update_right(env, v, bmat, v, q + 1)
-            else:
-                _apply_split_l2r_mals(v, q, vl, delta, cfg.max_rank,
-                                      _min_keep_l2r(v, q, cfg.k, True))
-                env_update_left(env, v, bmat, v, q)
-        else:
-            vl = _rf(v_loc, (left.shape[2], j_sz, right.shape[2], cfg.k))
-            if r2l:
-                _apply_split_r2l_als(v, p, vl, delta, cfg.max_rank,
-                                     _min_keep_r2l(v, p, cfg.k, False))
-                env_update_right(env, v, bmat, v, p)
-            else:
-                _apply_split_l2r_als(v, p, vl, delta, cfg.max_rank,
-                                     _min_keep_l2r(v, p, cfg.k, False))
-                env_update_left(env, v, bmat, v, p)
-
-        report.micro.append({
-            "position": int(p),
-            "direction": direction,
-            "ranks_u": None,
-            "ranks_v": [int(r) for r in v.ranks],
-            "sigma": [float(s) for s in sigma_now],
-            "local_iterations": int(iters),
-        })
+        _advance(env, bmat, (v,), (_rf(v_loc, op.cols + (cfg.k,)),), q,
+                 delta, cfg, pair, r2l)
+        report.micro.append(_micro_record(p, direction, None, v,
+                                          np.sqrt(np.maximum(lam, 0.0)),
+                                          iters, op.path))
     return lam
 
 

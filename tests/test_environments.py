@@ -20,6 +20,8 @@ from ttsvd import (
     env_update_left,
     env_update_right,
     environment_deviation,
+    local_block_svd,
+    local_operator_macs,
     projected_matvec_als,
     projected_matvec_mals,
     projected_rmatvec_als,
@@ -222,3 +224,87 @@ def test_mac_costs_stay_within_twice_the_model():
         assert model_update < c.macs <= 2 * model_update, (
             f"update macs {c.macs} vs model {model_update} at {(r, ra, i)}"
         )
+
+
+def _window_env(rng, left_shape, right_shape, n, pair):
+    """Environment with random tensors at position n (and n+1 for a pair)."""
+    env = Environment(n + (3 if pair else 2))
+    env.lefts[n] = rng.standard_normal(left_shape)
+    env.rights[n + 1 if pair else n] = rng.standard_normal(right_shape)
+    return env
+
+
+# (left, A cores, right): every window has p != q and rectangular A modes
+_NON_SQUARE = [
+    ("als", (3, 2, 4), [(2, 2, 3, 3)], (5, 3, 2)),
+    ("mals", (3, 2, 4), [(2, 2, 3, 4), (4, 3, 2, 3)], (5, 3, 2)),
+    ("mals", (1, 1, 2), [(1, 3, 2, 2), (2, 2, 2, 1)], (1, 1, 1)),
+]
+
+
+def _window_ops(env, cores, n):
+    if len(cores) == 1:
+        return (lambda y: projected_matvec_als(env, cores[0], n, y),
+                lambda x: projected_rmatvec_als(env, cores[0], n, x),
+                lambda: dense_local_matrix_als(env, cores[0], n))
+    return (lambda y: projected_matvec_mals(env, *cores, n, y),
+            lambda x: projected_rmatvec_mals(env, *cores, n, x),
+            lambda: dense_local_matrix_mals(env, *cores, n))
+
+
+@pytest.mark.parametrize("kind,left,cores,right", _NON_SQUARE)
+def test_block_apply_on_non_square_windows(kind, left, cores, right):
+    rng = np.random.default_rng(10)
+    n = 1
+    env = _window_env(rng, left, right, n, kind == "mals")
+    a_cores = [rng.standard_normal(c) for c in cores]
+    mv, rmv, build = _window_ops(env, a_cores, n)
+    abar = build()
+    p, q = abar.shape
+    assert p != q
+    for m in (3, 5):
+        y = rng.standard_normal((q, m))
+        x = rng.standard_normal((p, m))
+        ay, atx = mv(y), rmv(x)
+        assert ay.shape == (p, m) and atx.shape == (q, m)
+        assert np.allclose(ay, abar @ y, atol=1e-10)
+        assert np.allclose(atx, abar.T @ x, atol=1e-10)
+        # the block apply is the vector apply column by column
+        for c in range(m):
+            assert np.allclose(mv(y[:, c]), ay[:, c], atol=1e-12)
+            assert np.allclose(rmv(x[:, c]), atx[:, c], atol=1e-12)
+    # block Krylov solves the window on the matrix-free and the built operator
+    s_ref = np.linalg.svd(abar, compute_uv=False)[:3]
+    for ops in ((mv, rmv), (lambda y: abar @ y, lambda x: abar.T @ x)):
+        _, s, _, iters = local_block_svd(*ops, p, q, 3, seed=1)
+        assert iters >= 1
+        assert np.allclose(s, s_ref, atol=1e-8 * s_ref[0])
+
+
+@pytest.mark.parametrize("kind,left,cores,right", _NON_SQUARE + [
+    ("als", (5, 25, 5), [(25, 2, 2, 25)], (20, 25, 20)),
+    ("mals", (5, 25, 5), [(25, 2, 2, 25), (25, 2, 2, 25)], (20, 25, 20)),
+])
+@pytest.mark.parametrize("m", [1, 10])
+def test_local_operator_macs_match_count_macs(kind, left, cores, right, m):
+    rng = np.random.default_rng(11)
+    n = 2
+    env = _window_env(rng, left, right, n, kind == "mals")
+    a_cores = [rng.standard_normal(c) for c in cores]
+    mv, rmv, build = _window_ops(env, a_cores, n)
+    with count_macs() as c_build:
+        abar = build()
+    p, q = abar.shape
+    with count_macs() as c_mv:
+        mv(rng.standard_normal((q, m)))
+    with count_macs() as c_rmv:
+        rmv(rng.standard_normal((p, m)))
+    model = local_operator_macs(env.lefts[n], a_cores,
+                                env.rights[n + len(cores) - 1], m)
+    assert model == (c_build.macs, c_mv.macs, c_rmv.macs)
+    if m == 1:
+        # a flat vector costs what a one-column block does
+        with count_macs() as c_vec:
+            mv(rng.standard_normal(q))
+            rmv(rng.standard_normal(p))
+        assert c_vec.macs == model[1] + model[2]

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from ttsvd import LocalSolverError
+from ttsvd import (Environment, LocalSolverError, MatrixTT, count_macs,
+                   local_operator_macs)
 from ttsvd.solver import (
+    _gemm,
+    _local_operator,
     dense_block_eig,
     dense_block_svd,
     krylov_block_eig,
@@ -168,3 +171,84 @@ def test_krylov_handles_saturated_subspaces():
     assert np.allclose(u.T @ u, np.eye(5), atol=1e-8)
     # Ritz values must never overshoot the true extremes
     assert s[0] <= s_ref[0] + 1e-8
+
+
+def test_materialized_krylov_counts_its_gemm_applies():
+    # the built matrix stands in for the operator; the GEMM applies still
+    # run through the MAC counter
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((30, 12))
+    p, q, k = 30, 12, 3
+    with count_macs() as c:
+        u, s, v, iters = local_block_svd(_gemm(m, 1), _gemm(m, 0), p, q, k,
+                                         seed=3)
+    assert iters >= 1
+    assert 2 * p * q * iters <= c.macs <= 2 * p * q * k * iters
+    assert np.allclose(s, np.linalg.svd(m, compute_uv=False)[:k], atol=1e-8)
+
+    b = m.T @ m
+    with count_macs() as c:
+        lam, _, iters = local_block_eig(_gemm(b, 1), q, k, seed=3)
+    assert iters >= 1 and q * q * iters <= c.macs <= q * q * k * iters
+    assert np.allclose(lam, np.linalg.eigvalsh(b)[::-1][:k], atol=1e-7)
+
+
+def _operator_at(rng, left, cores, right, k, crossover, gram=False):
+    n = 1
+    env = Environment(len(cores) + 2)
+    env.lefts[n] = rng.standard_normal(left)
+    env.rights[n + len(cores) - 1] = rng.standard_normal(right)
+    a = MatrixTT([rng.standard_normal((1, 2, 2, cores[0][0]))]
+                 + [rng.standard_normal(c) for c in cores]
+                 + [rng.standard_normal((cores[-1][3], 2, 2, 1))])
+    return _local_operator(env, a, n, len(cores) == 2, k, crossover, gram)
+
+
+def _shape_macs(shape, k):
+    left, cores, right = shape
+    return local_operator_macs(np.empty(left), [np.empty(c) for c in cores],
+                               np.empty(right), k)
+
+
+def test_local_path_follows_the_mac_cost_model():
+    rng = np.random.default_rng(13)
+    k = 10
+    # the merged pair of a typical mals_svd position: building (4.3M MACs)
+    # plus one GEMM block apply (3.2M) is cheaper than one matrix-free
+    # block apply (25.0M)
+    shape = ((5, 25, 5), [(25, 2, 2, 25), (25, 2, 2, 25)], (20, 25, 20))
+    build, mv, rmv = _shape_macs(shape, k)
+    assert (build, mv + rmv) == (4_312_500, 25_000_000)
+    op = _operator_at(rng, *shape, k, crossover=600)
+    assert op.path == "krylov-dense-op"
+    # its operator is the built matrix, applied by a counted GEMM
+    abar = op.build()
+    y, x = rng.standard_normal((400, k)), rng.standard_normal((400, k))
+    with count_macs() as c:
+        ay, atx = op.matvec(y), op.rmatvec(x)
+    assert c.macs == 2 * 400 * 400 * k == 3_200_000
+    assert np.allclose(ay, abar @ y) and np.allclose(atx, abar.T @ x)
+    # the same operator below the crossover is solved densely
+    assert _operator_at(rng, *shape, k, crossover=800).path == "dense"
+
+    # A rank 3 (a tridiagonal operator) with U, V ranks 10: building
+    # (0.50M) is cheaper than one matrix-free block apply (0.91M), but
+    # each GEMM step (3.2M) is not, so the operator stays matrix-free
+    shape = ((10, 3, 10), [(3, 2, 2, 3), (3, 2, 2, 3)], (10, 3, 10))
+    build, mv, rmv = _shape_macs(shape, k)
+    assert build <= mv + rmv < 2 * 400 * 400 * k
+    op = _operator_at(rng, *shape, k, crossover=600)
+    assert op.path == "krylov-matrix-free"
+    y = rng.standard_normal((400, k))
+    with count_macs() as c:
+        op.matvec(y)
+    assert c.macs == mv
+
+    # A rank 1 and wide environments: the dense matrix costs more to build
+    # than one block apply, so the operator stays matrix-free
+    shape = ((30, 1, 30), [(1, 2, 2, 1)], (30, 1, 30))
+    build, mv, rmv = _shape_macs(shape, 2)
+    assert build > mv + rmv and build > mv
+    assert _operator_at(rng, *shape, 2, crossover=600).path == "krylov-matrix-free"
+    assert _operator_at(rng, *shape, 2, crossover=600,
+                        gram=True).path == "krylov-matrix-free"

@@ -238,7 +238,11 @@ def test_report_is_json_serializable():
     assert len(back["micro_iterations"]) == len(rep.micro)
     first = back["micro_iterations"][0]
     assert set(first) == {"position", "direction", "ranks_u", "ranks_v",
-                          "sigma", "local_iterations"}
+                          "sigma", "local_iterations", "local_path"}
+    paths = {"dense", "krylov-dense-op", "krylov-matrix-free"}
+    for record, sent in zip(rep.micro, back["micro_iterations"]):
+        assert sent["local_path"] == record["local_path"] in paths
+        assert (sent["local_path"] == "dense") == (sent["local_iterations"] == 0)
 
 
 def test_max_rank_cap_is_enforced_per_micro_iteration():
