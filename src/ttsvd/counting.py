@@ -54,16 +54,21 @@ def _normalize_axes(a, b, axes):
 
 
 def tdot(a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
-    """np.tensordot with MAC accounting on the active counters."""
+    """np.tensordot with MAC accounting on the active counters.
+
+    With no counter active it is np.tensordot itself: the axis bookkeeping
+    is skipped.
+    """
+    if not _ACTIVE:
+        return np.tensordot(a, b, axes=axes)
     a = np.asarray(a)
     b = np.asarray(b)
     ax_a, ax_b = _normalize_axes(a, b, axes)
-    if _ACTIVE:
-        contracted = 1
-        for ax in ax_a:
-            contracted *= a.shape[ax]
-        out_size = (a.size // max(contracted, 1)) * (b.size // max(contracted, 1))
-        n = out_size * contracted
-        for c in _ACTIVE:
-            c.add(n)
+    contracted = 1
+    for ax in ax_a:
+        contracted *= a.shape[ax]
+    out_size = (a.size // max(contracted, 1)) * (b.size // max(contracted, 1))
+    n = out_size * contracted
+    for c in _ACTIVE:
+        c.add(n)
     return np.tensordot(a, b, axes=(ax_a, ax_b))

@@ -306,9 +306,7 @@ def _run_cell(cfg: RunConfig, n, param, solver_name: str):
         except ValueError as exc:
             raise ConfigError(f"solver {solver_name} rejected the problem: "
                               f"{exc}") from exc
-        rdelta = scfg.residual_delta if scfg.residual_delta is not None \
-            else scfg.epsilon / 10
-        resid = solver_mod.residual(a, u, v, sigma, rdelta)
+        resid = solver_mod.residual(a, u, v, sigma)
         if truth is not None:
             spec_err = float(np.linalg.norm(sigma - truth)
                              / np.linalg.norm(truth))

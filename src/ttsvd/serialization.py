@@ -18,6 +18,7 @@ round trip is bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from .tt import BlockTT, MatrixTT, VectorTT
 
 MAGIC = b"TTC1"
+_HEADER = "<BIIi"  # kind, N, K, pos
 _KIND_CODE = {VectorTT: 0, MatrixTT: 1, BlockTT: 2}
 
 
@@ -43,7 +45,7 @@ def save_tt(x, path) -> None:
     ranks = list(x.ranks)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<BIIi", kind, n, k, pos))
+        fh.write(struct.pack(_HEADER, kind, n, k, pos))
         fh.write(np.asarray(modes, dtype="<u4").tobytes())
         fh.write(np.asarray(ranks, dtype="<u4").tobytes())
         for c in x.cores:
@@ -51,18 +53,40 @@ def save_tt(x, path) -> None:
 
 
 def load_tt(path):
-    """Read a chain written by save_tt; the inverse, bit-exactly."""
+    """Read a chain written by save_tt; the inverse, bit-exactly.
+
+    The header is checked before any payload is read: the kind code, the
+    block fields (K >= 1 and 0 <= pos < N for a BlockTT, K = 0 and pos = -1
+    otherwise) and the length of every section.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
         raise ValueError("not a TT container (bad magic)")
-    kind, n, k, pos = struct.unpack_from("<BIIi", data, 4)
-    off = 4 + struct.calcsize("<BIIi")
-    n_modes = 2 * n if kind == 1 else n
-    modes = np.frombuffer(data, dtype="<u4", count=n_modes, offset=off)
-    off += 4 * n_modes
-    ranks = np.frombuffer(data, dtype="<u4", count=n + 1, offset=off)
-    off += 4 * (n + 1)
+    off = 4 + struct.calcsize(_HEADER)
+    if len(data) < off:
+        raise ValueError("truncated TT container: incomplete header")
+    kind, n, k, pos = struct.unpack_from(_HEADER, data, 4)
+    if kind not in _KIND_CODE.values():
+        raise ValueError(f"unknown TT container kind code {kind}")
+    if kind == 2 and (k < 1 or not 0 <= pos < n):
+        raise ValueError(f"bad BlockTT header: K={k}, pos={pos}, N={n}")
+    if kind != 2 and (k != 0 or pos != -1):
+        raise ValueError(f"K={k}, pos={pos} in a header of kind {kind}; "
+                         "only a BlockTT (kind 2) has a block")
+
+    def take(dtype, shape):
+        nonlocal off
+        count = math.prod(shape)
+        end = off + np.dtype(dtype).itemsize * count
+        if end > len(data):
+            raise ValueError("truncated TT container: payload ends early")
+        out = np.frombuffer(data, dtype=dtype, count=count, offset=off)
+        off = end
+        return np.reshape(out, shape, order="F")
+
+    modes = take("<u4", (2 * n if kind == 1 else n,))
+    ranks = take("<u4", (n + 1,))
     cores = []
     for m in range(n):
         r, r2 = int(ranks[m]), int(ranks[m + 1])
@@ -73,10 +97,7 @@ def load_tt(path):
         else:
             shape = ((r, k, int(modes[m]), r2) if m == pos
                      else (r, int(modes[m]), r2))
-        count = int(np.prod(shape))
-        flat = np.frombuffer(data, dtype="<f8", count=count, offset=off)
-        off += 8 * count
-        cores.append(np.reshape(flat, shape, order="F"))
+        cores.append(take("<f8", shape))
     if off != len(data):
         raise ValueError("trailing bytes in TT container")
     if kind == 0:

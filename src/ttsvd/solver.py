@@ -63,8 +63,8 @@ from .tt import (
     BlockTT,
     MatrixTT,
     _rf,
-    block_tt_add,
     block_tt_matvec,
+    block_tt_residual_norm,
     block_tt_round,
     block_tt_scale_columns,
     matrix_tt_matmul,
@@ -73,7 +73,6 @@ from .tt import (
     merge_cores,
     split_block_core_als,
     split_block_core_mals,
-    tt_norm,
 )
 
 
@@ -89,9 +88,10 @@ class SolverConfig:
     sweep of every attempt truncates at ``first_halfsweep_delta_factor``
     times the working delta, and each restart shrinks the working delta by
     ``restart_delta_shrink`` and reseeds the initial chains.
-    ``allow_k1_als`` exists only so tests can push k=1 through the
-    single-core path to observe the rank freeze; normal use requires k >= 2
-    there.
+    ``residual_delta`` (default epsilon / 10) only rounds the Gram matrix
+    A^T A and the recovered U of the Gram baselines; the stopping residual
+    is exact.  ``allow_k1_als`` exists only so tests can push k=1 through
+    the single-core path to observe the rank freeze (normally k >= 2).
     """
 
     k: int
@@ -422,35 +422,32 @@ def local_block_eig(matvec, dim: int, k: int, tol: float = 1e-10,
 # residuals
 
 
-def residual(a: MatrixTT, u: BlockTT, v: BlockTT, sigma, delta: float) -> float:
+def residual(a: MatrixTT, u: BlockTT, v: BlockTT, sigma,
+             delta: float | None = None) -> float:
     """Relative residual ||A^T U - V Sigma||_F / ||Sigma||_F in TT arithmetic.
 
-    A^T U is evaluated exactly and rounded once at ``delta``; the difference
-    norm is taken through an orthogonalization pass, which keeps tiny
-    residuals resolvable (a Gram-trace norm bottoms out near sqrt(machine
-    epsilon) relative to ||Sigma||).
+    Exact up to floating-point rounding (about 1e-15 relative to the terms):
+    ``block_tt_residual_norm`` sweeps the unrounded chain, never forming or
+    rounding A^T U.  Its QR reductions keep tiny residuals resolvable, where
+    a Gram-trace norm bottoms out near sqrt(machine epsilon) times ||Sigma||.
+    ``delta`` is ignored, kept so five-argument calls keep working.
     """
     sig = np.asarray(sigma, dtype=float)
     signorm = float(np.linalg.norm(sig))
     if signorm == 0.0:
         raise ValueError("residual is undefined for an all-zero spectrum")
-    w = block_tt_round(block_tt_matvec(matrix_tt_transpose(a), u), delta)
-    d = block_tt_add(w, block_tt_scale_columns(v, -sig))
-    return tt_norm(d) / signorm
+    return block_tt_residual_norm(matrix_tt_transpose(a), u, np.ones(sig.shape),
+                                  v, sig) / signorm
 
 
-def _gram_residual(bmat: MatrixTT, v: BlockTT, sigma: np.ndarray,
-                   delta: float) -> float:
+def _gram_residual(bmat: MatrixTT, v: BlockTT, sigma: np.ndarray) -> float:
     """Stopping metric ||B V pinv(Sigma) - V Sigma||_F / ||Sigma||_F for B = A^T A."""
     signorm = float(np.linalg.norm(sigma))
     if signorm == 0.0:
         raise ValueError("residual is undefined for an all-zero spectrum")
     smax = float(sigma.max())
     pinv = np.where(sigma > 1e-14 * smax, 1.0 / np.where(sigma > 0, sigma, 1.0), 0.0)
-    w = block_tt_round(block_tt_matvec(bmat, v), delta)
-    d = block_tt_add(block_tt_scale_columns(w, pinv),
-                     block_tt_scale_columns(v, -sigma))
-    return tt_norm(d) / signorm
+    return block_tt_residual_norm(bmat, v, pinv, v, sigma) / signorm
 
 
 # ---------------------------------------------------------------------------
@@ -653,14 +650,20 @@ def _track_env(report: SweepReport, cfg: SolverConfig, env: Environment,
     report.env_consistency_max = max(report.env_consistency_max or 0.0, dev)
 
 
-def _svd_driver(a: MatrixTT, cfg: SolverConfig, pair: bool, name: str):
-    n = a.n_cores
-    if n < 2:
+def _check_problem(a: MatrixTT, cfg: SolverConfig) -> None:
+    if a.n_cores < 2:
         raise ValueError("sweep solvers need at least two cores")
     if cfg.k > min(a.n_rows, a.n_cols):
         raise ValueError("block size k exceeds the matrix dimensions")
+    for m, core in enumerate(a.cores):
+        if not np.isfinite(core).all():
+            raise ValueError(f"core {m} of the matrix holds NaN or inf")
+
+
+def _svd_driver(a: MatrixTT, cfg: SolverConfig, pair: bool, name: str):
+    _check_problem(a, cfg)
+    n = a.n_cores
     delta0 = cfg.delta0 if cfg.delta0 is not None else cfg.epsilon / math.sqrt(n - 1)
-    rdelta = cfg.residual_delta if cfg.residual_delta is not None else cfg.epsilon / 10
     report = SweepReport(solver=name, k=cfg.k)
     if cfg.track_env_consistency:
         report.env_consistency_max = 0.0
@@ -693,7 +696,7 @@ def _svd_driver(a: MatrixTT, cfg: SolverConfig, pair: bool, name: str):
                 break
             sweeps_this += 1
             report.total_sweeps += 1
-            r = residual(a, u, v, sigma, rdelta)
+            r = residual(a, u, v, sigma)
             report.residual_history.append(
                 {"attempt": int(attempt), "sweep": int(sweep),
                  "residual": float(r)})
@@ -769,11 +772,8 @@ def _eig_half_sweep(bmat: MatrixTT, v: BlockTT, env: Environment,
 
 
 def _eig_driver(a: MatrixTT, cfg: SolverConfig, pair: bool, name: str):
+    _check_problem(a, cfg)
     n = a.n_cores
-    if n < 2:
-        raise ValueError("sweep solvers need at least two cores")
-    if cfg.k > min(a.n_rows, a.n_cols):
-        raise ValueError("block size k exceeds the matrix dimensions")
     rdelta = cfg.residual_delta if cfg.residual_delta is not None else cfg.epsilon / 10
     bmat = matrix_tt_round(matrix_tt_matmul(matrix_tt_transpose(a), a), rdelta)
     delta0 = cfg.delta0 if cfg.delta0 is not None else cfg.epsilon / math.sqrt(n - 1)
@@ -809,7 +809,7 @@ def _eig_driver(a: MatrixTT, cfg: SolverConfig, pair: bool, name: str):
             sigma = np.sqrt(np.maximum(np.asarray(lam, dtype=float), 0.0))
             sweeps_this += 1
             report.total_sweeps += 1
-            r = _gram_residual(bmat, v, sigma, rdelta)
+            r = _gram_residual(bmat, v, sigma)
             report.residual_history.append(
                 {"attempt": int(attempt), "sweep": int(sweep),
                  "residual": float(r)})

@@ -525,40 +525,6 @@ def block_tt_scale_columns(u: BlockTT, weights) -> BlockTT:
     return BlockTT(cores, p)
 
 
-def block_tt_add(x: BlockTT, y: BlockTT) -> BlockTT:
-    """Column-wise sum of two BlockTTs sharing the block position and K."""
-    if x.mode_sizes != y.mode_sizes or x.k != y.k:
-        raise ValueError("block_tt_add shape mismatch")
-    if x.block_position != y.block_position:
-        raise ValueError("block_tt_add requires matching block positions")
-    n = x.n_cores
-    p = x.block_position
-    if n == 1:
-        return BlockTT([x.cores[0] + y.cores[0]], 0)
-    cores = []
-    for m in range(n):
-        cx, cy = x.cores[m], y.cores[m]
-        if m == 0:
-            cores.append(np.concatenate([cx, cy], axis=cx.ndim - 1))
-        elif m == n - 1:
-            cores.append(np.concatenate([cx, cy], axis=0))
-        elif m == p:
-            rx, k, i, rx2 = cx.shape
-            ry, _, _, ry2 = cy.shape
-            c = np.zeros((rx + ry, k, i, rx2 + ry2))
-            c[:rx, :, :, :rx2] = cx
-            c[rx:, :, :, rx2:] = cy
-            cores.append(c)
-        else:
-            rx, i, rx2 = cx.shape
-            ry, _, ry2 = cy.shape
-            c = np.zeros((rx + ry, i, rx2 + ry2))
-            c[:rx, :, :rx2] = cx
-            c[rx:, :, rx2:] = cy
-            cores.append(c)
-    return BlockTT(cores, p)
-
-
 def block_tt_gram(x: BlockTT, y: BlockTT) -> np.ndarray:
     """K x K matrix of inner products between the columns of two BlockTTs."""
     if x.mode_sizes != y.mode_sizes or x.k != y.k:
@@ -573,6 +539,55 @@ def block_tt_gram(x: BlockTT, y: BlockTT) -> np.ndarray:
     for n in range(p + 1, x.n_cores):
         t = np.einsum("kKab,aic,bid->kKcd", t, x.cores[n], y.cores[n], optimize=True)
     return t[:, :, 0, 0]
+
+
+def block_tt_residual_norm(op: MatrixTT, x: BlockTT, xs, y: BlockTT, ys) -> float:
+    """Exact ||op X diag(xs) - Y diag(ys)||_F, without forming op X.
+
+    One right-to-left sweep over the unrounded difference chain
+    [op X | Y], whose bond ranks are R^op R^X + R^Y, without building its
+    cores.  The carry is the R factor (s x bond) of the part of the chain
+    right of the current bond: at core m it enters the op X part through
+    the X core and then the op core, and the Y part through the Y core; the
+    two results are stacked over the shared rows and reduced to R by an
+    R-only QR.  At core 0 both parts have the boundary rank 1, so their sum
+    is the whole difference and its norm is returned.  The block cores
+    carry ``xs`` and ``-ys`` on their K axis.
+
+    Orthogonal reductions keep the value accurate to a few units of
+    rounding relative to the norms of the two terms, so residuals far
+    below sqrt(machine epsilon) stay resolvable; a Gram-trace norm of the
+    same chain would bottom out there.
+    """
+    if op.col_sizes != x.mode_sizes or op.row_sizes != y.mode_sizes or x.k != y.k:
+        raise ValueError("block_tt_residual_norm shape mismatch")
+    if x.block_position != y.block_position:
+        raise ValueError("block_tt_residual_norm requires matching block positions")
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.shape != (x.k,) or ys.shape != (x.k,):
+        raise ValueError("need one weight per block column")
+    p = x.block_position
+    cx = np.ones((1, 1, 1))  # carry into the op X part: (s, R^X, R^op)
+    cy = np.ones((1, 1))  # carry into the Y part: (s, R^Y)
+    for m in range(op.n_cores - 1, -1, -1):  # returns at core 0
+        if m == p:
+            xc = x.cores[m] * xs[np.newaxis, :, np.newaxis, np.newaxis]
+            yc = y.cores[m] * -ys[np.newaxis, :, np.newaxis, np.newaxis]
+        else:  # a unit K axis lets every core take the block-core path
+            xc, yc = x.cores[m][:, np.newaxis], y.cores[m][:, np.newaxis]
+        gx = np.tensordot(cx, xc, axes=(1, 3))  # (s, R^op, R^X, K, J)
+        gx = np.tensordot(gx, op.cores[m], axes=((1, 4), (3, 2)))
+        gx = gx.transpose(0, 2, 4, 1, 3)  # (s, K, I, R^X, R^op)
+        gy = np.tensordot(cy, yc, axes=(1, 3)).transpose(0, 2, 3, 1)  # (s, K, I, R^Y)
+        s, nx = gx.shape[0], gx.shape[3] * gx.shape[4]
+        if m == 0:
+            return float(np.linalg.norm(gx.reshape(-1) + gy.reshape(-1)))
+        stacked = np.concatenate([gx.reshape(s, -1, nx),
+                                  gy.reshape(s, -1, gy.shape[3])], axis=2)
+        r = np.linalg.qr(stacked.reshape(-1, stacked.shape[2]), mode="r")
+        cx = r[:, :nx].reshape(r.shape[0], gx.shape[3], gx.shape[4])
+        cy = r[:, nx:]
 
 
 def block_tt_column(u: BlockTT, k: int) -> VectorTT:

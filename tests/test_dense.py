@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttsvd import dense_qr, dense_svd, truncated_svd
+from ttsvd import count_macs, dense_qr, dense_svd, truncated_svd
+from ttsvd.counting import tdot
 from ttsvd.dense import (
     contract_last_first,
     matricize,
@@ -83,6 +84,21 @@ def test_contract_last_first_matches_tensordot():
     )
     with pytest.raises(ValueError):
         contract_last_first(a, rng.standard_normal((3, 5)))
+
+
+def test_tdot_counts_only_under_a_counter():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((2, 3, 4))
+    b = rng.standard_normal((4, 3, 5))
+    cases = [(1, 360), ((2, 0), 360), ((-1, 0), 360),
+             (((1, 2), (1, 0)), 120), (((-2, 2), (1, -3)), 120)]
+    for axes, macs in cases:
+        free = tdot(a, b, axes)
+        with count_macs() as c:
+            counted = tdot(a, b, axes)
+        assert np.array_equal(free, counted)
+        assert np.array_equal(free, np.tensordot(a, b, axes=axes))
+        assert c.macs == macs
 
 
 def test_dense_svd_reconstructs_and_validates():

@@ -238,6 +238,11 @@ def test_custom_experiment_round_trip(tmp_path):
     with pytest.raises(ConfigError, match="MatrixTT"):
         run_experiment(bad)
 
+    a.cores[1][0, 0, 0, 0] = np.nan
+    save_tt(a, path)
+    with pytest.raises(ConfigError, match="core 1 "):
+        run_experiment(cfg)
+
 
 def test_scaling_report_fits_exact_lines():
     rows = []

@@ -1,5 +1,7 @@
 """Binary container round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,41 @@ def test_trailing_bytes_rejected(tmp_path):
     save_tt(x, path)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
+        load_tt(path)
+
+
+# header byte offsets: magic 0..3, kind 4, N 5..8, K 9..12, pos 13..16
+@pytest.mark.parametrize("chain, offset, fmt, value, match", [
+    ("vector", 4, "<B", 7, "kind code 7"),
+    ("block", 4, "<B", 7, "kind code 7"),
+    ("block", 13, "<i", 9, "pos=9"),
+    ("block", 13, "<i", -1, "pos=-1"),
+    ("block", 9, "<I", 0, "K=0"),
+    ("vector", 9, "<I", 1, "kind 0"),
+    ("vector", 13, "<i", 0, "kind 0"),
+    ("matrix", 13, "<i", 2, "kind 1"),
+])
+def test_bad_header_rejected(tmp_path, chain, offset, fmt, value, match):
+    rng = np.random.default_rng(5)
+    x = {"vector": random_vector_tt_raw(5, 2, rng),
+         "matrix": random_matrix_tt(5, 2, rng),
+         "block": random_block_tt_at([2] * 5, 3, 2, 1, rng)}[chain]
+    path = tmp_path / "x.ttc"
+    save_tt(x, path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, offset, value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=match):
+        load_tt(path)
+
+
+@pytest.mark.parametrize("keep", [10, 17, 30, -8, -1])
+def test_truncated_container_rejected(tmp_path, keep):
+    rng = np.random.default_rng(6)
+    path = tmp_path / "u.ttc"
+    save_tt(random_block_tt_at([2] * 4, 3, 2, 2, rng), path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match="truncated"):
         load_tt(path)
 
 

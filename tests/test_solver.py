@@ -10,15 +10,19 @@ from ttsvd import (
     SolverConfig,
     als_eig_baseline,
     als_svd,
+    hilbert_submatrix_tt,
     identity_matrix_tt,
     init_block_tt,
     mals_eig_baseline,
     mals_svd,
     prescribed_svd_matrix,
+    matrix_tt_matmul,
+    matrix_tt_transpose,
     random_block_tt,
     residual,
     tt_reconstruct,
 )
+from ttsvd.solver import _gram_residual
 
 ALL_DRIVERS = [als_svd, mals_svd, als_eig_baseline, mals_eig_baseline]
 
@@ -66,6 +70,16 @@ def test_drivers_on_generic_random_matrix(driver):
     assert np.max(np.abs(sig - s_ref) / s_ref) < 1e-7
 
 
+@pytest.mark.parametrize("driver", ALL_DRIVERS)
+def test_drivers_reject_non_finite_cores(driver):
+    rng = np.random.default_rng(12)
+    for bad in (np.nan, np.inf, -np.inf):
+        a = random_matrix_tt(4, 2, rng)
+        a.cores[2][0, 1, 0, 1] = bad
+        with pytest.raises(ValueError, match="core 2 "):
+            driver(a, SolverConfig(k=2))
+
+
 def test_tt_residual_tracks_dense_residual():
     a, _, _, _ = prescribed_svd_matrix(6, 0.5, k0=8, rank=2, seed=6)
     cfg = SolverConfig(k=4, epsilon=1e-9, seed=7)
@@ -79,6 +93,57 @@ def test_tt_residual_tracks_dense_residual():
     r_dense = np.linalg.norm(ad.T @ ud - vd * sig[np.newaxis, :]) / np.linalg.norm(sig)
     slack = rdelta * np.sqrt(a.n_cores - 1) * np.linalg.norm(ad.T @ ud) / np.linalg.norm(sig)
     assert abs(r_tt - r_dense) <= 1e-8 + slack
+
+
+def _dense_residual(ad, u, v, sig):
+    ud, vd = tt_reconstruct(u), tt_reconstruct(v)
+    return np.linalg.norm(ad.T @ ud - vd * sig) / np.linalg.norm(sig)
+
+
+def test_residual_is_exact_on_exact_triplets():
+    """A = U0 Sigma V0^T holds exactly: the residual sits at rounding level
+    and a perturbed Sigma reads ||dSigma|| / ||Sigma||, with no rounding
+    slack."""
+    a, u0, v0, spectrum = prescribed_svd_matrix(6, 0.5, k0=8, rank=2, seed=6)
+    ad = tt_reconstruct(a)
+    assert residual(a, u0, v0, spectrum) <= 1e-14
+    rng = np.random.default_rng(13)
+    for eta in (1e-9, 1e-4):
+        sig = spectrum + eta * rng.standard_normal(spectrum.size)
+        r_dense = _dense_residual(ad, u0, v0, sig)
+        assert abs(residual(a, u0, v0, sig) - r_dense) <= 1e-14
+        assert abs(r_dense - np.linalg.norm(sig - spectrum)
+                   / np.linalg.norm(sig)) <= 1e-14
+
+
+@pytest.mark.parametrize("a, k", [
+    # Hilbert at eps 1e-3: the converged residual is far above rounding
+    # level, where rounding A^T U at eps/10 used to shift the value visibly.
+    (hilbert_submatrix_tt(8, 1e-8), 10),
+    (prescribed_svd_matrix(2, 0.5, k0=3, rank=2, seed=17)[0], 1),
+])
+def test_residual_matches_dense_on_solver_output(a, k):
+    sig, u, v, rep = mals_svd(a, SolverConfig(k=k, epsilon=1e-3, seed=0))
+    r_dense = _dense_residual(tt_reconstruct(a), u, v, sig)
+    assert abs(residual(a, u, v, sig, 1e-4) - r_dense) <= 1e-12 * r_dense + 1e-14
+
+
+def test_gram_residual_matches_dense():
+    rng = np.random.default_rng(14)
+    a = random_matrix_tt(5, 2, rng)
+    bmat = matrix_tt_matmul(matrix_tt_transpose(a), a)
+    bd = tt_reconstruct(bmat)
+    v = random_block_tt([2] * 5, 3, 2, 15)
+    vd = tt_reconstruct(v)
+    # the last value falls under the pseudo-inverse cutoff and counts as zero
+    sigma = np.array([3.0, 0.5, 1e-15])
+    pinv = np.array([1 / 3.0, 2.0, 0.0])
+    want = np.linalg.norm(bd @ vd * pinv - vd * sigma) / np.linalg.norm(sigma)
+    assert abs(_gram_residual(bmat, v, sigma) - want) <= 1e-13 * want
+    sig, _, v, rep = mals_eig_baseline(a, SolverConfig(k=3, epsilon=1e-9, seed=16))
+    vd = tt_reconstruct(v)
+    want = np.linalg.norm(bd @ vd / sig - vd * sig) / np.linalg.norm(sig)
+    assert abs(_gram_residual(bmat, v, sig) - want) <= 1e-14
 
 
 def test_residual_rejects_zero_spectrum():

@@ -15,10 +15,10 @@ from ttsvd import (
     BlockTT,
     MatrixTT,
     VectorTT,
-    block_tt_add,
     block_tt_column,
     block_tt_gram,
     block_tt_matvec,
+    block_tt_residual_norm,
     block_tt_round,
     block_tt_scale_columns,
     diag_embed,
@@ -321,7 +321,6 @@ def test_block_ops_match_dense():
         tt_reconstruct(block_tt_matvec(a, u)), ad @ ud, atol=1e-10
     )
     assert np.allclose(block_tt_gram(u, w), ud.T @ wd, atol=1e-10)
-    assert np.allclose(tt_reconstruct(block_tt_add(u, w)), ud + wd, atol=1e-11)
     weights = np.array([2.0, -1.0, 0.5])
     assert np.allclose(
         tt_reconstruct(block_tt_scale_columns(u, weights)),
@@ -330,9 +329,65 @@ def test_block_ops_match_dense():
     )
     assert abs(tt_norm(u) - np.linalg.norm(ud)) < 1e-11
     with pytest.raises(ValueError):
-        block_tt_add(u, random_block_tt_at([2, 2, 2, 2], 3, 2, 2, rng))
-    with pytest.raises(ValueError):
         block_tt_scale_columns(u, np.ones(2))
+
+
+def _rect_matrix_tt(n, rank, rows, cols, rng):
+    ranks = [1] + [rank] * (n - 1) + [1]
+    return MatrixTT([rng.standard_normal((ranks[m], rows, cols, ranks[m + 1]))
+                     for m in range(n)])
+
+
+@pytest.mark.parametrize("n, k, pos, rows", [
+    (5, 3, 0, 2), (5, 3, 2, 2), (5, 3, 4, 2), (4, 2, 1, 3),
+    (2, 1, 0, 2), (2, 1, 1, 2), (2, 3, 1, 3),
+])
+def test_block_residual_norm_matches_dense(n, k, pos, rows):
+    rng = np.random.default_rng(600 + 10 * n + pos)
+    op = _rect_matrix_tt(n, 3, rows, 2, rng)
+    x = random_block_tt_at([2] * n, k, 2, pos, rng)
+    y = random_block_tt_at([rows] * n, k, 3, pos, rng)
+    xs, ys = rng.standard_normal(k), rng.standard_normal(k)
+    want = np.linalg.norm(tt_reconstruct(op) @ tt_reconstruct(x) * xs
+                          - tt_reconstruct(y) * ys)
+    got = block_tt_residual_norm(op, x, xs, y, ys)
+    assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("pos", [0, 2, 4])
+def test_block_residual_norm_resolves_tiny_residuals(pos):
+    """Y = op X exactly: the residual sits at rounding level, and perturbing
+    the Y weights by eta gives ||Y diag(dy)|| with no rounding slack."""
+    rng = np.random.default_rng(700 + pos)
+    op = random_matrix_tt(5, 3, rng)
+    x = random_block_tt_at([2] * 5, 3, 2, pos, rng)
+    y = block_tt_matvec(op, x)
+    yd = tt_reconstruct(y)
+    scale = np.linalg.norm(yd)
+    ones = np.ones(3)
+    assert block_tt_residual_norm(op, x, ones, y, ones) <= 1e-14 * scale
+    for eta in (1e-9, 1e-4):
+        ys = ones + eta * rng.standard_normal(3)
+        want = np.linalg.norm(yd * (ys - ones))
+        got = block_tt_residual_norm(op, x, ones, y, ys)
+        assert abs(got - want) <= 1e-14 * scale
+
+
+def test_block_residual_norm_rejects_mismatches():
+    rng = np.random.default_rng(800)
+    op = random_matrix_tt(4, 2, rng)
+    x = random_block_tt_at([2] * 4, 3, 2, 1, rng)
+    ones = np.ones(3)
+    bad = [
+        (op, x, ones, random_block_tt_at([2] * 4, 3, 2, 2, rng), ones),
+        (op, x, ones, random_block_tt_at([3] * 4, 3, 2, 1, rng), ones),
+        (op, random_block_tt_at([3] * 4, 3, 2, 1, rng), ones, x, ones),
+        (op, x, ones, random_block_tt_at([2] * 4, 2, 2, 1, rng), np.ones(2)),
+        (op, x, np.ones(2), x, ones),
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            block_tt_residual_norm(*args)
 
 
 def test_block_round_bound_and_cap():
