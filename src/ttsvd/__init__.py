@@ -19,8 +19,6 @@ from .environments import (
     recompute_environment,
 )
 from .generators import (
-    GeneratorSpec,
-    build_generator,
     exchange_matrix_tt,
     full_toeplitz_tt,
     hankel_submatrix_tt,

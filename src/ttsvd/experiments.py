@@ -344,13 +344,6 @@ def _run_cell(cfg: RunConfig, n, param, solver_name: str):
     return rows, times
 
 
-def toeplitz_capped_rank_experiment(cfg: RunConfig):
-    """Convenience wrapper pinning the experiment family to 'toeplitz'."""
-    if cfg.experiment != "toeplitz":
-        raise ConfigError("this helper runs the toeplitz experiment only")
-    return run_experiment(cfg)
-
-
 # ---------------------------------------------------------------------------
 # output files
 

@@ -18,7 +18,6 @@ Index conventions (1-based in the formulas, 0-based in code):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,33 +42,6 @@ from .tt import (
     tt_scale,
     tt_svd_compress,
 )
-
-
-@dataclass
-class GeneratorSpec:
-    """Declarative description of one structured test matrix."""
-
-    kind: str
-    n: int
-    params: dict = field(default_factory=dict)
-
-    _KINDS = (
-        "toeplitz",
-        "hankel",
-        "hankel_submatrix",
-        "shift",
-        "shift_transpose",
-        "tridiagonal",
-        "hilbert_submatrix",
-        "prescribed_svd",
-        "random_tt",
-    )
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("chain length must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -413,48 +385,3 @@ def prescribed_svd_matrix(n: int, beta: float, k0: int = 25, rank: int = 5,
     g = np.einsum("akib,ckjd,k->acijbd", bu, bv, spectrum, optimize=True)
     cores.append(_rf(g, (bu.shape[0] * bv.shape[0], bu.shape[2], bv.shape[2], 1)))
     return MatrixTT(cores), u0, v0, spectrum
-
-
-# ---------------------------------------------------------------------------
-# declarative dispatch (used by the experiment driver)
-
-
-def build_generator(spec: GeneratorSpec):
-    """Materialize a GeneratorSpec.
-
-    Returns ``(matrix, info)`` where ``info`` carries kind-specific extras
-    (for prescribed_svd: the factors and true spectrum).
-    """
-    kind, n, p = spec.kind, spec.n, dict(spec.params)
-    if kind in ("toeplitz", "hankel", "hankel_submatrix"):
-        s = p.get("s")
-        if s is None:
-            s = random_vector_tt(n, p.get("rank", 5), p.get("seed", 0))
-        fn = {"toeplitz": toeplitz_tt, "hankel": hankel_tt,
-              "hankel_submatrix": hankel_submatrix_tt}[kind]
-        return fn(s), {"s": s}
-    if kind == "shift":
-        return shift_tt(n), {}
-    if kind == "shift_transpose":
-        return shift_transpose_tt(n), {}
-    if kind == "tridiagonal":
-        seed = p.get("seed", 0)
-        rank = p.get("rank", 5)
-        if "a" in p:
-            a, b, c = p["a"], p["b"], p["c"]
-        else:
-            ss = np.random.SeedSequence(seed).spawn(3)
-            a = random_vector_tt(n, rank, ss[0])
-            b = random_vector_tt(n, rank, ss[1])
-            c = random_vector_tt(n, rank, ss[2])
-        return tridiagonal_tt(a, b, c), {"a": a, "b": b, "c": c}
-    if kind == "hilbert_submatrix":
-        mat = hilbert_submatrix_tt(n, p.get("delta", 1e-8),
-                                   max_n=p.get("max_n", 22))
-        return mat, {}
-    if kind == "prescribed_svd":
-        a, u0, v0, spectrum = prescribed_svd_matrix(
-            n, p["beta"], k0=p.get("k0", 25), rank=p.get("rank", 5),
-            seed=p.get("seed", 0))
-        return a, {"u0": u0, "v0": v0, "spectrum": spectrum}
-    raise ValueError(f"generator kind {kind!r} has no matrix form")

@@ -1,17 +1,22 @@
 """Sweep solvers for the K dominant singular triplets of a TT matrix.
 
-Two families are implemented on shared machinery:
+One sweep engine (``_driver`` with its ``_half_sweep``) serves four entry
+points.  They differ only in the window (a single core for ALS, a merged
+core pair for MALS) and in the local problem:
 
-* ``als_svd`` / ``mals_svd`` optimize left and right singular chains U, V
-  simultaneously.  Each micro-iteration solves a local SVD of the projected
-  matrix A_bar (single core, or a merged core pair for the MALS variant),
-  writes the solution into the block core, splits it with a truncated SVD
-  that adapts the bond rank, and updates the environments incrementally.
-* ``als_eig_baseline`` / ``mals_eig_baseline`` run the same sweeps on the
-  Gram matrix A^T A with a single chain V, then recover U = A V Sigma^{-1}.
+* ``als_svd`` / ``mals_svd`` sweep the left and right singular chains
+  (U, V) over A.  Each micro-iteration solves a local SVD of the projected
+  matrix A_bar, writes the solution into the block core, splits it with a
+  truncated SVD that adapts the bond rank, and updates the environments
+  incrementally.
+* ``als_eig_baseline`` / ``mals_eig_baseline`` sweep a single chain (V,)
+  over the Gram matrix B = A^T A with a local eigenproblem, then recover
+  U = A V Sigma^{-1}.
 
-Each local problem takes one of three paths, recorded per micro-iteration
-as ``local_path``:
+Restarts, the best-iterate fallback and termination are the same for all
+four.  Each local problem takes one of three paths, chosen in
+``_local_operator`` alone and recorded per micro-iteration as
+``local_path``:
 
 * ``"dense"``: at most ``dense_crossover`` rows plus columns (columns alone
   for the Gram problem), the local matrix is built and decomposed directly.
@@ -90,8 +95,7 @@ class SolverConfig:
     ``restart_delta_shrink`` and reseeds the initial chains.
     ``residual_delta`` (default epsilon / 10) only rounds the Gram matrix
     A^T A and the recovered U of the Gram baselines; the stopping residual
-    is exact.  ``allow_k1_als`` exists only so tests can push k=1 through
-    the single-core path to observe the rank freeze (normally k >= 2).
+    is exact.
     """
 
     k: int
@@ -109,7 +113,6 @@ class SolverConfig:
     residual_delta: float | None = None
     track_env_consistency: bool = False
     on_micro_iteration: Callable | None = None
-    allow_k1_als: bool = False
 
     def __post_init__(self):
         if self.k < 1:
@@ -387,18 +390,18 @@ def _gemm(mat: np.ndarray, axis: int):
 
 
 def local_block_svd(matvec, rmatvec, p: int, q: int, k: int, tol: float = 1e-10,
-                    max_iter: int = 400, seed=0, start=None,
-                    dense_builder=None, crossover: int = 600):
+                    max_iter: int = 400, seed=0, start=None, dense_builder=None):
     """K dominant singular triplets of the projected local matrix.
 
-    With a dense materializer, at most ``crossover`` rows plus columns are
-    built and decomposed directly; otherwise block Krylov runs on
-    ``matvec``/``rmatvec`` (block maps, see krylov_block_svd).
+    With ``dense_builder`` the local matrix it returns is decomposed
+    directly (the sweep passes one only on the dense path chosen by
+    ``_local_operator``); otherwise block Krylov runs on ``matvec``/
+    ``rmatvec`` (block maps, see krylov_block_svd).
     Returns (U_loc, Sigma, V_loc, iterations).
     """
     if k > min(p, q):
         raise ValueError(f"cannot take {k} triplets from a {p} x {q} problem")
-    if dense_builder is not None and p + q <= crossover:
+    if dense_builder is not None:
         u, s, v = dense_block_svd(dense_builder(), k)
         return u, s, v, 0
     return krylov_block_svd(matvec, rmatvec, p, q, k, tol=tol,
@@ -406,12 +409,11 @@ def local_block_svd(matvec, rmatvec, p: int, q: int, k: int, tol: float = 1e-10,
 
 
 def local_block_eig(matvec, dim: int, k: int, tol: float = 1e-10,
-                    max_iter: int = 400, seed=0, start=None,
-                    dense_builder=None, crossover: int = 600):
+                    max_iter: int = 400, seed=0, start=None, dense_builder=None):
     """K largest eigenpairs of the projected Gram matrix; see local_block_svd."""
     if k > dim:
         raise ValueError(f"cannot take {k} eigenpairs from dimension {dim}")
-    if dense_builder is not None and dim <= crossover:
+    if dense_builder is not None:
         lam, v = dense_block_eig(dense_builder(), k)
         return lam, v, 0
     return krylov_block_eig(matvec, dim, k, tol=tol, max_iter=max_iter,
@@ -451,7 +453,7 @@ def _gram_residual(bmat: MatrixTT, v: BlockTT, sigma: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sweep mechanics shared by the SVD and Gram drivers
+# the sweep engine
 
 
 def _block_as_local(chain: BlockTT, q: int, pair: bool) -> np.ndarray:
@@ -477,8 +479,10 @@ def _local_operator(env: Environment, a: MatrixTT, q: int, pair: bool,
                     k: int, crossover: int, gram: bool) -> _LocalOperator:
     """Projected operator at core q, or on the merged pair (q, q+1).
 
-    Above the crossover (on rows plus columns for the SVD, columns for the
-    Gram problem) the local matrix is built here, for block Krylov to apply
+    The only place that picks the local path.  At most ``crossover`` rows
+    plus columns for the SVD (columns for the Gram problem) it is
+    ``"dense"``, and the sweep hands ``build`` to the local solver.  Above
+    the crossover the local matrix is built here, for block Krylov to apply
     by GEMM, when building it plus one GEMM block apply costs no more MACs
     than one matrix-free block apply (both directions for the SVD); the
     built path then never costs more, however few Krylov steps it takes.
@@ -592,52 +596,64 @@ def _advance(env: Environment, a: MatrixTT, chains, locals_, q: int,
         env_update_left(env, u, a, v, q)
 
 
-def _micro_record(p: int, direction: str, u, v: BlockTT, sigma, iters: int,
+def _micro_record(p: int, direction: str, chains, sigma, iters: int,
                   path: str) -> dict:
     return {
         "position": int(p),
         "direction": direction,
-        "ranks_u": None if u is None else [int(r) for r in u.ranks],
-        "ranks_v": [int(r) for r in v.ranks],
+        "ranks_u": (None if len(chains) == 1
+                    else [int(r) for r in chains[0].ranks]),
+        "ranks_v": [int(r) for r in chains[-1].ranks],
         "sigma": [float(s) for s in sigma],
         "local_iterations": int(iters),
         "local_path": path,
     }
 
 
-def _svd_half_sweep(a: MatrixTT, u: BlockTT, v: BlockTT, env: Environment,
-                    cfg: SolverConfig, delta: float,
-                    rng: np.random.Generator, report: SweepReport,
-                    pair: bool, direction: str):
-    n = a.n_cores
-    sigma = None
+def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
+                delta: float, rng: np.random.Generator, report: SweepReport,
+                pair: bool, direction: str) -> np.ndarray:
+    """One half sweep over ``a``; returns the Sigma of its last window.
+
+    ``chains`` is (U, V) for the SVD problem over A, or (V,) for the Gram
+    problem over B = A^T A, whose local eigenvalues lambda give
+    Sigma = sqrt(max(lambda, 0)).
+    """
+    gram = len(chains) == 1
     r2l = direction == "right_to_left"
-    positions = range(n - 1, 0, -1) if r2l else range(0, n - 1)
+    positions = range(a.n_cores - 1, 0, -1) if r2l else range(0, a.n_cores - 1)
+    callback = None if gram else cfg.on_micro_iteration
+    sigma = None
     for p in positions:
         q = p - 1 if pair and r2l else p
-        op = _local_operator(env, a, q, pair, cfg.k, cfg.dense_crossover,
-                             gram=False)
-        start = np.vstack([_block_as_local(u, q, pair),
-                           _block_as_local(v, q, pair)]) / math.sqrt(2.0)
-        seed = int(rng.integers(0, 2**63 - 1))
-        u_loc, sig, v_loc, iters = local_block_svd(
-            op.matvec, op.rmatvec, math.prod(op.rows), math.prod(op.cols),
-            cfg.k, tol=cfg.local_tol, max_iter=cfg.local_max_iter, seed=seed,
-            start=start, dense_builder=op.build, crossover=cfg.dense_crossover)
-        sigma = np.asarray(sig, dtype=float)
-        ul = _rf(u_loc, op.rows + (cfg.k,))
-        vl = _rf(v_loc, op.cols + (cfg.k,))
+        op = _local_operator(env, a, q, pair, cfg.k, cfg.dense_crossover, gram)
+        start = np.vstack([_block_as_local(c, q, pair) for c in chains])
+        kw = dict(tol=cfg.local_tol, max_iter=cfg.local_max_iter,
+                  seed=int(rng.integers(0, 2**63 - 1)),
+                  dense_builder=op.build if op.path == "dense" else None)
+        if gram:
+            lam, v_loc, iters = local_block_eig(
+                op.matvec, math.prod(op.cols), cfg.k, start=start, **kw)
+            sigma = np.sqrt(np.maximum(np.asarray(lam, dtype=float), 0.0))
+            locals_ = (_rf(v_loc, op.cols + (cfg.k,)),)
+        else:
+            u_loc, sig, v_loc, iters = local_block_svd(
+                op.matvec, op.rmatvec, math.prod(op.rows), math.prod(op.cols),
+                cfg.k, start=start / math.sqrt(2.0), **kw)
+            sigma = np.asarray(sig, dtype=float)
+            locals_ = (_rf(u_loc, op.rows + (cfg.k,)),
+                       _rf(v_loc, op.cols + (cfg.k,)))
         info = {"position": p, "direction": direction,
                 "sigma": [float(s) for s in sigma]}
-        if not pair and cfg.on_micro_iteration is not None:
-            u_cb, v_cb = u.copy(), v.copy()
-            u_cb.cores[p] = ul.transpose(0, 3, 1, 2)
-            v_cb.cores[p] = vl.transpose(0, 3, 1, 2)
-            cfg.on_micro_iteration(info, u_cb, v_cb)
-        _advance(env, a, (u, v), (ul, vl), q, delta, cfg, pair, r2l)
-        if pair and cfg.on_micro_iteration is not None:
-            cfg.on_micro_iteration(info, u.copy(), v.copy())
-        report.micro.append(_micro_record(p, direction, u, v, sigma, iters,
+        if callback is not None and not pair:
+            trial = [c.copy() for c in chains]
+            for chain, local in zip(trial, locals_):
+                chain.cores[p] = local.transpose(0, 3, 1, 2)
+            callback(info, *trial)
+        _advance(env, a, chains, locals_, q, delta, cfg, pair, r2l)
+        if callback is not None and pair:
+            callback(info, *(c.copy() for c in chains))
+        report.micro.append(_micro_record(p, direction, chains, sigma, iters,
                                           op.path))
     return sigma
 
@@ -660,9 +676,22 @@ def _check_problem(a: MatrixTT, cfg: SolverConfig) -> None:
             raise ValueError(f"core {m} of the matrix holds NaN or inf")
 
 
-def _svd_driver(a: MatrixTT, cfg: SolverConfig, pair: bool, name: str):
+def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
+    """Restarted sweeps with a best-iterate fallback; returns (Sigma, U, V, report).
+
+    The SVD problem sweeps (U, V) over A.  The Gram problem sweeps (V,) over
+    B = A^T A rounded at ``residual_delta``, then recovers U = A V Sigma^{-1}
+    from the returned iterate.  Sigma is only taken from a completed
+    left-to-right half sweep.
+    """
     _check_problem(a, cfg)
     n = a.n_cores
+    if gram:
+        rdelta = cfg.residual_delta if cfg.residual_delta is not None else cfg.epsilon / 10
+        op = matrix_tt_round(matrix_tt_matmul(matrix_tt_transpose(a), a), rdelta)
+        sizes = (a.col_sizes,)
+    else:
+        op, sizes = a, (a.row_sizes, a.col_sizes)
     delta0 = cfg.delta0 if cfg.delta0 is not None else cfg.epsilon / math.sqrt(n - 1)
     report = SweepReport(solver=name, k=cfg.k)
     if cfg.track_env_consistency:
@@ -670,38 +699,40 @@ def _svd_driver(a: MatrixTT, cfg: SolverConfig, pair: bool, name: str):
     t0 = time.perf_counter()
     best = None
     termination = "sweep-limit"
-    u = v = None
     sigma = np.zeros(cfg.k)
 
     for attempt in range(cfg.max_restarts + 1):
         delta = delta0 * (cfg.restart_delta_shrink ** attempt)
         report.delta_final = delta
-        ss = np.random.SeedSequence([int(cfg.seed), attempt]).spawn(3)
-        u = init_block_tt(a.row_sizes, cfg.k, ss[0])
-        v = init_block_tt(a.col_sizes, cfg.k, ss[1])
-        rng = np.random.default_rng(ss[2])
-        env = env_init(u, a, v)
+        ss = np.random.SeedSequence([int(cfg.seed), attempt]).spawn(len(sizes) + 1)
+        chains = tuple(init_block_tt(m, cfg.k, s) for m, s in zip(sizes, ss))
+        rng = np.random.default_rng(ss[-1])
+        env = env_init(chains[0], op, chains[-1])
         converged = False
         sweeps_this = 0
         for sweep in range(cfg.max_full_sweeps):
             d_first = delta * (cfg.first_halfsweep_delta_factor if sweep == 0 else 1.0)
             try:
-                _svd_half_sweep(a, u, v, env, cfg, d_first, rng, report,
-                                pair, "right_to_left")
-                _track_env(report, cfg, env, u, a, v)
-                sigma = _svd_half_sweep(a, u, v, env, cfg, delta, rng, report,
-                                        pair, "left_to_right")
-                _track_env(report, cfg, env, u, a, v)
+                _half_sweep(op, chains, env, cfg, d_first, rng, report, pair,
+                            "right_to_left")
+                _track_env(report, cfg, env, chains[0], op, chains[-1])
+                sigma = _half_sweep(op, chains, env, cfg, delta, rng, report,
+                                    pair, "left_to_right")
+                _track_env(report, cfg, env, chains[0], op, chains[-1])
             except LocalSolverError:
                 break
             sweeps_this += 1
             report.total_sweeps += 1
-            r = residual(a, u, v, sigma)
+            if gram:
+                r = _gram_residual(op, chains[0], sigma)
+            else:
+                r = residual(a, *chains, sigma)
             report.residual_history.append(
                 {"attempt": int(attempt), "sweep": int(sweep),
                  "residual": float(r)})
             if best is None or r < best[0]:
-                best = (r, sigma.copy(), u.copy(), v.copy(), sweeps_this)
+                best = (r, sigma.copy(), tuple(c.copy() for c in chains),
+                        sweeps_this)
             if r < cfg.epsilon:
                 converged = True
                 break
@@ -715,10 +746,20 @@ def _svd_driver(a: MatrixTT, cfg: SolverConfig, pair: bool, name: str):
         termination = "restarted" if report.restarts_used else "sweep-limit"
 
     if termination != "converged" and best is not None:
-        _, sigma, u, v, report.sweeps_used = best
+        _, sigma, chains, report.sweeps_used = best
     report.termination = termination
+    if gram:
+        smax = float(sigma.max()) if sigma.size else 0.0
+        if smax == 0.0 or float(sigma.min()) < 1e-13 * smax:
+            raise ValueError(
+                "spectrum estimate is numerically singular; recovering left "
+                "vectors from the Gram route needs an invertible Sigma, and the "
+                "transposed-Gram recovery is not implemented"
+            )
+        u = block_tt_scale_columns(block_tt_matvec(a, chains[0]), 1.0 / sigma)
+        chains = (block_tt_round(u, rdelta), *chains)
     report.wall_time_s = time.perf_counter() - t0
-    return sigma, u, v, report
+    return sigma, *chains, report
 
 
 def als_svd(a: MatrixTT, cfg: SolverConfig):
@@ -727,130 +768,26 @@ def als_svd(a: MatrixTT, cfg: SolverConfig):
     Requires k >= 2: with a single column the truncated splits can never
     grow a bond past its current value, so ranks would stay frozen.
     """
-    if cfg.k < 2 and not cfg.allow_k1_als:
+    if cfg.k < 2:
         raise ValueError(
             "single-core sweeps cannot adapt ranks at k=1; use k >= 2 "
             "or the merged-core solver"
         )
-    return _svd_driver(a, cfg, pair=False, name="als_svd")
+    return _driver(a, cfg, pair=False, gram=False, name="als_svd")
 
 
 def mals_svd(a: MatrixTT, cfg: SolverConfig):
     """Merged-core sweeps over (U, V); rank-adaptive even at k=1."""
-    return _svd_driver(a, cfg, pair=True, name="mals_svd")
-
-
-# ---------------------------------------------------------------------------
-# Gram-matrix baseline drivers
-
-
-def _eig_half_sweep(bmat: MatrixTT, v: BlockTT, env: Environment,
-                    cfg: SolverConfig, delta: float,
-                    rng: np.random.Generator, report: SweepReport,
-                    pair: bool, direction: str):
-    n = bmat.n_cores
-    lam = None
-    r2l = direction == "right_to_left"
-    positions = range(n - 1, 0, -1) if r2l else range(0, n - 1)
-    for p in positions:
-        q = p - 1 if pair and r2l else p
-        op = _local_operator(env, bmat, q, pair, cfg.k, cfg.dense_crossover,
-                             gram=True)
-        seed = int(rng.integers(0, 2**63 - 1))
-        lam, v_loc, iters = local_block_eig(
-            op.matvec, math.prod(op.cols), cfg.k, tol=cfg.local_tol,
-            max_iter=cfg.local_max_iter, seed=seed,
-            start=_block_as_local(v, q, pair), dense_builder=op.build,
-            crossover=cfg.dense_crossover)
-        lam = np.asarray(lam, dtype=float)
-        _advance(env, bmat, (v,), (_rf(v_loc, op.cols + (cfg.k,)),), q,
-                 delta, cfg, pair, r2l)
-        report.micro.append(_micro_record(p, direction, None, v,
-                                          np.sqrt(np.maximum(lam, 0.0)),
-                                          iters, op.path))
-    return lam
-
-
-def _eig_driver(a: MatrixTT, cfg: SolverConfig, pair: bool, name: str):
-    _check_problem(a, cfg)
-    n = a.n_cores
-    rdelta = cfg.residual_delta if cfg.residual_delta is not None else cfg.epsilon / 10
-    bmat = matrix_tt_round(matrix_tt_matmul(matrix_tt_transpose(a), a), rdelta)
-    delta0 = cfg.delta0 if cfg.delta0 is not None else cfg.epsilon / math.sqrt(n - 1)
-    report = SweepReport(solver=name, k=cfg.k)
-    if cfg.track_env_consistency:
-        report.env_consistency_max = 0.0
-    t0 = time.perf_counter()
-    best = None
-    termination = "sweep-limit"
-    v = None
-    sigma = np.zeros(cfg.k)
-
-    for attempt in range(cfg.max_restarts + 1):
-        delta = delta0 * (cfg.restart_delta_shrink ** attempt)
-        report.delta_final = delta
-        ss = np.random.SeedSequence([int(cfg.seed), attempt]).spawn(2)
-        v = init_block_tt(a.col_sizes, cfg.k, ss[0])
-        rng = np.random.default_rng(ss[1])
-        env = env_init(v, bmat, v)
-        converged = False
-        sweeps_this = 0
-        for sweep in range(cfg.max_full_sweeps):
-            d_first = delta * (cfg.first_halfsweep_delta_factor if sweep == 0 else 1.0)
-            try:
-                _eig_half_sweep(bmat, v, env, cfg, d_first, rng, report,
-                                pair, "right_to_left")
-                _track_env(report, cfg, env, v, bmat, v)
-                lam = _eig_half_sweep(bmat, v, env, cfg, delta, rng, report,
-                                      pair, "left_to_right")
-                _track_env(report, cfg, env, v, bmat, v)
-            except LocalSolverError:
-                break
-            sigma = np.sqrt(np.maximum(np.asarray(lam, dtype=float), 0.0))
-            sweeps_this += 1
-            report.total_sweeps += 1
-            r = _gram_residual(bmat, v, sigma)
-            report.residual_history.append(
-                {"attempt": int(attempt), "sweep": int(sweep),
-                 "residual": float(r)})
-            if best is None or r < best[0]:
-                best = (r, sigma.copy(), v.copy(), sweeps_this)
-            if r < cfg.epsilon:
-                converged = True
-                break
-        report.sweeps_used = sweeps_this
-        if converged:
-            termination = "converged"
-            break
-        if attempt < cfg.max_restarts:
-            report.restarts_used += 1
-            continue
-        termination = "restarted" if report.restarts_used else "sweep-limit"
-
-    if termination != "converged" and best is not None:
-        _, sigma, v, report.sweeps_used = best
-    report.termination = termination
-
-    smax = float(sigma.max()) if sigma.size else 0.0
-    if smax == 0.0 or float(sigma.min()) < 1e-13 * smax:
-        raise ValueError(
-            "spectrum estimate is numerically singular; recovering left "
-            "vectors from the Gram route needs an invertible Sigma, and the "
-            "transposed-Gram recovery is not implemented"
-        )
-    u = block_tt_round(
-        block_tt_scale_columns(block_tt_matvec(a, v), 1.0 / sigma), rdelta)
-    report.wall_time_s = time.perf_counter() - t0
-    return sigma, u, v, report
+    return _driver(a, cfg, pair=True, gram=False, name="mals_svd")
 
 
 def als_eig_baseline(a: MatrixTT, cfg: SolverConfig):
     """Gram-matrix baseline with single-core sweeps; returns (Sigma, U, V, report)."""
     if cfg.k < 2:
         raise ValueError("the single-core Gram baseline needs k >= 2")
-    return _eig_driver(a, cfg, pair=False, name="als_eig")
+    return _driver(a, cfg, pair=False, gram=True, name="als_eig")
 
 
 def mals_eig_baseline(a: MatrixTT, cfg: SolverConfig):
     """Gram-matrix baseline with merged-core sweeps; rank-adaptive at k=1."""
-    return _eig_driver(a, cfg, pair=True, name="mals_eig")
+    return _driver(a, cfg, pair=True, gram=True, name="mals_eig")

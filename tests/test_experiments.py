@@ -24,7 +24,6 @@ from ttsvd.experiments import (
     rows_to_csv,
     run_experiment,
     scaling_report,
-    toeplitz_capped_rank_experiment,
     write_results,
 )
 from ttsvd.generators import random_vector_tt
@@ -198,7 +197,7 @@ def test_toeplitz_rank_cap_grid():
     cfg = RunConfig(experiment="toeplitz", solvers=["mals_svd"], n_values=[5],
                     k=2, epsilon=1e-8, reps=2, seed=3,
                     params={"max_rank": [2, 64, None], "rank": 2})
-    rows, _ = toeplitz_capped_rank_experiment(cfg)
+    rows, _ = run_experiment(cfg)
     by_param = {}
     for r in rows:
         if r.rep in ("mean", "std"):
@@ -213,8 +212,6 @@ def test_toeplitz_rank_cap_grid():
         assert capped.relative_residual == free.relative_residual
         assert capped.max_v_rank == free.max_v_rank
         assert capped.termination == free.termination
-    with pytest.raises(ConfigError, match="toeplitz"):
-        toeplitz_capped_rank_experiment(_small_cfg())
 
 
 def test_custom_experiment_round_trip(tmp_path):

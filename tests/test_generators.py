@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from ttsvd import (
-    GeneratorSpec,
-    build_generator,
     exchange_matrix_tt,
     full_toeplitz_tt,
     hankel_submatrix_tt,
@@ -213,29 +211,3 @@ def test_random_block_tt_minimal_feasible_profile():
         assert np.array_equal(cu, cv)
     with pytest.raises(ValueError):
         random_block_tt([2] * 3, 9, 1, 0)  # k exceeds the full dimension
-
-
-def test_build_generator_dispatch():
-    mat, info = build_generator(GeneratorSpec("toeplitz", 4, {"rank": 2, "seed": 1}))
-    assert mat.n_rows == 16
-    ref = _dense_upper_toeplitz(tt_to_vector(info["s"]))
-    assert np.allclose(tt_reconstruct(mat), ref, atol=1e-11)
-
-    mat, _ = build_generator(GeneratorSpec("shift", 3))
-    assert np.array_equal(tt_reconstruct(mat), np.diag(np.ones(7), k=1))
-
-    mat, info = build_generator(GeneratorSpec("prescribed_svd", 5, {"beta": 0.4, "k0": 6, "rank": 2}))
-    assert np.allclose(info["spectrum"], 0.4 ** np.arange(6))
-
-    mat, info = build_generator(GeneratorSpec("tridiagonal", 3, {"seed": 2}))
-    assert mat.n_rows == 8
-
-    mat, _ = build_generator(GeneratorSpec("hilbert_submatrix", 5, {"delta": 1e-8}))
-    assert mat.n_rows == 32 and mat.n_cols == 16
-
-    with pytest.raises(ValueError):
-        GeneratorSpec("perm", 3)
-    with pytest.raises(ValueError):
-        GeneratorSpec("toeplitz", 0)
-    with pytest.raises(ValueError):
-        build_generator(GeneratorSpec("random_tt", 3))

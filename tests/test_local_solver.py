@@ -131,29 +131,23 @@ def test_dispatch_crossover_routes_to_dense():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((14, 11))
     mv, rmv = _ops(m)
-    u, s, v, iters = local_block_svd(
-        mv, rmv, 14, 11, 3, dense_builder=lambda: m, crossover=600
-    )
+    u, s, v, iters = local_block_svd(mv, rmv, 14, 11, 3,
+                                     dense_builder=lambda: m)
     assert iters == 0  # direct dense solve
-    u2, s2, v2, iters2 = local_block_svd(
-        mv, rmv, 14, 11, 3, dense_builder=lambda: m, crossover=0, seed=3
-    )
-    assert iters2 >= 1  # forced onto the matrix-free path
+    # without a dense builder block Krylov runs on the matrix-free maps
+    u2, s2, v2, iters2 = local_block_svd(mv, rmv, 14, 11, 3, seed=3)
+    assert iters2 >= 1
     assert np.allclose(s, s2, atol=1e-8)
-    # without a dense builder the crossover cannot trigger
-    _, _, _, iters3 = local_block_svd(mv, rmv, 14, 11, 3, seed=3)
-    assert iters3 >= 1
 
 
 def test_dispatch_crossover_eig():
     rng = np.random.default_rng(10)
     c = rng.standard_normal((10, 10))
     b = c @ c.T
-    lam, v, iters = local_block_eig(
-        lambda y: b @ y, 10, 2, dense_builder=lambda: b, crossover=600
-    )
+    lam, v, iters = local_block_eig(lambda y: b @ y, 10, 2,
+                                    dense_builder=lambda: b)
     assert iters == 0
-    lam2, _, iters2 = local_block_eig(lambda y: b @ y, 10, 2, crossover=0, seed=4)
+    lam2, _, iters2 = local_block_eig(lambda y: b @ y, 10, 2, seed=4)
     assert iters2 >= 1
     assert np.allclose(lam, lam2, atol=1e-7)
 

@@ -22,7 +22,7 @@ from ttsvd import (
     residual,
     tt_reconstruct,
 )
-from ttsvd.solver import _gram_residual
+from ttsvd.solver import _driver, _gram_residual
 
 ALL_DRIVERS = [als_svd, mals_svd, als_eig_baseline, mals_eig_baseline]
 
@@ -171,8 +171,8 @@ def test_k1_merged_core_converges_single_core_freezes():
 
     # pushed through anyway, the single-core splits can never grow a bond
     cfg = SolverConfig(k=1, epsilon=1e-10, seed=11, max_full_sweeps=3,
-                       max_restarts=0, allow_k1_als=True)
-    _, _, _, rep1 = als_svd(a, cfg)
+                       max_restarts=0)
+    _, _, _, rep1 = _driver(a, cfg, pair=False, gram=False, name="als_svd")
     for record in rep1.micro:
         assert all(r == 1 for r in record["ranks_u"])
         assert all(r == 1 for r in record["ranks_v"])
@@ -279,6 +279,21 @@ def test_env_consistency_tracking():
     _, _, _, rep = mals_svd(a, cfg)
     assert rep.env_consistency_max is not None
     assert rep.env_consistency_max < 1e-8
+
+
+def test_recorded_local_path_is_the_one_solved():
+    # a crossover of 8 puts the windows of every solver on both sides of it:
+    # dense windows are solved directly, the others run block Krylov
+    a, _, _, _ = prescribed_svd_matrix(5, 0.5, k0=6, rank=2, seed=13)
+    for driver in ALL_DRIVERS:
+        _, _, _, rep = driver(a, SolverConfig(k=3, epsilon=1e-9, seed=14,
+                                              dense_crossover=8))
+        assert rep.termination == "converged"
+        paths = [record["local_path"] for record in rep.micro]
+        assert "dense" in paths and set(paths) - {"dense"}, driver
+        for record in rep.micro:
+            assert ((record["local_iterations"] == 0)
+                    == (record["local_path"] == "dense")), (driver, record)
 
 
 def test_gram_route_rejects_singular_spectra():
