@@ -5,17 +5,14 @@ from .counting import MacCounter, count_macs
 from .dense import SvdFactors, dense_qr, dense_svd, truncated_svd
 from .environments import (
     Environment,
-    dense_local_matrix_als,
-    dense_local_matrix_mals,
+    dense_local_matrix,
     env_init,
     env_update_left,
     env_update_right,
     environment_deviation,
     local_operator_macs,
-    projected_matvec_als,
-    projected_matvec_mals,
-    projected_rmatvec_als,
-    projected_rmatvec_mals,
+    projected_matvec,
+    projected_rmatvec,
     recompute_environment,
 )
 from .generators import (
@@ -40,7 +37,6 @@ from .solver import (
     SweepReport,
     als_eig_baseline,
     als_svd,
-    init_block_tt,
     local_block_eig,
     local_block_svd,
     mals_eig_baseline,
@@ -68,8 +64,7 @@ from .tt import (
     matvec_tt,
     merge_cores,
     right_orthogonalize_through,
-    split_block_core_als,
-    split_block_core_mals,
+    split_block_core,
     tt_add,
     tt_entry,
     tt_inner,

@@ -1,4 +1,4 @@
-"""Dense tensor kernels: column-major index bookkeeping, unfoldings, QR/SVD.
+"""Dense kernels: QR and (truncated) SVD with fixed conventions.
 
 Index convention used throughout the package: a tensor entry (i_1, ..., i_N)
 sits at flat position i_1 + (i_2 - 1) I_1 + ... + (i_N - 1) I_1 ... I_{N-1}
@@ -8,12 +8,9 @@ and reshaping is done with ``order="F"``.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
-
-from .counting import tdot
 
 
 class SvdFactors(NamedTuple):
@@ -21,64 +18,6 @@ class SvdFactors(NamedTuple):
     s: np.ndarray
     v: np.ndarray  # columns are right singular vectors, so m ~ u @ diag(s) @ v.T
     discarded_energy: float
-
-
-def vectorize(t: np.ndarray) -> np.ndarray:
-    """Column-major flattening of a tensor."""
-    return np.asarray(t).ravel(order="F")
-
-
-def tensorize(v: np.ndarray, shape) -> np.ndarray:
-    """Inverse of vectorize for a given shape."""
-    return np.asarray(v).reshape(tuple(shape), order="F")
-
-
-def matricize(t: np.ndarray, row_axes) -> np.ndarray:
-    """Unfold a tensor into a matrix.
-
-    ``row_axes`` is an ordered sequence of 0-based axes; they index the rows
-    (column-major within the given order).  The remaining axes index the
-    columns in ascending order, also column-major.
-    """
-    t = np.asarray(t)
-    row_axes = [int(ax) for ax in row_axes]
-    if len(set(row_axes)) != len(row_axes) or any(
-        ax < 0 or ax >= t.ndim for ax in row_axes
-    ):
-        raise ValueError(f"malformed unfolding request: row_axes={row_axes} for ndim={t.ndim}")
-    col_axes = [ax for ax in range(t.ndim) if ax not in row_axes]
-    perm = row_axes + col_axes
-    rows = math.prod(t.shape[ax] for ax in row_axes) if row_axes else 1
-    return t.transpose(perm).reshape(rows, -1, order="F")
-
-
-def unmatricize(m: np.ndarray, shape, row_axes) -> np.ndarray:
-    """Undo matricize(t, row_axes) given the original shape."""
-    shape = tuple(shape)
-    row_axes = [int(ax) for ax in row_axes]
-    col_axes = [ax for ax in range(len(shape)) if ax not in row_axes]
-    perm = row_axes + col_axes
-    permuted = np.asarray(m).reshape([shape[ax] for ax in perm], order="F")
-    inv = np.argsort(perm)
-    return permuted.transpose(inv)
-
-
-def mode_n_product(t: np.ndarray, n: int, b: np.ndarray) -> np.ndarray:
-    """Contract matrix b against mode n of t (b.shape[1] must equal t.shape[n])."""
-    t = np.asarray(t)
-    b = np.asarray(b)
-    if b.ndim != 2 or b.shape[1] != t.shape[n]:
-        raise ValueError(f"mode-{n} product mismatch: tensor extent {t.shape[n]}, matrix {b.shape}")
-    return np.moveaxis(np.tensordot(b, t, axes=(1, n)), 0, n)
-
-
-def contract_last_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Contract the last mode of a with the first mode of b."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"bond mismatch: {a.shape[-1]} vs {b.shape[0]}")
-    return tdot(a, b, axes=(a.ndim - 1, 0))
 
 
 def dense_svd(m: np.ndarray) -> SvdFactors:

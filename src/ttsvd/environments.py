@@ -6,15 +6,17 @@ R^{>n} does the same strictly to the right.  ``lefts[n]`` stores L^{<n}
 (``lefts[0]`` is the scalar 1 as a (1,1,1) tensor) and ``rights[n]`` stores
 R^{>n} (``rights[N-1]`` is the boundary 1).
 
-The projected local matrix at position n,
+The projected local matrix of a window of w = 1 or 2 cores starting at n,
 
-    A_bar_n = (frame of U without core n)^T  A  (frame of V without core n),
+    A_bar_n = (frame of U without the window)^T  A  (frame of V without it),
 
-acts on a block of local vectors by contracting (L^{<n}, Y, A-core, R^{>n})
-in that order, and the transpose map by the mirror order; it can also be
-materialized, and ``local_operator_macs`` gives the cost of both forms from
-the operand shapes.  All kernels here run through the multiply-accumulate
-counting wrapper so complexity claims are testable.
+acts on a block of local vectors by contracting (L^{<n}, Y, the window's A
+cores, R^{>n+w-1}) in that order, and the transpose map by the mirror
+order; it can also be materialized, and ``local_operator_macs`` gives the
+cost of both forms from the operand shapes.  One code path serves every
+window width, so ALS (w = 1) and MALS (w = 2) share the same kernels.  All
+kernels here run through the multiply-accumulate counting wrapper so
+complexity claims are testable.
 """
 
 from __future__ import annotations
@@ -107,27 +109,21 @@ def env_init(u: BlockTT, a: MatrixTT, v: BlockTT) -> Environment:
 # ---------------------------------------------------------------------------
 # projected operators
 #
-# The kernels take the local tensor with a trailing column axis of width m,
-# so one contraction chain applies the operator to a whole block; the
-# ``projected_*`` wrappers accept a flat local vector or a (size, m) block
-# in the same column-major local layout.
-
-
-def _apply_flat(kernel, operands, in_shape, y):
-    """Run ``kernel`` on a flat vector or a (size, m) block of them."""
-    y = np.asarray(y)
-    out = kernel(*operands, _rf(y, in_shape + (-1,)))
-    return _rf(out, (-1,) + y.shape[1:])
+# ``a_cores`` holds the A cores of the window and ``n`` its first position.
+# The ``projected_*`` maps accept a flat local vector or a (size, m) block in
+# the column-major local layout, and one contraction chain applies the
+# operator to the whole block.
 
 
 def local_operator_macs(left, a_cores, right, m: int):
-    """MACs of the projected operator on one core or a merged pair.
+    """MACs of the projected operator of a window.
 
     ``a_cores`` holds the A cores of the window.  Returns ``(build, matvec,
     rmatvec)``: materializing the dense local matrix with
-    ``dense_local_matrix_*``, and applying the operator and its transpose
-    matrix-free to an m-column block with the ``_matvec_*``/``_rmatvec_*``
-    kernels.  Each equals what ``count_macs`` charges for that call.
+    ``dense_local_matrix``, and applying the operator and its transpose
+    matrix-free to an m-column block with ``projected_matvec``/
+    ``projected_rmatvec``.  Each equals what ``count_macs`` charges for that
+    call.
     """
     ru, _, rv = left.shape
     ru_r, _, rv_r = right.shape
@@ -153,101 +149,56 @@ def local_operator_macs(left, a_cores, right, m: int):
             apply(rv, ru, cols, rows, rv_r, ru_r))
 
 
-# single core (one local position)
+def _window(env: Environment, a_cores, n: int):
+    """Left and right environments of the window of ``a_cores`` at n."""
+    return env.lefts[n], env.rights[n + len(a_cores) - 1]
 
 
-def _matvec_als(left, a_core, right, y):
-    """(rv, j, rv_r, m) -> (ru, i, ru_r, m)."""
-    t = tdot(left, y, axes=(2, 0))               # (ru, ra, j, rv_r, m)
-    t = tdot(t, a_core, axes=((1, 2), (0, 2)))   # (ru, rv_r, m, i, ra_r)
-    t = tdot(t, right, axes=((1, 4), (2, 1)))    # (ru, m, i, ru_r)
-    return t.transpose(0, 2, 3, 1)
+def _apply(env: Environment, a_cores, n: int, y, transpose: bool):
+    """Apply the projected operator, or its transpose, to a vector or block.
+
+    The local tensor is (rv, j_1..j_w, rv_r, m) -> (ru, i_1..i_w, ru_r, m),
+    or the mirror for the transpose.  The order is the left environment,
+    one A core per window position, then the right environment.
+    """
+    left, right = _window(env, a_cores, n)
+    side, mode = (0, 1) if transpose else (2, 2)
+    shape = (left.shape[side], *(c.shape[mode] for c in a_cores),
+             right.shape[side])
+    y = np.asarray(y)
+    # (r_out, ra, n_1..n_w, rr_in, m); ra comes first for the transpose
+    t = tdot(left, _rf(y, shape + (-1,)), axes=(side, 0))
+    ra, n_in = (0, 2) if transpose else (1, 2)
+    for core in a_cores:     # each step appends (n_out, ra_next)
+        t = tdot(t, core, axes=((ra, n_in), (0, mode)))
+        ra, n_in = t.ndim - 1, 1
+    t = tdot(t, right, axes=((1, ra), (side, 1)))  # (r_out, m, n_out.., rr_out)
+    return _rf(t.transpose(0, *range(2, t.ndim), 1), (-1,) + y.shape[1:])
 
 
-def _rmatvec_als(left, a_core, right, x):
-    """(ru, i, ru_r, m) -> (rv, j, rv_r, m)."""
-    t = tdot(left, x, axes=(0, 0))               # (ra, rv, i, ru_r, m)
-    t = tdot(t, a_core, axes=((0, 2), (0, 1)))   # (rv, ru_r, m, j, ra_r)
-    t = tdot(t, right, axes=((1, 4), (0, 1)))    # (rv, m, j, rv_r)
-    return t.transpose(0, 2, 3, 1)
+def projected_matvec(env: Environment, a_cores, n: int,
+                     y: np.ndarray) -> np.ndarray:
+    """Apply the projected matrix of the window at n to a vector or block."""
+    return _apply(env, a_cores, n, y, transpose=False)
 
 
-def projected_matvec_als(env: Environment, a_core: np.ndarray, n: int,
-                         y: np.ndarray) -> np.ndarray:
-    """Apply the projected matrix at position n to a local vector or block."""
-    left, right = env.lefts[n], env.rights[n]
-    return _apply_flat(_matvec_als, (left, a_core, right),
-                       (left.shape[2], a_core.shape[2], right.shape[2]), y)
+def projected_rmatvec(env: Environment, a_cores, n: int,
+                      x: np.ndarray) -> np.ndarray:
+    """Apply the transpose of the projected matrix of the window at n."""
+    return _apply(env, a_cores, n, x, transpose=True)
 
 
-def projected_rmatvec_als(env: Environment, a_core: np.ndarray, n: int,
-                          x: np.ndarray) -> np.ndarray:
-    """Apply the transpose of the projected matrix at position n."""
-    left, right = env.lefts[n], env.rights[n]
-    return _apply_flat(_rmatvec_als, (left, a_core, right),
-                       (left.shape[0], a_core.shape[1], right.shape[0]), x)
-
-
-def dense_local_matrix_als(env: Environment, a_core: np.ndarray,
-                           n: int) -> np.ndarray:
-    """Materialize the projected matrix at position n."""
-    left, right = env.lefts[n], env.rights[n]
-    t = tdot(left, a_core, axes=(1, 0))          # (ru, rv, i, j, ra_r)
-    t = tdot(t, right, axes=(4, 1))              # (ru, rv, i, j, ru_r, rv_r)
-    t = t.transpose(0, 2, 4, 1, 3, 5)
-    ru, i, ru_r, rv, j, rv_r = t.shape
-    return _rf(t, (ru * i * ru_r, rv * j * rv_r))
-
-
-# merged two-core (pair at positions n, n+1)
-
-
-def _matvec_mals(left, a1, a2, right, y):
-    """(rv, ja, jb, rv_r, m) -> (ru, ia, ib, ru_r, m)."""
-    t = tdot(left, y, axes=(2, 0))               # (ru, ra, ja, jb, rv_r, m)
-    t = tdot(t, a1, axes=((1, 2), (0, 2)))       # (ru, jb, rv_r, m, ia, ra_m)
-    t = tdot(t, a2, axes=((5, 1), (0, 2)))       # (ru, rv_r, m, ia, ib, ra_r)
-    t = tdot(t, right, axes=((1, 5), (2, 1)))    # (ru, m, ia, ib, ru_r)
-    return t.transpose(0, 2, 3, 4, 1)
-
-
-def _rmatvec_mals(left, a1, a2, right, x):
-    """(ru, ia, ib, ru_r, m) -> (rv, ja, jb, rv_r, m)."""
-    t = tdot(left, x, axes=(0, 0))               # (ra, rv, ia, ib, ru_r, m)
-    t = tdot(t, a1, axes=((0, 2), (0, 1)))       # (rv, ib, ru_r, m, ja, ra_m)
-    t = tdot(t, a2, axes=((5, 1), (0, 1)))       # (rv, ru_r, m, ja, jb, ra_r)
-    t = tdot(t, right, axes=((1, 5), (0, 1)))    # (rv, m, ja, jb, rv_r)
-    return t.transpose(0, 2, 3, 4, 1)
-
-
-def projected_matvec_mals(env: Environment, a1: np.ndarray, a2: np.ndarray,
-                          n: int, y: np.ndarray) -> np.ndarray:
-    """Apply the merged projected matrix at (n, n+1) to a vector or block."""
-    left, right = env.lefts[n], env.rights[n + 1]
-    return _apply_flat(_matvec_mals, (left, a1, a2, right),
-                       (left.shape[2], a1.shape[2], a2.shape[2],
-                        right.shape[2]), y)
-
-
-def projected_rmatvec_mals(env: Environment, a1: np.ndarray, a2: np.ndarray,
-                           n: int, x: np.ndarray) -> np.ndarray:
-    """Apply the transpose of the merged projected matrix."""
-    left, right = env.lefts[n], env.rights[n + 1]
-    return _apply_flat(_rmatvec_mals, (left, a1, a2, right),
-                       (left.shape[0], a1.shape[1], a2.shape[1],
-                        right.shape[0]), x)
-
-
-def dense_local_matrix_mals(env: Environment, a1: np.ndarray, a2: np.ndarray,
-                            n: int) -> np.ndarray:
-    """Materialize the merged projected matrix for the pair (n, n+1)."""
-    left, right = env.lefts[n], env.rights[n + 1]
-    t = tdot(left, a1, axes=(1, 0))              # (ru, rv, ia, ja, ra_m)
-    t = tdot(t, a2, axes=(4, 0))                 # (ru, rv, ia, ja, ib, jb, ra_r)
-    t = tdot(t, right, axes=(6, 1))              # (ru, rv, ia, ja, ib, jb, ru_r, rv_r)
-    t = t.transpose(0, 2, 4, 6, 1, 3, 5, 7)
-    ru, ia, ib, ru_r, rv, ja, jb, rv_r = t.shape
-    return _rf(t, (ru * ia * ib * ru_r, rv * ja * jb * rv_r))
+def dense_local_matrix(env: Environment, a_cores, n: int) -> np.ndarray:
+    """Materialize the projected matrix of the window at n."""
+    left, right = _window(env, a_cores, n)
+    t, ra = left, 1
+    for core in a_cores:     # each step appends (i, j, ra_next)
+        t = tdot(t, core, axes=(ra, 0))
+        ra = t.ndim - 1
+    t = tdot(t, right, axes=(ra, 1))  # (ru, rv, i_1, j_1, .., ru_r, rv_r)
+    t = t.transpose(*range(0, t.ndim, 2), *range(1, t.ndim, 2))
+    nrow = math.prod(t.shape[: t.ndim // 2])
+    return _rf(t, (nrow, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,12 @@
 
 One sweep engine (``_driver`` with its ``_half_sweep``) serves four entry
 points.  They differ only in the window (a single core for ALS, a merged
-core pair for MALS) and in the local problem:
+core pair for MALS) and in the local problem.  Every layer under the sweep
+is written once for a window of either width: the projected operator
+(``_local_operator`` over ``environments.projected_matvec`` and friends),
+the truncated split (``tt.split_block_core``, through ``_split_into``) and
+the rank floor (``_min_keep``).  The only width-specific step is that a
+one-core split's K factor is contracted into the neighbouring core.
 
 * ``als_svd`` / ``mals_svd`` sweep the left and right singular chains
   (U, V) over A.  Each micro-iteration solves a local SVD of the projected
@@ -32,10 +37,10 @@ projected Gram matrix directly), with full reorthogonalization,
 deterministic seeded starts warm-started from the current block core, and
 Rayleigh-Ritz extraction of the K largest (positive) pairs.
 
-Rank floors: truncated splits keep at least enough rank that the next local
-problem can still hold K orthonormal columns (mirroring the minimal-rank
-initialization rule); without this, aggressive first-sweep truncation could
-make an end-of-chain local problem infeasible.
+Rank floors: truncated splits keep at least enough rank that the next
+window's local problem can still hold K orthonormal columns (mirroring the
+minimal-rank initialization rule); without this, aggressive first-sweep
+truncation could make an end-of-chain local problem infeasible.
 """
 
 from __future__ import annotations
@@ -51,17 +56,14 @@ import numpy as np
 from .counting import tdot
 from .environments import (
     Environment,
-    dense_local_matrix_als,
-    dense_local_matrix_mals,
+    dense_local_matrix,
     env_init,
     env_update_left,
     env_update_right,
     environment_deviation,
     local_operator_macs,
-    projected_matvec_als,
-    projected_matvec_mals,
-    projected_rmatvec_als,
-    projected_rmatvec_mals,
+    projected_matvec,
+    projected_rmatvec,
 )
 from .generators import random_block_tt
 from .tt import (
@@ -76,9 +78,22 @@ from .tt import (
     matrix_tt_round,
     matrix_tt_transpose,
     merge_cores,
-    split_block_core_als,
-    split_block_core_mals,
+    split_block_core,
 )
+
+# The benchmark's outside-in tracer (perfbench/tracing.py) wraps these module
+# attributes by name, one per window width, so they stay bound as aliases of
+# the one windowed implementation.  The sweep calls the ``_als`` name for a
+# one-core window and the ``_mals`` name for a merged pair, looked up here at
+# call time, so a trace still sees every call.
+dense_local_matrix_als = dense_local_matrix_mals = dense_local_matrix
+split_block_core_als = split_block_core_mals = split_block_core
+
+# The first half sweep of every attempt truncates at this multiple of the
+# working delta; the Gram baselines round A^T A and the recovered U at
+# epsilon divided by _GRAM_DELTA_DIVISOR.
+_FIRST_HALFSWEEP_DELTA_FACTOR = 100.0
+_GRAM_DELTA_DIVISOR = 10
 
 
 class LocalSolverError(RuntimeError):
@@ -90,18 +105,23 @@ class SolverConfig:
     """Knobs for the sweep drivers.
 
     ``delta0`` defaults to epsilon / sqrt(N-1) at run time; the first half
-    sweep of every attempt truncates at ``first_halfsweep_delta_factor``
-    times the working delta, and each restart shrinks the working delta by
-    ``restart_delta_shrink`` and reseeds the initial chains.
-    ``residual_delta`` (default epsilon / 10) only rounds the Gram matrix
-    A^T A and the recovered U of the Gram baselines; the stopping residual
-    is exact.
+    sweep of every attempt truncates at 100 times the working delta, and
+    each restart shrinks the working delta by ``restart_delta_shrink`` and
+    reseeds the initial chains.  The Gram baselines round A^T A and the
+    recovered U at epsilon / 10; the stopping residual is exact.
+
+    ``on_micro_iteration``, if set, is called once per micro-iteration of
+    every solver as ``callback(record, *chains)``, where ``record`` holds
+    the position, direction and Sigma estimate and ``chains`` is (U, V)
+    for the SVD solvers and (V,) for the Gram baselines.  For one-core
+    windows the chains are copies of the pre-split iterate (the local
+    solution written into the block core); for merged windows, copies of
+    the post-split iterate.
     """
 
     k: int
     epsilon: float = 1e-8
     delta0: float | None = None
-    first_halfsweep_delta_factor: float = 100.0
     max_full_sweeps: int = 20
     max_restarts: int = 2
     restart_delta_shrink: float = 0.1
@@ -110,7 +130,6 @@ class SolverConfig:
     local_max_iter: int = 400
     dense_crossover: int = 600
     max_rank: int | None = None
-    residual_delta: float | None = None
     track_env_consistency: bool = False
     on_micro_iteration: Callable | None = None
 
@@ -121,8 +140,6 @@ class SolverConfig:
             raise ValueError("epsilon must be positive")
         if self.delta0 is not None and self.delta0 < 0:
             raise ValueError("delta0 must be nonnegative")
-        if self.first_halfsweep_delta_factor <= 0:
-            raise ValueError("first_halfsweep_delta_factor must be positive")
         if self.max_full_sweeps < 1:
             raise ValueError("need at least one sweep")
         if self.max_restarts < 0:
@@ -172,17 +189,6 @@ class SweepReport:
             "delta_final": self.delta_final,
             "env_consistency_max": self.env_consistency_max,
         }
-
-
-def init_block_tt(modes, k: int, seed) -> BlockTT:
-    """Random start chain at the minimal feasible ranks.
-
-    The bond ranks follow the ceiling rule R_n = ceil(K / (I_{n+1} ... I_N))
-    exactly (requesting rank 1 everywhere and letting the feasibility floor
-    take over); cores left of the block are left-orthogonal and the block
-    core has orthonormal columns.
-    """
-    return random_block_tt(modes, k, 1, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +493,14 @@ def _local_operator(env: Environment, a: MatrixTT, q: int, pair: bool,
     than one matrix-free block apply (both directions for the SVD); the
     built path then never costs more, however few Krylov steps it takes.
     """
-    left = env.lefts[q]
-    if pair:
-        cores, right = (a.cores[q], a.cores[q + 1]), env.rights[q + 1]
-        matvec = functools.partial(projected_matvec_mals, env, *cores, q)
-        rmatvec = functools.partial(projected_rmatvec_mals, env, *cores, q)
+    cores = tuple(a.cores[q:q + 1 + pair])
+    left, right = env.lefts[q], env.rights[q + pair]
+    matvec = functools.partial(projected_matvec, env, cores, q)
+    rmatvec = functools.partial(projected_rmatvec, env, cores, q)
 
-        def build():
-            return dense_local_matrix_mals(env, *cores, q)
-    else:
-        cores, right = (a.cores[q],), env.rights[q]
-        matvec = functools.partial(projected_matvec_als, env, *cores, q)
-        rmatvec = functools.partial(projected_rmatvec_als, env, *cores, q)
-
-        def build():
-            return dense_local_matrix_als(env, *cores, q)
+    def build():
+        return (dense_local_matrix_mals if pair
+                else dense_local_matrix_als)(env, cores, q)
     rows = (left.shape[0], *(c.shape[1] for c in cores), right.shape[0])
     cols = (left.shape[2], *(c.shape[2] for c in cores), right.shape[2])
     nrow, ncol = math.prod(rows), math.prod(cols)
@@ -522,29 +521,19 @@ def _local_operator(env: Environment, a: MatrixTT, q: int, pair: bool,
     return _LocalOperator(matvec, rmatvec, build, rows, cols, path)
 
 
-def _min_keep_r2l(chain: BlockTT, p: int, k: int, pair: bool) -> int:
-    """Rank floor so the next right-to-left local problem can hold K columns."""
-    if pair:
-        if p - 2 < 0:
-            return 1
-        prev = chain.cores[p - 2]
-        cap = prev.shape[0] * prev.shape[1] * chain.cores[p - 1].shape[1]
-    else:
-        prev = chain.cores[p - 1]
-        cap = prev.shape[0] * prev.shape[1]
-    return max(1, math.ceil(k / max(cap, 1)))
+def _min_keep(chain: BlockTT, q: int, pair: bool, k: int, r2l: bool) -> int:
+    """Rank floor so the next window of the sweep can still hold K columns.
 
-
-def _min_keep_l2r(chain: BlockTT, p: int, k: int, pair: bool) -> int:
-    """Rank floor so the next left-to-right local problem can hold K columns."""
-    if pair:
-        if p + 2 >= chain.n_cores:
-            return 1
-        nxt = chain.cores[p + 2]
-        cap = chain.cores[p + 1].shape[1] * nxt.shape[1] * nxt.shape[2]
-    else:
-        nxt = chain.cores[p + 1]
-        cap = nxt.shape[1] * nxt.shape[2]
+    The window at q moves one core left (right to left) or right; the new
+    bond's rank times the rest of the next window's local size must reach K.
+    There is no next window at the end of a merged-pair sweep.
+    """
+    nxt = range(q - 1, q + pair) if r2l else range(q + 1, q + 2 + pair)
+    if nxt.start < 0 or nxt.stop > chain.n_cores:
+        return 1
+    cores = [chain.cores[m] for m in nxt]
+    cap = (cores[0].shape[0] if r2l else cores[-1].shape[2]) * math.prod(
+        c.shape[1] for c in cores)
     return max(1, math.ceil(k / max(cap, 1)))
 
 
@@ -554,31 +543,23 @@ def _split_into(chain: BlockTT, q: int, local: np.ndarray, delta: float,
 
     The window is core q, or the pair (q, q+1).  Splitting right to left
     leaves its rightmost core right-orthogonal, left to right its leftmost
-    core left-orthogonal.
+    core left-orthogonal.  A one-core split's K factor is contracted into
+    the neighbouring core, which becomes the block core.
     """
     direction = "right_to_left" if r2l else "left_to_right"
-    if r2l:
-        keep = _min_keep_r2l(chain, q + 1 if pair else q, cfg.k, pair)
-    else:
-        keep = _min_keep_l2r(chain, q, cfg.k, pair)
-    if pair:
-        chain.cores[q], chain.cores[q + 1], _ = split_block_core_mals(
-            local, direction, delta, max_rank=cfg.max_rank, min_keep=keep)
-        chain.orth[q], chain.orth[q + 1] = (None, "R") if r2l else ("L", None)
-        chain.block_position = q if r2l else q + 1
-    elif r2l:
-        carry, chain.cores[q], _ = split_block_core_als(
-            local, direction, delta, max_rank=cfg.max_rank, min_keep=keep)
-        nb = np.tensordot(chain.cores[q - 1], carry, axes=(2, 0))
-        chain.cores[q - 1] = nb.transpose(0, 2, 1, 3)
-        chain.orth[q - 1], chain.orth[q] = None, "R"
-        chain.block_position = q - 1
-    else:
-        chain.cores[q], carry, _ = split_block_core_als(
-            local, direction, delta, max_rank=cfg.max_rank, min_keep=keep)
-        chain.cores[q + 1] = np.tensordot(carry, chain.cores[q + 1], axes=(1, 0))
-        chain.orth[q], chain.orth[q + 1] = "L", None
-        chain.block_position = q + 1
+    keep = _min_keep(chain, q, pair, cfg.k, r2l)
+    split = split_block_core_mals if pair else split_block_core_als
+    left, right, _ = split(local, direction, delta, max_rank=cfg.max_rank,
+                           min_keep=keep)
+    m = q + pair - 1 if r2l else q  # the split writes cores m and m + 1
+    if not pair and r2l:
+        nb = np.tensordot(chain.cores[m], left, axes=(2, 0))
+        left = nb.transpose(0, 2, 1, 3)
+    elif not pair:
+        right = np.tensordot(right, chain.cores[m + 1], axes=(2, 0))
+    chain.cores[m], chain.cores[m + 1] = left, right
+    chain.orth[m], chain.orth[m + 1] = (None, "R") if r2l else ("L", None)
+    chain.block_position = m if r2l else m + 1
 
 
 def _advance(env: Environment, a: MatrixTT, chains, locals_, q: int,
@@ -591,7 +572,7 @@ def _advance(env: Environment, a: MatrixTT, chains, locals_, q: int,
         _split_into(chain, q, local, delta, cfg, pair, r2l)
     u, v = chains[0], chains[-1]
     if r2l:
-        env_update_right(env, u, a, v, q + 1 if pair else q)
+        env_update_right(env, u, a, v, q + pair)
     else:
         env_update_left(env, u, a, v, q)
 
@@ -622,7 +603,7 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
     gram = len(chains) == 1
     r2l = direction == "right_to_left"
     positions = range(a.n_cores - 1, 0, -1) if r2l else range(0, a.n_cores - 1)
-    callback = None if gram else cfg.on_micro_iteration
+    callback = cfg.on_micro_iteration
     sigma = None
     for p in positions:
         q = p - 1 if pair and r2l else p
@@ -680,14 +661,15 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     """Restarted sweeps with a best-iterate fallback; returns (Sigma, U, V, report).
 
     The SVD problem sweeps (U, V) over A.  The Gram problem sweeps (V,) over
-    B = A^T A rounded at ``residual_delta``, then recovers U = A V Sigma^{-1}
+    B = A^T A rounded at epsilon / 10, then recovers U = A V Sigma^{-1}
     from the returned iterate.  Sigma is only taken from a completed
     left-to-right half sweep.
     """
     _check_problem(a, cfg)
     n = a.n_cores
+    t0 = time.perf_counter()
     if gram:
-        rdelta = cfg.residual_delta if cfg.residual_delta is not None else cfg.epsilon / 10
+        rdelta = cfg.epsilon / _GRAM_DELTA_DIVISOR
         op = matrix_tt_round(matrix_tt_matmul(matrix_tt_transpose(a), a), rdelta)
         sizes = (a.col_sizes,)
     else:
@@ -696,7 +678,6 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     report = SweepReport(solver=name, k=cfg.k)
     if cfg.track_env_consistency:
         report.env_consistency_max = 0.0
-    t0 = time.perf_counter()
     best = None
     termination = "sweep-limit"
     sigma = np.zeros(cfg.k)
@@ -705,13 +686,13 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
         delta = delta0 * (cfg.restart_delta_shrink ** attempt)
         report.delta_final = delta
         ss = np.random.SeedSequence([int(cfg.seed), attempt]).spawn(len(sizes) + 1)
-        chains = tuple(init_block_tt(m, cfg.k, s) for m, s in zip(sizes, ss))
+        chains = tuple(random_block_tt(m, cfg.k, 1, s) for m, s in zip(sizes, ss))
         rng = np.random.default_rng(ss[-1])
         env = env_init(chains[0], op, chains[-1])
         converged = False
         sweeps_this = 0
         for sweep in range(cfg.max_full_sweeps):
-            d_first = delta * (cfg.first_halfsweep_delta_factor if sweep == 0 else 1.0)
+            d_first = delta * (_FIRST_HALFSWEEP_DELTA_FACTOR if sweep == 0 else 1.0)
             try:
                 _half_sweep(op, chains, env, cfg, d_first, rng, report, pair,
                             "right_to_left")

@@ -626,66 +626,40 @@ def merge_cores(u: BlockTT, n: int) -> np.ndarray:
     return g.transpose(0, 2, 3, 4, 1)
 
 
-def split_block_core_als(local: np.ndarray, direction: str, delta: float,
-                         max_rank: int | None = None,
-                         min_keep: int | None = None):
-    """Truncated split of a one-core local solution (r_l, I, r_r, K).
+def split_block_core(local: np.ndarray, direction: str, delta: float,
+                     max_rank: int | None = None,
+                     min_keep: int | None = None):
+    """Truncated split of a local solution (r_l, I_1..I_w, r_r, K), w = 1 or 2.
 
-    direction "right_to_left": rows (r_l, k), columns (i, r_r); returns
-    ``(carry, core, rank)`` where ``carry`` has shape (r_l, K, rank) and
-    absorbs the singular values (to be contracted into the left neighbor,
-    which becomes the block core) and ``core`` (rank, I, r_r) is
-    right-orthogonal.
+    Returns ``(left, right, rank)``.  The factor that carries K, with K on
+    axis 1, absorbs the singular values; the other one is an orthogonal TT
+    core.
 
-    direction "left_to_right": rows (r_l, i), columns (r_r, k); returns
-    ``(core, carry, rank)`` with ``core`` (r_l, I, rank) left-orthogonal and
-    ``carry`` of shape (rank, r_r, K) to be contracted into the right
-    neighbor.
+    direction "right_to_left": rows (r_l, i_1..i_{w-1}, k) vs columns
+    (i_w, r_r); ``left`` is (r_l, K, I_1..I_{w-1}, rank) (the block core in
+    storage layout for w = 2, a carry into the left neighbour for w = 1) and
+    ``right`` (rank, I_w, r_r) is right-orthogonal.
+
+    direction "left_to_right": rows (r_l, i_1) vs columns (i_2..i_w, r_r, k);
+    ``left`` (r_l, I_1, rank) is left-orthogonal and ``right`` is
+    (rank, K, I_2..I_w, r_r) (the block core for w = 2, a carry into the
+    right neighbour for w = 1).
     """
-    r_l, i, r_r, k = local.shape
+    r_l, *modes, r_r, k = local.shape
+    w = len(modes)
     if direction == "right_to_left":
-        m = _rf(local.transpose(0, 3, 1, 2), (r_l * k, i * r_r))
+        m = _rf(local.transpose(0, *range(1, w), w + 2, w, w + 1),
+                (-1, modes[-1] * r_r))
         f = truncated_svd(m, delta, max_rank=max_rank, min_rank=min_keep)
         rank = len(f.s)
-        carry = _rf(f.u * f.s[np.newaxis, :], (r_l, k, rank))
-        core = _rf(f.v.T, (rank, i, r_r))
-        return carry, core, rank
+        carry = _rf(f.u * f.s[np.newaxis, :], (r_l, *modes[:-1], k, rank))
+        core = _rf(f.v.T, (rank, modes[-1], r_r))
+        return carry.transpose(0, w, *range(1, w), w + 1), core, rank
     if direction == "left_to_right":
-        m = _rf(local, (r_l * i, r_r * k))
+        m = _rf(local, (r_l * modes[0], -1))
         f = truncated_svd(m, delta, max_rank=max_rank, min_rank=min_keep)
         rank = len(f.s)
-        core = _rf(f.u, (r_l, i, rank))
-        carry = _rf(f.s[:, np.newaxis] * f.v.T, (rank, r_r, k))
-        return core, carry, rank
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def split_block_core_mals(local: np.ndarray, direction: str, delta: float,
-                          max_rank: int | None = None,
-                          min_keep: int | None = None):
-    """Truncated split of a merged-core local solution (r_l, I_a, I_b, r_r, K).
-
-    direction "right_to_left": rows (r_l, i_a, k) vs columns (i_b, r_r);
-    returns ``(block_core, core, rank)`` with ``block_core`` in storage
-    layout (r_l, K, I_a, rank) and ``core`` (rank, I_b, r_r) right-orthogonal.
-
-    direction "left_to_right": rows (r_l, i_a) vs columns (i_b, r_r, k);
-    returns ``(core, block_core, rank)`` with ``core`` (r_l, I_a, rank)
-    left-orthogonal and ``block_core`` in storage layout (rank, K, I_b, r_r).
-    """
-    r_l, ia, ib, r_r, k = local.shape
-    if direction == "right_to_left":
-        m = _rf(local.transpose(0, 1, 4, 2, 3), (r_l * ia * k, ib * r_r))
-        f = truncated_svd(m, delta, max_rank=max_rank, min_rank=min_keep)
-        rank = len(f.s)
-        block = _rf(f.u * f.s[np.newaxis, :], (r_l, ia, k, rank)).transpose(0, 2, 1, 3)
-        core = _rf(f.v.T, (rank, ib, r_r))
-        return block, core, rank
-    if direction == "left_to_right":
-        m = _rf(local, (r_l * ia, ib * r_r * k))
-        f = truncated_svd(m, delta, max_rank=max_rank, min_rank=min_keep)
-        rank = len(f.s)
-        core = _rf(f.u, (r_l, ia, rank))
-        block = _rf(f.s[:, np.newaxis] * f.v.T, (rank, ib, r_r, k)).transpose(0, 3, 1, 2)
-        return core, block, rank
+        core = _rf(f.u, (r_l, modes[0], rank))
+        carry = _rf(f.s[:, np.newaxis] * f.v.T, (rank, *modes[1:], r_r, k))
+        return core, carry.transpose(0, w + 1, *range(1, w + 1)), rank
     raise ValueError(f"unknown direction {direction!r}")

@@ -17,7 +17,7 @@ from . import solver as solver_mod
 from .counting import count_macs
 from .dense import dense_qr, truncated_svd
 from .environments import Environment, env_init, environment_deviation, \
-    dense_local_matrix_als, projected_matvec_als
+    dense_local_matrix, projected_matvec
 from .generators import (
     hankel_submatrix_tt,
     hankel_tt,
@@ -239,13 +239,13 @@ def _check_environments(rng):
     env = env_init(u, a, v)
     ok = environment_deviation(env, u, a, v, n - 1) < 1e-12
     p = n - 1
-    abar = dense_local_matrix_als(env, a.cores[p], p)
+    abar = dense_local_matrix(env, [a.cores[p]], p)
     fu = _frame_matrix(u, p)
     fv = _frame_matrix(v, p)
     ref = fu.T @ tt_reconstruct(a) @ fv
     ok = ok and np.allclose(abar, ref, atol=1e-10)
     y = rng.standard_normal(abar.shape[1])
-    ok = ok and np.allclose(projected_matvec_als(env, a.cores[p], p, y),
+    ok = ok and np.allclose(projected_matvec(env, [a.cores[p]], p, y),
                             abar @ y, atol=1e-10)
     return ok, "left/right environments match the dense frame projection"
 
@@ -291,7 +291,7 @@ def _check_mac_counts(rng):
     acore = rng.standard_normal((ra, i, i, ra))
     y = rng.standard_normal(r * i * r)
     with count_macs() as counter:
-        projected_matvec_als(env, acore, 1, y)
+        projected_matvec(env, [acore], 1, y)
     formula = i * ra * (r + i * ra) * r ** 2
     ratio = counter.macs / formula
     ok = 0.5 <= ratio <= 2.0

@@ -14,7 +14,7 @@ from ttsvd import (
     env_update_left,
     mals_svd,
     prescribed_svd_matrix,
-    projected_matvec_als,
+    projected_matvec,
     residual,
     tt_reconstruct,
     tt_round,
@@ -298,8 +298,8 @@ def test_acceptance_10_mac_counts_match_cost_model():
         model = k * i * ra * (r + i * ra) * r * r
         with count_macs() as c:
             for _ in range(k):
-                projected_matvec_als(env, a_core, 1,
-                                     rng.standard_normal(r * i * r))
+                projected_matvec(env, [a_core], 1,
+                                 rng.standard_normal(r * i * r))
         ratios.append(c.macs / model)
 
     for r, ra, i in [(2, 2, 2), (3, 3, 2), (4, 3, 2), (5, 5, 2), (6, 4, 2)]:

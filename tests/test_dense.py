@@ -1,4 +1,4 @@
-"""Dense kernels: column-major bookkeeping, unfoldings, QR/SVD contracts."""
+"""Dense kernels: the counted tensordot and the QR/SVD contracts."""
 
 import numpy as np
 import pytest
@@ -7,83 +7,6 @@ from hypothesis import strategies as st
 
 from ttsvd import count_macs, dense_qr, dense_svd, truncated_svd
 from ttsvd.counting import tdot
-from ttsvd.dense import (
-    contract_last_first,
-    matricize,
-    mode_n_product,
-    tensorize,
-    unmatricize,
-    vectorize,
-)
-
-
-def test_vectorize_first_axis_fastest():
-    rng = np.random.default_rng(0)
-    t = rng.standard_normal((3, 4, 2))
-    v = vectorize(t)
-    for i in range(3):
-        for j in range(4):
-            for k in range(2):
-                assert v[i + 3 * j + 12 * k] == t[i, j, k]
-
-
-def test_tensorize_inverts_vectorize():
-    rng = np.random.default_rng(1)
-    t = rng.standard_normal((2, 5, 3, 2))
-    assert np.array_equal(tensorize(vectorize(t), t.shape), t)
-
-
-def test_matricize_index_formula():
-    rng = np.random.default_rng(2)
-    t = rng.standard_normal((2, 3, 4, 5))
-    m = matricize(t, (2, 0))
-    assert m.shape == (8, 15)
-    for i0 in range(2):
-        for i1 in range(3):
-            for i2 in range(4):
-                for i3 in range(5):
-                    row = i2 + 4 * i0
-                    col = i1 + 3 * i3
-                    assert m[row, col] == t[i0, i1, i2, i3]
-
-
-def test_matricize_rejects_bad_axes():
-    t = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        matricize(t, (0, 0))
-    with pytest.raises(ValueError):
-        matricize(t, (0, 5))
-
-
-def test_unmatricize_inverts_matricize():
-    rng = np.random.default_rng(3)
-    t = rng.standard_normal((3, 2, 4, 2, 3))
-    for row_axes in [(0,), (1, 3), (4, 0, 2), (2, 1, 0, 3, 4)]:
-        m = matricize(t, row_axes)
-        back = unmatricize(m, t.shape, row_axes)
-        assert np.array_equal(back, t)
-
-
-def test_mode_n_product_matches_einsum():
-    rng = np.random.default_rng(4)
-    t = rng.standard_normal((3, 4, 5))
-    b = rng.standard_normal((6, 4))
-    out = mode_n_product(t, 1, b)
-    ref = np.einsum("pj,ijk->ipk", b, t)
-    assert np.allclose(out, ref, atol=1e-14)
-    with pytest.raises(ValueError):
-        mode_n_product(t, 0, b)
-
-
-def test_contract_last_first_matches_tensordot():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((2, 3, 4))
-    b = rng.standard_normal((4, 5))
-    assert np.allclose(
-        contract_last_first(a, b), np.tensordot(a, b, axes=(2, 0)), atol=1e-14
-    )
-    with pytest.raises(ValueError):
-        contract_last_first(a, rng.standard_normal((3, 5)))
 
 
 def test_tdot_counts_only_under_a_counter():

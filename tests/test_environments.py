@@ -14,18 +14,15 @@ from conftest import (
 from ttsvd import (
     Environment,
     count_macs,
-    dense_local_matrix_als,
-    dense_local_matrix_mals,
+    dense_local_matrix,
     env_init,
     env_update_left,
     env_update_right,
     environment_deviation,
     local_block_svd,
     local_operator_macs,
-    projected_matvec_als,
-    projected_matvec_mals,
-    projected_rmatvec_als,
-    projected_rmatvec_mals,
+    projected_matvec,
+    projected_rmatvec,
     random_block_tt,
     recompute_environment,
     tt_reconstruct,
@@ -74,7 +71,7 @@ def test_projected_matrix_equals_dense_frame_projection():
     for pos in range(n):
         u, a, v = _triple(rng, n=n, pos=pos)
         env = recompute_environment(u, a, v, pos)
-        abar = dense_local_matrix_als(env, a.cores[pos], pos)
+        abar = dense_local_matrix(env, [a.cores[pos]], pos)
         fu = frame_matrix(u, pos)
         fv = frame_matrix(v, pos)
         ref = fu.T @ tt_reconstruct(a) @ fv
@@ -87,16 +84,16 @@ def test_projected_matvec_pair_matches_dense_matrix():
     pos = 2
     u, a, v = _triple(rng, n=n, pos=pos)
     env = recompute_environment(u, a, v, pos)
-    abar = dense_local_matrix_als(env, a.cores[pos], pos)
+    abar = dense_local_matrix(env, [a.cores[pos]], pos)
     p, q = abar.shape
     for _ in range(3):
         y = rng.standard_normal(q)
         x = rng.standard_normal(p)
         assert np.allclose(
-            projected_matvec_als(env, a.cores[pos], pos, y), abar @ y, atol=1e-10
+            projected_matvec(env, [a.cores[pos]], pos, y), abar @ y, atol=1e-10
         )
         assert np.allclose(
-            projected_rmatvec_als(env, a.cores[pos], pos, x), abar.T @ x, atol=1e-10
+            projected_rmatvec(env, [a.cores[pos]], pos, x), abar.T @ x, atol=1e-10
         )
 
 
@@ -106,7 +103,7 @@ def test_merged_projected_matrix_equals_dense_frame_projection():
     for p in (0, 2, 3):
         u, a, v = _triple(rng, n=n, pos=p + 1)
         env = recompute_environment(u, a, v, p + 1)
-        abar = dense_local_matrix_mals(env, a.cores[p], a.cores[p + 1], p)
+        abar = dense_local_matrix(env, a.cores[p:p + 2], p)
         fu = pair_frame_matrix(u, p)
         fv = pair_frame_matrix(v, p)
         ref = fu.T @ tt_reconstruct(a) @ fv
@@ -115,12 +112,12 @@ def test_merged_projected_matrix_equals_dense_frame_projection():
         y = rng.standard_normal(cols)
         x = rng.standard_normal(rows)
         assert np.allclose(
-            projected_matvec_mals(env, a.cores[p], a.cores[p + 1], p, y),
+            projected_matvec(env, a.cores[p:p + 2], p, y),
             abar @ y,
             atol=1e-10,
         )
         assert np.allclose(
-            projected_rmatvec_mals(env, a.cores[p], a.cores[p + 1], p, x),
+            projected_rmatvec(env, a.cores[p:p + 2], p, x),
             abar.T @ x,
             atol=1e-10,
         )
@@ -136,7 +133,7 @@ def test_projection_of_own_block_recovers_gram_structure():
     u = random_block_tt([2] * n, 3, 2, 10)
     v = random_block_tt([2] * n, 3, 2, 11)
     env = env_init(u, a, v)
-    abar = dense_local_matrix_als(env, a.cores[pos], pos)
+    abar = dense_local_matrix(env, [a.cores[pos]], pos)
     wu = block_local_matrix(u, pos)
     wv = block_local_matrix(v, pos)
     small = wu.T @ abar @ wv
@@ -202,7 +199,7 @@ def test_mac_costs_stay_within_twice_the_model():
         model_matvec = k * i * ra * (r + i * ra) * r * r
         with count_macs() as c:
             for _ in range(k):
-                projected_matvec_als(env, a_core, 1, rng.standard_normal(r * i * r))
+                projected_matvec(env, [a_core], 1, rng.standard_normal(r * i * r))
         assert model_matvec < c.macs <= 2 * model_matvec, (
             f"matvec macs {c.macs} vs model {model_matvec} at {(r, ra, i, k)}"
         )
@@ -243,13 +240,9 @@ _NON_SQUARE = [
 
 
 def _window_ops(env, cores, n):
-    if len(cores) == 1:
-        return (lambda y: projected_matvec_als(env, cores[0], n, y),
-                lambda x: projected_rmatvec_als(env, cores[0], n, x),
-                lambda: dense_local_matrix_als(env, cores[0], n))
-    return (lambda y: projected_matvec_mals(env, *cores, n, y),
-            lambda x: projected_rmatvec_mals(env, *cores, n, x),
-            lambda: dense_local_matrix_mals(env, *cores, n))
+    return (lambda y: projected_matvec(env, cores, n, y),
+            lambda x: projected_rmatvec(env, cores, n, x),
+            lambda: dense_local_matrix(env, cores, n))
 
 
 @pytest.mark.parametrize("kind,left,cores,right", _NON_SQUARE)

@@ -1,18 +1,22 @@
 """Sweep drivers against dense decompositions of small reconstructed matrices."""
 
+import collections
+import importlib
 import json
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_matrix_tt
 from ttsvd import (
+    BlockTT,
     SolverConfig,
     als_eig_baseline,
     als_svd,
     hilbert_submatrix_tt,
     identity_matrix_tt,
-    init_block_tt,
     mals_eig_baseline,
     mals_svd,
     prescribed_svd_matrix,
@@ -234,11 +238,42 @@ def test_merged_core_callback_is_sigma_consistent():
         assert np.linalg.norm(proj - np.diag(sig)) < 1e-8
 
 
+@pytest.mark.parametrize("driver", [als_eig_baseline, mals_eig_baseline])
+def test_gram_callback_fires_once_per_micro_iteration(driver):
+    a, _, _, _ = prescribed_svd_matrix(5, 0.5, k0=6, rank=2, seed=15)
+    seen = []
+
+    def probe(record, *chains):
+        seen.append((record, chains))
+
+    cfg = SolverConfig(k=3, epsilon=1e-9, seed=16, on_micro_iteration=probe)
+    _, _, _, rep = driver(a, cfg)
+    assert len(seen) == len(rep.micro) > 0
+    for record, chains in seen:
+        assert len(chains) == 1 and isinstance(chains[0], BlockTT)
+        assert chains[0].mode_sizes == a.col_sizes
+
+
+@pytest.mark.parametrize("driver", [als_eig_baseline, mals_eig_baseline])
+def test_gram_wall_time_includes_forming_the_gram_matrix(driver, monkeypatch):
+    import ttsvd.solver as solver
+
+    round_ = solver.matrix_tt_round
+
+    def slow_round(*args, **kwargs):
+        time.sleep(0.3)
+        return round_(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "matrix_tt_round", slow_round)
+    a, _, _, _ = prescribed_svd_matrix(4, 0.5, k0=6, rank=2, seed=15)
+    _, _, _, rep = driver(a, SolverConfig(k=3, epsilon=1e-9, seed=16))
+    assert rep.wall_time_s >= 0.3
+
+
 def test_init_block_tt_is_the_minimal_random_chain():
-    u = init_block_tt([2] * 6, 4, 42)
-    w = random_block_tt([2] * 6, 4, 1, 42)
-    for cu, cw in zip(u.cores, w.cores):
-        assert np.array_equal(cu, cw)
+    # the sweep starts from random_block_tt at requested rank 1; the
+    # feasibility floor alone sets the ranks
+    u = random_block_tt([2] * 6, 4, 1, 42)
     assert u.ranks == [1, 1, 1, 1, 1, 2, 1]
 
 
@@ -361,3 +396,38 @@ def test_runs_are_seed_deterministic():
     assert out1[3].residual_history == out2[3].residual_history
     for c1, c2 in zip(out1[1].cores, out2[1].cores):
         assert np.array_equal(c1, c2)
+
+
+def test_traced_names_are_all_called(monkeypatch):
+    # the benchmark's tracer wraps these ttsvd.solver attributes by name; a
+    # renamed or bypassed one would silently drop its layer from a trace
+    import ttsvd.solver as solver
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    calls = collections.Counter()
+
+    def counted(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {attr: getattr(solver, attr) for attr in tracing.WRAPPED}
+    a, _, _, _ = prescribed_svd_matrix(5, 0.5, k0=6, rank=2, seed=13)
+    tracer = tracing.Tracer()
+    tracer.install(solver)
+    try:
+        for attr in tracing.WRAPPED:
+            setattr(solver, attr, counted(attr, getattr(solver, attr)))
+        for driver in ALL_DRIVERS:
+            driver(a, SolverConfig(k=3, epsilon=1e-9, seed=14,
+                                   dense_crossover=8))
+    finally:
+        tracer.uninstall()
+    assert all(getattr(solver, attr) is fn for attr, fn in originals.items())
+    totals = tracer.totals()
+    for span in set(tracing.WRAPPED.values()):
+        assert totals.get(span, {}).get("calls", 0) > 0, span
+    assert [attr for attr in tracing.WRAPPED if not calls[attr]] == []

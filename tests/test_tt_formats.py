@@ -32,8 +32,7 @@ from ttsvd import (
     matvec_tt,
     merge_cores,
     right_orthogonalize_through,
-    split_block_core_als,
-    split_block_core_mals,
+    split_block_core,
     tt_add,
     tt_entry,
     tt_inner,
@@ -437,21 +436,21 @@ def test_split_single_core_round_trips():
     local = _local4(rng)
     r_l, i, r_r, k = local.shape
 
-    carry, core, rank = split_block_core_als(local, "right_to_left", 0.0)
+    carry, core, rank = split_block_core(local, "right_to_left", 0.0)
     # carry (r_l, K, rank) x core (rank, i, r_r) recontracts the local tensor
     back = np.einsum("akr,rib->aibk", carry, core)
     assert np.allclose(back, local, atol=1e-12)
     mat = core.reshape(rank, i * r_r, order="F")
     assert np.allclose(mat @ mat.T, np.eye(rank), atol=1e-12)
 
-    core2, carry2, rank2 = split_block_core_als(local, "left_to_right", 0.0)
-    back2 = np.einsum("air,rbk->aibk", core2, carry2)
+    core2, carry2, rank2 = split_block_core(local, "left_to_right", 0.0)
+    back2 = np.einsum("air,rkb->aibk", core2, carry2)
     assert np.allclose(back2, local, atol=1e-12)
     mat2 = core2.reshape(r_l * i, rank2, order="F")
     assert np.allclose(mat2.T @ mat2, np.eye(rank2), atol=1e-12)
 
     with pytest.raises(ValueError):
-        split_block_core_als(local, "sideways", 0.0)
+        split_block_core(local, "sideways", 0.0)
 
 
 def test_split_merged_core_round_trips():
@@ -459,14 +458,14 @@ def test_split_merged_core_round_trips():
     local = rng.standard_normal((3, 2, 2, 4, 5))
     r_l, ia, ib, r_r, k = local.shape
 
-    block, core, rank = split_block_core_mals(local, "right_to_left", 0.0)
+    block, core, rank = split_block_core(local, "right_to_left", 0.0)
     assert block.shape == (r_l, k, ia, rank)
     back = np.einsum("akir,rjb->aijbk", block, core)
     assert np.allclose(back, local, atol=1e-12)
     mat = core.reshape(rank, ib * r_r, order="F")
     assert np.allclose(mat @ mat.T, np.eye(rank), atol=1e-12)
 
-    core2, block2, rank2 = split_block_core_mals(local, "left_to_right", 0.0)
+    core2, block2, rank2 = split_block_core(local, "left_to_right", 0.0)
     assert block2.shape == (rank2, k, ib, r_r)
     back2 = np.einsum("air,rkjb->aijbk", core2, block2)
     assert np.allclose(back2, local, atol=1e-12)
@@ -474,7 +473,7 @@ def test_split_merged_core_round_trips():
     assert np.allclose(mat2.T @ mat2, np.eye(rank2), atol=1e-12)
 
     with pytest.raises(ValueError):
-        split_block_core_mals(local, "diagonal", 0.0)
+        split_block_core(local, "diagonal", 0.0)
 
 
 def test_split_truncation_bound_and_rank_controls():
@@ -482,19 +481,19 @@ def test_split_truncation_bound_and_rank_controls():
     local = _local4(rng, (4, 2, 4, 3))
     nrm = np.linalg.norm(local)
     delta = 0.3
-    carry, core, rank = split_block_core_als(local, "right_to_left", delta)
+    carry, core, rank = split_block_core(local, "right_to_left", delta)
     back = np.einsum("akr,rib->aibk", carry, core)
     assert np.linalg.norm(back - local) <= delta * nrm + 1e-12
 
-    _, _, rank_cap = split_block_core_als(local, "left_to_right", 0.0, max_rank=2)
+    _, _, rank_cap = split_block_core(local, "left_to_right", 0.0, max_rank=2)
     assert rank_cap == 2
-    _, _, rank_floor = split_block_core_als(
+    _, _, rank_floor = split_block_core(
         local, "left_to_right", 0.99, min_keep=4
     )
     assert rank_floor >= 4
 
     local5 = rng.standard_normal((3, 2, 2, 3, 4))
-    _, _, r5 = split_block_core_mals(local5, "right_to_left", 0.0, max_rank=3)
+    _, _, r5 = split_block_core(local5, "right_to_left", 0.0, max_rank=3)
     assert r5 == 3
 
 
