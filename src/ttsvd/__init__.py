@@ -47,18 +47,14 @@ from .tt import (
     BlockTT,
     MatrixTT,
     VectorTT,
-    block_tt_column,
     block_tt_gram,
     block_tt_matvec,
     block_tt_residual_norm,
     block_tt_round,
     block_tt_scale_columns,
     diag_embed,
-    identity_matrix_tt,
     left_orthogonalize_through,
-    matrix_tt_add,
     matrix_tt_matmul,
-    matrix_tt_norm,
     matrix_tt_round,
     matrix_tt_transpose,
     matvec_tt,

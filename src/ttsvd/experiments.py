@@ -42,7 +42,7 @@ from .generators import (
     tridiagonal_tt,
 )
 from .serialization import load_tt
-from .tt import MatrixTT, tt_svd_compress, _rf
+from .tt import MatrixTT, VectorTT, tt_scale
 
 
 class ConfigError(ValueError):
@@ -85,12 +85,16 @@ class RunConfig:
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ConfigError(f"unknown solver {s!r}")
+        for name in ("k", "reps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer")
         if self.reps < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError("epsilon must be positive and finite")
         if self.experiment != "custom":
             if not self.n_values:
                 raise ConfigError("n_values must not be empty")
@@ -230,10 +234,9 @@ def _build_matrix(cfg: RunConfig, n: int, param, rep_seed: int):
         # second-difference matrix: eigenvalues 2 - 2 cos(j*pi/(M+1)) are a
         # closed-form ground truth at any N
         m = 2 ** n
-        ones = tt_svd_compress(_rf(np.ones(m), (2,) * n), 0.0)
-        neg = tt_svd_compress(_rf(-np.ones(m), (2,) * n), 0.0)
-        two = tt_svd_compress(_rf(2.0 * np.ones(m), (2,) * n), 0.0)
-        a = tridiagonal_tt(neg, two, neg)
+        ones = VectorTT([np.ones((1, 2, 1))] * n)  # rank 1, no dense 2^N vector
+        neg = tt_scale(ones, -1.0)
+        a = tridiagonal_tt(neg, tt_scale(ones, 2.0), neg)
         j = np.arange(m, m - cfg.k, -1)
         truth = 2.0 - 2.0 * np.cos(j * math.pi / (m + 1))
         return a, truth

@@ -29,12 +29,11 @@ from .tt import (
     _rf,
     diag_embed,
     left_orthogonalize_through,
-    matrix_tt_add,
     matrix_tt_matmul,
-    matrix_tt_round,
     matrix_tt_transpose,
     matvec_tt,
     tt_entry,
+    tt_add,
     tt_last_mode_slice,
     tt_norm,
     tt_reverse,
@@ -177,10 +176,10 @@ def tridiagonal_tt(a: VectorTT, b: VectorTT, c: VectorTT,
     n = a.n_cores
     lower = matrix_tt_matmul(shift_transpose_tt(n), diag_embed(a))
     upper = matrix_tt_matmul(shift_tt(n), diag_embed(c))
-    total = matrix_tt_add(matrix_tt_add(lower, diag_embed(b)), upper)
+    total = tt_add(tt_add(lower, diag_embed(b)), upper)
     if delta is None:
         return total
-    return matrix_tt_round(total, delta)
+    return tt_round(total, delta)
 
 
 def full_toeplitz_tt(x: VectorTT, delta: float | None = 1e-13) -> MatrixTT:
@@ -204,10 +203,10 @@ def full_toeplitz_tt(x: VectorTT, delta: float | None = 1e-13) -> MatrixTT:
     lower = matrix_tt_transpose(toeplitz_tt(second))
     x_mid = tt_entry(x, [1] * n + [0])  # x_{2^N}
     ident = identity_scaled(n, x_mid)
-    total = matrix_tt_add(matrix_tt_add(upper, lower), ident)
+    total = tt_add(tt_add(upper, lower), ident)
     if delta is None:
         return total
-    return matrix_tt_round(total, delta)
+    return tt_round(total, delta)
 
 
 def identity_scaled(n: int, alpha: float) -> MatrixTT:
@@ -232,8 +231,8 @@ def hilbert_submatrix_tt(n: int, delta: float, max_n: int = 22) -> MatrixTT:
         raise ValueError(
             f"n={n} exceeds the dense generating-vector budget (max_n={max_n})"
         )
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     length = 2 ** (n + 1)
     g = np.empty(length)
     g[0] = 1.0  # placeholder, never referenced by the matrix
@@ -251,8 +250,8 @@ def hilbert_submatrix_tt(n: int, delta: float, max_n: int = 22) -> MatrixTT:
     mid = float(g[2 ** n])  # value 1/2^n on the central anti-diagonal
     anti = exchange_matrix_tt(n)
     anti.cores[0] = anti.cores[0] * mid
-    total = matrix_tt_add(matrix_tt_add(upper, lower), anti)
-    return matrix_tt_round(_restrict_first_half_columns(total), delta * 0.1)
+    total = tt_add(tt_add(upper, lower), anti)
+    return tt_round(_restrict_first_half_columns(total), delta * 0.1)
 
 
 # ---------------------------------------------------------------------------

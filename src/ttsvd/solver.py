@@ -134,12 +134,14 @@ class SolverConfig:
     on_micro_iteration: Callable | None = None
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ValueError("block size k must be an integer")
         if self.k < 1:
             raise ValueError("block size k must be at least 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.delta0 is not None and self.delta0 < 0:
-            raise ValueError("delta0 must be nonnegative")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if self.delta0 is not None and not 0 <= self.delta0 < math.inf:
+            raise ValueError("delta0 must be nonnegative and finite")
         if self.max_full_sweeps < 1:
             raise ValueError("need at least one sweep")
         if self.max_restarts < 0:
@@ -195,19 +197,16 @@ class SweepReport:
 # local solvers
 
 
-def _sign_fix_pair(u_loc: np.ndarray, v_loc: np.ndarray) -> None:
-    for i in range(u_loc.shape[1]):
-        j = int(np.argmax(np.abs(u_loc[:, i])))
-        if u_loc[j, i] < 0:
-            u_loc[:, i] *= -1.0
-            v_loc[:, i] *= -1.0
+def _sign_fix(lead: np.ndarray, *others: np.ndarray) -> None:
+    """Flip each column whose largest-magnitude entry in ``lead`` is negative.
 
-
-def _sign_fix_single(v_loc: np.ndarray) -> None:
-    for i in range(v_loc.shape[1]):
-        j = int(np.argmax(np.abs(v_loc[:, i])))
-        if v_loc[j, i] < 0:
-            v_loc[:, i] *= -1.0
+    The same column of every array in ``others`` flips with it, in place.
+    """
+    for i in range(lead.shape[1]):
+        j = int(np.argmax(np.abs(lead[:, i])))
+        if lead[j, i] < 0:
+            for m in (lead, *others):
+                m[:, i] *= -1.0
 
 
 def dense_block_svd(abar: np.ndarray, k: int):
@@ -216,7 +215,7 @@ def dense_block_svd(abar: np.ndarray, k: int):
     u = u[:, :k].copy()
     v = vt[:k].T.copy()
     s = s[:k].copy()
-    _sign_fix_pair(u, v)
+    _sign_fix(u, v)
     return u, s, v
 
 
@@ -227,7 +226,7 @@ def dense_block_eig(bbar: np.ndarray, k: int):
     order = np.argsort(-lam, kind="stable")[:k]
     lam = lam[order].copy()
     v = vecs[:, order].copy()
-    _sign_fix_single(v)
+    _sign_fix(v)
     return lam, v
 
 
@@ -368,7 +367,7 @@ def krylov_block_svd(matvec, rmatvec, p: int, q: int, k: int, tol: float = 1e-10
                 arr[:, c] = vec / float(np.linalg.norm(vec))
             else:
                 arr[:, c] /= nrm
-    _sign_fix_pair(u, v)
+    _sign_fix(u, v)
     return u, sigma, v, iters
 
 
@@ -383,7 +382,7 @@ def krylov_block_eig(matvec, dim: int, k: int, tol: float = 1e-10,
     theta, z, iters = _krylov_symmetric(matvec, dim, k, tol, max_iter, seed,
                                         start, positive_only=False)
     z = z.copy()
-    _sign_fix_single(z)
+    _sign_fix(z)
     return theta, z, iters
 
 

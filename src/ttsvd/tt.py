@@ -10,6 +10,10 @@ bonds equal):
   movable position) is fourth-order (R_{n-1}, K, I_n, R_n) and carries the
   shared extra mode of size K; the chain represents K vectors on one TT basis.
 
+Operations that touch only the bonds (rounding, norm, sum) are written once,
+for a VectorTT; the other formats run them on their *fused view*, a VectorTT
+whose cores fuse their middle modes into one (row mode fastest, K fastest).
+
 All unfoldings and mode fusions are column-major (``order="F"``, first axis
 fastest), matching the package-wide multi-index convention; the realized
 vector of a chain puts mode 1 fastest.  Orthogonality is tracked per core as
@@ -30,53 +34,64 @@ def _rf(a: np.ndarray, shape) -> np.ndarray:
     return np.reshape(a, tuple(shape), order="F")
 
 
-def _check_bonds(cores, what: str) -> None:
-    if not cores:
-        raise ValueError(f"{what} needs at least one core")
-    if cores[0].shape[0] != 1 or cores[-1].shape[-1] != 1:
-        raise ValueError(f"{what} boundary ranks must be 1")
-    for n in range(len(cores) - 1):
-        if cores[n].shape[-1] != cores[n + 1].shape[0]:
-            raise ValueError(
-                f"{what} bond mismatch between cores {n} and {n + 1}: "
-                f"{cores[n].shape[-1]} vs {cores[n + 1].shape[0]}"
-            )
+class _Chain:
+    """Cores of one chain format: order, boundary-rank and bond checks."""
 
-
-class VectorTT:
     def __init__(self, cores, orth=None):
         self.cores = [np.asarray(c, dtype=float) for c in cores]
-        if any(c.ndim != 3 for c in self.cores):
-            raise ValueError("VectorTT cores must be third-order")
-        _check_bonds(self.cores, "VectorTT")
+        what = type(self).__name__
+        if not self.cores:
+            raise ValueError(f"{what} needs at least one core")
+        for n, c in enumerate(self.cores):
+            if c.ndim != self._order(n):
+                raise ValueError(
+                    f"{what} core {n} must be order {self._order(n)}, got {c.ndim}"
+                )
+        if self.cores[0].shape[0] != 1 or self.cores[-1].shape[-1] != 1:
+            raise ValueError(f"{what} boundary ranks must be 1")
+        for n in range(len(self.cores) - 1):
+            if self.cores[n].shape[-1] != self.cores[n + 1].shape[0]:
+                raise ValueError(
+                    f"{what} bond mismatch between cores {n} and {n + 1}: "
+                    f"{self.cores[n].shape[-1]} vs {self.cores[n + 1].shape[0]}"
+                )
         self.orth = list(orth) if orth is not None else [None] * len(self.cores)
+
+    def _order(self, n: int) -> int:
+        return 3
+
+    def _with(self, cores, orth=None):  # same format and block position
+        return type(self)(cores, orth)
 
     @property
     def n_cores(self) -> int:
         return len(self.cores)
-
-    @property
-    def mode_sizes(self) -> list[int]:
-        return [c.shape[1] for c in self.cores]
 
     @property
     def ranks(self) -> list[int]:
         return [self.cores[0].shape[0]] + [c.shape[-1] for c in self.cores]
 
-    def copy(self) -> "VectorTT":
-        return VectorTT([c.copy() for c in self.cores], self.orth)
+    def copy(self):
+        return self._with([c.copy() for c in self.cores], self.orth)
 
 
-class MatrixTT:
-    def __init__(self, cores):
-        self.cores = [np.asarray(c, dtype=float) for c in cores]
-        if any(c.ndim != 4 for c in self.cores):
-            raise ValueError("MatrixTT cores must be fourth-order")
-        _check_bonds(self.cores, "MatrixTT")
-
+class VectorTT(_Chain):
     @property
-    def n_cores(self) -> int:
-        return len(self.cores)
+    def mode_sizes(self) -> list[int]:
+        return [c.shape[1] for c in self.cores]
+
+
+class MatrixTT(_Chain):
+    """Chain of (R, I, J, R) cores; its orthogonality tags are always None."""
+
+    def __init__(self, cores):
+        super().__init__(cores)
+
+    def _order(self, n: int) -> int:
+        return 4
+
+    def _with(self, cores, orth=None):
+        return MatrixTT(cores)
 
     @property
     def row_sizes(self) -> list[int]:
@@ -87,10 +102,6 @@ class MatrixTT:
         return [c.shape[2] for c in self.cores]
 
     @property
-    def ranks(self) -> list[int]:
-        return [self.cores[0].shape[0]] + [c.shape[-1] for c in self.cores]
-
-    @property
     def n_rows(self) -> int:
         return math.prod(self.row_sizes)
 
@@ -98,30 +109,21 @@ class MatrixTT:
     def n_cols(self) -> int:
         return math.prod(self.col_sizes)
 
-    def copy(self) -> "MatrixTT":
-        return MatrixTT([c.copy() for c in self.cores])
 
-
-class BlockTT:
+class BlockTT(_Chain):
     """TT chain with one fourth-order core (R_{n-1}, K, I_n, R_n) of block size K."""
 
     def __init__(self, cores, block_position: int, orth=None):
-        self.cores = [np.asarray(c, dtype=float) for c in cores]
         self.block_position = int(block_position)
-        if not 0 <= self.block_position < len(self.cores):
+        if not 0 <= self.block_position < len(cores):
             raise ValueError("block position out of range")
-        for n, c in enumerate(self.cores):
-            want = 4 if n == self.block_position else 3
-            if c.ndim != want:
-                raise ValueError(
-                    f"BlockTT core {n} must be order {want}, got {c.ndim}"
-                )
-        _check_bonds(self.cores, "BlockTT")
-        self.orth = list(orth) if orth is not None else [None] * len(self.cores)
+        super().__init__(cores, orth)
 
-    @property
-    def n_cores(self) -> int:
-        return len(self.cores)
+    def _order(self, n: int) -> int:
+        return 4 if n == self.block_position else 3
+
+    def _with(self, cores, orth=None):
+        return BlockTT(cores, self.block_position, orth)
 
     @property
     def k(self) -> int:
@@ -134,12 +136,21 @@ class BlockTT:
             for n, c in enumerate(self.cores)
         ]
 
-    @property
-    def ranks(self) -> list[int]:
-        return [self.cores[0].shape[0]] + [c.shape[-1] for c in self.cores]
 
-    def copy(self) -> "BlockTT":
-        return BlockTT([c.copy() for c in self.cores], self.block_position, self.orth)
+def _fuse(x) -> VectorTT:
+    """The fused view of a chain; a VectorTT is its own, tags included."""
+    if isinstance(x, VectorTT):
+        return x
+    return VectorTT([_rf(c, (c.shape[0], -1, c.shape[-1])) for c in x.cores])
+
+
+def _restore(y: VectorTT, like):
+    """Inverse of ``_fuse``: ``y``'s cores unfused to the middle modes of ``like``."""
+    if isinstance(like, VectorTT):
+        return y
+    cores = [_rf(c, (c.shape[0], *o.shape[1:-1], c.shape[-1]))
+             for c, o in zip(y.cores, like.cores)]
+    return like._with(cores, y.orth)
 
 
 # ---------------------------------------------------------------------------
@@ -153,29 +164,20 @@ def tt_reconstruct(x):
     shape (prod I, prod J); BlockTT -> matrix of shape (prod I, K).  Caller is
     responsible for keeping the result small enough to hold.
     """
-    if isinstance(x, VectorTT):
-        g = x.cores[0]
-        for c in x.cores[1:]:
-            g = np.tensordot(g, c, axes=(-1, 0))
-        return g[0, ..., 0]
-    if isinstance(x, MatrixTT):
-        g = x.cores[0]
-        for c in x.cores[1:]:
-            g = np.tensordot(g, c, axes=(-1, 0))
-        g = g[0, ..., 0]  # axes (I1, J1, I2, J2, ...)
+    if not isinstance(x, _Chain):
+        raise TypeError(f"cannot reconstruct {type(x)!r}")
+    g = x.cores[0]
+    for c in x.cores[1:]:
+        g = np.tensordot(g, c, axes=(-1, 0))
+    g = g[0, ..., 0]  # every core's middle modes, in chain order
+    if isinstance(x, MatrixTT):  # axes (I1, J1, I2, J2, ...)
         n = x.n_cores
         perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-        g = g.transpose(perm)
-        return _rf(g, (x.n_rows, x.n_cols))
-    if isinstance(x, BlockTT):
-        g = x.cores[0]
-        for c in x.cores[1:]:
-            g = np.tensordot(g, c, axes=(-1, 0))
-        g = g[0, ..., 0]  # modes in chain order with K inserted at block position
-        k_axis = x.block_position
-        g = np.moveaxis(g, k_axis, -1)
+        return _rf(g.transpose(perm), (x.n_rows, x.n_cols))
+    if isinstance(x, BlockTT):  # K sits at the block position
+        g = np.moveaxis(g, x.block_position, -1)
         return _rf(g, (math.prod(x.mode_sizes), x.k))
-    raise TypeError(f"cannot reconstruct {type(x)!r}")
+    return g
 
 
 def tt_to_vector(x: VectorTT) -> np.ndarray:
@@ -270,9 +272,7 @@ def left_orthogonalize_through(x, n: int):
         orth[m] = "L"
         cores[m + 1] = _bond_contract_into(cores[m + 1], rr, "left")
         orth[m + 1] = None
-    if isinstance(x, BlockTT):
-        return BlockTT(cores, x.block_position, orth)
-    return VectorTT(cores, orth)
+    return x._with(cores, orth)
 
 
 def right_orthogonalize_through(x, n: int):
@@ -292,13 +292,11 @@ def right_orthogonalize_through(x, n: int):
         orth[m] = "R"
         cores[m - 1] = _bond_contract_into(cores[m - 1], rr.T, "right")
         orth[m - 1] = None
-    if isinstance(x, BlockTT):
-        return BlockTT(cores, x.block_position, orth)
-    return VectorTT(cores, orth)
+    return x._with(cores, orth)
 
 
 def tt_norm(x) -> float:
-    """Frobenius norm of the represented tensor (all K columns of a BlockTT).
+    """Frobenius norm of a chain (all K columns of a BlockTT), on its fused view.
 
     Computed by a right-orthogonalization pass rather than a Gram
     contraction: for difference chains whose cores stay O(1) while the
@@ -306,30 +304,28 @@ def tt_norm(x) -> float:
     sqrt(machine epsilon) relative to the core scale, whereas the QR route
     degrades only linearly.
     """
-    if isinstance(x, BlockTT):
-        p = x.block_position
-        cores = [c.copy() for c in x.cores]
-        bc = cores[p]
-        cores[p] = _rf(bc, (bc.shape[0], bc.shape[1] * bc.shape[2],
-                            bc.shape[3]))
-        x = VectorTT(cores)
-    y = right_orthogonalize_through(x, 0)
+    y = right_orthogonalize_through(_fuse(x), 0)
     return float(np.linalg.norm(y.cores[0]))
 
 
-def tt_round(x: VectorTT, delta: float, max_rank: int | None = None) -> VectorTT:
-    """TT-rounding: error <= delta * sqrt(N-1) * ||x||, output ranks <= input ranks."""
+def tt_round(x, delta: float, max_rank: int | None = None):
+    """TT-rounding: error <= delta * sqrt(N-1) * ||x||, output ranks <= input ranks.
+
+    Any chain format rounds on its fused view, so only bond ranks change:
+    the K columns of a BlockTT are not mixed.
+    """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     n_cores = x.n_cores
+    fused = _fuse(x)
     if n_cores == 1:
-        return x.copy()
-    y = right_orthogonalize_through(x, 0)
-    cores = y.cores
+        return _restore(fused.copy(), x)
+    cores = right_orthogonalize_through(fused, 0).cores
     norm = float(np.linalg.norm(cores[0]))
     if norm == 0.0:
         # a zero chain collapses to minimal all-one ranks
-        return VectorTT([np.zeros((1, c.shape[1], 1)) for c in x.cores])
+        zero = [np.zeros((1, c.shape[1], 1)) for c in fused.cores]
+        return _restore(VectorTT(zero), x)
     thr = delta * norm
     orth = [None] * n_cores
     for n in range(n_cores - 1):
@@ -341,25 +337,15 @@ def tt_round(x: VectorTT, delta: float, max_rank: int | None = None) -> VectorTT
         orth[n] = "L"
         carry = f.s[:, None] * f.v.T
         cores[n + 1] = _bond_contract_into(cores[n + 1], carry, "left")
-    return VectorTT(cores, orth)
+    return _restore(VectorTT(cores, orth), x)
 
 
 def block_tt_round(u: BlockTT, delta: float, max_rank: int | None = None) -> BlockTT:
-    """Round a BlockTT without mixing its K columns.
+    return tt_round(u, delta, max_rank)
 
-    The block core's (K, I) modes are fused into one mode (K fastest) so the
-    chain rounds like a plain VectorTT, then unfused; only bond ranks change.
-    """
-    p = u.block_position
-    cores = [c.copy() for c in u.cores]
-    bc = cores[p]
-    r, k, i, r2 = bc.shape
-    cores[p] = _rf(bc, (r, k * i, r2))
-    rounded = tt_round(VectorTT(cores), delta, max_rank=max_rank)
-    out = [c.copy() for c in rounded.cores]
-    bc2 = out[p]
-    out[p] = _rf(bc2, (bc2.shape[0], k, i, bc2.shape[2]))
-    return BlockTT(out, p, rounded.orth)
+
+def matrix_tt_round(a: MatrixTT, delta: float, max_rank: int | None = None) -> MatrixTT:
+    return tt_round(a, delta, max_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +358,22 @@ def tt_scale(x: VectorTT, alpha: float) -> VectorTT:
     return VectorTT(cores)
 
 
-def tt_add(x: VectorTT, y: VectorTT) -> VectorTT:
-    """Exact addition by block-diagonal core concatenation (interior ranks add)."""
-    if x.mode_sizes != y.mode_sizes:
+def tt_add(x, y):
+    """Exact addition by block-diagonal core concatenation (interior ranks add).
+
+    Both chains must have one format and the same middle modes, core by
+    core; they add on their fused views.
+    """
+    if type(x) is not type(y) or ([c.shape[1:-1] for c in x.cores]
+                                  != [c.shape[1:-1] for c in y.cores]):
         raise ValueError("tt_add shape mismatch")
+    fx, fy = _fuse(x), _fuse(y)
     n = x.n_cores
     if n == 1:
-        return VectorTT([x.cores[0] + y.cores[0]])
+        return _restore(VectorTT([fx.cores[0] + fy.cores[0]]), x)
     cores = []
     for m in range(n):
-        cx, cy = x.cores[m], y.cores[m]
+        cx, cy = fx.cores[m], fy.cores[m]
         if m == 0:
             cores.append(np.concatenate([cx, cy], axis=2))
         elif m == n - 1:
@@ -393,7 +385,7 @@ def tt_add(x: VectorTT, y: VectorTT) -> VectorTT:
             c[:rx, :, :rx2] = cx
             c[rx:, :, rx2:] = cy
             cores.append(c)
-    return VectorTT(cores)
+    return _restore(VectorTT(cores), x)
 
 
 def tt_inner(x: VectorTT, y: VectorTT) -> float:
@@ -422,29 +414,6 @@ def matrix_tt_transpose(a: MatrixTT) -> MatrixTT:
     return MatrixTT([c.transpose(0, 2, 1, 3) for c in a.cores])
 
 
-def matrix_tt_add(a: MatrixTT, b: MatrixTT) -> MatrixTT:
-    if a.row_sizes != b.row_sizes or a.col_sizes != b.col_sizes:
-        raise ValueError("matrix_tt_add shape mismatch")
-    n = a.n_cores
-    if n == 1:
-        return MatrixTT([a.cores[0] + b.cores[0]])
-    cores = []
-    for m in range(n):
-        ca, cb = a.cores[m], b.cores[m]
-        if m == 0:
-            cores.append(np.concatenate([ca, cb], axis=3))
-        elif m == n - 1:
-            cores.append(np.concatenate([ca, cb], axis=0))
-        else:
-            ra, i, j, ra2 = ca.shape
-            rb, _, _, rb2 = cb.shape
-            c = np.zeros((ra + rb, i, j, ra2 + rb2))
-            c[:ra, :, :, :ra2] = ca
-            c[ra:, :, :, ra2:] = cb
-            cores.append(c)
-    return MatrixTT(cores)
-
-
 def matrix_tt_matmul(a: MatrixTT, b: MatrixTT) -> MatrixTT:
     """Exact matrix-matrix product in TT form (bond ranks multiply)."""
     if a.col_sizes != b.row_sizes:
@@ -458,26 +427,6 @@ def matrix_tt_matmul(a: MatrixTT, b: MatrixTT) -> MatrixTT:
     return MatrixTT(cores)
 
 
-def matrix_tt_round(a: MatrixTT, delta: float, max_rank: int | None = None) -> MatrixTT:
-    """Round a MatrixTT by fusing each core's (row, col) modes and TT-rounding."""
-    fused = [
-        _rf(c, (c.shape[0], c.shape[1] * c.shape[2], c.shape[3])) for c in a.cores
-    ]
-    rounded = tt_round(VectorTT(fused), delta, max_rank=max_rank)
-    cores = []
-    for c, orig in zip(rounded.cores, a.cores):
-        cores.append(_rf(c, (c.shape[0], orig.shape[1], orig.shape[2], c.shape[2])))
-    return MatrixTT(cores)
-
-
-def matrix_tt_norm(a: MatrixTT) -> float:
-    fused = [
-        _rf(c, (c.shape[0], c.shape[1] * c.shape[2], c.shape[3])) for c in a.cores
-    ]
-    v = VectorTT(fused)
-    return tt_norm(v)
-
-
 def diag_embed(x: VectorTT) -> MatrixTT:
     """MatrixTT reconstructing to diag(vec x); ranks equal x's ranks exactly."""
     cores = []
@@ -485,11 +434,6 @@ def diag_embed(x: VectorTT) -> MatrixTT:
         i = c.shape[1]
         cores.append(np.einsum("rik,ij->rijk", c, np.eye(i)))
     return MatrixTT(cores)
-
-
-def identity_matrix_tt(n_cores: int, mode_size: int = 2) -> MatrixTT:
-    core = np.eye(mode_size)[np.newaxis, :, :, np.newaxis]
-    return MatrixTT([core.copy() for _ in range(n_cores)])
 
 
 # ---------------------------------------------------------------------------
@@ -588,16 +532,6 @@ def block_tt_residual_norm(op: MatrixTT, x: BlockTT, xs, y: BlockTT, ys) -> floa
         r = np.linalg.qr(stacked.reshape(-1, stacked.shape[2]), mode="r")
         cx = r[:, :nx].reshape(r.shape[0], gx.shape[3], gx.shape[4])
         cy = r[:, nx:]
-
-
-def block_tt_column(u: BlockTT, k: int) -> VectorTT:
-    cores = []
-    for n, c in enumerate(u.cores):
-        if n == u.block_position:
-            cores.append(c[:, k, :, :])
-        else:
-            cores.append(c.copy())
-    return VectorTT(cores)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,8 @@ def _check_matrix_algebra(rng):
                             atol=1e-10)
     ok = ok and np.allclose(tt_reconstruct(matrix_tt_transpose(a)), ad.T,
                             atol=1e-12)
-    return ok, "matvec, matmul and transpose match dense matrices"
+    ok = ok and np.allclose(tt_reconstruct(tt_add(a, b)), ad + bd, atol=1e-12)
+    return ok, "matvec, matmul, transpose and sums match dense matrices"
 
 
 def _check_toeplitz(rng):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ttsvd.experiments import (
     ConfigError,
     RunConfig,
     TimingRow,
+    _build_matrix,
     build_report,
     load_run_config,
     parse_results_csv,
@@ -78,6 +80,12 @@ def test_load_good_config(tmp_path):
     (lambda d: d.update(reps=0), ">= 1"),
     (lambda d: d.update(k=0), "k must be >= 1"),
     (lambda d: d.update(epsilon=0.0), "positive"),
+    (lambda d: d.update(epsilon=float("nan")), "finite"),
+    (lambda d: d.update(epsilon=float("inf")), "finite"),
+    (lambda d: d.update(k=2.5), "k must be an integer"),
+    (lambda d: d.update(k=True), "k must be an integer"),
+    (lambda d: d.update(reps=1.5), "reps must be an integer"),
+    (lambda d: d.update(seed=0.5), "seed must be an integer"),
     (lambda d: d.update(n_values=[1]), ">= 2"),
     (lambda d: d.update(n_values=[]), "must not be empty"),
 ])
@@ -171,6 +179,24 @@ def test_tridiagonal_cell_has_closed_form_truth():
     assert rep.termination == "converged"
     assert float(rep.spectrum_rel_error) < 1e-7
     assert rep.param == ""
+
+
+def test_tridiagonal_build_holds_no_dense_vector():
+    # the three diagonals are built as rank-1 chains: at N=20 one dense 2^N
+    # vector alone would take 8 MiB, and at N=50 none could be held
+    cfg = RunConfig(experiment="tridiagonal", solvers=["mals_svd"],
+                    n_values=[20], k=3)
+    tracemalloc.start()
+    try:
+        a, truth = _build_matrix(cfg, 20, None, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert a.ranks == [1] + [3] * 19 + [1]
+    a, truth = _build_matrix(cfg, 50, None, 0)
+    assert a.n_cores == 50 and truth.shape == (3,)
+    assert np.all((truth > 0) & (truth <= 4))
 
 
 def test_hilbert_cell_and_generator_budget():
@@ -352,6 +378,14 @@ def test_cli_run_rejects_bad_inputs(tmp_path):
     cfg_path = _cli_config(tmp_path)
     res = runner.invoke(cli_main, ["run", cfg_path, "--solvers", "qr"])
     assert res.exit_code == 2
+    res = runner.invoke(cli_main, ["run", cfg_path, "--reps", "0"])
+    assert res.exit_code == 2
+    for over in (dict(epsilon=float("nan")), dict(k=2.5),
+                 dict(solver_options={"delta0": float("nan")}),
+                 dict(experiment="hilbert", params={"delta": [float("nan")]})):
+        res = runner.invoke(cli_main, ["run", _cli_config(tmp_path, **over)])
+        assert res.exit_code == 2, (over, res.output)
+        assert "configuration error" in res.output
     res = runner.invoke(cli_main, ["run", cfg_path, "--max-n", "2"])
     assert res.exit_code == 2
     res = runner.invoke(cli_main, ["run", str(tmp_path / "missing.yaml")])

@@ -11,7 +11,6 @@ from ttsvd import (
     hilbert_submatrix_tt,
     identity_scaled,
     matrix_tt_matmul,
-    matrix_tt_norm,
     matrix_tt_round,
     prescribed_svd_matrix,
     random_block_tt,
@@ -20,6 +19,7 @@ from ttsvd import (
     shift_tt,
     toeplitz_tt,
     tridiagonal_tt,
+    tt_norm,
     tt_reconstruct,
     tt_svd_compress,
     tt_to_vector,
@@ -91,7 +91,7 @@ def test_shift_matrices():
     p = shift_tt(n)
     for _ in range(n):
         p = matrix_tt_round(matrix_tt_matmul(p, p), 1e-14)
-    assert matrix_tt_norm(p) < 1e-12
+    assert tt_norm(p) < 1e-12
 
 
 def test_exchange_and_scaled_identity():
@@ -167,8 +167,9 @@ def test_hilbert_submatrix_entries_and_budget():
         hilbert_submatrix_tt(23, 1e-8)
     with pytest.raises(ValueError):
         hilbert_submatrix_tt(8, 1e-8, max_n=6)
-    with pytest.raises(ValueError):
-        hilbert_submatrix_tt(6, 0.0)
+    for delta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            hilbert_submatrix_tt(6, delta)
 
 
 def test_prescribed_svd_matrix_exact_construction():

@@ -16,7 +16,7 @@ from ttsvd import (
     als_eig_baseline,
     als_svd,
     hilbert_submatrix_tt,
-    identity_matrix_tt,
+    identity_scaled,
     mals_eig_baseline,
     mals_svd,
     prescribed_svd_matrix,
@@ -38,7 +38,7 @@ def _dense_reference(a, k):
 
 
 def test_identity_matrix_spectrum():
-    a = identity_matrix_tt(4)
+    a = identity_scaled(4, 1.0)
     for drv in (als_svd, mals_svd):
         sig, u, v, rep = drv(a, SolverConfig(k=3, epsilon=1e-8, seed=1))
         assert rep.termination == "converged"
@@ -373,10 +373,10 @@ def test_max_rank_cap_is_enforced_per_micro_iteration():
 
 
 def test_driver_validation():
-    a = identity_matrix_tt(3)
+    a = identity_scaled(3, 1.0)
     with pytest.raises(ValueError):
         als_svd(a, SolverConfig(k=9))  # more columns than the matrix has
-    one_core = identity_matrix_tt(1)
+    one_core = identity_scaled(1, 1.0)
     with pytest.raises(ValueError):
         mals_svd(one_core, SolverConfig(k=1))
     with pytest.raises(ValueError):
@@ -385,6 +385,14 @@ def test_driver_validation():
         SolverConfig(k=2, epsilon=0.0)
     with pytest.raises(ValueError):
         SolverConfig(k=2, restart_delta_shrink=0.0)
+    for bad in (dict(epsilon=float("nan")), dict(epsilon=float("inf")),
+                dict(delta0=float("nan")), dict(delta0=float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(k=2, **bad)
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            SolverConfig(k=k)
+    assert SolverConfig(k=np.int64(2)).k == 2
 
 
 def test_runs_are_seed_deterministic():

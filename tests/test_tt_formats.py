@@ -15,18 +15,15 @@ from ttsvd import (
     BlockTT,
     MatrixTT,
     VectorTT,
-    block_tt_column,
     block_tt_gram,
     block_tt_matvec,
     block_tt_residual_norm,
     block_tt_round,
     block_tt_scale_columns,
     diag_embed,
-    identity_matrix_tt,
+    identity_scaled,
     left_orthogonalize_through,
-    matrix_tt_add,
     matrix_tt_matmul,
-    matrix_tt_norm,
     matrix_tt_round,
     matrix_tt_transpose,
     matvec_tt,
@@ -64,7 +61,7 @@ def test_vector_tt_validation():
 def test_matrix_tt_validation():
     with pytest.raises(ValueError):
         MatrixTT([np.zeros((1, 2, 2))])
-    a = identity_matrix_tt(3)
+    a = identity_scaled(3, 1.0)
     assert a.row_sizes == [2, 2, 2]
     assert a.col_sizes == [2, 2, 2]
     assert a.n_rows == 8 and a.n_cols == 8
@@ -249,7 +246,7 @@ def test_orthogonalization_respects_block_core():
 
 
 def test_identity_and_diag_embed():
-    assert np.allclose(tt_reconstruct(identity_matrix_tt(3)), np.eye(8))
+    assert np.allclose(tt_reconstruct(identity_scaled(3, 1.0)), np.eye(8))
     rng = np.random.default_rng(14)
     x = random_vector_tt_raw(3, 2, rng)
     d = diag_embed(x)
@@ -270,9 +267,9 @@ def test_matrix_ops_match_dense():
     assert np.allclose(
         tt_reconstruct(matrix_tt_matmul(a, b)), ad @ bd, atol=1e-10
     )
-    assert np.allclose(tt_reconstruct(matrix_tt_add(a, b)), ad + bd, atol=1e-11)
+    assert np.allclose(tt_reconstruct(tt_add(a, b)), ad + bd, atol=1e-11)
     assert np.allclose(tt_reconstruct(matrix_tt_transpose(a)), ad.T, atol=1e-12)
-    assert abs(matrix_tt_norm(a) - np.linalg.norm(ad)) < 1e-9
+    assert abs(tt_norm(a) - np.linalg.norm(ad)) < 1e-9
     with pytest.raises(ValueError):
         matvec_tt(a, random_vector_tt_raw(3, 2, rng))
 
@@ -286,6 +283,44 @@ def test_matrix_round_bound():
         err = np.linalg.norm(tt_reconstruct(b) - ad)
         assert err <= delta * np.sqrt(4) * np.linalg.norm(ad) + 1e-12
         assert all(rb <= ra for ra, rb in zip(a.ranks, b.ranks))
+
+
+def _matrix_tt_of_shape(rows, cols, rng):
+    # three cores with (row, col) modes (rows, cols) and interior ranks 3
+    ranks = [1, 3, 3, 1]
+    return MatrixTT([rng.standard_normal((ranks[m], rows, cols, ranks[m + 1]))
+                     for m in range(3)])
+
+
+def test_fused_ops_keep_the_unfused_middle_modes():
+    # (2, 3) and (3, 2) cores fuse to the same size 6; the fused operations
+    # must still tell them apart and restore each layout
+    rng = np.random.default_rng(40)
+    a = _matrix_tt_of_shape(2, 3, rng)
+    b = _matrix_tt_of_shape(3, 2, rng)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        tt_add(a, b)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        tt_add(a, random_vector_tt_raw(3, 3, rng, mode=6))
+    u = random_block_tt_at([2, 2, 2], 3, 2, 0, rng)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        tt_add(u, random_block_tt_at([2, 2, 2], 3, 2, 1, rng))
+    for m in (a, b):
+        md = tt_reconstruct(m)
+        for y in (tt_round(m, 1e-2), tt_round(tt_add(m, m), 0.0)):
+            assert isinstance(y, MatrixTT)
+            assert [c.shape[1:3] for c in y.cores] == [c.shape[1:3]
+                                                      for c in m.cores]
+        err = np.linalg.norm(tt_reconstruct(tt_round(m, 1e-2)) - md)
+        assert err <= 1e-2 * np.sqrt(2) * np.linalg.norm(md) + 1e-12
+        assert abs(tt_norm(m) - np.linalg.norm(md)) < 1e-10
+        assert np.allclose(tt_reconstruct(tt_round(tt_add(m, m), 1e-12)),
+                           2 * md, atol=1e-10)
+    w = random_block_tt_at([2, 2, 2], 3, 3, 0, rng)
+    s = tt_add(u, w)
+    assert s.block_position == 0 and s.k == 3
+    assert np.allclose(tt_reconstruct(s), tt_reconstruct(u) + tt_reconstruct(w),
+                       atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +338,6 @@ def test_block_reconstruct_column_oracle():
             cores[pos] = cores[pos][:, k, :, :]
             col = tt_to_vector(VectorTT(cores))
             assert np.allclose(ud[:, k], col, atol=1e-12)
-            assert np.allclose(
-                tt_to_vector(block_tt_column(u, k)), col, atol=1e-12
-            )
 
 
 def test_block_ops_match_dense():
