@@ -89,6 +89,9 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer")
+        for name in ("params", "solver_options"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a mapping")
         if self.reps < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.k < 1:
@@ -192,27 +195,36 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _param_values(params: dict, key: str, default: list, convert) -> list:
+    """``params[key]`` (a scalar or a list, else ``default``) converted item-wise."""
+    values = params.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        values = [values]
+    try:
+        return [convert(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad params.{key} value: {exc}") from exc
+
+
+def _rank_cap(c):
+    """A Toeplitz rank cap: None (uncapped) or a positive integer."""
+    if c is not None and (isinstance(c, bool) or not isinstance(c, int) or c < 1):
+        raise ValueError(f"{c!r} is neither null nor a positive integer")
+    return c
+
+
 def _param_grid(cfg: RunConfig):
     """Experiment-specific parameter values; None means 'no parameter'."""
     p = cfg.params
     if cfg.experiment == "prescribed_svd":
-        betas = p.get("beta", [0.3, 0.5])
-        if not isinstance(betas, (list, tuple)):
-            betas = [betas]
-        for b in betas:
-            if not 0 < float(b) < 1:
-                raise ConfigError("beta must lie strictly between 0 and 1")
-        return [float(b) for b in betas]
+        betas = _param_values(p, "beta", [0.3, 0.5], float)
+        if not all(0 < b < 1 for b in betas):
+            raise ConfigError("beta must lie strictly between 0 and 1")
+        return betas
     if cfg.experiment == "hilbert":
-        deltas = p.get("delta", [1e-8])
-        if not isinstance(deltas, (list, tuple)):
-            deltas = [deltas]
-        return [float(d) for d in deltas]
+        return _param_values(p, "delta", [1e-8], float)
     if cfg.experiment == "toeplitz":
-        caps = p.get("max_rank", [5, 10, 15, None])
-        if not isinstance(caps, (list, tuple)):
-            caps = [caps]
-        return [None if c is None else int(c) for c in caps]
+        return _param_values(p, "max_rank", [5, 10, 15, None], _rank_cap)
     return [None]
 
 
@@ -258,9 +270,8 @@ def _build_matrix(cfg: RunConfig, n: int, param, rep_seed: int):
 
 def _solver_config(cfg: RunConfig, rep_seed: int, cap) -> solver_mod.SolverConfig:
     opts = dict(cfg.solver_options)
-    opts.setdefault("max_full_sweeps", 20)
     if cap is not None:
-        opts["max_rank"] = int(cap)
+        opts["max_rank"] = cap
     try:
         return solver_mod.SolverConfig(k=cfg.k, epsilon=cfg.epsilon,
                                        seed=rep_seed, **opts)
@@ -300,7 +311,7 @@ def _run_cell(cfg: RunConfig, n, param, solver_name: str):
             a, truth = _build_matrix(cfg, n, param, rep_seed)
         except ConfigError:
             raise
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"generator rejected N={n}: {exc}") from exc
         construction = time.perf_counter() - t0
         scfg = _solver_config(cfg, rep_seed, cap)

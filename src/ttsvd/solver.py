@@ -23,8 +23,9 @@ four.  Each local problem takes one of three paths, chosen in
 ``_local_operator`` alone and recorded per micro-iteration as
 ``local_path``:
 
-* ``"dense"``: at most ``dense_crossover`` rows plus columns (columns alone
-  for the Gram problem), the local matrix is built and decomposed directly.
+* ``"dense"``: at most ``_DENSE_CROSSOVER`` (600) rows plus columns
+  (columns alone for the Gram problem), the local matrix is built and
+  decomposed directly.
 * ``"krylov-dense-op"``: above the crossover, when building the local
   matrix plus one GEMM apply of it to the K-column block costs no more
   multiply-accumulates than one matrix-free apply to that block, it is
@@ -45,6 +46,7 @@ truncation could make an end-of-chain local problem infeasible.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import time
@@ -60,7 +62,6 @@ from .environments import (
     env_init,
     env_update_left,
     env_update_right,
-    environment_deviation,
     local_operator_macs,
     projected_matvec,
     projected_rmatvec,
@@ -89,11 +90,20 @@ from .tt import (
 dense_local_matrix_als = dense_local_matrix_mals = dense_local_matrix
 split_block_core_als = split_block_core_mals = split_block_core
 
-# The first half sweep of every attempt truncates at this multiple of the
-# working delta; the Gram baselines round A^T A and the recovered U at
-# epsilon divided by _GRAM_DELTA_DIVISOR.
+# Every attempt starts from the working delta epsilon / sqrt(N-1), shrunk by
+# _RESTART_DELTA_SHRINK per restart; its first half sweep truncates at
+# _FIRST_HALFSWEEP_DELTA_FACTOR times that.  The Gram baselines round A^T A
+# and the recovered U at epsilon divided by _GRAM_DELTA_DIVISOR.
 _FIRST_HALFSWEEP_DELTA_FACTOR = 100.0
+_RESTART_DELTA_SHRINK = 0.1
 _GRAM_DELTA_DIVISOR = 10
+# Local problems of at most _DENSE_CROSSOVER rows plus columns are solved
+# dense; block Krylov stops once every kept Ritz residual is at most
+# _LOCAL_TOL times the largest kept |Ritz value|, and fails after
+# _LOCAL_MAX_ITER steps.  The sweep reads these at call time.
+_DENSE_CROSSOVER = 600
+_LOCAL_TOL = 1e-10
+_LOCAL_MAX_ITER = 400
 
 
 class LocalSolverError(RuntimeError):
@@ -102,13 +112,15 @@ class LocalSolverError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Knobs for the sweep drivers.
+    """What a caller sets for the sweep drivers.
 
-    ``delta0`` defaults to epsilon / sqrt(N-1) at run time; the first half
-    sweep of every attempt truncates at 100 times the working delta, and
-    each restart shrinks the working delta by ``restart_delta_shrink`` and
-    reseeds the initial chains.  The Gram baselines round A^T A and the
-    recovered U at epsilon / 10; the stopping residual is exact.
+    ``k`` is the block size, ``epsilon`` the stopping threshold on the exact
+    residual, ``max_full_sweeps`` the sweep budget of one attempt and
+    ``max_restarts`` the number of further attempts, each reseeded from
+    ``seed``; ``max_rank``, if set, caps every bond rank.  The truncation
+    delta is derived: epsilon / sqrt(N-1), shrunk 10x per restart, with the
+    first half sweep of every attempt at 100 times that.  The Gram baselines
+    round A^T A and the recovered U at epsilon / 10.
 
     ``on_micro_iteration``, if set, is called once per micro-iteration of
     every solver as ``callback(record, *chains)``, where ``record`` holds
@@ -121,35 +133,24 @@ class SolverConfig:
 
     k: int
     epsilon: float = 1e-8
-    delta0: float | None = None
     max_full_sweeps: int = 20
     max_restarts: int = 2
-    restart_delta_shrink: float = 0.1
     seed: int = 0
-    local_tol: float = 1e-10
-    local_max_iter: int = 400
-    dense_crossover: int = 600
     max_rank: int | None = None
-    track_env_consistency: bool = False
     on_micro_iteration: Callable | None = None
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ValueError("block size k must be an integer")
-        if self.k < 1:
-            raise ValueError("block size k must be at least 1")
+        for name, low in (("k", 1), ("max_full_sweeps", 1), ("max_restarts", 0),
+                          ("max_rank", 1)):
+            value = getattr(self, name)
+            if value is None and name == "max_rank":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        if self.delta0 is not None and not 0 <= self.delta0 < math.inf:
-            raise ValueError("delta0 must be nonnegative and finite")
-        if self.max_full_sweeps < 1:
-            raise ValueError("need at least one sweep")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be nonnegative")
-        if not 0 < self.restart_delta_shrink <= 1:
-            raise ValueError("restart_delta_shrink must lie in (0, 1]")
-        if self.dense_crossover < 0:
-            raise ValueError("dense_crossover must be nonnegative")
 
 
 @dataclass
@@ -175,22 +176,10 @@ class SweepReport:
     wall_time_s: float = 0.0
     termination: str = ""
     delta_final: float = 0.0
-    env_consistency_max: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "solver": self.solver,
-            "k": self.k,
-            "micro_iterations": self.micro,
-            "residual_history": self.residual_history,
-            "sweeps_used": self.sweeps_used,
-            "total_sweeps": self.total_sweeps,
-            "restarts_used": self.restarts_used,
-            "wall_time_s": self.wall_time_s,
-            "termination": self.termination,
-            "delta_final": self.delta_final,
-            "env_consistency_max": self.env_consistency_max,
-        }
+        return {("micro_iterations" if key == "micro" else key): value
+                for key, value in dataclasses.asdict(self).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +313,9 @@ def _krylov_symmetric(apply_op, dim: int, k: int, tol: float, max_iter: int,
     )
 
 
-def krylov_block_svd(matvec, rmatvec, p: int, q: int, k: int, tol: float = 1e-10,
-                     max_iter: int = 400, seed=0, start=None):
+def krylov_block_svd(matvec, rmatvec, p: int, q: int, k: int,
+                     tol: float = _LOCAL_TOL, max_iter: int = _LOCAL_MAX_ITER,
+                     seed=0, start=None):
     """Matrix-free top-K singular triplets via the symmetric embedding.
 
     ``matvec`` maps a (q, m) block to the (p, m) block A Y and ``rmatvec`` a
@@ -371,8 +361,8 @@ def krylov_block_svd(matvec, rmatvec, p: int, q: int, k: int, tol: float = 1e-10
     return u, sigma, v, iters
 
 
-def krylov_block_eig(matvec, dim: int, k: int, tol: float = 1e-10,
-                     max_iter: int = 400, seed=0, start=None):
+def krylov_block_eig(matvec, dim: int, k: int, tol: float = _LOCAL_TOL,
+                     max_iter: int = _LOCAL_MAX_ITER, seed=0, start=None):
     """Matrix-free K algebraically largest eigenpairs of a symmetric map.
 
     ``matvec`` maps a (dim, m) block to its image, once per Krylov step.
@@ -394,8 +384,9 @@ def _gemm(mat: np.ndarray, axis: int):
     return lambda y: tdot(mat, y, axes=(axis, 0))
 
 
-def local_block_svd(matvec, rmatvec, p: int, q: int, k: int, tol: float = 1e-10,
-                    max_iter: int = 400, seed=0, start=None, dense_builder=None):
+def local_block_svd(matvec, rmatvec, p: int, q: int, k: int,
+                    tol: float = _LOCAL_TOL, max_iter: int = _LOCAL_MAX_ITER,
+                    seed=0, start=None, dense_builder=None):
     """K dominant singular triplets of the projected local matrix.
 
     With ``dense_builder`` the local matrix it returns is decomposed
@@ -413,8 +404,9 @@ def local_block_svd(matvec, rmatvec, p: int, q: int, k: int, tol: float = 1e-10,
                             max_iter=max_iter, seed=seed, start=start)
 
 
-def local_block_eig(matvec, dim: int, k: int, tol: float = 1e-10,
-                    max_iter: int = 400, seed=0, start=None, dense_builder=None):
+def local_block_eig(matvec, dim: int, k: int, tol: float = _LOCAL_TOL,
+                    max_iter: int = _LOCAL_MAX_ITER, seed=0, start=None,
+                    dense_builder=None):
     """K largest eigenpairs of the projected Gram matrix; see local_block_svd."""
     if k > dim:
         raise ValueError(f"cannot take {k} eigenpairs from dimension {dim}")
@@ -606,9 +598,9 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
     sigma = None
     for p in positions:
         q = p - 1 if pair and r2l else p
-        op = _local_operator(env, a, q, pair, cfg.k, cfg.dense_crossover, gram)
+        op = _local_operator(env, a, q, pair, cfg.k, _DENSE_CROSSOVER, gram)
         start = np.vstack([_block_as_local(c, q, pair) for c in chains])
-        kw = dict(tol=cfg.local_tol, max_iter=cfg.local_max_iter,
+        kw = dict(tol=_LOCAL_TOL, max_iter=_LOCAL_MAX_ITER,
                   seed=int(rng.integers(0, 2**63 - 1)),
                   dense_builder=op.build if op.path == "dense" else None)
         if gram:
@@ -638,14 +630,6 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
     return sigma
 
 
-def _track_env(report: SweepReport, cfg: SolverConfig, env: Environment,
-               u: BlockTT, a: MatrixTT, v: BlockTT) -> None:
-    if not cfg.track_env_consistency:
-        return
-    dev = environment_deviation(env, u, a, v, u.block_position)
-    report.env_consistency_max = max(report.env_consistency_max or 0.0, dev)
-
-
 def _check_problem(a: MatrixTT, cfg: SolverConfig) -> None:
     if a.n_cores < 2:
         raise ValueError("sweep solvers need at least two cores")
@@ -665,7 +649,6 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     left-to-right half sweep.
     """
     _check_problem(a, cfg)
-    n = a.n_cores
     t0 = time.perf_counter()
     if gram:
         rdelta = cfg.epsilon / _GRAM_DELTA_DIVISOR
@@ -673,16 +656,14 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
         sizes = (a.col_sizes,)
     else:
         op, sizes = a, (a.row_sizes, a.col_sizes)
-    delta0 = cfg.delta0 if cfg.delta0 is not None else cfg.epsilon / math.sqrt(n - 1)
     report = SweepReport(solver=name, k=cfg.k)
-    if cfg.track_env_consistency:
-        report.env_consistency_max = 0.0
     best = None
     termination = "sweep-limit"
     sigma = np.zeros(cfg.k)
 
     for attempt in range(cfg.max_restarts + 1):
-        delta = delta0 * (cfg.restart_delta_shrink ** attempt)
+        delta = cfg.epsilon / math.sqrt(a.n_cores - 1) * (
+            _RESTART_DELTA_SHRINK ** attempt)
         report.delta_final = delta
         ss = np.random.SeedSequence([int(cfg.seed), attempt]).spawn(len(sizes) + 1)
         chains = tuple(random_block_tt(m, cfg.k, 1, s) for m, s in zip(sizes, ss))
@@ -695,10 +676,8 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
             try:
                 _half_sweep(op, chains, env, cfg, d_first, rng, report, pair,
                             "right_to_left")
-                _track_env(report, cfg, env, chains[0], op, chains[-1])
                 sigma = _half_sweep(op, chains, env, cfg, delta, rng, report,
                                     pair, "left_to_right")
-                _track_env(report, cfg, env, chains[0], op, chains[-1])
             except LocalSolverError:
                 break
             sweeps_this += 1

@@ -88,6 +88,8 @@ def test_load_good_config(tmp_path):
     (lambda d: d.update(seed=0.5), "seed must be an integer"),
     (lambda d: d.update(n_values=[1]), ">= 2"),
     (lambda d: d.update(n_values=[]), "must not be empty"),
+    (lambda d: d.update(params=[1]), "params must be a mapping"),
+    (lambda d: d.update(solver_options=[1]), "solver_options must be a mapping"),
 ])
 def test_load_rejects_bad_configs(tmp_path, mutate, fragment):
     doc = {
@@ -381,7 +383,17 @@ def test_cli_run_rejects_bad_inputs(tmp_path):
     res = runner.invoke(cli_main, ["run", cfg_path, "--reps", "0"])
     assert res.exit_code == 2
     for over in (dict(epsilon=float("nan")), dict(k=2.5),
-                 dict(solver_options={"delta0": float("nan")}),
+                 dict(solver_options={"max_full_sweeps": 1.5}),
+                 dict(solver_options={"max_restarts": 0.5}),
+                 dict(solver_options={"max_rank": 0}),
+                 dict(solver_options={"dense_crossover": 8}),
+                 dict(experiment="toeplitz", params={"max_rank": [0]}),
+                 dict(experiment="toeplitz", params={"max_rank": [-3]}),
+                 dict(experiment="toeplitz", params={"max_rank": ["abc"]}),
+                 dict(experiment="toeplitz", params={"max_rank": [2.5]}),
+                 dict(params={"beta": [0.5], "k0": None}),
+                 dict(params={"beta": "abc"}),
+                 dict(experiment="hilbert", params={"delta": ["abc"]}),
                  dict(experiment="hilbert", params={"delta": [float("nan")]})):
         res = runner.invoke(cli_main, ["run", _cli_config(tmp_path, **over)])
         assert res.exit_code == 2, (over, res.output)

@@ -15,6 +15,7 @@ from ttsvd import (
     SolverConfig,
     als_eig_baseline,
     als_svd,
+    environment_deviation,
     hilbert_submatrix_tt,
     identity_scaled,
     mals_eig_baseline,
@@ -26,6 +27,7 @@ from ttsvd import (
     residual,
     tt_reconstruct,
 )
+from ttsvd import solver
 from ttsvd.solver import _driver, _gram_residual
 
 ALL_DRIVERS = [als_svd, mals_svd, als_eig_baseline, mals_eig_baseline]
@@ -228,12 +230,10 @@ def test_merged_core_callback_is_sigma_consistent():
         seen.append((np.asarray(record["sigma"]),
                      tt_reconstruct(u_cb), tt_reconstruct(v_cb)))
 
-    cfg = SolverConfig(k=3, epsilon=1e-9, seed=18, delta0=1e-13,
-                       on_micro_iteration=probe)
+    cfg = SolverConfig(k=3, epsilon=1e-9, seed=18, on_micro_iteration=probe)
     mals_svd(a, cfg)
     assert seen
     for sig, ud, vd in seen:
-        # post-split iterates are rounded at delta0, hence the looser bound
         proj = ud.T @ ad @ vd
         assert np.linalg.norm(proj - np.diag(sig)) < 1e-8
 
@@ -256,8 +256,6 @@ def test_gram_callback_fires_once_per_micro_iteration(driver):
 
 @pytest.mark.parametrize("driver", [als_eig_baseline, mals_eig_baseline])
 def test_gram_wall_time_includes_forming_the_gram_matrix(driver, monkeypatch):
-    import ttsvd.solver as solver
-
     round_ = solver.matrix_tt_round
 
     def slow_round(*args, **kwargs):
@@ -277,11 +275,14 @@ def test_init_block_tt_is_the_minimal_random_chain():
     assert u.ranks == [1, 1, 1, 1, 1, 2, 1]
 
 
-def test_restart_path_reports_failed_attempts():
+def test_restart_path_reports_failed_attempts(monkeypatch):
+    # every window runs block Krylov, which fails after one step
+    monkeypatch.setattr(solver, "_LOCAL_MAX_ITER", 1)
+    monkeypatch.setattr(solver, "_DENSE_CROSSOVER", 0)
     rng = np.random.default_rng(19)
     a = random_matrix_tt(5, 2, rng)
-    cfg = SolverConfig(k=2, epsilon=1e-9, seed=20, local_max_iter=1,
-                       dense_crossover=0, max_restarts=2, max_full_sweeps=2)
+    cfg = SolverConfig(k=2, epsilon=1e-9, seed=20, max_restarts=2,
+                       max_full_sweeps=2)
     sig, u, v, rep = als_svd(a, cfg)
     assert rep.termination == "restarted"
     assert rep.restarts_used == 2
@@ -290,7 +291,7 @@ def test_restart_path_reports_failed_attempts():
     assert np.array_equal(sig, np.zeros(2))
     # the shrink factor was applied once per restart
     assert rep.delta_final == pytest.approx(
-        (1e-9 / np.sqrt(4)) * cfg.restart_delta_shrink**2
+        (1e-9 / np.sqrt(4)) * solver._RESTART_DELTA_SHRINK**2
     )
 
 
@@ -308,21 +309,33 @@ def test_sweep_limit_path_returns_best_iterate():
     assert np.max(np.abs(sig - s_ref) / s_ref) < 1e-7
 
 
-def test_env_consistency_tracking():
+def test_env_consistency_tracking(monkeypatch):
+    # after every half sweep the incrementally updated environments match
+    # the ones rebuilt from the chains at the block position
+    half_sweep = solver._half_sweep
+    deviations = []
+
+    def checked(op, chains, env, *args):
+        sigma = half_sweep(op, chains, env, *args)
+        u, v = chains[0], chains[-1]
+        deviations.append(environment_deviation(env, u, op, v,
+                                                u.block_position))
+        return sigma
+
+    monkeypatch.setattr(solver, "_half_sweep", checked)
     a, _, _, _ = prescribed_svd_matrix(5, 0.5, k0=6, rank=2, seed=23)
-    cfg = SolverConfig(k=3, epsilon=1e-9, seed=24, track_env_consistency=True)
-    _, _, _, rep = mals_svd(a, cfg)
-    assert rep.env_consistency_max is not None
-    assert rep.env_consistency_max < 1e-8
+    _, _, _, rep = mals_svd(a, SolverConfig(k=3, epsilon=1e-9, seed=24))
+    assert len(deviations) == 2 * rep.total_sweeps > 0
+    assert max(deviations) < 1e-8
 
 
-def test_recorded_local_path_is_the_one_solved():
+def test_recorded_local_path_is_the_one_solved(monkeypatch):
     # a crossover of 8 puts the windows of every solver on both sides of it:
     # dense windows are solved directly, the others run block Krylov
+    monkeypatch.setattr(solver, "_DENSE_CROSSOVER", 8)
     a, _, _, _ = prescribed_svd_matrix(5, 0.5, k0=6, rank=2, seed=13)
     for driver in ALL_DRIVERS:
-        _, _, _, rep = driver(a, SolverConfig(k=3, epsilon=1e-9, seed=14,
-                                              dense_crossover=8))
+        _, _, _, rep = driver(a, SolverConfig(k=3, epsilon=1e-9, seed=14))
         assert rep.termination == "converged"
         paths = [record["local_path"] for record in rep.micro]
         assert "dense" in paths and set(paths) - {"dense"}, driver
@@ -331,13 +344,15 @@ def test_recorded_local_path_is_the_one_solved():
                     == (record["local_path"] == "dense")), (driver, record)
 
 
-def test_gram_route_rejects_singular_spectra():
+def test_gram_route_rejects_singular_spectra(monkeypatch):
     # starve the local solver so every attempt fails and Sigma stays zero:
     # the Gram route cannot recover U from an all-zero spectrum estimate
+    monkeypatch.setattr(solver, "_LOCAL_MAX_ITER", 1)
+    monkeypatch.setattr(solver, "_DENSE_CROSSOVER", 0)
     rng = np.random.default_rng(25)
     a = random_matrix_tt(5, 2, rng)
-    cfg = SolverConfig(k=2, epsilon=1e-9, seed=26, local_max_iter=1,
-                       dense_crossover=0, max_restarts=1, max_full_sweeps=2)
+    cfg = SolverConfig(k=2, epsilon=1e-9, seed=26, max_restarts=1,
+                       max_full_sweeps=2)
     with pytest.raises(ValueError, match="singular"):
         als_eig_baseline(a, cfg)
 
@@ -383,16 +398,19 @@ def test_driver_validation():
         SolverConfig(k=0)
     with pytest.raises(ValueError):
         SolverConfig(k=2, epsilon=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(k=2, restart_delta_shrink=0.0)
-    for bad in (dict(epsilon=float("nan")), dict(epsilon=float("inf")),
-                dict(delta0=float("nan")), dict(delta0=float("inf"))):
+    for bad in (dict(epsilon=float("nan")), dict(epsilon=float("inf"))):
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(k=2, **bad)
-    for k in (2.5, True):
-        with pytest.raises(ValueError, match="integer"):
-            SolverConfig(k=k)
+    for name in ("k", "max_full_sweeps", "max_restarts", "max_rank"):
+        for value in (2.5, 0.5, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SolverConfig(**{"k": 2, name: value})
+    for bad in (dict(max_full_sweeps=0), dict(max_restarts=-1),
+                dict(max_rank=0), dict(max_rank=-3)):
+        with pytest.raises(ValueError, match="must be at least"):
+            SolverConfig(k=2, **bad)
     assert SolverConfig(k=np.int64(2)).k == 2
+    assert SolverConfig(k=2, max_rank=np.int64(1), max_restarts=0).max_rank == 1
 
 
 def test_runs_are_seed_deterministic():
@@ -409,8 +427,6 @@ def test_runs_are_seed_deterministic():
 def test_traced_names_are_all_called(monkeypatch):
     # the benchmark's tracer wraps these ttsvd.solver attributes by name; a
     # renamed or bypassed one would silently drop its layer from a trace
-    import ttsvd.solver as solver
-
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
                                     / "perfbench"))
     tracing = importlib.import_module("tracing")
@@ -429,9 +445,9 @@ def test_traced_names_are_all_called(monkeypatch):
     try:
         for attr in tracing.WRAPPED:
             setattr(solver, attr, counted(attr, getattr(solver, attr)))
+        monkeypatch.setattr(solver, "_DENSE_CROSSOVER", 8)
         for driver in ALL_DRIVERS:
-            driver(a, SolverConfig(k=3, epsilon=1e-9, seed=14,
-                                   dense_crossover=8))
+            driver(a, SolverConfig(k=3, epsilon=1e-9, seed=14))
     finally:
         tracer.uninstall()
     assert all(getattr(solver, attr) is fn for attr, fn in originals.items())
