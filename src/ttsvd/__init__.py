@@ -59,7 +59,6 @@ from .tt import (
     matrix_tt_transpose,
     matvec_tt,
     merge_cores,
-    right_orthogonalize_through,
     split_block_core,
     tt_add,
     tt_entry,

@@ -206,11 +206,24 @@ def _param_values(params: dict, key: str, default: list, convert) -> list:
         raise ConfigError(f"bad params.{key} value: {exc}") from exc
 
 
+def _positive_int(v) -> int:
+    """An integer >= 1; a bool, a fraction or a smaller value is an error."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        raise ValueError(f"{v!r} is not a positive integer")
+    return int(v)
+
+
 def _rank_cap(c):
     """A Toeplitz rank cap: None (uncapped) or a positive integer."""
-    if c is not None and (isinstance(c, bool) or not isinstance(c, int) or c < 1):
-        raise ValueError(f"{c!r} is neither null nor a positive integer")
-    return c
+    return None if c is None else _positive_int(c)
+
+
+def _int_param(params: dict, key: str, default: int) -> int:
+    """``params[key]`` (else ``default``), which must be a positive integer."""
+    try:
+        return _positive_int(params.get(key, default))
+    except ValueError as exc:
+        raise ConfigError(f"bad params.{key} value: {exc}") from exc
 
 
 def _param_grid(cfg: RunConfig):
@@ -232,8 +245,8 @@ def _build_matrix(cfg: RunConfig, n: int, param, rep_seed: int):
     """Return (MatrixTT, ground-truth top-K spectrum or None)."""
     p = cfg.params
     if cfg.experiment == "prescribed_svd":
-        k0 = int(p.get("k0", 25))
-        rank = int(p.get("rank", 5))
+        k0 = _int_param(p, "k0", 25)
+        rank = _int_param(p, "rank", 5)
         if cfg.k > k0:
             raise ConfigError("k exceeds the prescribed spectrum length k0")
         a, _, _, spectrum = prescribed_svd_matrix(n, param, k0=k0, rank=rank,
@@ -253,7 +266,7 @@ def _build_matrix(cfg: RunConfig, n: int, param, rep_seed: int):
         truth = 2.0 - 2.0 * np.cos(j * math.pi / (m + 1))
         return a, truth
     if cfg.experiment == "toeplitz":
-        rank = int(p.get("rank", 3))
+        rank = _int_param(p, "rank", 3)
         x = random_vector_tt([2] * (n + 1), rank, rep_seed)
         return full_toeplitz_tt(x), None
     if cfg.experiment == "custom":

@@ -643,14 +643,20 @@ def _check_problem(a: MatrixTT, cfg: SolverConfig) -> None:
 def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     """Restarted sweeps with a best-iterate fallback; returns (Sigma, U, V, report).
 
-    The SVD problem sweeps (U, V) over A.  The Gram problem sweeps (V,) over
-    B = A^T A rounded at epsilon / 10, then recovers U = A V Sigma^{-1}
-    from the returned iterate.  Sigma is only taken from a completed
-    left-to-right half sweep.
+    The SVD problem sweeps (U, V) over A.  The Gram problem first reduces A
+    exactly (rounding at 0), sweeps (V,) over B = A^T A rounded at
+    epsilon / 10, then recovers U = A V Sigma^{-1} from the returned
+    iterate.  Sigma is only taken from a completed left-to-right half
+    sweep.
     """
     _check_problem(a, cfg)
     t0 = time.perf_counter()
     if gram:
+        # Rounding at 0 applies orthogonal transforms only: A keeps its value
+        # and no bond stays above the mode-size product on either side of it
+        # (the prescribed family's last bond r_U r_V drops to 4).  B's ranks
+        # are the squares of A's.
+        a = matrix_tt_round(a, 0.0)
         rdelta = cfg.epsilon / _GRAM_DELTA_DIVISOR
         op = matrix_tt_round(matrix_tt_matmul(matrix_tt_transpose(a), a), rdelta)
         sizes = (a.col_sizes,)

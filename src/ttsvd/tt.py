@@ -245,14 +245,6 @@ def tt_svd_compress(t: np.ndarray, delta: float, max_rank: int | None = None) ->
     return VectorTT(cores, orth)
 
 
-def _bond_contract_into(core: np.ndarray, carry: np.ndarray, side: str) -> np.ndarray:
-    """Absorb a bond factor into a neighboring core (3rd or 4th order)."""
-    if side == "left":  # carry @ core along core axis 0
-        return np.tensordot(carry, core, axes=(1, 0))
-    # core @ carry along core's last axis
-    return np.tensordot(core, carry, axes=(core.ndim - 1, 0))
-
-
 def left_orthogonalize_through(x, n: int):
     """Return a copy with cores 0..n-1 left-orthogonal (value unchanged).
 
@@ -270,74 +262,87 @@ def left_orthogonalize_through(x, n: int):
         q, rr = dense_qr(_rf(c, (r * i, r2)))
         cores[m] = _rf(q, (r, i, q.shape[1]))
         orth[m] = "L"
-        cores[m + 1] = _bond_contract_into(cores[m + 1], rr, "left")
+        cores[m + 1] = np.tensordot(rr, cores[m + 1], axes=(1, 0))
         orth[m + 1] = None
     return x._with(cores, orth)
 
 
-def right_orthogonalize_through(x, n: int):
-    """Return a copy with cores n+1..N-1 right-orthogonal (value unchanged)."""
-    if isinstance(x, BlockTT) and x.block_position > n:
-        raise ValueError("cannot right-orthogonalize past the block core")
-    cores = [c.copy() for c in x.cores]
-    orth = list(x.orth)
-    for m in range(len(cores) - 1, n, -1):
-        if orth[m] == "R":
-            continue
-        c = cores[m]
-        r = c.shape[0]
-        q, rr = dense_qr(_rf(c, (r, -1)).T)
-        r_new = q.shape[1]
-        cores[m] = _rf(q.T, (r_new,) + c.shape[1:])
-        orth[m] = "R"
-        cores[m - 1] = _bond_contract_into(cores[m - 1], rr.T, "right")
-        orth[m - 1] = None
-    return x._with(cores, orth)
+def _right_r_factors(cores) -> list:
+    """R factors of the right parts of a chain, for its norm and its rounding.
+
+    ``rs[n]`` (n = 0..N-1) is an upper-triangular (s_n, R_{n-1}) matrix such
+    that the unfolding of cores n..N-1 with bond n-1 as rows equals
+    ``rs[n].T @ Q^T`` for some Q with orthonormal columns; ``rs[N]`` is the
+    1 x 1 identity, and ``rs[0]`` is 1 x 1 with |rs[0]| = ||x||.  Each comes
+    from an R-only QR of core n times ``rs[n+1].T``, the idiom of
+    ``block_tt_residual_norm``, so no Q core is ever built.  A non-finite
+    core raises ``ValueError``.
+    """
+    for n, c in enumerate(cores):
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"core {n} of the chain holds NaN or inf")
+    rs = [None] * len(cores) + [np.ones((1, 1))]
+    for n in range(len(cores) - 1, -1, -1):
+        g = np.tensordot(cores[n], rs[n + 1], axes=(2, 1))  # (R_{n-1}, I_n, s)
+        rs[n] = np.linalg.qr(_rf(g, (g.shape[0], -1)).T, mode="r")
+    return rs
 
 
 def tt_norm(x) -> float:
     """Frobenius norm of a chain (all K columns of a BlockTT), on its fused view.
 
-    Computed by a right-orthogonalization pass rather than a Gram
-    contraction: for difference chains whose cores stay O(1) while the
-    represented tensor is tiny, the Gram route cannot resolve norms below
-    sqrt(machine epsilon) relative to the core scale, whereas the QR route
-    degrades only linearly.
+    Read off the R factors of one right-to-left R-only QR sweep, which
+    builds no Q cores, rather than a Gram contraction: for difference chains
+    whose cores stay O(1) while the represented tensor is tiny, the Gram
+    route cannot resolve norms below sqrt(machine epsilon) relative to the
+    core scale, whereas the QR route degrades only linearly.  A non-finite
+    core raises ``ValueError``.
     """
-    y = right_orthogonalize_through(_fuse(x), 0)
-    return float(np.linalg.norm(y.cores[0]))
+    return abs(float(_right_r_factors(_fuse(x).cores)[0][0, 0]))
 
 
 def tt_round(x, delta: float, max_rank: int | None = None):
     """TT-rounding: error <= delta * sqrt(N-1) * ||x||, output ranks <= input ranks.
+
+    An R-factor sweep that builds no Q cores.  The right-to-left sweep keeps
+    only the R factors R_n of the right parts (``_right_r_factors``).  The
+    left-to-right sweep forms X = carry * core_n, truncates the SVD of
+    X R_{n+1}^T at delta * ||x|| (the singular values of the whole chain at
+    bond n, since the left part is orthonormal and the right part is
+    R_{n+1}^T times orthonormal rows), writes the kept left vectors U as the
+    left-orthogonal core n and carries U^T X into core n+1.  At delta = 0
+    only orthogonal transforms act, and each bond shrinks to at most the
+    row or the column count of X R_{n+1}^T, whichever is smaller.  Cores
+    0..N-2 come out tagged "L"; a zero chain collapses to all-one ranks; a
+    non-finite core raises ``ValueError``.
 
     Any chain format rounds on its fused view, so only bond ranks change:
     the K columns of a BlockTT are not mixed.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    n_cores = x.n_cores
-    fused = _fuse(x)
-    if n_cores == 1:
-        return _restore(fused.copy(), x)
-    cores = right_orthogonalize_through(fused, 0).cores
-    norm = float(np.linalg.norm(cores[0]))
+    cores = _fuse(x).cores
+    rs = _right_r_factors(cores)
+    norm = abs(float(rs[0][0, 0]))
     if norm == 0.0:
         # a zero chain collapses to minimal all-one ranks
-        zero = [np.zeros((1, c.shape[1], 1)) for c in fused.cores]
+        zero = [np.zeros((1, c.shape[1], 1)) for c in cores]
         return _restore(VectorTT(zero), x)
     thr = delta * norm
-    orth = [None] * n_cores
-    for n in range(n_cores - 1):
-        c = cores[n]
+    out = []
+    carry = np.ones((1, 1))
+    for n, c in enumerate(cores):
         r, i, r2 = c.shape
-        f = truncated_svd(_rf(c, (r * i, r2)), 0.0, max_rank=max_rank, frob_threshold=thr)
-        r_new = len(f.s)
-        cores[n] = _rf(f.u, (r, i, r_new))
-        orth[n] = "L"
-        carry = f.s[:, None] * f.v.T
-        cores[n + 1] = _bond_contract_into(cores[n + 1], carry, "left")
-    return _restore(VectorTT(cores, orth), x)
+        xm = _rf(carry @ _rf(c, (r, i * r2)), (-1, r2))  # X = carry * core n
+        if n == len(cores) - 1:
+            out.append(_rf(xm, (-1, i, r2)))
+            break
+        f = truncated_svd(xm @ rs[n + 1].T, 0.0, max_rank=max_rank,
+                          frob_threshold=thr)
+        out.append(_rf(f.u, (-1, i, len(f.s))))
+        carry = f.u.T @ xm
+    orth = ["L"] * (len(cores) - 1) + [None]
+    return _restore(VectorTT(out, orth), x)
 
 
 def block_tt_round(u: BlockTT, delta: float, max_rank: int | None = None) -> BlockTT:

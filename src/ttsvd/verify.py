@@ -98,6 +98,28 @@ def _check_compress_round(rng):
     return ok, f"compress {err:.2e} and round {err2:.2e} within delta*sqrt(N-1)*|x|"
 
 
+def _check_round_structural(rng):
+    # oversized bonds: a rank-6 chain of mode-2 cores and a product of two
+    # 2x2-mode matrix chains; rounding must shrink every bond to the smaller
+    # of its rank and the mode-size products on either side, within the bound
+    x = VectorTT([rng.standard_normal((r, 2, r2)) for r, r2 in
+                  zip([1, 6, 6, 6, 6], [6, 6, 6, 6, 1])])
+    ab = matrix_tt_matmul(_random_matrix_tt(4, 3, rng), _random_matrix_tt(4, 3, rng))
+    ok, worst = True, 0.0
+    for z, mode in ((x, 2), (ab, 4)):
+        n = z.n_cores
+        zd = tt_reconstruct(z)
+        want = [min(r, mode ** m, mode ** (n - m)) for m, r in enumerate(z.ranks)]
+        for delta in (0.0, 1e-3):
+            y = tt_round(z, delta)
+            err = np.linalg.norm(tt_reconstruct(y) - zd) / np.linalg.norm(zd)
+            worst = max(worst, err)
+            ok = ok and err <= delta * math.sqrt(n - 1) + 1e-13
+            ok = ok and all(r <= w for r, w in zip(y.ranks, want))
+            ok = ok and (delta > 0 or y.ranks == want)
+    return ok, f"ranks reach the structural bound, error {worst:.2e} within bound"
+
+
 def _check_vector_algebra(rng):
     x = random_vector_tt([2] * 4, 3, rng.integers(1 << 16))
     y = random_vector_tt([2] * 4, 2, rng.integers(1 << 16))
@@ -304,6 +326,7 @@ _CHECKS = [
     ("truncated-svd", _check_truncated_svd),
     ("dense-qr", _check_dense_qr),
     ("compress-round-bound", _check_compress_round),
+    ("round-structural-ranks", _check_round_structural),
     ("vector-algebra", _check_vector_algebra),
     ("matrix-algebra", _check_matrix_algebra),
     ("toeplitz-generator", _check_toeplitz),

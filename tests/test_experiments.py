@@ -392,6 +392,16 @@ def test_cli_run_rejects_bad_inputs(tmp_path):
                  dict(experiment="toeplitz", params={"max_rank": ["abc"]}),
                  dict(experiment="toeplitz", params={"max_rank": [2.5]}),
                  dict(params={"beta": [0.5], "k0": None}),
+                 dict(params={"beta": [0.5], "k0": 6.7, "rank": 2.9}),
+                 dict(params={"beta": [0.5], "k0": 6, "rank": 2.9}),
+                 dict(params={"beta": [0.5], "k0": True}),
+                 dict(params={"beta": [0.5], "k0": 0}),
+                 dict(params={"beta": [0.5], "k0": 6, "rank": 0}),
+                 dict(params={"beta": [0.5], "k0": 6, "rank": -2}),
+                 dict(params={"beta": [0.5], "k0": [6]}),
+                 dict(experiment="toeplitz", params={"max_rank": [2], "rank": 2.5}),
+                 dict(experiment="toeplitz", params={"max_rank": [2], "rank": True}),
+                 dict(experiment="toeplitz", params={"max_rank": [2], "rank": 0}),
                  dict(params={"beta": "abc"}),
                  dict(experiment="hilbert", params={"delta": ["abc"]}),
                  dict(experiment="hilbert", params={"delta": [float("nan")]})):

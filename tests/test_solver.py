@@ -22,6 +22,7 @@ from ttsvd import (
     mals_svd,
     prescribed_svd_matrix,
     matrix_tt_matmul,
+    matrix_tt_round,
     matrix_tt_transpose,
     random_block_tt,
     residual,
@@ -266,6 +267,43 @@ def test_gram_wall_time_includes_forming_the_gram_matrix(driver, monkeypatch):
     a, _, _, _ = prescribed_svd_matrix(4, 0.5, k0=6, rank=2, seed=15)
     _, _, _, rep = driver(a, SolverConfig(k=3, epsilon=1e-9, seed=16))
     assert rep.wall_time_s >= 0.3
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_gram_operator_is_the_rounded_gram_matrix(n, monkeypatch):
+    # the driver reduces A exactly before forming A^T A, so the product sees
+    # no bond above its structural bound, and the operator it sweeps over
+    # must be A^T A within the rounding bound, at the ranks that rounding
+    # the product of the unreduced A gives
+    seen, factors = [], []
+    init, matmul = solver.env_init, solver.matrix_tt_matmul
+
+    def spy(*args):
+        seen.append(args[1])
+        return init(*args)
+
+    def spy_matmul(x, y):
+        factors.append(y)
+        return matmul(x, y)
+
+    monkeypatch.setattr(solver, "env_init", spy)
+    monkeypatch.setattr(solver, "matrix_tt_matmul", spy_matmul)
+    a, _, _, _ = prescribed_svd_matrix(n, 0.5, k0=16, rank=5, seed=n)
+    assert a.ranks[-2] > 4
+    eps = 1e-8
+    mals_eig_baseline(a, SolverConfig(k=3, epsilon=eps, seed=1,
+                                      max_full_sweeps=1, max_restarts=0))
+    assert factors[0].ranks == [min(r, 4 ** m, 4 ** (n - m))
+                                for m, r in enumerate(a.ranks)]
+    op = seen[0]
+    delta = eps / solver._GRAM_DELTA_DIVISOR
+    ad = tt_reconstruct(a)
+    bd = ad.T @ ad
+    err = np.linalg.norm(tt_reconstruct(op) - bd)
+    assert err <= delta * np.sqrt(n - 1) * np.linalg.norm(bd)
+    unreduced = matrix_tt_round(matrix_tt_matmul(matrix_tt_transpose(a), a),
+                                delta)
+    assert op.ranks == unreduced.ranks
 
 
 def test_init_block_tt_is_the_minimal_random_chain():

@@ -28,7 +28,6 @@ from ttsvd import (
     matrix_tt_transpose,
     matvec_tt,
     merge_cores,
-    right_orthogonalize_through,
     split_block_core,
     tt_add,
     tt_entry,
@@ -40,7 +39,8 @@ from ttsvd import (
     tt_svd_compress,
     tt_to_vector,
 )
-from ttsvd.tt import tt_last_mode_slice, tt_reverse
+from ttsvd.generators import prescribed_svd_matrix
+from ttsvd.tt import _right_r_factors, tt_last_mode_slice, tt_reverse
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +148,32 @@ def test_round_recompresses_artificial_rank():
     assert np.allclose(tt_reconstruct(y), 2 * t, atol=1e-11)
 
 
+def test_round_at_zero_reaches_the_structural_ranks():
+    # the prescribed family's last bond is r_U r_V (64 here), while a 2x2
+    # last core can carry at most 4; rounding at 0 applies orthogonal
+    # transforms only and brings every bond to min(rank, 4^n, 4^(N-n))
+    a, _, _, _ = prescribed_svd_matrix(5, 0.5, k0=16, rank=5, seed=7)
+    assert a.ranks[-2] > 4
+    b = tt_round(a, 0.0)
+    assert b.ranks == [min(r, 4 ** n, 4 ** (5 - n))
+                       for n, r in enumerate(a.ranks)]
+    ad = tt_reconstruct(a)
+    assert np.linalg.norm(tt_reconstruct(b) - ad) <= 1e-13 * np.linalg.norm(ad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_round_and_norm_reject_non_finite_cores(bad, where):
+    rng = np.random.default_rng(41)
+    for x in (random_vector_tt_raw(5, 3, rng), random_matrix_tt(5, 2, rng),
+              random_block_tt_at([2] * 5, 3, 2, 2, rng)):
+        x.cores[where].flat[1] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            tt_round(x, 1e-8)
+        with pytest.raises(ValueError, match="NaN or inf"):
+            tt_norm(x)
+
+
 # ---------------------------------------------------------------------------
 # vector arithmetic
 
@@ -206,37 +232,28 @@ def test_left_orthogonalize_through():
         assert np.allclose(mat.T @ mat, np.eye(mat.shape[1]), atol=1e-12)
 
 
-def test_right_orthogonalize_through():
-    rng = np.random.default_rng(11)
-    x = random_vector_tt_raw(5, 3, rng)
-    xd = tt_reconstruct(x)
-    y = right_orthogonalize_through(x, 1)
-    assert y.orth[2:] == ["R"] * 3
-    assert np.allclose(tt_reconstruct(y), xd, atol=1e-11)
-    for m in range(2, 5):
-        c = y.cores[m]
-        mat = c.reshape(c.shape[0], c.shape[1] * c.shape[2], order="F")
-        assert np.allclose(mat @ mat.T, np.eye(mat.shape[0]), atol=1e-12)
-
-
 def test_norm_migrates_to_boundary_core():
+    # the R factors of the norm and rounding sweep: rs[n]^T rs[n] is the
+    # Gram matrix of the unfolding of cores n..N-1 with bond n-1 as rows, so
+    # the norm of the whole chain ends up in the 1 x 1 factor rs[0]
     rng = np.random.default_rng(12)
     x = random_vector_tt_raw(5, 3, rng)
-    y = right_orthogonalize_through(x, 0)
-    assert abs(
-        np.linalg.norm(y.cores[0]) - np.linalg.norm(tt_reconstruct(x))
-    ) < 1e-11
+    rs = _right_r_factors(x.cores)
+    assert abs(abs(rs[0][0, 0]) - np.linalg.norm(tt_reconstruct(x))) < 1e-11
+    for n in range(1, 5):
+        w = x.cores[n]
+        for c in x.cores[n + 1:]:
+            w = np.tensordot(w, c, axes=(-1, 0))
+        w = w.reshape(w.shape[0], -1)
+        assert np.allclose(rs[n].T @ rs[n], w @ w.T, atol=1e-10)
+        assert np.allclose(np.tril(rs[n], -1), 0.0)
 
 
 def test_orthogonalization_respects_block_core():
     rng = np.random.default_rng(13)
     u = random_block_tt_at([2, 2, 2, 2], 3, 2, 2, rng)
     with pytest.raises(ValueError):
-        right_orthogonalize_through(u, 1)  # would QR the block core
-    with pytest.raises(ValueError):
-        left_orthogonalize_through(u, 3)
-    y = right_orthogonalize_through(u, 2)
-    assert np.allclose(tt_reconstruct(y), tt_reconstruct(u), atol=1e-11)
+        left_orthogonalize_through(u, 3)  # would QR the block core
     z = left_orthogonalize_through(u, 2)
     assert np.allclose(tt_reconstruct(z), tt_reconstruct(u), atol=1e-11)
 
@@ -422,17 +439,22 @@ def test_block_residual_norm_rejects_mismatches():
 
 
 def test_block_round_bound_and_cap():
+    # the dense oracle is the (prod I, K) matrix, so the bound holds only if
+    # rounding leaves the K columns unmixed, wherever the block core sits
     rng = np.random.default_rng(19)
-    u = random_block_tt_at([2] * 5, 4, 4, 2, rng)
-    ud = tt_reconstruct(u)
-    for delta in (1e-2, 1e-8):
-        v = block_tt_round(u, delta)
-        err = np.linalg.norm(tt_reconstruct(v) - ud)
-        assert err <= delta * np.sqrt(4) * np.linalg.norm(ud) + 1e-12
-        assert v.block_position == u.block_position
-        assert v.k == u.k
-    capped = block_tt_round(u, 0.0, max_rank=2)
-    assert max(capped.ranks) <= 2
+    for position in (0, 2, 4):
+        u = random_block_tt_at([2] * 5, 4, 4, position, rng)
+        ud = tt_reconstruct(u)
+        for delta in (1e-2, 1e-8):
+            v = block_tt_round(u, delta)
+            err = np.linalg.norm(tt_reconstruct(v) - ud)
+            assert err <= delta * np.sqrt(4) * np.linalg.norm(ud) + 1e-12
+            assert v.block_position == u.block_position
+            assert v.k == u.k
+            assert v.orth == ["L"] * 4 + [None]
+        capped = block_tt_round(u, 0.0, max_rank=2)
+        assert max(capped.ranks) <= 2
+        assert capped.block_position == position and capped.k == 4
 
 
 # ---------------------------------------------------------------------------
