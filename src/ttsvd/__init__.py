@@ -25,7 +25,6 @@ from .generators import (
     prescribed_svd_matrix,
     random_block_tt,
     random_vector_tt,
-    shift_transpose_tt,
     shift_tt,
     toeplitz_tt,
     tridiagonal_tt,
@@ -50,7 +49,6 @@ from .tt import (
     block_tt_gram,
     block_tt_matvec,
     block_tt_residual_norm,
-    block_tt_round,
     block_tt_scale_columns,
     diag_embed,
     left_orthogonalize_through,
@@ -62,7 +60,6 @@ from .tt import (
     split_block_core,
     tt_add,
     tt_entry,
-    tt_inner,
     tt_norm,
     tt_reconstruct,
     tt_round,

@@ -20,11 +20,14 @@ import sys
 import click
 
 from .experiments import (
+    RESULT_COLUMNS,
+    TIMING_COLUMNS,
     ConfigError,
+    ResultRow,
+    TimingRow,
     build_report,
     load_run_config,
-    parse_results_csv,
-    parse_timings_csv,
+    parse_rows_csv,
     run_experiment,
     write_plotdata,
     write_results,
@@ -100,6 +103,17 @@ def verify_cmd(seed):
     sys.exit(0)
 
 
+def _read_rows(path, row_type, columns):
+    """Rows of a CSV file; any fault is a ConfigError naming the file."""
+    try:
+        with open(path, "r") as fh:
+            return parse_rows_csv(fh.read(), row_type, columns)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 @main.command(name="report")
 @click.argument("rows_csv", type=click.Path())
 @click.option("--out-dir", type=click.Path(), default=None,
@@ -112,17 +126,12 @@ def report_cmd(rows_csv, out_dir):
     automatically for the scaling fits.
     """
     try:
-        try:
-            with open(rows_csv, "r") as fh:
-                result_rows = parse_results_csv(fh.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read {rows_csv}: {exc}") from exc
+        result_rows = _read_rows(rows_csv, ResultRow, RESULT_COLUMNS)
         timing_rows = []
         timings_path = os.path.join(os.path.dirname(os.path.abspath(rows_csv)),
                                     "timings.csv")
         if os.path.exists(timings_path):
-            with open(timings_path, "r") as fh:
-                timing_rows = parse_timings_csv(fh.read())
+            timing_rows = _read_rows(timings_path, TimingRow, TIMING_COLUMNS)
     except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(2)

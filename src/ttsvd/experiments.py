@@ -22,13 +22,14 @@ deterministic end to end.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -104,23 +105,16 @@ class RunConfig:
             for n in self.n_values:
                 if not isinstance(n, int) or n < 2:
                     raise ConfigError("every N must be an integer >= 2")
-        if self.experiment == "custom" and "path" not in self.params:
-            raise ConfigError("custom experiment needs params.path")
+        if self.experiment == "custom":
+            if "path" not in self.params:
+                raise ConfigError("custom experiment needs params.path")
+            if not isinstance(self.params["path"], str):
+                raise ConfigError("params.path must be a string")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError("out_dir must be a string")
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "experiment": self.experiment,
-            "solvers": list(self.solvers),
-            "n_values": list(self.n_values),
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "reps": self.reps,
-            "seed": self.seed,
-            "params": dict(self.params),
-            "solver_options": dict(self.solver_options),
-            "out_dir": self.out_dir,
-        }
+        return {"schema_version": 1, **dataclasses.asdict(self)}
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -136,15 +130,20 @@ def load_run_config(path: str) -> RunConfig:
     version = doc.pop("schema_version", None)
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version!r} (expected 1)")
-    known = {"experiment", "solvers", "n_values", "k", "epsilon", "reps",
-             "seed", "params", "solver_options", "out_dir"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
         return RunConfig(**doc)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+# A text cell that build_report reads as a number; "blank" also allows "".
+# Such cells stay text so a CSV rewrites byte for byte ("3" in a
+# repetition row, "3.0" in a mean row).
+_NUMBER = {"number": True}
+_NUMBER_OR_BLANK = {"number": True, "blank": True}
 
 
 @dataclass
@@ -156,17 +155,11 @@ class ResultRow:
     param: str
     rep: str
     seed: str
-    sweeps: str
-    relative_residual: str
-    spectrum_rel_error: str
-    max_v_rank: str
+    sweeps: str = field(metadata=_NUMBER)
+    relative_residual: str = field(metadata=_NUMBER)
+    spectrum_rel_error: str = field(metadata=_NUMBER_OR_BLANK)
+    max_v_rank: str = field(metadata=_NUMBER)
     termination: str
-
-    def as_list(self) -> list:
-        return [self.experiment, self.solver, str(self.n), str(self.k),
-                self.param, self.rep, self.seed, self.sweeps,
-                self.relative_residual, self.spectrum_rel_error,
-                self.max_v_rank, self.termination]
 
 
 @dataclass
@@ -180,11 +173,6 @@ class TimingRow:
     seed: str
     wall_time_s: float
     construction_s: float
-
-    def as_list(self) -> list:
-        return [self.experiment, self.solver, str(self.n), str(self.k),
-                self.param, self.rep, self.seed, repr(self.wall_time_s),
-                repr(self.construction_s)]
 
 
 def _fmt(x) -> str:
@@ -380,33 +368,48 @@ def rows_to_csv(rows, columns) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(columns)
     for r in rows:
-        w.writerow(r.as_list())
+        w.writerow(dataclasses.astuple(r))
     return buf.getvalue()
 
 
-def parse_results_csv(text: str):
-    """Read results.csv text back into ResultRow objects (header checked)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != RESULT_COLUMNS:
-        raise ConfigError(f"unexpected results.csv columns: {header}")
-    out = []
-    for rec in reader:
-        out.append(ResultRow(rec[0], rec[1], int(rec[2]), int(rec[3]), rec[4],
-                             rec[5], rec[6], rec[7], rec[8], rec[9], rec[10],
-                             rec[11]))
-    return out
+def _cell(f: dataclasses.Field, text: str):
+    """One CSV cell as the value of field ``f``; ValueError if it is not one."""
+    if f.type == "int":
+        return int(text)
+    if f.type == "float":
+        return float(text)
+    if f.metadata.get("number") and not (text == "" and f.metadata.get("blank")):
+        float(text)
+    return text
 
 
-def parse_timings_csv(text: str):
+def parse_rows_csv(text: str, row_type, columns) -> list:
+    """Read CSV text written by ``rows_to_csv`` back into ``row_type`` rows.
+
+    The header must be ``columns``, every row must have one cell per field
+    and every numeric cell must parse; otherwise ``ConfigError`` names the
+    line.
+    """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != TIMING_COLUMNS:
-        raise ConfigError(f"unexpected timings.csv columns: {header}")
+    header = next(reader, None)
+    if header is None:
+        raise ConfigError("empty file: no header line")
+    if tuple(header) != columns:
+        raise ConfigError(f"unexpected columns: {header}")
+    row_fields = fields(row_type)
     out = []
     for rec in reader:
-        out.append(TimingRow(rec[0], rec[1], int(rec[2]), int(rec[3]), rec[4],
-                             rec[5], rec[6], float(rec[7]), float(rec[8])))
+        where = f"line {reader.line_num}"
+        if len(rec) != len(row_fields):
+            raise ConfigError(f"{where}: {len(rec)} cells, expected "
+                              f"{len(row_fields)}")
+        values = []
+        for name, f, cell in zip(columns, row_fields, rec):
+            try:
+                values.append(_cell(f, cell))
+            except ValueError:
+                raise ConfigError(f"{where}: bad {name} value {cell!r}") from None
+        out.append(row_type(*values))
     return out
 
 

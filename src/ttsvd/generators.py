@@ -42,6 +42,12 @@ from .tt import (
     tt_svd_compress,
 )
 
+# Tridiagonal and full Toeplitz sums are rounded at _ASSEMBLY_DELTA.  The
+# Hilbert generator forms its reciprocal vector densely, 2^(n+1) entries, so
+# it refuses n above _HILBERT_MAX_N.
+_ASSEMBLY_DELTA = 1e-13
+_HILBERT_MAX_N = 22
+
 
 # ---------------------------------------------------------------------------
 # carry-channel block tables for triangular Toeplitz / Hankel mixing
@@ -129,10 +135,8 @@ def _restrict_first_half_columns(a: MatrixTT) -> MatrixTT:
     return MatrixTT(cores)
 
 
-def hankel_submatrix_tt(s: VectorTT, keep: str = "first_half") -> MatrixTT:
+def hankel_submatrix_tt(s: VectorTT) -> MatrixTT:
     """The 2^N x 2^{N-1} left-column block of the Hankel matrix of ``s``."""
-    if keep != "first_half":
-        raise ValueError(f"unsupported column restriction {keep!r}")
     return _restrict_first_half_columns(hankel_tt(s))
 
 
@@ -147,10 +151,6 @@ def shift_tt(n: int) -> MatrixTT:
     return toeplitz_tt(_e1_chain(n))
 
 
-def shift_transpose_tt(n: int) -> MatrixTT:
-    return matrix_tt_transpose(shift_tt(n))
-
-
 def exchange_matrix_tt(n: int) -> MatrixTT:
     """Rank-1 exchange (anti-identity) matrix: flips every index bit."""
     core = _P[np.newaxis, :, :, np.newaxis]
@@ -162,32 +162,29 @@ def _flip_both(a: MatrixTT) -> MatrixTT:
     return MatrixTT([c[:, ::-1, ::-1, :].copy() for c in a.cores])
 
 
-def tridiagonal_tt(a: VectorTT, b: VectorTT, c: VectorTT,
-                   delta: float | None = 1e-13) -> MatrixTT:
+def tridiagonal_tt(a: VectorTT, b: VectorTT, c: VectorTT) -> MatrixTT:
     """Tridiagonal matrix with subdiagonal a, diagonal b, superdiagonal c.
 
     Entry (m+1, m) = a_m, entry (m, m) = b_m, entry (m, m+1) = c_{m+1};
-    assembled as F^T diag(a) + diag(b) + F diag(c) and rounded at ``delta``
-    (pass None to keep the raw sum, whose ranks are bounded by
-    2 R_a + R_b + 2 R_c).
+    assembled as F^T diag(a) + diag(b) + F diag(c) and rounded at
+    ``_ASSEMBLY_DELTA``.
     """
     if not (a.mode_sizes == b.mode_sizes == c.mode_sizes):
         raise ValueError("tridiagonal diagonals must share mode sizes")
     n = a.n_cores
-    lower = matrix_tt_matmul(shift_transpose_tt(n), diag_embed(a))
-    upper = matrix_tt_matmul(shift_tt(n), diag_embed(c))
+    shift = shift_tt(n)
+    lower = matrix_tt_matmul(matrix_tt_transpose(shift), diag_embed(a))
+    upper = matrix_tt_matmul(shift, diag_embed(c))
     total = tt_add(tt_add(lower, diag_embed(b)), upper)
-    if delta is None:
-        return total
-    return tt_round(total, delta)
+    return tt_round(total, _ASSEMBLY_DELTA)
 
 
-def full_toeplitz_tt(x: VectorTT, delta: float | None = 1e-13) -> MatrixTT:
+def full_toeplitz_tt(x: VectorTT) -> MatrixTT:
     """Full (two-sided) Toeplitz matrix a_{ij} = x_{2^N + i - j}.
 
     ``x`` must have N+1 cores (length 2^{N+1}); its very last entry is never
     referenced.  Assembled from two strictly-triangular pieces plus the
-    diagonal and rounded at ``delta`` (None keeps the raw sum).
+    diagonal and rounded at ``_ASSEMBLY_DELTA``.
     """
     if any(i != 2 for i in x.mode_sizes):
         raise ValueError("generating vector must have mode sizes 2")
@@ -204,9 +201,7 @@ def full_toeplitz_tt(x: VectorTT, delta: float | None = 1e-13) -> MatrixTT:
     x_mid = tt_entry(x, [1] * n + [0])  # x_{2^N}
     ident = identity_scaled(n, x_mid)
     total = tt_add(tt_add(upper, lower), ident)
-    if delta is None:
-        return total
-    return tt_round(total, delta)
+    return tt_round(total, _ASSEMBLY_DELTA)
 
 
 def identity_scaled(n: int, alpha: float) -> MatrixTT:
@@ -216,21 +211,20 @@ def identity_scaled(n: int, alpha: float) -> MatrixTT:
     return MatrixTT(cores)
 
 
-def hilbert_submatrix_tt(n: int, delta: float, max_n: int = 22) -> MatrixTT:
+def hilbert_submatrix_tt(n: int, delta: float) -> MatrixTT:
     """2^n x 2^{n-1} matrix with entries 1/(i+j-1), built via Hankel assembly.
 
     The reciprocal generating vector is formed densely (length 2^{n+1}) and
-    TT-compressed, which caps the feasible ``n`` (default 22).  The result
-    matches the exact matrix to an error controlled by ``delta`` relative to
-    the matrix norm; compression and final rounding use delta/10 internally
-    to leave headroom for the assembly steps.
+    TT-compressed, which caps the feasible ``n`` at 22.  The result matches
+    the exact matrix to an error controlled by ``delta`` relative to the
+    matrix norm; compression and final rounding use delta/10 internally to
+    leave headroom for the assembly steps.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if n > max_n:
-        raise ValueError(
-            f"n={n} exceeds the dense generating-vector budget (max_n={max_n})"
-        )
+    if n > _HILBERT_MAX_N:
+        raise ValueError(f"n={n} exceeds the dense generating-vector budget "
+                         f"(n <= {_HILBERT_MAX_N})")
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
     length = 2 ** (n + 1)
@@ -264,31 +258,17 @@ def _as_modes(modes) -> list[int]:
     return [int(m) for m in modes]
 
 
-def _vector_rank_profile(modes: list[int], requested) -> list[int]:
-    n = len(modes)
-    if np.isscalar(requested):
-        requested = [int(requested)] * (n - 1)
-    requested = [int(r) for r in requested]
-    if len(requested) != n - 1:
-        raise ValueError("need one interior rank per bond")
-    prof = []
-    for bond in range(1, n):
-        cap = min(math.prod(modes[:bond]), math.prod(modes[bond:]))
-        prof.append(max(1, min(requested[bond - 1], cap)))
-    return [1] + prof + [1]
-
-
-def random_vector_tt(modes, ranks, seed) -> VectorTT:
+def random_vector_tt(modes, rank: int, seed) -> VectorTT:
     """Unit-norm VectorTT with standard-normal cores, then left-orthogonalized.
 
     ``modes`` is either the chain length (all mode sizes 2) or an explicit
-    list of mode sizes; ``ranks`` is one interior rank per bond or a single
-    value, clipped to what the mode sizes can support.
+    list of mode sizes; every interior bond gets ``rank``, clipped to what
+    the mode sizes can support.
     """
     modes = _as_modes(modes)
     n = len(modes)
     rng = np.random.default_rng(seed)
-    prof = _vector_rank_profile(modes, ranks)
+    prof = _block_rank_profile(modes, 1, rank)
     cores = [
         rng.standard_normal((prof[m], modes[m], prof[m + 1])) for m in range(n)
     ]
@@ -299,30 +279,28 @@ def random_vector_tt(modes, ranks, seed) -> VectorTT:
     return tt_scale(x, 1.0 / nrm)
 
 
-def _block_rank_profile(modes: list[int], k: int, requested) -> list[int]:
+def _block_rank_profile(modes: list[int], k: int, rank: int) -> list[int]:
     """Feasible bond ranks for K orthonormal columns with the block core last.
 
-    Each bond must carry at least ceil(K / prod of later mode sizes) and can
-    carry at most min(prod of earlier mode sizes, K * prod of later sizes).
+    At K = 1 these are the ranks of a single vector.
+
+    Each bond gets ``rank``, raised to at least ceil(K / prod of later mode
+    sizes) and clipped to min(prod of earlier mode sizes, K * prod of later
+    sizes).
     """
     n = len(modes)
-    if np.isscalar(requested):
-        requested = [int(requested)] * (n - 1)
-    requested = [int(r) for r in requested]
-    if len(requested) != n - 1:
-        raise ValueError("need one interior rank per bond")
     prof = []
     for bond in range(1, n):
         later = math.prod(modes[bond:])
         earlier = math.prod(modes[:bond])
         floor = math.ceil(k / later)
         cap = min(earlier, k * later)
-        r = max(requested[bond - 1], floor)
+        r = max(int(rank), floor)
         prof.append(max(1, min(r, cap)))
     return [1] + prof + [1]
 
 
-def random_block_tt(modes, k: int, ranks, seed) -> BlockTT:
+def random_block_tt(modes, k: int, rank: int, seed) -> BlockTT:
     """BlockTT with K dense-orthonormal columns, block core at the last position.
 
     Cores are drawn standard-normal at the feasibility-clipped rank profile,
@@ -334,7 +312,7 @@ def random_block_tt(modes, k: int, ranks, seed) -> BlockTT:
     if k < 1 or k > math.prod(modes):
         raise ValueError("block size k out of range")
     rng = np.random.default_rng(seed)
-    prof = _block_rank_profile(modes, k, ranks)
+    prof = _block_rank_profile(modes, k, rank)
     cores = [
         rng.standard_normal((prof[m], modes[m], prof[m + 1]))
         for m in range(n - 1)

@@ -73,13 +73,13 @@ from .tt import (
     _rf,
     block_tt_matvec,
     block_tt_residual_norm,
-    block_tt_round,
     block_tt_scale_columns,
     matrix_tt_matmul,
     matrix_tt_round,
     matrix_tt_transpose,
     merge_cores,
     split_block_core,
+    tt_round,
 )
 
 # The benchmark's outside-in tracer (perfbench/tracing.py) wraps these module
@@ -121,14 +121,6 @@ class SolverConfig:
     delta is derived: epsilon / sqrt(N-1), shrunk 10x per restart, with the
     first half sweep of every attempt at 100 times that.  The Gram baselines
     round A^T A and the recovered U at epsilon / 10.
-
-    ``on_micro_iteration``, if set, is called once per micro-iteration of
-    every solver as ``callback(record, *chains)``, where ``record`` holds
-    the position, direction and Sigma estimate and ``chains`` is (U, V)
-    for the SVD solvers and (V,) for the Gram baselines.  For one-core
-    windows the chains are copies of the pre-split iterate (the local
-    solution written into the block core); for merged windows, copies of
-    the post-split iterate.
     """
 
     k: int
@@ -137,7 +129,6 @@ class SolverConfig:
     max_restarts: int = 2
     seed: int = 0
     max_rank: int | None = None
-    on_micro_iteration: Callable | None = None
 
     def __post_init__(self):
         for name, low in (("k", 1), ("max_full_sweeps", 1), ("max_restarts", 0),
@@ -594,7 +585,6 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
     gram = len(chains) == 1
     r2l = direction == "right_to_left"
     positions = range(a.n_cores - 1, 0, -1) if r2l else range(0, a.n_cores - 1)
-    callback = cfg.on_micro_iteration
     sigma = None
     for p in positions:
         q = p - 1 if pair and r2l else p
@@ -615,16 +605,7 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
             sigma = np.asarray(sig, dtype=float)
             locals_ = (_rf(u_loc, op.rows + (cfg.k,)),
                        _rf(v_loc, op.cols + (cfg.k,)))
-        info = {"position": p, "direction": direction,
-                "sigma": [float(s) for s in sigma]}
-        if callback is not None and not pair:
-            trial = [c.copy() for c in chains]
-            for chain, local in zip(trial, locals_):
-                chain.cores[p] = local.transpose(0, 3, 1, 2)
-            callback(info, *trial)
         _advance(env, a, chains, locals_, q, delta, cfg, pair, r2l)
-        if callback is not None and pair:
-            callback(info, *(c.copy() for c in chains))
         report.micro.append(_micro_record(p, direction, chains, sigma, iters,
                                           op.path))
     return sigma
@@ -722,7 +703,7 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
                 "transposed-Gram recovery is not implemented"
             )
         u = block_tt_scale_columns(block_tt_matvec(a, chains[0]), 1.0 / sigma)
-        chains = (block_tt_round(u, rdelta), *chains)
+        chains = (tt_round(u, rdelta), *chains)
     report.wall_time_s = time.perf_counter() - t0
     return sigma, *chains, report
 

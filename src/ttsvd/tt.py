@@ -215,7 +215,7 @@ def tt_last_mode_slice(x: VectorTT, j: int) -> VectorTT:
 # compression / rounding / orthogonalization
 
 
-def tt_svd_compress(t: np.ndarray, delta: float, max_rank: int | None = None) -> VectorTT:
+def tt_svd_compress(t: np.ndarray, delta: float) -> VectorTT:
     """Compress a dense tensor into a VectorTT by successive truncated SVDs.
 
     Each sequential unfolding is truncated so the discarded tail stays below
@@ -234,7 +234,7 @@ def tt_svd_compress(t: np.ndarray, delta: float, max_rank: int | None = None) ->
     r_prev = 1
     mat = _rf(t.ravel(order="F"), (shape[0], -1))
     for n in range(n_modes - 1):
-        f = truncated_svd(mat, 0.0, max_rank=max_rank, frob_threshold=thr)
+        f = truncated_svd(mat, 0.0, frob_threshold=thr)
         r_new = len(f.s)
         cores.append(_rf(f.u, (r_prev, shape[n], r_new)))
         mat = f.s[:, None] * f.v.T
@@ -301,7 +301,7 @@ def tt_norm(x) -> float:
     return abs(float(_right_r_factors(_fuse(x).cores)[0][0, 0]))
 
 
-def tt_round(x, delta: float, max_rank: int | None = None):
+def tt_round(x, delta: float):
     """TT-rounding: error <= delta * sqrt(N-1) * ||x||, output ranks <= input ranks.
 
     An R-factor sweep that builds no Q cores.  The right-to-left sweep keeps
@@ -337,20 +337,15 @@ def tt_round(x, delta: float, max_rank: int | None = None):
         if n == len(cores) - 1:
             out.append(_rf(xm, (-1, i, r2)))
             break
-        f = truncated_svd(xm @ rs[n + 1].T, 0.0, max_rank=max_rank,
-                          frob_threshold=thr)
+        f = truncated_svd(xm @ rs[n + 1].T, 0.0, frob_threshold=thr)
         out.append(_rf(f.u, (-1, i, len(f.s))))
         carry = f.u.T @ xm
     orth = ["L"] * (len(cores) - 1) + [None]
     return _restore(VectorTT(out, orth), x)
 
 
-def block_tt_round(u: BlockTT, delta: float, max_rank: int | None = None) -> BlockTT:
-    return tt_round(u, delta, max_rank)
-
-
-def matrix_tt_round(a: MatrixTT, delta: float, max_rank: int | None = None) -> MatrixTT:
-    return tt_round(a, delta, max_rank)
+def matrix_tt_round(a: MatrixTT, delta: float) -> MatrixTT:
+    return tt_round(a, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +386,6 @@ def tt_add(x, y):
             c[rx:, :, rx2:] = cy
             cores.append(c)
     return _restore(VectorTT(cores), x)
-
-
-def tt_inner(x: VectorTT, y: VectorTT) -> float:
-    if x.mode_sizes != y.mode_sizes:
-        raise ValueError("tt_inner shape mismatch")
-    m = np.ones((1, 1))
-    for cx, cy in zip(x.cores, y.cores):
-        m = np.einsum("ab,aic,bid->cd", m, cx, cy, optimize=True)
-    return float(m[0, 0])
 
 
 def matvec_tt(a: MatrixTT, x: VectorTT) -> VectorTT:

@@ -38,7 +38,6 @@ from .tt import (
     matrix_tt_transpose,
     matvec_tt,
     tt_add,
-    tt_inner,
     tt_norm,
     tt_reconstruct,
     tt_round,
@@ -124,10 +123,9 @@ def _check_vector_algebra(rng):
     x = random_vector_tt([2] * 4, 3, rng.integers(1 << 16))
     y = random_vector_tt([2] * 4, 2, rng.integers(1 << 16))
     xd, yd = tt_to_vector(x), tt_to_vector(y)
-    ok = abs(float(tt_inner(x, y)) - float(xd @ yd)) < 1e-12
-    ok = ok and np.allclose(tt_to_vector(tt_add(x, y)), xd + yd, atol=1e-12)
+    ok = np.allclose(tt_to_vector(tt_add(x, y)), xd + yd, atol=1e-12)
     ok = ok and abs(tt_norm(x) - np.linalg.norm(xd)) < 1e-12
-    return ok, "inner products, sums and norms match dense vectors"
+    return ok, "sums and norms match dense vectors"
 
 
 def _check_matrix_algebra(rng):
@@ -294,7 +292,7 @@ def _check_solver_roundtrip(rng):
     return ok, f"merged-core sweeps recover the spectrum, error {err:.2e}"
 
 
-def _check_serialization(rng, tmp_path=None):
+def _check_serialization(rng):
     import tempfile, os
     a = _random_matrix_tt(4, 3, rng)
     with tempfile.TemporaryDirectory() as d:

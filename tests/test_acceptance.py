@@ -257,6 +257,25 @@ def test_acceptance_08_wall_time_scales_linearly():
                  f"{100 * cap_ratio:.0f}% of the 4x-scaled N=10 budget")
 
 
+@pytest.mark.parametrize("driver", [als_svd, mals_svd])
+def test_macs_per_sweep_scale_linearly(driver):
+    # the load-free companion of acceptance test 8: multiply-accumulates
+    # counted per sweep are deterministic, so the fit cannot flake
+    n_values = [10, 15, 20, 25, 30]
+    per_sweep = []
+    for n in n_values:
+        a, _, _, _ = prescribed_svd_matrix(n, 0.5, k0=25, rank=5, seed=0)
+        with count_macs() as counter:
+            _, _, _, rep = driver(a, SolverConfig(k=10, epsilon=1e-8, seed=0))
+        assert rep.termination == "converged", n
+        per_sweep.append(counter.macs / rep.total_sweeps)
+    ns, macs = np.array(n_values, dtype=float), np.array(per_sweep)
+    pred = np.polyval(np.polyfit(ns, macs, 1), ns)
+    r2 = 1.0 - float(np.sum((macs - pred) ** 2)
+                     / np.sum((macs - macs.mean()) ** 2))
+    assert r2 >= 0.9, (r2, per_sweep)
+
+
 def test_acceptance_09_single_triplet_behavior():
     worst = 0.0
     for seed in (100, 101, 102):

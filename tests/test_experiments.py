@@ -16,13 +16,13 @@ from ttsvd.experiments import (
     RESULT_COLUMNS,
     TIMING_COLUMNS,
     ConfigError,
+    ResultRow,
     RunConfig,
     TimingRow,
     _build_matrix,
     build_report,
     load_run_config,
-    parse_results_csv,
-    parse_timings_csv,
+    parse_rows_csv,
     rows_to_csv,
     run_experiment,
     scaling_report,
@@ -160,17 +160,14 @@ def test_cell_layout_and_aggregate_math():
 def test_csv_round_trip():
     cfg = _small_cfg()
     rows, times = run_experiment(cfg)
-    back = parse_results_csv(rows_to_csv(rows, RESULT_COLUMNS))
-    assert len(back) == len(rows)
-    for a, b in zip(rows, back):
-        assert a.as_list() == b.as_list()
-    tback = parse_timings_csv(rows_to_csv(times, TIMING_COLUMNS))
-    for a, b in zip(times, tback):
-        assert a.as_list() == b.as_list()
-    with pytest.raises(ConfigError, match="columns"):
-        parse_results_csv("a,b\n1,2\n")
-    with pytest.raises(ConfigError, match="columns"):
-        parse_timings_csv("a,b\n1,2\n")
+    for got, row_type, columns in ((rows, ResultRow, RESULT_COLUMNS),
+                                   (times, TimingRow, TIMING_COLUMNS)):
+        text = rows_to_csv(got, columns)
+        back = parse_rows_csv(text, row_type, columns)
+        assert back == got
+        assert rows_to_csv(back, columns) == text
+        with pytest.raises(ConfigError, match="columns"):
+            parse_rows_csv("a,b\n1,2\n", row_type, columns)
 
 
 def test_tridiagonal_cell_has_closed_form_truth():
@@ -360,7 +357,7 @@ def test_cli_run_overrides(tmp_path):
                                    "2", "--max-n", "5", "--out-dir", out2])
     assert res.exit_code == 0, res.output
     with open(os.path.join(out2, "results.csv")) as fh:
-        rows = parse_results_csv(fh.read())
+        rows = parse_rows_csv(fh.read(), ResultRow, RESULT_COLUMNS)
     rep_rows = [r for r in rows if r.rep not in ("mean", "std")]
     assert {r.n for r in rep_rows} == {4}  # N=11 dropped by --max-n
     assert {r.seed for r in rep_rows} == {"9", "10"}
@@ -387,6 +384,10 @@ def test_cli_run_rejects_bad_inputs(tmp_path):
                  dict(solver_options={"max_restarts": 0.5}),
                  dict(solver_options={"max_rank": 0}),
                  dict(solver_options={"dense_crossover": 8}),
+                 dict(solver_options={"on_micro_iteration": 5}),
+                 dict(out_dir=5),
+                 dict(out_dir=["out"]),
+                 dict(experiment="custom", params={"path": 5}),
                  dict(experiment="toeplitz", params={"max_rank": [0]}),
                  dict(experiment="toeplitz", params={"max_rank": [-3]}),
                  dict(experiment="toeplitz", params={"max_rank": ["abc"]}),
@@ -439,6 +440,34 @@ def test_cli_report_rebuilds_from_csv(tmp_path):
     assert "scaling_fits" in report
     res = runner.invoke(cli_main, ["report", str(tmp_path / "nope.csv")])
     assert res.exit_code == 2
+
+
+def test_cli_report_rejects_malformed_csv(tmp_path):
+    runner = CliRunner()
+    assert runner.invoke(cli_main, ["run", _cli_config(tmp_path)]).exit_code == 0
+    out = tmp_path / "out"
+    with open(out / "results.csv") as fh:
+        lines = fh.read().splitlines()
+    assert lines[2].split(",")[5] == "mean"  # header, one repetition, mean
+
+    def cells(line, col, value):
+        row = line.split(",")
+        row[col] = value
+        return ",".join(row)
+
+    bad_results = {
+        "N": [lines[0], cells(lines[1], 2, "4.5")] + lines[2:],
+        "short row": [lines[0], lines[1].rsplit(",", 1)[0]] + lines[2:],
+        "mean sweeps": lines[:2] + [cells(lines[2], 7, "many")] + lines[3:],
+        "empty": [],
+    }
+    for what, doc in bad_results.items():
+        path = out / "results.csv"
+        path.write_text("".join(line + "\n" for line in doc))
+        res = runner.invoke(cli_main, ["report", str(path)])
+        assert res.exit_code == 2, (what, res.output)
+        assert "configuration error" in res.output, what
+        assert "line" in res.output or what == "empty", (what, res.output)
 
 
 def test_cli_verify_passes():

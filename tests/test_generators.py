@@ -12,10 +12,10 @@ from ttsvd import (
     identity_scaled,
     matrix_tt_matmul,
     matrix_tt_round,
+    matrix_tt_transpose,
     prescribed_svd_matrix,
     random_block_tt,
     random_vector_tt,
-    shift_transpose_tt,
     shift_tt,
     toeplitz_tt,
     tridiagonal_tt,
@@ -86,7 +86,7 @@ def test_shift_matrices():
     s = tt_reconstruct(shift_tt(n))
     ref = np.diag(np.ones(m - 1), k=1)
     assert np.array_equal(s, ref)
-    assert np.array_equal(tt_reconstruct(shift_transpose_tt(n)), ref.T)
+    assert np.array_equal(tt_reconstruct(matrix_tt_transpose(shift_tt(n))), ref.T)
     # nilpotent of order 2^n, checked in TT arithmetic by repeated squaring
     p = shift_tt(n)
     for _ in range(n):
@@ -136,7 +136,7 @@ def test_full_toeplitz_entries():
     m = 2**n
     x = random_vector_tt(n + 1, 2, 5)
     xv = tt_to_vector(x)
-    t = full_toeplitz_tt(x, delta=1e-13)
+    t = full_toeplitz_tt(x)
     ref = np.empty((m, m))
     for i in range(m):
         for j in range(m):
@@ -165,8 +165,6 @@ def test_hilbert_submatrix_entries_and_budget():
     assert err <= 1e-10 * np.linalg.norm(ref)
     with pytest.raises(ValueError):
         hilbert_submatrix_tt(23, 1e-8)
-    with pytest.raises(ValueError):
-        hilbert_submatrix_tt(8, 1e-8, max_n=6)
     for delta in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             hilbert_submatrix_tt(6, delta)

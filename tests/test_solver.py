@@ -11,7 +11,6 @@ import pytest
 
 from conftest import random_matrix_tt
 from ttsvd import (
-    BlockTT,
     SolverConfig,
     als_eig_baseline,
     als_svd,
@@ -202,57 +201,53 @@ def test_micro_sigma_never_exceeds_the_variational_optimum():
         assert abs(np.sum(rep.micro[-1]["sigma"]) - np.sum(s_ref)) < 1e-8
 
 
-def test_single_core_callback_is_sigma_consistent():
-    a, _, _, _ = prescribed_svd_matrix(5, 0.5, k0=6, rank=2, seed=15)
-    ad = tt_reconstruct(a)
+def _probe_advance(monkeypatch, pair):
+    """Dense (U, V) of every window, in micro-iteration order.
+
+    Wraps ``solver._advance``, which splits each window's local solution
+    into its chain.  A one-core window yields the pre-split iterate, the
+    local solution written into the block core; a merged window yields the
+    post-split iterate.
+    """
+    advance = solver._advance
     seen = []
 
-    def probe(record, u_cb, v_cb):
-        ud = tt_reconstruct(u_cb)
-        vd = tt_reconstruct(v_cb)
-        seen.append((np.asarray(record["sigma"]), ud, vd))
+    def probed(env, a, chains, locals_, q, *args):
+        if not pair:
+            trial = [c.copy() for c in chains]
+            for chain, local in zip(trial, locals_):
+                chain.cores[q] = local.transpose(0, 3, 1, 2)
+        advance(env, a, chains, locals_, q, *args)
+        if pair:
+            trial = chains
+        seen.append(tuple(tt_reconstruct(c) for c in trial))
 
-    cfg = SolverConfig(k=3, epsilon=1e-9, seed=16, on_micro_iteration=probe)
-    als_svd(a, cfg)
-    assert seen
-    for sig, ud, vd in seen:
+    monkeypatch.setattr(solver, "_advance", probed)
+    return seen
+
+
+def test_single_core_callback_is_sigma_consistent(monkeypatch):
+    a, _, _, _ = prescribed_svd_matrix(5, 0.5, k0=6, rank=2, seed=15)
+    ad = tt_reconstruct(a)
+    seen = _probe_advance(monkeypatch, pair=False)
+    _, _, _, rep = als_svd(a, SolverConfig(k=3, epsilon=1e-9, seed=16))
+    assert len(seen) == len(rep.micro) > 0
+    for record, (ud, vd) in zip(rep.micro, seen):
         # pre-split iterates carry exactly orthonormal columns
         assert np.linalg.norm(ud.T @ ud - np.eye(3)) < 1e-9
         proj = ud.T @ ad @ vd
-        assert np.linalg.norm(proj - np.diag(sig)) < 1e-8
+        assert np.linalg.norm(proj - np.diag(record["sigma"])) < 1e-8
 
 
-def test_merged_core_callback_is_sigma_consistent():
+def test_merged_core_callback_is_sigma_consistent(monkeypatch):
     a, _, _, _ = prescribed_svd_matrix(5, 0.5, k0=6, rank=2, seed=17)
     ad = tt_reconstruct(a)
-    seen = []
-
-    def probe(record, u_cb, v_cb):
-        seen.append((np.asarray(record["sigma"]),
-                     tt_reconstruct(u_cb), tt_reconstruct(v_cb)))
-
-    cfg = SolverConfig(k=3, epsilon=1e-9, seed=18, on_micro_iteration=probe)
-    mals_svd(a, cfg)
-    assert seen
-    for sig, ud, vd in seen:
-        proj = ud.T @ ad @ vd
-        assert np.linalg.norm(proj - np.diag(sig)) < 1e-8
-
-
-@pytest.mark.parametrize("driver", [als_eig_baseline, mals_eig_baseline])
-def test_gram_callback_fires_once_per_micro_iteration(driver):
-    a, _, _, _ = prescribed_svd_matrix(5, 0.5, k0=6, rank=2, seed=15)
-    seen = []
-
-    def probe(record, *chains):
-        seen.append((record, chains))
-
-    cfg = SolverConfig(k=3, epsilon=1e-9, seed=16, on_micro_iteration=probe)
-    _, _, _, rep = driver(a, cfg)
+    seen = _probe_advance(monkeypatch, pair=True)
+    _, _, _, rep = mals_svd(a, SolverConfig(k=3, epsilon=1e-9, seed=18))
     assert len(seen) == len(rep.micro) > 0
-    for record, chains in seen:
-        assert len(chains) == 1 and isinstance(chains[0], BlockTT)
-        assert chains[0].mode_sizes == a.col_sizes
+    for record, (ud, vd) in zip(rep.micro, seen):
+        proj = ud.T @ ad @ vd
+        assert np.linalg.norm(proj - np.diag(record["sigma"])) < 1e-8
 
 
 @pytest.mark.parametrize("driver", [als_eig_baseline, mals_eig_baseline])

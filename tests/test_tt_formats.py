@@ -18,7 +18,6 @@ from ttsvd import (
     block_tt_gram,
     block_tt_matvec,
     block_tt_residual_norm,
-    block_tt_round,
     block_tt_scale_columns,
     diag_embed,
     identity_scaled,
@@ -31,7 +30,6 @@ from ttsvd import (
     split_block_core,
     tt_add,
     tt_entry,
-    tt_inner,
     tt_norm,
     tt_reconstruct,
     tt_round,
@@ -115,13 +113,6 @@ def test_compress_error_bound_across_deltas():
             assert err <= delta * np.sqrt(n - 1) * np.linalg.norm(t) + 1e-14
 
 
-def test_compress_max_rank_cap():
-    rng = np.random.default_rng(4)
-    t = rng.standard_normal((2, 2, 2, 2, 2, 2))
-    x = tt_svd_compress(t, 0.0, max_rank=3)
-    assert max(x.ranks) <= 3
-
-
 def test_round_bound_and_rank_monotonicity():
     rng = np.random.default_rng(5)
     for delta in (1e-2, 1e-4, 1e-8):
@@ -186,7 +177,6 @@ def test_vector_arithmetic_matches_dense():
     yd = tt_reconstruct(y)
     assert np.allclose(tt_reconstruct(tt_add(x, y)), xd + yd, atol=1e-12)
     assert np.allclose(tt_reconstruct(tt_scale(x, -2.5)), -2.5 * xd, atol=1e-12)
-    assert abs(tt_inner(x, y) - np.sum(xd * yd)) < 1e-10
     assert abs(tt_norm(x) - np.linalg.norm(xd)) < 1e-11
     with pytest.raises(ValueError):
         tt_add(x, random_vector_tt_raw(3, 2, rng))
@@ -446,14 +436,19 @@ def test_block_round_bound_and_cap():
         u = random_block_tt_at([2] * 5, 4, 4, position, rng)
         ud = tt_reconstruct(u)
         for delta in (1e-2, 1e-8):
-            v = block_tt_round(u, delta)
+            v = tt_round(u, delta)
             err = np.linalg.norm(tt_reconstruct(v) - ud)
             assert err <= delta * np.sqrt(4) * np.linalg.norm(ud) + 1e-12
             assert v.block_position == u.block_position
             assert v.k == u.k
             assert v.orth == ["L"] * 4 + [None]
-        capped = block_tt_round(u, 0.0, max_rank=2)
-        assert max(capped.ranks) <= 2
+        # at delta 0 every bond is capped at the structural bound of the
+        # fused view, where the block core's mode is K * I
+        sizes = [int(np.prod(c.shape[1:-1])) for c in u.cores]
+        capped = tt_round(u, 0.0)
+        assert capped.ranks == [min(r, int(np.prod(sizes[:m])),
+                                    int(np.prod(sizes[m:])))
+                                for m, r in enumerate(u.ranks)]
         assert capped.block_position == position and capped.k == 4
 
 
