@@ -33,10 +33,11 @@ four.  Each local problem takes one of three paths, chosen in
 * ``"krylov-matrix-free"``: otherwise block Krylov applies the contraction
   chain of the environments to the whole block.
 
-Block Krylov runs on the symmetric embedding [[0, A], [A^T, 0]] (or on the
-projected Gram matrix directly), with full reorthogonalization,
-deterministic seeded starts warm-started from the current block core, and
-Rayleigh-Ritz extraction of the K largest (positive) pairs.
+Block Krylov for the SVD is block Golub-Kahan-Lanczos on A and A^T
+directly: a right basis V and a left basis U, with Ritz triplets from the
+SVD of U^T A V.  The Gram eigenproblem runs block Lanczos with
+Rayleigh-Ritz extraction of the K largest pairs.  Both reorthogonalize
+fully and start from the block core's V side (seeded random if absent).
 
 Rank floors: truncated splits keep at least enough rank that the next
 window's local problem can still hold K orthonormal columns (mirroring the
@@ -99,8 +100,10 @@ _RESTART_DELTA_SHRINK = 0.1
 _GRAM_DELTA_DIVISOR = 10
 # Local problems of at most _DENSE_CROSSOVER rows plus columns are solved
 # dense; block Krylov stops once every kept Ritz residual is at most
-# _LOCAL_TOL times the largest kept |Ritz value|, and fails after
-# _LOCAL_MAX_ITER steps.  The sweep reads these at call time.
+# _LOCAL_TOL times the largest kept Ritz value, and fails after
+# _LOCAL_MAX_ITER steps.  A triplet's residual is
+# sqrt((||A v - sigma u||^2 + ||A^T u - sigma v||^2) / 2), an eigenpair's
+# ||B z - theta z||.  The sweep reads these at call time.
 _DENSE_CROSSOVER = 600
 _LOCAL_TOL = 1e-10
 _LOCAL_MAX_ITER = 400
@@ -216,155 +219,113 @@ def _orthonormalize_block(w: np.ndarray, basis: np.ndarray,
 
     Columns swallowed by the basis (their norm collapses relative to what
     they came in with, the usual sign of Krylov saturation) and columns
-    that collapse during the QR step are replaced with fresh random
-    directions orthogonal to everything kept so far, so the returned block
-    always spans new orthonormal directions.
+    that collapse in the QR step are replaced with fresh random directions,
+    so the returned block always spans new orthonormal directions.  A last
+    projection against the basis and QR removes what R^-1 brings back of
+    the basis when the block is nearly rank-deficient.
     """
-    dim = w.shape[0]
     w = np.array(w, dtype=float)
     orig = np.linalg.norm(w, axis=0)
     for _ in range(2):
-        if basis.shape[1]:
-            w -= basis @ (basis.T @ w)
-    norms = np.linalg.norm(w, axis=0)
-    for idx in np.nonzero(norms <= 1e-10 * np.maximum(orig, 1e-300))[0]:
-        vec = rng.standard_normal(dim)
-        for _ in range(2):
-            if basis.shape[1]:
-                vec -= basis @ (basis.T @ vec)
-        w[:, idx] = vec
+        w -= basis @ (basis.T @ w)
     q, r = np.linalg.qr(w)
     d = np.abs(np.diagonal(r))
-    ref = float(d.max()) if d.size else 0.0
-    bad = d <= 1e-10 * max(ref, 1e-300)
-    if np.any(bad):
-        for idx in np.nonzero(bad)[0]:
-            vec = rng.standard_normal(dim)
-            if basis.shape[1]:
-                vec -= basis @ (basis.T @ vec)
-            vec -= q @ (q.T @ vec)
-            nrm = float(np.linalg.norm(vec))
-            if nrm > 0:
-                q[:, idx] = vec / nrm
-        q, _ = np.linalg.qr(q)
-        if basis.shape[1]:
-            q -= basis @ (basis.T @ q)
-            q, _ = np.linalg.qr(q)
+    bad = ((np.linalg.norm(w, axis=0) <= 1e-10 * np.maximum(orig, 1e-300))
+           | (d <= 1e-10 * max(float(d.max()), 1e-300)))
+    q[:, bad] = rng.standard_normal((w.shape[0], int(bad.sum())))
+    q -= basis @ (basis.T @ q)
+    q, _ = np.linalg.qr(q)
     return q
 
 
-def _krylov_symmetric(apply_op, dim: int, k: int, tol: float, max_iter: int,
-                      seed, start, positive_only: bool):
-    """Block Krylov + Rayleigh-Ritz for a symmetric operator.
-
-    Extraction starts once the basis holds at least min(2k+4, dim) vectors;
-    the K kept pairs are the largest positive Ritz values (falling back to
-    the largest remaining ones if fewer than K are positive), with ties
-    broken by Ritz index order.  Returns (theta, vectors, iterations).
-    """
-    rng = np.random.default_rng(seed)
-    block = min(k, dim)
-    if start is not None and start.shape == (dim, block):
-        w = np.asarray(start, dtype=float)
-    else:
-        w = rng.standard_normal((dim, block))
-    basis = np.empty((dim, 0))
-    bbasis = np.empty((dim, 0))
-    ritz_target = min(2 * k + 4, dim)
-    for it in range(1, max_iter + 1):
-        width = min(w.shape[1], dim - basis.shape[1])
-        if width > 0:
-            qblk = _orthonormalize_block(w[:, :width], basis, rng)
-            bq = apply_op(qblk)
-            basis = np.hstack([basis, qblk])
-            bbasis = np.hstack([bbasis, bq])
-        full = basis.shape[1] >= dim
-        if full or basis.shape[1] >= ritz_target:
-            h = basis.T @ bbasis
-            h = 0.5 * (h + h.T)
-            theta, y = np.linalg.eigh(h)
-            order = np.argsort(-theta, kind="stable")
-            if positive_only:
-                sel = [i for i in order if theta[i] > 0][:k]
-                if len(sel) < k:
-                    chosen = set(sel)
-                    sel += [i for i in order if i not in chosen][: k - len(sel)]
-            else:
-                sel = list(order[:k])
-            theta_k = theta[sel]
-            z = basis @ y[:, sel]
-            bz = bbasis @ y[:, sel]
-            resid = np.linalg.norm(bz - z * theta_k[np.newaxis, :], axis=0)
-            scale = max(float(np.max(np.abs(theta_k))), 1e-300)
-            if full or bool(np.all(resid <= tol * scale)):
-                return theta_k, z, it
-        w = bq
-    raise LocalSolverError(
-        f"block Krylov solver did not converge in {max_iter} iterations"
-    )
+def _start_block(start, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """The start block, checked against ``shape``, or a seeded random one."""
+    if start is None:
+        return rng.standard_normal(shape)
+    if np.shape(start) != shape:
+        raise ValueError(f"start block has shape {np.shape(start)}, "
+                         f"expected {shape}")
+    return np.asarray(start, dtype=float)
 
 
 def krylov_block_svd(matvec, rmatvec, p: int, q: int, k: int,
                      tol: float = _LOCAL_TOL, max_iter: int = _LOCAL_MAX_ITER,
                      seed=0, start=None):
-    """Matrix-free top-K singular triplets via the symmetric embedding.
+    """Matrix-free top-K singular triplets by block Golub-Kahan-Lanczos.
 
     ``matvec`` maps a (q, m) block to the (p, m) block A Y and ``rmatvec`` a
-    (p, m) block to A^T X; each is called once per Krylov step on the whole
-    block.  The operator [[0, A], [A^T, 0]] has eigenvalues {+-sigma_i}
-    plus zeros, so the K largest positive Ritz values approximate the
-    dominant singular values and each Ritz vector carries (u_i, v_i)/sqrt(2)
-    in its halves.
+    (p, m) block to A^T X; each step calls each at most once, on the newest
+    block.  ``start`` is the (q, K) block of right vectors the right basis V
+    starts from.  Each step extends V by the newest A^T U block and the left
+    basis U by the newest A V block, and takes the Ritz triplets
+    (U x, sigma, V y) from the SVD of U^T A V; they come out orthonormal
+    with sigma >= 0.  It stops on the residual test (see ``_LOCAL_TOL``) or
+    once the bases hold the whole problem: V spans R^q, or U spans R^p and
+    this step's V block took in the last of A^T U.  Returns
+    (U, Sigma, V, iterations).
     """
     if k > min(p, q):
         raise ValueError(f"cannot take {k} triplets from a {p} x {q} problem")
-    dim = p + q
-
-    def apply_b(blockm):
-        return np.vstack([matvec(blockm[p:]), rmatvec(blockm[:p])])
-
-    theta, z, iters = _krylov_symmetric(apply_b, dim, k, tol, max_iter, seed,
-                                        start, positive_only=True)
     rng = np.random.default_rng(seed)
-    u = z[:p].copy() * math.sqrt(2.0)
-    v = z[p:].copy() * math.sqrt(2.0)
-    sigma = np.maximum(theta, 0.0)
-    scale = float(sigma[0]) if sigma.size and sigma[0] > 0 else 1.0
-    # Halves of positive-sigma Ritz pairs come out orthonormal on their own
-    # (u_i . u_j = v_i . v_j must cancel in the embedding); zero-sigma columns
-    # mix the two null spaces arbitrarily, so those are re-orthogonalized
-    # against every earlier column (sigma is nonincreasing, so all columns
-    # after the first zero one are zero too).
-    for arr in (u, v):
-        for c in range(k):
-            if sigma[c] <= 1e-10 * scale:
-                for _ in range(2):
-                    arr[:, c] -= arr[:, :c] @ (arr[:, :c].T @ arr[:, c])
-            nrm = float(np.linalg.norm(arr[:, c]))
-            if nrm < 1e-8:
-                vec = rng.standard_normal(arr.shape[0])
-                for _ in range(2):
-                    vec -= arr[:, :c] @ (arr[:, :c].T @ vec)
-                arr[:, c] = vec / float(np.linalg.norm(vec))
-            else:
-                arr[:, c] /= nrm
-    _sign_fix(u, v)
-    return u, sigma, v, iters
+    w = _start_block(start, (q, k), rng)
+    vb, av = np.empty((q, 0)), np.empty((p, 0))
+    ub, atu = np.empty((p, 0)), np.empty((q, 0))
+    for it in range(1, max_iter + 1):
+        u_full = ub.shape[1] == p
+        blk = _orthonormalize_block(w[:, :q - vb.shape[1]], vb, rng)
+        w = matvec(blk)
+        vb, av = np.hstack([vb, blk]), np.hstack([av, w])
+        if not u_full:
+            blk = _orthonormalize_block(w[:, :p - ub.shape[1]], ub, rng)
+            w = rmatvec(blk)
+            ub, atu = np.hstack([ub, blk]), np.hstack([atu, w])
+        x, sigma, yt = np.linalg.svd(ub.T @ av, full_matrices=False)
+        x, sigma, y = x[:, :k], sigma[:k], yt[:k].T
+        u, v = ub @ x, vb @ y
+        resid = np.sqrt(0.5 * (np.sum((av @ y - u * sigma) ** 2, axis=0)
+                               + np.sum((atu @ x - v * sigma) ** 2, axis=0)))
+        if u_full or vb.shape[1] == q or bool(np.all(
+                resid <= tol * max(float(sigma[0]), 1e-300))):
+            _sign_fix(u, v)
+            return u, sigma, v, it
+    raise LocalSolverError(
+        f"block Krylov solver did not converge in {max_iter} iterations"
+    )
 
 
 def krylov_block_eig(matvec, dim: int, k: int, tol: float = _LOCAL_TOL,
                      max_iter: int = _LOCAL_MAX_ITER, seed=0, start=None):
     """Matrix-free K algebraically largest eigenpairs of a symmetric map.
 
-    ``matvec`` maps a (dim, m) block to its image, once per Krylov step.
+    Block Lanczos: ``matvec`` maps a (dim, m) block to its image, once per
+    step on the newest block, and ``start`` is the (dim, K) start block.
+    Rayleigh-Ritz extraction starts once the basis holds at least
+    min(2k+4, dim) vectors; ties among Ritz values keep Ritz index order.
+    Returns (theta, vectors, iterations).
     """
     if k > dim:
         raise ValueError(f"cannot take {k} eigenpairs from dimension {dim}")
-    theta, z, iters = _krylov_symmetric(matvec, dim, k, tol, max_iter, seed,
-                                        start, positive_only=False)
-    z = z.copy()
-    _sign_fix(z)
-    return theta, z, iters
+    rng = np.random.default_rng(seed)
+    w = _start_block(start, (dim, k), rng)
+    basis, bbasis = np.empty((dim, 0)), np.empty((dim, 0))
+    for it in range(1, max_iter + 1):
+        qblk = _orthonormalize_block(w[:, :dim - basis.shape[1]], basis, rng)
+        w = matvec(qblk)
+        basis, bbasis = np.hstack([basis, qblk]), np.hstack([bbasis, w])
+        full = basis.shape[1] == dim
+        if full or basis.shape[1] >= min(2 * k + 4, dim):
+            h = basis.T @ bbasis
+            theta, y = np.linalg.eigh(0.5 * (h + h.T))
+            sel = np.argsort(-theta, kind="stable")[:k]
+            theta, z = theta[sel], basis @ y[:, sel]
+            resid = np.linalg.norm(bbasis @ y[:, sel] - z * theta, axis=0)
+            if full or bool(np.all(
+                    resid <= tol * max(float(np.max(np.abs(theta))), 1e-300))):
+                _sign_fix(z)
+                return theta, z, it
+    raise LocalSolverError(
+        f"block Krylov solver did not converge in {max_iter} iterations"
+    )
 
 
 def _gemm(mat: np.ndarray, axis: int):
@@ -589,7 +550,7 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
     for p in positions:
         q = p - 1 if pair and r2l else p
         op = _local_operator(env, a, q, pair, cfg.k, _DENSE_CROSSOVER, gram)
-        start = np.vstack([_block_as_local(c, q, pair) for c in chains])
+        start = _block_as_local(chains[-1], q, pair)
         kw = dict(tol=_LOCAL_TOL, max_iter=_LOCAL_MAX_ITER,
                   seed=int(rng.integers(0, 2**63 - 1)),
                   dense_builder=op.build if op.path == "dense" else None)
@@ -601,7 +562,7 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
         else:
             u_loc, sig, v_loc, iters = local_block_svd(
                 op.matvec, op.rmatvec, math.prod(op.rows), math.prod(op.cols),
-                cfg.k, start=start / math.sqrt(2.0), **kw)
+                cfg.k, start=start, **kw)
             sigma = np.asarray(sig, dtype=float)
             locals_ = (_rf(u_loc, op.rows + (cfg.k,)),
                        _rf(v_loc, op.cols + (cfg.k,)))

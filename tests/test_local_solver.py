@@ -8,6 +8,7 @@ from ttsvd import (Environment, LocalSolverError, MatrixTT, count_macs,
 from ttsvd.solver import (
     _gemm,
     _local_operator,
+    _orthonormalize_block,
     dense_block_eig,
     dense_block_svd,
     krylov_block_eig,
@@ -77,10 +78,10 @@ def test_krylov_svd_warm_start_converges():
     m = rng.standard_normal((25, 10))
     mv, rmv = _ops(m)
     u0, s0, v0 = dense_block_svd(m, 3)
-    start = np.vstack([u0, v0]) / np.sqrt(2.0)
-    u, s, v, iters = krylov_block_svd(mv, rmv, 25, 10, 3, seed=0, start=start)
+    u, s, v, iters = krylov_block_svd(mv, rmv, 25, 10, 3, seed=0, start=v0)
     s_ref = np.linalg.svd(m, compute_uv=False)[:3]
     assert np.allclose(s, s_ref, atol=1e-9)
+    assert iters == 1
 
 
 def test_krylov_svd_pads_rank_deficient_spectra():
@@ -125,6 +126,11 @@ def test_block_size_validation():
         krylov_block_eig(mv, 4, 5)
     with pytest.raises(ValueError):
         local_block_eig(mv, 4, 5)
+    # a start block of the wrong shape is an error, not a silent random start
+    with pytest.raises(ValueError):
+        krylov_block_svd(mv, rmv, 6, 4, 2, start=np.ones((10, 2)))
+    with pytest.raises(ValueError):
+        krylov_block_eig(mv, 4, 2, start=np.ones((4, 3)))
 
 
 def test_dispatch_crossover_routes_to_dense():
@@ -165,6 +171,20 @@ def test_krylov_handles_saturated_subspaces():
     assert np.allclose(u.T @ u, np.eye(5), atol=1e-8)
     # Ritz values must never overshoot the true extremes
     assert s[0] <= s_ref[0] + 1e-8
+
+
+def test_orthonormalize_nearly_rank_deficient_block():
+    # a block mostly inside the basis, with a rank-2 new part and 1e-8 noise:
+    # QR alone brings basis components back through R^-1 (about 1e-8 here)
+    rng = np.random.default_rng(14)
+    basis, _ = np.linalg.qr(rng.standard_normal((400, 30)))
+    w = (basis @ rng.standard_normal((30, 8))
+         + rng.standard_normal((400, 2)) @ rng.standard_normal((2, 8))
+         + 1e-8 * rng.standard_normal((400, 8)))
+    q = _orthonormalize_block(w, basis, np.random.default_rng(15))
+    assert q.shape == (400, 8)
+    assert np.max(np.abs(basis.T @ q)) <= 1e-12
+    assert np.allclose(q.T @ q, np.eye(8), atol=1e-12)
 
 
 def test_materialized_krylov_counts_its_gemm_applies():

@@ -28,6 +28,7 @@ from ttsvd import (
     tt_reconstruct,
 )
 from ttsvd import solver
+from ttsvd.experiments import RunConfig, _build_matrix
 from ttsvd.solver import _driver, _gram_residual
 
 ALL_DRIVERS = [als_svd, mals_svd, als_eig_baseline, mals_eig_baseline]
@@ -455,6 +456,40 @@ def test_runs_are_seed_deterministic():
     assert out1[3].residual_history == out2[3].residual_history
     for c1, c2 in zip(out1[1].cores, out2[1].cores):
         assert np.array_equal(c1, c2)
+
+
+def test_hilbert_krylov_windows_do_not_stall():
+    # Hilbert N=18, seed 2 once took 64 block Krylov steps in one window
+    # (87 in all) when the basis lost orthogonality on rank-deficient blocks
+    a = hilbert_submatrix_tt(18, 1e-8)
+    _, _, _, rep = mals_svd(a, SolverConfig(k=10, epsilon=1e-3, seed=2))
+    assert rep.termination == "converged"
+    assert max(m["local_iterations"] for m in rep.micro) <= 10
+
+
+def test_tridiagonal_als_svd_n30_converges():
+    # once ended "restarted" after 2113 Krylov steps at residual 1.4e-4
+    cfg = RunConfig(experiment="tridiagonal", solvers=["als_svd"],
+                    n_values=[30], k=4, epsilon=1e-6)
+    a, _ = _build_matrix(cfg, 30, None, 0)
+    _, _, _, rep = als_svd(a, SolverConfig(k=4, epsilon=1e-6, seed=0))
+    assert rep.termination == "converged"
+    assert rep.residual_history[-1]["residual"] < 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the stop checks only ||A^T U - V Sigma||; U can keep a component in the "
+    "null space of A^T, so Sigma comes out scaled down under 'converged'"))
+@pytest.mark.parametrize("n, seed", [(40, 4), (40, 5), (30, 3551041201),
+                                     (30, 3829854379)])
+def test_converged_als_svd_has_the_dominant_spectrum(n, seed):
+    # measured spectrum errors: 7.6e-3, 1.0e-2, 1.0e-3 and 5.7e-6
+    a, _, _, spectrum = prescribed_svd_matrix(n, 0.5, k0=25, rank=5, seed=seed)
+    sigma, _, _, rep = als_svd(a, SolverConfig(k=10, epsilon=1e-8,
+                                               max_full_sweeps=5, seed=seed))
+    truth = spectrum[:10]
+    assert rep.termination == "converged"
+    assert np.linalg.norm(sigma - truth) / np.linalg.norm(truth) <= 1e-6
 
 
 def test_traced_names_are_all_called(monkeypatch):
