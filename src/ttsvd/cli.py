@@ -7,8 +7,8 @@ Verbs:
 * ``ttsvd report <results.csv>`` - rebuild report.json and plotdata/ from CSVs
 
 Exit codes: 0 success; 1 verification failure; 2 configuration error
-(including generator budgets); 3 at least one repetition did not converge
-in a run marked ``--strict``.
+(including input a generator rejects); 3 at least one repetition did not
+converge in a run marked ``--strict``.
 """
 
 from __future__ import annotations

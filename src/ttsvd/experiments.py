@@ -47,7 +47,7 @@ from .tt import MatrixTT, VectorTT, tt_scale
 
 
 class ConfigError(ValueError):
-    """Anything wrong with a run configuration (including generator budgets)."""
+    """Anything wrong with a run configuration, or input a generator rejects."""
 
 
 EXPERIMENTS = ("prescribed_svd", "hilbert", "tridiagonal", "toeplitz", "custom")

@@ -257,16 +257,30 @@ def test_acceptance_08_wall_time_scales_linearly():
                  f"{100 * cap_ratio:.0f}% of the 4x-scaled N=10 budget")
 
 
-@pytest.mark.parametrize("driver", [als_svd, mals_svd])
-def test_macs_per_sweep_scale_linearly(driver):
+_MAC_FAMILIES = {  # family: (matrix at N, epsilon)
+    "prescribed": (lambda n: prescribed_svd_matrix(n, 0.5, k0=25, rank=5,
+                                                   seed=0)[0], 1e-8),
+    "hilbert": (lambda n: hilbert_submatrix_tt(n, 1e-8), 1e-3),
+}
+
+
+@pytest.mark.parametrize("family, driver", [
+    pytest.param("prescribed", als_svd, id="als_svd"),
+    pytest.param("prescribed", mals_svd, id="mals_svd"),
+    pytest.param("hilbert", als_svd, id="hilbert-als_svd"),
+    pytest.param("hilbert", mals_svd, id="hilbert-mals_svd"),
+])
+def test_macs_per_sweep_scale_linearly(family, driver):
     # the load-free companion of acceptance test 8: multiply-accumulates
     # counted per sweep are deterministic, so the fit cannot flake
+    build, epsilon = _MAC_FAMILIES[family]
     n_values = [10, 15, 20, 25, 30]
     per_sweep = []
     for n in n_values:
-        a, _, _, _ = prescribed_svd_matrix(n, 0.5, k0=25, rank=5, seed=0)
+        a = build(n)
         with count_macs() as counter:
-            _, _, _, rep = driver(a, SolverConfig(k=10, epsilon=1e-8, seed=0))
+            _, _, _, rep = driver(a, SolverConfig(k=10, epsilon=epsilon,
+                                                  seed=0))
         assert rep.termination == "converged", n
         per_sweep.append(counter.macs / rep.total_sweeps)
     ns, macs = np.array(n_values, dtype=float), np.array(per_sweep)

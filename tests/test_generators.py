@@ -1,5 +1,7 @@
 """Structured matrix constructions against raw index formulas."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,11 +165,36 @@ def test_hilbert_submatrix_entries_and_budget():
     ref = 1.0 / (np.arange(rows)[:, None] + np.arange(cols)[None, :] + 1.0)
     err = np.linalg.norm(tt_reconstruct(h) - ref)
     assert err <= 1e-10 * np.linalg.norm(ref)
-    with pytest.raises(ValueError):
-        hilbert_submatrix_tt(23, 1e-8)
     for delta in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             hilbert_submatrix_tt(6, delta)
+
+
+@pytest.mark.parametrize("n", [6, 10, 12])
+def test_hilbert_submatrix_meets_its_delta(n):
+    # the Hankel assembly repeats each generating-vector entry up to 2^(N-1)
+    # times, so rounding that vector at delta/10 relative to its own norm
+    # misses delta at N=12 (relative error 1.75e-4 at delta 1e-4)
+    rows, cols = 2**n, 2 ** (n - 1)
+    ref = 1.0 / (np.arange(rows)[:, None] + np.arange(cols)[None, :] + 1.0)
+    for delta in (1e-4, 1e-8, 1e-10):
+        err = np.linalg.norm(tt_reconstruct(hilbert_submatrix_tt(n, delta))
+                             - ref)
+        assert err <= delta * np.linalg.norm(ref), (delta, err)
+
+
+def test_hilbert_build_holds_no_dense_vector():
+    # at N=20 one dense 2^(N+1) generating vector alone would take 16 MiB,
+    # and at N=50 none could be held
+    tracemalloc.start()
+    try:
+        hilbert_submatrix_tt(20, 1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    h = hilbert_submatrix_tt(50, 1e-8)
+    assert h.n_cores == 49 and max(h.ranks) <= 16
 
 
 def test_prescribed_svd_matrix_exact_construction():
