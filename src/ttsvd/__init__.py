@@ -11,6 +11,7 @@ from .environments import (
     env_update_right,
     environment_deviation,
     local_operator_macs,
+    local_solve_macs,
     projected_matvec,
     projected_rmatvec,
     recompute_environment,

@@ -13,8 +13,10 @@ The projected local matrix of a window of w = 1 or 2 cores starting at n,
 acts on a block of local vectors by contracting (L^{<n}, Y, the window's A
 cores, R^{>n+w-1}) in that order, and the transpose map by the mirror
 order; it can also be materialized, and ``local_operator_macs`` gives the
-cost of both forms from the operand shapes.  One code path serves every
-window width, so ALS (w = 1) and MALS (w = 2) share the same kernels.  All
+cost of both forms from the operand shapes (``local_solve_macs`` adds the
+dense decomposition and a block Krylov step, which pick the local path).
+One code path serves every window width, so ALS (w = 1) and MALS (w = 2)
+share the same kernels.  All
 kernels here run through the multiply-accumulate counting wrapper so
 complexity claims are testable.
 """
@@ -147,6 +149,25 @@ def local_operator_macs(left, a_cores, right, m: int):
 
     return (build, apply(ru, rv, rows, cols, ru_r, rv_r),
             apply(rv, ru, cols, rows, rv_r, ru_r))
+
+
+def local_solve_macs(left, a_cores, right, k: int, gram: bool):
+    """MAC estimates of the ways to solve the local problem of a window.
+
+    The local matrix is p x q; the Gram problem (``gram``) takes its
+    eigenpairs, so there p = q.  Returns ``(build, decompose, gemm_step,
+    free_step)``: materializing the local matrix, its dense decomposition
+    (p q min(p, q) for the SVD, q^3 for the eigenproblem), and one block
+    Krylov step on K columns, applied by GEMM to the built matrix (2 p q K
+    for A and A^T, q^2 K for B) or matrix-free (``matvec`` plus ``rmatvec``
+    from ``local_operator_macs``, ``matvec`` alone for B).
+    """
+    build, mv, rmv = local_operator_macs(left, a_cores, right, k)
+    p = left.shape[0] * math.prod(c.shape[1] for c in a_cores) * right.shape[0]
+    q = left.shape[2] * math.prod(c.shape[2] for c in a_cores) * right.shape[2]
+    if gram:
+        return build, q ** 3, q * q * k, mv
+    return build, p * q * min(p, q), 2 * p * q * k, mv + rmv
 
 
 def _window(env: Environment, a_cores, n: int):

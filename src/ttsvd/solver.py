@@ -23,15 +23,24 @@ four.  Each local problem takes one of three paths, chosen in
 ``_local_operator`` alone and recorded per micro-iteration as
 ``local_path``:
 
-* ``"dense"``: at most ``_DENSE_CROSSOVER`` (600) rows plus columns
-  (columns alone for the Gram problem), the local matrix is built and
-  decomposed directly.
-* ``"krylov-dense-op"``: above the crossover, when building the local
-  matrix plus one GEMM apply of it to the K-column block costs no more
-  multiply-accumulates than one matrix-free apply to that block, it is
-  built once and block Krylov applies it by GEMM.
+* ``"dense"``: the local matrix is built and decomposed directly, when
+  that decomposition costs no more multiply-accumulates than
+  ``_KRYLOV_STEPS`` block Krylov steps on the cheaper Krylov operator below,
+  plus its build if it is built (``environments.local_solve_macs`` gives
+  both estimates).  Small windows stay dense; at K=10 a square window
+  takes block Krylov from about 130 x 130 up, and a larger K moves the
+  break-even up.
+* ``"krylov-dense-op"``: when building the local matrix plus one GEMM
+  apply of it to the K-column block costs no more multiply-accumulates
+  than one matrix-free apply to that block, it is built once and block
+  Krylov applies it by GEMM.
 * ``"krylov-matrix-free"``: otherwise block Krylov applies the contraction
   chain of the environments to the whole block.
+
+Block Krylov gets the ``_KRYLOV_STEPS`` steps the cost test assumed; a
+window it has not solved by then is solved dense, and recorded as
+``"dense"``, unless the dense solve would cost more than
+``_LOCAL_MAX_ITER`` steps.
 
 Block Krylov for the SVD is block Golub-Kahan-Lanczos on A and A^T
 directly: a right basis V and a left basis U, with Ritz triplets from the
@@ -63,7 +72,7 @@ from .environments import (
     env_init,
     env_update_left,
     env_update_right,
-    local_operator_macs,
+    local_solve_macs,
     projected_matvec,
     projected_rmatvec,
 )
@@ -98,13 +107,19 @@ split_block_core_als = split_block_core_mals = split_block_core
 _FIRST_HALFSWEEP_DELTA_FACTOR = 100.0
 _RESTART_DELTA_SHRINK = 0.1
 _GRAM_DELTA_DIVISOR = 10
-# Local problems of at most _DENSE_CROSSOVER rows plus columns are solved
-# dense; block Krylov stops once every kept Ritz residual is at most
-# _LOCAL_TOL times the largest kept Ritz value, and fails after
-# _LOCAL_MAX_ITER steps.  A triplet's residual is
+# The cost test of _local_operator solves a window dense when its dense
+# decomposition costs no more MACs than _KRYLOV_STEPS block Krylov steps (plus
+# the build of a built operator).  6 was calibrated against wall time on the
+# local matrices of real sweeps (Hilbert and prescribed at K=10, Hilbert and
+# tridiagonal at K=4; 2-vCPU x86-64 VM, one BLAS thread): it puts the
+# break-even of a square window at about 130 x 130 at K=10 and 60 x 60 at K=4.
+# Block Krylov stops once every kept Ritz residual is at most _LOCAL_TOL
+# times the largest kept Ritz value, and fails after _LOCAL_MAX_ITER steps,
+# or after _KRYLOV_STEPS where a dense solve can take over (see the module
+# docstring).  A triplet's residual is
 # sqrt((||A v - sigma u||^2 + ||A^T u - sigma v||^2) / 2), an eigenpair's
 # ||B z - theta z||.  The sweep reads these at call time.
-_DENSE_CROSSOVER = 600
+_KRYLOV_STEPS = 6
 _LOCAL_TOL = 1e-10
 _LOCAL_MAX_ITER = 400
 
@@ -422,19 +437,24 @@ class _LocalOperator:
     rows: tuple  # local tensor shape of the row (U) side
     cols: tuple  # local tensor shape of the column (V) side
     path: str
+    dense_fallback: bool
 
 
 def _local_operator(env: Environment, a: MatrixTT, q: int, pair: bool,
-                    k: int, crossover: int, gram: bool) -> _LocalOperator:
+                    k: int, gram: bool) -> _LocalOperator:
     """Projected operator at core q, or on the merged pair (q, q+1).
 
-    The only place that picks the local path.  At most ``crossover`` rows
-    plus columns for the SVD (columns for the Gram problem) it is
-    ``"dense"``, and the sweep hands ``build`` to the local solver.  Above
-    the crossover the local matrix is built here, for block Krylov to apply
-    by GEMM, when building it plus one GEMM block apply costs no more MACs
-    than one matrix-free block apply (both directions for the SVD); the
-    built path then never costs more, however few Krylov steps it takes.
+    The only place that picks the local path, by the MAC estimates of
+    ``local_solve_macs``.  Block Krylov applies the local matrix built here
+    by GEMM when building it plus one GEMM block step costs no more than
+    one matrix-free block step (the built operator then never costs more,
+    however few steps it takes), and the matrix-free operator otherwise.
+    The path is ``"dense"``, and the sweep hands ``build`` to the local
+    solver, when the dense decomposition costs no more than
+    ``_KRYLOV_STEPS`` block steps of that Krylov operator plus its build.
+    ``dense_fallback`` is set when it costs no more than ``_LOCAL_MAX_ITER``
+    steps: block Krylov then stops after ``_KRYLOV_STEPS`` and the sweep
+    solves the window dense.
     """
     cores = tuple(a.cores[q:q + 1 + pair])
     left, right = env.lefts[q], env.rights[q + pair]
@@ -446,22 +466,44 @@ def _local_operator(env: Environment, a: MatrixTT, q: int, pair: bool,
                 else dense_local_matrix_als)(env, cores, q)
     rows = (left.shape[0], *(c.shape[1] for c in cores), right.shape[0])
     cols = (left.shape[2], *(c.shape[2] for c in cores), right.shape[2])
-    nrow, ncol = math.prod(rows), math.prod(cols)
-    build_macs, mv_macs, rmv_macs = local_operator_macs(left, cores, right, k)
-    if gram:
-        size, free_macs, gemm_macs = ncol, mv_macs, nrow * ncol * k
-    else:
-        size, free_macs, gemm_macs = (nrow + ncol, mv_macs + rmv_macs,
-                                      2 * nrow * ncol * k)
-    if size <= crossover:
+    build_macs, decompose, gemm_step, free_step = local_solve_macs(
+        left, cores, right, k, gram)
+    built = build_macs + gemm_step <= free_step
+    step = gemm_step if built else free_step
+    if decompose <= _KRYLOV_STEPS * step + build_macs * built:
         path = "dense"
-    elif build_macs + gemm_macs <= free_macs:
+    elif built:
         path = "krylov-dense-op"
         mat = build()
-        matvec, rmatvec = _gemm(mat, 1), _gemm(mat, 0)
+        matvec, rmatvec, build = _gemm(mat, 1), _gemm(mat, 0), lambda: mat
     else:
         path = "krylov-matrix-free"
-    return _LocalOperator(matvec, rmatvec, build, rows, cols, path)
+    return _LocalOperator(matvec, rmatvec, build, rows, cols, path,
+                          decompose <= _LOCAL_MAX_ITER * step)
+
+
+def _solve_local(op: _LocalOperator, k: int, gram: bool, start: np.ndarray,
+                 seed: int, dense: bool):
+    """Solve the local problem of ``op``; returns (Sigma, locals, iterations).
+
+    ``locals`` holds the local solution of each chain, (U, V) for the SVD
+    problem and (V,) for the Gram problem, whose eigenvalues lambda give
+    Sigma = sqrt(max(lambda, 0)).  With ``dense`` the built local matrix is
+    decomposed; otherwise block Krylov gets _KRYLOV_STEPS steps where the
+    operator allows a dense fallback, and _LOCAL_MAX_ITER elsewhere.
+    """
+    kw = dict(tol=_LOCAL_TOL, seed=seed, start=start,
+              max_iter=_KRYLOV_STEPS if op.dense_fallback else _LOCAL_MAX_ITER,
+              dense_builder=op.build if dense else None)
+    if gram:
+        lam, v_loc, iters = local_block_eig(op.matvec, math.prod(op.cols), k,
+                                            **kw)
+        sigma = np.sqrt(np.maximum(np.asarray(lam, dtype=float), 0.0))
+        return sigma, (_rf(v_loc, op.cols + (k,)),), iters
+    u_loc, sig, v_loc, iters = local_block_svd(
+        op.matvec, op.rmatvec, math.prod(op.rows), math.prod(op.cols), k, **kw)
+    return (np.asarray(sig, dtype=float),
+            (_rf(u_loc, op.rows + (k,)), _rf(v_loc, op.cols + (k,))), iters)
 
 
 def _min_keep(chain: BlockTT, q: int, pair: bool, k: int, r2l: bool) -> int:
@@ -540,8 +582,7 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
     """One half sweep over ``a``; returns the Sigma of its last window.
 
     ``chains`` is (U, V) for the SVD problem over A, or (V,) for the Gram
-    problem over B = A^T A, whose local eigenvalues lambda give
-    Sigma = sqrt(max(lambda, 0)).
+    problem over B = A^T A.
     """
     gram = len(chains) == 1
     r2l = direction == "right_to_left"
@@ -549,26 +590,22 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
     sigma = None
     for p in positions:
         q = p - 1 if pair and r2l else p
-        op = _local_operator(env, a, q, pair, cfg.k, _DENSE_CROSSOVER, gram)
+        op = _local_operator(env, a, q, pair, cfg.k, gram)
         start = _block_as_local(chains[-1], q, pair)
-        kw = dict(tol=_LOCAL_TOL, max_iter=_LOCAL_MAX_ITER,
-                  seed=int(rng.integers(0, 2**63 - 1)),
-                  dense_builder=op.build if op.path == "dense" else None)
-        if gram:
-            lam, v_loc, iters = local_block_eig(
-                op.matvec, math.prod(op.cols), cfg.k, start=start, **kw)
-            sigma = np.sqrt(np.maximum(np.asarray(lam, dtype=float), 0.0))
-            locals_ = (_rf(v_loc, op.cols + (cfg.k,)),)
-        else:
-            u_loc, sig, v_loc, iters = local_block_svd(
-                op.matvec, op.rmatvec, math.prod(op.rows), math.prod(op.cols),
-                cfg.k, start=start, **kw)
-            sigma = np.asarray(sig, dtype=float)
-            locals_ = (_rf(u_loc, op.rows + (cfg.k,)),
-                       _rf(v_loc, op.cols + (cfg.k,)))
+        seed = int(rng.integers(0, 2**63 - 1))
+        path = op.path
+        try:
+            sigma, locals_, iters = _solve_local(op, cfg.k, gram, start, seed,
+                                                 dense=path == "dense")
+        except LocalSolverError:
+            if not op.dense_fallback:
+                raise
+            path = "dense"
+            sigma, locals_, iters = _solve_local(op, cfg.k, gram, start, seed,
+                                                 dense=True)
         _advance(env, a, chains, locals_, q, delta, cfg, pair, r2l)
         report.micro.append(_micro_record(p, direction, chains, sigma, iters,
-                                          op.path))
+                                          path))
     return sigma
 
 

@@ -285,6 +285,24 @@ def _check_local_solver(rng):
     return ok, f"matrix-free Krylov matches dense SVD in {iters} iterations"
 
 
+def _check_local_paths_agree(rng):
+    # the merged-pair window at the end of a prescribed N=8 chain, solved by
+    # a dense SVD and by block Krylov on the built local matrix
+    n, k = 8, 4
+    a = prescribed_svd_matrix(n, 0.5, k0=8, rank=3, seed=5)[0]
+    u = random_block_tt([2] * n, k, 8, rng.integers(1 << 16))
+    v = random_block_tt([2] * n, k, 8, rng.integers(1 << 16))
+    env = env_init(u, a, v)
+    abar = dense_local_matrix(env, a.cores[n - 2:], n - 2)
+    _, s_dense, _ = solver_mod.dense_block_svd(abar, k)
+    _, s_krylov, _, iters = solver_mod.krylov_block_svd(
+        lambda y: abar @ y, lambda x: abar.T @ x, *abar.shape, k, seed=3)
+    err = float(np.max(np.abs(s_krylov - s_dense) / s_dense))
+    return err <= 1e-10, (f"{abar.shape[0]} x {abar.shape[1]} window: dense "
+                          f"and block Krylov ({iters} steps) sigma agree to "
+                          f"{err:.1e}")
+
+
 def _check_solver_roundtrip(rng):
     a = prescribed_svd_matrix(5, 0.5, k0=6, rank=2, seed=4)[0]
     cfg = solver_mod.SolverConfig(k=3, epsilon=1e-8, seed=1)
@@ -339,6 +357,7 @@ _CHECKS = [
     ("embedding-eigenvalues", _check_embedding_eigs),
     ("environment-frames", _check_environments),
     ("local-krylov-solver", _check_local_solver),
+    ("local-paths-agree", _check_local_paths_agree),
     ("solver-roundtrip", _check_solver_roundtrip),
     ("serialization", _check_serialization),
     ("mac-counters", _check_mac_counts),

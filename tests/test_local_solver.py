@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ttsvd import (Environment, LocalSolverError, MatrixTT, count_macs,
-                   local_operator_macs)
+                   local_operator_macs, local_solve_macs, solver)
 from ttsvd.solver import (
     _gemm,
     _local_operator,
@@ -207,7 +207,7 @@ def test_materialized_krylov_counts_its_gemm_applies():
     assert np.allclose(lam, np.linalg.eigvalsh(b)[::-1][:k], atol=1e-7)
 
 
-def _operator_at(rng, left, cores, right, k, crossover, gram=False):
+def _operator_at(rng, left, cores, right, k, gram=False):
     n = 1
     env = Environment(len(cores) + 2)
     env.lefts[n] = rng.standard_normal(left)
@@ -215,7 +215,7 @@ def _operator_at(rng, left, cores, right, k, crossover, gram=False):
     a = MatrixTT([rng.standard_normal((1, 2, 2, cores[0][0]))]
                  + [rng.standard_normal(c) for c in cores]
                  + [rng.standard_normal((cores[-1][3], 2, 2, 1))])
-    return _local_operator(env, a, n, len(cores) == 2, k, crossover, gram)
+    return _local_operator(env, a, n, len(cores) == 2, k, gram)
 
 
 def _shape_macs(shape, k):
@@ -224,17 +224,26 @@ def _shape_macs(shape, k):
                                np.empty(right), k)
 
 
+def _solve_macs(shape, k, gram=False):
+    left, cores, right = shape
+    return local_solve_macs(np.empty(left), [np.empty(c) for c in cores],
+                            np.empty(right), k, gram)
+
+
 def test_local_path_follows_the_mac_cost_model():
     rng = np.random.default_rng(13)
     k = 10
+    assert solver._KRYLOV_STEPS == 6
     # the merged pair of a typical mals_svd position: building (4.3M MACs)
     # plus one GEMM block apply (3.2M) is cheaper than one matrix-free
-    # block apply (25.0M)
+    # block apply (25.0M), and the 400 x 400 SVD (64M) costs more than the
+    # build plus 6 GEMM steps (23.5M)
     shape = ((5, 25, 5), [(25, 2, 2, 25), (25, 2, 2, 25)], (20, 25, 20))
     build, mv, rmv = _shape_macs(shape, k)
     assert (build, mv + rmv) == (4_312_500, 25_000_000)
-    op = _operator_at(rng, *shape, k, crossover=600)
-    assert op.path == "krylov-dense-op"
+    assert _solve_macs(shape, k) == (build, 400 ** 3, 3_200_000, mv + rmv)
+    op = _operator_at(rng, *shape, k)
+    assert op.path == "krylov-dense-op" and op.dense_fallback
     # its operator is the built matrix, applied by a counted GEMM
     abar = op.build()
     y, x = rng.standard_normal((400, k)), rng.standard_normal((400, k))
@@ -242,8 +251,23 @@ def test_local_path_follows_the_mac_cost_model():
         ay, atx = op.matvec(y), op.rmatvec(x)
     assert c.macs == 2 * 400 * 400 * k == 3_200_000
     assert np.allclose(ay, abar @ y) and np.allclose(atx, abar.T @ x)
-    # the same operator below the crossover is solved densely
-    assert _operator_at(rng, *shape, k, crossover=800).path == "dense"
+    # a GEMM step grows with K and the dense SVD does not: at K=40 the
+    # build plus 6 steps (81.1M) costs more than the SVD
+    assert _solve_macs(shape, 30)[2] * 6 + build < 400 ** 3
+    assert _operator_at(rng, *shape, 30).path == "krylov-dense-op"
+    assert _solve_macs(shape, 40)[2] * 6 + build >= 400 ** 3
+    assert _operator_at(rng, *shape, 40).path == "dense"
+
+    # Hilbert-shaped mals_svd windows (A ranks 8): 280 x 280 takes block
+    # Krylov (the SVD's 22.0M MACs against 6 matrix-free steps of 2.2M),
+    # 40 x 40 stays dense (64K against 6 GEMM steps of 32K plus 45K)
+    shape = ((10, 8, 10), [(8, 2, 2, 8), (8, 2, 2, 8)], (7, 8, 7))
+    assert _solve_macs(shape, k) == (755_200, 280 ** 3, 1_568_000, 2_195_200)
+    assert _operator_at(rng, *shape, k).path == "krylov-matrix-free"
+    assert _operator_at(rng, *shape, 30).path == "dense"
+    shape = ((5, 8, 5), [(8, 2, 2, 8), (8, 2, 2, 8)], (2, 8, 2))
+    assert _solve_macs(shape, k)[:3] == (44_800, 40 ** 3, 32_000)
+    assert _operator_at(rng, *shape, k).path == "dense"
 
     # A rank 3 (a tridiagonal operator) with U, V ranks 10: building
     # (0.50M) is cheaper than one matrix-free block apply (0.91M), but
@@ -251,7 +275,7 @@ def test_local_path_follows_the_mac_cost_model():
     shape = ((10, 3, 10), [(3, 2, 2, 3), (3, 2, 2, 3)], (10, 3, 10))
     build, mv, rmv = _shape_macs(shape, k)
     assert build <= mv + rmv < 2 * 400 * 400 * k
-    op = _operator_at(rng, *shape, k, crossover=600)
+    op = _operator_at(rng, *shape, k)
     assert op.path == "krylov-matrix-free"
     y = rng.standard_normal((400, k))
     with count_macs() as c:
@@ -259,10 +283,13 @@ def test_local_path_follows_the_mac_cost_model():
     assert c.macs == mv
 
     # A rank 1 and wide environments: the dense matrix costs more to build
-    # than one block apply, so the operator stays matrix-free
+    # than one block apply, so the operator stays matrix-free, and a dense
+    # solve (1800^3 MACs) costs more than the longest Krylov solve, so
+    # block Krylov gets every step
     shape = ((30, 1, 30), [(1, 2, 2, 1)], (30, 1, 30))
     build, mv, rmv = _shape_macs(shape, 2)
     assert build > mv + rmv and build > mv
-    assert _operator_at(rng, *shape, 2, crossover=600).path == "krylov-matrix-free"
-    assert _operator_at(rng, *shape, 2, crossover=600,
-                        gram=True).path == "krylov-matrix-free"
+    assert 1800 ** 3 > solver._LOCAL_MAX_ITER * (mv + rmv)
+    op = _operator_at(rng, *shape, 2)
+    assert op.path == "krylov-matrix-free" and not op.dense_fallback
+    assert _operator_at(rng, *shape, 2, gram=True).path == "krylov-matrix-free"

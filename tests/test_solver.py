@@ -3,6 +3,7 @@
 import collections
 import importlib
 import json
+import math
 import time
 from pathlib import Path
 
@@ -32,6 +33,21 @@ from ttsvd.experiments import RunConfig, _build_matrix
 from ttsvd.solver import _driver, _gram_residual
 
 ALL_DRIVERS = [als_svd, mals_svd, als_eig_baseline, mals_eig_baseline]
+
+
+def _force_dense_up_to(monkeypatch, macs):
+    """Solve a window dense exactly when its dense decomposition costs <= macs.
+
+    Every other window runs block Krylov to _LOCAL_MAX_ITER steps, with no
+    dense fallback: its dense cost reads as infinite.
+    """
+    estimate = solver.local_solve_macs
+
+    def forced(*args):
+        build, decompose, gemm_step, free_step = estimate(*args)
+        return (build, 0 if decompose <= macs else math.inf, gemm_step,
+                free_step)
+    monkeypatch.setattr(solver, "local_solve_macs", forced)
 
 
 def _dense_reference(a, k):
@@ -312,7 +328,7 @@ def test_init_block_tt_is_the_minimal_random_chain():
 def test_restart_path_reports_failed_attempts(monkeypatch):
     # every window runs block Krylov, which fails after one step
     monkeypatch.setattr(solver, "_LOCAL_MAX_ITER", 1)
-    monkeypatch.setattr(solver, "_DENSE_CROSSOVER", 0)
+    _force_dense_up_to(monkeypatch, -1)
     rng = np.random.default_rng(19)
     a = random_matrix_tt(5, 2, rng)
     cfg = SolverConfig(k=2, epsilon=1e-9, seed=20, max_restarts=2,
@@ -364,9 +380,10 @@ def test_env_consistency_tracking(monkeypatch):
 
 
 def test_recorded_local_path_is_the_one_solved(monkeypatch):
-    # a crossover of 8 puts the windows of every solver on both sides of it:
-    # dense windows are solved directly, the others run block Krylov
-    monkeypatch.setattr(solver, "_DENSE_CROSSOVER", 8)
+    # a dense cost of at most 64 MACs (4 x 4 for the SVD) puts the windows of
+    # every solver on both paths: dense windows are solved directly, the
+    # others run block Krylov
+    _force_dense_up_to(monkeypatch, 64)
     a, _, _, _ = prescribed_svd_matrix(5, 0.5, k0=6, rank=2, seed=13)
     for driver in ALL_DRIVERS:
         _, _, _, rep = driver(a, SolverConfig(k=3, epsilon=1e-9, seed=14))
@@ -378,11 +395,61 @@ def test_recorded_local_path_is_the_one_solved(monkeypatch):
                     == (record["local_path"] == "dense")), (driver, record)
 
 
+def test_krylov_past_its_steps_falls_back_to_dense(monkeypatch):
+    # every window runs block Krylov on the built matrix with one step; the
+    # windows it does not solve in that step are solved dense and recorded
+    # so, and the result is the all-dense one
+    a, _, _, spectrum = prescribed_svd_matrix(6, 0.5, k0=8, rank=2, seed=2)
+    cfg = SolverConfig(k=4, epsilon=1e-9, seed=3)
+    _force_dense_up_to(monkeypatch, math.inf)
+    sig_dense, _, _, _ = mals_svd(a, cfg)
+    monkeypatch.setattr(solver, "local_solve_macs",
+                        lambda *args: (0, 2, 1, 1))
+    monkeypatch.setattr(solver, "_KRYLOV_STEPS", 1)
+    calls = collections.Counter()
+    krylov = solver.krylov_block_svd
+
+    def counted(*args, **kwargs):
+        calls["krylov"] += 1
+        assert kwargs["max_iter"] == 1
+        return krylov(*args, **kwargs)
+    monkeypatch.setattr(solver, "krylov_block_svd", counted)
+    sig, _, _, rep = mals_svd(a, cfg)
+    assert rep.termination == "converged"
+    assert calls["krylov"] == len(rep.micro)
+    paths = collections.Counter(m["local_path"] for m in rep.micro)
+    assert set(paths) == {"dense", "krylov-dense-op"}
+    for record in rep.micro:
+        assert ((record["local_iterations"] == 0)
+                == (record["local_path"] == "dense")), record
+    assert np.max(np.abs(sig - sig_dense) / sig_dense) <= 1e-10
+
+
+@pytest.mark.parametrize("driver, n, eps", [
+    ("als_svd", 18, 1e-3), ("mals_svd", 18, 1e-3), ("mals_svd", 20, 1e-8)])
+def test_cost_test_agrees_with_all_dense_solves(driver, n, eps, monkeypatch):
+    # Hilbert at N=18 and the prescribed family at N=20: the windows the
+    # cost test sends to block Krylov change no sigma beyond 1e-8
+    if eps == 1e-3:
+        a = hilbert_submatrix_tt(n, 1e-8)
+    else:
+        a = prescribed_svd_matrix(n, 0.5, k0=25, rank=5, seed=1)[0]
+    solve = {"als_svd": als_svd, "mals_svd": mals_svd}[driver]
+    cfg = SolverConfig(k=10, epsilon=eps, seed=0)
+    sig, _, _, rep = solve(a, cfg)
+    assert {m["local_path"] for m in rep.micro} - {"dense"}
+    _force_dense_up_to(monkeypatch, math.inf)
+    sig_dense, _, _, rep_dense = solve(a, cfg)
+    assert {m["local_path"] for m in rep_dense.micro} == {"dense"}
+    assert rep.termination == rep_dense.termination == "converged"
+    assert np.max(np.abs(sig - sig_dense) / sig_dense) <= 1e-8
+
+
 def test_gram_route_rejects_singular_spectra(monkeypatch):
     # starve the local solver so every attempt fails and Sigma stays zero:
     # the Gram route cannot recover U from an all-zero spectrum estimate
     monkeypatch.setattr(solver, "_LOCAL_MAX_ITER", 1)
-    monkeypatch.setattr(solver, "_DENSE_CROSSOVER", 0)
+    _force_dense_up_to(monkeypatch, -1)
     rng = np.random.default_rng(25)
     a = random_matrix_tt(5, 2, rng)
     cfg = SolverConfig(k=2, epsilon=1e-9, seed=26, max_restarts=1,
@@ -513,7 +580,7 @@ def test_traced_names_are_all_called(monkeypatch):
     try:
         for attr in tracing.WRAPPED:
             setattr(solver, attr, counted(attr, getattr(solver, attr)))
-        monkeypatch.setattr(solver, "_DENSE_CROSSOVER", 8)
+        _force_dense_up_to(monkeypatch, 64)
         for driver in ALL_DRIVERS:
             driver(a, SolverConfig(k=3, epsilon=1e-9, seed=14))
     finally:
