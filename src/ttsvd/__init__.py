@@ -2,7 +2,7 @@
 matrices, with block-TT sweep solvers and an experiment harness."""
 
 from .counting import MacCounter, count_macs
-from .dense import SvdFactors, dense_qr, dense_svd, truncated_svd
+from .dense import SvdFactors, dense_qr, truncated_svd
 from .environments import (
     Environment,
     dense_local_matrix,
@@ -37,8 +37,6 @@ from .solver import (
     SweepReport,
     als_eig_baseline,
     als_svd,
-    local_block_eig,
-    local_block_svd,
     mals_eig_baseline,
     mals_svd,
     residual,

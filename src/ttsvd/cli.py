@@ -13,7 +13,6 @@ converge in a run marked ``--strict``.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
@@ -25,11 +24,10 @@ from .experiments import (
     ConfigError,
     ResultRow,
     TimingRow,
-    build_report,
     load_run_config,
     parse_rows_csv,
     run_experiment,
-    write_plotdata,
+    write_report,
     write_results,
 )
 from .verify import run_verification
@@ -136,13 +134,7 @@ def report_cmd(rows_csv, out_dir):
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(2)
     target = out_dir or os.path.dirname(os.path.abspath(rows_csv))
-    os.makedirs(target, exist_ok=True)
-    report = build_report(result_rows, timing_rows)
-    report_path = os.path.join(target, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    plots = write_plotdata(target, result_rows, timing_rows)
+    report_path, plots = write_report(target, result_rows, timing_rows)
     click.echo(f"wrote {report_path} and {len(plots)} plotdata file(s)")
     sys.exit(0)
 

@@ -9,6 +9,7 @@ against closed-form cost expressions.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -38,37 +39,15 @@ def count_macs():
         _ACTIVE.remove(c)
 
 
-def _normalize_axes(a, b, axes):
-    if isinstance(axes, int):
-        ax_a = tuple(range(a.ndim - axes, a.ndim))
-        ax_b = tuple(range(axes))
-        return ax_a, ax_b
-    ax_a, ax_b = axes
-    if np.isscalar(ax_a):
-        ax_a = (ax_a,)
-    if np.isscalar(ax_b):
-        ax_b = (ax_b,)
-    ax_a = tuple(int(x) % a.ndim for x in ax_a)
-    ax_b = tuple(int(x) % b.ndim for x in ax_b)
-    return ax_a, ax_b
-
-
 def tdot(a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
     """np.tensordot with MAC accounting on the active counters.
 
-    With no counter active it is np.tensordot itself: the axis bookkeeping
-    is skipped.
+    The output size times the contracted size is the square root of
+    a.size * b.size * out.size, whatever the axes.
     """
-    if not _ACTIVE:
-        return np.tensordot(a, b, axes=axes)
-    a = np.asarray(a)
-    b = np.asarray(b)
-    ax_a, ax_b = _normalize_axes(a, b, axes)
-    contracted = 1
-    for ax in ax_a:
-        contracted *= a.shape[ax]
-    out_size = (a.size // max(contracted, 1)) * (b.size // max(contracted, 1))
-    n = out_size * contracted
-    for c in _ACTIVE:
-        c.add(n)
-    return np.tensordot(a, b, axes=(ax_a, ax_b))
+    out = np.tensordot(a, b, axes=axes)
+    if _ACTIVE:
+        n = math.isqrt(np.size(a) * np.size(b) * out.size)
+        for c in _ACTIVE:
+            c.add(n)
+    return out

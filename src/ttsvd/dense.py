@@ -8,6 +8,7 @@ and reshaping is done with ``order="F"``.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -20,15 +21,6 @@ class SvdFactors(NamedTuple):
     discarded_energy: float
 
 
-def dense_svd(m: np.ndarray) -> SvdFactors:
-    """Full (economy) SVD with validation; deterministic for a fixed input."""
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("dense_svd requires finite entries")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return SvdFactors(u, s, vt.T, 0.0)
-
-
 def truncated_svd(
     m: np.ndarray,
     delta: float,
@@ -36,16 +28,22 @@ def truncated_svd(
     frob_threshold: float | None = None,
     min_rank: int | None = None,
 ) -> SvdFactors:
-    """SVD truncated to the smallest rank whose discarded tail has Frobenius
-    norm <= delta * ||m||_F (or <= frob_threshold when given as an absolute
-    bound).  Never keeps fewer than one column; exact ties resolve to the
-    smaller rank.  ``min_rank`` floors the kept rank (clipped to what the
-    matrix has available) and ``max_rank`` caps it; the cap wins when both
-    are given and conflict.
+    """Economy SVD truncated to the smallest rank whose discarded tail has
+    Frobenius norm <= delta * ||m||_F (or <= frob_threshold when given as an
+    absolute bound).  Never keeps fewer than one column; exact ties resolve
+    to the smaller rank.  ``min_rank`` floors the kept rank (clipped to what
+    the matrix has available) and ``max_rank`` caps it; the cap wins when
+    both are given and conflict.  Deterministic for a fixed input; an empty
+    matrix, a non-finite entry or a negative or non-finite delta raises
+    ``ValueError``.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    u, s, v, _ = dense_svd(m)
+    m = np.asarray(m, dtype=float)
+    if m.size == 0:
+        raise ValueError("empty matrix has no singular values")
+    _check_delta(delta)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("truncated_svd requires finite entries")
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
     energies = s**2
     # suffix[r] = energy discarded when keeping the first r values
     suffix = np.concatenate([np.cumsum(energies[::-1])[::-1], [0.0]])
@@ -62,10 +60,15 @@ def truncated_svd(
         keep = max(keep, min(int(min_rank), len(s)))
     if max_rank is not None:
         keep = min(keep, int(max_rank))
-    keep = max(keep, 1) if len(s) else 1
-    if len(s) == 0:
-        raise ValueError("empty matrix has no singular values")
-    return SvdFactors(u[:, :keep], s[:keep], v[:, :keep], float(suffix[keep]))
+    keep = max(keep, 1)
+    return SvdFactors(u[:, :keep], s[:keep], vt.T[:, :keep],
+                      float(suffix[keep]))
+
+
+def _check_delta(delta: float) -> None:
+    """A truncation delta must be a finite nonnegative number."""
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
 
 
 def dense_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

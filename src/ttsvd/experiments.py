@@ -515,8 +515,20 @@ def write_plotdata(out_dir: str, result_rows, timing_rows) -> list:
     return written
 
 
-def write_results(out_dir: str, result_rows, timing_rows, config_dict=None,
-                  extra_metadata=None) -> dict:
+def write_report(out_dir: str, result_rows, timing_rows,
+                 config_dict=None) -> tuple:
+    """Write report.json and plotdata/; returns (report path, plot paths)."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "report.json")
+    with open(path, "w") as fh:
+        json.dump(build_report(result_rows, timing_rows, config_dict), fh,
+                  indent=2, sort_keys=True)
+        fh.write("\n")
+    return path, write_plotdata(out_dir, result_rows, timing_rows)
+
+
+def write_results(out_dir: str, result_rows, timing_rows,
+                  config_dict=None) -> dict:
     """Write all output files; returns the paths that were written."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
@@ -531,16 +543,10 @@ def write_results(out_dir: str, result_rows, timing_rows, config_dict=None,
         "platform": platform.platform(),
         "numpy_version": np.__version__,
     }
-    if extra_metadata:
-        meta.update(extra_metadata)
     paths["metadata"] = os.path.join(out_dir, "metadata.json")
     with open(paths["metadata"], "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    report = build_report(result_rows, timing_rows, config_dict)
-    paths["report"] = os.path.join(out_dir, "report.json")
-    with open(paths["report"], "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths["plotdata"] = write_plotdata(out_dir, result_rows, timing_rows)
+    paths["report"], paths["plotdata"] = write_report(
+        out_dir, result_rows, timing_rows, config_dict)
     return paths

@@ -19,8 +19,10 @@ one-core split's K factor is contracted into the neighbouring core.
   U = A V Sigma^{-1}.
 
 Restarts, the best-iterate fallback and termination are the same for all
-four.  Each local problem takes one of three paths, chosen in
-``_local_operator`` alone and recorded per micro-iteration as
+four.  ``_local_operator`` builds each window's projected operator and
+chooses its path, the only place that does; ``local_block_svd`` or
+``local_block_eig`` takes that operator and solves it on that path, one
+call per window.  The path is recorded per micro-iteration as
 ``local_path``:
 
 * ``"dense"``: the local matrix is built and decomposed directly, when
@@ -38,8 +40,8 @@ four.  Each local problem takes one of three paths, chosen in
   chain of the environments to the whole block.
 
 Block Krylov gets the ``_KRYLOV_STEPS`` steps the cost test assumed; a
-window it has not solved by then is solved dense, and recorded as
-``"dense"``, unless the dense solve would cost more than
+window it has not solved by then is solved again on the dense path, and
+recorded as ``"dense"``, unless the dense solve would cost more than
 ``_LOCAL_MAX_ITER`` steps.
 
 Block Krylov for the SVD is block Golub-Kahan-Lanczos on A and A^T
@@ -209,7 +211,11 @@ def _sign_fix(lead: np.ndarray, *others: np.ndarray) -> None:
 
 def dense_block_svd(abar: np.ndarray, k: int):
     """Top-K singular triplets of a dense matrix, sign-fixed."""
-    u, s, vt = np.linalg.svd(np.asarray(abar, dtype=float), full_matrices=False)
+    abar = np.asarray(abar, dtype=float)
+    if k > min(abar.shape):
+        raise ValueError(f"cannot take {k} triplets from a "
+                         f"{abar.shape[0]} x {abar.shape[1]} problem")
+    u, s, vt = np.linalg.svd(abar, full_matrices=False)
     u = u[:, :k].copy()
     v = vt[:k].T.copy()
     s = s[:k].copy()
@@ -219,6 +225,9 @@ def dense_block_svd(abar: np.ndarray, k: int):
 
 def dense_block_eig(bbar: np.ndarray, k: int):
     """K algebraically largest eigenpairs of a (symmetrized) dense matrix."""
+    if k > bbar.shape[0]:
+        raise ValueError(f"cannot take {k} eigenpairs from dimension "
+                         f"{bbar.shape[0]}")
     h = 0.5 * (bbar + bbar.T)
     lam, vecs = np.linalg.eigh(h)
     order = np.argsort(-lam, kind="stable")[:k]
@@ -264,8 +273,7 @@ def _start_block(start, shape: tuple, rng: np.random.Generator) -> np.ndarray:
 
 
 def krylov_block_svd(matvec, rmatvec, p: int, q: int, k: int,
-                     tol: float = _LOCAL_TOL, max_iter: int = _LOCAL_MAX_ITER,
-                     seed=0, start=None):
+                     max_iter: int = _LOCAL_MAX_ITER, seed=0, start=None):
     """Matrix-free top-K singular triplets by block Golub-Kahan-Lanczos.
 
     ``matvec`` maps a (q, m) block to the (p, m) block A Y and ``rmatvec`` a
@@ -300,7 +308,7 @@ def krylov_block_svd(matvec, rmatvec, p: int, q: int, k: int,
         resid = np.sqrt(0.5 * (np.sum((av @ y - u * sigma) ** 2, axis=0)
                                + np.sum((atu @ x - v * sigma) ** 2, axis=0)))
         if u_full or vb.shape[1] == q or bool(np.all(
-                resid <= tol * max(float(sigma[0]), 1e-300))):
+                resid <= _LOCAL_TOL * max(float(sigma[0]), 1e-300))):
             _sign_fix(u, v)
             return u, sigma, v, it
     raise LocalSolverError(
@@ -308,8 +316,8 @@ def krylov_block_svd(matvec, rmatvec, p: int, q: int, k: int,
     )
 
 
-def krylov_block_eig(matvec, dim: int, k: int, tol: float = _LOCAL_TOL,
-                     max_iter: int = _LOCAL_MAX_ITER, seed=0, start=None):
+def krylov_block_eig(matvec, dim: int, k: int, max_iter: int = _LOCAL_MAX_ITER,
+                     seed=0, start=None):
     """Matrix-free K algebraically largest eigenpairs of a symmetric map.
 
     Block Lanczos: ``matvec`` maps a (dim, m) block to its image, once per
@@ -334,8 +342,8 @@ def krylov_block_eig(matvec, dim: int, k: int, tol: float = _LOCAL_TOL,
             sel = np.argsort(-theta, kind="stable")[:k]
             theta, z = theta[sel], basis @ y[:, sel]
             resid = np.linalg.norm(bbasis @ y[:, sel] - z * theta, axis=0)
-            if full or bool(np.all(
-                    resid <= tol * max(float(np.max(np.abs(theta))), 1e-300))):
+            if full or bool(np.all(resid <= _LOCAL_TOL * max(
+                    float(np.max(np.abs(theta))), 1e-300))):
                 _sign_fix(z)
                 return theta, z, it
     raise LocalSolverError(
@@ -349,39 +357,6 @@ def _gemm(mat: np.ndarray, axis: int):
     Goes through ``tdot`` so MAC counters still see the work.
     """
     return lambda y: tdot(mat, y, axes=(axis, 0))
-
-
-def local_block_svd(matvec, rmatvec, p: int, q: int, k: int,
-                    tol: float = _LOCAL_TOL, max_iter: int = _LOCAL_MAX_ITER,
-                    seed=0, start=None, dense_builder=None):
-    """K dominant singular triplets of the projected local matrix.
-
-    With ``dense_builder`` the local matrix it returns is decomposed
-    directly (the sweep passes one only on the dense path chosen by
-    ``_local_operator``); otherwise block Krylov runs on ``matvec``/
-    ``rmatvec`` (block maps, see krylov_block_svd).
-    Returns (U_loc, Sigma, V_loc, iterations).
-    """
-    if k > min(p, q):
-        raise ValueError(f"cannot take {k} triplets from a {p} x {q} problem")
-    if dense_builder is not None:
-        u, s, v = dense_block_svd(dense_builder(), k)
-        return u, s, v, 0
-    return krylov_block_svd(matvec, rmatvec, p, q, k, tol=tol,
-                            max_iter=max_iter, seed=seed, start=start)
-
-
-def local_block_eig(matvec, dim: int, k: int, tol: float = _LOCAL_TOL,
-                    max_iter: int = _LOCAL_MAX_ITER, seed=0, start=None,
-                    dense_builder=None):
-    """K largest eigenpairs of the projected Gram matrix; see local_block_svd."""
-    if k > dim:
-        raise ValueError(f"cannot take {k} eigenpairs from dimension {dim}")
-    if dense_builder is not None:
-        lam, v = dense_block_eig(dense_builder(), k)
-        return lam, v, 0
-    return krylov_block_eig(matvec, dim, k, tol=tol, max_iter=max_iter,
-                            seed=seed, start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +424,12 @@ def _local_operator(env: Environment, a: MatrixTT, q: int, pair: bool,
     by GEMM when building it plus one GEMM block step costs no more than
     one matrix-free block step (the built operator then never costs more,
     however few steps it takes), and the matrix-free operator otherwise.
-    The path is ``"dense"``, and the sweep hands ``build`` to the local
-    solver, when the dense decomposition costs no more than
-    ``_KRYLOV_STEPS`` block steps of that Krylov operator plus its build.
-    ``dense_fallback`` is set when it costs no more than ``_LOCAL_MAX_ITER``
-    steps: block Krylov then stops after ``_KRYLOV_STEPS`` and the sweep
-    solves the window dense.
+    The path is ``"dense"``, and the local solver decomposes ``build()``,
+    when the dense decomposition costs no more than ``_KRYLOV_STEPS`` block
+    steps of that Krylov operator plus its build.  ``dense_fallback`` is set
+    when it costs no more than ``_LOCAL_MAX_ITER`` steps: block Krylov then
+    stops after ``_KRYLOV_STEPS`` and the sweep solves the window again on
+    the dense path.
     """
     cores = tuple(a.cores[q:q + 1 + pair])
     left, right = env.lefts[q], env.rights[q + pair]
@@ -482,28 +457,43 @@ def _local_operator(env: Environment, a: MatrixTT, q: int, pair: bool,
                           decompose <= _LOCAL_MAX_ITER * step)
 
 
-def _solve_local(op: _LocalOperator, k: int, gram: bool, start: np.ndarray,
-                 seed: int, dense: bool):
-    """Solve the local problem of ``op``; returns (Sigma, locals, iterations).
+def _krylov_steps(op: _LocalOperator) -> int:
+    """Block Krylov's step budget: short where a dense solve can take over."""
+    return _KRYLOV_STEPS if op.dense_fallback else _LOCAL_MAX_ITER
 
-    ``locals`` holds the local solution of each chain, (U, V) for the SVD
-    problem and (V,) for the Gram problem, whose eigenvalues lambda give
-    Sigma = sqrt(max(lambda, 0)).  With ``dense`` the built local matrix is
-    decomposed; otherwise block Krylov gets _KRYLOV_STEPS steps where the
-    operator allows a dense fallback, and _LOCAL_MAX_ITER elsewhere.
+
+def local_block_svd(op: _LocalOperator, k: int, start: np.ndarray, seed: int):
+    """K dominant singular triplets of the local matrix of ``op``.
+
+    On the dense path the built matrix is decomposed (0 iterations);
+    otherwise block Krylov runs on the operator from ``start``, the
+    (local size, K) V side of the block core.  Returns (Sigma, (U, V),
+    iterations), U and V shaped ``op.rows`` and ``op.cols`` + (K,).
     """
-    kw = dict(tol=_LOCAL_TOL, seed=seed, start=start,
-              max_iter=_KRYLOV_STEPS if op.dense_fallback else _LOCAL_MAX_ITER,
-              dense_builder=op.build if dense else None)
-    if gram:
-        lam, v_loc, iters = local_block_eig(op.matvec, math.prod(op.cols), k,
-                                            **kw)
-        sigma = np.sqrt(np.maximum(np.asarray(lam, dtype=float), 0.0))
-        return sigma, (_rf(v_loc, op.cols + (k,)),), iters
-    u_loc, sig, v_loc, iters = local_block_svd(
-        op.matvec, op.rmatvec, math.prod(op.rows), math.prod(op.cols), k, **kw)
-    return (np.asarray(sig, dtype=float),
-            (_rf(u_loc, op.rows + (k,)), _rf(v_loc, op.cols + (k,))), iters)
+    if op.path == "dense":
+        u, sigma, v = dense_block_svd(op.build(), k)
+        iters = 0
+    else:
+        u, sigma, v, iters = krylov_block_svd(
+            op.matvec, op.rmatvec, math.prod(op.rows), math.prod(op.cols), k,
+            max_iter=_krylov_steps(op), seed=seed, start=start)
+    return sigma, (_rf(u, op.rows + (k,)), _rf(v, op.cols + (k,))), iters
+
+
+def local_block_eig(op: _LocalOperator, k: int, start: np.ndarray, seed: int):
+    """K largest eigenpairs of the local Gram matrix of ``op``.
+
+    As ``local_block_svd``, for the Gram problem: its eigenvalues lambda
+    give Sigma = sqrt(max(lambda, 0)).  Returns (Sigma, (V,), iterations).
+    """
+    if op.path == "dense":
+        lam, v = dense_block_eig(op.build(), k)
+        iters = 0
+    else:
+        lam, v, iters = krylov_block_eig(
+            op.matvec, math.prod(op.cols), k, max_iter=_krylov_steps(op),
+            seed=seed, start=start)
+    return np.sqrt(np.maximum(lam, 0.0)), (_rf(v, op.cols + (k,)),), iters
 
 
 def _min_keep(chain: BlockTT, q: int, pair: bool, k: int, r2l: bool) -> int:
@@ -593,19 +583,17 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
         op = _local_operator(env, a, q, pair, cfg.k, gram)
         start = _block_as_local(chains[-1], q, pair)
         seed = int(rng.integers(0, 2**63 - 1))
-        path = op.path
+        solve = local_block_eig if gram else local_block_svd
         try:
-            sigma, locals_, iters = _solve_local(op, cfg.k, gram, start, seed,
-                                                 dense=path == "dense")
+            sigma, locals_, iters = solve(op, cfg.k, start, seed)
         except LocalSolverError:
             if not op.dense_fallback:
                 raise
-            path = "dense"
-            sigma, locals_, iters = _solve_local(op, cfg.k, gram, start, seed,
-                                                 dense=True)
+            op = dataclasses.replace(op, path="dense")
+            sigma, locals_, iters = solve(op, cfg.k, start, seed)
         _advance(env, a, chains, locals_, q, delta, cfg, pair, r2l)
         report.micro.append(_micro_record(p, direction, chains, sigma, iters,
-                                          path))
+                                          op.path))
     return sigma
 
 

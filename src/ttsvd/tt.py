@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .dense import dense_qr, truncated_svd
+from .dense import _check_delta, dense_qr, truncated_svd
 
 
 def _rf(a: np.ndarray, shape) -> np.ndarray:
@@ -223,8 +223,7 @@ def tt_svd_compress(t: np.ndarray, delta: float) -> VectorTT:
     delta * sqrt(N-1) * ||t||_F.  Cores come out left-orthogonal except the
     last one.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    _check_delta(delta)
     t = np.asarray(t, dtype=float)
     shape = t.shape
     n_modes = t.ndim
@@ -319,8 +318,7 @@ def tt_round(x, delta: float):
     Any chain format rounds on its fused view, so only bond ranks change:
     the K columns of a BlockTT are not mixed.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    _check_delta(delta)
     cores = _fuse(x).cores
     rs = _right_r_factors(cores)
     norm = abs(float(rs[0][0, 0]))

@@ -223,18 +223,6 @@ def _check_prescribed(rng):
     return ok, "dense SVD of the construction recovers beta^k exactly"
 
 
-def _check_embedding_eigs(rng):
-    a = rng.standard_normal((9, 6))
-    s = np.linalg.svd(a, compute_uv=False)
-    big = np.zeros((15, 15))
-    big[:9, 9:] = a
-    big[9:, :9] = a.T
-    ev = np.sort(np.linalg.eigvalsh(big))
-    expect = np.sort(np.concatenate([-s, s, np.zeros(3)]))
-    ok = np.allclose(ev, expect, atol=1e-10)
-    return ok, "symmetric embedding spectrum is {+-sigma} plus zero padding"
-
-
 def _frame_matrix(chain, p):
     left = np.ones((1, 1))
     for m in range(p):
@@ -278,8 +266,7 @@ def _check_local_solver(rng):
     m = rng.standard_normal((40, 25))
     u_ref, s_ref, vt_ref = np.linalg.svd(m, full_matrices=False)
     u, s, v, iters = solver_mod.krylov_block_svd(
-        lambda y: m @ y, lambda x: m.T @ x, 40, 25, 4, tol=1e-12,
-        max_iter=300, seed=3)
+        lambda y: m @ y, lambda x: m.T @ x, 40, 25, 4, max_iter=300, seed=3)
     ok = np.allclose(s, s_ref[:4], atol=1e-9)
     ok = ok and np.allclose(np.abs(u.T @ u_ref[:, :4]), np.eye(4), atol=1e-7)
     return ok, f"matrix-free Krylov matches dense SVD in {iters} iterations"
@@ -354,7 +341,6 @@ _CHECKS = [
     ("tridiagonal-generator", _check_tridiagonal),
     ("hilbert-generator", _check_hilbert),
     ("prescribed-spectrum", _check_prescribed),
-    ("embedding-eigenvalues", _check_embedding_eigs),
     ("environment-frames", _check_environments),
     ("local-krylov-solver", _check_local_solver),
     ("local-paths-agree", _check_local_paths_agree),

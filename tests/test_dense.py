@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttsvd import count_macs, dense_qr, dense_svd, truncated_svd
+from ttsvd import count_macs, dense_qr, truncated_svd
 from ttsvd.counting import tdot
 
 
@@ -27,11 +27,11 @@ def test_tdot_counts_only_under_a_counter():
 def test_dense_svd_reconstructs_and_validates():
     rng = np.random.default_rng(6)
     m = rng.standard_normal((7, 4))
-    f = dense_svd(m)
+    f = truncated_svd(m, 0.0)
     assert np.allclose(f.u @ np.diag(f.s) @ f.v.T, m, atol=1e-12)
     assert f.discarded_energy == 0.0
     with pytest.raises(ValueError):
-        dense_svd(np.array([[1.0, np.nan]]))
+        truncated_svd(np.array([[1.0, np.nan]]), 0.0)
 
 
 def test_truncated_svd_diagonal_example():

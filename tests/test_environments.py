@@ -19,7 +19,6 @@ from ttsvd import (
     env_update_left,
     env_update_right,
     environment_deviation,
-    local_block_svd,
     local_operator_macs,
     projected_matvec,
     projected_rmatvec,
@@ -27,6 +26,7 @@ from ttsvd import (
     recompute_environment,
     tt_reconstruct,
 )
+from ttsvd.solver import krylov_block_svd
 
 
 def _triple(rng, n=4, pos=None, k=3, rank=2):
@@ -269,7 +269,7 @@ def test_block_apply_on_non_square_windows(kind, left, cores, right):
     # block Krylov solves the window on the matrix-free and the built operator
     s_ref = np.linalg.svd(abar, compute_uv=False)[:3]
     for ops in ((mv, rmv), (lambda y: abar @ y, lambda x: abar.T @ x)):
-        _, s, _, iters = local_block_svd(*ops, p, q, 3, seed=1)
+        _, s, _, iters = krylov_block_svd(*ops, p, q, 3, seed=1)
         assert iters >= 1
         assert np.allclose(s, s_ref, atol=1e-8 * s_ref[0])
 

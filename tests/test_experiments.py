@@ -444,6 +444,27 @@ def test_cli_report_rebuilds_from_csv(tmp_path):
     assert res.exit_code == 2
 
 
+def test_cli_report_matches_the_run_outputs(tmp_path):
+    # report rebuilds plotdata byte for byte, and report.json up to the
+    # config, which a results.csv does not carry
+    runner = CliRunner()
+    cfg_path = _cli_config(tmp_path, n_values=[4, 5], reps=2)
+    assert runner.invoke(cli_main, ["run", cfg_path]).exit_code == 0
+    out, target = tmp_path / "out", tmp_path / "rebuilt"
+    res = runner.invoke(cli_main, ["report", str(out / "results.csv"),
+                                   "--out-dir", str(target)])
+    assert res.exit_code == 0, res.output
+    plots = sorted(p.name for p in (out / "plotdata").iterdir())
+    assert plots == sorted(p.name for p in (target / "plotdata").iterdir())
+    for name in plots:
+        assert ((out / "plotdata" / name).read_bytes()
+                == (target / "plotdata" / name).read_bytes())
+    run_report = json.loads((out / "report.json").read_text())
+    assert "config" in run_report
+    del run_report["config"]
+    assert run_report == json.loads((target / "report.json").read_text())
+
+
 def test_cli_report_rejects_malformed_csv(tmp_path):
     runner = CliRunner()
     assert runner.invoke(cli_main, ["run", _cli_config(tmp_path)]).exit_code == 0

@@ -8,6 +8,7 @@ from ttsvd import (Environment, LocalSolverError, MatrixTT, count_macs,
 from ttsvd.solver import (
     _gemm,
     _local_operator,
+    _LocalOperator,
     _orthonormalize_block,
     dense_block_eig,
     dense_block_svd,
@@ -20,6 +21,12 @@ from ttsvd.solver import (
 
 def _ops(m):
     return (lambda y: m @ y), (lambda x: m.T @ x)
+
+
+def _op(m, path):
+    """A local operator of the built matrix m on the given path."""
+    return _LocalOperator(*_ops(m), lambda: m, (m.shape[0],), (m.shape[1],),
+                          path, False)
 
 
 def test_dense_block_svd_matches_numpy_with_sign_convention():
@@ -111,7 +118,7 @@ def test_krylov_reports_nonconvergence():
     m = rng.standard_normal((60, 50))
     mv, rmv = _ops(m)
     with pytest.raises(LocalSolverError):
-        krylov_block_svd(mv, rmv, 60, 50, 4, tol=1e-14, max_iter=2, seed=0)
+        krylov_block_svd(mv, rmv, 60, 50, 4, max_iter=2, seed=0)
 
 
 def test_block_size_validation():
@@ -121,11 +128,11 @@ def test_block_size_validation():
     with pytest.raises(ValueError):
         krylov_block_svd(mv, rmv, 6, 4, 5)
     with pytest.raises(ValueError):
-        local_block_svd(mv, rmv, 6, 4, 5)
+        dense_block_svd(m, 5)
     with pytest.raises(ValueError):
         krylov_block_eig(mv, 4, 5)
     with pytest.raises(ValueError):
-        local_block_eig(mv, 4, 5)
+        dense_block_eig(m.T @ m, 5)
     # a start block of the wrong shape is an error, not a silent random start
     with pytest.raises(ValueError):
         krylov_block_svd(mv, rmv, 6, 4, 2, start=np.ones((10, 2)))
@@ -136,12 +143,11 @@ def test_block_size_validation():
 def test_dispatch_crossover_routes_to_dense():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((14, 11))
-    mv, rmv = _ops(m)
-    u, s, v, iters = local_block_svd(mv, rmv, 14, 11, 3,
-                                     dense_builder=lambda: m)
+    s, (u, v), iters = local_block_svd(_op(m, "dense"), 3, None, 0)
     assert iters == 0  # direct dense solve
-    # without a dense builder block Krylov runs on the matrix-free maps
-    u2, s2, v2, iters2 = local_block_svd(mv, rmv, 14, 11, 3, seed=3)
+    assert u.shape == (14, 3) and v.shape == (11, 3)
+    # on a Krylov path block Krylov runs on the operator's maps
+    s2, _, iters2 = local_block_svd(_op(m, "krylov-matrix-free"), 3, None, 3)
     assert iters2 >= 1
     assert np.allclose(s, s2, atol=1e-8)
 
@@ -150,12 +156,14 @@ def test_dispatch_crossover_eig():
     rng = np.random.default_rng(10)
     c = rng.standard_normal((10, 10))
     b = c @ c.T
-    lam, v, iters = local_block_eig(lambda y: b @ y, 10, 2,
-                                    dense_builder=lambda: b)
-    assert iters == 0
-    lam2, _, iters2 = local_block_eig(lambda y: b @ y, 10, 2, seed=4)
+    sigma, (v,), iters = local_block_eig(_op(b, "dense"), 2, None, 0)
+    assert iters == 0 and v.shape == (10, 2)
+    sigma2, _, iters2 = local_block_eig(_op(b, "krylov-dense-op"), 2, None, 4)
     assert iters2 >= 1
-    assert np.allclose(lam, lam2, atol=1e-7)
+    # the Gram problem's Sigma is the square root of its eigenvalues
+    lam = np.linalg.eigvalsh(b)[::-1][:2]
+    assert np.allclose(sigma ** 2, lam, atol=1e-10)
+    assert np.allclose(sigma2 ** 2, lam, atol=1e-7)
 
 
 def test_krylov_handles_saturated_subspaces():
@@ -194,15 +202,15 @@ def test_materialized_krylov_counts_its_gemm_applies():
     m = rng.standard_normal((30, 12))
     p, q, k = 30, 12, 3
     with count_macs() as c:
-        u, s, v, iters = local_block_svd(_gemm(m, 1), _gemm(m, 0), p, q, k,
-                                         seed=3)
+        u, s, v, iters = krylov_block_svd(_gemm(m, 1), _gemm(m, 0), p, q, k,
+                                          seed=3)
     assert iters >= 1
     assert 2 * p * q * iters <= c.macs <= 2 * p * q * k * iters
     assert np.allclose(s, np.linalg.svd(m, compute_uv=False)[:k], atol=1e-8)
 
     b = m.T @ m
     with count_macs() as c:
-        lam, _, iters = local_block_eig(_gemm(b, 1), q, k, seed=3)
+        lam, _, iters = krylov_block_eig(_gemm(b, 1), q, k, seed=3)
     assert iters >= 1 and q * q * iters <= c.macs <= q * q * k * iters
     assert np.allclose(lam, np.linalg.eigvalsh(b)[::-1][:k], atol=1e-7)
 

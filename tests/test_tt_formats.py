@@ -36,6 +36,7 @@ from ttsvd import (
     tt_scale,
     tt_svd_compress,
     tt_to_vector,
+    truncated_svd,
 )
 from ttsvd.generators import prescribed_svd_matrix
 from ttsvd.tt import _right_r_factors, tt_last_mode_slice, tt_reverse
@@ -163,6 +164,23 @@ def test_round_and_norm_reject_non_finite_cores(bad, where):
             tt_round(x, 1e-8)
         with pytest.raises(ValueError, match="NaN or inf"):
             tt_norm(x)
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -0.1])
+def test_truncations_reject_bad_delta(delta):
+    # a NaN or infinite delta must not read as "no truncation"
+    rng = np.random.default_rng(42)
+    for x in (random_vector_tt_raw(5, 3, rng), random_matrix_tt(5, 2, rng),
+              random_block_tt_at([2] * 5, 3, 2, 2, rng)):
+        with pytest.raises(ValueError, match="delta"):
+            tt_round(x, delta)
+    with pytest.raises(ValueError, match="delta"):
+        tt_svd_compress(rng.standard_normal((2, 3, 4)), delta)
+    with pytest.raises(ValueError, match="delta"):
+        truncated_svd(rng.standard_normal((4, 3)), delta)
+    for direction in ("right_to_left", "left_to_right"):
+        with pytest.raises(ValueError, match="delta"):
+            split_block_core(_local4(rng), direction, delta)
 
 
 # ---------------------------------------------------------------------------
