@@ -50,6 +50,7 @@ from .tt import (
     block_tt_residual_norm,
     block_tt_scale_columns,
     diag_embed,
+    gram_tt_round,
     left_orthogonalize_through,
     matrix_tt_matmul,
     matrix_tt_round,

@@ -86,6 +86,7 @@ from .tt import (
     block_tt_matvec,
     block_tt_residual_norm,
     block_tt_scale_columns,
+    gram_tt_round,
     matrix_tt_matmul,
     matrix_tt_round,
     matrix_tt_transpose,
@@ -622,10 +623,12 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
         # Rounding at 0 applies orthogonal transforms only: A keeps its value
         # and no bond stays above the mode-size product on either side of it
         # (the prescribed family's last bond r_U r_V drops to 4).  B's ranks
-        # are the squares of A's.
+        # are the squares of A's.  B is rounded from R factors computed on
+        # A's cores, whose QRs split by B's swap symmetry.
         a = matrix_tt_round(a, 0.0)
         rdelta = cfg.epsilon / _GRAM_DELTA_DIVISOR
-        op = matrix_tt_round(matrix_tt_matmul(matrix_tt_transpose(a), a), rdelta)
+        op = gram_tt_round(a, matrix_tt_matmul(matrix_tt_transpose(a), a),
+                           rdelta)
         sizes = (a.col_sizes,)
     else:
         op, sizes = a, (a.row_sizes, a.col_sizes)

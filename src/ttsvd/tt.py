@@ -266,6 +266,12 @@ def left_orthogonalize_through(x, n: int):
     return x._with(cores, orth)
 
 
+def _check_finite(cores) -> None:
+    for n, c in enumerate(cores):
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"core {n} of the chain holds NaN or inf")
+
+
 def _right_r_factors(cores) -> list:
     """R factors of the right parts of a chain, for its norm and its rounding.
 
@@ -274,17 +280,116 @@ def _right_r_factors(cores) -> list:
     ``rs[n].T @ Q^T`` for some Q with orthonormal columns; ``rs[N]`` is the
     1 x 1 identity, and ``rs[0]`` is 1 x 1 with |rs[0]| = ||x||.  Each comes
     from an R-only QR of core n times ``rs[n+1].T``, the idiom of
-    ``block_tt_residual_norm``, so no Q core is ever built.  A non-finite
-    core raises ``ValueError``.
+    ``block_tt_residual_norm``, so no Q core is ever built.  The rounding
+    sweep reads only rs^T rs, the Gram matrix of each right part, so
+    ``_gram_r_factors`` may hand it factors that are not triangular.  A
+    non-finite core raises ``ValueError``.
     """
-    for n, c in enumerate(cores):
-        if not np.all(np.isfinite(c)):
-            raise ValueError(f"core {n} of the chain holds NaN or inf")
+    _check_finite(cores)
     rs = [None] * len(cores) + [np.ones((1, 1))]
     for n in range(len(cores) - 1, -1, -1):
         g = np.tensordot(cores[n], rs[n + 1], axes=(2, 1))  # (R_{n-1}, I_n, s)
         rs[n] = np.linalg.qr(_rf(g, (g.shape[0], -1)).T, mode="r")
     return rs
+
+
+def _gram_r_factors(cores) -> list:
+    """``_right_r_factors`` of B = A^T A, computed from the cores of A.
+
+    ``matrix_tt_matmul(matrix_tt_transpose(a), a)`` gives B the cores
+    C[(a,c), j, m, (b,d)] = sum_i A[a,i,j,b] A[c,i,m,d], with bond index
+    a + p c, which the swap (a, j, b) <-> (c, m, d) leaves unchanged.  The
+    Gram matrix of every right part of B therefore commutes with the swap
+    of its bond pair, and in the orthogonal pair basis e_aa,
+    (e_ac + e_ca)/sqrt(2) (even) and (e_ac - e_ca)/sqrt(2) (odd) its R
+    factor is block diagonal.  So each core runs two R-only QRs, over the
+    p(p+1)/2 even and the p(p-1)/2 odd columns, instead of one over all p^2.
+
+    A row of core n's QR input is indexed by the mode pair x = (j, m) and a
+    row mu of ``rs[n+1]``, whose parity under the swap is known: even rows
+    come first.  Within a block of parity e, row (Px, mu) is e * parity(mu)
+    times row (x, mu).  So each mode pair j < m enters once, scaled by
+    sqrt(2), and a diagonal pair j = m only with the rows mu of parity e
+    (with the others it cancels); the Gram matrix, and with it the R
+    factor, is unchanged.  The input comes straight from A's cores and
+    ``rs[n+1]`` by two matrix products,
+    sum_{b,d,i} A[a,i,j,b] A[c,i,m,d] R[mu, b + q d], so B's cores are never
+    read.  Each factor is mapped back to the natural bond columns, even rows
+    first: it is not triangular, but rs^T rs is the Gram matrix of the right
+    part, which is all the rounding sweep needs.  A non-finite core of A
+    raises ``ValueError``.
+    """
+    _check_finite(cores)
+    h = math.sqrt(0.5)
+    rs = [None] * len(cores) + [np.ones((1, 1))]
+    n_even = 1  # leading rows of rs[n + 1] that the swap leaves unchanged
+    for n in range(len(cores) - 1, -1, -1):
+        core = cores[n]
+        p, ni, nj, q = core.shape
+        r = rs[n + 1]
+        s = r.shape[0]
+        # t[mu, (d, i), (j, a)] = sum_b R[mu, b + q d] A[a, i, j, b]
+        t = r.reshape(s * q, q) @ core.transpose(3, 1, 2, 0).reshape(q, -1)
+        # g[mu, (m, c), (j, a)] = sum_{d, i} A[c, i, m, d] t[mu, (d, i), (j, a)]
+        g = core.transpose(2, 0, 3, 1).reshape(nj * p, q * ni) @ t.reshape(
+            s, q * ni, nj * p)
+        del t
+        even, odd = _parity_qr_inputs(g.reshape(s, -1), p, nj, n_even)
+        del g
+        r_even = np.linalg.qr(even, mode="r")
+        del even
+        r_odd = np.linalg.qr(odd, mode="r")
+        del odd
+        n_even = r_even.shape[0]
+        u, v = np.triu_indices(p, 1)
+        dg = np.arange(p)
+        out = np.zeros((n_even + r_odd.shape[0], p, p))  # (mu, c, a)
+        out[:n_even, dg, dg] = r_even[:, :p]
+        out[:n_even, u, v] = out[:n_even, v, u] = r_even[:, p:] * h
+        out[n_even:, u, v] = r_odd * h
+        out[n_even:, v, u] = r_odd * -h
+        rs[n] = out.reshape(out.shape[0], p * p)
+    return rs
+
+
+def _parity_qr_inputs(g, p, nj, n_even):
+    """The even and the odd QR input of ``_gram_r_factors`` at one core.
+
+    ``g`` is (s, (m, c, j, a)), a fastest.  Even columns: e_aa, then
+    (e_uv + e_vu)/sqrt(2) for u < v; odd columns (e_uv - e_vu)/sqrt(2).
+    Rows: for each mode pair j < m all s rows, times sqrt(2); for each j = m
+    the first ``n_even`` rows in the even block and the rest in the odd one.
+    """
+    s = g.shape[0]
+    h = math.sqrt(0.5)
+    u, v = np.triu_indices(p, 1)
+    dg = np.arange(p)
+    n_pairs = nj * (nj - 1) // 2
+    even = np.empty((n_pairs * s + nj * n_even, p + len(u)))
+    odd = np.empty((n_pairs * s + nj * (s - n_even), len(u)))
+    at_even = at_odd = 0
+    for j in range(nj):
+        for m in range(j, nj):
+            col = (m * p * nj + j) * p + dg[:, None] * (nj * p) + dg  # (c, a)
+            upper = np.take(g, col[u, v], axis=1)
+            lower = np.take(g, col[v, u], axis=1)
+            diag = np.take(g, col[dg, dg], axis=1)
+            if j < m:
+                ev = od = slice(None)
+                w_diag, w_pair = math.sqrt(2.0), 1.0
+            else:
+                ev, od = slice(None, n_even), slice(n_even, None)
+                w_diag, w_pair = 1.0, h
+            blk = even[at_even:at_even + len(diag[ev])]
+            np.multiply(diag[ev], w_diag, out=blk[:, :p])
+            np.add(upper[ev], lower[ev], out=blk[:, p:])
+            blk[:, p:] *= w_pair
+            at_even += len(blk)
+            blk = odd[at_odd:at_odd + len(upper[od])]
+            np.subtract(upper[od], lower[od], out=blk)
+            blk *= w_pair
+            at_odd += len(blk)
+    return even, odd
 
 
 def tt_norm(x) -> float:
@@ -300,32 +405,17 @@ def tt_norm(x) -> float:
     return abs(float(_right_r_factors(_fuse(x).cores)[0][0, 0]))
 
 
-def tt_round(x, delta: float):
-    """TT-rounding: error <= delta * sqrt(N-1) * ||x||, output ranks <= input ranks.
+def _round_sweep(cores, rs, delta: float) -> VectorTT:
+    """Left-to-right truncation of ``tt_round``, given the chain's R factors.
 
-    An R-factor sweep that builds no Q cores.  The right-to-left sweep keeps
-    only the R factors R_n of the right parts (``_right_r_factors``).  The
-    left-to-right sweep forms X = carry * core_n, truncates the SVD of
-    X R_{n+1}^T at delta * ||x|| (the singular values of the whole chain at
-    bond n, since the left part is orthonormal and the right part is
-    R_{n+1}^T times orthonormal rows), writes the kept left vectors U as the
-    left-orthogonal core n and carries U^T X into core n+1.  At delta = 0
-    only orthogonal transforms act, and each bond shrinks to at most the
-    row or the column count of X R_{n+1}^T, whichever is smaller.  Cores
-    0..N-2 come out tagged "L"; a zero chain collapses to all-one ranks; a
-    non-finite core raises ``ValueError``.
-
-    Any chain format rounds on its fused view, so only bond ranks change:
-    the K columns of a BlockTT are not mixed.
+    ``rs`` is as ``_right_r_factors`` returns it; only rs[n]^T rs[n] is
+    used, so any factor with that product (triangular or not) gives the
+    same singular values and left vectors at every bond.
     """
-    _check_delta(delta)
-    cores = _fuse(x).cores
-    rs = _right_r_factors(cores)
     norm = abs(float(rs[0][0, 0]))
     if norm == 0.0:
         # a zero chain collapses to minimal all-one ranks
-        zero = [np.zeros((1, c.shape[1], 1)) for c in cores]
-        return _restore(VectorTT(zero), x)
+        return VectorTT([np.zeros((1, c.shape[1], 1)) for c in cores])
     thr = delta * norm
     out = []
     carry = np.ones((1, 1))
@@ -339,7 +429,55 @@ def tt_round(x, delta: float):
         out.append(_rf(f.u, (-1, i, len(f.s))))
         carry = f.u.T @ xm
     orth = ["L"] * (len(cores) - 1) + [None]
-    return _restore(VectorTT(out, orth), x)
+    return VectorTT(out, orth)
+
+
+def tt_round(x, delta: float):
+    """TT-rounding: error <= delta * sqrt(N-1) * ||x||, output ranks <= input ranks.
+
+    An R-factor sweep that builds no Q cores.  The right-to-left sweep keeps
+    only the R factors R_n of the right parts (``_right_r_factors``).  The
+    left-to-right sweep (``_round_sweep``) forms X = carry * core_n,
+    truncates the SVD of X R_{n+1}^T at delta * ||x|| (the singular values
+    of the whole chain at bond n, since the left part is orthonormal and the
+    right part is R_{n+1}^T times orthonormal rows; R_{n+1} need not be
+    triangular), writes the kept left vectors U as the left-orthogonal core
+    n and carries U^T X into core n+1.  At delta = 0 only orthogonal
+    transforms act, and each bond shrinks to at most the row or the column
+    count of X R_{n+1}^T, whichever is smaller.  Cores 0..N-2 come out
+    tagged "L"; a zero chain collapses to all-one ranks; a non-finite core
+    raises ``ValueError``.
+
+    Any chain format rounds on its fused view, so only bond ranks change:
+    the K columns of a BlockTT are not mixed.
+    """
+    _check_delta(delta)
+    cores = _fuse(x).cores
+    return _restore(_round_sweep(cores, _right_r_factors(cores), delta), x)
+
+
+def gram_tt_round(a: MatrixTT, b: MatrixTT, delta: float) -> MatrixTT:
+    """``tt_round(b, delta)`` of b = ``matrix_tt_matmul(matrix_tt_transpose(a), a)``.
+
+    The same left-to-right truncation (``_round_sweep``) runs on b's cores,
+    but the R factors of b's right parts come from a's cores
+    (``_gram_r_factors``): the swap symmetry of A^T A splits each of their
+    QRs into an even and an odd half, and no QR runs on b's cores, whose
+    bonds are the squares of a's.  The R factors differ from
+    ``_right_r_factors``' only by an orthogonal transform on the left, so
+    the rounding is the same up to floating-point rounding: the same error
+    bound, the same ranks unless a singular value sits at the threshold,
+    cores 0..N-2 left-orthogonal.  A zero a collapses to all-one ranks; a
+    non-finite core of a raises ``ValueError``.
+    """
+    _check_delta(delta)
+    if (b.ranks != [r * r for r in a.ranks] or b.row_sizes != a.col_sizes
+            or b.col_sizes != a.col_sizes):
+        raise ValueError("gram_tt_round needs b = a^T a as matrix_tt_matmul forms it")
+    rs = _gram_r_factors(a.cores)
+    if not math.isfinite(rs[0][0, 0]):
+        raise ValueError("the norm of a^T a overflows")
+    return _restore(_round_sweep(_fuse(b).cores, rs, delta), b)
 
 
 def matrix_tt_round(a: MatrixTT, delta: float) -> MatrixTT:

@@ -34,6 +34,7 @@ from .tt import (
     MatrixTT,
     VectorTT,
     _rf,
+    gram_tt_round,
     matrix_tt_matmul,
     matrix_tt_transpose,
     matvec_tt,
@@ -97,10 +98,25 @@ def _check_compress_round(rng):
     return ok, f"compress {err:.2e} and round {err2:.2e} within delta*sqrt(N-1)*|x|"
 
 
+def _structural_ranks(ranks, mode):
+    # bond m can hold at most r_m, and at most mode times either neighbour's
+    # cap; propagated from both ends until no cap changes (the boundary
+    # ranks 1 give the mode-size products mode^m and mode^(N-m))
+    want = list(ranks)
+    changed = True
+    while changed:
+        changed = False
+        for m in range(1, len(want) - 1):
+            cap = min(want[m], mode * want[m - 1], mode * want[m + 1])
+            changed = changed or cap < want[m]
+            want[m] = cap
+    return want
+
+
 def _check_round_structural(rng):
     # oversized bonds: a rank-6 chain of mode-2 cores and a product of two
-    # 2x2-mode matrix chains; rounding must shrink every bond to the smaller
-    # of its rank and the mode-size products on either side, within the bound
+    # 2x2-mode matrix chains; rounding at 0 must shrink every bond to its
+    # structural cap, within the bound
     x = VectorTT([rng.standard_normal((r, 2, r2)) for r, r2 in
                   zip([1, 6, 6, 6, 6], [6, 6, 6, 6, 1])])
     ab = matrix_tt_matmul(_random_matrix_tt(4, 3, rng), _random_matrix_tt(4, 3, rng))
@@ -108,7 +124,7 @@ def _check_round_structural(rng):
     for z, mode in ((x, 2), (ab, 4)):
         n = z.n_cores
         zd = tt_reconstruct(z)
-        want = [min(r, mode ** m, mode ** (n - m)) for m, r in enumerate(z.ranks)]
+        want = _structural_ranks(z.ranks, mode)
         for delta in (0.0, 1e-3):
             y = tt_round(z, delta)
             err = np.linalg.norm(tt_reconstruct(y) - zd) / np.linalg.norm(zd)
@@ -117,6 +133,24 @@ def _check_round_structural(rng):
             ok = ok and all(r <= w for r, w in zip(y.ranks, want))
             ok = ok and (delta > 0 or y.ranks == want)
     return ok, f"ranks reach the structural bound, error {worst:.2e} within bound"
+
+
+def _check_gram_round(rng):
+    # the Gram rounding of a^T a must match tt_round of the formed product:
+    # the same ranks and the same error within the rounding bound
+    a = _random_matrix_tt(4, 3, rng)
+    b = matrix_tt_matmul(matrix_tt_transpose(a), a)
+    bd = tt_reconstruct(b)
+    nrm = np.linalg.norm(bd)
+    ok, worst = True, 0.0
+    for delta in (0.0, 1e-2):
+        y, z = gram_tt_round(a, b, delta), tt_round(b, delta)
+        err = np.linalg.norm(tt_reconstruct(y) - bd) / nrm
+        ref = np.linalg.norm(tt_reconstruct(z) - bd) / nrm
+        worst = max(worst, abs(err - ref))
+        ok = ok and y.ranks == z.ranks and err <= delta * math.sqrt(3) + 1e-13
+        ok = ok and abs(err - ref) <= 1e-12 + 1e-6 * ref
+    return ok, f"same ranks as tt_round of the product, errors differ by {worst:.1e}"
 
 
 def _check_vector_algebra(rng):
@@ -347,6 +381,7 @@ _CHECKS = [
     ("solver-roundtrip", _check_solver_roundtrip),
     ("serialization", _check_serialization),
     ("mac-counters", _check_mac_counts),
+    ("gram-round", _check_gram_round),
 ]
 
 

@@ -10,7 +10,7 @@ import yaml
 from click.testing import CliRunner
 
 from conftest import random_matrix_tt
-from ttsvd import save_tt
+from ttsvd import save_tt, verify
 from ttsvd.cli import main as cli_main
 from ttsvd.experiments import (
     RESULT_COLUMNS,
@@ -498,3 +498,14 @@ def test_cli_verify_passes():
     res = runner.invoke(cli_main, ["verify"])
     assert res.exit_code == 0, res.output
     assert "all checks passed" in res.output
+
+
+@pytest.mark.parametrize("name", ["round-structural-ranks", "gram-round"])
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_rounding_checks_pass_on_every_seed(name, seed):
+    # the structural rank oracle must carry each bond's cap to its
+    # neighbours (seed 3 draws a product whose bond 2 is capped only by
+    # mode * r_3); each check gets the rng that ``ttsvd verify --seed`` gives it
+    idx = [n for n, _ in verify._CHECKS].index(name)
+    ok, detail = dict(verify._CHECKS)[name](np.random.default_rng([seed, idx]))
+    assert ok, detail

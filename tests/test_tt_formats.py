@@ -1,5 +1,7 @@
 """TT containers and arithmetic against dense oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from ttsvd import (
     block_tt_residual_norm,
     block_tt_scale_columns,
     diag_embed,
+    gram_tt_round,
     identity_scaled,
     left_orthogonalize_through,
     matrix_tt_matmul,
@@ -39,7 +42,14 @@ from ttsvd import (
     truncated_svd,
 )
 from ttsvd.generators import prescribed_svd_matrix
-from ttsvd.tt import _right_r_factors, tt_last_mode_slice, tt_reverse
+from ttsvd.tt import (
+    _fuse,
+    _gram_r_factors,
+    _right_r_factors,
+    _round_sweep,
+    tt_last_mode_slice,
+    tt_reverse,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +174,83 @@ def test_round_and_norm_reject_non_finite_cores(bad, where):
             tt_round(x, 1e-8)
         with pytest.raises(ValueError, match="NaN or inf"):
             tt_norm(x)
+
+
+# ---------------------------------------------------------------------------
+# rounding of a Gram product
+
+
+def _gram_pair(n, rows, cols, rng):
+    # A with (rows, cols) modes and random ranks up to 4, one interior bond
+    # of rank 1, and B = A^T A as the Gram baselines form it
+    ranks = [1] + [int(rng.integers(1, 5)) for _ in range(n - 1)] + [1]
+    ranks[n // 2] = 1
+    a = MatrixTT([rng.standard_normal((ranks[m], rows, cols, ranks[m + 1]))
+                  for m in range(n)])
+    return a, matrix_tt_matmul(matrix_tt_transpose(a), a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("rows, cols", [(3, 2), (2, 3), (1, 2)])
+def test_gram_round_matches_round_of_the_product(n, rows, cols):
+    rng = np.random.default_rng([n, rows, cols])
+    a, b = _gram_pair(n, rows, cols, rng)
+    bd = tt_reconstruct(b)
+    nb = np.linalg.norm(bd)
+    # the parity-split R factors differ from the plain ones by an orthogonal
+    # transform on the left: the same Gram matrix of every right part
+    rs = _gram_r_factors(a.cores)
+    for x, y in zip(rs, _right_r_factors(_fuse(b).cores)):
+        assert np.linalg.norm(x.T @ x - y.T @ y) <= 1e-12 * np.linalg.norm(y.T @ y)
+    for delta in (0.0, 1e-9, 1e-2, 0.2):
+        g, ref = gram_tt_round(a, b, delta), tt_round(b, delta)
+        assert isinstance(g, MatrixTT) and g.ranks == ref.ranks
+        err = np.linalg.norm(tt_reconstruct(g) - bd)
+        assert err <= delta * np.sqrt(n - 1) * nb + 1e-13 * nb
+        # a MatrixTT carries no tags: the fused sweep tags its cores, and
+        # they are left-orthogonal
+        fused = _round_sweep(_fuse(b).cores, rs, delta)
+        assert fused.orth == ["L"] * (n - 1) + [None]
+        for c in g.cores[:-1]:
+            q = c.reshape(-1, c.shape[-1], order="F")
+            assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
+
+
+def test_gram_round_of_zero_and_non_finite_chains():
+    rng = np.random.default_rng(43)
+    a, _ = _gram_pair(4, 3, 2, rng)
+    zero = MatrixTT([np.zeros_like(c) for c in a.cores])
+    g = gram_tt_round(zero, matrix_tt_matmul(matrix_tt_transpose(zero), zero), 1e-9)
+    assert g.ranks == [1] * 5 and not np.any(tt_reconstruct(g))
+    # finite cores whose Gram norm overflows must not round at an inf
+    # threshold
+    huge = MatrixTT([c * 1e110 for c in a.cores])
+    with np.errstate(over="ignore", invalid="ignore"):
+        hb = matrix_tt_matmul(matrix_tt_transpose(huge), huge)
+        with pytest.raises(ValueError, match="overflows"):
+            gram_tt_round(huge, hb, 1e-9)
+    a.cores[2].flat[1] = np.nan
+    with pytest.raises(ValueError, match="NaN or inf"):
+        gram_tt_round(a, matrix_tt_matmul(matrix_tt_transpose(a), a), 1e-9)
+    with pytest.raises(ValueError, match="a\\^T a"):
+        gram_tt_round(zero, zero, 1e-9)
+
+
+def test_gram_round_peak_memory_is_within_one_core_of_tt_round():
+    # the parity split must build its QR inputs without holding the
+    # contraction temporaries at once: on the Gram baselines' N=8 product
+    # its peak may exceed tt_round's by at most one core of B
+    a = matrix_tt_round(prescribed_svd_matrix(8, 0.5, k0=16, rank=5, seed=1)[0], 0.0)
+    b = matrix_tt_matmul(matrix_tt_transpose(a), a)
+    peaks = []
+    for run in (lambda: tt_round(b, 1e-9), lambda: gram_tt_round(a, b, 1e-9)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + max(c.nbytes for c in b.cores)
 
 
 @pytest.mark.parametrize("delta", [np.nan, np.inf, -0.1])
