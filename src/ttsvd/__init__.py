@@ -17,12 +17,10 @@ from .environments import (
     recompute_environment,
 )
 from .generators import (
-    exchange_matrix_tt,
     full_toeplitz_tt,
     hankel_submatrix_tt,
     hankel_tt,
     hilbert_submatrix_tt,
-    identity_scaled,
     prescribed_svd_matrix,
     random_block_tt,
     random_vector_tt,

@@ -32,17 +32,21 @@ call per window.  The path is recorded per micro-iteration as
   both estimates).  Small windows stay dense; at K=10 a square window
   takes block Krylov from about 130 x 130 up, and a larger K moves the
   break-even up.
-* ``"krylov-dense-op"``: when building the local matrix plus one GEMM
-  apply of it to the K-column block costs no more multiply-accumulates
-  than one matrix-free apply to that block, it is built once and block
-  Krylov applies it by GEMM.
+* ``"krylov-dense-op"``: when building the local matrix plus
+  ``_KRYLOV_STEPS`` GEMM applies of it to the K-column block costs no more
+  multiply-accumulates than ``_KRYLOV_STEPS`` matrix-free applies to that
+  block, it is built once and block Krylov applies it by GEMM.
 * ``"krylov-matrix-free"``: otherwise block Krylov applies the contraction
   chain of the environments to the whole block.
 
 Block Krylov gets the ``_KRYLOV_STEPS`` steps the cost test assumed; a
 window it has not solved by then is solved again on the dense path, and
-recorded as ``"dense"``, unless the dense solve would cost more than
-``_LOCAL_MAX_ITER`` steps.
+recorded as ``"dense"`` with the steps it spent, unless the dense solve
+would cost more than ``_LOCAL_MAX_ITER`` steps.  It stops at residuals of
+1e-10 sigma_1, or of epsilon/100 sigma_1 once the Ritz values show the
+kept block separated (sigma_K - sigma_K+1 >= sigma_K / 10; a clustered
+spectrum would grow the ranks).  At a loose epsilon Sigma is then as
+accurate as the sweep's stop can check, not accurate to 1e-10.
 
 Block Krylov for the SVD is block Golub-Kahan-Lanczos on A and A^T
 directly: a right basis V and a left basis U, with Ritz triplets from the
@@ -116,7 +120,7 @@ _GRAM_DELTA_DIVISOR = 10
 # local matrices of real sweeps (Hilbert and prescribed at K=10, Hilbert and
 # tridiagonal at K=4; 2-vCPU x86-64 VM, one BLAS thread): it puts the
 # break-even of a square window at about 130 x 130 at K=10 and 60 x 60 at K=4.
-# Block Krylov stops once every kept Ritz residual is at most _LOCAL_TOL
+# Block Krylov stops once every kept Ritz residual is at most _stop_tol
 # times the largest kept Ritz value, and fails after _LOCAL_MAX_ITER steps,
 # or after _KRYLOV_STEPS where a dense solve can take over (see the module
 # docstring).  A triplet's residual is
@@ -124,6 +128,8 @@ _GRAM_DELTA_DIVISOR = 10
 # ||B z - theta z||.  The sweep reads these at call time.
 _KRYLOV_STEPS = 6
 _LOCAL_TOL = 1e-10
+_EPS_TOL_FACTOR = 1e-2
+_KEPT_GAP = 0.1
 _LOCAL_MAX_ITER = 400
 
 
@@ -170,8 +176,8 @@ class SweepReport:
     """Execution trace of one solver run (all attempts included).
 
     ``micro`` holds one record per micro-iteration: position, direction,
-    bond ranks after the split, the current Sigma estimate, the local
-    solver's iteration count (0 = dense direct solve) and its
+    bond ranks after the split, the current Sigma estimate, the block
+    Krylov steps spent (0 on a window solved dense only) and its
     ``local_path`` (see the module docstring).  ``residual_history`` has
     one entry per completed full sweep.  ``sweeps_used`` counts sweeps
     of the attempt that produced the returned iterate; ``total_sweeps``
@@ -273,8 +279,18 @@ def _start_block(start, shape: tuple, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(start, dtype=float)
 
 
+def _stop_tol(ritz: np.ndarray, k: int, tol: float) -> float:
+    """``tol`` (from the sweep, epsilon * ``_EPS_TOL_FACTOR``), at least
+    ``_LOCAL_TOL``, once the K kept of the descending Ritz values lead the
+    next by ``_KEPT_GAP`` of the K-th; otherwise ``_LOCAL_TOL``."""
+    if len(ritz) > k and ritz[k - 1] - ritz[k] >= _KEPT_GAP * abs(ritz[k - 1]):
+        return max(_LOCAL_TOL, tol)
+    return _LOCAL_TOL
+
+
 def krylov_block_svd(matvec, rmatvec, p: int, q: int, k: int,
-                     max_iter: int = _LOCAL_MAX_ITER, seed=0, start=None):
+                     max_iter: int = _LOCAL_MAX_ITER, seed=0, start=None,
+                     tol: float = _LOCAL_TOL):
     """Matrix-free top-K singular triplets by block Golub-Kahan-Lanczos.
 
     ``matvec`` maps a (q, m) block to the (p, m) block A Y and ``rmatvec`` a
@@ -283,7 +299,7 @@ def krylov_block_svd(matvec, rmatvec, p: int, q: int, k: int,
     starts from.  Each step extends V by the newest A^T U block and the left
     basis U by the newest A V block, and takes the Ritz triplets
     (U x, sigma, V y) from the SVD of U^T A V; they come out orthonormal
-    with sigma >= 0.  It stops on the residual test (see ``_LOCAL_TOL``) or
+    with sigma >= 0.  It stops on the residual test (``_stop_tol``) or
     once the bases hold the whole problem: V spans R^q, or U spans R^p and
     this step's V block took in the last of A^T U.  Returns
     (U, Sigma, V, iterations).
@@ -303,13 +319,13 @@ def krylov_block_svd(matvec, rmatvec, p: int, q: int, k: int,
             blk = _orthonormalize_block(w[:, :p - ub.shape[1]], ub, rng)
             w = rmatvec(blk)
             ub, atu = np.hstack([ub, blk]), np.hstack([atu, w])
-        x, sigma, yt = np.linalg.svd(ub.T @ av, full_matrices=False)
-        x, sigma, y = x[:, :k], sigma[:k], yt[:k].T
+        x, ritz, yt = np.linalg.svd(ub.T @ av, full_matrices=False)
+        x, sigma, y = x[:, :k], ritz[:k], yt[:k].T
         u, v = ub @ x, vb @ y
         resid = np.sqrt(0.5 * (np.sum((av @ y - u * sigma) ** 2, axis=0)
                                + np.sum((atu @ x - v * sigma) ** 2, axis=0)))
-        if u_full or vb.shape[1] == q or bool(np.all(
-                resid <= _LOCAL_TOL * max(float(sigma[0]), 1e-300))):
+        if u_full or vb.shape[1] == q or bool(np.all(resid <= _stop_tol(
+                ritz, k, tol) * max(float(sigma[0]), 1e-300))):
             _sign_fix(u, v)
             return u, sigma, v, it
     raise LocalSolverError(
@@ -318,14 +334,15 @@ def krylov_block_svd(matvec, rmatvec, p: int, q: int, k: int,
 
 
 def krylov_block_eig(matvec, dim: int, k: int, max_iter: int = _LOCAL_MAX_ITER,
-                     seed=0, start=None):
+                     seed=0, start=None, tol: float = _LOCAL_TOL):
     """Matrix-free K algebraically largest eigenpairs of a symmetric map.
 
     Block Lanczos: ``matvec`` maps a (dim, m) block to its image, once per
     step on the newest block, and ``start`` is the (dim, K) start block.
     Rayleigh-Ritz extraction starts once the basis holds at least
     min(2k+4, dim) vectors; ties among Ritz values keep Ritz index order.
-    Returns (theta, vectors, iterations).
+    It stops as ``krylov_block_svd`` does, on the eigenvalues.  Returns
+    (theta, vectors, iterations).
     """
     if k > dim:
         raise ValueError(f"cannot take {k} eigenpairs from dimension {dim}")
@@ -339,11 +356,12 @@ def krylov_block_eig(matvec, dim: int, k: int, max_iter: int = _LOCAL_MAX_ITER,
         full = basis.shape[1] == dim
         if full or basis.shape[1] >= min(2 * k + 4, dim):
             h = basis.T @ bbasis
-            theta, y = np.linalg.eigh(0.5 * (h + h.T))
-            sel = np.argsort(-theta, kind="stable")[:k]
-            theta, z = theta[sel], basis @ y[:, sel]
-            resid = np.linalg.norm(bbasis @ y[:, sel] - z * theta, axis=0)
-            if full or bool(np.all(resid <= _LOCAL_TOL * max(
+            ritz, y = np.linalg.eigh(0.5 * (h + h.T))
+            sel = np.argsort(-ritz, kind="stable")
+            ritz, y = ritz[sel], y[:, sel[:k]]
+            theta, z = ritz[:k], basis @ y
+            resid = np.linalg.norm(bbasis @ y - z * theta, axis=0)
+            if full or bool(np.all(resid <= _stop_tol(ritz, k, tol) * max(
                     float(np.max(np.abs(theta))), 1e-300))):
                 _sign_fix(z)
                 return theta, z, it
@@ -420,17 +438,10 @@ def _local_operator(env: Environment, a: MatrixTT, q: int, pair: bool,
                     k: int, gram: bool) -> _LocalOperator:
     """Projected operator at core q, or on the merged pair (q, q+1).
 
-    The only place that picks the local path, by the MAC estimates of
-    ``local_solve_macs``.  Block Krylov applies the local matrix built here
-    by GEMM when building it plus one GEMM block step costs no more than
-    one matrix-free block step (the built operator then never costs more,
-    however few steps it takes), and the matrix-free operator otherwise.
-    The path is ``"dense"``, and the local solver decomposes ``build()``,
-    when the dense decomposition costs no more than ``_KRYLOV_STEPS`` block
-    steps of that Krylov operator plus its build.  ``dense_fallback`` is set
-    when it costs no more than ``_LOCAL_MAX_ITER`` steps: block Krylov then
-    stops after ``_KRYLOV_STEPS`` and the sweep solves the window again on
-    the dense path.
+    The only place that picks the local path (see the module docstring),
+    by the MAC estimates of ``local_solve_macs``.  On the dense path the
+    local solver decomposes ``build()``.  ``dense_fallback`` is set when
+    that costs no more than ``_LOCAL_MAX_ITER`` Krylov steps.
     """
     cores = tuple(a.cores[q:q + 1 + pair])
     left, right = env.lefts[q], env.rights[q + pair]
@@ -444,7 +455,7 @@ def _local_operator(env: Environment, a: MatrixTT, q: int, pair: bool,
     cols = (left.shape[2], *(c.shape[2] for c in cores), right.shape[2])
     build_macs, decompose, gemm_step, free_step = local_solve_macs(
         left, cores, right, k, gram)
-    built = build_macs + gemm_step <= free_step
+    built = build_macs + _KRYLOV_STEPS * gemm_step <= _KRYLOV_STEPS * free_step
     step = gemm_step if built else free_step
     if decompose <= _KRYLOV_STEPS * step + build_macs * built:
         path = "dense"
@@ -463,7 +474,8 @@ def _krylov_steps(op: _LocalOperator) -> int:
     return _KRYLOV_STEPS if op.dense_fallback else _LOCAL_MAX_ITER
 
 
-def local_block_svd(op: _LocalOperator, k: int, start: np.ndarray, seed: int):
+def local_block_svd(op: _LocalOperator, k: int, start: np.ndarray, seed: int,
+                    tol: float = _LOCAL_TOL):
     """K dominant singular triplets of the local matrix of ``op``.
 
     On the dense path the built matrix is decomposed (0 iterations);
@@ -477,11 +489,12 @@ def local_block_svd(op: _LocalOperator, k: int, start: np.ndarray, seed: int):
     else:
         u, sigma, v, iters = krylov_block_svd(
             op.matvec, op.rmatvec, math.prod(op.rows), math.prod(op.cols), k,
-            max_iter=_krylov_steps(op), seed=seed, start=start)
+            max_iter=_krylov_steps(op), seed=seed, start=start, tol=tol)
     return sigma, (_rf(u, op.rows + (k,)), _rf(v, op.cols + (k,))), iters
 
 
-def local_block_eig(op: _LocalOperator, k: int, start: np.ndarray, seed: int):
+def local_block_eig(op: _LocalOperator, k: int, start: np.ndarray, seed: int,
+                    tol: float = _LOCAL_TOL):
     """K largest eigenpairs of the local Gram matrix of ``op``.
 
     As ``local_block_svd``, for the Gram problem: its eigenvalues lambda
@@ -493,7 +506,7 @@ def local_block_eig(op: _LocalOperator, k: int, start: np.ndarray, seed: int):
     else:
         lam, v, iters = krylov_block_eig(
             op.matvec, math.prod(op.cols), k, max_iter=_krylov_steps(op),
-            seed=seed, start=start)
+            seed=seed, start=start, tol=tol)
     return np.sqrt(np.maximum(lam, 0.0)), (_rf(v, op.cols + (k,)),), iters
 
 
@@ -586,12 +599,14 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
         seed = int(rng.integers(0, 2**63 - 1))
         solve = local_block_eig if gram else local_block_svd
         try:
-            sigma, locals_, iters = solve(op, cfg.k, start, seed)
+            sigma, locals_, iters = solve(op, cfg.k, start, seed,
+                                          cfg.epsilon * _EPS_TOL_FACTOR)
         except LocalSolverError:
             if not op.dense_fallback:
                 raise
             op = dataclasses.replace(op, path="dense")
-            sigma, locals_, iters = solve(op, cfg.k, start, seed)
+            sigma, locals_, _ = solve(op, cfg.k, start, seed)
+            iters = _KRYLOV_STEPS
         _advance(env, a, chains, locals_, q, delta, cfg, pair, r2l)
         report.micro.append(_micro_record(p, direction, chains, sigma, iters,
                                           op.path))

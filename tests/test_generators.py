@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from ttsvd import (
-    exchange_matrix_tt,
     full_toeplitz_tt,
     hankel_submatrix_tt,
     hankel_tt,
     hilbert_submatrix_tt,
-    identity_scaled,
     matrix_tt_matmul,
     matrix_tt_round,
     matrix_tt_transpose,
@@ -26,6 +24,7 @@ from ttsvd import (
     tt_svd_compress,
     tt_to_vector,
 )
+from ttsvd.generators import exchange_matrix_tt, identity_scaled
 
 
 def _dense_upper_toeplitz(s_vec):

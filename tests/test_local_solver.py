@@ -113,6 +113,41 @@ def test_krylov_eig_matches_dense():
     assert np.allclose(b @ v, v * lam[np.newaxis, :], atol=1e-6)
 
 
+def _krylov_steps_at(sigma, k, tol, gram):
+    """Steps of the SVD (or Gram) block Krylov solve of a matrix with the
+    given singular values, at the loose stop ``tol``, and its top K values."""
+    rng = np.random.default_rng(14)
+    u, _ = np.linalg.qr(rng.standard_normal((150, len(sigma))))
+    v, _ = np.linalg.qr(rng.standard_normal((120, len(sigma))))
+    m = (u * sigma) @ v.T
+    if gram:
+        lam, _, iters = krylov_block_eig(lambda y: m.T @ (m @ y), 120, k,
+                                         seed=1, tol=tol)
+        return iters, np.sqrt(lam)
+    _, s, _, iters = krylov_block_svd(*_ops(m), 150, 120, k, seed=1, tol=tol)
+    return iters, s
+
+
+@pytest.mark.parametrize("gram", [False, True])
+def test_krylov_stops_early_only_on_a_separated_spectrum(gram):
+    # K=4 kept values 10, 9, 8, 7 over a tail from 3 (gap 0.57 of sigma_K):
+    # the stop at eps / 100 = 1e-5 takes fewer steps than at 1e-10, and
+    # Sigma stays accurate to far better than eps
+    tail = np.linspace(3.0, 0.01, 116)
+    sigma = np.concatenate([[10.0, 9.0, 8.0, 7.0], tail])
+    tight, _ = _krylov_steps_at(sigma, 4, solver._LOCAL_TOL, gram)
+    loose, s_loose = _krylov_steps_at(sigma, 4, 1e-5, gram)
+    assert loose < tight
+    assert np.max(np.abs(s_loose - sigma[:4]) / sigma[:4]) < 1e-8
+    # sigma_5 = 6.99 next to sigma_4 = 7: the kept block is not separated,
+    # so the loose stop takes exactly the steps and values of the tight one
+    sigma[4] = 6.99
+    tight, s_tight = _krylov_steps_at(sigma, 4, solver._LOCAL_TOL, gram)
+    loose, s_loose = _krylov_steps_at(sigma, 4, 1e-5, gram)
+    assert loose == tight
+    assert np.array_equal(s_loose, s_tight)
+
+
 def test_krylov_reports_nonconvergence():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((60, 50))
@@ -243,8 +278,8 @@ def test_local_path_follows_the_mac_cost_model():
     k = 10
     assert solver._KRYLOV_STEPS == 6
     # the merged pair of a typical mals_svd position: building (4.3M MACs)
-    # plus one GEMM block apply (3.2M) is cheaper than one matrix-free
-    # block apply (25.0M), and the 400 x 400 SVD (64M) costs more than the
+    # plus 6 GEMM block applies (19.2M) is cheaper than 6 matrix-free block
+    # applies (150M), and the 400 x 400 SVD (64M) costs more than the
     # build plus 6 GEMM steps (23.5M)
     shape = ((5, 25, 5), [(25, 2, 2, 25), (25, 2, 2, 25)], (20, 25, 20))
     build, mv, rmv = _shape_macs(shape, k)
@@ -267,11 +302,14 @@ def test_local_path_follows_the_mac_cost_model():
     assert _operator_at(rng, *shape, 40).path == "dense"
 
     # Hilbert-shaped mals_svd windows (A ranks 8): 280 x 280 takes block
-    # Krylov (the SVD's 22.0M MACs against 6 matrix-free steps of 2.2M),
-    # 40 x 40 stays dense (64K against 6 GEMM steps of 32K plus 45K)
+    # Krylov on the built matrix (its build of 0.755M MACs plus 6 GEMM
+    # steps of 1.568M beat 6 matrix-free steps of 2.195M, and the SVD's
+    # 22.0M MACs cost more than either), 40 x 40 stays dense (64K against
+    # 6 GEMM steps of 32K plus 45K)
     shape = ((10, 8, 10), [(8, 2, 2, 8), (8, 2, 2, 8)], (7, 8, 7))
     assert _solve_macs(shape, k) == (755_200, 280 ** 3, 1_568_000, 2_195_200)
-    assert _operator_at(rng, *shape, k).path == "krylov-matrix-free"
+    assert 755_200 + 6 * 1_568_000 <= 6 * 2_195_200
+    assert _operator_at(rng, *shape, k).path == "krylov-dense-op"
     assert _operator_at(rng, *shape, 30).path == "dense"
     shape = ((5, 8, 5), [(8, 2, 2, 8), (8, 2, 2, 8)], (2, 8, 2))
     assert _solve_macs(shape, k)[:3] == (44_800, 40 ** 3, 32_000)
@@ -291,7 +329,7 @@ def test_local_path_follows_the_mac_cost_model():
     assert c.macs == mv
 
     # A rank 1 and wide environments: the dense matrix costs more to build
-    # than one block apply, so the operator stays matrix-free, and a dense
+    # than 6 block applies, so the operator stays matrix-free, and a dense
     # solve (1800^3 MACs) costs more than the longest Krylov solve, so
     # block Krylov gets every step
     shape = ((30, 1, 30), [(1, 2, 2, 1)], (30, 1, 30))

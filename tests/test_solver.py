@@ -1,6 +1,7 @@
 """Sweep drivers against dense decompositions of small reconstructed matrices."""
 
 import collections
+import dataclasses
 import importlib
 import json
 import math
@@ -17,7 +18,6 @@ from ttsvd import (
     als_svd,
     environment_deviation,
     hilbert_submatrix_tt,
-    identity_scaled,
     mals_eig_baseline,
     mals_svd,
     prescribed_svd_matrix,
@@ -30,6 +30,7 @@ from ttsvd import (
 )
 from ttsvd import solver
 from ttsvd.experiments import RunConfig, _build_matrix
+from ttsvd.generators import identity_scaled
 from ttsvd.solver import _driver, _gram_residual
 
 ALL_DRIVERS = [als_svd, mals_svd, als_eig_baseline, mals_eig_baseline]
@@ -398,7 +399,7 @@ def test_recorded_local_path_is_the_one_solved(monkeypatch):
 def test_krylov_past_its_steps_falls_back_to_dense(monkeypatch):
     # every window runs block Krylov on the built matrix with one step; the
     # windows it does not solve in that step are solved dense and recorded
-    # so, and the result is the all-dense one
+    # so, with the one step they spent, and the result is the all-dense one
     a, _, _, spectrum = prescribed_svd_matrix(6, 0.5, k0=8, rank=2, seed=2)
     cfg = SolverConfig(k=4, epsilon=1e-9, seed=3)
     _force_dense_up_to(monkeypatch, math.inf)
@@ -420,8 +421,7 @@ def test_krylov_past_its_steps_falls_back_to_dense(monkeypatch):
     paths = collections.Counter(m["local_path"] for m in rep.micro)
     assert set(paths) == {"dense", "krylov-dense-op"}
     for record in rep.micro:
-        assert ((record["local_iterations"] == 0)
-                == (record["local_path"] == "dense")), record
+        assert record["local_iterations"] == 1, record
     assert np.max(np.abs(sig - sig_dense) / sig_dense) <= 1e-10
 
 
@@ -429,7 +429,12 @@ def test_krylov_past_its_steps_falls_back_to_dense(monkeypatch):
     ("als_svd", 18, 1e-3), ("mals_svd", 18, 1e-3), ("mals_svd", 20, 1e-8)])
 def test_cost_test_agrees_with_all_dense_solves(driver, n, eps, monkeypatch):
     # Hilbert at N=18 and the prescribed family at N=20: the windows the
-    # cost test sends to block Krylov change no sigma beyond 1e-8
+    # cost test sends to block Krylov change no sigma beyond 1e-8 at the
+    # prescribed eps.  At eps 1e-3 block Krylov stops at eps / 100 on
+    # separated windows, so both paths are only as accurate as that eps
+    # (about 5e-7 from an eps 1e-10 solve, which is within 2e-14 of an
+    # eps 1e-12 one); the Krylov path may be no further from that
+    # reference than 1.5 times the dense path.
     if eps == 1e-3:
         a = hilbert_submatrix_tt(n, 1e-8)
     else:
@@ -438,11 +443,19 @@ def test_cost_test_agrees_with_all_dense_solves(driver, n, eps, monkeypatch):
     cfg = SolverConfig(k=10, epsilon=eps, seed=0)
     sig, _, _, rep = solve(a, cfg)
     assert {m["local_path"] for m in rep.micro} - {"dense"}
+    if eps == 1e-3:
+        ref, _, _, rep_ref = solve(a, dataclasses.replace(cfg, epsilon=1e-10))
+        assert rep_ref.termination == "converged"
     _force_dense_up_to(monkeypatch, math.inf)
     sig_dense, _, _, rep_dense = solve(a, cfg)
     assert {m["local_path"] for m in rep_dense.micro} == {"dense"}
     assert rep.termination == rep_dense.termination == "converged"
-    assert np.max(np.abs(sig - sig_dense) / sig_dense) <= 1e-8
+    if eps == 1e-3:
+        err = np.max(np.abs(sig - ref) / ref)
+        err_dense = np.max(np.abs(sig_dense - ref) / ref)
+        assert err <= 1.5 * err_dense
+    else:
+        assert np.max(np.abs(sig - sig_dense) / sig_dense) <= 1e-8
 
 
 def test_gram_route_rejects_singular_spectra(monkeypatch):
@@ -542,6 +555,20 @@ def test_tridiagonal_als_svd_n30_converges():
     _, _, _, rep = als_svd(a, SolverConfig(k=4, epsilon=1e-6, seed=0))
     assert rep.termination == "converged"
     assert rep.residual_history[-1]["residual"] < 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_loose_local_stop_keeps_tridiagonal_ranks(seed):
+    # the top of a tridiagonal spectrum is clustered, so block Krylov keeps
+    # the 1e-10 stop: stopping at eps / 100 regardless raised seed 0 to
+    # rank 56 (they are 11, 6 and 6 with the gap gate)
+    cfg = RunConfig(experiment="tridiagonal", solvers=["als_svd"],
+                    n_values=[20], k=4, epsilon=1e-4)
+    a, _ = _build_matrix(cfg, 20, None, 0)
+    _, u, v, rep = als_svd(a, SolverConfig(k=4, epsilon=1e-4, seed=seed))
+    assert rep.termination == "converged"
+    assert rep.total_sweeps <= 2
+    assert max(*u.ranks, *v.ranks) <= 12
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -23,7 +23,6 @@ from ttsvd import (
     block_tt_scale_columns,
     diag_embed,
     gram_tt_round,
-    identity_scaled,
     left_orthogonalize_through,
     matrix_tt_matmul,
     matrix_tt_round,
@@ -41,7 +40,7 @@ from ttsvd import (
     tt_to_vector,
     truncated_svd,
 )
-from ttsvd.generators import prescribed_svd_matrix
+from ttsvd.generators import identity_scaled, prescribed_svd_matrix
 from ttsvd.tt import (
     _fuse,
     _gram_r_factors,
