@@ -209,11 +209,10 @@ def _sign_fix(lead: np.ndarray, *others: np.ndarray) -> None:
 
     The same column of every array in ``others`` flips with it, in place.
     """
-    for i in range(lead.shape[1]):
-        j = int(np.argmax(np.abs(lead[:, i])))
-        if lead[j, i] < 0:
-            for m in (lead, *others):
-                m[:, i] *= -1.0
+    j = np.argmax(np.abs(lead), axis=0)
+    flip = lead[j, np.arange(lead.shape[1])] < 0
+    for m in (lead, *others):
+        m[:, flip] *= -1.0
 
 
 def dense_block_svd(abar: np.ndarray, k: int):
@@ -386,11 +385,11 @@ def residual(a: MatrixTT, u: BlockTT, v: BlockTT, sigma,
              delta: float | None = None) -> float:
     """Relative residual ||A^T U - V Sigma||_F / ||Sigma||_F in TT arithmetic.
 
-    Exact up to floating-point rounding (about 1e-15 relative to the terms):
-    ``block_tt_residual_norm`` sweeps the unrounded chain, never forming or
-    rounding A^T U.  Its QR reductions keep tiny residuals resolvable, where
-    a Gram-trace norm bottoms out near sqrt(machine epsilon) times ||Sigma||.
-    ``delta`` is ignored, kept so five-argument calls keep working.
+    Exact to about 1e-16 ||Sigma|| on solver outputs: the left-to-right
+    sweep of ``block_tt_residual_norm`` never forms A^T U and cuts each
+    carry to its numerical rank only in a canonical gauge.  Residuals far
+    below sqrt(machine epsilon) ||Sigma|| stay resolvable.  ``delta`` is
+    ignored, kept so five-argument calls keep working.
     """
     sig = np.asarray(sigma, dtype=float)
     signorm = float(np.linalg.norm(sig))

@@ -31,6 +31,7 @@ from .generators import (
 )
 from .serialization import load_tt, save_tt
 from .tt import (
+    BlockTT,
     MatrixTT,
     VectorTT,
     _rf,
@@ -361,6 +362,33 @@ def _check_mac_counts(rng):
     return ok, f"projected matvec cost is {ratio:.2f}x the model"
 
 
+def _check_residual_gauge(rng):
+    # exact triplets of a prescribed N=6 matrix, one core of V nudged by
+    # 1e-12: the residual lies in directions the sweep's rank cut drops
+    # unless the chains are in the canonical gauge.  Every chain gets two
+    # core pairs re-scaled by 1e+-6 and no orthogonality tags.
+    n = 6
+    a, u, v, sigma = prescribed_svd_matrix(n, 0.5, k0=8, rank=3,
+                                           seed=int(rng.integers(1 << 16)))
+    cores = list(v.cores)
+    cores[3] = cores[3] + 1e-12 * rng.standard_normal(cores[3].shape)
+    v = BlockTT(cores, v.block_position)
+    ad, ud, vd = tt_reconstruct(a), tt_reconstruct(u), tt_reconstruct(v)
+    want = np.linalg.norm(ad.T @ ud - vd * sigma) / np.linalg.norm(sigma)
+
+    def regauged(chain, f):
+        cores = [c.copy() for c in chain.cores]
+        for m, g in ((1, f), (n - 3, 1.0 / f)):
+            cores[m], cores[m + 1] = cores[m] * g, cores[m + 1] / g
+        if isinstance(chain, MatrixTT):
+            return MatrixTT(cores)
+        return BlockTT(cores, chain.block_position)
+    err = max(abs(solver_mod.residual(*(regauged(c, f) for c in (a, u, v)),
+                                      sigma) - want) for f in (1e6, 1e-6))
+    return err <= 1e-14, (f"re-gauged residual of {want:.3e} differs from "
+                          f"dense by {err:.1e}")
+
+
 _CHECKS = [
     ("reshape-convention", _check_reshape_convention),
     ("truncated-svd", _check_truncated_svd),
@@ -382,6 +410,7 @@ _CHECKS = [
     ("serialization", _check_serialization),
     ("mac-counters", _check_mac_counts),
     ("gram-round", _check_gram_round),
+    ("residual-gauge", _check_residual_gauge),
 ]
 
 

@@ -7,6 +7,7 @@ from ttsvd import (Environment, LocalSolverError, MatrixTT, count_macs,
                    local_operator_macs, local_solve_macs, solver)
 from ttsvd.solver import (
     _gemm,
+    _sign_fix,
     _local_operator,
     _LocalOperator,
     _orthonormalize_block,
@@ -40,6 +41,30 @@ def test_dense_block_svd_matches_numpy_with_sign_convention():
     assert np.allclose(v.T @ v, np.eye(4), atol=1e-12)
     for col in range(4):
         assert u[np.argmax(np.abs(u[:, col])), col] > 0
+
+
+def _sign_fix_by_column(lead, *others):
+    """Column-by-column reference for ``_sign_fix``."""
+    for i in range(lead.shape[1]):
+        j = int(np.argmax(np.abs(lead[:, i])))
+        if lead[j, i] < 0:
+            for m in (lead, *others):
+                m[:, i] *= -1.0
+
+
+def test_sign_fix_matches_the_column_loop():
+    # bit-identical, ties included: argmax takes the first maximum either way
+    rng = np.random.default_rng(3)
+    for trial in range(60):
+        n, k = rng.integers(1, 12, size=2)
+        lead = rng.standard_normal((n, k))
+        if trial % 2:
+            lead = np.round(lead)  # exact ties in |lead|, and zero columns
+        other = rng.standard_normal((n + 2, k))
+        want = [lead.copy(), other.copy()]
+        _sign_fix_by_column(*want)
+        _sign_fix(lead, other)
+        assert np.array_equal(lead, want[0]) and np.array_equal(other, want[1])
 
 
 def test_dense_block_eig_sorts_descending():
