@@ -69,7 +69,7 @@ TIMING_COLUMNS = ("experiment", "solver", "N", "K", "param", "rep", "seed",
 class RunConfig:
     experiment: str
     solvers: list
-    n_values: list
+    n_values: list = field(default_factory=list)
     k: int = 10
     epsilon: float = 1e-8
     reps: int = 5
@@ -263,6 +263,8 @@ def _build_matrix(cfg: RunConfig, n: int, param, rep_seed: int):
             a = load_tt(path)
         except OSError as exc:
             raise ConfigError(f"cannot read TT container: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"corrupt TT container {path}: {exc}") from exc
         if not isinstance(a, MatrixTT):
             raise ConfigError("custom experiment needs a serialized MatrixTT")
         return a, None

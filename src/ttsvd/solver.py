@@ -53,6 +53,9 @@ directly: a right basis V and a left basis U, with Ritz triplets from the
 SVD of U^T A V.  The Gram eigenproblem runs block Lanczos with
 Rayleigh-Ritz extraction of the K largest pairs.  Both reorthogonalize
 fully and start from the block core's V side (seeded random if absent).
+A new block takes one Householder QR of [basis | block] while the basis
+holds at most one block, and projections against a wider basis
+(``_orthonormalize_block``).
 
 Rank floors: truncated splits keep at least enough rank that the next
 window's local problem can still hold K orthonormal columns (mirroring the
@@ -245,15 +248,22 @@ def dense_block_eig(bbar: np.ndarray, k: int):
 
 def _orthonormalize_block(w: np.ndarray, basis: np.ndarray,
                           rng: np.random.Generator) -> np.ndarray:
-    """Orthonormalize w against the basis (twice) and internally.
+    """Orthonormalize w against the basis and internally.
 
-    Columns swallowed by the basis (their norm collapses relative to what
+    The returned block always spans new orthonormal directions.  A basis
+    of at most one block (the first two Krylov steps) takes one Householder
+    QR of [basis | w]: its trailing columns are orthonormal to working
+    precision and orthogonal to the basis, whatever w's conditioning, and a
+    column swallowed by the basis comes out as some new direction.  A wider
+    basis is projected out twice, which costs less than a QR of its width:
+    columns swallowed by the basis (their norm collapses relative to what
     they came in with, the usual sign of Krylov saturation) and columns
     that collapse in the QR step are replaced with fresh random directions,
-    so the returned block always spans new orthonormal directions.  A last
-    projection against the basis and QR removes what R^-1 brings back of
-    the basis when the block is nearly rank-deficient.
+    and a last projection against the basis and QR removes what R^-1 brings
+    back of the basis when the block is nearly rank-deficient.
     """
+    if basis.shape[1] <= w.shape[1]:
+        return np.linalg.qr(np.hstack([basis, w]))[0][:, basis.shape[1]:]
     w = np.array(w, dtype=float)
     orig = np.linalg.norm(w, axis=0)
     for _ in range(2):

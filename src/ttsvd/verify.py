@@ -325,6 +325,31 @@ def _check_local_paths_agree(rng):
                           f"{err:.1e}")
 
 
+def _check_orthonormalize(rng):
+    # both paths of the Krylov block orthonormalization: a basis of at most
+    # one block takes one Householder QR, a wider one the projections
+    def case(n, b, k, inside, rank):
+        basis, _ = np.linalg.qr(rng.standard_normal((n, b)))
+        w = (basis @ rng.standard_normal((b, k)) if inside
+             else rng.standard_normal((n, k)))
+        if rank:  # nearly dependent: a rank-deficient new part and noise
+            new = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, k))
+            w = w + new + 1e-8 * rng.standard_normal((n, k))
+        return basis, w
+
+    leak = defect = 0.0
+    for basis, w in (case(60, 5, 5, True, 0),     # inside a one-block basis
+                     case(200, 8, 8, True, 2),    # nearly dependent, b <= K
+                     case(200, 30, 8, True, 2),   # nearly dependent, b > K
+                     case(200, 40, 5, False, 0)):  # wide basis
+        q = solver_mod._orthonormalize_block(w, basis, rng)
+        leak = max(leak, float(np.max(np.abs(basis.T @ q))))
+        defect = max(defect, float(np.linalg.norm(
+            q.T @ q - np.eye(q.shape[1]), 2)))
+    return leak <= 1e-12 and defect <= 1e-12, (
+        f"max |B^T q| {leak:.1e}, ||q^T q - I|| {defect:.1e} on both paths")
+
+
 def _check_solver_roundtrip(rng):
     a = prescribed_svd_matrix(5, 0.5, k0=6, rank=2, seed=4)[0]
     cfg = solver_mod.SolverConfig(k=3, epsilon=1e-8, seed=1)
@@ -406,6 +431,7 @@ _CHECKS = [
     ("environment-frames", _check_environments),
     ("local-krylov-solver", _check_local_solver),
     ("local-paths-agree", _check_local_paths_agree),
+    ("krylov-orthonormalize", _check_orthonormalize),
     ("solver-roundtrip", _check_solver_roundtrip),
     ("serialization", _check_serialization),
     ("mac-counters", _check_mac_counts),

@@ -118,6 +118,17 @@ def test_custom_experiment_requires_path():
         RunConfig(experiment="custom", solvers=["als_svd"], n_values=[])
 
 
+def test_only_custom_may_omit_n_values(tmp_path):
+    # custom reads N from its container; every other experiment needs N
+    doc = {"schema_version": 1, "experiment": "custom",
+           "solvers": ["als_svd"], "params": {"path": "a.ttc"}}
+    cfg = load_run_config(_write_yaml(tmp_path / "custom.yaml", doc))
+    assert cfg.n_values == []
+    doc.update(experiment="prescribed_svd", params={"beta": [0.5]})
+    with pytest.raises(ConfigError, match="n_values must not be empty"):
+        load_run_config(_write_yaml(tmp_path / "prescribed.yaml", doc))
+
+
 # ---------------------------------------------------------------------------
 # runs, rows, and aggregates
 
@@ -415,6 +426,23 @@ def test_cli_run_rejects_bad_inputs(tmp_path):
     assert res.exit_code == 2
     res = runner.invoke(cli_main, ["run", str(tmp_path / "missing.yaml")])
     assert res.exit_code == 2
+
+
+def test_cli_run_names_a_corrupt_custom_container(tmp_path):
+    runner = CliRunner()
+    good = tmp_path / "good.ttc"
+    save_tt(random_matrix_tt(4, 2, np.random.default_rng(3)), str(good))
+    data = good.read_bytes()
+    for name, payload in (("garbage.ttc", b"not a container at all"),
+                          ("half.ttc", data[:len(data) // 2])):
+        path = tmp_path / name
+        path.write_bytes(payload)
+        cfg = _cli_config(tmp_path, experiment="custom",
+                          params={"path": str(path)})
+        res = runner.invoke(cli_main, ["run", cfg])
+        assert res.exit_code == 2, res.output
+        assert f"corrupt TT container {path}" in res.output
+        assert "generator rejected" not in res.output
 
 
 def test_cli_run_strict_flags_non_convergence(tmp_path):

@@ -228,7 +228,9 @@ def test_dispatch_crossover_eig():
 
 def test_krylov_handles_saturated_subspaces():
     # operator with tiny effective rank: the Krylov space saturates almost
-    # immediately and the basis extension must survive via random padding
+    # immediately and the basis extension must survive on new directions
+    # (the Householder QR's columns for a basis of one block, random
+    # replacements beyond)
     rng = np.random.default_rng(11)
     m = np.zeros((18, 14))
     m[:, :2] = rng.standard_normal((18, 2))
@@ -253,6 +255,32 @@ def test_orthonormalize_nearly_rank_deficient_block():
     assert q.shape == (400, 8)
     assert np.max(np.abs(basis.T @ q)) <= 1e-12
     assert np.allclose(q.T @ q, np.eye(8), atol=1e-12)
+
+
+@pytest.mark.parametrize("b", [0, 6, 7])
+def test_orthonormalize_paths_span_the_projected_subspace(b):
+    # K = 6: b <= K takes the Householder QR of [basis | w], b = K+1 the
+    # projections; on a well-conditioned w both span w with the basis
+    # projected out
+    rng = np.random.default_rng(b)
+    basis, _ = np.linalg.qr(rng.standard_normal((120, b)))
+    w = rng.standard_normal((120, 6))
+    want, _ = np.linalg.qr(w - basis @ (basis.T @ w))
+    q = _orthonormalize_block(w, basis, np.random.default_rng(1))
+    assert q.shape == (120, 6)
+    assert np.max(np.abs(q @ q.T - want @ want.T)) <= 1e-12
+
+
+def test_orthonormalize_block_inside_a_one_block_basis():
+    # every column of w lies in the basis: the Householder path still
+    # returns new orthonormal directions orthogonal to it
+    rng = np.random.default_rng(16)
+    basis, _ = np.linalg.qr(rng.standard_normal((50, 5)))
+    w = basis @ rng.standard_normal((5, 5))
+    q = _orthonormalize_block(w, basis, np.random.default_rng(17))
+    assert q.shape == (50, 5)
+    assert np.max(np.abs(basis.T @ q)) <= 1e-12
+    assert np.allclose(q.T @ q, np.eye(5), atol=1e-12)
 
 
 def test_materialized_krylov_counts_its_gemm_applies():
