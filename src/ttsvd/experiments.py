@@ -97,6 +97,16 @@ class RunConfig:
             raise ConfigError("repetitions must be >= 1")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        # YAML reads 1e-8 (no dot) as a string; float() parses it, as for params.delta
+        bad_epsilon = ConfigError(f"epsilon must be a number, got {self.epsilon!r}")
+        if isinstance(self.epsilon, bool):
+            raise bad_epsilon
+        try:
+            self.epsilon = float(self.epsilon)
+        except (TypeError, ValueError):
+            raise bad_epsilon from None
         if not 0 < self.epsilon < math.inf:
             raise ConfigError("epsilon must be positive and finite")
         if self.experiment != "custom":

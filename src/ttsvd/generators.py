@@ -4,8 +4,8 @@ All generators work on quantized chains (every mode size 2) and return exact
 TT representations wherever the structure permits: triangular Toeplitz and
 Hankel matrices from a generating vector via a carry-channel core mixing,
 shift matrices, tridiagonal matrices assembled from shift and diagonal
-pieces, a Hilbert-like submatrix via Hankel assembly of an exponential-sum
-chain for 1/m, and random matrices with a prescribed singular spectrum.
+pieces, a Hilbert-like submatrix as an exponential sum of rank-1 matrix
+chains, and random matrices with a prescribed singular spectrum.
 
 Index conventions (1-based in the formulas, 0-based in code):
 
@@ -43,12 +43,14 @@ from .tt import (
 
 # Tridiagonal and full Toeplitz sums are rounded at _ASSEMBLY_DELTA.
 _ASSEMBLY_DELTA = 1e-13
-# The Hilbert generating vector 1/m is a sum of exponentials (_reciprocal_tt):
+# The Hilbert matrix is a sum of exponentials (hilbert_submatrix_tt):
 # trapezoid step in s = ln t, terms per rounded chunk, and the chunk rounding
 # delta.  The quadrature alone is accurate to about 1e-13 relative; rounding at
 # 1e-15 instead of 1e-16 already lifts the Hilbert error to 3.7e-13 at N=22.
+# At N=50 the rounded chunk sums reach rank 67 with 12 terms a chunk and 115
+# with 16, which doubles the build time for the same matrix.
 _EXPSUM_STEP = 0.3
-_EXPSUM_CHUNK = 16
+_EXPSUM_CHUNK = 12
 _EXPSUM_DELTA = 1e-16
 
 
@@ -154,17 +156,6 @@ def shift_tt(n: int) -> MatrixTT:
     return toeplitz_tt(_e1_chain(n))
 
 
-def exchange_matrix_tt(n: int) -> MatrixTT:
-    """Rank-1 exchange (anti-identity) matrix: flips every index bit."""
-    core = _P[np.newaxis, :, :, np.newaxis]
-    return MatrixTT([core.copy() for _ in range(n)])
-
-
-def _flip_both(a: MatrixTT) -> MatrixTT:
-    """Reverse both the global row and column index of a MatrixTT."""
-    return MatrixTT([c[:, ::-1, ::-1, :].copy() for c in a.cores])
-
-
 def tridiagonal_tt(a: VectorTT, b: VectorTT, c: VectorTT) -> MatrixTT:
     """Tridiagonal matrix with subdiagonal a, diagonal b, superdiagonal c.
 
@@ -214,81 +205,56 @@ def identity_scaled(n: int, alpha: float) -> MatrixTT:
     return MatrixTT(cores)
 
 
-def _exponential_sum_tt(t: np.ndarray, w: np.ndarray,
-                        n_cores: int) -> VectorTT:
-    """sum_k w_k exp(-t_k m), m = 0 .. 2^n_cores - 1, as a chain of rank len(t).
+def _exponential_sum_tt(t: np.ndarray, w: np.ndarray, n: int) -> MatrixTT:
+    """sum_k w_k exp(-t_k (i+j+1)) on the 2^n x 2^(n-1) grid, rank len(t).
 
-    Term k is rank 1: core b is [1, exp(-t_k 2^b)], so the product over the
-    bits of m is exp(-t_k m).  A node t_k = inf gives the unit vector e_0.
+    Term k is rank 1: core b holds exp(-t_k 2^b (r + c)) for row bit r and
+    column bit c, so the product over the bits of i and j is
+    exp(-t_k (i + j)).  The last core takes row bits n-2 and n-1 as one
+    mode r = 0..3 (faster first) and column bit n-2.  Core 0 also carries
+    w_k exp(-t_k), the +1 of x = i+j+1.
     """
     k = len(t)
-    vals = np.exp(-np.outer(t, 2.0 ** np.arange(n_cores)))  # (k, n_cores)
     diag = np.arange(k)
     cores = []
-    for b in range(n_cores):
-        c = np.zeros((k, 2, k))
-        c[diag, :, diag] = np.stack([np.ones(k), vals[:, b]], axis=1)
+    for b, rows in enumerate([2] * (n - 2) + [4]):
+        x = np.add.outer(np.arange(rows), np.arange(2))  # r + c
+        c = np.zeros((k, rows, 2, k))
+        c[diag, :, :, diag] = np.exp(-np.multiply.outer(t * 2.0 ** b, x))
         cores.append(c)
-    cores[0] = np.tensordot(w, cores[0], axes=(0, 0))[np.newaxis]
-    cores[-1] = cores[-1].sum(axis=2, keepdims=True)
-    return VectorTT(cores)
-
-
-def _reciprocal_tt(n_cores: int) -> VectorTT:
-    """g_m = 1/m for 1 <= m < 2^n_cores and g_0 = 1, with no dense 2^n array.
-
-    Sinc quadrature of 1/x = integral of exp(s - x e^s) ds: the trapezoid rule
-    with step _EXPSUM_STEP over s in [ln(1e-14 / 2^n_cores), ln 40] gives
-    1/x ~ sum_k w_k exp(-t_k x) with t_k = e^(s_k), w_k = h t_k, about 1e-13
-    relative on 1 <= x < 2^n_cores (each cut tail is below 1e-14 relative).
-    Every term is a rank-1 chain (Braess & Hackbusch, IMA J. Numer. Anal. 25,
-    2005).  At m = 0 the sum is sum_k w_k ~ 40, which would dominate every
-    rounding norm, so each chunk also carries -sum_k w_k e_0 (plus e_0 once)
-    and reads 0 there.  Chunks of _EXPSUM_CHUNK terms are added and rounded at
-    _EXPSUM_DELTA; the ranks stay at about 11 for any n_cores.
-    """
-    h = _EXPSUM_STEP
-    t = np.exp(np.arange(math.log(1e-14) - n_cores * math.log(2.0),
-                         math.log(40.0), h))
-    g = None
-    for lo in range(0, len(t), _EXPSUM_CHUNK):
-        tk = t[lo:lo + _EXPSUM_CHUNK]
-        wk = h * tk
-        reset = (1.0 if lo == 0 else 0.0) - wk.sum()
-        part = _exponential_sum_tt(np.append(tk, math.inf),
-                                   np.append(wk, reset), n_cores)
-        g = part if g is None else tt_round(tt_add(g, part), _EXPSUM_DELTA)
-    return g
+    cores[0] = np.tensordot(w * np.exp(-t), cores[0], axes=(0, 0))[np.newaxis]
+    cores[-1] = cores[-1].sum(axis=3, keepdims=True)
+    return MatrixTT(cores)
 
 
 def hilbert_submatrix_tt(n: int, delta: float) -> MatrixTT:
-    """2^n x 2^{n-1} matrix with entries 1/(i+j-1), built via Hankel assembly.
+    """2^n x 2^{n-1} matrix with entries 1/(i+j-1), as an exponential sum.
 
-    The generating vector g_m = 1/m, m < 2^{n+1}, is an exponential sum of
-    rank-1 chains (``_reciprocal_tt``), so no array of length 2^n is formed
-    at any n and the build time grows about linearly in n.  The assembled
-    matrix is rounded at delta/10, so ||H_tt - H||_F <= delta ||H||_F down
-    to an error floor of about 1e-13 relative, set by the exponential sum.
+    Sinc quadrature of 1/x = integral of exp(s - x e^s) ds: the trapezoid
+    rule with step _EXPSUM_STEP over s in [ln(1e-14 / 2^(n+1)), ln 40] gives
+    1/x ~ sum_k w_k exp(-t_k x) with t_k = e^(s_k), w_k = h t_k, about 1e-13
+    relative on 1 <= x < 2^(n+1) (each cut tail is below 1e-14 relative).
+    With x = i+j+1 (0-based) every term is a rank-1 matrix chain (Braess &
+    Hackbusch, IMA J. Numer. Anal. 25, 2005), so no array of length 2^n is
+    formed at any n.  Chunks of _EXPSUM_CHUNK terms are added and rounded at
+    _EXPSUM_DELTA, and the sum is rounded at delta/10, so
+    ||H_tt - H||_F <= delta ||H||_F down to an error floor of about 1e-13
+    relative, set by the quadrature.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
-    g_tt = _reciprocal_tt(n + 1)
-
-    first = tt_last_mode_slice(g_tt, 0)   # g_m for m = 1..2^n  (g_m = 1/(m-1))
-    second = tt_last_mode_slice(g_tt, 1)  # g_{2^n + m} for m = 1..2^n
-    # upper anti-triangle: s_d = g_{2^n+1-d} = 1/(2^n - d)
-    s_up = tt_reverse(first)
-    # lower anti-triangle (after flipping both indices): s'_d = g_{2^n+1+d}
-    s_lo = tt_round(matvec_tt(shift_tt(n), second), 1e-14)
-    upper = hankel_tt(s_up)
-    lower = _flip_both(hankel_tt(s_lo))
-    mid = 2.0 ** -n  # value on the central anti-diagonal
-    anti = exchange_matrix_tt(n)
-    anti.cores[0] = anti.cores[0] * mid
-    total = tt_add(tt_add(upper, lower), anti)
-    return tt_round(_restrict_first_half_columns(total), delta * 0.1)
+    h = _EXPSUM_STEP
+    t = np.exp(np.arange(math.log(1e-14) - (n + 1) * math.log(2.0),
+                         math.log(40.0), h))
+    total = None
+    for lo in range(0, len(t), _EXPSUM_CHUNK):
+        tk = t[lo:lo + _EXPSUM_CHUNK]
+        part = _exponential_sum_tt(tk, h * tk, n)
+        total = part if total is None else tt_round(tt_add(total, part),
+                                                    _EXPSUM_DELTA)
+    return tt_round(total, delta * 0.1)
 
 
 # ---------------------------------------------------------------------------

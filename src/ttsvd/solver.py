@@ -162,7 +162,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name, low in (("k", 1), ("max_full_sweeps", 1), ("max_restarts", 0),
-                          ("max_rank", 1)):
+                          ("seed", 0), ("max_rank", 1)):
             value = getattr(self, name)
             if value is None and name == "max_rank":
                 continue

@@ -642,16 +642,14 @@ def _canonical_cores(cores, orth, p: int) -> list:
     return cores
 
 
-def _reduce_carry(stacked: np.ndarray, cut: bool):
+def _reduce_carry(stacked: np.ndarray):
     """A carry C with ``stacked`` = Q C for some Q with orthonormal columns.
 
     A tall matrix gives its R factor, by an R-only QR.  A wide one, which a
-    QR cannot shrink, is kept as it is when its numerical rank is full:
-    every singular value exceeds eps * sigma_1, below which a direction is
-    lost in the rounding of the carry anyway.  Otherwise ``cut`` keeps the
-    rows of U^T stacked for the singular values above that floor, and
-    without ``cut`` the result is None.  A wide matrix with a NaN or inf
-    is kept as it is.
+    QR cannot shrink, keeps the rows of U^T stacked for its singular values
+    above eps * sigma_1, below which a direction is lost in the rounding of
+    the carry anyway; at full numerical rank it is kept as it is.  A wide
+    matrix with a NaN or inf is kept as it is.
     """
     rows, cols = stacked.shape
     if rows >= cols:
@@ -659,22 +657,18 @@ def _reduce_carry(stacked: np.ndarray, cut: bool):
     r = np.linalg.qr(stacked.T, mode="r")  # stacked = r^T Q^T
     if not np.isfinite(r).all():  # the norm comes out NaN or inf
         return stacked
-    if cut:
-        u, sv, _ = np.linalg.svd(r.T)
-    else:
-        sv = np.linalg.svd(r, compute_uv=False)
+    u, sv, _ = np.linalg.svd(r.T)
     keep = int(np.count_nonzero(sv > np.finfo(float).eps * sv[0]))
     if keep == rows:
         return stacked
-    return u[:, :max(keep, 1)].T @ stacked if cut else None
+    return u[:, :max(keep, 1)].T @ stacked
 
 
-def _residual_sweep(ops, xc, yc, p: int, cut: bool):
+def _residual_sweep(ops, xc, yc, p: int) -> float:
     """The left-to-right sweep of ``block_tt_residual_norm`` over prepared cores.
 
     ``ops`` are the operator's cores as (R^op, J, I, R^op'), ``xc`` and
     ``yc`` the cores of X and Y with the weights in their block core p.
-    Returns the norm, or None where ``_reduce_carry`` declines a cut.
     """
     cx = np.ones((1, 1))  # carry into the op X part: (s * R^op, R^X)
     cy = np.ones((1, 1))  # carry into the Y part: (s, R^Y)
@@ -696,9 +690,7 @@ def _residual_sweep(ops, xc, yc, p: int, cut: bool):
         np.copyto(stacked[:, :nx].reshape(s, k, ni, ro2, rx2),
                   gx.reshape(s, k, rx2, ni, ro2).transpose(0, 1, 3, 4, 2))
         stacked[:, nx:] = gy.reshape(-1, ry2)
-        carry = _reduce_carry(stacked, cut)
-        if carry is None:
-            return None
+        carry = _reduce_carry(stacked)
         cx = np.ascontiguousarray(carry[:, :nx]).reshape(-1, rx2)
         cy = carry[:, nx:]
     return float(np.linalg.norm(gx.reshape(-1) + gy.reshape(-1)))
@@ -722,16 +714,12 @@ def block_tt_residual_norm(op: MatrixTT, x: BlockTT, xs, y: BlockTT, ys) -> floa
     left-orthogonal before their block core and right-orthogonal after it,
     skipping cores whose ``orth`` tags already say so: the solver's chains,
     tagged up to their block core at the end, cost nothing, and K enters
-    the carry only at the last core.  The operator's gauge costs a QR sweep
-    over its cores, so the sweep first runs on the operator as given and
-    cuts nothing (an R factor and an unchanged full-rank wide matrix are
-    both exact).  At the first wide matrix of deficient numerical rank it
-    starts over with the operator right-orthogonal and divided by its
-    Frobenius norm, which moves into ``xs``, and cuts.  Then the parts
-    right of every bond are bounded by the two terms, so a cut drops no
-    more than the rounding the carry already holds.  Without the gauge,
-    re-scaled neighbouring cores can move the whole residual into the
-    directions a cut drops.
+    the carry only at the last core.  The operator is made right-orthogonal
+    by a QR sweep over its cores and divided by its Frobenius norm, which
+    moves into ``xs``.  Then the parts right of every bond are bounded by
+    the two terms, so a cut drops no more than the rounding the carry
+    already holds.  Without the gauge, re-scaled neighbouring cores can
+    move the whole residual into the directions a cut drops.
 
     The value agrees with a right-to-left QR-only sweep to about
     1e-16 ||ys|| on the SVD solvers' outputs, with the block core first, in
@@ -756,14 +744,12 @@ def block_tt_residual_norm(op: MatrixTT, x: BlockTT, xs, y: BlockTT, ys) -> floa
     xc[p] = xc[p] * xs[np.newaxis, :, np.newaxis, np.newaxis]
     yc[p] = yc[p] * -ys[np.newaxis, :, np.newaxis, np.newaxis]
     ops = [np.ascontiguousarray(c.transpose(0, 2, 1, 3)) for c in op.cores]
-    norm = _residual_sweep(ops, xc, yc, p, cut=False)
-    if norm is None:
-        ops = _canonical_cores(ops, [None] * len(ops), 0)
-        nu = float(np.linalg.norm(ops[0]))
-        if nu > 0.0:
-            ops[0] = ops[0] / nu
-            xc[p] = xc[p] * nu
-        norm = _residual_sweep(ops, xc, yc, p, cut=True)
+    ops = _canonical_cores(ops, [None] * len(ops), 0)
+    nu = float(np.linalg.norm(ops[0]))
+    if nu > 0.0:
+        ops[0] = ops[0] / nu
+        xc[p] = xc[p] * nu
+    norm = _residual_sweep(ops, xc, yc, p)
     if not math.isfinite(norm):
         raise ValueError("a core or weight of the residual holds NaN or inf, "
                          "or the residual overflows")

@@ -70,6 +70,16 @@ def test_load_good_config(tmp_path):
     assert cfg.out_dir == "results"
 
 
+def test_load_reads_exponent_only_epsilon(tmp_path):
+    # YAML 1.1 reads 1e-8 (no dot) as the string "1e-8"
+    path = tmp_path / "run.yaml"
+    path.write_text("schema_version: 1\nexperiment: hilbert\n"
+                    "solvers: [als_svd]\nn_values: [6]\nepsilon: 1e-8\n")
+    assert yaml.safe_load(path.read_text())["epsilon"] == "1e-8"
+    cfg = load_run_config(str(path))
+    assert cfg.epsilon == 1e-8 and isinstance(cfg.epsilon, float)
+
+
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda d: d.pop("schema_version"), "schema_version"),
     (lambda d: d.update(schema_version=2), "schema_version"),
@@ -82,10 +92,13 @@ def test_load_good_config(tmp_path):
     (lambda d: d.update(epsilon=0.0), "positive"),
     (lambda d: d.update(epsilon=float("nan")), "finite"),
     (lambda d: d.update(epsilon=float("inf")), "finite"),
+    (lambda d: d.update(epsilon="abc"), "epsilon must be a number"),
+    (lambda d: d.update(epsilon=True), "epsilon must be a number"),
     (lambda d: d.update(k=2.5), "k must be an integer"),
     (lambda d: d.update(k=True), "k must be an integer"),
     (lambda d: d.update(reps=1.5), "reps must be an integer"),
     (lambda d: d.update(seed=0.5), "seed must be an integer"),
+    (lambda d: d.update(seed=-1), "seed must be >= 0"),
     (lambda d: d.update(n_values=[1]), ">= 2"),
     (lambda d: d.update(n_values=[]), "must not be empty"),
     (lambda d: d.update(params=[1]), "params must be a mapping"),

@@ -176,9 +176,9 @@ def test_residual_factorizes_only_small_matrices(monkeypatch):
     shapes = []
     reduce_carry = tt._reduce_carry
 
-    def recording(stacked, cut):
+    def recording(stacked):
         shapes.append(stacked.shape)
-        return reduce_carry(stacked, cut)
+        return reduce_carry(stacked)
     monkeypatch.setattr(tt, "_reduce_carry", recording)
     residual(a, u, v, sig)
     assert shapes and max(rows for rows, _ in shapes) <= 64

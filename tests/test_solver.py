@@ -515,12 +515,12 @@ def test_driver_validation():
     for bad in (dict(epsilon=float("nan")), dict(epsilon=float("inf"))):
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(k=2, **bad)
-    for name in ("k", "max_full_sweeps", "max_restarts", "max_rank"):
+    for name in ("k", "max_full_sweeps", "max_restarts", "seed", "max_rank"):
         for value in (2.5, 0.5, True):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 SolverConfig(**{"k": 2, name: value})
     for bad in (dict(max_full_sweeps=0), dict(max_restarts=-1),
-                dict(max_rank=0), dict(max_rank=-3)):
+                dict(seed=-1), dict(max_rank=0), dict(max_rank=-3)):
         with pytest.raises(ValueError, match="must be at least"):
             SolverConfig(k=2, **bad)
     assert SolverConfig(k=np.int64(2)).k == 2
