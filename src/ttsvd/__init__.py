@@ -57,7 +57,6 @@ from .tt import (
     merge_cores,
     split_block_core,
     tt_add,
-    tt_entry,
     tt_norm,
     tt_reconstruct,
     tt_round,

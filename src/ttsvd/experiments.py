@@ -260,7 +260,7 @@ def _build_matrix(cfg: RunConfig, n: int, param, rep_seed: int):
         ones = VectorTT([np.ones((1, 2, 1))] * n)  # rank 1, no dense 2^N vector
         neg = tt_scale(ones, -1.0)
         a = tridiagonal_tt(neg, tt_scale(ones, 2.0), neg)
-        j = np.arange(m, m - cfg.k, -1)
+        j = m - np.arange(cfg.k, dtype=float)  # floats, also past 2^63
         truth = 2.0 - 2.0 * np.cos(j * math.pi / (m + 1))
         return a, truth
     if cfg.experiment == "toeplitz":

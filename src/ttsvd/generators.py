@@ -1,11 +1,12 @@
 """Explicit TT constructions for structured test matrices.
 
 All generators work on quantized chains (every mode size 2) and return exact
-TT representations wherever the structure permits: triangular Toeplitz and
-Hankel matrices from a generating vector via a carry-channel core mixing,
-shift matrices, tridiagonal matrices assembled from shift and diagonal
-pieces, a Hilbert-like submatrix as an exponential sum of rank-1 matrix
-chains, and random matrices with a prescribed singular spectrum.
+TT representations wherever the structure permits: triangular Toeplitz,
+Hankel and full Toeplitz matrices from a generating vector by one
+borrow-channel core mixing (Kazeev, Khoromskij & Tyrtyshnikov, SIAM J. Sci.
+Comput. 35, 2013), shift and tridiagonal matrices, a Hilbert-like submatrix
+as an exponential sum of rank-1 matrix chains, and random matrices with a
+prescribed singular spectrum.
 
 Index conventions (1-based in the formulas, 0-based in code):
 
@@ -31,17 +32,13 @@ from .tt import (
     left_orthogonalize_through,
     matrix_tt_matmul,
     matrix_tt_transpose,
-    matvec_tt,
-    tt_entry,
     tt_add,
-    tt_last_mode_slice,
     tt_norm,
-    tt_reverse,
     tt_round,
     tt_scale,
 )
 
-# Tridiagonal and full Toeplitz sums are rounded at _ASSEMBLY_DELTA.
+# Tridiagonal sums and full Toeplitz mixings are rounded at _ASSEMBLY_DELTA.
 _ASSEMBLY_DELTA = 1e-13
 # The Hilbert matrix is a sum of exponentials (hilbert_submatrix_tt):
 # trapezoid step in s = ln t, terms per rounded chunk, and the chunk rounding
@@ -55,54 +52,41 @@ _EXPSUM_DELTA = 1e-16
 
 
 # ---------------------------------------------------------------------------
-# carry-channel block tables for triangular Toeplitz / Hankel mixing
-#
-# Each chain core of the generating vector is mixed with a (k, c_out, c_in)
-# table of 2x2 blocks.  The carry channel c tracks whether the running
-# difference j - i still owes a borrow; injecting c = 1 at the first core and
-# demanding c = 0 after the last yields exactly the strictly-upper Toeplitz
-# selection t_{ij} = s_{j-i}.
-
-_I2 = np.eye(2)
-_J = np.array([[0.0, 1.0], [0.0, 0.0]])  # picks (i,j) = (1,2): j - i bit pattern 1
-_K = np.array([[0.0, 0.0], [1.0, 0.0]])  # picks (i,j) = (2,1): borrow case
-_P = np.array([[0.0, 1.0], [1.0, 0.0]])  # 2x2 exchange
+# borrow-channel mixing for Toeplitz-type matrices
 
 
-def _toeplitz_block_table() -> np.ndarray:
-    m = np.zeros((2, 2, 2, 2, 2))  # (k, c_out, c_in, i, j)
-    m[0, 0, 0] = _I2
-    m[0, 0, 1] = _J
-    m[0, 1, 1] = _K
-    m[1, 0, 0] = _J
-    m[1, 1, 0] = _K
-    m[1, 1, 1] = _I2
-    return m
+def _borrow_table() -> np.ndarray:
+    """Entry (k, c_out, c_in, i, j) is 1 where j - i - c_in has low bit k and
+    borrow c_out; Hankel mixing flips the column bit ([..., ::-1])."""
+    k, c_out, c_in, i, j = np.indices((2,) * 5)
+    d = j - i - c_in
+    return ((d % 2 == k) & ((d < 0) == c_out)).astype(float)
 
 
-def _hankel_block_table() -> np.ndarray:
-    # right-multiplying every block by the 2x2 exchange flips the column bit,
-    # turning the Toeplitz selection into the anti-triangular Hankel one
-    return _toeplitz_block_table() @ _P
+_BORROW_TABLE = _borrow_table()
+_NO_BORROW = np.array([[1.0, 0.0]])
 
 
-def _mixed_matrix_tt(s: VectorTT, table: np.ndarray) -> MatrixTT:
-    if any(i != 2 for i in s.mode_sizes):
+def _mixed_matrix_tt(cores, table: np.ndarray, last: np.ndarray) -> MatrixTT:
+    """Mix generating cores, least significant bit first, with ``table``.
+
+    A channel c carries the borrow of j - i over the bits of i and j seen so
+    far, so every interior rank is twice the core's.  The first core gets
+    borrow c_in = 1, and ``last`` (R_N, 2) weighs the last core's right bond
+    b and final borrow c_out by last[b, c_out]; ``_NO_BORROW`` selects
+    t_{ij} = s_{j-i} for j > i.
+    """
+    if any(c.shape[1] != 2 for c in cores) or last.shape[1] != 2:
         raise ValueError("generating vector must have mode sizes 2")
-    n = s.n_cores
-    cores = []
-    for m in range(n):
-        c = s.cores[m]
+    out = []
+    for c in cores:
         r, _, r2 = c.shape
         g = np.einsum("akb,kpqij->aqijbp", c, table, optimize=True)
-        g = _rf(g, (r * 2, 2, 2, r2 * 2))
-        if m == 0:
-            g = g[r:, :, :, :].reshape(1, 2, 2, r2 * 2)  # inject carry c_in = 1
-        if m == n - 1:
-            g = g[:, :, :, :r2]  # demand carry c_out = 0
-            g = g.reshape(g.shape[0], 2, 2, 1)
-        cores.append(g)
-    return MatrixTT(cores)
+        out.append(_rf(g, (r * 2, 2, 2, r2 * 2)))
+    out[0] = out[0][1:]  # inject borrow c_in = 1
+    g = _rf(out[-1], out[-1].shape[:3] + last.shape)
+    out[-1] = np.tensordot(g, last, axes=([3, 4], [0, 1]))[..., np.newaxis]
+    return MatrixTT(out)
 
 
 def toeplitz_tt(s: VectorTT) -> MatrixTT:
@@ -111,7 +95,7 @@ def toeplitz_tt(s: VectorTT) -> MatrixTT:
     Exact; interior output ranks are exactly twice the ranks of ``s``.  The
     last entry of ``s`` is never referenced by the matrix.
     """
-    return _mixed_matrix_tt(s, _toeplitz_block_table())
+    return _mixed_matrix_tt(s.cores, _BORROW_TABLE, _NO_BORROW)
 
 
 def hankel_tt(s: VectorTT) -> MatrixTT:
@@ -119,7 +103,7 @@ def hankel_tt(s: VectorTT) -> MatrixTT:
 
     Exact; interior output ranks are exactly twice the ranks of ``s``.
     """
-    return _mixed_matrix_tt(s, _hankel_block_table())
+    return _mixed_matrix_tt(s.cores, _BORROW_TABLE[..., ::-1], _NO_BORROW)
 
 
 def _restrict_first_half_columns(a: MatrixTT) -> MatrixTT:
@@ -177,25 +161,16 @@ def full_toeplitz_tt(x: VectorTT) -> MatrixTT:
     """Full (two-sided) Toeplitz matrix a_{ij} = x_{2^N + i - j}.
 
     ``x`` must have N+1 cores (length 2^{N+1}); its very last entry is never
-    referenced.  Assembled from two strictly-triangular pieces plus the
-    diagonal and rounded at ``_ASSEMBLY_DELTA``.
+    referenced.  The 0-based entry x[2^N + (i - j - 1)] is one subtraction
+    with borrow: the first N cores of ``x`` are mixed with the borrow table,
+    and the top bit of the index, 1 - borrow, reads x's last core with its
+    mode reversed.  That is the transpose of a Toeplitz mixing, with bond
+    ranks 2R before the one rounding at ``_ASSEMBLY_DELTA``.
     """
-    if any(i != 2 for i in x.mode_sizes):
-        raise ValueError("generating vector must have mode sizes 2")
     if x.n_cores < 2:
         raise ValueError("need length >= 4 (at least two cores)")
-    n = x.n_cores - 1
-    first = tt_last_mode_slice(x, 0)   # entries x_1 .. x_{2^N}
-    second = tt_last_mode_slice(x, 1)  # entries x_{2^N+1} .. x_{2^{N+1}}
-    # superdiagonal generator: sup_d = x_{2^N - d}, reached by reversing the
-    # first half and shifting one step forward
-    sup = tt_round(matvec_tt(shift_tt(n), tt_reverse(first)), 1e-14)
-    upper = toeplitz_tt(sup)
-    lower = matrix_tt_transpose(toeplitz_tt(second))
-    x_mid = tt_entry(x, [1] * n + [0])  # x_{2^N}
-    ident = identity_scaled(n, x_mid)
-    total = tt_add(tt_add(upper, lower), ident)
-    return tt_round(total, _ASSEMBLY_DELTA)
+    t = _mixed_matrix_tt(x.cores[:-1], _BORROW_TABLE, x.cores[-1][:, ::-1, 0])
+    return tt_round(matrix_tt_transpose(t), _ASSEMBLY_DELTA)
 
 
 def identity_scaled(n: int, alpha: float) -> MatrixTT:

@@ -184,33 +184,6 @@ def tt_to_vector(x: VectorTT) -> np.ndarray:
     return tt_reconstruct(x).ravel(order="F")
 
 
-def tt_entry(x: VectorTT, idx) -> float:
-    """Evaluate one entry of a VectorTT at the 0-based multi-index ``idx``."""
-    v = x.cores[0][:, idx[0], :]
-    for n in range(1, x.n_cores):
-        v = v @ x.cores[n][:, idx[n], :]
-    return float(v[0, 0])
-
-
-def tt_reverse(x: VectorTT) -> VectorTT:
-    """Reverse the realized vector: entry i maps to entry (len - 1 - i).
-
-    Flipping every mode index flips every digit of the column-major
-    multi-index, which reverses the linear index exactly.
-    """
-    return VectorTT([c[:, ::-1, :].copy() for c in x.cores])
-
-
-def tt_last_mode_slice(x: VectorTT, j: int) -> VectorTT:
-    """Fix the last mode at index ``j`` and fold it away (one core fewer)."""
-    if x.n_cores < 2:
-        raise ValueError("need at least two cores to slice the last mode away")
-    cores = [c.copy() for c in x.cores[:-1]]
-    tail = x.cores[-1][:, j, :]  # (r, 1)
-    cores[-1] = np.tensordot(cores[-1], tail, axes=(2, 0))
-    return VectorTT(cores)
-
-
 # ---------------------------------------------------------------------------
 # compression / rounding / orthogonalization
 

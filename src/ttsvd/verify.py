@@ -19,6 +19,7 @@ from .dense import dense_qr, truncated_svd
 from .environments import Environment, env_init, environment_deviation, \
     dense_local_matrix, projected_matvec
 from .generators import (
+    full_toeplitz_tt,
     hankel_submatrix_tt,
     hankel_tt,
     hilbert_submatrix_tt,
@@ -192,7 +193,16 @@ def _check_toeplitz(rng):
     interior = t.ranks[1:-1]
     expect = [2 * r for r in s.ranks[1:-1]]
     ok = ok and interior == expect
-    return ok, "strictly upper triangular entries s_(j-i), interior ranks 2R"
+    # the full matrix a_ij = x_(2^N+i-j) reads x's last core through the
+    # final borrow
+    x = random_vector_tt([2] * (n + 1), 2, rng.integers(1 << 16))
+    a = full_toeplitz_tt(x)
+    xd = tt_to_vector(x)
+    ref = xd[m - 1 + np.arange(m)[:, None] - np.arange(m)[None, :]]
+    ok = ok and np.allclose(tt_reconstruct(a), ref, atol=1e-12)
+    ok = ok and all(r <= 2 * q for r, q in zip(a.ranks[1:-1], x.ranks[1:-1]))
+    return ok, ("strictly upper triangular entries s_(j-i), interior ranks "
+                "2R; full Toeplitz entries x_(2^N+i-j), ranks <= 2R")
 
 
 def _check_hankel(rng):

@@ -195,13 +195,16 @@ def test_csv_round_trip():
 
 
 def test_tridiagonal_cell_has_closed_form_truth():
+    # N=64 indexes past int64: the truth must still be computed in floats
     cfg = RunConfig(experiment="tridiagonal", solvers=["mals_svd"],
-                    n_values=[4], k=2, epsilon=1e-9, reps=1, seed=0)
+                    n_values=[4, 64], k=2, epsilon=1e-9, reps=1, seed=0)
     rows, _ = run_experiment(cfg)
-    rep = rows[0]
-    assert rep.termination == "converged"
-    assert float(rep.spectrum_rel_error) < 1e-7
-    assert rep.param == ""
+    reps = [r for r in rows if r.rep == "0"]
+    assert [r.n for r in reps] == [4, 64]
+    for rep in reps:
+        assert rep.termination == "converged"
+        assert float(rep.spectrum_rel_error) <= 1e-10
+        assert rep.param == ""
 
 
 def test_tridiagonal_build_holds_no_dense_vector():
@@ -217,9 +220,10 @@ def test_tridiagonal_build_holds_no_dense_vector():
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert a.ranks == [1] + [3] * 19 + [1]
-    a, truth = _build_matrix(cfg, 50, None, 0)
-    assert a.n_cores == 50 and truth.shape == (3,)
-    assert np.all((truth > 0) & (truth <= 4))
+    for n in (50, 64, 100):  # 2^64 and beyond overflow an int64 index
+        a, truth = _build_matrix(cfg, n, None, 0)
+        assert a.n_cores == n and truth.shape == (3,)
+        assert truth.dtype == float and np.all((truth > 0) & (truth <= 4))
 
 
 def test_hilbert_cell_and_generator_budget():

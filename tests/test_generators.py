@@ -1,11 +1,14 @@
 """Structured matrix constructions against raw index formulas."""
 
+import itertools
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ttsvd import (
+    VectorTT,
     full_toeplitz_tt,
     hankel_submatrix_tt,
     hankel_tt,
@@ -131,16 +134,16 @@ def test_tridiagonal_ignores_unused_boundary_entries():
 
 
 def test_full_toeplitz_entries():
-    n = 3
-    m = 2**n
-    x = random_vector_tt(n + 1, 2, 5)
-    xv = tt_to_vector(x)
-    t = full_toeplitz_tt(x)
-    ref = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            ref[i, j] = xv[m - 1 - (j - i)]
-    assert np.linalg.norm(tt_reconstruct(t) - ref) <= 1e-10 * np.linalg.norm(ref)
+    for n, rank in itertools.product(range(2, 7), range(1, 4)):
+        m = 2**n
+        x = random_vector_tt(n + 1, rank, 5 + n)
+        xv = tt_to_vector(x)
+        t = full_toeplitz_tt(x)
+        i, j = np.indices((m, m))
+        ref = xv[m - 1 + i - j]
+        err = np.linalg.norm(tt_reconstruct(t) - ref)
+        assert err <= 1e-10 * np.linalg.norm(ref), (n, rank, err)
+        assert all(r <= 2 * q for r, q in zip(t.ranks[1:-1], x.ranks[1:-1]))
 
 
 def test_full_toeplitz_last_entry_unused():
@@ -152,6 +155,14 @@ def test_full_toeplitz_last_entry_unused():
     t1 = full_toeplitz_tt(tt_svd_compress(base.reshape((2,) * (n + 1), order="F"), 0.0))
     t2 = full_toeplitz_tt(tt_svd_compress(other.reshape((2,) * (n + 1), order="F"), 0.0))
     assert np.allclose(tt_reconstruct(t1), tt_reconstruct(t2), atol=1e-10)
+
+
+def test_generators_reject_mode_sizes_other_than_2():
+    for bad in range(3):  # the last core of x is read too
+        x = VectorTT([np.ones((1, 3 if m == bad else 2, 1)) for m in range(3)])
+        for build in (toeplitz_tt, hankel_tt, full_toeplitz_tt):
+            with pytest.raises(ValueError, match="mode sizes 2"):
+                build(x)
 
 
 def test_hilbert_submatrix_entries_and_budget():
@@ -203,6 +214,30 @@ def test_hilbert_entries_at_large_n(n):
     for i, j in pairs:
         err = abs(_matrix_tt_entry(h, i, j) - 1.0 / (i + j + 1))
         assert err <= bound, (i, j, err)
+
+
+@pytest.mark.parametrize("n", [30, 64, 100])
+def test_full_toeplitz_entries_at_large_n(n):
+    # no dense oracle fits here: bits of the Python-int indices pick the
+    # cores, and entry (i, j) must read x at 2^N - 1 + i - j
+    x = random_vector_tt(n + 1, 3, n)
+    t = full_toeplitz_tt(x)
+    m = 2**n
+    rng = random.Random(n)  # numpy draws stop at 2^64
+    pairs = [(0, 0), (m - 1, 0), (0, m - 1), (m - 1, m - 1), (1, 0), (0, 1)]
+    pairs += [(rng.randrange(m), rng.randrange(m)) for _ in range(14)]
+    got = [_matrix_tt_entry(t, i, j) for i, j in pairs]
+    want = [_vector_tt_entry(x, m - 1 + i - j) for i, j in pairs]
+    bound = 1e-12 * max(abs(w) for w in want)
+    for (i, j), g, w in zip(pairs, got, want):
+        assert abs(g - w) <= bound, (i, j, g, w)
+
+
+def _vector_tt_entry(x, k):
+    v = np.ones(1)
+    for m, core in enumerate(x.cores):
+        v = v @ core[:, (k >> m) % 2, :]
+    return float(v[0])
 
 
 def test_hilbert_build_holds_no_dense_vector():

@@ -31,7 +31,6 @@ from ttsvd import (
     merge_cores,
     split_block_core,
     tt_add,
-    tt_entry,
     tt_norm,
     tt_reconstruct,
     tt_round,
@@ -41,14 +40,7 @@ from ttsvd import (
     truncated_svd,
 )
 from ttsvd.generators import identity_scaled, prescribed_svd_matrix
-from ttsvd.tt import (
-    _fuse,
-    _gram_r_factors,
-    _right_r_factors,
-    _round_sweep,
-    tt_last_mode_slice,
-    tt_reverse,
-)
+from ttsvd.tt import _fuse, _gram_r_factors, _right_r_factors, _round_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +87,6 @@ def test_compress_exact_at_zero_delta():
     x = tt_svd_compress(t, 0.0)
     assert np.allclose(tt_reconstruct(x), t, atol=1e-13)
     assert x.orth[:-1] == ["L"] * 4
-
-
-def test_tt_entry_index_oracle():
-    rng = np.random.default_rng(1)
-    t = rng.standard_normal((2, 3, 2, 2))
-    x = tt_svd_compress(t, 0.0)
-    for idx in np.ndindex(*t.shape):
-        assert abs(tt_entry(x, idx) - t[idx]) < 1e-12
 
 
 def test_tt_to_vector_is_column_major():
@@ -293,19 +277,6 @@ def test_tt_norm_resolves_tiny_differences():
     x = random_vector_tt_raw(10, 3, rng)
     d = tt_add(x, tt_scale(x, -1.0))
     assert tt_norm(d) <= 1e-12 * tt_norm(x)
-
-
-def test_tt_reverse_and_last_mode_slice():
-    rng = np.random.default_rng(9)
-    t = rng.standard_normal((2, 3, 4))
-    x = tt_svd_compress(t, 0.0)
-    assert np.allclose(
-        tt_to_vector(tt_reverse(x)), tt_to_vector(x)[::-1], atol=1e-12
-    )
-    for j in range(4):
-        assert np.allclose(
-            tt_reconstruct(tt_last_mode_slice(x, j)), t[:, :, j], atol=1e-12
-        )
 
 
 # ---------------------------------------------------------------------------
