@@ -129,15 +129,10 @@ def hankel_submatrix_tt(s: VectorTT) -> MatrixTT:
     return _restrict_first_half_columns(hankel_tt(s))
 
 
-def _e1_chain(n: int) -> VectorTT:
-    core = np.zeros((1, 2, 1))
-    core[0, 0, 0] = 1.0
-    return VectorTT([core.copy() for _ in range(n)])
-
-
 def shift_tt(n: int) -> MatrixTT:
     """2^n x 2^n shift matrix F with ones on the first superdiagonal; ranks <= 2."""
-    return toeplitz_tt(_e1_chain(n))
+    e1 = np.array([1.0, 0.0]).reshape(1, 2, 1)
+    return toeplitz_tt(VectorTT([e1] * n))
 
 
 def tridiagonal_tt(a: VectorTT, b: VectorTT, c: VectorTT) -> MatrixTT:
