@@ -14,7 +14,6 @@ from .environments import (
     local_solve_macs,
     projected_matvec,
     projected_rmatvec,
-    recompute_environment,
 )
 from .generators import (
     full_toeplitz_tt,
@@ -47,9 +46,9 @@ from .tt import (
     block_tt_matvec,
     block_tt_residual_norm,
     block_tt_scale_columns,
+    canonicalize,
     diag_embed,
     gram_tt_round,
-    left_orthogonalize_through,
     matrix_tt_matmul,
     matrix_tt_round,
     matrix_tt_transpose,

@@ -75,7 +75,7 @@ def dense_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR with the sign convention that R has a nonnegative diagonal."""
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
-        raise ValueError("dense_qr requires finite entries")
+        raise ValueError("dense_qr requires finite entries, got NaN or inf")
     q, r = np.linalg.qr(m)
     d = np.diagonal(r).copy()
     signs = np.where(d < 0, -1.0, 1.0)

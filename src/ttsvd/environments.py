@@ -226,30 +226,25 @@ def dense_local_matrix(env: Environment, a_cores, n: int) -> np.ndarray:
 # consistency checking
 
 
-def recompute_environment(u, a: MatrixTT, v, position: int) -> Environment:
-    """Environments rebuilt from scratch for chains with the block at ``position``.
-
-    Fills lefts[0..position] and rights[position..N-1]; the other entries stay
-    None because the corresponding side would have to cross the block core.
-    """
-    n = a.n_cores
-    env = Environment(n)
-    for m in range(position):
-        env_update_left(env, u, a, v, m)
-    for m in range(n - 1, position, -1):
-        env_update_right(env, u, a, v, m)
-    return env
-
-
 def environment_deviation(env: Environment, u, a: MatrixTT, v,
                           position: int) -> float:
-    """Max abs difference between maintained and freshly recomputed tensors."""
-    fresh = recompute_environment(u, a, v, position)
+    """Max abs difference between maintained and freshly recomputed tensors.
+
+    The fresh ones are rebuilt from scratch for chains with the block at
+    ``position``: lefts[0..position] and rights[position..N-1], since the
+    other side of each would have to cross the block core.
+    """
+    n = a.n_cores
+    fresh = Environment(n)
+    for m in range(position):
+        env_update_left(fresh, u, a, v, m)
+    for m in range(n - 1, position, -1):
+        env_update_right(fresh, u, a, v, m)
     dev = 0.0
     for m in range(position + 1):
-        if env.lefts[m] is not None and fresh.lefts[m] is not None:
+        if env.lefts[m] is not None:
             dev = max(dev, float(np.max(np.abs(env.lefts[m] - fresh.lefts[m]))))
-    for m in range(position, a.n_cores):
-        if env.rights[m] is not None and fresh.rights[m] is not None:
+    for m in range(position, n):
+        if env.rights[m] is not None:
             dev = max(dev, float(np.max(np.abs(env.rights[m] - fresh.rights[m]))))
     return dev

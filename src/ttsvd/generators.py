@@ -28,8 +28,8 @@ from .tt import (
     MatrixTT,
     VectorTT,
     _rf,
+    canonicalize,
     diag_embed,
-    left_orthogonalize_through,
     matrix_tt_matmul,
     matrix_tt_transpose,
     tt_add,
@@ -251,7 +251,7 @@ def random_vector_tt(modes, rank: int, seed) -> VectorTT:
     cores = [
         rng.standard_normal((prof[m], modes[m], prof[m + 1])) for m in range(n)
     ]
-    x = left_orthogonalize_through(VectorTT(cores), n - 1)
+    x = canonicalize(VectorTT(cores), n - 1)
     nrm = tt_norm(x)
     if nrm == 0.0:
         raise ValueError("degenerate random chain")
@@ -298,7 +298,7 @@ def random_block_tt(modes, k: int, rank: int, seed) -> BlockTT:
     ]
     block = rng.standard_normal((prof[n - 1], k, modes[n - 1], 1))
     chain = BlockTT(cores + [block], n - 1)
-    chain = left_orthogonalize_through(chain, n - 1)
+    chain = canonicalize(chain, n - 1)
     bc = chain.cores[-1]
     r, _, i, _ = bc.shape
     m = _rf(bc.transpose(0, 2, 3, 1), (r * i, k))

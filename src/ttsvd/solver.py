@@ -93,6 +93,7 @@ from .tt import (
     block_tt_matvec,
     block_tt_residual_norm,
     block_tt_scale_columns,
+    canonicalize,
     gram_tt_round,
     matrix_tt_matmul,
     matrix_tt_round,
@@ -170,8 +171,10 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer")
             if value < low:
                 raise ValueError(f"{name} must be at least {low}")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        if (isinstance(self.epsilon, bool) or not isinstance(
+                self.epsilon, (int, float, np.integer, np.floating))
+                or not 0 < self.epsilon < math.inf):
+            raise ValueError("epsilon must be a positive and finite real number")
 
 
 @dataclass
@@ -398,8 +401,9 @@ def residual(a: MatrixTT, u: BlockTT, v: BlockTT, sigma,
     Exact to about 1e-16 ||Sigma|| on solver outputs: the left-to-right
     sweep of ``block_tt_residual_norm`` never forms A^T U and cuts each
     carry to its numerical rank only in a canonical gauge.  Residuals far
-    below sqrt(machine epsilon) ||Sigma|| stay resolvable.  ``delta`` is
-    ignored, kept so five-argument calls keep working.
+    below sqrt(machine epsilon) ||Sigma|| stay resolvable.  An A gauged by
+    ``canonicalize(a, 0)`` is not gauged again.  ``delta`` is ignored,
+    kept so five-argument calls keep working.
     """
     sig = np.asarray(sigma, dtype=float)
     signorm = float(np.linalg.norm(sig))
@@ -622,11 +626,21 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
     return sigma
 
 
-def _check_problem(a: MatrixTT, cfg: SolverConfig) -> None:
+def _check_problem(a: MatrixTT, cfg: SolverConfig, pair: bool, sizes) -> None:
+    """Reject what no sweep can solve.  An end window of a chain with modes
+    in ``sizes`` holds at most ``max_rank`` times their product columns."""
     if a.n_cores < 2:
         raise ValueError("sweep solvers need at least two cores")
     if cfg.k > min(a.n_rows, a.n_cols):
         raise ValueError("block size k exceeds the matrix dimensions")
+    if cfg.max_rank is not None:
+        w = 1 + pair
+        room = cfg.max_rank * min(min(math.prod(m[:w]), math.prod(m[-w:]))
+                                  for m in sizes)
+        if cfg.k > room:
+            raise ValueError(
+                f"max_rank {cfg.max_rank} is too small for k={cfg.k}: a "
+                f"window at an end of the chain holds at most {room} columns")
     for m, core in enumerate(a.cores):
         if not np.isfinite(core).all():
             raise ValueError(f"core {m} of the matrix holds NaN or inf")
@@ -639,9 +653,11 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     exactly (rounding at 0), sweeps (V,) over B = A^T A rounded at
     epsilon / 10, then recovers U = A V Sigma^{-1} from the returned
     iterate.  Sigma is only taken from a completed left-to-right half
-    sweep.
+    sweep.  The stop residual reads a copy of the swept operator that is
+    right-gauged once per solve; the sweeps keep the operator as it is.
     """
-    _check_problem(a, cfg)
+    sizes = (a.col_sizes,) if gram else (a.row_sizes, a.col_sizes)
+    _check_problem(a, cfg, pair, sizes)
     t0 = time.perf_counter()
     if gram:
         # Rounding at 0 applies orthogonal transforms only: A keeps its value
@@ -653,9 +669,9 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
         rdelta = cfg.epsilon / _GRAM_DELTA_DIVISOR
         op = gram_tt_round(a, matrix_tt_matmul(matrix_tt_transpose(a), a),
                            rdelta)
-        sizes = (a.col_sizes,)
     else:
-        op, sizes = a, (a.row_sizes, a.col_sizes)
+        op = a
+    gauged = canonicalize(op, 0)
     report = SweepReport(solver=name, k=cfg.k)
     best = None
     termination = "sweep-limit"
@@ -683,9 +699,9 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
             sweeps_this += 1
             report.total_sweeps += 1
             if gram:
-                r = _gram_residual(op, chains[0], sigma)
+                r = _gram_residual(gauged, chains[0], sigma)
             else:
-                r = residual(a, *chains, sigma)
+                r = residual(gauged, *chains, sigma)
             report.residual_history.append(
                 {"attempt": int(attempt), "sweep": int(sweep),
                  "residual": float(r)})

@@ -17,8 +17,12 @@ whose cores fuse their middle modes into one (row mode fastest, K fastest).
 All unfoldings and mode fusions are column-major (``order="F"``, first axis
 fastest), matching the package-wide multi-index convention; the realized
 vector of a chain puts mode 1 fastest.  Orthogonality is tracked per core as
-"L" / "R" / None tags maintained by the operations that establish or destroy
-it; tests verify the tags against dense reconstructions.
+"L" / "R" / None tags, one convention for all three formats on the fused
+view: "L" means the unfolding with the right bond as columns has
+orthonormal columns, "R" that the unfolding with the left bond as rows has
+orthonormal rows.  The operations that establish or destroy it maintain
+them (``canonicalize`` sets both kinds), transposing a MatrixTT keeps them,
+and tests verify them against dense reconstructions.
 """
 
 from __future__ import annotations
@@ -82,16 +86,10 @@ class VectorTT(_Chain):
 
 
 class MatrixTT(_Chain):
-    """Chain of (R, I, J, R) cores; its orthogonality tags are always None."""
-
-    def __init__(self, cores):
-        super().__init__(cores)
+    """Chain of (R, I, J, R) cores."""
 
     def _order(self, n: int) -> int:
         return 4
-
-    def _with(self, cores, orth=None):
-        return MatrixTT(cores)
 
     @property
     def row_sizes(self) -> list[int]:
@@ -217,25 +215,40 @@ def tt_svd_compress(t: np.ndarray, delta: float) -> VectorTT:
     return VectorTT(cores, orth)
 
 
-def left_orthogonalize_through(x, n: int):
-    """Return a copy with cores 0..n-1 left-orthogonal (value unchanged).
+def canonicalize(x, p: int):
+    """An equal chain, left-orthogonal before core p and right-orthogonal after it.
 
-    For a BlockTT the block core must sit at position >= n.
+    ``x`` is not changed; the result shares the cores that need no QR with
+    it.  A core whose ``orth`` tag already says so is kept as it is; any
+    other gets a QR (``dense_qr`` of its column-major unfolding) whose R
+    factor moves into its neighbour toward core p, which then counts as
+    untagged.  Cores before p come out tagged "L", cores after it "R".
+    Core p itself is never factorized, so a BlockTT is canonicalized at its
+    block core and nowhere else.  A non-finite core that needs a QR raises
+    ``ValueError``.
     """
-    if isinstance(x, BlockTT) and x.block_position < n:
-        raise ValueError("cannot left-orthogonalize past the block core")
-    cores = [c.copy() for c in x.cores]
-    orth = list(x.orth)
-    for m in range(n):
+    if not 0 <= p < x.n_cores or (isinstance(x, BlockTT)
+                                   and p != x.block_position):
+        raise ValueError(f"cannot canonicalize at core {p}")
+    cores, orth = list(x.cores), list(x.orth)
+    for m in range(p):
         if orth[m] == "L":
             continue
         c = cores[m]
-        r, i, r2 = c.shape
-        q, rr = dense_qr(_rf(c, (r * i, r2)))
-        cores[m] = _rf(q, (r, i, q.shape[1]))
-        orth[m] = "L"
-        cores[m + 1] = np.tensordot(rr, cores[m + 1], axes=(1, 0))
-        orth[m + 1] = None
+        q, r = dense_qr(_rf(c, (-1, c.shape[-1])))
+        cores[m] = _rf(q, (*c.shape[:-1], q.shape[1]))
+        cores[m + 1] = np.tensordot(r, cores[m + 1], axes=(1, 0))
+        orth[m], orth[m + 1] = "L", None
+    for m in range(x.n_cores - 1, p, -1):
+        if orth[m] == "R":
+            continue
+        c = cores[m]
+        q, r = dense_qr(_rf(c, (c.shape[0], -1)).T)
+        cores[m] = _rf(q.T, (q.shape[1], *c.shape[1:]))
+        prv = cores[m - 1]
+        cores[m - 1] = _rf(_rf(prv, (-1, prv.shape[-1])) @ r.T,
+                           (*prv.shape[:-1], -1))
+        orth[m], orth[m - 1] = "R", None
     return x._with(cores, orth)
 
 
@@ -510,7 +523,8 @@ def matvec_tt(a: MatrixTT, x: VectorTT) -> VectorTT:
 
 
 def matrix_tt_transpose(a: MatrixTT) -> MatrixTT:
-    return MatrixTT([c.transpose(0, 2, 1, 3) for c in a.cores])
+    """A^T; the tags stay, since each bond unfolding only permutes its rows."""
+    return MatrixTT([c.transpose(0, 2, 1, 3) for c in a.cores], a.orth)
 
 
 def matrix_tt_matmul(a: MatrixTT, b: MatrixTT) -> MatrixTT:
@@ -584,37 +598,6 @@ def block_tt_gram(x: BlockTT, y: BlockTT) -> np.ndarray:
     return t[:, :, 0, 0]
 
 
-def _canonical_cores(cores, orth, p: int) -> list:
-    """A chain's cores, left-orthogonal before core p and right-orthogonal after it.
-
-    The chain's value is unchanged.  A core whose ``orth`` tag already says
-    so is taken as it is; any other gets a QR whose R factor moves into its
-    neighbour toward core p, which then counts as untagged.  Core p itself
-    (the block core of a BlockTT) is never factorized, so cores of any
-    order work.
-    """
-    cores, orth = list(cores), list(orth)
-    for m in range(p):
-        if orth[m] == "L":
-            continue
-        c, nxt = cores[m], cores[m + 1]
-        q, r = np.linalg.qr(c.reshape(-1, c.shape[-1]))
-        cores[m] = q.reshape(*c.shape[:-1], -1)
-        rest = nxt.shape[1:]
-        cores[m + 1] = (r @ nxt.reshape(nxt.shape[0], -1)).reshape(-1, *rest)
-        orth[m + 1] = None
-    for m in range(len(cores) - 1, p, -1):
-        if orth[m] == "R":
-            continue
-        c, prv = cores[m], cores[m - 1]
-        q, r = np.linalg.qr(c.reshape(c.shape[0], -1).T)
-        cores[m] = q.T.reshape(-1, *c.shape[1:])
-        lead = prv.shape[:-1]
-        cores[m - 1] = (prv.reshape(-1, prv.shape[-1]) @ r.T).reshape(*lead, -1)
-        orth[m - 1] = None
-    return cores
-
-
 def _reduce_carry(stacked: np.ndarray):
     """A carry C with ``stacked`` = Q C for some Q with orthonormal columns.
 
@@ -683,16 +666,18 @@ def block_tt_residual_norm(op: MatrixTT, x: BlockTT, xs, y: BlockTT, ys) -> floa
     At the last core every bond is 1 and the two parts add up to the whole
     difference.  The block cores carry ``xs`` and ``-ys`` on their K axis.
 
-    The rank cut is safe only in a canonical gauge.  X and Y are made
-    left-orthogonal before their block core and right-orthogonal after it,
-    skipping cores whose ``orth`` tags already say so: the solver's chains,
-    tagged up to their block core at the end, cost nothing, and K enters
-    the carry only at the last core.  The operator is made right-orthogonal
-    by a QR sweep over its cores and divided by its Frobenius norm, which
-    moves into ``xs``.  Then the parts right of every bond are bounded by
-    the two terms, so a cut drops no more than the rounding the carry
-    already holds.  Without the gauge, re-scaled neighbouring cores can
-    move the whole residual into the directions a cut drops.
+    The rank cut is safe only in a canonical gauge.  ``canonicalize``
+    makes X and Y left-orthogonal before their block core and
+    right-orthogonal after it, and the operator right-orthogonal, skipping
+    cores whose ``orth`` tags already say so: the solver's chains, tagged
+    up to their block core at the end, cost nothing, and K enters the carry
+    only at the last core; an operator tagged "R" on cores 1..N-1 (the
+    solver gauges it once per solve) costs no QR either.  The operator is
+    divided by its Frobenius norm, which moves into ``xs``.  Then the parts
+    right of every bond are bounded by the two terms, so a cut drops no
+    more than the rounding the carry already holds.  Without the gauge,
+    re-scaled neighbouring cores can move the whole residual into the
+    directions a cut drops.
 
     The value agrees with a right-to-left QR-only sweep to about
     1e-16 ||ys|| on the SVD solvers' outputs, with the block core first, in
@@ -712,12 +697,12 @@ def block_tt_residual_norm(op: MatrixTT, x: BlockTT, xs, y: BlockTT, ys) -> floa
     if xs.shape != (x.k,) or ys.shape != (x.k,):
         raise ValueError("need one weight per block column")
     p = x.block_position
-    xc = _canonical_cores(x.cores, x.orth, p)
-    yc = _canonical_cores(y.cores, y.orth, p)
+    xc = canonicalize(x, p).cores
+    yc = canonicalize(y, p).cores
     xc[p] = xc[p] * xs[np.newaxis, :, np.newaxis, np.newaxis]
     yc[p] = yc[p] * -ys[np.newaxis, :, np.newaxis, np.newaxis]
-    ops = [np.ascontiguousarray(c.transpose(0, 2, 1, 3)) for c in op.cores]
-    ops = _canonical_cores(ops, [None] * len(ops), 0)
+    ops = [np.ascontiguousarray(c.transpose(0, 2, 1, 3))
+           for c in canonicalize(op, 0).cores]
     nu = float(np.linalg.norm(ops[0]))
     if nu > 0.0:
         ops[0] = ops[0] / nu

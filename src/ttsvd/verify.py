@@ -36,6 +36,7 @@ from .tt import (
     MatrixTT,
     VectorTT,
     _rf,
+    canonicalize,
     gram_tt_round,
     matrix_tt_matmul,
     matrix_tt_transpose,
@@ -399,7 +400,8 @@ def _check_residual_gauge(rng):
     # exact triplets of a prescribed N=6 matrix, one core of V nudged by
     # 1e-12: the residual lies in directions the sweep's rank cut drops
     # unless the chains are in the canonical gauge.  Every chain gets two
-    # core pairs re-scaled by 1e+-6 and no orthogonality tags.
+    # core pairs re-scaled by 1e+-6 and no orthogonality tags; the operator
+    # also goes in as a solve passes it, gauged and tagged by canonicalize.
     n = 6
     a, u, v, sigma = prescribed_svd_matrix(n, 0.5, k0=8, rank=3,
                                            seed=int(rng.integers(1 << 16)))
@@ -413,11 +415,11 @@ def _check_residual_gauge(rng):
         cores = [c.copy() for c in chain.cores]
         for m, g in ((1, f), (n - 3, 1.0 / f)):
             cores[m], cores[m + 1] = cores[m] * g, cores[m + 1] / g
-        if isinstance(chain, MatrixTT):
-            return MatrixTT(cores)
-        return BlockTT(cores, chain.block_position)
-    err = max(abs(solver_mod.residual(*(regauged(c, f) for c in (a, u, v)),
-                                      sigma) - want) for f in (1e6, 1e-6))
+        return chain._with(cores)  # no tags
+    err = max(abs(solver_mod.residual(op, regauged(u, f), regauged(v, f),
+                                      sigma) - want)
+              for f in (1e6, 1e-6)
+              for op in (regauged(a, f), canonicalize(regauged(a, f), 0)))
     return err <= 1e-14, (f"re-gauged residual of {want:.3e} differs from "
                           f"dense by {err:.1e}")
 

@@ -23,10 +23,19 @@ from ttsvd import (
     projected_matvec,
     projected_rmatvec,
     random_block_tt,
-    recompute_environment,
     tt_reconstruct,
 )
 from ttsvd.solver import krylov_block_svd
+
+
+def _environment(u, a, v, position):
+    """Environments built from scratch around the block at ``position``."""
+    env = Environment(a.n_cores)
+    for m in range(position):
+        env_update_left(env, u, a, v, m)
+    for m in range(a.n_cores - 1, position, -1):
+        env_update_right(env, u, a, v, m)
+    return env
 
 
 def _triple(rng, n=4, pos=None, k=3, rank=2):
@@ -41,7 +50,7 @@ def _triple(rng, n=4, pos=None, k=3, rank=2):
 def test_left_environments_follow_transfer_recursion():
     rng = np.random.default_rng(0)
     u, a, v = _triple(rng, n=5, pos=4)
-    env = recompute_environment(u, a, v, 4)
+    env = _environment(u, a, v, 4)
     acc = np.ones((1, 1, 1)).ravel()
     for m in range(4):
         z = z_transfer_matrix(u.cores[m], a.cores[m], v.cores[m])
@@ -54,7 +63,7 @@ def test_left_environments_follow_transfer_recursion():
 def test_right_environments_follow_transfer_recursion():
     rng = np.random.default_rng(1)
     u, a, v = _triple(rng, n=5, pos=0)
-    env = recompute_environment(u, a, v, 0)
+    env = _environment(u, a, v, 0)
     acc = np.ones((1, 1, 1)).ravel()
     for m in range(4, 0, -1):
         z = z_transfer_matrix(u.cores[m], a.cores[m], v.cores[m])
@@ -70,7 +79,7 @@ def test_projected_matrix_equals_dense_frame_projection():
     a_dense_tol = 1e-10
     for pos in range(n):
         u, a, v = _triple(rng, n=n, pos=pos)
-        env = recompute_environment(u, a, v, pos)
+        env = _environment(u, a, v, pos)
         abar = dense_local_matrix(env, [a.cores[pos]], pos)
         fu = frame_matrix(u, pos)
         fv = frame_matrix(v, pos)
@@ -83,7 +92,7 @@ def test_projected_matvec_pair_matches_dense_matrix():
     n = 4
     pos = 2
     u, a, v = _triple(rng, n=n, pos=pos)
-    env = recompute_environment(u, a, v, pos)
+    env = _environment(u, a, v, pos)
     abar = dense_local_matrix(env, [a.cores[pos]], pos)
     p, q = abar.shape
     for _ in range(3):
@@ -102,7 +111,7 @@ def test_merged_projected_matrix_equals_dense_frame_projection():
     n = 5
     for p in (0, 2, 3):
         u, a, v = _triple(rng, n=n, pos=p + 1)
-        env = recompute_environment(u, a, v, p + 1)
+        env = _environment(u, a, v, p + 1)
         abar = dense_local_matrix(env, a.cores[p:p + 2], p)
         fu = pair_frame_matrix(u, p)
         fv = pair_frame_matrix(v, p)

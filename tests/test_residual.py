@@ -19,6 +19,7 @@ from ttsvd import (
     SolverConfig,
     als_svd,
     block_tt_residual_norm,
+    canonicalize,
     gram_tt_round,
     hilbert_submatrix_tt,
     mals_eig_baseline,
@@ -105,7 +106,25 @@ def test_gram_residual_matches_the_qr_sweep():
                          cfg.epsilon / 10)
     signorm = np.linalg.norm(sig)
     want = _qr_residual_norm(b, v, 1.0 / sig, v, sig)
-    assert abs(_gram_residual(b, v, sig) * signorm - want) <= 1e-14 * signorm
+    for op in (b, canonicalize(b, 0)):
+        assert abs(_gram_residual(op, v, sig) * signorm - want) <= 1e-14 * signorm
+
+
+@pytest.mark.parametrize("family, n, solver", [
+    ("prescribed", 30, als_svd), ("prescribed", 40, mals_svd),
+    ("hilbert", 18, mals_svd),
+])
+def test_residual_of_a_gauged_operator(family, n, solver, monkeypatch):
+    """A right-gauged, tagged A gives the untagged value and runs no QR."""
+    a, sig, u, v = _solved(family, n, solver)
+    gauged = canonicalize(a, 0)
+    assert gauged.orth[1:] == ["R"] * (a.n_cores - 1)
+    want = residual(a, u, v, sig)
+    calls = []
+    dense_qr = tt.dense_qr
+    monkeypatch.setattr(tt, "dense_qr", lambda m: calls.append(m) or dense_qr(m))
+    assert abs(residual(gauged, u, v, sig) - want) <= 1e-15
+    assert calls == []
 
 
 def _move_block(chain, q):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_block_tt_at, random_matrix_tt, random_vector_tt_raw
-from ttsvd import load_tt, save_tt
+from ttsvd import load_tt, save_tt, tt_round
 from ttsvd.tt import BlockTT, MatrixTT, VectorTT
 
 
@@ -52,9 +52,12 @@ def test_orth_tags_are_not_persisted(tmp_path):
     rng = np.random.default_rng(3)
     x = random_vector_tt_raw(3, 2, rng)
     x.orth[0] = "L"
-    path = tmp_path / "x.ttc"
-    save_tt(x, path)
-    assert load_tt(path).orth == [None, None, None]
+    a = tt_round(random_matrix_tt(3, 2, rng), 0.0)
+    assert a.orth == ["L", "L", None]
+    for chain in (x, a):
+        path = tmp_path / "x.ttc"
+        save_tt(chain, path)
+        assert load_tt(path).orth == [None, None, None]
 
 
 def test_special_float_payload_survives(tmp_path):

@@ -515,6 +515,10 @@ def test_driver_validation():
     for bad in (dict(epsilon=float("nan")), dict(epsilon=float("inf"))):
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(k=2, **bad)
+    for bad in (True, False, "1e-8", None, 1e-8j):
+        with pytest.raises(ValueError, match="epsilon must be a positive and finite real"):
+            SolverConfig(k=2, epsilon=bad)
+    assert SolverConfig(k=2, epsilon=np.float32(1e-3)).epsilon == np.float32(1e-3)
     for name in ("k", "max_full_sweeps", "max_restarts", "seed", "max_rank"):
         for value in (2.5, 0.5, True):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
@@ -525,6 +529,49 @@ def test_driver_validation():
             SolverConfig(k=2, **bad)
     assert SolverConfig(k=np.int64(2)).k == 2
     assert SolverConfig(k=2, max_rank=np.int64(1), max_restarts=0).max_rank == 1
+
+
+@pytest.mark.parametrize("driver, cap, k, runs", [
+    (als_svd, 4, 10, False), (als_svd, 5, 10, True),
+    (als_eig_baseline, 3, 10, False), (als_eig_baseline, 5, 10, True),
+    (mals_svd, 2, 9, False), (mals_svd, 2, 8, True),
+    (mals_svd, 3, 13, False), (mals_svd, 3, 12, True),
+])
+def test_rank_cap_must_leave_room_for_k(driver, cap, k, runs):
+    # a window at an end of the chain holds the mode sizes of its one core
+    # (two for a merged pair) times one capped bond: 2 x cap or 4 x cap
+    # columns here.  A cap too small for K once failed mid-sweep with
+    # "cannot take 10 triplets from a 8 x 8 problem".
+    a, _, _, _ = prescribed_svd_matrix(8, 0.5, k0=16, rank=5, seed=0)
+    cfg = SolverConfig(k=k, epsilon=1e-6, seed=1, max_rank=cap,
+                       max_full_sweeps=2, max_restarts=0)
+    if runs:
+        _, _, v, rep = driver(a, cfg)
+        assert rep.total_sweeps >= 1 and max(v.ranks) <= cap
+    else:
+        with pytest.raises(ValueError, match=f"max_rank {cap} .* k={k}"):
+            driver(a, cfg)
+
+
+@pytest.mark.parametrize("driver", [als_svd, mals_svd])
+def test_solve_gauges_its_operator_once(driver, monkeypatch):
+    # the stop residual needs the operator right-orthogonal; a solve gauges
+    # it once, so A's last core is factorized once over three sweeps that
+    # do not converge, not once per sweep
+    a, _, _, _ = prescribed_svd_matrix(6, 0.5, k0=8, rank=2, seed=5)
+    last = np.sort(a.cores[-1].ravel())
+    qr, factorized = np.linalg.qr, []
+
+    def recording(m, *args, **kwargs):
+        m = np.asarray(m)
+        factorized.append(m.size == last.size
+                          and np.array_equal(np.sort(m.ravel()), last))
+        return qr(m, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    _, _, _, rep = driver(a, SolverConfig(k=3, epsilon=1e-300, seed=6,
+                                          max_full_sweeps=3, max_restarts=0))
+    assert len(rep.residual_history) == 3
+    assert sum(factorized) == 1
 
 
 def test_runs_are_seed_deterministic():

@@ -21,9 +21,9 @@ from ttsvd import (
     block_tt_matvec,
     block_tt_residual_norm,
     block_tt_scale_columns,
+    canonicalize,
     diag_embed,
     gram_tt_round,
-    left_orthogonalize_through,
     matrix_tt_matmul,
     matrix_tt_round,
     matrix_tt_transpose,
@@ -40,7 +40,7 @@ from ttsvd import (
     truncated_svd,
 )
 from ttsvd.generators import identity_scaled, prescribed_svd_matrix
-from ttsvd.tt import _fuse, _gram_r_factors, _right_r_factors, _round_sweep
+from ttsvd.tt import _fuse, _gram_r_factors, _right_r_factors
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +190,7 @@ def test_gram_round_matches_round_of_the_product(n, rows, cols):
         assert isinstance(g, MatrixTT) and g.ranks == ref.ranks
         err = np.linalg.norm(tt_reconstruct(g) - bd)
         assert err <= delta * np.sqrt(n - 1) * nb + 1e-13 * nb
-        # a MatrixTT carries no tags: the fused sweep tags its cores, and
-        # they are left-orthogonal
-        fused = _round_sweep(_fuse(b).cores, rs, delta)
-        assert fused.orth == ["L"] * (n - 1) + [None]
+        assert g.orth == ["L"] * (n - 1) + [None]
         for c in g.cores[:-1]:
             q = c.reshape(-1, c.shape[-1], order="F")
             assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
@@ -283,18 +280,36 @@ def test_tt_norm_resolves_tiny_differences():
 # orthogonalization
 
 
-def test_left_orthogonalize_through():
+def _assert_canonical(y, p):
+    """Cores before p left-orthogonal, after p right-orthogonal, as tagged."""
+    assert y.orth[:p] == ["L"] * p
+    assert y.orth[p + 1:] == ["R"] * (y.n_cores - p - 1)
+    for m, c in enumerate(y.cores):
+        if m != p:
+            mat = (c.reshape(-1, c.shape[-1], order="F") if m < p
+                   else c.reshape(c.shape[0], -1, order="F").T)
+            assert np.allclose(mat.T @ mat, np.eye(mat.shape[1]), atol=1e-12)
+
+
+def test_canonicalize():
     rng = np.random.default_rng(10)
     x = random_vector_tt_raw(5, 3, rng)
     xd = tt_reconstruct(x)
-    y = left_orthogonalize_through(x, 3)
-    assert x.orth == [None] * 5  # input untouched
-    assert y.orth[:3] == ["L"] * 3
-    assert np.allclose(tt_reconstruct(y), xd, atol=1e-11)
-    for m in range(3):
-        c = y.cores[m]
-        mat = c.reshape(c.shape[0] * c.shape[1], c.shape[2], order="F")
-        assert np.allclose(mat.T @ mat, np.eye(mat.shape[1]), atol=1e-12)
+    for p in range(5):
+        y = canonicalize(x, p)
+        assert x.orth == [None] * 5  # input untouched
+        _assert_canonical(y, p)
+        assert np.allclose(tt_reconstruct(y), xd, atol=1e-11)
+        # a chain already canonical at p comes back with the same cores
+        z = canonicalize(y, p)
+        assert all(cz is cy for cz, cy in zip(z.cores, y.cores))
+    a = random_matrix_tt(4, 3, rng)
+    for p in (0, 2):
+        b = canonicalize(a, p)
+        _assert_canonical(b, p)
+        assert np.allclose(tt_reconstruct(b), tt_reconstruct(a), atol=1e-11)
+    with pytest.raises(ValueError, match="NaN or inf"):
+        canonicalize(MatrixTT([c * np.nan for c in a.cores]), 0)
 
 
 def test_norm_migrates_to_boundary_core():
@@ -317,10 +332,23 @@ def test_norm_migrates_to_boundary_core():
 def test_orthogonalization_respects_block_core():
     rng = np.random.default_rng(13)
     u = random_block_tt_at([2, 2, 2, 2], 3, 2, 2, rng)
-    with pytest.raises(ValueError):
-        left_orthogonalize_through(u, 3)  # would QR the block core
-    z = left_orthogonalize_through(u, 2)
+    for p in (1, 3):
+        with pytest.raises(ValueError):
+            canonicalize(u, p)  # would QR the block core
+    z = canonicalize(u, 2)
+    _assert_canonical(z, 2)
     assert np.allclose(tt_reconstruct(z), tt_reconstruct(u), atol=1e-11)
+
+
+def test_matrix_tags_survive_transpose_and_rounding():
+    rng = np.random.default_rng(14)
+    a = random_matrix_tt(5, 3, rng)
+    r = tt_round(a, 0.0)
+    assert isinstance(r, MatrixTT) and r.orth == ["L"] * 4 + [None]
+    for b in (r, canonicalize(a, 0)):
+        t = matrix_tt_transpose(b)
+        assert t.orth == b.orth
+        _assert_canonical(t, b.orth.index(None))
 
 
 # ---------------------------------------------------------------------------
