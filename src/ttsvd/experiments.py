@@ -50,7 +50,14 @@ class ConfigError(ValueError):
     """Anything wrong with a run configuration, or input a generator rejects."""
 
 
-EXPERIMENTS = ("prescribed_svd", "hilbert", "tridiagonal", "toeplitz", "custom")
+# Each experiment and the ``params`` keys it reads.
+EXPERIMENTS = {
+    "prescribed_svd": ("beta", "k0", "rank"),
+    "hilbert": ("delta",),
+    "tridiagonal": (),
+    "toeplitz": ("max_rank", "rank"),
+    "custom": ("path",),
+}
 SOLVERS = {
     "als_svd": solver_mod.als_svd,
     "mals_svd": solver_mod.mals_svd,
@@ -79,8 +86,13 @@ class RunConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if (not isinstance(self.experiment, str)
+                or self.experiment not in EXPERIMENTS):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        for name in ("solvers", "n_values"):
+            if not isinstance(getattr(self, name), list):
+                raise ConfigError(f"{name} must be a list, got "
+                                  f"{getattr(self, name)!r}")
         if not self.solvers:
             raise ConfigError("solver list must not be empty")
         for s in self.solvers:
@@ -93,6 +105,15 @@ class RunConfig:
         for name in ("params", "solver_options"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be a mapping")
+        reads = EXPERIMENTS[self.experiment]
+        for key in self.params:
+            if key not in reads:
+                raise ConfigError(
+                    f"unknown params key {key!r} for {self.experiment}; it "
+                    f"reads {', '.join(reads) if reads else 'none'}")
+        if self.experiment == "toeplitz" and "max_rank" in self.solver_options:
+            raise ConfigError("solver_options.max_rank is not allowed on "
+                              "toeplitz, whose params.max_rank sets the cap")
         if self.reps < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.k < 1:

@@ -18,7 +18,7 @@ one-core split's K factor is contracted into the neighbouring core.
   over the Gram matrix B = A^T A with a local eigenproblem, then recover
   U = A V Sigma^{-1}.
 
-Restarts, the best-iterate fallback and termination are the same for all
+Restarts and the outcome rule (see ``SweepReport``) are the same for all
 four.  ``_local_operator`` builds each window's projected operator and
 chooses its path, the only place that does; ``local_block_svd`` or
 ``local_block_eig`` takes that operator and solves it on that path, one
@@ -185,9 +185,16 @@ class SweepReport:
     bond ranks after the split, the current Sigma estimate, the block
     Krylov steps spent (0 on a window solved dense only) and its
     ``local_path`` (see the module docstring).  ``residual_history`` has
-    one entry per completed full sweep.  ``sweeps_used`` counts sweeps
-    of the attempt that produced the returned iterate; ``total_sweeps``
-    counts across restarts.
+    one entry (attempt, sweep, stop residual) per completed full sweep.  An
+    attempt ends at its sweep budget, on a failed local solve or on a stop
+    residual below epsilon, which ends the solve.  The solve returns the
+    first iterate with the lowest stop residual (if no sweep completed, a
+    zero Sigma and the last attempt's chains).  ``sweeps_used`` counts its
+    attempt's sweeps up to it (0 if none), ``total_sweeps`` is the length of
+    the history, ``restarts_used`` the index of the last attempt and
+    ``delta_final`` its truncation delta.  ``termination`` is
+    ``"converged"`` if the returned residual is below epsilon, else
+    ``"restarted"`` if a restart ran, else ``"sweep-limit"``.
     """
 
     solver: str = ""
@@ -647,14 +654,15 @@ def _check_problem(a: MatrixTT, cfg: SolverConfig, pair: bool, sizes) -> None:
 
 
 def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
-    """Restarted sweeps with a best-iterate fallback; returns (Sigma, U, V, report).
+    """Restarted sweeps; returns (Sigma, U, V, report) of the best iterate.
 
     The SVD problem sweeps (U, V) over A.  The Gram problem first reduces A
     exactly (rounding at 0), sweeps (V,) over B = A^T A rounded at
     epsilon / 10, then recovers U = A V Sigma^{-1} from the returned
     iterate.  Sigma is only taken from a completed left-to-right half
-    sweep.  The stop residual reads a copy of the swept operator that is
-    right-gauged once per solve; the sweeps keep the operator as it is.
+    sweep; ``SweepReport`` states the outcome rule.  The stop residual
+    reads a copy of the swept operator that is right-gauged once per
+    solve; the sweeps keep the operator as it is.
     """
     sizes = (a.col_sizes,) if gram else (a.row_sizes, a.col_sizes)
     _check_problem(a, cfg, pair, sizes)
@@ -673,20 +681,16 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
         op = a
     gauged = canonicalize(op, 0)
     report = SweepReport(solver=name, k=cfg.k)
-    best = None
-    termination = "sweep-limit"
-    sigma = np.zeros(cfg.k)
-
+    # (stop residual, Sigma, chain copies, sweeps of its attempt) of the
+    # first iterate with the lowest stop residual
+    best = (math.inf, np.zeros(cfg.k), None, 0)
     for attempt in range(cfg.max_restarts + 1):
         delta = cfg.epsilon / math.sqrt(a.n_cores - 1) * (
             _RESTART_DELTA_SHRINK ** attempt)
-        report.delta_final = delta
         ss = np.random.SeedSequence([int(cfg.seed), attempt]).spawn(len(sizes) + 1)
         chains = tuple(random_block_tt(m, cfg.k, 1, s) for m, s in zip(sizes, ss))
         rng = np.random.default_rng(ss[-1])
         env = env_init(chains[0], op, chains[-1])
-        converged = False
-        sweeps_this = 0
         for sweep in range(cfg.max_full_sweeps):
             d_first = delta * (_FIRST_HALFSWEEP_DELTA_FACTOR if sweep == 0 else 1.0)
             try:
@@ -696,33 +700,26 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
                                     pair, "left_to_right")
             except LocalSolverError:
                 break
-            sweeps_this += 1
-            report.total_sweeps += 1
-            if gram:
-                r = _gram_residual(gauged, chains[0], sigma)
-            else:
-                r = residual(gauged, *chains, sigma)
+            r = (_gram_residual(gauged, chains[0], sigma) if gram
+                 else residual(gauged, *chains, sigma))
             report.residual_history.append(
                 {"attempt": int(attempt), "sweep": int(sweep),
                  "residual": float(r)})
-            if best is None or r < best[0]:
+            if r < best[0]:
                 best = (r, sigma.copy(), tuple(c.copy() for c in chains),
-                        sweeps_this)
+                        sweep + 1)
             if r < cfg.epsilon:
-                converged = True
                 break
-        report.sweeps_used = sweeps_this
-        if converged:
-            termination = "converged"
+        if best[0] < cfg.epsilon:
             break
-        if attempt < cfg.max_restarts:
-            report.restarts_used += 1
-            continue
-        termination = "restarted" if report.restarts_used else "sweep-limit"
 
-    if termination != "converged" and best is not None:
-        _, sigma, chains, report.sweeps_used = best
-    report.termination = termination
+    r, sigma, kept, report.sweeps_used = best
+    chains = kept or chains
+    report.total_sweeps = len(report.residual_history)
+    report.restarts_used = attempt
+    report.delta_final = delta
+    report.termination = ("converged" if r < cfg.epsilon
+                          else "restarted" if attempt else "sweep-limit")
     if gram:
         smax = float(sigma.max()) if sigma.size else 0.0
         if smax == 0.0 or float(sigma.min()) < 1e-13 * smax:

@@ -13,6 +13,7 @@ from conftest import random_matrix_tt
 from ttsvd import save_tt, verify
 from ttsvd.cli import main as cli_main
 from ttsvd.experiments import (
+    EXPERIMENTS,
     RESULT_COLUMNS,
     TIMING_COLUMNS,
     ConfigError,
@@ -85,6 +86,7 @@ def test_load_reads_exponent_only_epsilon(tmp_path):
     (lambda d: d.update(schema_version=2), "schema_version"),
     (lambda d: d.update(surprise=1), "unknown config keys"),
     (lambda d: d.update(experiment="fourier"), "unknown experiment"),
+    (lambda d: d.update(experiment=["hilbert"]), "unknown experiment"),
     (lambda d: d.update(solvers=[]), "must not be empty"),
     (lambda d: d.update(solvers=["als_svd", "qr"]), "unknown solver"),
     (lambda d: d.update(reps=0), ">= 1"),
@@ -103,6 +105,22 @@ def test_load_reads_exponent_only_epsilon(tmp_path):
     (lambda d: d.update(n_values=[]), "must not be empty"),
     (lambda d: d.update(params=[1]), "params must be a mapping"),
     (lambda d: d.update(solver_options=[1]), "solver_options must be a mapping"),
+    (lambda d: d.update(solvers="als_svd"), "solvers must be a list"),
+    (lambda d: d.update(n_values=4), "n_values must be a list"),
+    (lambda d: d.update(params={"betta": 0.9}),
+     r"unknown params key 'betta' for prescribed_svd; it reads beta, k0, rank"),
+    (lambda d: d.update(experiment="tridiagonal", params={"beta": 0.3}),
+     "unknown params key 'beta' for tridiagonal; it reads none"),
+    (lambda d: d.update(experiment="hilbert", params={"rank": 2}),
+     "unknown params key 'rank' for hilbert; it reads delta"),
+    (lambda d: d.update(experiment="toeplitz", params={"k0": 6}),
+     "unknown params key 'k0' for toeplitz; it reads max_rank, rank"),
+    (lambda d: d.update(experiment="custom", params={"path": "a.ttc",
+                                                     "delta": 1e-8}),
+     "unknown params key 'delta' for custom; it reads path"),
+    (lambda d: d.update(experiment="toeplitz", params={"max_rank": [None]},
+                        solver_options={"max_rank": 3}),
+     "solver_options.max_rank is not allowed on toeplitz"),
 ])
 def test_load_rejects_bad_configs(tmp_path, mutate, fragment):
     doc = {
@@ -115,6 +133,16 @@ def test_load_rejects_bad_configs(tmp_path, mutate, fragment):
     path = _write_yaml(tmp_path / "bad.yaml", doc)
     with pytest.raises(ConfigError, match=fragment):
         load_run_config(path)
+
+
+def test_every_read_params_key_loads(tmp_path):
+    for experiment, keys in EXPERIMENTS.items():
+        doc = {"schema_version": 1, "experiment": experiment,
+               "solvers": ["als_svd"], "n_values": [4],
+               "params": {key: "a.ttc" if key == "path" else 1
+                          for key in keys}}
+        cfg = load_run_config(_write_yaml(tmp_path / "ok.yaml", doc))
+        assert sorted(cfg.params) == sorted(keys)
 
 
 def test_load_rejects_non_mapping_and_missing_file(tmp_path):
@@ -435,7 +463,13 @@ def test_cli_run_rejects_bad_inputs(tmp_path):
                  dict(experiment="toeplitz", params={"max_rank": [2], "rank": 0}),
                  dict(params={"beta": "abc"}),
                  dict(experiment="hilbert", params={"delta": ["abc"]}),
-                 dict(experiment="hilbert", params={"delta": [float("nan")]})):
+                 dict(experiment="hilbert", params={"delta": [float("nan")]}),
+                 dict(solvers="als_svd"),
+                 dict(n_values=4),
+                 dict(experiment="tridiagonal", params={"beta": 0.3}),
+                 dict(params={"betta": 0.9}),
+                 dict(experiment="toeplitz", params={"max_rank": [None]},
+                      solver_options={"max_rank": 3})):
         res = runner.invoke(cli_main, ["run", _cli_config(tmp_path, **over)])
         assert res.exit_code == 2, (over, res.output)
         assert "configuration error" in res.output

@@ -326,6 +326,27 @@ def test_init_block_tt_is_the_minimal_random_chain():
     assert u.ranks == [1, 1, 1, 1, 1, 2, 1]
 
 
+def _check_outcome_rule(rep, cfg, n_cores):
+    """The report's counters and termination, recomputed from its history."""
+    hist = rep.residual_history
+    assert rep.total_sweeps == len(hist)
+    lowest = min((h["residual"] for h in hist), default=math.inf)
+    first = next((h for h in hist if h["residual"] == lowest), None)
+    assert rep.sweeps_used == (0 if first is None else first["sweep"] + 1)
+    converged = lowest < cfg.epsilon
+    if converged:  # the solve stops at the first residual below epsilon
+        assert hist[-1] is first
+    last_attempt = hist[-1]["attempt"] if converged else cfg.max_restarts
+    assert rep.restarts_used == last_attempt
+    assert all(h["attempt"] <= last_attempt for h in hist)
+    assert rep.termination == ("converged" if converged else "restarted"
+                               if rep.restarts_used else "sweep-limit")
+    assert rep.delta_final == pytest.approx(
+        cfg.epsilon / math.sqrt(n_cores - 1)
+        * solver._RESTART_DELTA_SHRINK**last_attempt)
+    return rep.termination
+
+
 def test_restart_path_reports_failed_attempts(monkeypatch):
     # every window runs block Krylov, which fails after one step
     monkeypatch.setattr(solver, "_LOCAL_MAX_ITER", 1)
@@ -338,6 +359,7 @@ def test_restart_path_reports_failed_attempts(monkeypatch):
     assert rep.termination == "restarted"
     assert rep.restarts_used == 2
     assert rep.total_sweeps == 0
+    assert _check_outcome_rule(rep, cfg, a.n_cores) == "restarted"
     assert rep.residual_history == []
     assert np.array_equal(sig, np.zeros(2))
     # the shrink factor was applied once per restart
@@ -355,9 +377,25 @@ def test_sweep_limit_path_returns_best_iterate():
     assert rep.termination == "sweep-limit"
     assert rep.total_sweeps == 2
     assert rep.sweeps_used >= 1
+    assert _check_outcome_rule(rep, cfg, a.n_cores) == "sweep-limit"
     assert len(rep.residual_history) == 2
     s_ref = np.linalg.svd(tt_reconstruct(a), compute_uv=False)[:2]
     assert np.max(np.abs(sig - s_ref) / s_ref) < 1e-7
+
+
+@pytest.mark.parametrize("driver", ALL_DRIVERS)
+@pytest.mark.parametrize("opts, termination", [
+    (dict(epsilon=1e-8, seed=3), "converged"),
+    (dict(epsilon=1e-300, seed=22, max_full_sweeps=2, max_restarts=0),
+     "sweep-limit"),
+    (dict(epsilon=1e-300, seed=22, max_full_sweeps=2, max_restarts=2),
+     "restarted"),
+])
+def test_report_counters_follow_the_history(driver, opts, termination):
+    a = random_matrix_tt(5, 2, np.random.default_rng(21))
+    cfg = SolverConfig(k=2, **opts)
+    _, _, _, rep = driver(a, cfg)
+    assert _check_outcome_rule(rep, cfg, a.n_cores) == termination
 
 
 def test_env_consistency_tracking(monkeypatch):
