@@ -86,7 +86,8 @@ def test_load_reads_exponent_only_epsilon(tmp_path):
     (lambda d: d.update(schema_version=2), "schema_version"),
     (lambda d: d.update(surprise=1), "unknown config keys"),
     (lambda d: d.update(experiment="fourier"), "unknown experiment"),
-    (lambda d: d.update(experiment=["hilbert"]), "unknown experiment"),
+    (lambda d: d.update(experiment=["hilbert"]),
+     r"unknown experiment \['hilbert'\]"),
     (lambda d: d.update(solvers=[]), "must not be empty"),
     (lambda d: d.update(solvers=["als_svd", "qr"]), "unknown solver"),
     (lambda d: d.update(reps=0), ">= 1"),
