@@ -354,7 +354,9 @@ def _run_cell(cfg: RunConfig, n, param, solver_name: str):
         except ValueError as exc:
             raise ConfigError(f"solver {solver_name} rejected the problem: "
                               f"{exc}") from exc
-        resid = solver_mod.residual(a, u, v, sigma)
+        # Sigma = 0 (no sweep completed) has no relative residual
+        resid = (solver_mod.residual(a, u, v, sigma) if np.any(sigma)
+                 else math.inf)
         if truth is not None:
             spec_err = float(np.linalg.norm(sigma - truth)
                              / np.linalg.norm(truth))

@@ -41,13 +41,16 @@ from .tt import (
 # Tridiagonal sums and full Toeplitz mixings are rounded at _ASSEMBLY_DELTA.
 _ASSEMBLY_DELTA = 1e-13
 # The Hilbert matrix is a sum of exponentials (hilbert_submatrix_tt):
-# trapezoid step in s = ln t, terms per rounded chunk, and the chunk rounding
-# delta.  The quadrature alone is accurate to about 1e-13 relative; rounding at
-# 1e-15 instead of 1e-16 already lifts the Hilbert error to 3.7e-13 at N=22.
-# At N=50 the rounded chunk sums reach rank 67 with 12 terms a chunk and 115
-# with 16, which doubles the build time for the same matrix.
+# trapezoid step in s = ln t, terms per rounded chunk, and the floor of the
+# chunk rounding delta.  Chunks are rounded relative to the target delta, so
+# the running sum keeps the matrix's own rank (8 at delta 1e-8, N=16..100);
+# a fixed 1e-16 would keep rounding noise as rank (169 at N=100).  The
+# quadrature alone is accurate to about 1e-13 relative, and a floor of 1e-15
+# instead of 1e-16 lifts the Hilbert error to 3.7e-13 at N=22.  The chunk
+# size sets the largest unrounded sum: 24 terms keep the N=20 build's
+# tracemalloc peak at 2.4 MiB (32 terms: 4.3 MiB).
 _EXPSUM_STEP = 0.3
-_EXPSUM_CHUNK = 12
+_EXPSUM_CHUNK = 24
 _EXPSUM_DELTA = 1e-16
 
 
@@ -206,10 +209,15 @@ def hilbert_submatrix_tt(n: int, delta: float) -> MatrixTT:
     relative on 1 <= x < 2^(n+1) (each cut tail is below 1e-14 relative).
     With x = i+j+1 (0-based) every term is a rank-1 matrix chain (Braess &
     Hackbusch, IMA J. Numer. Anal. 25, 2005), so no array of length 2^n is
-    formed at any n.  Chunks of _EXPSUM_CHUNK terms are added and rounded at
-    _EXPSUM_DELTA, and the sum is rounded at delta/10, so
-    ||H_tt - H||_F <= delta ||H||_F down to an error floor of about 1e-13
-    relative, set by the quadrature.
+    formed at any n.  Chunks of _EXPSUM_CHUNK terms are added, and each of
+    the m = ceil(terms / _EXPSUM_CHUNK) running sums is rounded at
+    c = max(_EXPSUM_DELTA, delta / (10 m sqrt(n-2))).  Every term is positive
+    entrywise, so no partial sum has a larger norm than the full sum H_q, and
+    with tt_round's bound of c sqrt(n-2) ||x|| per rounding on the chain's
+    n-1 cores, the chunk roundings move the sum by at most
+    max(delta/10, m sqrt(n-2) _EXPSUM_DELTA) ||H_q||_F to first order.  The
+    sum is then rounded at delta/10, so ||H_tt - H||_F <= delta ||H||_F down
+    to an error floor of about 1e-13 relative, set by the quadrature.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -218,12 +226,16 @@ def hilbert_submatrix_tt(n: int, delta: float) -> MatrixTT:
     h = _EXPSUM_STEP
     t = np.exp(np.arange(math.log(1e-14) - (n + 1) * math.log(2.0),
                          math.log(40.0), h))
+    chunks = -(-len(t) // _EXPSUM_CHUNK)
+    # n = 2 is one core with no bond to round
+    bonds = max(n - 2, 1)
+    cdelta = max(_EXPSUM_DELTA, delta / (10 * chunks * math.sqrt(bonds)))
     total = None
     for lo in range(0, len(t), _EXPSUM_CHUNK):
         tk = t[lo:lo + _EXPSUM_CHUNK]
         part = _exponential_sum_tt(tk, h * tk, n)
         total = part if total is None else tt_round(tt_add(total, part),
-                                                    _EXPSUM_DELTA)
+                                                    cdelta)
     return tt_round(total, delta * 0.1)
 
 

@@ -189,12 +189,13 @@ class SweepReport:
     attempt ends at its sweep budget, on a failed local solve or on a stop
     residual below epsilon, which ends the solve.  The solve returns the
     first iterate with the lowest stop residual (if no sweep completed, a
-    zero Sigma and the last attempt's chains).  ``sweeps_used`` counts its
-    attempt's sweeps up to it (0 if none), ``total_sweeps`` is the length of
-    the history, ``restarts_used`` the index of the last attempt and
-    ``delta_final`` its truncation delta.  ``termination`` is
-    ``"converged"`` if the returned residual is below epsilon, else
-    ``"restarted"`` if a restart ran, else ``"sweep-limit"``.
+    zero Sigma and the last attempt's chains on the SVD route, and a
+    ``ValueError`` on the Gram route, which cannot recover U).
+    ``sweeps_used`` counts its attempt's sweeps up to it (0 if none),
+    ``total_sweeps`` is the length of the history, ``restarts_used`` the
+    index of the last attempt and ``delta_final`` its truncation delta.
+    ``termination`` is ``"converged"`` if the returned residual is below
+    epsilon, else ``"restarted"`` if a restart ran, else ``"sweep-limit"``.
     """
 
     solver: str = ""
@@ -721,6 +722,11 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     report.termination = ("converged" if r < cfg.epsilon
                           else "restarted" if attempt else "sweep-limit")
     if gram:
+        if report.total_sweeps == 0:
+            raise ValueError(
+                "no sweep completed: the local solve failed in every attempt, "
+                "so there is no spectrum estimate to recover left vectors from"
+            )
         smax = float(sigma.max()) if sigma.size else 0.0
         if smax == 0.0 or float(sigma.min()) < 1e-13 * smax:
             raise ValueError(

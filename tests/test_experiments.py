@@ -1,6 +1,7 @@
 """Experiment harness: configs, determinism, CSV contracts, CLI verbs."""
 
 import json
+import math
 import os
 import tracemalloc
 
@@ -10,7 +11,7 @@ import yaml
 from click.testing import CliRunner
 
 from conftest import random_matrix_tt
-from ttsvd import save_tt, verify
+from ttsvd import save_tt, solver, verify
 from ttsvd.cli import main as cli_main
 from ttsvd.experiments import (
     EXPERIMENTS,
@@ -505,6 +506,28 @@ def test_cli_run_strict_flags_non_convergence(tmp_path):
     res = runner.invoke(cli_main, ["run", cfg_path, "--strict"])
     assert res.exit_code == 3
     assert "did not converge" in res.output
+
+
+def test_cli_run_strict_flags_a_solve_with_no_completed_sweep(tmp_path,
+                                                              monkeypatch):
+    # every window runs matrix-free block Krylov with no dense fallback and
+    # fails after one step, so no sweep completes and Sigma stays zero
+    estimate = solver.local_solve_macs
+
+    def matrix_free(*args):
+        build, _, _, free_step = estimate(*args)
+        return build, math.inf, free_step, free_step
+    monkeypatch.setattr(solver, "local_solve_macs", matrix_free)
+    monkeypatch.setattr(solver, "_LOCAL_MAX_ITER", 1)
+    cfg_path = _cli_config(tmp_path, experiment="hilbert", n_values=[6],
+                           params={})
+    res = CliRunner().invoke(cli_main, ["run", cfg_path, "--strict"])
+    assert res.exit_code == 3, res.output
+    assert "did not converge" in res.output
+    text = (tmp_path / "out" / "results.csv").read_text()
+    row = parse_rows_csv(text, ResultRow, RESULT_COLUMNS)[0]
+    assert row.sweeps == "0" and row.relative_residual == "inf"
+    assert row.termination == "restarted"
 
 
 def test_cli_report_rebuilds_from_csv(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import random_matrix_tt
 from ttsvd import (
+    MatrixTT,
     SolverConfig,
     als_eig_baseline,
     als_svd,
@@ -496,17 +497,29 @@ def test_cost_test_agrees_with_all_dense_solves(driver, n, eps, monkeypatch):
         assert np.max(np.abs(sig - sig_dense) / sig_dense) <= 1e-8
 
 
-def test_gram_route_rejects_singular_spectra(monkeypatch):
-    # starve the local solver so every attempt fails and Sigma stays zero:
-    # the Gram route cannot recover U from an all-zero spectrum estimate
+def test_gram_route_rejects_singular_spectra():
+    # A = e_1 e_1^T has rank 1, so sweeps complete with an exactly zero
+    # second singular value: U = A V Sigma^-1 cannot be recovered
+    core = np.array([[1.0, 0.0], [0.0, 0.0]])[np.newaxis, :, :, np.newaxis]
+    a = MatrixTT([core] * 5)
+    cfg = SolverConfig(k=2, epsilon=1e-9, seed=26, max_restarts=1,
+                       max_full_sweeps=2)
+    for baseline in (als_eig_baseline, mals_eig_baseline):
+        with pytest.raises(ValueError, match="singular"):
+            baseline(a, cfg)
+
+
+def test_gram_route_says_when_no_sweep_completed(monkeypatch):
+    # starve the local solver so every attempt fails and Sigma stays zero
     monkeypatch.setattr(solver, "_LOCAL_MAX_ITER", 1)
     _force_dense_up_to(monkeypatch, -1)
     rng = np.random.default_rng(25)
     a = random_matrix_tt(5, 2, rng)
     cfg = SolverConfig(k=2, epsilon=1e-9, seed=26, max_restarts=1,
                        max_full_sweeps=2)
-    with pytest.raises(ValueError, match="singular"):
-        als_eig_baseline(a, cfg)
+    for baseline in (als_eig_baseline, mals_eig_baseline):
+        with pytest.raises(ValueError, match="no sweep completed"):
+            baseline(a, cfg)
 
 
 def test_report_is_json_serializable():
@@ -630,6 +643,15 @@ def test_hilbert_krylov_windows_do_not_stall():
     _, _, _, rep = mals_svd(a, SolverConfig(k=10, epsilon=1e-3, seed=2))
     assert rep.termination == "converged"
     assert max(m["local_iterations"] for m in rep.micro) <= 10
+
+
+def test_hilbert_mals_svd_converges_at_n100():
+    # a 2^100 x 2^99 matrix; Hilbert's inequality bounds its norm by pi
+    a = hilbert_submatrix_tt(100, 1e-8)
+    sig, u, v, rep = mals_svd(a, SolverConfig(k=4, epsilon=1e-3, seed=0))
+    assert rep.termination == "converged"
+    assert residual(a, u, v, sig) < 1e-3
+    assert 0 < sig[-1] <= sig[0] < math.pi
 
 
 def test_tridiagonal_als_svd_n30_converges():
