@@ -48,6 +48,7 @@ from .tt import (
     block_tt_scale_columns,
     canonicalize,
     diag_embed,
+    gram_r_factors,
     gram_tt_round,
     matrix_tt_matmul,
     matrix_tt_round,

@@ -8,7 +8,9 @@ Verbs:
 
 Exit codes: 0 success; 1 verification failure; 2 configuration error
 (including input a generator rejects); 3 at least one repetition did not
-converge in a run marked ``--strict``.
+converge in a run marked ``--strict``.  A repetition converged only if its
+solver reported "converged" and the ``relative_residual`` written for it is
+below ``epsilon``; ``--strict`` names every repetition that did not.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ def main():
 @click.option("--max-n", type=int, default=None,
               help="drop N values above this bound")
 @click.option("--strict", is_flag=True,
-              help="exit 3 if any repetition fails to converge")
+              help="exit 3 if any repetition fails to converge or writes "
+                   "a relative_residual not below epsilon")
 def run_cmd(config_path, seed, out_dir, reps, solvers, max_n, strict):
     """Run the experiment grid described by CONFIG_PATH."""
     try:
@@ -83,8 +86,15 @@ def run_cmd(config_path, seed, out_dir, reps, solvers, max_n, strict):
     converged = sum(1 for r in rep_rows if r.termination == "converged")
     click.echo(f"wrote {paths['results']} ({len(rep_rows)} runs, "
                f"{converged} converged)")
-    if strict and converged < len(rep_rows):
-        click.echo("strict mode: at least one run did not converge", err=True)
+    failed = [r for r in rep_rows if r.termination != "converged"
+              or not float(r.relative_residual) < cfg.epsilon]
+    if strict and failed:
+        for r in failed:
+            click.echo(
+                f"strict mode: {r.experiment} {r.solver} N={r.n} param "
+                f"{r.param} rep {r.rep} did not converge: termination "
+                f"{r.termination}, relative_residual {r.relative_residual}, "
+                f"epsilon {cfg.epsilon!r}", err=True)
         sys.exit(3)
     sys.exit(0)
 

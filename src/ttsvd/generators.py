@@ -171,13 +171,6 @@ def full_toeplitz_tt(x: VectorTT) -> MatrixTT:
     return tt_round(matrix_tt_transpose(t), _ASSEMBLY_DELTA)
 
 
-def identity_scaled(n: int, alpha: float) -> MatrixTT:
-    core = np.eye(2)[np.newaxis, :, :, np.newaxis]
-    cores = [core.copy() for _ in range(n)]
-    cores[0] = cores[0] * float(alpha)
-    return MatrixTT(cores)
-
-
 def _exponential_sum_tt(t: np.ndarray, w: np.ndarray, n: int) -> MatrixTT:
     """sum_k w_k exp(-t_k (i+j+1)) on the 2^n x 2^(n-1) grid, rank len(t).
 

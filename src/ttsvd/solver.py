@@ -94,6 +94,7 @@ from .tt import (
     block_tt_residual_norm,
     block_tt_scale_columns,
     canonicalize,
+    gram_r_factors,
     gram_tt_round,
     matrix_tt_matmul,
     matrix_tt_round,
@@ -658,12 +659,20 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     """Restarted sweeps; returns (Sigma, U, V, report) of the best iterate.
 
     The SVD problem sweeps (U, V) over A.  The Gram problem first reduces A
-    exactly (rounding at 0), sweeps (V,) over B = A^T A rounded at
-    epsilon / 10, then recovers U = A V Sigma^{-1} from the returned
-    iterate.  Sigma is only taken from a completed left-to-right half
-    sweep; ``SweepReport`` states the outcome rule.  The stop residual
-    reads a copy of the swept operator that is right-gauged once per
-    solve; the sweeps keep the operator as it is.
+    exactly (rounding at 0), computes B = A^T A's R factors from A
+    (``gram_r_factors``), then forms B (``matrix_tt_matmul``) and rounds it
+    at epsilon / 10 (``gram_tt_round``), sweeps (V,) over the rounded B and
+    recovers U = A V Sigma^{-1} from the returned iterate.  The unrounded B
+    is held only during its rounding, next to the R factors, so a Gram
+    solve peaks at B plus its R factors plus one slab of the product
+    (tracemalloc, prescribed k0 16, rank 5, K=10: 40.8/71.0/101.0/131.0 MiB
+    at N=8/10/12/14, of which B is 33.9/57.7/81.5/105.4).  B is still
+    formed because the truncation reads its cores, and the benchmark times
+    its product as a layer of its own.  Sigma is only
+    taken from a completed left-to-right half sweep; ``SweepReport`` states
+    the outcome rule.  The stop residual reads a copy of the swept operator
+    that is right-gauged once per solve; the sweeps keep the operator as it
+    is.
     """
     sizes = (a.col_sizes,) if gram else (a.row_sizes, a.col_sizes)
     _check_problem(a, cfg, pair, sizes)
@@ -673,11 +682,14 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
         # and no bond stays above the mode-size product on either side of it
         # (the prescribed family's last bond r_U r_V drops to 4).  B's ranks
         # are the squares of A's.  B is rounded from R factors computed on
-        # A's cores, whose QRs split by B's swap symmetry.
+        # A's cores, whose QRs split by B's swap symmetry; they are computed
+        # before B is formed, so their products never coexist with B.
         a = matrix_tt_round(a, 0.0)
         rdelta = cfg.epsilon / _GRAM_DELTA_DIVISOR
-        op = gram_tt_round(a, matrix_tt_matmul(matrix_tt_transpose(a), a),
+        rs = gram_r_factors(a)
+        op = gram_tt_round(matrix_tt_matmul(matrix_tt_transpose(a), a), rs,
                            rdelta)
+        del rs
     else:
         op = a
     gauged = canonicalize(op, 0)

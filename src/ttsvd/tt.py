@@ -267,7 +267,7 @@ def _right_r_factors(cores) -> list:
     1 x 1 identity, and ``rs[0]`` is 1 x 1 with |rs[0]| = ||x||.  Each comes
     from an R-only QR of core n times ``rs[n+1].T``, so no Q core is ever
     built.  The rounding sweep reads only rs^T rs, the Gram matrix of each
-    right part, so ``_gram_r_factors`` may hand it factors that are not
+    right part, so ``gram_r_factors`` may hand it factors that are not
     triangular.  A non-finite core raises ``ValueError``.
     """
     _check_finite(cores)
@@ -278,7 +278,7 @@ def _right_r_factors(cores) -> list:
     return rs
 
 
-def _gram_r_factors(cores) -> list:
+def gram_r_factors(a: MatrixTT) -> list:
     """``_right_r_factors`` of B = A^T A, computed from the cores of A.
 
     ``matrix_tt_matmul(matrix_tt_transpose(a), a)`` gives B the cores
@@ -301,9 +301,15 @@ def _gram_r_factors(cores) -> list:
     sum_{b,d,i} A[a,i,j,b] A[c,i,m,d] R[mu, b + q d], so B's cores are never
     read.  Each factor is mapped back to the natural bond columns, even rows
     first: it is not triangular, but rs^T rs is the Gram matrix of the right
-    part, which is all the rounding sweep needs.  A non-finite core of A
-    raises ``ValueError``.
+    part, which is all the rounding sweep needs.
+
+    Their inputs are products about the size of one core of B, and
+    ``gram_tt_round`` needs B itself, so the Gram solvers compute the
+    factors before they form B: those products never coexist with B.  A
+    non-finite core of A raises ``ValueError``, and so does a norm of A^T A
+    that overflows.
     """
+    cores = a.cores
     _check_finite(cores)
     h = math.sqrt(0.5)
     rs = [None] * len(cores) + [np.ones((1, 1))]
@@ -334,11 +340,13 @@ def _gram_r_factors(cores) -> list:
         out[n_even:, u, v] = r_odd * h
         out[n_even:, v, u] = r_odd * -h
         rs[n] = out.reshape(out.shape[0], p * p)
+    if not math.isfinite(rs[0][0, 0]):
+        raise ValueError("the norm of a^T a overflows")
     return rs
 
 
 def _parity_qr_inputs(g, p, nj, n_even):
-    """The even and the odd QR input of ``_gram_r_factors`` at one core.
+    """The even and the odd QR input of ``gram_r_factors`` at one core.
 
     ``g`` is (s, (m, c, j, a)), a fastest.  Even columns: e_aa, then
     (e_uv + e_vu)/sqrt(2) for u < v; odd columns (e_uv - e_vu)/sqrt(2).
@@ -441,27 +449,26 @@ def tt_round(x, delta: float):
     return _restore(_round_sweep(cores, _right_r_factors(cores), delta), x)
 
 
-def gram_tt_round(a: MatrixTT, b: MatrixTT, delta: float) -> MatrixTT:
+def gram_tt_round(b: MatrixTT, rs: list, delta: float) -> MatrixTT:
     """``tt_round(b, delta)`` of b = ``matrix_tt_matmul(matrix_tt_transpose(a), a)``.
 
-    The same left-to-right truncation (``_round_sweep``) runs on b's cores,
-    but the R factors of b's right parts come from a's cores
-    (``_gram_r_factors``): the swap symmetry of A^T A splits each of their
-    QRs into an even and an odd half, and no QR runs on b's cores, whose
-    bonds are the squares of a's.  The R factors differ from
+    ``rs`` is ``gram_r_factors(a)``.  The same left-to-right truncation
+    (``_round_sweep``) runs on b's cores, but the R factors of b's right
+    parts come from a's cores: the swap symmetry of A^T A splits each of
+    their QRs into an even and an odd half, and no QR runs on b's cores,
+    whose bonds are the squares of a's.  The R factors differ from
     ``_right_r_factors``' only by an orthogonal transform on the left, so
     the rounding is the same up to floating-point rounding: the same error
     bound, the same ranks unless a singular value sits at the threshold,
-    cores 0..N-2 left-orthogonal.  A zero a collapses to all-one ranks; a
-    non-finite core of a raises ``ValueError``.
+    cores 0..N-2 left-orthogonal.  A zero a collapses to all-one ranks.  b
+    must have square modes and the bonds that ``rs`` implies, or
+    ``ValueError`` is raised.  The truncation reads b's cores, so b is
+    formed in full; computing ``rs`` before b keeps the products behind
+    the factors from coexisting with it.
     """
     _check_delta(delta)
-    if (b.ranks != [r * r for r in a.ranks] or b.row_sizes != a.col_sizes
-            or b.col_sizes != a.col_sizes):
-        raise ValueError("gram_tt_round needs b = a^T a as matrix_tt_matmul forms it")
-    rs = _gram_r_factors(a.cores)
-    if not math.isfinite(rs[0][0, 0]):
-        raise ValueError("the norm of a^T a overflows")
+    if b.ranks != [r.shape[1] for r in rs] or b.row_sizes != b.col_sizes:
+        raise ValueError("gram_tt_round needs b = a^T a for the a that gave rs")
     return _restore(_round_sweep(_fuse(b).cores, rs, delta), b)
 
 
@@ -528,15 +535,28 @@ def matrix_tt_transpose(a: MatrixTT) -> MatrixTT:
 
 
 def matrix_tt_matmul(a: MatrixTT, b: MatrixTT) -> MatrixTT:
-    """Exact matrix-matrix product in TT form (bond ranks multiply)."""
+    """Exact matrix-matrix product in TT form (bond ranks multiply).
+
+    Core n is C[(a,c), i, m, (b,d)] = sum_j A[a,i,j,b] B[c,j,m,d], with
+    bond indices a + p c and b + q d for A's core of bonds (p, q).  It is
+    written once, column-major: for each d, one GEMM over j forms the slab
+    ((a,i,b), (c,m)), which is copied into C[..., d].  One slab is the only
+    temporary, and ``_fuse`` of the product returns views.
+    """
     if a.col_sizes != b.row_sizes:
         raise ValueError("matrix_tt_matmul shape mismatch")
     cores = []
     for ca, cb in zip(a.cores, b.cores):
-        ra, i, _, ra2 = ca.shape
+        ra, i, nj, ra2 = ca.shape
         rb, _, m, rb2 = cb.shape
-        g = np.einsum("aijb,cjmd->acimbd", ca, cb, optimize=True)
-        cores.append(_rf(g, (ra * rb, i, m, ra2 * rb2)))
+        left = _rf(ca.transpose(0, 1, 3, 2), (ra * i * ra2, nj))
+        right = _rf(cb.transpose(1, 0, 2, 3), (nj, rb * m, rb2))
+        out = np.empty((ra, rb, i, m, ra2, rb2), order="F")
+        slab = np.empty((ra * i * ra2, rb * m), order="F")
+        for d in range(rb2):
+            np.matmul(left, right[:, :, d], out=slab)
+            out[..., d] = _rf(slab, (ra, i, ra2, rb, m)).transpose(0, 3, 1, 4, 2)
+        cores.append(_rf(out, (ra * rb, i, m, ra2 * rb2)))
     return MatrixTT(cores)
 
 

@@ -37,6 +37,7 @@ from .tt import (
     VectorTT,
     _rf,
     canonicalize,
+    gram_r_factors,
     gram_tt_round,
     matrix_tt_matmul,
     matrix_tt_transpose,
@@ -147,7 +148,7 @@ def _check_gram_round(rng):
     nrm = np.linalg.norm(bd)
     ok, worst = True, 0.0
     for delta in (0.0, 1e-2):
-        y, z = gram_tt_round(a, b, delta), tt_round(b, delta)
+        y, z = gram_tt_round(b, gram_r_factors(a), delta), tt_round(b, delta)
         err = np.linalg.norm(tt_reconstruct(y) - bd) / nrm
         ref = np.linalg.norm(tt_reconstruct(z) - bd) / nrm
         worst = max(worst, abs(err - ref))

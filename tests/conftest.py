@@ -20,6 +20,11 @@ def random_matrix_tt(n, rank, rng, mode=2, scale=1.0):
     return MatrixTT(cores)
 
 
+def identity_tt(n):
+    """The 2^n x 2^n identity as a rank-1 matrix chain."""
+    return MatrixTT([np.eye(2)[np.newaxis, :, :, np.newaxis]] * n)
+
+
 def random_vector_tt_raw(n, rank, rng, mode=2):
     ranks = [1] + [rank] * (n - 1) + [1]
     cores = [

@@ -508,6 +508,27 @@ def test_cli_run_strict_flags_non_convergence(tmp_path):
     assert "did not converge" in res.output
 
 
+def test_cli_run_strict_flags_a_residual_above_epsilon(tmp_path):
+    # the Gram baselines stop on the residual of A^T A and report
+    # "converged", but the residual written on A is above epsilon
+    cfg_path = _cli_config(tmp_path, experiment="hilbert",
+                           solvers=["als_eig", "mals_eig"], n_values=[6],
+                           k=10, epsilon=1e-3, params={})
+    res = CliRunner().invoke(cli_main, ["run", cfg_path])
+    assert res.exit_code == 0, res.output
+    res = CliRunner().invoke(cli_main, ["run", cfg_path, "--strict"])
+    assert res.exit_code == 3, res.output
+    rows = parse_rows_csv((tmp_path / "out" / "results.csv").read_text(),
+                          ResultRow, RESULT_COLUMNS)
+    reps = [r for r in rows if r.rep == "0"]
+    assert {r.solver for r in reps} == {"als_eig", "mals_eig"}
+    for r in reps:
+        assert r.termination == "converged"
+        assert float(r.relative_residual) >= 1e-3
+        assert (f"hilbert {r.solver} N=6 param {r.param} rep 0 did not "
+                f"converge" in res.output)
+
+
 def test_cli_run_strict_flags_a_solve_with_no_completed_sweep(tmp_path,
                                                               monkeypatch):
     # every window runs matrix-free block Krylov with no dense fallback and

@@ -27,7 +27,6 @@ from ttsvd import (
     tt_svd_compress,
     tt_to_vector,
 )
-from ttsvd.generators import identity_scaled
 
 
 def _dense_upper_toeplitz(s_vec):
@@ -96,12 +95,6 @@ def test_shift_matrices():
     for _ in range(n):
         p = matrix_tt_round(matrix_tt_matmul(p, p), 1e-14)
     assert tt_norm(p) < 1e-12
-
-
-def test_scaled_identity():
-    n = 3
-    m = 2**n
-    assert np.allclose(tt_reconstruct(identity_scaled(n, -1.5)), -1.5 * np.eye(m))
 
 
 def test_tridiagonal_entries():

@@ -6,18 +6,20 @@ import importlib
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_matrix_tt
+from conftest import identity_tt, random_matrix_tt
 from ttsvd import (
     MatrixTT,
     SolverConfig,
     als_eig_baseline,
     als_svd,
     environment_deviation,
+    gram_r_factors,
     hilbert_submatrix_tt,
     mals_eig_baseline,
     mals_svd,
@@ -31,7 +33,6 @@ from ttsvd import (
 )
 from ttsvd import solver
 from ttsvd.experiments import RunConfig, _build_matrix
-from ttsvd.generators import identity_scaled
 from ttsvd.solver import _driver, _gram_residual
 
 ALL_DRIVERS = [als_svd, mals_svd, als_eig_baseline, mals_eig_baseline]
@@ -59,7 +60,7 @@ def _dense_reference(a, k):
 
 
 def test_identity_matrix_spectrum():
-    a = identity_scaled(4, 1.0)
+    a = identity_tt(4)
     for drv in (als_svd, mals_svd):
         sig, u, v, rep = drv(a, SolverConfig(k=3, epsilon=1e-8, seed=1))
         assert rep.termination == "converged"
@@ -320,6 +321,24 @@ def test_gram_operator_is_the_rounded_gram_matrix(n, monkeypatch):
     assert op.ranks == unreduced.ranks
 
 
+def test_gram_route_peak_is_the_product_and_its_r_factors():
+    # the Gram solve computes B's R factors before it forms B and writes
+    # each core of B once, so at its peak it holds B's cores, the R factors
+    # and no more than a few MiB of temporaries
+    a = prescribed_svd_matrix(8, 0.5, k0=16, rank=5, seed=1)[0]
+    a0 = matrix_tt_round(a, 0.0)
+    b_bytes = sum(c.nbytes for c in
+                  matrix_tt_matmul(matrix_tt_transpose(a0), a0).cores)
+    rs_bytes = sum(r.nbytes for r in gram_r_factors(a0))
+    tracemalloc.start()
+    try:
+        mals_eig_baseline(a, SolverConfig(k=10, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= b_bytes + rs_bytes + 4 * 2**20
+
+
 def test_init_block_tt_is_the_minimal_random_chain():
     # the sweep starts from random_block_tt at requested rank 1; the
     # feasibility floor alone sets the ranks
@@ -553,10 +572,10 @@ def test_max_rank_cap_is_enforced_per_micro_iteration():
 
 
 def test_driver_validation():
-    a = identity_scaled(3, 1.0)
+    a = identity_tt(3)
     with pytest.raises(ValueError):
         als_svd(a, SolverConfig(k=9))  # more columns than the matrix has
-    one_core = identity_scaled(1, 1.0)
+    one_core = identity_tt(1)
     with pytest.raises(ValueError):
         mals_svd(one_core, SolverConfig(k=1))
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     block_local_matrix,
+    identity_tt,
     random_block_tt_at,
     random_matrix_tt,
     random_vector_tt_raw,
@@ -23,6 +24,7 @@ from ttsvd import (
     block_tt_scale_columns,
     canonicalize,
     diag_embed,
+    gram_r_factors,
     gram_tt_round,
     matrix_tt_matmul,
     matrix_tt_round,
@@ -39,8 +41,8 @@ from ttsvd import (
     tt_to_vector,
     truncated_svd,
 )
-from ttsvd.generators import identity_scaled, prescribed_svd_matrix
-from ttsvd.tt import _fuse, _gram_r_factors, _right_r_factors
+from ttsvd.generators import prescribed_svd_matrix
+from ttsvd.tt import _fuse, _right_r_factors
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +63,7 @@ def test_vector_tt_validation():
 def test_matrix_tt_validation():
     with pytest.raises(ValueError):
         MatrixTT([np.zeros((1, 2, 2))])
-    a = identity_scaled(3, 1.0)
+    a = identity_tt(3)
     assert a.row_sizes == [2, 2, 2]
     assert a.col_sizes == [2, 2, 2]
     assert a.n_rows == 8 and a.n_cols == 8
@@ -182,11 +184,11 @@ def test_gram_round_matches_round_of_the_product(n, rows, cols):
     nb = np.linalg.norm(bd)
     # the parity-split R factors differ from the plain ones by an orthogonal
     # transform on the left: the same Gram matrix of every right part
-    rs = _gram_r_factors(a.cores)
+    rs = gram_r_factors(a)
     for x, y in zip(rs, _right_r_factors(_fuse(b).cores)):
         assert np.linalg.norm(x.T @ x - y.T @ y) <= 1e-12 * np.linalg.norm(y.T @ y)
     for delta in (0.0, 1e-9, 1e-2, 0.2):
-        g, ref = gram_tt_round(a, b, delta), tt_round(b, delta)
+        g, ref = gram_tt_round(b, rs, delta), tt_round(b, delta)
         assert isinstance(g, MatrixTT) and g.ranks == ref.ranks
         err = np.linalg.norm(tt_reconstruct(g) - bd)
         assert err <= delta * np.sqrt(n - 1) * nb + 1e-13 * nb
@@ -200,20 +202,27 @@ def test_gram_round_of_zero_and_non_finite_chains():
     rng = np.random.default_rng(43)
     a, _ = _gram_pair(4, 3, 2, rng)
     zero = MatrixTT([np.zeros_like(c) for c in a.cores])
-    g = gram_tt_round(zero, matrix_tt_matmul(matrix_tt_transpose(zero), zero), 1e-9)
+    g = gram_tt_round(matrix_tt_matmul(matrix_tt_transpose(zero), zero),
+                      gram_r_factors(zero), 1e-9)
     assert g.ranks == [1] * 5 and not np.any(tt_reconstruct(g))
     # finite cores whose Gram norm overflows must not round at an inf
     # threshold
     huge = MatrixTT([c * 1e110 for c in a.cores])
     with np.errstate(over="ignore", invalid="ignore"):
-        hb = matrix_tt_matmul(matrix_tt_transpose(huge), huge)
         with pytest.raises(ValueError, match="overflows"):
-            gram_tt_round(huge, hb, 1e-9)
+            gram_r_factors(huge)
     a.cores[2].flat[1] = np.nan
     with pytest.raises(ValueError, match="NaN or inf"):
-        gram_tt_round(a, matrix_tt_matmul(matrix_tt_transpose(a), a), 1e-9)
+        gram_r_factors(a)
+    # b must carry the bonds and the square modes that rs implies
     with pytest.raises(ValueError, match="a\\^T a"):
-        gram_tt_round(zero, zero, 1e-9)
+        gram_tt_round(zero, gram_r_factors(zero), 1e-9)
+    b = matrix_tt_matmul(matrix_tt_transpose(zero), zero)
+    with pytest.raises(ValueError, match="a\\^T a"):
+        gram_tt_round(b, gram_r_factors(zero)[1:], 1e-9)
+    wide = MatrixTT([c[:, :1] for c in b.cores])  # b's bonds, 1 x 2 modes
+    with pytest.raises(ValueError, match="a\\^T a"):
+        gram_tt_round(wide, gram_r_factors(zero), 1e-9)
 
 
 def test_gram_round_peak_memory_is_within_one_core_of_tt_round():
@@ -223,7 +232,8 @@ def test_gram_round_peak_memory_is_within_one_core_of_tt_round():
     a = matrix_tt_round(prescribed_svd_matrix(8, 0.5, k0=16, rank=5, seed=1)[0], 0.0)
     b = matrix_tt_matmul(matrix_tt_transpose(a), a)
     peaks = []
-    for run in (lambda: tt_round(b, 1e-9), lambda: gram_tt_round(a, b, 1e-9)):
+    for run in (lambda: tt_round(b, 1e-9),
+                lambda: gram_tt_round(b, gram_r_factors(a), 1e-9)):
         tracemalloc.start()
         try:
             run()
@@ -356,7 +366,7 @@ def test_matrix_tags_survive_transpose_and_rounding():
 
 
 def test_identity_and_diag_embed():
-    assert np.allclose(tt_reconstruct(identity_scaled(3, 1.0)), np.eye(8))
+    assert np.allclose(tt_reconstruct(identity_tt(3)), np.eye(8))
     rng = np.random.default_rng(14)
     x = random_vector_tt_raw(3, 2, rng)
     d = diag_embed(x)
@@ -382,6 +392,45 @@ def test_matrix_ops_match_dense():
     assert abs(tt_norm(a) - np.linalg.norm(ad)) < 1e-9
     with pytest.raises(ValueError):
         matvec_tt(a, random_vector_tt_raw(3, 2, rng))
+
+
+def _einsum_matmul_cores(a, b):
+    # the product's cores by one einsum and a column-major reshape
+    out = []
+    for ca, cb in zip(a.cores, b.cores):
+        g = np.einsum("aijb,cjmd->acimbd", ca, cb, optimize=True)
+        out.append(g.reshape((ca.shape[0] * cb.shape[0], ca.shape[1],
+                              cb.shape[2], ca.shape[3] * cb.shape[3]),
+                             order="F"))
+    return out
+
+
+@pytest.mark.parametrize("modes", [(1, 2, 3), (3, 1, 2), (2, 3, 1), (2, 2, 2)])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_matmul_cores_are_the_contraction_in_place(modes, rank):
+    # each core is the contraction over the shared mode, written straight
+    # into the column-major layout, so the fused view shares its memory
+    rng = np.random.default_rng([rank, *modes])
+    i, j, m = modes
+    ra = [1, rank, max(rank - 1, 1), 1]
+    rb = [1, max(rank - 2, 1), rank, 1]
+    a = MatrixTT([rng.standard_normal((ra[n], i, j, ra[n + 1])) for n in range(3)])
+    b = MatrixTT([rng.standard_normal((rb[n], j, m, rb[n + 1])) for n in range(3)])
+    c = matrix_tt_matmul(a, b)
+    for got, want in zip(c.cores, _einsum_matmul_cores(a, b)):
+        assert got.shape == want.shape and got.flags.f_contiguous
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    for core, fused in zip(c.cores, _fuse(c).cores):
+        assert np.shares_memory(core, fused)
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_gram_product_cores_are_bit_identical_to_the_contraction(n):
+    a = prescribed_svd_matrix(n, 0.5, k0=16, rank=5, seed=1)[0]
+    at = matrix_tt_transpose(a)
+    got = matrix_tt_matmul(at, a).cores
+    assert all(np.array_equal(x, y)
+               for x, y in zip(got, _einsum_matmul_cores(at, a)))
 
 
 def test_matrix_round_bound():
