@@ -114,8 +114,13 @@ split_block_core_als = split_block_core_mals = split_block_core
 
 # Every attempt starts from the working delta epsilon / sqrt(N-1), shrunk by
 # _RESTART_DELTA_SHRINK per restart; its first half sweep truncates at
-# _FIRST_HALFSWEEP_DELTA_FACTOR times that.  The Gram baselines round A^T A
-# and the recovered U at epsilon divided by _GRAM_DELTA_DIVISOR.
+# _FIRST_HALFSWEEP_DELTA_FACTOR times that.  The coarse first half sweep buys
+# wall time on Hilbert matrices: with a factor of 1 instead, perfbench/run.py
+# (30 s runs, seeds 1-6, alternating pairs, one BLAS thread, 2-vCPU x86-64)
+# took 7.5-17% longer per pass on hilbert-krylov (median solve +10-21%, all
+# six pairs), while prescribed-svd and gram-baseline solved bit-identically
+# with no resolved change in time.  The Gram baselines round A^T A and the
+# recovered U at epsilon divided by _GRAM_DELTA_DIVISOR.
 _FIRST_HALFSWEEP_DELTA_FACTOR = 100.0
 _RESTART_DELTA_SHRINK = 0.1
 _GRAM_DELTA_DIVISOR = 10
@@ -146,13 +151,16 @@ class LocalSolverError(RuntimeError):
 class SolverConfig:
     """What a caller sets for the sweep drivers.
 
-    ``k`` is the block size, ``epsilon`` the stopping threshold on the exact
-    residual, ``max_full_sweeps`` the sweep budget of one attempt and
-    ``max_restarts`` the number of further attempts, each reseeded from
-    ``seed``; ``max_rank``, if set, caps every bond rank.  The truncation
-    delta is derived: epsilon / sqrt(N-1), shrunk 10x per restart, with the
-    first half sweep of every attempt at 100 times that.  The Gram baselines
-    round A^T A and the recovered U at epsilon / 10.
+    ``k`` is the block size, ``epsilon`` the threshold that the relative
+    residual on A must fall below for a "converged" verdict (the SVD
+    solvers also stop on it; the Gram baselines stop on B = A^T A's
+    residual instead, see ``SweepReport``), ``max_full_sweeps`` the sweep
+    budget of one attempt and ``max_restarts`` the number of further
+    attempts, each reseeded from ``seed``; ``max_rank``, if set, caps every
+    bond rank.  The truncation delta is derived: epsilon / sqrt(N-1),
+    shrunk 10x per restart, with the first half sweep of every attempt at
+    100 times that.  The Gram baselines round A^T A and the recovered U at
+    epsilon / 10.
     """
 
     k: int
@@ -195,8 +203,15 @@ class SweepReport:
     ``sweeps_used`` counts its attempt's sweeps up to it (0 if none),
     ``total_sweeps`` is the length of the history, ``restarts_used`` the
     index of the last attempt and ``delta_final`` its truncation delta.
-    ``termination`` is ``"converged"`` if the returned residual is below
-    epsilon, else ``"restarted"`` if a restart ran, else ``"sweep-limit"``.
+
+    ``residual`` is the returned iterate's relative residual
+    ||A^T U - V Sigma||_F / ||Sigma||_F on A: on the SVD route its stop
+    residual (``inf`` if no sweep completed), on the Gram route one
+    evaluation after U is recovered and rounded.  ``termination`` is
+    ``"converged"`` if ``residual`` is below epsilon, else ``"restarted"``
+    if a restart ran, else ``"sweep-limit"``.  The Gram route stops on the
+    residual of B = A^T A but is judged on A, so it can stop on B and still
+    end ``"sweep-limit"``.
     """
 
     solver: str = ""
@@ -209,6 +224,7 @@ class SweepReport:
     wall_time_s: float = 0.0
     termination: str = ""
     delta_final: float = 0.0
+    residual: float = math.inf
 
     def to_json(self) -> dict:
         return {("micro_iterations" if key == "micro" else key): value
@@ -662,7 +678,8 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     exactly (rounding at 0), computes B = A^T A's R factors from A
     (``gram_r_factors``), then forms B (``matrix_tt_matmul``) and rounds it
     at epsilon / 10 (``gram_tt_round``), sweeps (V,) over the rounded B and
-    recovers U = A V Sigma^{-1} from the returned iterate.  The unrounded B
+    recovers U = A V Sigma^{-1} from the returned iterate, then evaluates the
+    verdict's residual on the reduced A.  The unrounded B
     is held only during its rounding, next to the R factors, so a Gram
     solve peaks at B plus its R factors plus one slab of the product
     (tracemalloc, prescribed k0 16, rank 5, K=10: 40.8/71.0/101.0/131.0 MiB
@@ -731,8 +748,6 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     report.total_sweeps = len(report.residual_history)
     report.restarts_used = attempt
     report.delta_final = delta
-    report.termination = ("converged" if r < cfg.epsilon
-                          else "restarted" if attempt else "sweep-limit")
     if gram:
         if report.total_sweeps == 0:
             raise ValueError(
@@ -748,6 +763,10 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
             )
         u = block_tt_scale_columns(block_tt_matvec(a, chains[0]), 1.0 / sigma)
         chains = (tt_round(u, rdelta), *chains)
+        r = residual(a, *chains, sigma)
+    report.residual = float(r)
+    report.termination = ("converged" if r < cfg.epsilon
+                          else "restarted" if attempt else "sweep-limit")
     report.wall_time_s = time.perf_counter() - t0
     return sigma, *chains, report
 

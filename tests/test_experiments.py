@@ -16,6 +16,7 @@ from ttsvd.cli import main as cli_main
 from ttsvd.experiments import (
     EXPERIMENTS,
     RESULT_COLUMNS,
+    SOLVERS,
     TIMING_COLUMNS,
     ConfigError,
     ResultRow,
@@ -509,10 +510,12 @@ def test_cli_run_strict_flags_non_convergence(tmp_path):
 
 
 def test_cli_run_strict_flags_a_residual_above_epsilon(tmp_path):
-    # the Gram baselines stop on the residual of A^T A and report
-    # "converged", but the residual written on A is above epsilon
+    # the Gram baselines stop on the residual of A^T A (about 3e-13 here),
+    # but every solver is judged on A, where theirs is 0.037: their rows
+    # read not converged, a plain run exits 0 and --strict exits 3
     cfg_path = _cli_config(tmp_path, experiment="hilbert",
-                           solvers=["als_eig", "mals_eig"], n_values=[6],
+                           solvers=["als_svd", "mals_svd", "als_eig",
+                                    "mals_eig"], n_values=[6],
                            k=10, epsilon=1e-3, params={})
     res = CliRunner().invoke(cli_main, ["run", cfg_path])
     assert res.exit_code == 0, res.output
@@ -521,12 +524,41 @@ def test_cli_run_strict_flags_a_residual_above_epsilon(tmp_path):
     rows = parse_rows_csv((tmp_path / "out" / "results.csv").read_text(),
                           ResultRow, RESULT_COLUMNS)
     reps = [r for r in rows if r.rep == "0"]
-    assert {r.solver for r in reps} == {"als_eig", "mals_eig"}
+    assert [r.solver for r in reps] == ["als_svd", "mals_svd", "als_eig",
+                                        "mals_eig"]
     for r in reps:
-        assert r.termination == "converged"
-        assert float(r.relative_residual) >= 1e-3
-        assert (f"hilbert {r.solver} N=6 param {r.param} rep 0 did not "
-                f"converge" in res.output)
+        named = (f"hilbert {r.solver} N=6 param {r.param} rep 0 did not "
+                 f"converge" in res.output)
+        assert (r.termination == "converged") == (not named)
+        assert (r.termination == "converged") == (
+            float(r.relative_residual) < 1e-3)
+        assert (r.termination == "converged") == r.solver.endswith("svd")
+
+
+def test_run_evaluates_one_residual_per_stop_test(monkeypatch):
+    # the written relative_residual is the solver's own: an SVD repetition
+    # evaluates one residual per completed sweep, a Gram repetition one
+    # after recovering U, and the harness none
+    evaluate, calls, per_rep = solver.residual, [], []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return evaluate(*args, **kwargs)
+    monkeypatch.setattr(solver, "residual", counted)
+    for name, run in list(SOLVERS.items()):
+        def recorded(a, scfg, run=run):
+            before = len(calls)
+            out = run(a, scfg)
+            per_rep.append((out[3], len(calls) - before))
+            return out
+        monkeypatch.setitem(SOLVERS, name, recorded)
+    run_experiment(_small_cfg(solvers=list(SOLVERS), n_values=[6],
+                              epsilon=1e-10))
+    assert len(per_rep) == 8
+    for rep, n_calls in per_rep:
+        gram = rep.solver.endswith("eig")
+        assert n_calls == (1 if gram else rep.total_sweeps) >= 1
+    assert len(calls) == sum(n for _, n in per_rep)
 
 
 def test_cli_run_strict_flags_a_solve_with_no_completed_sweep(tmp_path,
