@@ -260,6 +260,11 @@ def _param_grid(cfg: RunConfig):
     return [None]
 
 
+# The tridiagonal ||A||_F^2 = 6*2^N - 2 is a finite float up to N = 1021;
+# rounding squares singular values as large as ||A||_F.
+_TRIDIAGONAL_MAX_N = 1021
+
+
 def _build_matrix(cfg: RunConfig, n: int, param, rep_seed: int):
     """Return (MatrixTT, ground-truth top-K spectrum or None)."""
     p = cfg.params
@@ -276,7 +281,11 @@ def _build_matrix(cfg: RunConfig, n: int, param, rep_seed: int):
         return a, None
     if cfg.experiment == "tridiagonal":
         # second-difference matrix: eigenvalues 2 - 2 cos(j*pi/(M+1)) are a
-        # closed-form ground truth at any N
+        # closed-form ground truth, evaluated in floats
+        if n > _TRIDIAGONAL_MAX_N:
+            raise ConfigError(f"tridiagonal needs N <= {_TRIDIAGONAL_MAX_N}: "
+                              f"||A||_F^2 = 6*2^N - 2 overflows a float from "
+                              f"N = 1022 on")
         m = 2 ** n
         ones = VectorTT([np.ones((1, 2, 1))] * n)  # rank 1, no dense 2^N vector
         neg = tt_scale(ones, -1.0)

@@ -40,18 +40,21 @@ from .tt import (
 
 # Tridiagonal sums and full Toeplitz mixings are rounded at _ASSEMBLY_DELTA.
 _ASSEMBLY_DELTA = 1e-13
-# The Hilbert matrix is a sum of exponentials (hilbert_submatrix_tt):
-# trapezoid step in s = ln t, terms per rounded chunk, and the floor of the
-# chunk rounding delta.  Chunks are rounded relative to the target delta, so
-# the running sum keeps the matrix's own rank (8 at delta 1e-8, N=16..100);
-# a fixed 1e-16 would keep rounding noise as rank (169 at N=100).  The
-# quadrature alone is accurate to about 1e-13 relative, and a floor of 1e-15
-# instead of 1e-16 lifts the Hilbert error to 3.7e-13 at N=22.  The chunk
+# The Hilbert matrix is a sum of exponentials (hilbert_submatrix_tt): the
+# floor of the quadrature target, terms per rounded chunk, the floor of the
+# chunk rounding delta, and the largest N.  The sinc step and both cut-offs
+# follow from one target max(delta/10, _EXPSUM_TARGET_FLOOR), so the term
+# count shrinks with delta: 91 at delta 1e-8, 41 at 1e-4 and 158 at 1e-12
+# for N=20.  Chunks are rounded relative to the target delta, so the
+# running sum keeps the matrix's own rank (8 at delta 1e-8, N=16..100); a
+# fixed 1e-16 would keep rounding noise as rank (169 at N=100).  The chunk
 # size sets the largest unrounded sum: 24 terms keep the N=20 build's
-# tracemalloc peak at 2.4 MiB (32 terms: 4.3 MiB).
-_EXPSUM_STEP = 0.3
+# tracemalloc peak at 1.0 MiB (32 terms: 1.7 MiB).  The quadrature covers
+# 1 <= x < 2^(N+1), which must be a finite float, so N stops at 1022.
+_EXPSUM_TARGET_FLOOR = 1e-14
 _EXPSUM_CHUNK = 24
 _EXPSUM_DELTA = 1e-16
+_EXPSUM_MAX_N = 1022
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +189,8 @@ def _exponential_sum_tt(t: np.ndarray, w: np.ndarray, n: int) -> MatrixTT:
     for b, rows in enumerate([2] * (n - 2) + [4]):
         x = np.add.outer(np.arange(rows), np.arange(2))  # r + c
         c = np.zeros((k, rows, 2, k))
-        c[diag, :, :, diag] = np.exp(-np.multiply.outer(t * 2.0 ** b, x))
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 is the entry
+            c[diag, :, :, diag] = np.exp(-np.ldexp(np.multiply.outer(t, x), b))
         cores.append(c)
     cores[0] = np.tensordot(w * np.exp(-t), cores[0], axes=(0, 0))[np.newaxis]
     cores[-1] = cores[-1].sum(axis=3, keepdims=True)
@@ -196,29 +200,44 @@ def _exponential_sum_tt(t: np.ndarray, w: np.ndarray, n: int) -> MatrixTT:
 def hilbert_submatrix_tt(n: int, delta: float) -> MatrixTT:
     """2^n x 2^{n-1} matrix with entries 1/(i+j-1), as an exponential sum.
 
-    Sinc quadrature of 1/x = integral of exp(s - x e^s) ds: the trapezoid
-    rule with step _EXPSUM_STEP over s in [ln(1e-14 / 2^(n+1)), ln 40] gives
-    1/x ~ sum_k w_k exp(-t_k x) with t_k = e^(s_k), w_k = h t_k, about 1e-13
-    relative on 1 <= x < 2^(n+1) (each cut tail is below 1e-14 relative).
-    With x = i+j+1 (0-based) every term is a rank-1 matrix chain (Braess &
-    Hackbusch, IMA J. Numer. Anal. 25, 2005), so no array of length 2^n is
-    formed at any n.  Chunks of _EXPSUM_CHUNK terms are added, and each of
-    the m = ceil(terms / _EXPSUM_CHUNK) running sums is rounded at
+    Sinc quadrature of 1/x = integral of exp(s - x e^s) ds, sized to the
+    target q = max(delta/10, _EXPSUM_TARGET_FLOOR).  The integrand is
+    analytic for |Im s| < pi/2, so the trapezoid rule with step
+    h = pi^2 / ln(10/q) errs by about exp(-pi^2/h) = q/10 relative, uniformly
+    in x.  Cutting s below ln q - (n+1) ln 2 drops at most e^s < q/2^(n+1),
+    and cutting above ln ln(1/q) drops exp(-x ln(1/q))/x <= q/x, both at most
+    q relative on 1 <= x < 2^(n+1).  The nodes s_k run from the lower cut in
+    steps of h until one passes the upper cut, and give
+    1/x ~ sum_k w_k exp(-t_k x) with t_k = e^(s_k), w_k = h t_k (91 terms
+    at N=20, delta 1e-8; 41 at delta 1e-4).  With x = i+j+1 (0-based) every
+    term is a rank-1 matrix chain (Braess & Hackbusch, IMA J. Numer. Anal.
+    25, 2005), so no array of length 2^n is formed.  Chunks of
+    _EXPSUM_CHUNK terms are added, and each of the first m - 1 of the
+    m = ceil(terms / _EXPSUM_CHUNK) running sums is rounded at
     c = max(_EXPSUM_DELTA, delta / (10 m sqrt(n-2))).  Every term is positive
     entrywise, so no partial sum has a larger norm than the full sum H_q, and
     with tt_round's bound of c sqrt(n-2) ||x|| per rounding on the chain's
-    n-1 cores, the chunk roundings move the sum by at most
+    n-1 cores, these roundings move the sum by at most
     max(delta/10, m sqrt(n-2) _EXPSUM_DELTA) ||H_q||_F to first order.  The
-    sum is then rounded at delta/10, so ||H_tt - H||_F <= delta ||H||_F down
-    to an error floor of about 1e-13 relative, set by the quadrature.
+    last running sum, the full sum, is rounded at delta/10, so
+    ||H_tt - H||_F <= delta ||H||_F down to an error floor of about 1e-13
+    relative.  The build takes about 4/5/22/74 ms at N=16/20/50/100 and
+    delta 1e-8 (one BLAS thread, AMD EPYC); each chunk rounding sweeps all
+    n cores, so it grows as O(n^2).  n may not exceed _EXPSUM_MAX_N.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if n > _EXPSUM_MAX_N:
+        raise ValueError(f"need n <= {_EXPSUM_MAX_N}: the Hilbert quadrature "
+                         f"covers 1 <= x < 2^(n+1), which overflows a float "
+                         f"from n = 1023 on")
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
-    h = _EXPSUM_STEP
-    t = np.exp(np.arange(math.log(1e-14) - (n + 1) * math.log(2.0),
-                         math.log(40.0), h))
+    q = max(delta / 10, _EXPSUM_TARGET_FLOOR)
+    h = math.pi ** 2 / math.log(10 / q)
+    first = math.log(q) - (n + 1) * math.log(2.0)
+    last = math.log(-math.log(q))
+    t = np.exp(first + h * np.arange(math.ceil((last - first) / h) + 1))
     chunks = -(-len(t) // _EXPSUM_CHUNK)
     # n = 2 is one core with no bond to round
     bonds = max(n - 2, 1)
@@ -227,9 +246,10 @@ def hilbert_submatrix_tt(n: int, delta: float) -> MatrixTT:
     for lo in range(0, len(t), _EXPSUM_CHUNK):
         tk = t[lo:lo + _EXPSUM_CHUNK]
         part = _exponential_sum_tt(tk, h * tk, n)
-        total = part if total is None else tt_round(tt_add(total, part),
-                                                    cdelta)
-    return tt_round(total, delta * 0.1)
+        total = part if total is None else tt_add(total, part)
+        final = lo + _EXPSUM_CHUNK >= len(t)
+        total = tt_round(total, delta * 0.1 if final else cdelta)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,7 @@ def test_tridiagonal_cell_has_closed_form_truth():
         assert rep.param == ""
 
 
+@pytest.mark.filterwarnings("error")
 def test_tridiagonal_build_holds_no_dense_vector():
     # the three diagonals are built as rank-1 chains: at N=20 one dense 2^N
     # vector alone would take 8 MiB, and at N=50 none could be held
@@ -251,7 +252,9 @@ def test_tridiagonal_build_holds_no_dense_vector():
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert a.ranks == [1] + [3] * 19 + [1]
-    for n in (50, 64, 100):  # 2^64 and beyond overflow an int64 index
+    # 2^64 and beyond overflow an int64 index; at N = 1022 the rounding
+    # overflows a float squaring ||A||_F
+    for n in (50, 64, 100, 1021):
         a, truth = _build_matrix(cfg, n, None, 0)
         assert a.n_cores == n and truth.shape == (3,)
         assert truth.dtype == float and np.all((truth > 0) & (truth <= 4))
@@ -480,6 +483,18 @@ def test_cli_run_rejects_bad_inputs(tmp_path):
     assert res.exit_code == 2
     res = runner.invoke(cli_main, ["run", str(tmp_path / "missing.yaml")])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("experiment, limit", [("hilbert", "need n <= 1022"),
+                                               ("tridiagonal", "N <= 1021")],
+                         ids=["hilbert", "tridiagonal"])
+def test_cli_run_names_the_largest_n(tmp_path, experiment, limit):
+    # past the limit a float overflows: once a raw OverflowError and exit 1
+    cfg = _cli_config(tmp_path, experiment=experiment, n_values=[1030],
+                      params={})
+    res = CliRunner().invoke(cli_main, ["run", cfg])
+    assert res.exit_code == 2, res.output
+    assert limit in res.output
 
 
 def test_cli_run_names_a_corrupt_custom_container(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from ttsvd import (
     VectorTT,
     full_toeplitz_tt,
+    generators,
     hankel_submatrix_tt,
     hankel_tt,
     hilbert_submatrix_tt,
@@ -169,6 +170,25 @@ def test_hilbert_submatrix_entries_and_budget():
     for delta in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             hilbert_submatrix_tt(6, delta)
+    # 2^(n+1) is no finite float from n = 1023 on; once a raw OverflowError
+    with pytest.raises(ValueError, match="need n <= 1022"):
+        hilbert_submatrix_tt(1030, 1e-8)
+
+
+def test_hilbert_quadrature_is_sized_to_delta(monkeypatch):
+    # a quadrature fixed at 1e-13 took 169 terms at N=20 for every delta
+    terms = []
+    build = generators._exponential_sum_tt
+
+    def counting(t, w, n):
+        terms.append(len(t))
+        return build(t, w, n)
+
+    monkeypatch.setattr(generators, "_exponential_sum_tt", counting)
+    for delta, want in ((1e-8, 91), (1e-4, 41)):
+        terms.clear()
+        hilbert_submatrix_tt(20, delta)
+        assert sum(terms) == want, (delta, terms)
 
 
 @pytest.mark.parametrize("n", [6, 10, 12])
@@ -177,7 +197,7 @@ def test_hilbert_submatrix_meets_its_delta(n):
     # from: an error repeated over many entries still counts in full
     rows, cols = 2**n, 2 ** (n - 1)
     ref = 1.0 / (np.arange(rows)[:, None] + np.arange(cols)[None, :] + 1.0)
-    for delta in (1e-4, 1e-8, 1e-10, 1e-12):
+    for delta in (1e-2, 1e-4, 1e-8, 1e-10, 1e-12):
         err = np.linalg.norm(tt_reconstruct(hilbert_submatrix_tt(n, delta))
                              - ref)
         assert err <= delta * np.linalg.norm(ref), (delta, err)
@@ -194,18 +214,19 @@ def _matrix_tt_entry(a, i, j):
 
 @pytest.mark.parametrize("n", [30, 50, 100])
 def test_hilbert_entries_at_large_n(n):
-    # no dense oracle fits here; the corners reach the widest quadrature range
-    delta = 1e-10
-    h = hilbert_submatrix_tt(n, delta)
+    # no dense oracle fits here; the corners reach the widest quadrature
+    # range, whose lower cut moves with delta
     rows, cols = 2**n, 2 ** (n - 1)
     rng = random.Random(n)  # numpy draws stop at 2^64
     pairs = [(0, 0), (rows - 1, 0), (0, cols - 1), (rows - 1, cols - 1),
              (rows - 1, cols // 3), (rows // 5, cols - 1), (1, 2), (7, 3)]
     pairs += [(rng.randrange(rows), rng.randrange(cols)) for _ in range(12)]
-    bound = delta * tt_norm(h)
-    for i, j in pairs:
-        err = abs(_matrix_tt_entry(h, i, j) - 1.0 / (i + j + 1))
-        assert err <= bound, (i, j, err)
+    for delta in (1e-4, 1e-10):
+        h = hilbert_submatrix_tt(n, delta)
+        bound = delta * tt_norm(h)
+        for i, j in pairs:
+            err = abs(_matrix_tt_entry(h, i, j) - 1.0 / (i + j + 1))
+            assert err <= bound, (delta, i, j, err)
 
 
 @pytest.mark.parametrize("n", [30, 64, 100])
@@ -230,6 +251,18 @@ def _vector_tt_entry(x, k):
     for m, core in enumerate(x.cores):
         v = v @ core[:, (k >> m) % 2, :]
     return float(v[0])
+
+
+def test_hilbert_builds_at_the_largest_n():
+    # core b scales by 2^b: at n = 1022 some t_k 2^b overflow to inf, and
+    # exp(-inf * 0) must still give the entry 1, not nan
+    n, delta = 1022, 1e-2
+    h = hilbert_submatrix_tt(n, delta)
+    rows, cols = 2**n, 2 ** (n - 1)
+    bound = delta * tt_norm(h)
+    for i, j in [(0, 0), (1, 2), (rows - 1, 0), (rows - 1, cols - 1)]:
+        err = abs(_matrix_tt_entry(h, i, j) - 1.0 / (i + j + 1))
+        assert err <= bound, (i, j, err)
 
 
 def test_hilbert_build_holds_no_dense_vector():
