@@ -16,6 +16,7 @@ that did not.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 
@@ -58,24 +59,14 @@ def run_cmd(config_path, seed, out_dir, reps, solvers, max_n, strict):
     """Run the experiment grid described by CONFIG_PATH."""
     try:
         cfg = load_run_config(config_path)
-        if seed is not None:
-            cfg.seed = seed
-        if out_dir is not None:
-            cfg.out_dir = out_dir
-        if reps is not None:
-            cfg.reps = reps
+        over = dict(seed=seed, out_dir=out_dir, reps=reps)
         if solvers is not None:
-            wanted = [s.strip() for s in solvers.split(",") if s.strip()]
-            if not wanted:
-                raise ConfigError("empty --solvers list")
-            cfg.solvers = wanted
+            over["solvers"] = [s.strip() for s in solvers.split(",")
+                               if s.strip()]
         if max_n is not None:
-            kept = [n for n in cfg.n_values if n <= max_n]
-            if not kept and cfg.experiment != "custom":
-                raise ConfigError(f"--max-n {max_n} removes every N value")
-            cfg.n_values = kept
-        # revalidate after overrides (reps, solver names, k, epsilon)
-        cfg.__post_init__()
+            over["n_values"] = [n for n in cfg.n_values if n <= max_n]
+        cfg = dataclasses.replace(
+            cfg, **{name: v for name, v in over.items() if v is not None})
         result_rows, timing_rows = run_experiment(cfg)
     except ConfigError as exc:
         click.echo(f"configuration error: {exc}", err=True)

@@ -33,9 +33,11 @@ def truncated_svd(
     absolute bound).  Never keeps fewer than one column; exact ties resolve
     to the smaller rank.  ``min_rank`` floors the kept rank (clipped to what
     the matrix has available) and ``max_rank`` caps it; the cap wins when
-    both are given and conflict.  Deterministic for a fixed input; an empty
-    matrix, a non-finite entry or a negative or non-finite delta raises
-    ``ValueError``.
+    both are given and conflict.  The rank is chosen right at any scale of
+    the singular values; ``discarded_energy`` is inf where the discarded
+    energy itself exceeds the float range.  Deterministic for a fixed
+    input; an empty matrix, a non-finite entry or a negative or non-finite
+    delta raises ``ValueError``.
     """
     m = np.asarray(m, dtype=float)
     if m.size == 0:
@@ -44,11 +46,16 @@ def truncated_svd(
     if not np.all(np.isfinite(m)):
         raise ValueError("truncated_svd requires finite entries")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    energies = s**2
+    # s**2 overflows above about 1e154 and underflows below 1e-154, so s
+    # and the threshold are first scaled by the power of two 2^-e that puts
+    # s[0] in [0.5, 1).  That scaling is exact, so it changes no decision
+    # where the squares were in range.
+    e = int(np.frexp(s[0])[1])
+    energies = np.ldexp(s, -e) ** 2
     # suffix[r] = energy discarded when keeping the first r values
     suffix = np.concatenate([np.cumsum(energies[::-1])[::-1], [0.0]])
     if frob_threshold is not None:
-        thr2 = float(frob_threshold) ** 2
+        thr2 = np.ldexp(float(frob_threshold), -e) ** 2
     else:
         thr2 = (float(delta) ** 2) * float(energies.sum())
     keep = len(s)
@@ -61,8 +68,9 @@ def truncated_svd(
     if max_rank is not None:
         keep = min(keep, int(max_rank))
     keep = max(keep, 1)
-    return SvdFactors(u[:, :keep], s[:keep], vt.T[:, :keep],
-                      float(suffix[keep]))
+    with np.errstate(over="ignore"):  # an energy past the float range is inf
+        discarded = float(np.ldexp(suffix[keep], 2 * e))
+    return SvdFactors(u[:, :keep], s[:keep], vt.T[:, :keep], discarded)
 
 
 def _check_delta(delta: float) -> None:

@@ -1,8 +1,13 @@
 """Experiment harness: config parsing, matrix construction, benchmark runs.
 
 A run configuration is a small YAML document (``schema_version: 1``) naming
-one experiment family, a solver list, an N grid, and parameters.  Results
-are written as two CSVs with a stable column order plus JSON reports:
+one experiment family, a solver list, an N grid, and parameters.  One
+private table, ``_FAMILIES``, says what each family is: the ``params`` keys
+it reads, the key it sweeps into the ``param`` column, its builder, its
+largest N, and whether the swept value caps the solvers' rank.  A
+``RunConfig`` is checked whole against it on construction, so a bad N or
+swept value fails before the first solve.  Results are written as two CSVs
+with a stable column order plus JSON reports:
 
 * ``results.csv``   - experiment,solver,N,K,param,rep,seed,sweeps,
                       relative_residual,spectrum_rel_error,max_v_rank,
@@ -29,13 +34,16 @@ import math
 import os
 import platform
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 import yaml
 
 from . import solver as solver_mod
 from .generators import (
+    _EXPSUM_MAX_N,
     full_toeplitz_tt,
     hilbert_submatrix_tt,
     prescribed_svd_matrix,
@@ -50,14 +58,6 @@ class ConfigError(ValueError):
     """Anything wrong with a run configuration, or input a generator rejects."""
 
 
-# Each experiment and the ``params`` keys it reads.
-EXPERIMENTS = {
-    "prescribed_svd": ("beta", "k0", "rank"),
-    "hilbert": ("delta",),
-    "tridiagonal": (),
-    "toeplitz": ("max_rank", "rank"),
-    "custom": ("path",),
-}
 SOLVERS = {
     "als_svd": solver_mod.als_svd,
     "mals_svd": solver_mod.mals_svd,
@@ -72,8 +72,162 @@ TIMING_COLUMNS = ("experiment", "solver", "N", "K", "param", "rep", "seed",
                   "wall_time_s", "construction_s")
 
 
+# ---------------------------------------------------------------------------
+# experiment families
+
+
+def _param_values(params: dict, key: str, default: tuple, convert) -> list:
+    """``params[key]`` (a scalar or a list, else ``default``) converted item-wise."""
+    values = params.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        values = [values]
+    try:
+        return [convert(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad params.{key} value: {exc}") from exc
+
+
+def _positive_int(v) -> int:
+    """An integer >= 1; a bool, a fraction or a smaller value is an error."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        raise ValueError(f"{v!r} is not a positive integer")
+    return int(v)
+
+
+def _rank_cap(c):
+    """A Toeplitz rank cap: None (uncapped) or a positive integer."""
+    return None if c is None else _positive_int(c)
+
+
+def _between(name: str, low: float, high: float):
+    """A converter to a float strictly between ``low`` and ``high``."""
+    def convert(v) -> float:
+        x = float(v)
+        if not low < x < high:
+            raise ValueError(f"{name} must lie strictly between {low} and "
+                             f"{high}, got {x!r}")
+        return x
+    return convert
+
+
+def _check_path(params: dict) -> None:
+    if "path" not in params:
+        raise ConfigError("custom experiment needs params.path")
+    if not isinstance(params["path"], str):
+        raise ConfigError("params.path must be a string")
+
+
+def _int_param(params: dict, key: str, default: int) -> int:
+    """``params[key]`` (else ``default``), which must be a positive integer."""
+    try:
+        return _positive_int(params.get(key, default))
+    except ValueError as exc:
+        raise ConfigError(f"bad params.{key} value: {exc}") from exc
+
+
+def _build_prescribed(cfg: RunConfig, n: int, beta: float, seed: int):
+    p = cfg.params
+    k0 = _int_param(p, "k0", 25)
+    rank = _int_param(p, "rank", 5)
+    if cfg.k > k0:
+        raise ConfigError("k exceeds the prescribed spectrum length k0")
+    a, _, _, spectrum = prescribed_svd_matrix(n, beta, k0=k0, rank=rank,
+                                              seed=seed)
+    return a, spectrum[:cfg.k]
+
+
+def _build_hilbert(cfg: RunConfig, n: int, delta: float, seed: int):
+    return hilbert_submatrix_tt(n, delta), None
+
+
+def _build_tridiagonal(cfg: RunConfig, n: int, value, seed: int):
+    # second-difference matrix: eigenvalues 2 - 2 cos(j*pi/(M+1)) are a
+    # closed-form ground truth, evaluated in floats
+    m = 2 ** n
+    ones = VectorTT([np.ones((1, 2, 1))] * n)  # rank 1, no dense 2^N vector
+    neg = tt_scale(ones, -1.0)
+    a = tridiagonal_tt(neg, tt_scale(ones, 2.0), neg)
+    j = m - np.arange(cfg.k, dtype=float)  # floats, also past 2^63
+    truth = 2.0 - 2.0 * np.cos(j * math.pi / (m + 1))
+    return a, truth
+
+
+def _build_toeplitz(cfg: RunConfig, n: int, cap, seed: int):
+    rank = _int_param(cfg.params, "rank", 3)
+    x = random_vector_tt([2] * (n + 1), rank, seed)
+    return full_toeplitz_tt(x), None
+
+
+def _build_custom(cfg: RunConfig, n, value, seed: int):
+    path = cfg.params["path"]
+    try:
+        a = load_tt(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read TT container: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"corrupt TT container {path}: {exc}") from exc
+    if not isinstance(a, MatrixTT):
+        raise ConfigError("custom experiment needs a serialized MatrixTT")
+    return a, None
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What one experiment family is.
+
+    ``reads`` are the ``params`` keys it reads.  ``swept`` is the key whose
+    values (``default`` if absent, each passed through ``convert``) fill
+    the ``param`` column, one cell each, or None.  ``build(cfg, n, value,
+    seed)`` returns the MatrixTT and its top-K truth or None.  ``max_n`` is
+    the largest N, for the reason ``why``; None means the family takes no
+    N.  ``caps_rank`` makes the swept value the solvers' ``max_rank``, and
+    ``check`` vets ``params`` further.
+    """
+
+    reads: tuple
+    build: Callable
+    swept: str | None = None
+    default: tuple = ()
+    convert: Callable | None = None
+    max_n: float | None = math.inf
+    why: str = ""
+    caps_rank: bool = False
+    check: Callable | None = None
+
+
+# The tridiagonal ||A||_F^2 = 6*2^N - 2 is a finite float up to N = 1021.
+# Past it the rounding of the build still succeeds, but mals_svd overflows
+# in block_tt_residual_norm: core 0 of the gauged operator carries ||A||_F
+# (1.6e154 at N = 1022), whose square is past the float range.
+_TRIDIAGONAL_MAX_N = 1021
+
+_FAMILIES = {
+    "prescribed_svd": _Family(("beta", "k0", "rank"), _build_prescribed,
+                              "beta", (0.3, 0.5), _between("beta", 0, 1)),
+    "hilbert": _Family(("delta",), _build_hilbert, "delta", (1e-8,),
+                       _between("delta", 0, math.inf),
+                       max_n=_EXPSUM_MAX_N,
+                       why="the Hilbert quadrature covers 1 <= x < "
+                           "2^(N+1), which overflows a float from N = 1023 on"),
+    "tridiagonal": _Family((), _build_tridiagonal, max_n=_TRIDIAGONAL_MAX_N,
+                           why="||A||_F^2 = 6*2^N - 2 overflows a float from "
+                               "N = 1022 on"),
+    "toeplitz": _Family(("max_rank", "rank"), _build_toeplitz, "max_rank",
+                        (5, 10, 15, None), _rank_cap, caps_rank=True),
+    "custom": _Family(("path",), _build_custom, max_n=None,
+                      check=_check_path),
+}
+
+
 @dataclass
 class RunConfig:
+    """One run's configuration, checked whole on construction.
+
+    Construction also converts the swept ``params`` values into
+    ``swept_values`` and builds ``solver_config``, the ``SolverConfig``
+    that every repetition copies with its own seed (and cap).
+    """
+
     experiment: str
     solvers: list
     n_values: list = field(default_factory=list)
@@ -87,8 +241,9 @@ class RunConfig:
 
     def __post_init__(self):
         if (not isinstance(self.experiment, str)
-                or self.experiment not in EXPERIMENTS):
+                or self.experiment not in _FAMILIES):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        fam = _FAMILIES[self.experiment]
         for name in ("solvers", "n_values"):
             if not isinstance(getattr(self, name), list):
                 raise ConfigError(f"{name} must be a list, got "
@@ -98,28 +253,24 @@ class RunConfig:
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ConfigError(f"unknown solver {s!r}")
-        for name in ("k", "reps", "seed"):
+        for name, low in (("k", 1), ("reps", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}")
         for name in ("params", "solver_options"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be a mapping")
-        reads = EXPERIMENTS[self.experiment]
         for key in self.params:
-            if key not in reads:
+            if key not in fam.reads:
                 raise ConfigError(
                     f"unknown params key {key!r} for {self.experiment}; it "
-                    f"reads {', '.join(reads) if reads else 'none'}")
-        if self.experiment == "toeplitz" and "max_rank" in self.solver_options:
-            raise ConfigError("solver_options.max_rank is not allowed on "
-                              "toeplitz, whose params.max_rank sets the cap")
-        if self.reps < 1:
-            raise ConfigError("repetitions must be >= 1")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+                    f"reads {', '.join(fam.reads) if fam.reads else 'none'}")
+        if fam.caps_rank and "max_rank" in self.solver_options:
+            raise ConfigError(f"solver_options.max_rank is not allowed on "
+                              f"{self.experiment}, whose params.{fam.swept} "
+                              f"sets the cap")
         # YAML reads 1e-8 (no dot) as a string; float() parses it, as for params.delta
         bad_epsilon = ConfigError(f"epsilon must be a number, got {self.epsilon!r}")
         if isinstance(self.epsilon, bool):
@@ -130,19 +281,27 @@ class RunConfig:
             raise bad_epsilon from None
         if not 0 < self.epsilon < math.inf:
             raise ConfigError("epsilon must be positive and finite")
-        if self.experiment != "custom":
+        if fam.max_n is not None:
             if not self.n_values:
                 raise ConfigError("n_values must not be empty")
             for n in self.n_values:
                 if not isinstance(n, int) or n < 2:
                     raise ConfigError("every N must be an integer >= 2")
-        if self.experiment == "custom":
-            if "path" not in self.params:
-                raise ConfigError("custom experiment needs params.path")
-            if not isinstance(self.params["path"], str):
-                raise ConfigError("params.path must be a string")
+                if n > fam.max_n:
+                    raise ConfigError(f"{self.experiment} needs N <= "
+                                      f"{fam.max_n}: {fam.why}")
+        if fam.check is not None:
+            fam.check(self.params)
         if not isinstance(self.out_dir, str):
             raise ConfigError("out_dir must be a string")
+        self.swept_values = [None] if fam.swept is None else _param_values(
+            self.params, fam.swept, fam.default, fam.convert)
+        try:
+            self.solver_config = solver_mod.SolverConfig(
+                k=self.k, epsilon=self.epsilon, seed=self.seed,
+                **self.solver_options)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad solver options: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {"schema_version": 1, **dataclasses.asdict(self)}
@@ -206,120 +365,14 @@ class TimingRow:
     construction_s: float
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _param_values(params: dict, key: str, default: list, convert) -> list:
-    """``params[key]`` (a scalar or a list, else ``default``) converted item-wise."""
-    values = params.get(key, default)
-    if not isinstance(values, (list, tuple)):
-        values = [values]
-    try:
-        return [convert(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad params.{key} value: {exc}") from exc
-
-
-def _positive_int(v) -> int:
-    """An integer >= 1; a bool, a fraction or a smaller value is an error."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-        raise ValueError(f"{v!r} is not a positive integer")
-    return int(v)
-
-
-def _rank_cap(c):
-    """A Toeplitz rank cap: None (uncapped) or a positive integer."""
-    return None if c is None else _positive_int(c)
-
-
-def _int_param(params: dict, key: str, default: int) -> int:
-    """``params[key]`` (else ``default``), which must be a positive integer."""
-    try:
-        return _positive_int(params.get(key, default))
-    except ValueError as exc:
-        raise ConfigError(f"bad params.{key} value: {exc}") from exc
-
-
-def _param_grid(cfg: RunConfig):
-    """Experiment-specific parameter values; None means 'no parameter'."""
-    p = cfg.params
-    if cfg.experiment == "prescribed_svd":
-        betas = _param_values(p, "beta", [0.3, 0.5], float)
-        if not all(0 < b < 1 for b in betas):
-            raise ConfigError("beta must lie strictly between 0 and 1")
-        return betas
-    if cfg.experiment == "hilbert":
-        return _param_values(p, "delta", [1e-8], float)
-    if cfg.experiment == "toeplitz":
-        return _param_values(p, "max_rank", [5, 10, 15, None], _rank_cap)
-    return [None]
-
-
-# The tridiagonal ||A||_F^2 = 6*2^N - 2 is a finite float up to N = 1021;
-# rounding squares singular values as large as ||A||_F.
-_TRIDIAGONAL_MAX_N = 1021
-
-
-def _build_matrix(cfg: RunConfig, n: int, param, rep_seed: int):
+def _build_matrix(cfg: RunConfig, n, value, seed: int):
     """Return (MatrixTT, ground-truth top-K spectrum or None)."""
-    p = cfg.params
-    if cfg.experiment == "prescribed_svd":
-        k0 = _int_param(p, "k0", 25)
-        rank = _int_param(p, "rank", 5)
-        if cfg.k > k0:
-            raise ConfigError("k exceeds the prescribed spectrum length k0")
-        a, _, _, spectrum = prescribed_svd_matrix(n, param, k0=k0, rank=rank,
-                                                  seed=rep_seed)
-        return a, spectrum[:cfg.k]
-    if cfg.experiment == "hilbert":
-        a = hilbert_submatrix_tt(n, param)
-        return a, None
-    if cfg.experiment == "tridiagonal":
-        # second-difference matrix: eigenvalues 2 - 2 cos(j*pi/(M+1)) are a
-        # closed-form ground truth, evaluated in floats
-        if n > _TRIDIAGONAL_MAX_N:
-            raise ConfigError(f"tridiagonal needs N <= {_TRIDIAGONAL_MAX_N}: "
-                              f"||A||_F^2 = 6*2^N - 2 overflows a float from "
-                              f"N = 1022 on")
-        m = 2 ** n
-        ones = VectorTT([np.ones((1, 2, 1))] * n)  # rank 1, no dense 2^N vector
-        neg = tt_scale(ones, -1.0)
-        a = tridiagonal_tt(neg, tt_scale(ones, 2.0), neg)
-        j = m - np.arange(cfg.k, dtype=float)  # floats, also past 2^63
-        truth = 2.0 - 2.0 * np.cos(j * math.pi / (m + 1))
-        return a, truth
-    if cfg.experiment == "toeplitz":
-        rank = _int_param(p, "rank", 3)
-        x = random_vector_tt([2] * (n + 1), rank, rep_seed)
-        return full_toeplitz_tt(x), None
-    if cfg.experiment == "custom":
-        path = p["path"]
-        try:
-            a = load_tt(path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read TT container: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"corrupt TT container {path}: {exc}") from exc
-        if not isinstance(a, MatrixTT):
-            raise ConfigError("custom experiment needs a serialized MatrixTT")
-        return a, None
-    raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-
-
-def _solver_config(cfg: RunConfig, rep_seed: int, cap) -> solver_mod.SolverConfig:
-    opts = dict(cfg.solver_options)
-    if cap is not None:
-        opts["max_rank"] = cap
     try:
-        return solver_mod.SolverConfig(k=cfg.k, epsilon=cfg.epsilon,
-                                       seed=rep_seed, **opts)
+        return _FAMILIES[cfg.experiment].build(cfg, n, value, seed)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solver options: {exc}") from exc
+        raise ConfigError(f"generator rejected N={n}: {exc}") from exc
 
 
 def run_experiment(cfg: RunConfig):
@@ -328,36 +381,33 @@ def run_experiment(cfg: RunConfig):
     Per-repetition rows come first within each cell, followed by mean and
     population-std aggregate rows (rep = "mean" / "std", empty seed).
     """
-    grid = _param_grid(cfg)
-    n_values = list(cfg.n_values) if cfg.experiment != "custom" else [None]
+    takes_n = _FAMILIES[cfg.experiment].max_n is not None
     results, timings = [], []
-    for n in n_values:
-        for param in grid:
+    for n in (cfg.n_values if takes_n else [None]):
+        for value in cfg.swept_values:
             for solver_name in cfg.solvers:
-                cell_res, cell_tim = _run_cell(cfg, n, param, solver_name)
+                cell_res, cell_tim = _run_cell(cfg, n, value, solver_name)
                 results.extend(cell_res)
                 timings.extend(cell_tim)
     return results, timings
 
 
-def _run_cell(cfg: RunConfig, n, param, solver_name: str):
-    cap = param if cfg.experiment == "toeplitz" else None
-    param_str = _fmt("none" if cap is None else cap) if cfg.experiment == "toeplitz" \
-        else _fmt(param)
+def _run_cell(cfg: RunConfig, n, value, solver_name: str):
+    fam = _FAMILIES[cfg.experiment]
+    if value is None:
+        param_str = "none" if fam.swept else ""
+    else:
+        param_str = str(value)
+    cap = {"max_rank": value} if fam.caps_rank else {}
     run = SOLVERS[solver_name]
     rows, times = [], []
     numeric = []
     for rep in range(cfg.reps):
         rep_seed = cfg.seed + rep
         t0 = time.perf_counter()
-        try:
-            a, truth = _build_matrix(cfg, n, param, rep_seed)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"generator rejected N={n}: {exc}") from exc
+        a, truth = _build_matrix(cfg, n, value, rep_seed)
         construction = time.perf_counter() - t0
-        scfg = _solver_config(cfg, rep_seed, cap)
+        scfg = dataclasses.replace(cfg.solver_config, seed=rep_seed, **cap)
         try:
             sigma, u, v, report = run(a, scfg)
         except ValueError as exc:
@@ -380,23 +430,18 @@ def _run_cell(cfg: RunConfig, n, param, solver_name: str):
             str(rep_seed), float(report.wall_time_s), float(construction)))
         numeric.append((report.sweeps_used, report.residual, spec_err, max_v,
                         report.termination))
-    n_out = rows[0].n
-    sweeps = np.array([x[0] for x in numeric], dtype=float)
-    resids = np.array([x[1] for x in numeric])
-    specs = [x[2] for x in numeric]
-    vranks = np.array([x[3] for x in numeric], dtype=float)
-    terms = [x[4] for x in numeric]
+    sweeps, resids, specs, vranks, terms = zip(*numeric)
     agg_term = "converged" if all(t == "converged" for t in terms) else "mixed"
     spec_mean = "" if specs[0] is None else repr(float(np.mean(specs)))
     spec_std = "" if specs[0] is None else repr(float(np.std(specs)))
     rows.append(ResultRow(
         cfg.experiment, solver_name, n_out, cfg.k, param_str, "mean", "",
-        repr(float(sweeps.mean())), repr(float(resids.mean())), spec_mean,
-        repr(float(vranks.mean())), agg_term))
+        repr(float(np.mean(sweeps))), repr(float(np.mean(resids))), spec_mean,
+        repr(float(np.mean(vranks))), agg_term))
     rows.append(ResultRow(
         cfg.experiment, solver_name, n_out, cfg.k, param_str, "std", "",
-        repr(float(sweeps.std())), repr(float(resids.std())), spec_std,
-        repr(float(vranks.std())), ""))
+        repr(float(np.std(sweeps))), repr(float(np.std(resids))), spec_std,
+        repr(float(np.std(vranks))), ""))
     return rows, times
 
 
@@ -491,11 +536,8 @@ def scaling_report(timing_rows) -> dict:
 
 
 def build_report(result_rows, timing_rows, config_dict=None) -> dict:
-    terminations = {}
-    for row in result_rows:
-        if row.rep in ("mean", "std"):
-            continue
-        terminations[row.termination] = terminations.get(row.termination, 0) + 1
+    terminations = Counter(row.termination for row in result_rows
+                           if row.rep not in ("mean", "std"))
     aggregates = []
     for row in result_rows:
         if row.rep != "mean":
@@ -515,7 +557,7 @@ def build_report(result_rows, timing_rows, config_dict=None) -> dict:
         })
     report = {
         "aggregates": aggregates,
-        "termination_counts": terminations,
+        "termination_counts": dict(terminations),
         "scaling_fits": scaling_report(timing_rows),
     }
     if config_dict is not None:

@@ -101,6 +101,19 @@ def test_truncated_svd_absolute_threshold_overrides_delta():
     assert len(f.s) == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s, delta, kept", [
+    ([3e200, 2e200, 1e190], 1e-6, 2),  # s**2 overflowed: kept 1
+    ([1e-200, 5e-201, 1e-201], 0.0, 3),  # s**2 underflowed to 0: kept 1
+], ids=["huge", "tiny"])
+def test_truncated_svd_keeps_rank_at_any_scale(s, delta, kept):
+    f = truncated_svd(np.diag(s), delta)
+    assert len(f.s) == kept
+    assert np.array_equal(f.s, s[:kept])
+    # the same decision as on the matrix divided by s[0]
+    assert len(truncated_svd(np.diag(s) / s[0], delta).s) == kept
+
+
 def test_truncated_svd_rejects_negative_delta():
     with pytest.raises(ValueError):
         truncated_svd(np.eye(2), -0.1)

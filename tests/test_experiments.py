@@ -14,7 +14,7 @@ from conftest import random_matrix_tt
 from ttsvd import save_tt, solver, verify
 from ttsvd.cli import main as cli_main
 from ttsvd.experiments import (
-    EXPERIMENTS,
+    _FAMILIES,
     RESULT_COLUMNS,
     SOLVERS,
     TIMING_COLUMNS,
@@ -139,13 +139,16 @@ def test_load_rejects_bad_configs(tmp_path, mutate, fragment):
 
 
 def test_every_read_params_key_loads(tmp_path):
-    for experiment, keys in EXPERIMENTS.items():
+    # the swept key is checked on load, so it gets one of its defaults
+    for experiment, family in _FAMILIES.items():
+        values = {key: "a.ttc" if key == "path" else 1
+                  for key in family.reads}
+        if family.swept is not None:
+            values[family.swept] = family.default[0]
         doc = {"schema_version": 1, "experiment": experiment,
-               "solvers": ["als_svd"], "n_values": [4],
-               "params": {key: "a.ttc" if key == "path" else 1
-                          for key in keys}}
+               "solvers": ["als_svd"], "n_values": [4], "params": values}
         cfg = load_run_config(_write_yaml(tmp_path / "ok.yaml", doc))
-        assert sorted(cfg.params) == sorted(keys)
+        assert sorted(cfg.params) == sorted(family.reads)
 
 
 def test_load_rejects_non_mapping_and_missing_file(tmp_path):
@@ -252,8 +255,9 @@ def test_tridiagonal_build_holds_no_dense_vector():
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert a.ranks == [1] + [3] * 19 + [1]
-    # 2^64 and beyond overflow an int64 index; at N = 1022 the rounding
-    # overflows a float squaring ||A||_F
+    # 2^64 and beyond overflow an int64 index; at N = 1022 the build
+    # succeeds, but a solve's residual overflows squaring ||A||_F, which
+    # core 0 of the gauged operator carries
     for n in (50, 64, 100, 1021):
         a, truth = _build_matrix(cfg, n, None, 0)
         assert a.n_cores == n and truth.shape == (3,)
@@ -485,8 +489,9 @@ def test_cli_run_rejects_bad_inputs(tmp_path):
     assert res.exit_code == 2
 
 
-@pytest.mark.parametrize("experiment, limit", [("hilbert", "need n <= 1022"),
-                                               ("tridiagonal", "N <= 1021")],
+@pytest.mark.parametrize("experiment, limit",
+                         [("hilbert", "hilbert needs N <= 1022"),
+                          ("tridiagonal", "tridiagonal needs N <= 1021")],
                          ids=["hilbert", "tridiagonal"])
 def test_cli_run_names_the_largest_n(tmp_path, experiment, limit):
     # past the limit a float overflows: once a raw OverflowError and exit 1
@@ -495,6 +500,50 @@ def test_cli_run_names_the_largest_n(tmp_path, experiment, limit):
     res = CliRunner().invoke(cli_main, ["run", cfg])
     assert res.exit_code == 2, res.output
     assert limit in res.output
+
+
+def _count_solves(monkeypatch) -> list:
+    """Every solver the harness calls from now on, by name, in order."""
+    calls = []
+    for name, run in list(SOLVERS.items()):
+        def counted(a, scfg, name=name, run=run):
+            calls.append(name)
+            return run(a, scfg)
+        monkeypatch.setitem(SOLVERS, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("over, fragment", [
+    (dict(experiment="tridiagonal", n_values=[6, 1030], params={}),
+     "tridiagonal needs N <= 1021"),
+    (dict(experiment="hilbert", n_values=[6], params={"delta": [1e-8, -1.0]}),
+     "bad params.delta value"),
+], ids=["tridiagonal-n", "hilbert-delta"])
+def test_cli_run_rejects_a_bad_grid_before_any_solve(tmp_path, monkeypatch,
+                                                     over, fragment):
+    # the whole grid is checked on load: once the good first cell solved
+    # for 1.7 s before the bad one stopped the run with no results.csv
+    calls = _count_solves(monkeypatch)
+    res = CliRunner().invoke(cli_main, ["run", _cli_config(tmp_path, **over)])
+    assert res.exit_code == 2, res.output
+    assert fragment in res.output
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_max_n_keeps_a_custom_run(tmp_path, monkeypatch):
+    # custom reads N from its container, so --max-n has no N to drop
+    path = tmp_path / "a.ttc"
+    save_tt(random_matrix_tt(4, 2, np.random.default_rng(3)), str(path))
+    cfg = _cli_config(tmp_path, experiment="custom", n_values=[],
+                      params={"path": str(path)})
+    calls = _count_solves(monkeypatch)
+    res = CliRunner().invoke(cli_main, ["run", cfg, "--max-n", "2"])
+    assert res.exit_code == 0, res.output
+    assert calls == ["als_svd"]
+    rows = parse_rows_csv((tmp_path / "out" / "results.csv").read_text(),
+                          ResultRow, RESULT_COLUMNS)
+    assert rows[0].n == 4
 
 
 def test_cli_run_names_a_corrupt_custom_container(tmp_path):

@@ -41,7 +41,7 @@ from ttsvd import (
     tt_to_vector,
     truncated_svd,
 )
-from ttsvd.generators import prescribed_svd_matrix
+from ttsvd.generators import prescribed_svd_matrix, random_vector_tt
 from ttsvd.tt import _fuse, _right_r_factors
 
 
@@ -146,6 +146,17 @@ def test_round_at_zero_reaches_the_structural_ranks():
                        for n, r in enumerate(a.ranks)]
     ad = tt_reconstruct(a)
     assert np.linalg.norm(tt_reconstruct(b) - ad) <= 1e-13 * np.linalg.norm(ad)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, delta", [(1e-200, 0.0), (1e300, 1e-3)])
+def test_round_keeps_the_ranks_of_a_far_scaled_chain(scale, delta):
+    # squared singular values near 1e-200 underflowed, so every rank fell
+    # to 1; near 1e300 squaring the threshold raised OverflowError
+    x = random_vector_tt(6, 3, 0)
+    assert x.ranks == [1, 2, 3, 3, 3, 2, 1]
+    assert tt_round(tt_scale(x, scale), delta).ranks == x.ranks
+    assert tt_round(x, delta).ranks == x.ranks
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
