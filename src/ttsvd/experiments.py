@@ -195,11 +195,11 @@ class _Family:
     check: Callable | None = None
 
 
-# The tridiagonal ||A||_F^2 = 6*2^N - 2 is a finite float up to N = 1021.
-# Past it the rounding of the build still succeeds, but mals_svd overflows
-# in block_tt_residual_norm: core 0 of the gauged operator carries ||A||_F
-# (1.6e154 at N = 1022), whose square is past the float range.
-_TRIDIAGONAL_MAX_N = 1021
+# The tridiagonal truth 2 - 2 cos(j*pi/(M+1)) forms j*pi with j near
+# M = 2^N, a finite float up to N = 1022 (1.4e308).  The solve itself no
+# longer limits N: block_tt_residual_norm takes ||A||_F (1.6e154 at
+# N = 1022, whose square is past the float range) on a scaled core.
+_TRIDIAGONAL_MAX_N = 1022
 
 _FAMILIES = {
     "prescribed_svd": _Family(("beta", "k0", "rank"), _build_prescribed,
@@ -210,8 +210,8 @@ _FAMILIES = {
                        why="the Hilbert quadrature covers 1 <= x < "
                            "2^(N+1), which overflows a float from N = 1023 on"),
     "tridiagonal": _Family((), _build_tridiagonal, max_n=_TRIDIAGONAL_MAX_N,
-                           why="||A||_F^2 = 6*2^N - 2 overflows a float from "
-                               "N = 1022 on"),
+                           why="the truth's j*pi, j near 2^N, overflows a "
+                               "float from N = 1023 on"),
     "toeplitz": _Family(("max_rank", "rank"), _build_toeplitz, "max_rank",
                         (5, 10, 15, None), _rank_cap, caps_rank=True),
     "custom": _Family(("path",), _build_custom, max_n=None,

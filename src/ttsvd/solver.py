@@ -90,6 +90,7 @@ from .tt import (
     BlockTT,
     MatrixTT,
     _rf,
+    block_tt_gram,
     block_tt_matvec,
     block_tt_residual_norm,
     block_tt_scale_columns,
@@ -224,7 +225,10 @@ class SweepReport:
     ``"converged"`` if ``residual`` is below epsilon, else ``"restarted"``
     if a restart ran, else ``"sweep-limit"``.  The Gram route stops on the
     residual of B = A^T A but is judged on A, so it can stop on B and still
-    end ``"sweep-limit"``.
+    end ``"sweep-limit"``.  On the Gram route "converged" also needs
+    ||U^T U - I||_F <= sqrt(epsilon) for the recovered U: where a sigma sits
+    at the eigenvalue noise floor of B, U = A V Sigma^-1 can lose a column
+    while the residual on A stays below epsilon.
     """
 
     solver: str = ""
@@ -692,7 +696,8 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     (``gram_r_factors``), then forms B (``matrix_tt_matmul``) and rounds it
     at epsilon / 10 (``gram_tt_round``), sweeps (V,) over the rounded B and
     recovers U = A V Sigma^{-1} from the returned iterate, then evaluates the
-    verdict's residual on the reduced A.  The unrounded B
+    verdict's residual on the reduced A and U's orthogonality defect
+    (``block_tt_gram``).  The unrounded B
     is held only during its rounding, next to the R factors, so a Gram
     solve peaks at B plus its R factors plus one slab of the product
     (tracemalloc, prescribed k0 16, rank 5, K=10: 40.8/71.0/101.0/131.0 MiB
@@ -761,6 +766,7 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     report.total_sweeps = len(report.residual_history)
     report.restarts_used = attempt
     report.delta_final = delta
+    orthonormal = True
     if gram:
         if report.total_sweeps == 0:
             raise ValueError(
@@ -777,8 +783,11 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
         u = block_tt_scale_columns(block_tt_matvec(a, chains[0]), 1.0 / sigma)
         chains = (tt_round(u, rdelta), *chains)
         r = residual(a, *chains, sigma)
+        # a column of U lost in the recovery leaves the residual on A small
+        defect = block_tt_gram(chains[0], chains[0]) - np.eye(cfg.k)
+        orthonormal = np.linalg.norm(defect) <= math.sqrt(cfg.epsilon)
     report.residual = float(r)
-    report.termination = ("converged" if r < cfg.epsilon
+    report.termination = ("converged" if r < cfg.epsilon and orthonormal
                           else "restarted" if attempt else "sweep-limit")
     report.wall_time_s = time.perf_counter() - t0
     return sigma, *chains, report

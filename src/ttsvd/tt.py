@@ -13,6 +13,9 @@ bonds equal):
 Operations that touch only the bonds (rounding, norm, sum) are written once,
 for a VectorTT; the other formats run them on their *fused view*, a VectorTT
 whose cores fuse their middle modes into one (row mode fastest, K fastest).
+Products with an operator and reconstructions are written once, for a
+MatrixTT; a VectorTT or BlockTT runs them on its *matrix view*, whose cores
+take a column mode of size 1, or K at the block core.
 
 All unfoldings and mode fusions are column-major (``order="F"``, first axis
 fastest), matching the package-wide multi-index convention; the realized
@@ -151,6 +154,17 @@ def _restore(y: VectorTT, like):
     return like._with(cores, y.orth)
 
 
+def _as_matrix(x) -> MatrixTT:
+    """The columns of a VectorTT (one) or a BlockTT (K) as a MatrixTT of views.
+
+    A third-order core (R, I, R') becomes (R, I, 1, R'), the block core
+    (R, K, I, R') becomes (R, I, K, R'), so products and reconstructions of
+    vector and block chains run on the matrix code.
+    """
+    return MatrixTT([c[:, :, np.newaxis] if c.ndim == 3 else c.transpose(0, 2, 1, 3)
+                     for c in x.cores])
+
+
 # ---------------------------------------------------------------------------
 # reconstruction
 
@@ -164,6 +178,8 @@ def tt_reconstruct(x):
     """
     if not isinstance(x, _Chain):
         raise TypeError(f"cannot reconstruct {type(x)!r}")
+    if isinstance(x, BlockTT):
+        return tt_reconstruct(_as_matrix(x))
     g = x.cores[0]
     for c in x.cores[1:]:
         g = np.tensordot(g, c, axes=(-1, 0))
@@ -172,9 +188,6 @@ def tt_reconstruct(x):
         n = x.n_cores
         perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
         return _rf(g.transpose(perm), (x.n_rows, x.n_cols))
-    if isinstance(x, BlockTT):  # K sits at the block position
-        g = np.moveaxis(g, x.block_position, -1)
-        return _rf(g, (math.prod(x.mode_sizes), x.k))
     return g
 
 
@@ -517,16 +530,12 @@ def tt_add(x, y):
 
 
 def matvec_tt(a: MatrixTT, x: VectorTT) -> VectorTT:
-    """Exact matrix-by-vector product; output bond ranks are the products R^A_n R^x_n."""
-    if a.col_sizes != x.mode_sizes:
-        raise ValueError("matvec_tt shape mismatch")
-    cores = []
-    for ca, cx in zip(a.cores, x.cores):
-        ra, i, _, rb = ca.shape
-        rc, _, rd = cx.shape
-        g = np.einsum("aijb,cjd->acibd", ca, cx, optimize=True)
-        cores.append(_rf(g, (ra * rc, i, rb * rd)))
-    return VectorTT(cores)
+    """Exact matrix-by-vector product; output bond ranks are the products R^A_n R^x_n.
+
+    ``matrix_tt_matmul`` with x as a one-column matrix, whose unit column
+    modes are dropped; it rejects a mode mismatch.
+    """
+    return VectorTT([c[:, :, 0] for c in matrix_tt_matmul(a, _as_matrix(x)).cores])
 
 
 def matrix_tt_transpose(a: MatrixTT) -> MatrixTT:
@@ -544,7 +553,8 @@ def matrix_tt_matmul(a: MatrixTT, b: MatrixTT) -> MatrixTT:
     temporary, and ``_fuse`` of the product returns views.
     """
     if a.col_sizes != b.row_sizes:
-        raise ValueError("matrix_tt_matmul shape mismatch")
+        raise ValueError(f"shape mismatch: column modes {a.col_sizes} against "
+                         f"row modes {b.row_sizes}")
     cores = []
     for ca, cb in zip(a.cores, b.cores):
         ra, i, nj, ra2 = ca.shape
@@ -574,22 +584,16 @@ def diag_embed(x: VectorTT) -> MatrixTT:
 
 
 def block_tt_matvec(a: MatrixTT, u: BlockTT) -> BlockTT:
-    """Apply a MatrixTT to all K columns of a BlockTT at once."""
-    if a.col_sizes != u.mode_sizes:
-        raise ValueError("block_tt_matvec shape mismatch")
+    """Apply a MatrixTT to all K columns of a BlockTT at once.
+
+    ``matrix_tt_matmul`` with u as a K-column matrix: the block core comes
+    back transposed to (R, K, I, R') and the other cores drop their unit
+    column modes; it rejects a mode mismatch.
+    """
     p = u.block_position
-    cores = []
-    for n, (ca, cu) in enumerate(zip(a.cores, u.cores)):
-        ra, i, _, rb = ca.shape
-        if n == p:
-            rc, k, _, rd = cu.shape
-            g = np.einsum("aijb,ckjd->ackibd", ca, cu, optimize=True)
-            cores.append(_rf(g, (ra * rc, k, i, rb * rd)))
-        else:
-            rc, _, rd = cu.shape
-            g = np.einsum("aijb,cjd->acibd", ca, cu, optimize=True)
-            cores.append(_rf(g, (ra * rc, i, rb * rd)))
-    return BlockTT(cores, p)
+    cores = matrix_tt_matmul(a, _as_matrix(u)).cores
+    return BlockTT([c.transpose(0, 2, 1, 3) if n == p else c[:, :, 0]
+                    for n, c in enumerate(cores)], p)
 
 
 def block_tt_scale_columns(u: BlockTT, weights) -> BlockTT:
@@ -603,18 +607,23 @@ def block_tt_scale_columns(u: BlockTT, weights) -> BlockTT:
 
 
 def block_tt_gram(x: BlockTT, y: BlockTT) -> np.ndarray:
-    """K x K matrix of inner products between the columns of two BlockTTs."""
+    """K x K matrix of inner products between the columns of two BlockTTs.
+
+    One left-to-right carry over the cores of their matrix views, (k, K,
+    R^x, R^y); the column modes are 1 except at the block core, where they
+    grow the carry to (K, K).  The product chain X^T Y, whose interior
+    bonds would be R^x R^y wide on both sides, is never formed.
+    """
     if x.mode_sizes != y.mode_sizes or x.k != y.k:
         raise ValueError("block_tt_gram shape mismatch")
     if x.block_position != y.block_position:
         raise ValueError("block_tt_gram requires matching block positions")
-    p = x.block_position
-    m = np.ones((1, 1))
-    for n in range(p):
-        m = np.einsum("ab,aic,bid->cd", m, x.cores[n], y.cores[n], optimize=True)
-    t = np.einsum("ab,akic,bKid->kKcd", m, x.cores[p], y.cores[p], optimize=True)
-    for n in range(p + 1, x.n_cores):
-        t = np.einsum("kKab,aic,bid->kKcd", t, x.cores[n], y.cores[n], optimize=True)
+    t = np.ones((1, 1, 1, 1))
+    for cx, cy in zip(_as_matrix(x).cores, _as_matrix(y).cores):
+        g = np.tensordot(t, cx, axes=(2, 0))  # (k, K, R^y, I, k', R^x')
+        # (k, k', K, K', R^x', R^y'), of which k or k' is 1, and K or K'
+        g = np.tensordot(g, cy, axes=([2, 3], [0, 1])).transpose(0, 2, 1, 4, 3, 5)
+        t = g.reshape(g.shape[0] * g.shape[1], g.shape[2] * g.shape[3], *g.shape[4:])
     return t[:, :, 0, 0]
 
 
@@ -638,6 +647,17 @@ def _reduce_carry(stacked: np.ndarray):
     if keep == rows:
         return stacked
     return u[:, :max(keep, 1)].T @ stacked
+
+
+def _norm(a: np.ndarray) -> float:
+    """||a||_F, also where its square is past the float range (above 1.3e154).
+
+    Taken on ``a`` scaled by the power of two 2^-e that puts its largest
+    entry in [0.5, 1), as ``truncated_svd`` scales its singular values: the
+    scaling is exact, so it changes no norm whose square is in range.
+    """
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    return math.ldexp(float(np.linalg.norm(np.ldexp(a, -e))), e)
 
 
 def _residual_sweep(ops, xc, yc, p: int) -> float:
@@ -669,7 +689,7 @@ def _residual_sweep(ops, xc, yc, p: int) -> float:
         carry = _reduce_carry(stacked)
         cx = np.ascontiguousarray(carry[:, :nx]).reshape(-1, rx2)
         cy = carry[:, nx:]
-    return float(np.linalg.norm(gx.reshape(-1) + gy.reshape(-1)))
+    return _norm(gx.reshape(-1) + gy.reshape(-1))
 
 
 def block_tt_residual_norm(op: MatrixTT, x: BlockTT, xs, y: BlockTT, ys) -> float:
@@ -723,7 +743,7 @@ def block_tt_residual_norm(op: MatrixTT, x: BlockTT, xs, y: BlockTT, ys) -> floa
     yc[p] = yc[p] * -ys[np.newaxis, :, np.newaxis, np.newaxis]
     ops = [np.ascontiguousarray(c.transpose(0, 2, 1, 3))
            for c in canonicalize(op, 0).cores]
-    nu = float(np.linalg.norm(ops[0]))
+    nu = _norm(ops[0])
     if nu > 0.0:
         ops[0] = ops[0] / nu
         xc[p] = xc[p] * nu

@@ -255,13 +255,25 @@ def test_tridiagonal_build_holds_no_dense_vector():
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert a.ranks == [1] + [3] * 19 + [1]
-    # 2^64 and beyond overflow an int64 index; at N = 1022 the build
-    # succeeds, but a solve's residual overflows squaring ||A||_F, which
-    # core 0 of the gauged operator carries
-    for n in (50, 64, 100, 1021):
+    # 2^64 and beyond overflow an int64 index; from N = 1023 on the truth's
+    # j*pi overflows a float
+    for n in (50, 64, 100, 1022):
         a, truth = _build_matrix(cfg, n, None, 0)
         assert a.n_cores == n and truth.shape == (3,)
         assert truth.dtype == float and np.all((truth > 0) & (truth <= 4))
+
+
+@pytest.mark.filterwarnings("error")
+def test_tridiagonal_solves_at_the_largest_n():
+    # ||A||_F = 1.6e154 at N = 1022: squaring it in the residual once
+    # overflowed, and the solve raised after 0.85 s
+    cfg = RunConfig(experiment="tridiagonal", solvers=["mals_svd"],
+                    n_values=[1022], k=2, epsilon=1e-6, reps=1, seed=0)
+    rows, _ = run_experiment(cfg)
+    row = next(r for r in rows if r.rep == "0")
+    assert row.termination == "converged"
+    assert float(row.relative_residual) < 1e-6
+    assert float(row.spectrum_rel_error) <= 1e-10
 
 
 def test_hilbert_cell_and_generator_budget():
@@ -491,7 +503,7 @@ def test_cli_run_rejects_bad_inputs(tmp_path):
 
 @pytest.mark.parametrize("experiment, limit",
                          [("hilbert", "hilbert needs N <= 1022"),
-                          ("tridiagonal", "tridiagonal needs N <= 1021")],
+                          ("tridiagonal", "tridiagonal needs N <= 1022")],
                          ids=["hilbert", "tridiagonal"])
 def test_cli_run_names_the_largest_n(tmp_path, experiment, limit):
     # past the limit a float overflows: once a raw OverflowError and exit 1
@@ -515,7 +527,7 @@ def _count_solves(monkeypatch) -> list:
 
 @pytest.mark.parametrize("over, fragment", [
     (dict(experiment="tridiagonal", n_values=[6, 1030], params={}),
-     "tridiagonal needs N <= 1021"),
+     "tridiagonal needs N <= 1022"),
     (dict(experiment="hilbert", n_values=[6], params={"delta": [1e-8, -1.0]}),
      "bad params.delta value"),
 ], ids=["tridiagonal-n", "hilbert-delta"])

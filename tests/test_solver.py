@@ -794,16 +794,14 @@ def test_gram_solve_stops_on_b_and_is_judged_on_a(driver):
     assert rep.termination == "sweep-limit"
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 12: on a rank-1 A the Gram route takes sigma_2 from the "
-    "eigenvalue noise floor and U = A V Sigma^-1 loses its second column "
-    "in the final rounding; the residual on A stays below epsilon"))
 @pytest.mark.parametrize("driver", [als_eig_baseline, mals_eig_baseline])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_converged_gram_solve_of_a_rank_one_matrix_has_orthonormal_u(driver,
                                                                     seed):
-    # measured: "converged" with diag(U^T U) = (1, 0) and residual on A at
-    # most 2.2e-5; a verdict that refuses such a U passes as well
+    # on a rank-1 A the Gram route takes sigma_2 from the eigenvalue noise
+    # floor and U = A V Sigma^-1 loses its second column in the final
+    # rounding: diag(U^T U) = (1, 0) with a residual on A of at most 2.2e-5,
+    # which once read "converged"; the verdict now refuses such a U
     rng = np.random.default_rng(seed)
     a = MatrixTT([np.outer(rng.standard_normal(2), rng.standard_normal(2))
                   [None, :, :, None] for _ in range(5)])

@@ -1,5 +1,6 @@
 """TT containers and arithmetic against dense oracles."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -510,19 +511,36 @@ def test_block_reconstruct_column_oracle():
             assert np.allclose(ud[:, k], col, atol=1e-12)
 
 
-def test_block_ops_match_dense():
-    rng = np.random.default_rng(18)
-    a = random_matrix_tt(4, 2, rng)
-    u = random_block_tt_at([2, 2, 2, 2], 3, 2, 1, rng)
-    w = random_block_tt_at([2, 2, 2, 2], 3, 3, 1, rng)
+def _block_column(u, j):
+    """Column j of a BlockTT as a VectorTT: its block core sliced at j."""
+    cores = list(u.cores)
+    cores[u.block_position] = cores[u.block_position][:, j]
+    return VectorTT(cores)
+
+
+@pytest.mark.parametrize("rows", [2, 3], ids=["square", "rows3"])
+@pytest.mark.parametrize("k", [1, 3], ids=["k1", "k3"])
+@pytest.mark.parametrize("pos", [0, 1, 3], ids=["first", "middle", "last"])
+def test_block_ops_match_dense(pos, k, rows):
+    # each column is reconstructed as a VectorTT, so the dense oracle of a
+    # BlockTT does not go through the block reconstruction under test
+    rng = np.random.default_rng(18 + 10 * pos + k + 100 * rows)
+    a = _rect_matrix_tt(4, 2, rows, 2, rng)  # (rows^4) x 2^4
+    u = random_block_tt_at([2] * 4, k, 2, pos, rng)
+    w = random_block_tt_at([2] * 4, k, 3, pos, rng)
     ad = tt_reconstruct(a)
-    ud = tt_reconstruct(u)
-    wd = tt_reconstruct(w)
-    assert np.allclose(
-        tt_reconstruct(block_tt_matvec(a, u)), ad @ ud, atol=1e-10
-    )
+    ud, wd = (np.column_stack([tt_to_vector(_block_column(x, j))
+                               for j in range(k)]) for x in (u, w))
+    assert np.allclose(tt_reconstruct(u), ud, atol=1e-12)
+    au = block_tt_matvec(a, u)
+    assert au.block_position == pos and au.ranks == [
+        ra * rb for ra, rb in zip(a.ranks, u.ranks)]
+    assert np.allclose(tt_reconstruct(au), ad @ ud, atol=1e-10)
+    for j in range(k):
+        assert np.allclose(tt_to_vector(matvec_tt(a, _block_column(u, j))),
+                           ad @ ud[:, j], atol=1e-10)
     assert np.allclose(block_tt_gram(u, w), ud.T @ wd, atol=1e-10)
-    weights = np.array([2.0, -1.0, 0.5])
+    weights = np.array([2.0, -1.0, 0.5])[:k]
     assert np.allclose(
         tt_reconstruct(block_tt_scale_columns(u, weights)),
         ud * weights[np.newaxis, :],
@@ -572,6 +590,20 @@ def test_block_residual_norm_resolves_tiny_residuals(pos):
         want = np.linalg.norm(yd * (ys - ones))
         got = block_tt_residual_norm(op, x, ones, y, ys)
         assert abs(got - want) <= 1e-14 * scale
+
+
+def test_block_residual_norm_of_an_operator_past_the_squared_float_range():
+    # ||op||_F near 2^600 = 4e180 has a square past the float range; the
+    # residual scales with op and ys exactly, not overflowing on the way
+    rng = np.random.default_rng(650)
+    op = random_matrix_tt(4, 3, rng)
+    x = random_block_tt_at([2] * 4, 3, 2, 1, rng)
+    y = random_block_tt_at([2] * 4, 3, 3, 1, rng)
+    xs, ys = rng.standard_normal(3), rng.standard_normal(3)
+    big = MatrixTT([np.ldexp(op.cores[0], 600), *op.cores[1:]])
+    want = block_tt_residual_norm(op, x, xs, y, ys)
+    got = block_tt_residual_norm(big, x, xs, y, np.ldexp(ys, 600))
+    assert abs(math.ldexp(got, -600) - want) <= 1e-13 * want
 
 
 def test_block_residual_norm_rejects_mismatches():
