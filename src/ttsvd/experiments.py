@@ -433,16 +433,23 @@ def _run_cell(cfg: RunConfig, n, value, solver_name: str):
     sweeps, resids, specs, vranks, terms = zip(*numeric)
     agg_term = "converged" if all(t == "converged" for t in terms) else "mixed"
     spec_mean = "" if specs[0] is None else repr(float(np.mean(specs)))
-    spec_std = "" if specs[0] is None else repr(float(np.std(specs)))
+    spec_std = "" if specs[0] is None else repr(_std(specs))
     rows.append(ResultRow(
         cfg.experiment, solver_name, n_out, cfg.k, param_str, "mean", "",
         repr(float(np.mean(sweeps))), repr(float(np.mean(resids))), spec_mean,
         repr(float(np.mean(vranks))), agg_term))
     rows.append(ResultRow(
         cfg.experiment, solver_name, n_out, cfg.k, param_str, "std", "",
-        repr(float(np.std(sweeps))), repr(float(np.std(resids))), spec_std,
-        repr(float(np.std(vranks))), ""))
+        repr(_std(sweeps)), repr(_std(resids)), spec_std, repr(_std(vranks)),
+        ""))
     return rows, times
+
+
+def _std(values) -> float:
+    """Population std; ``inf`` if a value is infinite (a solve with no sweep)."""
+    if any(math.isinf(x) for x in values):
+        return math.inf
+    return float(np.std(values))
 
 
 # ---------------------------------------------------------------------------

@@ -290,15 +290,20 @@ def _block_rank_profile(modes: list[int], k: int, rank: int) -> list[int]:
 
     Each bond gets ``rank``, raised to at least ceil(K / prod of later mode
     sizes) and clipped to min(prod of earlier mode sizes, K * prod of later
-    sizes).
+    sizes).  The products run from both ends, capped at max(rank, K): no
+    bond gets more than that, and past it ceil(K / later) is 1, so the cap
+    changes no bond and no integer grows toward prod(modes).
     """
     n = len(modes)
+    bound = max(int(rank), k)
+    earlier, later = [1] * (n + 1), [1] * (n + 1)
+    for m in range(n):
+        earlier[m + 1] = min(earlier[m] * modes[m], bound)
+        later[n - 1 - m] = min(later[n - m] * modes[n - 1 - m], bound)
     prof = []
     for bond in range(1, n):
-        later = math.prod(modes[bond:])
-        earlier = math.prod(modes[:bond])
-        floor = math.ceil(k / later)
-        cap = min(earlier, k * later)
+        floor = math.ceil(k / later[bond])
+        cap = min(earlier[bond], k * later[bond])
         r = max(int(rank), floor)
         prof.append(max(1, min(r, cap)))
     return [1] + prof + [1]

@@ -89,6 +89,7 @@ from .generators import random_block_tt
 from .tt import (
     BlockTT,
     MatrixTT,
+    _bond_reversed,
     _rf,
     block_tt_gram,
     block_tt_matvec,
@@ -692,22 +693,30 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     """Restarted sweeps; returns (Sigma, U, V, report) of the best iterate.
 
     The SVD problem sweeps (U, V) over A.  The Gram problem first reduces A
-    exactly (rounding at 0), computes B = A^T A's R factors from A
-    (``gram_r_factors``), then forms B (``matrix_tt_matmul``) and rounds it
-    at epsilon / 10 (``gram_tt_round``), sweeps (V,) over the rounded B and
-    recovers U = A V Sigma^{-1} from the returned iterate, then evaluates the
+    exactly (rounding at 0).  It then works on the bond-reversed chain
+    (``_bond_reversed``): it computes that chain's B = A^T A R factors
+    (``gram_r_factors``), forms B (``matrix_tt_matmul``), rounds it at
+    epsilon / 10 (``gram_tt_round``) and reverses the result back.  So B is
+    rounded from right to left, from the factors of its left parts, which
+    are its thin side: on the prescribed family their numerical rank is at
+    most r_V^2 = 25, against r_U^2 r_V^2 = 625 on the right, and the set-up
+    at N=10 took 60 -> 19 ms (2-vCPU x86-64, one BLAS thread).  The
+    Hilbert, tridiagonal and Toeplitz families have about the same rank on
+    both sides.  The solve then sweeps (V,) over the rounded B, recovers
+    U = A V Sigma^{-1} from the returned iterate, and evaluates the
     verdict's residual on the reduced A and U's orthogonality defect
-    (``block_tt_gram``).  The unrounded B
-    is held only during its rounding, next to the R factors, so a Gram
-    solve peaks at B plus its R factors plus one slab of the product
-    (tracemalloc, prescribed k0 16, rank 5, K=10: 40.8/71.0/101.0/131.0 MiB
-    at N=8/10/12/14, of which B is 33.9/57.7/81.5/105.4).  B is still
+    (``block_tt_gram``).  The unrounded B is held only during its rounding,
+    next to the R factors, so a Gram solve peaks at B plus its R factors
+    plus one slab of the product (tracemalloc, prescribed k0 16, rank 5,
+    K=10: 36.0/60.1/84.3/108.4/301.7 MiB at N=8/10/12/14/30, of which B is
+    33.9/57.7/81.5/105.4/296.1 and the R factors 0.4-3.1).  B is still
     formed because the truncation reads its cores, and the benchmark times
-    its product as a layer of its own.  Sigma is only
-    taken from a completed left-to-right half sweep; ``SweepReport`` states
-    the outcome rule.  The stop residual reads a copy of the swept operator
-    that is right-gauged once per solve; the sweeps keep the operator as it
-    is.
+    its product as a layer of its own.  The rounded B comes out
+    right-orthogonal, so gauging it for the stop residual costs no QR.
+    Sigma is only taken from a completed left-to-right half sweep;
+    ``SweepReport`` states the outcome rule.  The stop residual reads a
+    copy of the swept operator that is right-gauged once per solve; the
+    sweeps keep the operator as it is.
     """
     sizes = (a.col_sizes,) if gram else (a.row_sizes, a.col_sizes)
     _check_problem(a, cfg, pair, sizes)
@@ -718,12 +727,15 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
         # (the prescribed family's last bond r_U r_V drops to 4).  B's ranks
         # are the squares of A's.  B is rounded from R factors computed on
         # A's cores, whose QRs split by B's swap symmetry; they are computed
-        # before B is formed, so their products never coexist with B.
+        # before B is formed, so their products never coexist with B.  Both
+        # run on the bond-reversed chain, whose right parts are B's thin
+        # left parts.
         a = matrix_tt_round(a, 0.0)
         rdelta = cfg.epsilon / _GRAM_DELTA_DIVISOR
-        rs = gram_r_factors(a)
-        op = gram_tt_round(matrix_tt_matmul(matrix_tt_transpose(a), a), rs,
-                           rdelta)
+        rev = _bond_reversed(a)
+        rs = gram_r_factors(rev)
+        op = _bond_reversed(gram_tt_round(
+            matrix_tt_matmul(matrix_tt_transpose(rev), rev), rs, rdelta))
         del rs
     else:
         op = a

@@ -316,6 +316,15 @@ def gram_r_factors(a: MatrixTT) -> list:
     first: it is not triangular, but rs^T rs is the Gram matrix of the right
     part, which is all the rounding sweep needs.
 
+    A tall parity input gets an R-only QR.  A wide one, which a QR cannot
+    shrink, is cut to its numerical rank by ``_reduce_carry``: it keeps the
+    singular values above sigma_1 * max(rows, columns) * eps, the default
+    tolerance of ``numpy.linalg.matrix_rank``, and a non-finite input is
+    kept as it is.  A right part can have a numerical rank far below its
+    bond pair's count: on the prescribed family, run on the bond-reversed
+    chain (so on B's left parts), no factor has more than r_V^2 = 25 rows,
+    where the right parts give 625.
+
     Their inputs are products about the size of one core of B, and
     ``gram_tt_round`` needs B itself, so the Gram solvers compute the
     factors before they form B: those products never coexist with B.  A
@@ -325,6 +334,7 @@ def gram_r_factors(a: MatrixTT) -> list:
     cores = a.cores
     _check_finite(cores)
     h = math.sqrt(0.5)
+    eps = np.finfo(float).eps
     rs = [None] * len(cores) + [np.ones((1, 1))]
     n_even = 1  # leading rows of rs[n + 1] that the swap leaves unchanged
     for n in range(len(cores) - 1, -1, -1):
@@ -340,9 +350,9 @@ def gram_r_factors(a: MatrixTT) -> list:
         del t
         even, odd = _parity_qr_inputs(g.reshape(s, -1), p, nj, n_even)
         del g
-        r_even = np.linalg.qr(even, mode="r")
+        r_even = _reduce_carry(even, max(even.shape) * eps)
         del even
-        r_odd = np.linalg.qr(odd, mode="r")
+        r_odd = _reduce_carry(odd, max(odd.shape) * eps)
         del odd
         n_even = r_even.shape[0]
         u, v = np.triu_indices(p, 1)
@@ -469,11 +479,16 @@ def gram_tt_round(b: MatrixTT, rs: list, delta: float) -> MatrixTT:
     (``_round_sweep``) runs on b's cores, but the R factors of b's right
     parts come from a's cores: the swap symmetry of A^T A splits each of
     their QRs into an even and an odd half, and no QR runs on b's cores,
-    whose bonds are the squares of a's.  The R factors differ from
-    ``_right_r_factors``' only by an orthogonal transform on the left, so
-    the rounding is the same up to floating-point rounding: the same error
-    bound, the same ranks unless a singular value sits at the threshold,
-    cores 0..N-2 left-orthogonal.  A zero a collapses to all-one ranks.  b
+    whose bonds are the squares of a's.  The factors have the Gram matrices
+    of ``_right_r_factors``' up to the directions that the numerical-rank
+    cut of ``gram_r_factors`` drops, so the rounding is the same up to
+    floating-point rounding: the same error bound, the same ranks unless a
+    singular value sits at the threshold, cores 0..N-2 left-orthogonal.
+    At delta = 0 the cut can keep fewer ranks than ``tt_round`` does (on
+    the bond-reversed prescribed N=6 product, 25 against 64 at the middle
+    bond, both at an error of about 2e-15 ||b||).  A zero a collapses to
+    all-one ranks.  The Gram solvers call it on the bond-reversed chain,
+    so that the factors are those of B's thin left parts.  b
     must have square modes and the bonds that ``rs`` implies, or
     ``ValueError`` is raised.  The truncation reads b's cores, so b is
     formed in full; computing ``rs`` before b keeps the products behind
@@ -483,6 +498,18 @@ def gram_tt_round(b: MatrixTT, rs: list, delta: float) -> MatrixTT:
     if b.ranks != [r.shape[1] for r in rs] or b.row_sizes != b.col_sizes:
         raise ValueError("gram_tt_round needs b = a^T a for the a that gave rs")
     return _restore(_round_sweep(_fuse(b).cores, rs, delta), b)
+
+
+def _bond_reversed(a: MatrixTT) -> MatrixTT:
+    """A with its core order reversed, each core (R, I, J, R') as (R', I, J, R).
+
+    It is A with the modes of its rows and of its columns in reverse order,
+    a symmetric permutation of A, so it rounds with the same errors; its own
+    reversal is A again.  Tags "L" and "R" trade places.
+    """
+    swap = {"L": "R", "R": "L", None: None}
+    return MatrixTT([c.transpose(3, 1, 2, 0) for c in reversed(a.cores)],
+                    [swap[t] for t in reversed(a.orth)])
 
 
 def matrix_tt_round(a: MatrixTT, delta: float) -> MatrixTT:
@@ -627,23 +654,24 @@ def block_tt_gram(x: BlockTT, y: BlockTT) -> np.ndarray:
     return t[:, :, 0, 0]
 
 
-def _reduce_carry(stacked: np.ndarray):
+def _reduce_carry(stacked: np.ndarray, rtol: float = np.finfo(float).eps):
     """A carry C with ``stacked`` = Q C for some Q with orthonormal columns.
 
-    A tall matrix gives its R factor, by an R-only QR.  A wide one, which a
-    QR cannot shrink, keeps the rows of U^T stacked for its singular values
-    above eps * sigma_1, below which a direction is lost in the rounding of
-    the carry anyway; at full numerical rank it is kept as it is.  A wide
-    matrix with a NaN or inf is kept as it is.
+    A tall matrix (or one without rows) gives its R factor, by an R-only
+    QR.  A wide one, which a QR cannot shrink, keeps the rows of U^T stacked
+    for its singular values above rtol * sigma_1; at full numerical rank it
+    is kept as it is.  The residual's carry uses rtol = eps, below which a
+    direction is lost in the rounding of the carry anyway.  A wide matrix
+    with a NaN or inf is kept as it is.
     """
     rows, cols = stacked.shape
-    if rows >= cols:
+    if rows >= cols or rows == 0:
         return np.linalg.qr(stacked, mode="r")
     r = np.linalg.qr(stacked.T, mode="r")  # stacked = r^T Q^T
     if not np.isfinite(r).all():  # the norm comes out NaN or inf
         return stacked
     u, sv, _ = np.linalg.svd(r.T)
-    keep = int(np.count_nonzero(sv > np.finfo(float).eps * sv[0]))
+    keep = int(np.count_nonzero(sv > rtol * sv[0]))
     if keep == rows:
         return stacked
     return u[:, :max(keep, 1)].T @ stacked

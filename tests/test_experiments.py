@@ -637,6 +637,7 @@ def test_run_evaluates_one_residual_per_stop_test(monkeypatch):
     assert len(calls) == sum(n for _, n in per_rep)
 
 
+@pytest.mark.filterwarnings("error")
 def test_cli_run_strict_flags_a_solve_with_no_completed_sweep(tmp_path,
                                                               monkeypatch):
     # every window runs matrix-free block Krylov with no dense fallback and
@@ -654,9 +655,12 @@ def test_cli_run_strict_flags_a_solve_with_no_completed_sweep(tmp_path,
     assert res.exit_code == 3, res.output
     assert "did not converge" in res.output
     text = (tmp_path / "out" / "results.csv").read_text()
-    row = parse_rows_csv(text, ResultRow, RESULT_COLUMNS)[0]
+    row, mean, std = parse_rows_csv(text, ResultRow, RESULT_COLUMNS)
     assert row.sweeps == "0" and row.relative_residual == "inf"
     assert row.termination == "restarted"
+    # an infinite residual aggregates to an infinite mean and std, not NaN
+    assert (mean.rep, mean.relative_residual) == ("mean", "inf")
+    assert (std.rep, std.relative_residual) == ("std", "inf")
 
 
 def test_cli_report_rebuilds_from_csv(tmp_path):

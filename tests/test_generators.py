@@ -1,6 +1,7 @@
 """Structured matrix constructions against raw index formulas."""
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -305,6 +306,23 @@ def test_random_vector_tt_profile_and_determinism():
         assert np.array_equal(cx, cy)
     assert x.ranks == [1, 2, 4, 2, 1]  # clipped at the mode-product caps
     assert abs(np.linalg.norm(tt_to_vector(x)) - 1.0) < 1e-12
+
+
+def test_block_rank_profile_matches_the_product_formula():
+    # the capped running products give the profile of the full products
+    def full(modes, k, rank):
+        n = len(modes)
+        prof = [max(1, min(max(rank, math.ceil(k / math.prod(modes[b:]))),
+                           math.prod(modes[:b]), k * math.prod(modes[b:])))
+                for b in range(1, n)]
+        return [1] + prof + [1]
+
+    for n in range(1, 71):
+        for modes in ([2] * n, [3] * n, [2 + m % 2 for m in range(n)]):
+            for k in range(1, 13):
+                for rank in range(1, 7):
+                    assert (generators._block_rank_profile(modes, k, rank)
+                            == full(modes, k, rank))
 
 
 def test_random_block_tt_minimal_feasible_profile():

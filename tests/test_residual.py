@@ -33,6 +33,7 @@ from ttsvd import (
 )
 from ttsvd import tt
 from ttsvd.solver import _gram_residual
+from ttsvd.tt import _bond_reversed
 
 
 def _qr_residual_norm(op, x, xs, y, ys):
@@ -102,9 +103,10 @@ def test_gram_residual_matches_the_qr_sweep():
     cfg = SolverConfig(k=10, epsilon=1e-8, seed=3, max_full_sweeps=3)
     sig, _, v, _ = mals_eig_baseline(a, cfg)
     # the operator the Gram driver sweeps, rounded as it rounds it
-    a0 = matrix_tt_round(a, 0.0)
-    b = gram_tt_round(matrix_tt_matmul(matrix_tt_transpose(a0), a0),
-                      gram_r_factors(a0), cfg.epsilon / 10)
+    a0 = _bond_reversed(matrix_tt_round(a, 0.0))
+    b = _bond_reversed(gram_tt_round(
+        matrix_tt_matmul(matrix_tt_transpose(a0), a0), gram_r_factors(a0),
+        cfg.epsilon / 10))
     signorm = np.linalg.norm(sig)
     want = _qr_residual_norm(b, v, 1.0 / sig, v, sig)
     for op in (b, canonicalize(b, 0)):

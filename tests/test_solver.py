@@ -35,6 +35,7 @@ from ttsvd import (
 from ttsvd import solver
 from ttsvd.experiments import RunConfig, _build_matrix
 from ttsvd.solver import _driver, _gram_residual
+from ttsvd.tt import _bond_reversed
 
 ALL_DRIVERS = [als_svd, mals_svd, als_eig_baseline, mals_eig_baseline]
 
@@ -309,8 +310,10 @@ def test_gram_operator_is_the_rounded_gram_matrix(n, monkeypatch):
     eps = 1e-8
     mals_eig_baseline(a, SolverConfig(k=3, epsilon=eps, seed=1,
                                       max_full_sweeps=1, max_restarts=0))
-    assert factors[0].ranks == [min(r, 4 ** m, 4 ** (n - m))
-                                for m, r in enumerate(a.ranks)]
+    # the product is taken of the bond-reversed chain, so its ranks read
+    # from the last bond to the first
+    assert factors[0].ranks[::-1] == [min(r, 4 ** m, 4 ** (n - m))
+                                      for m, r in enumerate(a.ranks)]
     op = seen[0]
     delta = eps / solver._GRAM_DELTA_DIVISOR
     ad = tt_reconstruct(a)
@@ -325,9 +328,10 @@ def test_gram_operator_is_the_rounded_gram_matrix(n, monkeypatch):
 def test_gram_route_peak_is_the_product_and_its_r_factors():
     # the Gram solve computes B's R factors before it forms B and writes
     # each core of B once, so at its peak it holds B's cores, the R factors
-    # and no more than a few MiB of temporaries
+    # (of the bond-reversed chain, as the solve computes them) and no more
+    # than a few MiB of temporaries
     a = prescribed_svd_matrix(8, 0.5, k0=16, rank=5, seed=1)[0]
-    a0 = matrix_tt_round(a, 0.0)
+    a0 = _bond_reversed(matrix_tt_round(a, 0.0))
     b_bytes = sum(c.nbytes for c in
                   matrix_tt_matmul(matrix_tt_transpose(a0), a0).cores)
     rs_bytes = sum(r.nbytes for r in gram_r_factors(a0))

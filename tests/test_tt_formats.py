@@ -43,7 +43,7 @@ from ttsvd import (
     truncated_svd,
 )
 from ttsvd.generators import prescribed_svd_matrix, random_vector_tt
-from ttsvd.tt import _fuse, _right_r_factors
+from ttsvd.tt import _bond_reversed, _fuse, _right_r_factors
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ def _gram_pair(n, rows, cols, rng):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("rows, cols", [(3, 2), (2, 3), (1, 2)])
+@pytest.mark.parametrize("rows, cols", [(3, 2), (2, 3), (1, 2), (2, 1)])
 def test_gram_round_matches_round_of_the_product(n, rows, cols):
     rng = np.random.default_rng([n, rows, cols])
     a, b = _gram_pair(n, rows, cols, rng)
@@ -220,9 +220,15 @@ def test_gram_round_of_zero_and_non_finite_chains():
     # finite cores whose Gram norm overflows must not round at an inf
     # threshold
     huge = MatrixTT([c * 1e110 for c in a.cores])
+    # the reversed prescribed chain has wide parity inputs, which are kept
+    # as they are once they hold inf, so the overflow still reaches the norm
+    p = matrix_tt_round(prescribed_svd_matrix(8, 0.5, k0=16, rank=5,
+                                              seed=1)[0], 0.0)
+    wide_huge = _bond_reversed(MatrixTT([c * 1e110 for c in p.cores]))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="overflows"):
-            gram_r_factors(huge)
+        for x in (huge, wide_huge):
+            with pytest.raises(ValueError, match="overflows"):
+                gram_r_factors(x)
     a.cores[2].flat[1] = np.nan
     with pytest.raises(ValueError, match="NaN or inf"):
         gram_r_factors(a)
@@ -235,6 +241,51 @@ def test_gram_round_of_zero_and_non_finite_chains():
     wide = MatrixTT([c[:, :1] for c in b.cores])  # b's bonds, 1 x 2 modes
     with pytest.raises(ValueError, match="a\\^T a"):
         gram_tt_round(wide, gram_r_factors(zero), 1e-9)
+
+
+def test_bond_reversal_is_a_symmetric_permutation():
+    # reversing the cores reverses the mode order of rows and columns alike,
+    # swaps the tags, and undoes itself
+    rng = np.random.default_rng(5)
+    a, _ = _gram_pair(4, 3, 2, rng)
+    a = matrix_tt_round(a, 0.0)
+    r = _bond_reversed(a)
+    assert r.ranks == a.ranks[::-1] and r.orth == [None] + ["R"] * 3
+    rows = np.arange(3 ** 4).reshape([3] * 4, order="F").transpose(3, 2, 1, 0)
+    cols = np.arange(2 ** 4).reshape([2] * 4, order="F").transpose(3, 2, 1, 0)
+    ad = tt_reconstruct(a)
+    assert np.allclose(tt_reconstruct(r), ad[np.ix_(rows.ravel(order="F"),
+                                                    cols.ravel(order="F"))])
+    back = _bond_reversed(r)
+    assert back.orth == a.orth
+    assert all(np.array_equal(x, y) for x, y in zip(back.cores, a.cores))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gram_factors_from_the_left_are_thin(seed):
+    # a prescribed A = U diag(sigma) V^T has left-orthogonal factor chains:
+    # B = A^T A's left parts have rank at most r_V^2 = 25, its right parts
+    # r_U^2 r_V^2 = 625.  Wide parity inputs are cut to their numerical
+    # rank, so the factors of the bond-reversed chain stay thin
+    a = matrix_tt_round(prescribed_svd_matrix(10, 0.5, k0=16, rank=5,
+                                              seed=seed)[0], 0.0)
+    assert max(r.shape[0] for r in gram_r_factors(_bond_reversed(a))) <= 25
+    assert max(r.shape[0] for r in gram_r_factors(a)) == 625
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gram_round_at_zero_may_keep_fewer_ranks(seed):
+    # the numerical-rank cut drops directions tt_round keeps at delta = 0
+    # (25 against 64 at the middle bond here), at an error of the same size
+    a = matrix_tt_round(prescribed_svd_matrix(6, 0.5, k0=16, rank=5,
+                                              seed=seed)[0], 0.0)
+    x = _bond_reversed(a)
+    b = matrix_tt_matmul(matrix_tt_transpose(x), x)
+    g, ref = gram_tt_round(b, gram_r_factors(x), 0.0), tt_round(b, 0.0)
+    assert all(p <= q for p, q in zip(g.ranks, ref.ranks))
+    assert g.ranks != ref.ranks
+    bd = tt_reconstruct(b)
+    assert np.linalg.norm(tt_reconstruct(g) - bd) <= 1e-13 * np.linalg.norm(bd)
 
 
 def test_gram_round_peak_memory_is_within_one_core_of_tt_round():
