@@ -38,15 +38,17 @@ call per window.  The path is recorded per micro-iteration as
   block, it is built once and block Krylov applies it by GEMM.
 * ``"krylov-matrix-free"``: otherwise block Krylov applies the contraction
   chain of the environments to the whole block.
+* ``"dense-fallback"``: block Krylov gets the ``_KRYLOV_STEPS`` steps the
+  cost test assumed, and a window it has not solved by then is solved again
+  on the dense path and recorded so, with the steps it spent.  So
+  ``"dense"`` always means no Krylov step.
 
-Block Krylov gets the ``_KRYLOV_STEPS`` steps the cost test assumed; a
-window it has not solved by then is solved again on the dense path, and
-recorded as ``"dense"`` with the steps it spent, unless the dense solve
-would cost more than ``_LOCAL_MAX_ITER`` steps.  It stops at residuals of
-1e-10 sigma_1, or of epsilon/100 sigma_1 once the Ritz values show the
-kept block separated (sigma_K - sigma_K+1 >= sigma_K / 10; a clustered
-spectrum would grow the ranks).  At a loose epsilon Sigma is then as
-accurate as the sweep's stop can check, not accurate to 1e-10.
+Where a dense solve would cost more than ``_LOCAL_MAX_ITER`` Krylov steps,
+block Krylov gets those steps instead, with no fallback.  It stops at
+residuals of 1e-10 sigma_1, or of epsilon/100 sigma_1 once the Ritz values
+show the kept block separated (sigma_K - sigma_K+1 >= sigma_K / 10; a
+clustered spectrum would grow the ranks).  At a loose epsilon Sigma is then
+as accurate as the sweep's stop can check, not accurate to 1e-10.
 
 Block Krylov for the SVD is block Golub-Kahan-Lanczos on A and A^T
 directly: a right basis V and a left basis U, with Ritz triplets from the
@@ -205,11 +207,19 @@ class SolverConfig:
 class SweepReport:
     """Execution trace of one solver run (all attempts included).
 
-    ``micro`` holds one record per micro-iteration: position, direction,
-    bond ranks after the split, the current Sigma estimate, the block
-    Krylov steps spent (0 on a window solved dense only) and its
-    ``local_path`` (see the module docstring).  ``residual_history`` has
-    one entry (attempt, sweep, stop residual) per completed full sweep.  An
+    ``micro`` holds one record per micro-iteration, of a size that does
+    not grow with N: ``position``, ``direction``, the ``bond`` its splits
+    set (an index into ``chain.ranks``), that bond's new rank in U and V
+    (``rank_u``, ``rank_v``) and the energy each split discarded
+    (``discarded_u``, ``discarded_v``; the U fields are ``None`` on the
+    Gram route), the current Sigma estimate, the block Krylov steps spent
+    (0 exactly on the ``"dense"`` path) and its ``local_path`` (see the
+    module docstring).  ``residual_history`` has one entry (attempt, sweep,
+    stop residual, and the rank profiles ``ranks_u`` and ``ranks_v`` the
+    sweep ends with) per completed full sweep.  An attempt's chains start
+    from ``generators._block_rank_profile(modes, K, 1)``, so a profile in
+    mid-sweep is the previous profile (or that start) with the sweep's
+    records so far applied, bond by bond.  An
     attempt ends at its sweep budget, on a failed local solve or on a stop
     residual below epsilon, which ends the solve.  The solve returns the
     first iterate with the lowest stop residual (if no sweep completed, a
@@ -583,19 +593,21 @@ def _min_keep(chain: BlockTT, q: int, pair: bool, k: int, r2l: bool) -> int:
 
 
 def _split_into(chain: BlockTT, q: int, local: np.ndarray, delta: float,
-                cfg: SolverConfig, pair: bool, r2l: bool) -> None:
+                cfg: SolverConfig, pair: bool, r2l: bool) -> tuple:
     """Truncated split of a local solution; the block core moves one step.
 
     The window is core q, or the pair (q, q+1).  Splitting right to left
     leaves its rightmost core right-orthogonal, left to right its leftmost
     core left-orthogonal.  A one-core split's K factor is contracted into
-    the neighbouring core, which becomes the block core.
+    the neighbouring core, which becomes the block core.  The split sets one
+    bond and no other; returns (bond, rank, discarded energy), ``bond``
+    indexing ``chain.ranks``.
     """
     direction = "right_to_left" if r2l else "left_to_right"
     keep = _min_keep(chain, q, pair, cfg.k, r2l)
     split = split_block_core_mals if pair else split_block_core_als
-    left, right, _ = split(local, direction, delta, max_rank=cfg.max_rank,
-                           min_keep=keep)
+    left, right, rank, tail = split(local, direction, delta,
+                                    max_rank=cfg.max_rank, min_keep=keep)
     m = q + pair - 1 if r2l else q  # the split writes cores m and m + 1
     if not pair and r2l:
         nb = np.tensordot(chain.cores[m], left, axes=(2, 0))
@@ -605,31 +617,40 @@ def _split_into(chain: BlockTT, q: int, local: np.ndarray, delta: float,
     chain.cores[m], chain.cores[m + 1] = left, right
     chain.orth[m], chain.orth[m + 1] = (None, "R") if r2l else ("L", None)
     chain.block_position = m if r2l else m + 1
+    return m + 1, rank, tail
 
 
 def _advance(env: Environment, a: MatrixTT, chains, locals_, q: int,
-             delta: float, cfg: SolverConfig, pair: bool, r2l: bool) -> None:
+             delta: float, cfg: SolverConfig, pair: bool, r2l: bool) -> list:
     """Split each local solution into its chain and move the environment.
 
     ``chains`` is (U, V) for the SVD problem and (V,) for the Gram problem.
+    Returns each chain's (bond, rank, discarded energy) from ``_split_into``.
     """
-    for chain, local in zip(chains, locals_):
-        _split_into(chain, q, local, delta, cfg, pair, r2l)
+    splits = [_split_into(chain, q, local, delta, cfg, pair, r2l)
+              for chain, local in zip(chains, locals_)]
     u, v = chains[0], chains[-1]
     if r2l:
         env_update_right(env, u, a, v, q + pair)
     else:
         env_update_left(env, u, a, v, q)
+    return splits
 
 
-def _micro_record(p: int, direction: str, chains, sigma, iters: int,
+def _micro_record(p: int, direction: str, splits, sigma, iters: int,
                   path: str) -> dict:
+    """One micro-iteration's record, O(1) in N: the bond its splits set,
+    not the chains' rank profiles."""
+    bond, rank_v, tail_v = splits[-1]
+    _, rank_u, tail_u = splits[0] if len(splits) == 2 else (None,) * 3
     return {
         "position": int(p),
         "direction": direction,
-        "ranks_u": (None if len(chains) == 1
-                    else [int(r) for r in chains[0].ranks]),
-        "ranks_v": [int(r) for r in chains[-1].ranks],
+        "bond": bond,
+        "rank_u": rank_u,
+        "rank_v": rank_v,
+        "discarded_u": tail_u,
+        "discarded_v": tail_v,
         "sigma": [float(s) for s in sigma],
         "local_iterations": int(iters),
         "local_path": path,
@@ -654,18 +675,19 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
         start = _block_as_local(chains[-1], q, pair)
         seed = int(rng.integers(0, 2**63 - 1))
         solve = local_block_eig if gram else local_block_svd
+        path = op.path
         try:
             sigma, locals_, iters = solve(op, cfg.k, start, seed,
                                           cfg.epsilon * _EPS_TOL_FACTOR)
         except LocalSolverError:
             if not op.dense_fallback:
                 raise
-            op = dataclasses.replace(op, path="dense")
-            sigma, locals_, _ = solve(op, cfg.k, start, seed)
-            iters = _KRYLOV_STEPS
-        _advance(env, a, chains, locals_, q, delta, cfg, pair, r2l)
-        report.micro.append(_micro_record(p, direction, chains, sigma, iters,
-                                          op.path))
+            sigma, locals_, _ = solve(dataclasses.replace(op, path="dense"),
+                                      cfg.k, start, seed)
+            iters, path = _KRYLOV_STEPS, "dense-fallback"
+        splits = _advance(env, a, chains, locals_, q, delta, cfg, pair, r2l)
+        report.micro.append(_micro_record(p, direction, splits, sigma, iters,
+                                          path))
     return sigma
 
 
@@ -764,7 +786,9 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
                  else residual(gauged, *chains, sigma))
             report.residual_history.append(
                 {"attempt": int(attempt), "sweep": int(sweep),
-                 "residual": float(r)})
+                 "residual": float(r),
+                 "ranks_u": None if gram else chains[0].ranks,
+                 "ranks_v": chains[-1].ranks})
             if r < best[0]:
                 best = (r, sigma.copy(), tuple(c.copy() for c in chains),
                         sweep + 1)

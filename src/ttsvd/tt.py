@@ -813,7 +813,9 @@ def split_block_core(local: np.ndarray, direction: str, delta: float,
                      min_keep: int | None = None):
     """Truncated split of a local solution (r_l, I_1..I_w, r_r, K), w = 1 or 2.
 
-    Returns ``(left, right, rank)``.  The factor that carries K, with K on
+    Returns ``(left, right, rank, discarded)``, ``discarded`` being the
+    squared Frobenius norm of the truncated tail
+    (``SvdFactors.discarded_energy``).  The factor that carries K, with K on
     axis 1, absorbs the singular values; the other one is an orthogonal TT
     core.
 
@@ -836,12 +838,14 @@ def split_block_core(local: np.ndarray, direction: str, delta: float,
         rank = len(f.s)
         carry = _rf(f.u * f.s[np.newaxis, :], (r_l, *modes[:-1], k, rank))
         core = _rf(f.v.T, (rank, modes[-1], r_r))
-        return carry.transpose(0, w, *range(1, w), w + 1), core, rank
+        return (carry.transpose(0, w, *range(1, w), w + 1), core, rank,
+                f.discarded_energy)
     if direction == "left_to_right":
         m = _rf(local, (r_l * modes[0], -1))
         f = truncated_svd(m, delta, max_rank=max_rank, min_rank=min_keep)
         rank = len(f.s)
         core = _rf(f.u, (r_l, modes[0], rank))
         carry = _rf(f.s[:, np.newaxis] * f.v.T, (rank, *modes[1:], r_r, k))
-        return core, carry.transpose(0, w + 1, *range(1, w + 1)), rank
+        return (core, carry.transpose(0, w + 1, *range(1, w + 1)), rank,
+                f.discarded_energy)
     raise ValueError(f"unknown direction {direction!r}")

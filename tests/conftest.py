@@ -136,3 +136,19 @@ def second_difference_singular_values(n_modes, k):
     m = 2**n_modes
     j = np.arange(m, m - k, -1)
     return 2.0 - 2.0 * np.cos(j * np.pi / (m + 1))
+
+
+# The keys of a solve report's micro-iteration record.
+MICRO_KEYS = {"position", "direction", "bond", "rank_u", "rank_v",
+              "discarded_u", "discarded_v", "sigma", "local_iterations",
+              "local_path"}
+
+
+def check_micro_records(report, k):
+    """Every micro record has the keys MICRO_KEYS and no list longer than K,
+    so a record does not grow with N."""
+    assert report.micro
+    for record in report.micro:
+        assert set(record) == MICRO_KEYS, record
+        assert all(len(value) <= k for value in record.values()
+                   if isinstance(value, list)), record

@@ -307,9 +307,10 @@ def test_acceptance_09_single_triplet_behavior():
                        max_restarts=0)
     _, u, v, rep = _driver(a, cfg, pair=False, gram=False, name="als_svd")
     frozen = all(
-        all(r == 1 for r in record["ranks_u"])
-        and all(r == 1 for r in record["ranks_v"])
-        for record in rep.micro
+        record["rank_u"] == record["rank_v"] == 1 for record in rep.micro
+    ) and all(
+        set(entry["ranks_u"]) == set(entry["ranks_v"]) == {1}
+        for entry in rep.residual_history
     ) and max(u.ranks) == 1 and max(v.ranks) == 1
     ok = worst <= 1e-7 and frozen
     _line(9, ok, f"merged-core K=1 on random N=8: max sigma_1 rel err "

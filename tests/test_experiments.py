@@ -10,7 +10,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from conftest import random_matrix_tt
+from conftest import check_micro_records, random_matrix_tt
 from ttsvd import save_tt, solver, verify
 from ttsvd.cli import main as cli_main
 from ttsvd.experiments import (
@@ -264,9 +264,18 @@ def test_tridiagonal_build_holds_no_dense_vector():
 
 
 @pytest.mark.filterwarnings("error")
-def test_tridiagonal_solves_at_the_largest_n():
+def test_tridiagonal_solves_at_the_largest_n(monkeypatch):
     # ||A||_F = 1.6e154 at N = 1022: squaring it in the residual once
-    # overflowed, and the solve raised after 0.85 s
+    # overflowed, and the solve raised after 0.85 s.  Its micro records do
+    # not grow with N: they once held both chains' rank profiles, 35 MiB
+    # here, and copying them took half the solve
+    reports = []
+
+    def kept(a, scfg):
+        out = solver.mals_svd(a, scfg)
+        reports.append(out[3])
+        return out
+    monkeypatch.setitem(SOLVERS, "mals_svd", kept)
     cfg = RunConfig(experiment="tridiagonal", solvers=["mals_svd"],
                     n_values=[1022], k=2, epsilon=1e-6, reps=1, seed=0)
     rows, _ = run_experiment(cfg)
@@ -274,6 +283,8 @@ def test_tridiagonal_solves_at_the_largest_n():
     assert row.termination == "converged"
     assert float(row.relative_residual) < 1e-6
     assert float(row.spectrum_rel_error) <= 1e-10
+    (report,) = reports
+    check_micro_records(report, 2)
 
 
 def test_hilbert_cell_and_generator_budget():

@@ -12,7 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import identity_tt, random_matrix_tt
+from conftest import (
+    MICRO_KEYS,
+    check_micro_records,
+    identity_tt,
+    random_matrix_tt,
+)
 from ttsvd import (
     MatrixTT,
     SolverConfig,
@@ -34,6 +39,7 @@ from ttsvd import (
 )
 from ttsvd import solver
 from ttsvd.experiments import RunConfig, _build_matrix
+from ttsvd.generators import _block_rank_profile
 from ttsvd.solver import _driver, _gram_residual
 from ttsvd.tt import _bond_reversed
 
@@ -201,9 +207,11 @@ def test_k1_merged_core_converges_single_core_freezes():
     cfg = SolverConfig(k=1, epsilon=1e-10, seed=11, max_full_sweeps=3,
                        max_restarts=0)
     _, _, _, rep1 = _driver(a, cfg, pair=False, gram=False, name="als_svd")
+    assert rep1.residual_history
     for record in rep1.micro:
-        assert all(r == 1 for r in record["ranks_u"])
-        assert all(r == 1 for r in record["ranks_v"])
+        assert record["rank_u"] == record["rank_v"] == 1
+    for entry in rep1.residual_history:
+        assert set(entry["ranks_u"]) == set(entry["ranks_v"]) == {1}
 
     sig2, _, _, rep2 = mals_eig_baseline(a, SolverConfig(k=1, epsilon=1e-10, seed=12))
     assert abs(sig2[0] - s_ref[0]) < 1e-6 * s_ref[0]
@@ -239,10 +247,11 @@ def _probe_advance(monkeypatch, pair):
             trial = [c.copy() for c in chains]
             for chain, local in zip(trial, locals_):
                 chain.cores[q] = local.transpose(0, 3, 1, 2)
-        advance(env, a, chains, locals_, q, *args)
+        splits = advance(env, a, chains, locals_, q, *args)
         if pair:
             trial = chains
         seen.append(tuple(tt_reconstruct(c) for c in trial))
+        return splits
 
     monkeypatch.setattr(solver, "_advance", probed)
     return seen
@@ -462,7 +471,8 @@ def test_recorded_local_path_is_the_one_solved(monkeypatch):
 def test_krylov_past_its_steps_falls_back_to_dense(monkeypatch):
     # every window runs block Krylov on the built matrix with one step; the
     # windows it does not solve in that step are solved dense and recorded
-    # so, with the one step they spent, and the result is the all-dense one
+    # as "dense-fallback", with the one step they spent, and the result is
+    # the all-dense one
     a, _, _, spectrum = prescribed_svd_matrix(6, 0.5, k0=8, rank=2, seed=2)
     cfg = SolverConfig(k=4, epsilon=1e-9, seed=3)
     _force_dense_up_to(monkeypatch, math.inf)
@@ -482,7 +492,7 @@ def test_krylov_past_its_steps_falls_back_to_dense(monkeypatch):
     assert rep.termination == "converged"
     assert calls["krylov"] == len(rep.micro)
     paths = collections.Counter(m["local_path"] for m in rep.micro)
-    assert set(paths) == {"dense", "krylov-dense-op"}
+    assert set(paths) == {"dense-fallback", "krylov-dense-op"}
     for record in rep.micro:
         assert record["local_iterations"] == 1, record
     assert np.max(np.abs(sig - sig_dense) / sig_dense) <= 1e-10
@@ -556,12 +566,18 @@ def test_report_is_json_serializable():
     assert back["k"] == 2
     assert len(back["micro_iterations"]) == len(rep.micro)
     first = back["micro_iterations"][0]
-    assert set(first) == {"position", "direction", "ranks_u", "ranks_v",
-                          "sigma", "local_iterations", "local_path"}
-    paths = {"dense", "krylov-dense-op", "krylov-matrix-free"}
+    assert set(first) == MICRO_KEYS
+    paths = {"dense", "dense-fallback", "krylov-dense-op",
+             "krylov-matrix-free"}
     for record, sent in zip(rep.micro, back["micro_iterations"]):
-        assert sent["local_path"] == record["local_path"] in paths
+        assert sent == record
+        assert sent["local_path"] in paths
         assert (sent["local_path"] == "dense") == (sent["local_iterations"] == 0)
+    assert back["residual_history"] == rep.residual_history
+    for entry in back["residual_history"]:
+        assert set(entry) == {"attempt", "sweep", "residual", "ranks_u",
+                              "ranks_v"}
+        assert len(entry["ranks_u"]) == len(entry["ranks_v"]) == a.n_cores + 1
 
 
 def test_max_rank_cap_is_enforced_per_micro_iteration():
@@ -569,11 +585,67 @@ def test_max_rank_cap_is_enforced_per_micro_iteration():
     cfg = SolverConfig(k=2, epsilon=1e-9, seed=30, max_rank=2,
                        max_full_sweeps=2, max_restarts=0)
     _, u, v, rep = mals_svd(a, cfg)
-    assert rep.micro
+    assert rep.micro and rep.residual_history
     for record in rep.micro:
-        assert max(record["ranks_u"]) <= 2
-        assert max(record["ranks_v"]) <= 2
+        assert record["rank_u"] <= 2 and record["rank_v"] <= 2
+    for entry in rep.residual_history:
+        assert max(entry["ranks_u"]) <= 2 and max(entry["ranks_v"]) <= 2
     assert max(u.ranks) <= 2 and max(v.ranks) <= 2
+
+
+def test_records_replay_the_rank_profiles():
+    # an attempt starts from _block_rank_profile(modes, K, 1), each micro
+    # record sets one bond of each chain, and each history entry holds the
+    # profiles its sweep ends with; no residual reaches this epsilon, so both
+    # attempts run both sweeps
+    a = hilbert_submatrix_tt(6, 1e-10)
+    cfg = SolverConfig(k=3, epsilon=1e-20, seed=31, max_full_sweeps=2,
+                       max_restarts=1)
+    per_sweep = 2 * (a.n_cores - 1)
+    for driver in ALL_DRIVERS:
+        _, _, _, rep = driver(a, cfg)
+        assert rep.restarts_used == 1 and rep.total_sweeps == 4, driver
+        assert len(rep.micro) == per_sweep * rep.total_sweeps, driver
+        gram = driver in (als_eig_baseline, mals_eig_baseline)
+        sides = ("v",) if gram else ("u", "v")
+        for i, entry in enumerate(rep.residual_history):
+            if entry["sweep"] == 0:
+                ranks = {"u": _block_rank_profile(a.row_sizes, cfg.k, 1),
+                         "v": _block_rank_profile(a.col_sizes, cfg.k, 1)}
+            for record in rep.micro[i * per_sweep:(i + 1) * per_sweep]:
+                assert (record["rank_u"] is None) == gram
+                for side in sides:
+                    ranks[side][record["bond"]] = record["rank_" + side]
+            assert entry["ranks_v"] == ranks["v"], driver
+            assert entry["ranks_u"] == (None if gram else ranks["u"]), driver
+
+
+def test_dense_fallback_has_its_own_path():
+    # tridiagonal windows whose block Krylov does not converge in
+    # _KRYLOV_STEPS steps are solved dense; they read "dense-fallback" with
+    # the steps spent, so "dense" always means no Krylov step
+    cfg = RunConfig(experiment="tridiagonal", solvers=["als_svd"],
+                    n_values=[10], k=4, epsilon=1e-6)
+    a, _ = _build_matrix(cfg, 10, None, 0)
+    _, _, _, rep = als_svd(a, SolverConfig(k=4, epsilon=1e-6, seed=0))
+    fallbacks = [m for m in rep.micro if m["local_path"] == "dense-fallback"]
+    assert len(fallbacks) == 7
+    assert {m["local_iterations"] for m in fallbacks} == {solver._KRYLOV_STEPS}
+    for record in rep.micro:
+        assert ((record["local_path"] == "dense")
+                == (record["local_iterations"] == 0)), record
+
+
+def test_micro_records_do_not_grow_with_n():
+    # a record holds the bond its splits set, not the chains' rank profiles
+    # (N+1 entries each, over about 2N records a sweep)
+    for n in (64, 512):
+        cfg = RunConfig(experiment="tridiagonal", solvers=["mals_svd"],
+                        n_values=[n], k=2, epsilon=1e-6)
+        a, _ = _build_matrix(cfg, n, None, 0)
+        _, _, _, rep = mals_svd(a, SolverConfig(k=2, epsilon=1e-6, seed=0))
+        assert rep.termination == "converged"
+        check_micro_records(rep, 2)
 
 
 def test_driver_validation():

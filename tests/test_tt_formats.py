@@ -731,14 +731,15 @@ def test_split_single_core_round_trips():
     local = _local4(rng)
     r_l, i, r_r, k = local.shape
 
-    carry, core, rank = split_block_core(local, "right_to_left", 0.0)
+    carry, core, rank, tail = split_block_core(local, "right_to_left", 0.0)
+    assert tail == 0.0
     # carry (r_l, K, rank) x core (rank, i, r_r) recontracts the local tensor
     back = np.einsum("akr,rib->aibk", carry, core)
     assert np.allclose(back, local, atol=1e-12)
     mat = core.reshape(rank, i * r_r, order="F")
     assert np.allclose(mat @ mat.T, np.eye(rank), atol=1e-12)
 
-    core2, carry2, rank2 = split_block_core(local, "left_to_right", 0.0)
+    core2, carry2, rank2, _ = split_block_core(local, "left_to_right", 0.0)
     back2 = np.einsum("air,rkb->aibk", core2, carry2)
     assert np.allclose(back2, local, atol=1e-12)
     mat2 = core2.reshape(r_l * i, rank2, order="F")
@@ -753,14 +754,14 @@ def test_split_merged_core_round_trips():
     local = rng.standard_normal((3, 2, 2, 4, 5))
     r_l, ia, ib, r_r, k = local.shape
 
-    block, core, rank = split_block_core(local, "right_to_left", 0.0)
+    block, core, rank, _ = split_block_core(local, "right_to_left", 0.0)
     assert block.shape == (r_l, k, ia, rank)
     back = np.einsum("akir,rjb->aijbk", block, core)
     assert np.allclose(back, local, atol=1e-12)
     mat = core.reshape(rank, ib * r_r, order="F")
     assert np.allclose(mat @ mat.T, np.eye(rank), atol=1e-12)
 
-    core2, block2, rank2 = split_block_core(local, "left_to_right", 0.0)
+    core2, block2, rank2, _ = split_block_core(local, "left_to_right", 0.0)
     assert block2.shape == (rank2, k, ib, r_r)
     back2 = np.einsum("air,rkjb->aijbk", core2, block2)
     assert np.allclose(back2, local, atol=1e-12)
@@ -776,19 +777,25 @@ def test_split_truncation_bound_and_rank_controls():
     local = _local4(rng, (4, 2, 4, 3))
     nrm = np.linalg.norm(local)
     delta = 0.3
-    carry, core, rank = split_block_core(local, "right_to_left", delta)
+    carry, core, rank, tail = split_block_core(local, "right_to_left", delta)
     back = np.einsum("akr,rib->aibk", carry, core)
     assert np.linalg.norm(back - local) <= delta * nrm + 1e-12
+    # the tail is the squared error of the split
+    assert tail > 0.0
+    assert abs(tail - np.linalg.norm(back - local) ** 2) <= 1e-12 * nrm ** 2
 
-    _, _, rank_cap = split_block_core(local, "left_to_right", 0.0, max_rank=2)
+    core, carry, rank_cap, tail = split_block_core(local, "left_to_right", 0.0,
+                                                   max_rank=2)
     assert rank_cap == 2
-    _, _, rank_floor = split_block_core(
+    back = np.einsum("air,rkb->aibk", core, carry)
+    assert abs(tail - np.linalg.norm(back - local) ** 2) <= 1e-12 * nrm ** 2
+    _, _, rank_floor, _ = split_block_core(
         local, "left_to_right", 0.99, min_keep=4
     )
     assert rank_floor >= 4
 
     local5 = rng.standard_normal((3, 2, 2, 3, 4))
-    _, _, r5 = split_block_core(local5, "right_to_left", 0.0, max_rank=3)
+    _, _, r5, _ = split_block_core(local5, "right_to_left", 0.0, max_rank=3)
     assert r5 == 3
 
 
