@@ -2,12 +2,15 @@
 
 A run configuration is a small YAML document (``schema_version: 1``) naming
 one experiment family, a solver list, an N grid, and parameters.  One
-private table, ``_FAMILIES``, says what each family is: the ``params`` keys
-it reads, the key it sweeps into the ``param`` column, its builder, its
-largest N, and whether the swept value caps the solvers' rank.  A
-``RunConfig`` is checked whole against it on construction, so a bad N or
-swept value fails before the first solve.  Results are written as two CSVs
-with a stable column order plus JSON reports:
+private table, ``_FAMILIES``, says what each family is: a mapping from
+every ``params`` key it reads to that key's default and converter, the key
+it sweeps into the ``param`` column, its builder, its largest N, and
+whether the swept value caps the solvers' rank.  A ``RunConfig`` is checked
+whole against it on construction and converts every key once, so a bad N
+or ``params`` value fails before the first solve; ``run_experiment`` then
+builds each cell's first matrix and puts it to its solver's own checks
+before it solves any cell.  Results are written as two CSVs with a stable
+column order plus JSON reports:
 
 * ``results.csv``   - experiment,solver,N,K,param,rep,seed,sweeps,
                       relative_residual,spectrum_rel_error,max_v_rank,
@@ -76,17 +79,6 @@ TIMING_COLUMNS = ("experiment", "solver", "N", "K", "param", "rep", "seed",
 # experiment families
 
 
-def _param_values(params: dict, key: str, default: tuple, convert) -> list:
-    """``params[key]`` (a scalar or a list, else ``default``) converted item-wise."""
-    values = params.get(key, default)
-    if not isinstance(values, (list, tuple)):
-        values = [values]
-    try:
-        return [convert(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad params.{key} value: {exc}") from exc
-
-
 def _positive_int(v) -> int:
     """An integer >= 1; a bool, a fraction or a smaller value is an error."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
@@ -110,29 +102,16 @@ def _between(name: str, low: float, high: float):
     return convert
 
 
-def _check_path(params: dict) -> None:
-    if "path" not in params:
-        raise ConfigError("custom experiment needs params.path")
-    if not isinstance(params["path"], str):
-        raise ConfigError("params.path must be a string")
-
-
-def _int_param(params: dict, key: str, default: int) -> int:
-    """``params[key]`` (else ``default``), which must be a positive integer."""
-    try:
-        return _positive_int(params.get(key, default))
-    except ValueError as exc:
-        raise ConfigError(f"bad params.{key} value: {exc}") from exc
+def _path(v) -> str:
+    """A TT container path; None (absent) or a non-string is an error."""
+    if not isinstance(v, str):
+        raise ValueError(f"a path string is required, got {v!r}")
+    return v
 
 
 def _build_prescribed(cfg: RunConfig, n: int, beta: float, seed: int):
-    p = cfg.params
-    k0 = _int_param(p, "k0", 25)
-    rank = _int_param(p, "rank", 5)
-    if cfg.k > k0:
-        raise ConfigError("k exceeds the prescribed spectrum length k0")
-    a, _, _, spectrum = prescribed_svd_matrix(n, beta, k0=k0, rank=rank,
-                                              seed=seed)
+    a, _, _, spectrum = prescribed_svd_matrix(n, beta, seed=seed,
+                                              **cfg.fixed_params)
     return a, spectrum[:cfg.k]
 
 
@@ -153,13 +132,12 @@ def _build_tridiagonal(cfg: RunConfig, n: int, value, seed: int):
 
 
 def _build_toeplitz(cfg: RunConfig, n: int, cap, seed: int):
-    rank = _int_param(cfg.params, "rank", 3)
-    x = random_vector_tt([2] * (n + 1), rank, seed)
+    x = random_vector_tt([2] * (n + 1), cfg.fixed_params["rank"], seed)
     return full_toeplitz_tt(x), None
 
 
 def _build_custom(cfg: RunConfig, n, value, seed: int):
-    path = cfg.params["path"]
+    path = cfg.fixed_params["path"]
     try:
         a = load_tt(path)
     except OSError as exc:
@@ -175,24 +153,24 @@ def _build_custom(cfg: RunConfig, n, value, seed: int):
 class _Family:
     """What one experiment family is.
 
-    ``reads`` are the ``params`` keys it reads.  ``swept`` is the key whose
-    values (``default`` if absent, each passed through ``convert``) fill
-    the ``param`` column, one cell each, or None.  ``build(cfg, n, value,
-    seed)`` returns the MatrixTT and its top-K truth or None.  ``max_n`` is
-    the largest N, for the reason ``why``; None means the family takes no
-    N.  ``caps_rank`` makes the swept value the solvers' ``max_rank``, and
-    ``check`` vets ``params`` further.
+    ``params`` maps every ``params`` key the family reads to (default,
+    converter); a key left out of the config takes its default, and a
+    default the converter rejects (None for ``custom``'s ``path``) makes
+    the key required.  ``swept`` names the key, if any, whose values (a
+    scalar or a list, its default a tuple) are converted one by one and
+    fill the ``param`` column, one cell each; every other key is converted
+    whole into one value.  ``build(cfg, n, value, seed)`` returns the
+    MatrixTT and its top-K truth or None.  ``max_n`` is the largest N, for
+    the reason ``why``; None means the family takes no N.  ``caps_rank``
+    makes the swept value the solvers' ``max_rank``.
     """
 
-    reads: tuple
     build: Callable
+    params: dict
     swept: str | None = None
-    default: tuple = ()
-    convert: Callable | None = None
     max_n: float | None = math.inf
     why: str = ""
     caps_rank: bool = False
-    check: Callable | None = None
 
 
 # The tridiagonal truth 2 - 2 cos(j*pi/(M+1)) forms j*pi with j near
@@ -202,30 +180,43 @@ class _Family:
 _TRIDIAGONAL_MAX_N = 1022
 
 _FAMILIES = {
-    "prescribed_svd": _Family(("beta", "k0", "rank"), _build_prescribed,
-                              "beta", (0.3, 0.5), _between("beta", 0, 1)),
-    "hilbert": _Family(("delta",), _build_hilbert, "delta", (1e-8,),
-                       _between("delta", 0, math.inf),
-                       max_n=_EXPSUM_MAX_N,
-                       why="the Hilbert quadrature covers 1 <= x < "
-                           "2^(N+1), which overflows a float from N = 1023 on"),
-    "tridiagonal": _Family((), _build_tridiagonal, max_n=_TRIDIAGONAL_MAX_N,
+    "prescribed_svd": _Family(_build_prescribed, {
+        "beta": ((0.3, 0.5), _between("beta", 0, 1)),
+        "k0": (25, _positive_int), "rank": (5, _positive_int)}, "beta"),
+    "hilbert": _Family(_build_hilbert, {
+        "delta": ((1e-8,), _between("delta", 0, math.inf))}, "delta",
+        max_n=_EXPSUM_MAX_N,
+        why="the Hilbert quadrature covers 1 <= x < 2^(N+1), which "
+            "overflows a float from N = 1023 on"),
+    "tridiagonal": _Family(_build_tridiagonal, {}, max_n=_TRIDIAGONAL_MAX_N,
                            why="the truth's j*pi, j near 2^N, overflows a "
                                "float from N = 1023 on"),
-    "toeplitz": _Family(("max_rank", "rank"), _build_toeplitz, "max_rank",
-                        (5, 10, 15, None), _rank_cap, caps_rank=True),
-    "custom": _Family(("path",), _build_custom, max_n=None,
-                      check=_check_path),
+    "toeplitz": _Family(_build_toeplitz, {
+        "max_rank": ((5, 10, 15, None), _rank_cap),
+        "rank": (3, _positive_int)}, "max_rank", caps_rank=True),
+    "custom": _Family(_build_custom, {"path": (None, _path)}, max_n=None),
 }
+
+
+def _convert(key: str, value, convert):
+    """``convert(value)``; a rejected value is a ConfigError naming the key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad params.{key} value: {exc}") from exc
 
 
 @dataclass
 class RunConfig:
     """One run's configuration, checked whole on construction.
 
-    Construction also converts the swept ``params`` values into
-    ``swept_values`` and builds ``solver_config``, the ``SolverConfig``
-    that every repetition copies with its own seed (and cap).
+    Construction converts every ``params`` key once, through its family's
+    converter: the swept key into the non-empty list ``swept_values``
+    ([None] for a family that sweeps none), each other key into
+    ``fixed_params``, which the builders read.  It also builds
+    ``solver_config``, the ``SolverConfig`` that checks ``k``, ``seed``,
+    ``epsilon`` and ``solver_options`` and that every repetition copies
+    with its own seed (and cap).
     """
 
     experiment: str
@@ -253,24 +244,14 @@ class RunConfig:
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ConfigError(f"unknown solver {s!r}")
-        for name, low in (("k", 1), ("reps", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer")
-            if value < low:
-                raise ConfigError(f"{name} must be >= {low}")
+        if (isinstance(self.reps, bool)
+                or not isinstance(self.reps, (int, np.integer))):
+            raise ConfigError("reps must be an integer")
+        if self.reps < 1:
+            raise ConfigError("reps must be >= 1")
         for name in ("params", "solver_options"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be a mapping")
-        for key in self.params:
-            if key not in fam.reads:
-                raise ConfigError(
-                    f"unknown params key {key!r} for {self.experiment}; it "
-                    f"reads {', '.join(fam.reads) if fam.reads else 'none'}")
-        if fam.caps_rank and "max_rank" in self.solver_options:
-            raise ConfigError(f"solver_options.max_rank is not allowed on "
-                              f"{self.experiment}, whose params.{fam.swept} "
-                              f"sets the cap")
         # YAML reads 1e-8 (no dot) as a string; float() parses it, as for params.delta
         bad_epsilon = ConfigError(f"epsilon must be a number, got {self.epsilon!r}")
         if isinstance(self.epsilon, bool):
@@ -279,8 +260,16 @@ class RunConfig:
             self.epsilon = float(self.epsilon)
         except (TypeError, ValueError):
             raise bad_epsilon from None
-        if not 0 < self.epsilon < math.inf:
-            raise ConfigError("epsilon must be positive and finite")
+        try:
+            self.solver_config = solver_mod.SolverConfig(
+                k=self.k, epsilon=self.epsilon, seed=self.seed,
+                **self.solver_options)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad solver configuration: {exc}") from exc
+        if fam.caps_rank and "max_rank" in self.solver_options:
+            raise ConfigError(f"solver_options.max_rank is not allowed on "
+                              f"{self.experiment}, whose params.{fam.swept} "
+                              f"sets the cap")
         if fam.max_n is not None:
             if not self.n_values:
                 raise ConfigError("n_values must not be empty")
@@ -290,18 +279,25 @@ class RunConfig:
                 if n > fam.max_n:
                     raise ConfigError(f"{self.experiment} needs N <= "
                                       f"{fam.max_n}: {fam.why}")
-        if fam.check is not None:
-            fam.check(self.params)
         if not isinstance(self.out_dir, str):
             raise ConfigError("out_dir must be a string")
-        self.swept_values = [None] if fam.swept is None else _param_values(
-            self.params, fam.swept, fam.default, fam.convert)
-        try:
-            self.solver_config = solver_mod.SolverConfig(
-                k=self.k, epsilon=self.epsilon, seed=self.seed,
-                **self.solver_options)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad solver options: {exc}") from exc
+        for key in self.params:
+            if key not in fam.params:
+                raise ConfigError(
+                    f"unknown params key {key!r} for {self.experiment}; it "
+                    f"reads {', '.join(fam.params) or 'none'}")
+        self.swept_values, self.fixed_params = [None], {}
+        for key, (default, convert) in fam.params.items():
+            value = self.params.get(key, default)
+            if key != fam.swept:
+                self.fixed_params[key] = _convert(key, value, convert)
+                continue
+            values = value if isinstance(value, (list, tuple)) else [value]
+            if not values:
+                raise ConfigError(f"params.{key} must not be empty")
+            self.swept_values = [_convert(key, v, convert) for v in values]
+        if self.k > self.fixed_params.get("k0", self.k):
+            raise ConfigError("k exceeds the prescribed spectrum length k0")
 
     def to_dict(self) -> dict:
         return {"schema_version": 1, **dataclasses.asdict(self)}
@@ -378,36 +374,54 @@ def _build_matrix(cfg: RunConfig, n, value, seed: int):
 def run_experiment(cfg: RunConfig):
     """Run the full grid; returns (result_rows, timing_rows).
 
-    Per-repetition rows come first within each cell, followed by mean and
-    population-std aggregate rows (rep = "mean" / "std", empty seed).
+    Every cell's repetition-0 matrix is built and put to its solver's own
+    checks (``solver.check_problem``) before the first solve, so a cell no
+    solver can take fails the run with a ConfigError and nothing solved;
+    each such matrix is kept for its repetition 0.  Per-repetition rows
+    come first within each cell, followed by mean and population-std
+    aggregate rows (rep = "mean" / "std", empty seed).
     """
     takes_n = _FAMILIES[cfg.experiment].max_n is not None
+    cells = [(n, value, solver_name)
+             for n in (cfg.n_values if takes_n else [None])
+             for value in cfg.swept_values for solver_name in cfg.solvers]
+    firsts = [_prepare(cfg, *cell, 0) for cell in cells]
     results, timings = [], []
-    for n in (cfg.n_values if takes_n else [None]):
-        for value in cfg.swept_values:
-            for solver_name in cfg.solvers:
-                cell_res, cell_tim = _run_cell(cfg, n, value, solver_name)
-                results.extend(cell_res)
-                timings.extend(cell_tim)
+    for cell, first in zip(cells, firsts):
+        cell_res, cell_tim = _run_cell(cfg, *cell, first)
+        results.extend(cell_res)
+        timings.extend(cell_tim)
     return results, timings
 
 
-def _run_cell(cfg: RunConfig, n, value, solver_name: str):
-    fam = _FAMILIES[cfg.experiment]
+def _prepare(cfg: RunConfig, n, value, solver_name: str, rep: int):
+    """Repetition ``rep`` of a cell, checked as its solver would check it:
+    (matrix, truth, construction seconds, solver config)."""
+    seed = cfg.seed + rep
+    t0 = time.perf_counter()
+    a, truth = _build_matrix(cfg, n, value, seed)
+    construction = time.perf_counter() - t0
+    cap = {"max_rank": value} if _FAMILIES[cfg.experiment].caps_rank else {}
+    scfg = dataclasses.replace(cfg.solver_config, seed=seed, **cap)
+    try:
+        solver_mod.check_problem(a, scfg, solver_name)
+    except ValueError as exc:
+        raise ConfigError(f"solver {solver_name} rejected the problem: "
+                          f"{exc}") from exc
+    return a, truth, construction, scfg
+
+
+def _run_cell(cfg: RunConfig, n, value, solver_name: str, first):
     if value is None:
-        param_str = "none" if fam.swept else ""
+        param_str = "none" if _FAMILIES[cfg.experiment].swept else ""
     else:
         param_str = str(value)
-    cap = {"max_rank": value} if fam.caps_rank else {}
     run = SOLVERS[solver_name]
     rows, times = [], []
     numeric = []
     for rep in range(cfg.reps):
-        rep_seed = cfg.seed + rep
-        t0 = time.perf_counter()
-        a, truth = _build_matrix(cfg, n, value, rep_seed)
-        construction = time.perf_counter() - t0
-        scfg = dataclasses.replace(cfg.solver_config, seed=rep_seed, **cap)
+        a, truth, construction, scfg = (
+            first if rep == 0 else _prepare(cfg, n, value, solver_name, rep))
         try:
             sigma, u, v, report = run(a, scfg)
         except ValueError as exc:
@@ -422,12 +436,12 @@ def _run_cell(cfg: RunConfig, n, value, solver_name: str):
         max_v = max(v.ranks)
         rows.append(ResultRow(
             cfg.experiment, solver_name, n_out, cfg.k, param_str, str(rep),
-            str(rep_seed), str(report.sweeps_used), repr(report.residual),
+            str(scfg.seed), str(report.sweeps_used), repr(report.residual),
             "" if spec_err is None else repr(spec_err), str(max_v),
             report.termination))
         times.append(TimingRow(
             cfg.experiment, solver_name, n_out, cfg.k, param_str, str(rep),
-            str(rep_seed), float(report.wall_time_s), float(construction)))
+            str(scfg.seed), float(report.wall_time_s), float(construction)))
         numeric.append((report.sweeps_used, report.residual, spec_err, max_v,
                         report.termination))
     sweeps, resids, specs, vranks, terms = zip(*numeric)

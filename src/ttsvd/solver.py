@@ -53,8 +53,9 @@ as accurate as the sweep's stop can check, not accurate to 1e-10.
 Block Krylov for the SVD is block Golub-Kahan-Lanczos on A and A^T
 directly: a right basis V and a left basis U, with Ritz triplets from the
 SVD of U^T A V.  The Gram eigenproblem runs block Lanczos with
-Rayleigh-Ritz extraction of the K largest pairs.  Both reorthogonalize
-fully and start from the block core's V side (seeded random if absent).
+Rayleigh-Ritz extraction of the K largest pairs.  Both extract at every
+step, reorthogonalize fully and start from the block core's V side (seeded
+random if absent).
 A new block takes one Householder QR of [basis | block] while the basis
 holds at most one block, and projections against a wider basis
 (``_orthonormalize_block``).
@@ -404,10 +405,11 @@ def krylov_block_eig(matvec, dim: int, k: int, max_iter: int = _LOCAL_MAX_ITER,
 
     Block Lanczos: ``matvec`` maps a (dim, m) block to its image, once per
     step on the newest block, and ``start`` is the (dim, K) start block.
-    Rayleigh-Ritz extraction starts once the basis holds at least
-    min(2k+4, dim) vectors; ties among Ritz values keep Ritz index order.
-    It stops as ``krylov_block_svd`` does, on the eigenvalues.  Returns
-    (theta, vectors, iterations).
+    Each step takes the Ritz pairs by Rayleigh-Ritz extraction, as
+    ``krylov_block_svd`` takes its triplets at every step; ties among Ritz
+    values keep Ritz index order.  It stops as ``krylov_block_svd`` does,
+    on the eigenvalues, or once the basis spans R^dim.  Returns (theta,
+    vectors, iterations).
     """
     if k > dim:
         raise ValueError(f"cannot take {k} eigenpairs from dimension {dim}")
@@ -418,18 +420,16 @@ def krylov_block_eig(matvec, dim: int, k: int, max_iter: int = _LOCAL_MAX_ITER,
         qblk = _orthonormalize_block(w[:, :dim - basis.shape[1]], basis, rng)
         w = matvec(qblk)
         basis, bbasis = np.hstack([basis, qblk]), np.hstack([bbasis, w])
-        full = basis.shape[1] == dim
-        if full or basis.shape[1] >= min(2 * k + 4, dim):
-            h = basis.T @ bbasis
-            ritz, y = np.linalg.eigh(0.5 * (h + h.T))
-            sel = np.argsort(-ritz, kind="stable")
-            ritz, y = ritz[sel], y[:, sel[:k]]
-            theta, z = ritz[:k], basis @ y
-            resid = np.linalg.norm(bbasis @ y - z * theta, axis=0)
-            if full or bool(np.all(resid <= _stop_tol(ritz, k, tol) * max(
-                    float(np.max(np.abs(theta))), 1e-300))):
-                _sign_fix(z)
-                return theta, z, it
+        h = basis.T @ bbasis
+        ritz, y = np.linalg.eigh(0.5 * (h + h.T))
+        sel = np.argsort(-ritz, kind="stable")
+        ritz, y = ritz[sel], y[:, sel[:k]]
+        theta, z = ritz[:k], basis @ y
+        resid = np.linalg.norm(bbasis @ y - z * theta, axis=0)
+        if basis.shape[1] == dim or bool(np.all(resid <= _stop_tol(
+                ritz, k, tol) * max(float(np.max(np.abs(theta))), 1e-300))):
+            _sign_fix(z)
+            return theta, z, it
     raise LocalSolverError(
         f"block Krylov solver did not converge in {max_iter} iterations"
     )
@@ -691,14 +691,27 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
     return sigma
 
 
-def _check_problem(a: MatrixTT, cfg: SolverConfig, pair: bool, sizes) -> None:
-    """Reject what no sweep can solve.  An end window of a chain with modes
-    in ``sizes`` holds at most ``max_rank`` times their product columns."""
+def check_problem(a: MatrixTT, cfg: SolverConfig, name: str) -> None:
+    """Raise ValueError for what the solver ``name`` cannot solve.
+
+    ``name`` is ``als_svd``, ``mals_svd``, ``als_eig`` or ``mals_eig``.  A
+    single-core solver needs k >= 2: with one column its truncated splits
+    can never grow a bond past its current value, so ranks would stay
+    frozen.  An end window of a swept chain holds at most ``max_rank``
+    times its modes' product columns.  Each entry point calls this before
+    it sweeps; ``_driver`` does not.
+    """
+    pair = name.startswith("mals")
+    if not pair and cfg.k < 2:
+        raise ValueError(f"{name} sweeps single cores, which cannot adapt "
+                         f"ranks at k=1; use k >= 2 or a merged-core solver")
     if a.n_cores < 2:
         raise ValueError("sweep solvers need at least two cores")
     if cfg.k > min(a.n_rows, a.n_cols):
         raise ValueError("block size k exceeds the matrix dimensions")
     if cfg.max_rank is not None:
+        sizes = ((a.col_sizes,) if name.endswith("eig")
+                 else (a.row_sizes, a.col_sizes))
         w = 1 + pair
         room = cfg.max_rank * min(min(math.prod(m[:w]), math.prod(m[-w:]))
                                   for m in sizes)
@@ -741,7 +754,6 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     sweeps keep the operator as it is.
     """
     sizes = (a.col_sizes,) if gram else (a.row_sizes, a.col_sizes)
-    _check_problem(a, cfg, pair, sizes)
     t0 = time.perf_counter()
     if gram:
         # Rounding at 0 applies orthogonal transforms only: A keeps its value
@@ -832,29 +844,25 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
 def als_svd(a: MatrixTT, cfg: SolverConfig):
     """Single-core sweeps over (U, V); returns (Sigma, U, V, report).
 
-    Requires k >= 2: with a single column the truncated splits can never
-    grow a bond past its current value, so ranks would stay frozen.
+    Requires k >= 2 (see ``check_problem``).
     """
-    if cfg.k < 2:
-        raise ValueError(
-            "single-core sweeps cannot adapt ranks at k=1; use k >= 2 "
-            "or the merged-core solver"
-        )
+    check_problem(a, cfg, "als_svd")
     return _driver(a, cfg, pair=False, gram=False, name="als_svd")
 
 
 def mals_svd(a: MatrixTT, cfg: SolverConfig):
     """Merged-core sweeps over (U, V); rank-adaptive even at k=1."""
+    check_problem(a, cfg, "mals_svd")
     return _driver(a, cfg, pair=True, gram=False, name="mals_svd")
 
 
 def als_eig_baseline(a: MatrixTT, cfg: SolverConfig):
     """Gram-matrix baseline with single-core sweeps; returns (Sigma, U, V, report)."""
-    if cfg.k < 2:
-        raise ValueError("the single-core Gram baseline needs k >= 2")
+    check_problem(a, cfg, "als_eig")
     return _driver(a, cfg, pair=False, gram=True, name="als_eig")
 
 
 def mals_eig_baseline(a: MatrixTT, cfg: SolverConfig):
     """Gram-matrix baseline with merged-core sweeps; rank-adaptive at k=1."""
+    check_problem(a, cfg, "mals_eig")
     return _driver(a, cfg, pair=True, gram=True, name="mals_eig")

@@ -93,7 +93,7 @@ def test_load_reads_exponent_only_epsilon(tmp_path):
     (lambda d: d.update(solvers=[]), "must not be empty"),
     (lambda d: d.update(solvers=["als_svd", "qr"]), "unknown solver"),
     (lambda d: d.update(reps=0), ">= 1"),
-    (lambda d: d.update(k=0), "k must be >= 1"),
+    (lambda d: d.update(k=0), "k must be at least 1"),
     (lambda d: d.update(epsilon=0.0), "positive"),
     (lambda d: d.update(epsilon=float("nan")), "finite"),
     (lambda d: d.update(epsilon=float("inf")), "finite"),
@@ -103,7 +103,7 @@ def test_load_reads_exponent_only_epsilon(tmp_path):
     (lambda d: d.update(k=True), "k must be an integer"),
     (lambda d: d.update(reps=1.5), "reps must be an integer"),
     (lambda d: d.update(seed=0.5), "seed must be an integer"),
-    (lambda d: d.update(seed=-1), "seed must be >= 0"),
+    (lambda d: d.update(seed=-1), "seed must be at least 0"),
     (lambda d: d.update(n_values=[1]), ">= 2"),
     (lambda d: d.update(n_values=[]), "must not be empty"),
     (lambda d: d.update(params=[1]), "params must be a mapping"),
@@ -124,6 +124,15 @@ def test_load_reads_exponent_only_epsilon(tmp_path):
     (lambda d: d.update(experiment="toeplitz", params={"max_rank": [None]},
                         solver_options={"max_rank": 3}),
      "solver_options.max_rank is not allowed on toeplitz"),
+    # every params key is converted on load: an empty swept list once ran
+    # no cell and exited 0, and a non-swept key was converted only when a
+    # cell was built
+    (lambda d: d.update(params={"beta": []}), "params.beta must not be empty"),
+    (lambda d: d.update(experiment="hilbert", params={"delta": []}),
+     "params.delta must not be empty"),
+    (lambda d: d.update(params={"k0": [16, 25]}), "bad params.k0 value"),
+    (lambda d: d.update(experiment="custom", params={"path": 5}),
+     "bad params.path value"),
 ])
 def test_load_rejects_bad_configs(tmp_path, mutate, fragment):
     doc = {
@@ -139,16 +148,19 @@ def test_load_rejects_bad_configs(tmp_path, mutate, fragment):
 
 
 def test_every_read_params_key_loads(tmp_path):
-    # the swept key is checked on load, so it gets one of its defaults
+    # every key is converted on load, so each gets its default (a list for
+    # the swept key), and custom's required path a string
     for experiment, family in _FAMILIES.items():
-        values = {key: "a.ttc" if key == "path" else 1
-                  for key in family.reads}
-        if family.swept is not None:
-            values[family.swept] = family.default[0]
+        values = {key: "a.ttc" if key == "path" else
+                  list(default) if key == family.swept else default
+                  for key, (default, _) in family.params.items()}
         doc = {"schema_version": 1, "experiment": experiment,
                "solvers": ["als_svd"], "n_values": [4], "params": values}
         cfg = load_run_config(_write_yaml(tmp_path / "ok.yaml", doc))
-        assert sorted(cfg.params) == sorted(family.reads)
+        assert sorted(cfg.params) == sorted(family.params)
+        assert len(cfg.swept_values) == len(values.get(family.swept, [None]))
+        assert sorted(cfg.fixed_params) == sorted(
+            set(family.params) - {family.swept})
 
 
 def test_load_rejects_non_mapping_and_missing_file(tmp_path):
@@ -304,9 +316,11 @@ def test_hilbert_cell_and_generator_budget():
 
 
 def test_prescribed_rejects_k_beyond_spectrum():
-    cfg = _small_cfg(k=8)  # k0 = 6 in _small_cfg
     with pytest.raises(ConfigError, match="k0"):
-        run_experiment(cfg)
+        _small_cfg(k=8)  # k0 = 6 in _small_cfg
+    with pytest.raises(ConfigError, match="k0"):
+        _small_cfg(k=26, params={"beta": [0.5]})  # the default k0 is 25
+    assert _small_cfg(k=6).fixed_params == {"k0": 6, "rank": 2}
 
 
 def test_toeplitz_rank_cap_grid():
@@ -495,6 +509,8 @@ def test_cli_run_rejects_bad_inputs(tmp_path):
                  dict(experiment="toeplitz", params={"max_rank": [2], "rank": True}),
                  dict(experiment="toeplitz", params={"max_rank": [2], "rank": 0}),
                  dict(params={"beta": "abc"}),
+                 dict(params={"beta": []}),
+                 dict(experiment="hilbert", params={"delta": []}),
                  dict(experiment="hilbert", params={"delta": ["abc"]}),
                  dict(experiment="hilbert", params={"delta": [float("nan")]}),
                  dict(solvers="als_svd"),
@@ -541,13 +557,34 @@ def _count_solves(monkeypatch) -> list:
      "tridiagonal needs N <= 1022"),
     (dict(experiment="hilbert", n_values=[6], params={"delta": [1e-8, -1.0]}),
      "bad params.delta value"),
-], ids=["tridiagonal-n", "hilbert-delta"])
+    # these load, but a later cell is one its solver (or generator) refuses
+    (dict(experiment="hilbert", n_values=[40, 2], k=10, reps=2, params={},
+          solvers=["mals_svd"]),
+     "sweep solvers need at least two cores"),
+    (dict(experiment="hilbert", n_values=[30], k=1, params={},
+          solvers=["mals_svd", "als_svd"]),
+     "als_svd sweeps single cores"),
+    (dict(experiment="tridiagonal", n_values=[8, 2], k=5, params={},
+          solvers=["mals_svd"]),
+     "block size k exceeds the matrix dimensions"),
+    (dict(n_values=[8, 3], params={"k0": 16, "beta": [0.5]},
+          solvers=["mals_svd"]),
+     "k0 out of range"),
+    (dict(experiment="toeplitz", n_values=[8], k=10,
+          params={"max_rank": [15, 4]}, solvers=["als_svd"]),
+     "max_rank 4 is too small for k=10"),
+], ids=["tridiagonal-n", "hilbert-delta", "hilbert-one-core", "als-k1",
+        "tridiagonal-k", "prescribed-k0", "toeplitz-cap"])
 def test_cli_run_rejects_a_bad_grid_before_any_solve(tmp_path, monkeypatch,
                                                      over, fragment):
-    # the whole grid is checked on load: once the good first cell solved
-    # for 1.7 s before the bad one stopped the run with no results.csv
+    # the whole grid is checked before its first solve: once the good first
+    # cells solved (for 1.7 s on tridiagonal-n) before a bad one stopped the
+    # run with no results.csv
     calls = _count_solves(monkeypatch)
-    res = CliRunner().invoke(cli_main, ["run", _cli_config(tmp_path, **over)])
+    cfg_path = _cli_config(tmp_path, **over)
+    with pytest.raises(ConfigError, match=fragment):
+        run_experiment(load_run_config(cfg_path))
+    res = CliRunner().invoke(cli_main, ["run", cfg_path])
     assert res.exit_code == 2, res.output
     assert fragment in res.output
     assert calls == []

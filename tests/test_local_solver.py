@@ -138,6 +138,17 @@ def test_krylov_eig_matches_dense():
     assert np.allclose(b @ v, v * lam[np.newaxis, :], atol=1e-6)
 
 
+def test_krylov_eig_extracts_at_every_step():
+    # from an invariant start block the first step's Ritz pairs are exact;
+    # a solver that waited for a 2K+4 basis took 4 steps here
+    b = np.diag(np.arange(40.0, 0.0, -1.0))
+    lam, v, iters = krylov_block_eig(lambda y: b @ y, 40, 3,
+                                     start=np.eye(40)[:, :3])
+    assert iters == 1
+    assert np.array_equal(lam, [40.0, 39.0, 38.0])
+    assert np.array_equal(np.abs(v), np.eye(40)[:, :3])
+
+
 def _krylov_steps_at(sigma, k, tol, gram):
     """Steps of the SVD (or Gram) block Krylov solve of a matrix with the
     given singular values, at the loose stop ``tol``, and its top K values."""
