@@ -53,7 +53,6 @@ from .tt import (
     matrix_tt_matmul,
     matrix_tt_round,
     matrix_tt_transpose,
-    matvec_tt,
     merge_cores,
     split_block_core,
     tt_add,

@@ -27,7 +27,9 @@ from .tt import (
     BlockTT,
     MatrixTT,
     VectorTT,
+    _as_matrix,
     _rf,
+    block_tt_scale_columns,
     canonicalize,
     diag_embed,
     matrix_tt_matmul,
@@ -347,10 +349,10 @@ def prescribed_svd_matrix(n: int, beta: float, k0: int = 25, rank: int = 5,
     """Random 2^n x 2^n matrix with singular values beta**(k-1), k = 1..k0.
 
     Returns ``(a, u0, v0, spectrum)``: the matrix in TT form, the two random
-    orthonormal factors as BlockTTs, and the spectrum array.  Core m < n-1 of
-    ``a`` mixes the factor cores as a Kronecker product; the last core also
-    contracts the spectrum over the block mode, so the reconstruction equals
-    u0 @ diag(spectrum) @ v0.T exactly.
+    orthonormal factors as BlockTTs, and the spectrum array.  ``a`` is the
+    product u0 diag(spectrum) v0^T of the factors' matrix views
+    (``matrix_tt_matmul``), so its bond ranks are the products of theirs
+    and its reconstruction equals u0 @ diag(spectrum) @ v0.T exactly.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
@@ -360,14 +362,6 @@ def prescribed_svd_matrix(n: int, beta: float, k0: int = 25, rank: int = 5,
     u0 = random_block_tt(n, k0, rank, ss[0])
     v0 = random_block_tt(n, k0, rank, ss[1])
     spectrum = beta ** np.arange(k0, dtype=float)
-    cores = []
-    for m in range(n - 1):
-        cu, cv = u0.cores[m], v0.cores[m]
-        ru, i, ru2 = cu.shape
-        rv, j, rv2 = cv.shape
-        g = np.einsum("aib,cjd->acijbd", cu, cv, optimize=True)
-        cores.append(_rf(g, (ru * rv, i, j, ru2 * rv2)))
-    bu, bv = u0.cores[-1], v0.cores[-1]
-    g = np.einsum("akib,ckjd,k->acijbd", bu, bv, spectrum, optimize=True)
-    cores.append(_rf(g, (bu.shape[0] * bv.shape[0], bu.shape[2], bv.shape[2], 1)))
-    return MatrixTT(cores), u0, v0, spectrum
+    a = matrix_tt_matmul(_as_matrix(block_tt_scale_columns(u0, spectrum)),
+                         matrix_tt_transpose(_as_matrix(v0)))
+    return a, u0, v0, spectrum

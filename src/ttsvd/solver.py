@@ -99,7 +99,6 @@ from .tt import (
     block_tt_residual_norm,
     block_tt_scale_columns,
     canonicalize,
-    gram_r_factors,
     gram_tt_round,
     matrix_tt_matmul,
     matrix_tt_round,
@@ -684,7 +683,7 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
                 raise
             sigma, locals_, _ = solve(dataclasses.replace(op, path="dense"),
                                       cfg.k, start, seed)
-            iters, path = _KRYLOV_STEPS, "dense-fallback"
+            iters, path = _krylov_steps(op), "dense-fallback"
         splits = _advance(env, a, chains, locals_, q, delta, cfg, pair, r2l)
         report.micro.append(_micro_record(p, direction, splits, sigma, iters,
                                           path))
@@ -729,29 +728,28 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
 
     The SVD problem sweeps (U, V) over A.  The Gram problem first reduces A
     exactly (rounding at 0).  It then works on the bond-reversed chain
-    (``_bond_reversed``): it computes that chain's B = A^T A R factors
-    (``gram_r_factors``), forms B (``matrix_tt_matmul``), rounds it at
-    epsilon / 10 (``gram_tt_round``) and reverses the result back.  So B is
-    rounded from right to left, from the factors of its left parts, which
-    are its thin side: on the prescribed family their numerical rank is at
-    most r_V^2 = 25, against r_U^2 r_V^2 = 625 on the right, and the set-up
-    at N=10 took 60 -> 19 ms (2-vCPU x86-64, one BLAS thread).  The
-    Hilbert, tridiagonal and Toeplitz families have about the same rank on
-    both sides.  The solve then sweeps (V,) over the rounded B, recovers
-    U = A V Sigma^{-1} from the returned iterate, and evaluates the
-    verdict's residual on the reduced A and U's orthogonality defect
-    (``block_tt_gram``).  The unrounded B is held only during its rounding,
-    next to the R factors, so a Gram solve peaks at B plus its R factors
-    plus one slab of the product (tracemalloc, prescribed k0 16, rank 5,
-    K=10: 36.0/60.1/84.3/108.4/301.7 MiB at N=8/10/12/14/30, of which B is
-    33.9/57.7/81.5/105.4/296.1 and the R factors 0.4-3.1).  B is still
-    formed because the truncation reads its cores, and the benchmark times
-    its product as a layer of its own.  The rounded B comes out
-    right-orthogonal, so gauging it for the stop residual costs no QR.
-    Sigma is only taken from a completed left-to-right half sweep;
-    ``SweepReport`` states the outcome rule.  The stop residual reads a
-    copy of the swept operator that is right-gauged once per solve; the
-    sweeps keep the operator as it is.
+    (``_bond_reversed``): it forms that chain's B = A^T A
+    (``matrix_tt_matmul``), rounds it at epsilon / 10 (``gram_tt_round``)
+    and reverses the result back.  So B is rounded from right to left, from
+    the R factors of its left parts, which are its thin side: on the
+    prescribed family their numerical rank is at most r_V^2 = 25, against
+    r_U^2 r_V^2 = 625 on the right, and the set-up at N=10 took 60 -> 19 ms
+    (2-vCPU x86-64, one BLAS thread).  The Hilbert, tridiagonal and
+    Toeplitz families have about the same rank on both sides.  The solve
+    then sweeps (V,) over the rounded B, recovers U = A V Sigma^{-1} from
+    the returned iterate, and evaluates the verdict's residual on the
+    reduced A and U's orthogonality defect (``block_tt_gram``).  The
+    unrounded B is held only during its rounding, so a Gram solve peaks at
+    B plus its R factors plus one slab of the product (tracemalloc,
+    prescribed k0 16, rank 5, K=10: 36.0/60.1/84.3/108.4/301.7 MiB at
+    N=8/10/12/14/30, of which B is 33.9/57.7/81.5/105.4/296.1 and the R
+    factors 0.4-3.1).  B is still formed because the truncation reads its
+    cores, and the benchmark times its product as a layer of its own.  The
+    rounded B comes out right-orthogonal, so gauging it for the stop
+    residual costs no QR.  Sigma is only taken from a completed
+    left-to-right half sweep; ``SweepReport`` states the outcome rule.  The
+    stop residual reads a copy of the swept operator that is right-gauged
+    once per solve; the sweeps keep the operator as it is.
     """
     sizes = (a.col_sizes,) if gram else (a.row_sizes, a.col_sizes)
     t0 = time.perf_counter()
@@ -760,17 +758,13 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
         # and no bond stays above the mode-size product on either side of it
         # (the prescribed family's last bond r_U r_V drops to 4).  B's ranks
         # are the squares of A's.  B is rounded from R factors computed on
-        # A's cores, whose QRs split by B's swap symmetry; they are computed
-        # before B is formed, so their products never coexist with B.  Both
-        # run on the bond-reversed chain, whose right parts are B's thin
-        # left parts.
+        # A's cores, whose QRs split by B's swap symmetry, on the
+        # bond-reversed chain, whose right parts are B's thin left parts.
         a = matrix_tt_round(a, 0.0)
         rdelta = cfg.epsilon / _GRAM_DELTA_DIVISOR
         rev = _bond_reversed(a)
-        rs = gram_r_factors(rev)
         op = _bond_reversed(gram_tt_round(
-            matrix_tt_matmul(matrix_tt_transpose(rev), rev), rs, rdelta))
-        del rs
+            matrix_tt_matmul(matrix_tt_transpose(rev), rev), rev, rdelta))
     else:
         op = a
     gauged = canonicalize(op, 0)

@@ -325,11 +325,8 @@ def gram_r_factors(a: MatrixTT) -> list:
     chain (so on B's left parts), no factor has more than r_V^2 = 25 rows,
     where the right parts give 625.
 
-    Their inputs are products about the size of one core of B, and
-    ``gram_tt_round`` needs B itself, so the Gram solvers compute the
-    factors before they form B: those products never coexist with B.  A
-    non-finite core of A raises ``ValueError``, and so does a norm of A^T A
-    that overflows.
+    A non-finite core of A raises ``ValueError``, and so does a norm of
+    A^T A that overflows.
     """
     cores = a.cores
     _check_finite(cores)
@@ -472,12 +469,12 @@ def tt_round(x, delta: float):
     return _restore(_round_sweep(cores, _right_r_factors(cores), delta), x)
 
 
-def gram_tt_round(b: MatrixTT, rs: list, delta: float) -> MatrixTT:
+def gram_tt_round(b: MatrixTT, a: MatrixTT, delta: float) -> MatrixTT:
     """``tt_round(b, delta)`` of b = ``matrix_tt_matmul(matrix_tt_transpose(a), a)``.
 
-    ``rs`` is ``gram_r_factors(a)``.  The same left-to-right truncation
-    (``_round_sweep``) runs on b's cores, but the R factors of b's right
-    parts come from a's cores: the swap symmetry of A^T A splits each of
+    The same left-to-right truncation (``_round_sweep``) runs on b's cores,
+    but the R factors of b's right parts come from a's cores
+    (``gram_r_factors(a)``): the swap symmetry of A^T A splits each of
     their QRs into an even and an odd half, and no QR runs on b's cores,
     whose bonds are the squares of a's.  The factors have the Gram matrices
     of ``_right_r_factors``' up to the directions that the numerical-rank
@@ -488,16 +485,15 @@ def gram_tt_round(b: MatrixTT, rs: list, delta: float) -> MatrixTT:
     the bond-reversed prescribed N=6 product, 25 against 64 at the middle
     bond, both at an error of about 2e-15 ||b||).  A zero a collapses to
     all-one ranks.  The Gram solvers call it on the bond-reversed chain,
-    so that the factors are those of B's thin left parts.  b
-    must have square modes and the bonds that ``rs`` implies, or
-    ``ValueError`` is raised.  The truncation reads b's cores, so b is
-    formed in full; computing ``rs`` before b keeps the products behind
-    the factors from coexisting with it.
+    so that the factors are those of B's thin left parts.  b must have
+    a's column modes as its rows and columns and the squares of a's bonds,
+    or ``ValueError`` is raised.
     """
     _check_delta(delta)
-    if b.ranks != [r.shape[1] for r in rs] or b.row_sizes != b.col_sizes:
-        raise ValueError("gram_tt_round needs b = a^T a for the a that gave rs")
-    return _restore(_round_sweep(_fuse(b).cores, rs, delta), b)
+    if (b.ranks != [r * r for r in a.ranks] or b.row_sizes != a.col_sizes
+            or b.col_sizes != a.col_sizes):
+        raise ValueError("gram_tt_round needs b = a^T a")
+    return _restore(_round_sweep(_fuse(b).cores, gram_r_factors(a), delta), b)
 
 
 def _bond_reversed(a: MatrixTT) -> MatrixTT:
@@ -554,15 +550,6 @@ def tt_add(x, y):
             c[rx:, :, rx2:] = cy
             cores.append(c)
     return _restore(VectorTT(cores), x)
-
-
-def matvec_tt(a: MatrixTT, x: VectorTT) -> VectorTT:
-    """Exact matrix-by-vector product; output bond ranks are the products R^A_n R^x_n.
-
-    ``matrix_tt_matmul`` with x as a one-column matrix, whose unit column
-    modes are dropped; it rejects a mode mismatch.
-    """
-    return VectorTT([c[:, :, 0] for c in matrix_tt_matmul(a, _as_matrix(x)).cores])
 
 
 def matrix_tt_transpose(a: MatrixTT) -> MatrixTT:

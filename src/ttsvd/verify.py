@@ -36,12 +36,11 @@ from .tt import (
     MatrixTT,
     VectorTT,
     _rf,
+    block_tt_matvec,
     canonicalize,
-    gram_r_factors,
     gram_tt_round,
     matrix_tt_matmul,
     matrix_tt_transpose,
-    matvec_tt,
     tt_add,
     tt_norm,
     tt_reconstruct,
@@ -148,7 +147,7 @@ def _check_gram_round(rng):
     nrm = np.linalg.norm(bd)
     ok, worst = True, 0.0
     for delta in (0.0, 1e-2):
-        y, z = gram_tt_round(b, gram_r_factors(a), delta), tt_round(b, delta)
+        y, z = gram_tt_round(b, a, delta), tt_round(b, delta)
         err = np.linalg.norm(tt_reconstruct(y) - bd) / nrm
         ref = np.linalg.norm(tt_reconstruct(z) - bd) / nrm
         worst = max(worst, abs(err - ref))
@@ -169,15 +168,16 @@ def _check_vector_algebra(rng):
 def _check_matrix_algebra(rng):
     a = _random_matrix_tt(4, 3, rng)
     b = _random_matrix_tt(4, 2, rng)
-    x = random_vector_tt([2] * 4, 2, rng.integers(1 << 16))
-    ad, bd, xd = tt_reconstruct(a), tt_reconstruct(b), tt_to_vector(x)
-    ok = np.allclose(tt_to_vector(matvec_tt(a, x)), ad @ xd, atol=1e-10)
+    u = random_block_tt([2] * 4, 3, 2, rng.integers(1 << 16))
+    ad, bd, ud = tt_reconstruct(a), tt_reconstruct(b), tt_reconstruct(u)
+    ok = np.allclose(tt_reconstruct(block_tt_matvec(a, u)), ad @ ud,
+                     atol=1e-10)
     ok = ok and np.allclose(tt_reconstruct(matrix_tt_matmul(a, b)), ad @ bd,
                             atol=1e-10)
     ok = ok and np.allclose(tt_reconstruct(matrix_tt_transpose(a)), ad.T,
                             atol=1e-12)
     ok = ok and np.allclose(tt_reconstruct(tt_add(a, b)), ad + bd, atol=1e-12)
-    return ok, "matvec, matmul, transpose and sums match dense matrices"
+    return ok, "block matvec, matmul, transpose and sums match dense matrices"
 
 
 def _check_toeplitz(rng):

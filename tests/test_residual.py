@@ -20,7 +20,6 @@ from ttsvd import (
     als_svd,
     block_tt_residual_norm,
     canonicalize,
-    gram_r_factors,
     gram_tt_round,
     hilbert_submatrix_tt,
     mals_eig_baseline,
@@ -105,8 +104,7 @@ def test_gram_residual_matches_the_qr_sweep():
     # the operator the Gram driver sweeps, rounded as it rounds it
     a0 = _bond_reversed(matrix_tt_round(a, 0.0))
     b = _bond_reversed(gram_tt_round(
-        matrix_tt_matmul(matrix_tt_transpose(a0), a0), gram_r_factors(a0),
-        cfg.epsilon / 10))
+        matrix_tt_matmul(matrix_tt_transpose(a0), a0), a0, cfg.epsilon / 10))
     signorm = np.linalg.norm(sig)
     want = _qr_residual_norm(b, v, 1.0 / sig, v, sig)
     for op in (b, canonicalize(b, 0)):

@@ -335,10 +335,9 @@ def test_gram_operator_is_the_rounded_gram_matrix(n, monkeypatch):
 
 
 def test_gram_route_peak_is_the_product_and_its_r_factors():
-    # the Gram solve computes B's R factors before it forms B and writes
-    # each core of B once, so at its peak it holds B's cores, the R factors
-    # (of the bond-reversed chain, as the solve computes them) and no more
-    # than a few MiB of temporaries
+    # the Gram solve writes each core of B once, so at its peak it holds
+    # B's cores, the R factors (of the bond-reversed chain, as the solve
+    # computes them) and no more than a few MiB of temporaries
     a = prescribed_svd_matrix(8, 0.5, k0=16, rank=5, seed=1)[0]
     a0 = _bond_reversed(matrix_tt_round(a, 0.0))
     b_bytes = sum(c.nbytes for c in
@@ -634,6 +633,20 @@ def test_dense_fallback_has_its_own_path():
     for record in rep.micro:
         assert ((record["local_path"] == "dense")
                 == (record["local_iterations"] == 0)), record
+
+
+def test_tridiagonal_als_svd_takes_all_four_local_paths():
+    # the benchmark's workloads take only "dense" and "krylov-dense-op";
+    # this cell (56 dense, 2 krylov-dense-op, 2 krylov-matrix-free and 16
+    # dense-fallback windows) keeps the other two paths under test
+    cfg = RunConfig(experiment="tridiagonal", solvers=["als_svd"],
+                    n_values=[20], k=2, epsilon=1e-6)
+    a, truth = _build_matrix(cfg, 20, None, 0)
+    sig, _, _, rep = als_svd(a, SolverConfig(k=2, epsilon=1e-6, seed=0))
+    assert rep.termination == "converged"
+    assert np.max(np.abs(sig - truth)) <= 1e-12 * truth[0]
+    assert {m["local_path"] for m in rep.micro} == {
+        "dense", "krylov-dense-op", "krylov-matrix-free", "dense-fallback"}
 
 
 def test_micro_records_do_not_grow_with_n():

@@ -30,7 +30,6 @@ from ttsvd import (
     matrix_tt_matmul,
     matrix_tt_round,
     matrix_tt_transpose,
-    matvec_tt,
     merge_cores,
     split_block_core,
     tt_add,
@@ -200,7 +199,7 @@ def test_gram_round_matches_round_of_the_product(n, rows, cols):
     for x, y in zip(rs, _right_r_factors(_fuse(b).cores)):
         assert np.linalg.norm(x.T @ x - y.T @ y) <= 1e-12 * np.linalg.norm(y.T @ y)
     for delta in (0.0, 1e-9, 1e-2, 0.2):
-        g, ref = gram_tt_round(b, rs, delta), tt_round(b, delta)
+        g, ref = gram_tt_round(b, a, delta), tt_round(b, delta)
         assert isinstance(g, MatrixTT) and g.ranks == ref.ranks
         err = np.linalg.norm(tt_reconstruct(g) - bd)
         assert err <= delta * np.sqrt(n - 1) * nb + 1e-13 * nb
@@ -215,7 +214,7 @@ def test_gram_round_of_zero_and_non_finite_chains():
     a, _ = _gram_pair(4, 3, 2, rng)
     zero = MatrixTT([np.zeros_like(c) for c in a.cores])
     g = gram_tt_round(matrix_tt_matmul(matrix_tt_transpose(zero), zero),
-                      gram_r_factors(zero), 1e-9)
+                      zero, 1e-9)
     assert g.ranks == [1] * 5 and not np.any(tt_reconstruct(g))
     # finite cores whose Gram norm overflows must not round at an inf
     # threshold
@@ -232,15 +231,17 @@ def test_gram_round_of_zero_and_non_finite_chains():
     a.cores[2].flat[1] = np.nan
     with pytest.raises(ValueError, match="NaN or inf"):
         gram_r_factors(a)
-    # b must carry the bonds and the square modes that rs implies
+    # b must carry the squares of a's bonds and a's column modes
     with pytest.raises(ValueError, match="a\\^T a"):
-        gram_tt_round(zero, gram_r_factors(zero), 1e-9)
+        gram_tt_round(zero, zero, 1e-9)
     b = matrix_tt_matmul(matrix_tt_transpose(zero), zero)
     with pytest.raises(ValueError, match="a\\^T a"):
-        gram_tt_round(b, gram_r_factors(zero)[1:], 1e-9)
+        gram_tt_round(b, tt_add(zero, zero), 1e-9)  # twice a's bonds
+    with pytest.raises(ValueError, match="a\\^T a"):
+        gram_tt_round(b, matrix_tt_transpose(zero), 1e-9)  # 3 x 2 modes
     wide = MatrixTT([c[:, :1] for c in b.cores])  # b's bonds, 1 x 2 modes
     with pytest.raises(ValueError, match="a\\^T a"):
-        gram_tt_round(wide, gram_r_factors(zero), 1e-9)
+        gram_tt_round(wide, zero, 1e-9)
 
 
 def test_bond_reversal_is_a_symmetric_permutation():
@@ -281,7 +282,7 @@ def test_gram_round_at_zero_may_keep_fewer_ranks(seed):
                                               seed=seed)[0], 0.0)
     x = _bond_reversed(a)
     b = matrix_tt_matmul(matrix_tt_transpose(x), x)
-    g, ref = gram_tt_round(b, gram_r_factors(x), 0.0), tt_round(b, 0.0)
+    g, ref = gram_tt_round(b, x, 0.0), tt_round(b, 0.0)
     assert all(p <= q for p, q in zip(g.ranks, ref.ranks))
     assert g.ranks != ref.ranks
     bd = tt_reconstruct(b)
@@ -296,7 +297,7 @@ def test_gram_round_peak_memory_is_within_one_core_of_tt_round():
     b = matrix_tt_matmul(matrix_tt_transpose(a), a)
     peaks = []
     for run in (lambda: tt_round(b, 1e-9),
-                lambda: gram_tt_round(b, gram_r_factors(a), 1e-9)):
+                lambda: gram_tt_round(b, a, 1e-9)):
         tracemalloc.start()
         try:
             run()
@@ -442,11 +443,12 @@ def test_matrix_ops_match_dense():
     rng = np.random.default_rng(15)
     a = random_matrix_tt(4, 2, rng)
     b = random_matrix_tt(4, 2, rng)
-    x = random_vector_tt_raw(4, 2, rng)
+    u = random_block_tt_at([2] * 4, 3, 2, 1, rng)
     ad = tt_reconstruct(a)
     bd = tt_reconstruct(b)
-    xd = tt_to_vector(x)
-    assert np.allclose(tt_to_vector(matvec_tt(a, x)), ad @ xd, atol=1e-10)
+    ud = np.column_stack([tt_to_vector(_block_column(u, j)) for j in range(3)])
+    assert np.allclose(tt_reconstruct(block_tt_matvec(a, u)), ad @ ud,
+                       atol=1e-10)
     assert np.allclose(
         tt_reconstruct(matrix_tt_matmul(a, b)), ad @ bd, atol=1e-10
     )
@@ -454,7 +456,7 @@ def test_matrix_ops_match_dense():
     assert np.allclose(tt_reconstruct(matrix_tt_transpose(a)), ad.T, atol=1e-12)
     assert abs(tt_norm(a) - np.linalg.norm(ad)) < 1e-9
     with pytest.raises(ValueError):
-        matvec_tt(a, random_vector_tt_raw(3, 2, rng))
+        block_tt_matvec(a, random_block_tt_at([2] * 3, 3, 2, 1, rng))
 
 
 def _einsum_matmul_cores(a, b):
@@ -588,7 +590,7 @@ def test_block_ops_match_dense(pos, k, rows):
         ra * rb for ra, rb in zip(a.ranks, u.ranks)]
     assert np.allclose(tt_reconstruct(au), ad @ ud, atol=1e-10)
     for j in range(k):
-        assert np.allclose(tt_to_vector(matvec_tt(a, _block_column(u, j))),
+        assert np.allclose(tt_to_vector(_block_column(au, j)),
                            ad @ ud[:, j], atol=1e-10)
     assert np.allclose(block_tt_gram(u, w), ud.T @ wd, atol=1e-10)
     weights = np.array([2.0, -1.0, 0.5])[:k]
