@@ -60,6 +60,15 @@ A new block takes one Householder QR of [basis | block] while the basis
 holds at most one block, and projections against a wider basis
 (``_orthonormalize_block``).
 
+Every attempt starts from random rank-1 chains.  Its first right-to-left
+half sweep, the warm-up, truncates at ``_FIRST_HALFSWEEP_DELTA_FACTOR``
+times the working delta and keeps at most K + ``_WARMUP_OVERSAMPLE`` =
+K + 5 per bond (``max_rank`` if that is smaller): it acts as a randomized
+range finder, for which K samples and a small oversampling suffice (Halko,
+Martinsson & Tropp, SIAM Rev. 53 (2011)).  From the rank-1 start a
+one-core split keeps at most K and a merged-pair split at most 2K, so the
+bound binds only for the merged-pair solvers at K > 5.
+
 Rank floors: truncated splits keep at least enough rank that the next
 window's local problem can still hold K orthonormal columns (mirroring the
 minimal-rank initialization rule); without this, aggressive first-sweep
@@ -123,14 +132,27 @@ split_block_core_als = split_block_core_mals = split_block_core
 # (30 s runs, seeds 1-6, alternating pairs, one BLAS thread, 2-vCPU x86-64)
 # took 7.5-17% longer per pass on hilbert-krylov (median solve +10-21%, all
 # six pairs), while prescribed-svd and gram-baseline solved bit-identically
-# with no resolved change in time.  The Gram baselines round A^T A and the
-# recovered U at epsilon divided by _GRAM_DELTA_DIVISOR.  It buys verdicts,
-# not time: on Hilbert N=6-8 (delta 1e-10), K=4 and 10, epsilon 1e-3/1e-6/
-# 1e-9, both baselines, 5 sweeps, seed 0, 16 of 36 solves end "converged"
-# at 10, 14 at 3 and 4 at 1.  perfbench/run.py gram-baseline (seeds 1-3)
-# solves bit-identically at 1, 3 and 10, so it cannot time the constant.
+# with no resolved change in time.
 _FIRST_HALFSWEEP_DELTA_FACTOR = 100.0
 _RESTART_DELTA_SHRINK = 0.1
+# That first half sweep also keeps at most K + _WARMUP_OVERSAMPLE per bond.
+# It buys a first sweep that holds at large N: where the merged-pair warm-up
+# kept 2K, prescribed mals_svd (beta 0.5, k0 25, rank 5, K=10, epsilon 1e-8,
+# seed 0) took 213/455/711/9130/11850 M MACs at N=20/40/60/80/100, its first
+# sweep failing from N=80 on (residual 0.70 at N=80); at K + 5 it takes
+# 131/268/414/559/702 M, one sweep each.  perfbench/run.py prescribed-svd
+# (30 s runs, seed 7, 10 alternating pairs, one BLAS thread, 2-vCPU x86-64)
+# read solve_s_tail 0.083 -> 0.060 s and pass_s 0.458 -> 0.407 s, better
+# in 10 of 10 pairs.  At K + 0, 5 of 120 prescribed mals_svd solves (K 6-12,
+# N 10-50, seeds 0-5) took a second sweep; at K + 5 none took more sweeps
+# than at 2K.  At K <= 5 the bound, K + 5 >= 2K, never binds.
+_WARMUP_OVERSAMPLE = 5
+# The Gram baselines round A^T A and the recovered U at epsilon divided by
+# _GRAM_DELTA_DIVISOR.  It buys verdicts, not time: on Hilbert N=6-8 (delta
+# 1e-10), K=4 and 10, epsilon 1e-3/1e-6/1e-9, both baselines, 5 sweeps, seed
+# 0, 16 of 36 solves end "converged" at 10, 14 at 3 and 4 at 1.
+# perfbench/run.py gram-baseline (seeds 1-3) solves bit-identically at 1, 3
+# and 10, so it cannot time the constant.
 _GRAM_DELTA_DIVISOR = 10
 # The cost test of _local_operator solves a window dense when its dense
 # decomposition costs no more MACs than _KRYLOV_STEPS block Krylov steps (plus
@@ -173,11 +195,15 @@ class SolverConfig:
     attempts, each reseeded from ``seed``; ``max_rank``, if set, caps every
     bond rank.  The truncation delta is derived: epsilon / sqrt(N-1),
     shrunk 10x per restart, with the first half sweep of every attempt at
-    100 times that.  The Gram baselines round A^T A and the recovered U at
-    epsilon / 10.  For B = A^T A that is relative to ||B||_F ~ sigma_1^2, so
-    any sigma_k below about sqrt(epsilon / 10) sigma_1 is lost before the
-    sweep starts: Hilbert N=6 (delta 1e-8), K=10, epsilon 1e-3 gives
-    sigma_5..sigma_10 off by 0.89 to 3.7e4 relative.
+    100 times that.  That first half sweep, the warm-up, also keeps at most
+    K + 5 per bond (or ``max_rank``, if smaller); the bound binds only for
+    the merged-pair sweeps at K > 5, since a one-core split of the warm-up
+    keeps at most K and a merged-pair split at most 2K.  The Gram
+    baselines round A^T A and the recovered U at epsilon / 10.  For
+    B = A^T A that is relative to ||B||_F ~ sigma_1^2, so any sigma_k below
+    about sqrt(epsilon / 10) sigma_1 is lost before the sweep starts:
+    Hilbert N=6 (delta 1e-8), K=10, epsilon 1e-3 gives sigma_5..sigma_10
+    off by 0.89 to 3.7e4 relative.
     """
 
     k: int
@@ -219,9 +245,11 @@ class SweepReport:
     sweep ends with) per completed full sweep.  An attempt's chains start
     from ``generators._block_rank_profile(modes, K, 1)``, so a profile in
     mid-sweep is the previous profile (or that start) with the sweep's
-    records so far applied, bond by bond.  An
-    attempt ends at its sweep budget, on a failed local solve or on a stop
-    residual below epsilon, which ends the solve.  The solve returns the
+    records so far applied, bond by bond.  The attempt's first N-1 records
+    are its warm-up half sweep, which keeps at most K + 5 per bond (or
+    ``max_rank``); that bound binds only for merged-pair sweeps at K > 5.
+    An attempt ends at its sweep budget, on a failed local solve or on a
+    stop residual below epsilon, which ends the solve.  The solve returns the
     first iterate with the lowest stop residual (if no sweep completed, a
     zero Sigma and the last attempt's chains on the SVD route, and a
     ``ValueError`` on the Gram route, which cannot recover U).
@@ -592,7 +620,7 @@ def _min_keep(chain: BlockTT, q: int, pair: bool, k: int, r2l: bool) -> int:
 
 
 def _split_into(chain: BlockTT, q: int, local: np.ndarray, delta: float,
-                cfg: SolverConfig, pair: bool, r2l: bool) -> tuple:
+                max_rank: int | None, k: int, pair: bool, r2l: bool) -> tuple:
     """Truncated split of a local solution; the block core moves one step.
 
     The window is core q, or the pair (q, q+1).  Splitting right to left
@@ -603,10 +631,10 @@ def _split_into(chain: BlockTT, q: int, local: np.ndarray, delta: float,
     indexing ``chain.ranks``.
     """
     direction = "right_to_left" if r2l else "left_to_right"
-    keep = _min_keep(chain, q, pair, cfg.k, r2l)
+    keep = _min_keep(chain, q, pair, k, r2l)
     split = split_block_core_mals if pair else split_block_core_als
     left, right, rank, tail = split(local, direction, delta,
-                                    max_rank=cfg.max_rank, min_keep=keep)
+                                    max_rank=max_rank, min_keep=keep)
     m = q + pair - 1 if r2l else q  # the split writes cores m and m + 1
     if not pair and r2l:
         nb = np.tensordot(chain.cores[m], left, axes=(2, 0))
@@ -620,13 +648,14 @@ def _split_into(chain: BlockTT, q: int, local: np.ndarray, delta: float,
 
 
 def _advance(env: Environment, a: MatrixTT, chains, locals_, q: int,
-             delta: float, cfg: SolverConfig, pair: bool, r2l: bool) -> list:
+             delta: float, max_rank: int | None, k: int, pair: bool,
+             r2l: bool) -> list:
     """Split each local solution into its chain and move the environment.
 
     ``chains`` is (U, V) for the SVD problem and (V,) for the Gram problem.
     Returns each chain's (bond, rank, discarded energy) from ``_split_into``.
     """
-    splits = [_split_into(chain, q, local, delta, cfg, pair, r2l)
+    splits = [_split_into(chain, q, local, delta, max_rank, k, pair, r2l)
               for chain, local in zip(chains, locals_)]
     u, v = chains[0], chains[-1]
     if r2l:
@@ -657,12 +686,14 @@ def _micro_record(p: int, direction: str, splits, sigma, iters: int,
 
 
 def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
-                delta: float, rng: np.random.Generator, report: SweepReport,
-                pair: bool, direction: str) -> np.ndarray:
+                delta: float, max_rank: int | None, rng: np.random.Generator,
+                report: SweepReport, pair: bool,
+                direction: str) -> np.ndarray:
     """One half sweep over ``a``; returns the Sigma of its last window.
 
     ``chains`` is (U, V) for the SVD problem over A, or (V,) for the Gram
-    problem over B = A^T A.
+    problem over B = A^T A.  Every split truncates at ``delta`` and keeps at
+    most ``max_rank`` (no cap if ``None``).
     """
     gram = len(chains) == 1
     r2l = direction == "right_to_left"
@@ -684,7 +715,8 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
             sigma, locals_, _ = solve(dataclasses.replace(op, path="dense"),
                                       cfg.k, start, seed)
             iters, path = _krylov_steps(op), "dense-fallback"
-        splits = _advance(env, a, chains, locals_, q, delta, cfg, pair, r2l)
+        splits = _advance(env, a, chains, locals_, q, delta, max_rank, cfg.k,
+                          pair, r2l)
         report.micro.append(_micro_record(p, direction, splits, sigma, iters,
                                           path))
     return sigma
@@ -727,24 +759,35 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     """Restarted sweeps; returns (Sigma, U, V, report) of the best iterate.
 
     The SVD problem sweeps (U, V) over A.  The Gram problem first reduces A
-    exactly (rounding at 0).  It then works on the bond-reversed chain
-    (``_bond_reversed``): it forms that chain's B = A^T A
-    (``matrix_tt_matmul``), rounds it at epsilon / 10 (``gram_tt_round``)
-    and reverses the result back.  So B is rounded from right to left, from
-    the R factors of its left parts, which are its thin side: on the
-    prescribed family their numerical rank is at most r_V^2 = 25, against
-    r_U^2 r_V^2 = 625 on the right, and the set-up at N=10 took 60 -> 19 ms
-    (2-vCPU x86-64, one BLAS thread).  The Hilbert, tridiagonal and
-    Toeplitz families have about the same rank on both sides.  The solve
-    then sweeps (V,) over the rounded B, recovers U = A V Sigma^{-1} from
-    the returned iterate, and evaluates the verdict's residual on the
-    reduced A and U's orthogonality defect (``block_tt_gram``).  The
-    unrounded B is held only during its rounding, so a Gram solve peaks at
-    B plus its R factors plus one slab of the product (tracemalloc,
+    exactly, by rounding it at 0, which applies orthogonal transforms only:
+    no bond of A then exceeds the mode-size product on either side of it,
+    so a prescribed A whose last bond carries r_U r_V = 64 enters the
+    product with 4 there.  The reduced A also serves the recovery of U.  It
+    then works on the bond-reversed chain (``_bond_reversed``): it forms
+    that chain's B = A^T A (``matrix_tt_matmul``), rounds it at epsilon / 10
+    (``gram_tt_round``) and reverses the result back.  So B is rounded from
+    right to left, from the R factors of its left parts, which are its thin
+    side on the prescribed family: its A = U diag(sigma) V^T has
+    left-orthogonal factor chains, and summing over the row modes turns U's
+    left part into the identity, so B's left parts have numerical rank at
+    most r_V^2 = 25, against r_U^2 r_V^2 = 625 on the right.  There the
+    set-up at N=10 (reduction, factors, product and rounding) took 60 -> 19
+    ms, and the factors have at most 25 rows instead of 625 (2-vCPU AMD
+    EPYC, one BLAS thread, best of 3, seeds 1-3).  The Hilbert, tridiagonal
+    and Toeplitz families have about the same numerical rank on both sides
+    at N=10 (64 against 58, 7 and 7, 36 and 36), and their set-up time did
+    not change.  The solve then sweeps (V,) over the rounded B, recovers
+    U = A V Sigma^{-1} from the returned iterate, and evaluates the
+    verdict's residual on the reduced A and U's orthogonality defect
+    (``block_tt_gram``).  ``matrix_tt_matmul`` writes each core of B once,
+    with one slab (about 0.5 MB at N=10) as its only temporary, and forms B
+    at N=10 in 6 ms.  The unrounded B is held only during its rounding, so
+    a Gram solve peaks at B plus its R factors plus a few MiB (tracemalloc,
     prescribed k0 16, rank 5, K=10: 36.0/60.1/84.3/108.4/301.7 MiB at
     N=8/10/12/14/30, of which B is 33.9/57.7/81.5/105.4/296.1 and the R
-    factors 0.4-3.1).  B is still formed because the truncation reads its
-    cores, and the benchmark times its product as a layer of its own.  The
+    factors 0.4/0.7/0.9/1.2/3.1).  B is still formed because the truncation
+    reads its cores, and the benchmark times its product as a layer of its
+    own; forming each core of B inside the truncation would remove it.  The
     rounded B comes out right-orthogonal, so gauging it for the stop
     residual costs no QR.  Sigma is only taken from a completed
     left-to-right half sweep; ``SweepReport`` states the outcome rule.  The
@@ -754,12 +797,7 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     sizes = (a.col_sizes,) if gram else (a.row_sizes, a.col_sizes)
     t0 = time.perf_counter()
     if gram:
-        # Rounding at 0 applies orthogonal transforms only: A keeps its value
-        # and no bond stays above the mode-size product on either side of it
-        # (the prescribed family's last bond r_U r_V drops to 4).  B's ranks
-        # are the squares of A's.  B is rounded from R factors computed on
-        # A's cores, whose QRs split by B's swap symmetry, on the
-        # bond-reversed chain, whose right parts are B's thin left parts.
+        # B's ranks are the squares of the reduced A's
         a = matrix_tt_round(a, 0.0)
         rdelta = cfg.epsilon / _GRAM_DELTA_DIVISOR
         rev = _bond_reversed(a)
@@ -772,6 +810,9 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     # (stop residual, Sigma, chain copies, sweeps of its attempt) of the
     # first iterate with the lowest stop residual
     best = (math.inf, np.zeros(cfg.k), None, 0)
+    warmup_cap = cfg.k + _WARMUP_OVERSAMPLE
+    if cfg.max_rank is not None:
+        warmup_cap = min(warmup_cap, cfg.max_rank)
     for attempt in range(cfg.max_restarts + 1):
         delta = cfg.epsilon / math.sqrt(a.n_cores - 1) * (
             _RESTART_DELTA_SHRINK ** attempt)
@@ -780,12 +821,13 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
         rng = np.random.default_rng(ss[-1])
         env = env_init(chains[0], op, chains[-1])
         for sweep in range(cfg.max_full_sweeps):
-            d_first = delta * (_FIRST_HALFSWEEP_DELTA_FACTOR if sweep == 0 else 1.0)
+            first = ((delta * _FIRST_HALFSWEEP_DELTA_FACTOR, warmup_cap)
+                     if sweep == 0 else (delta, cfg.max_rank))
             try:
-                _half_sweep(op, chains, env, cfg, d_first, rng, report, pair,
+                _half_sweep(op, chains, env, cfg, *first, rng, report, pair,
                             "right_to_left")
-                sigma = _half_sweep(op, chains, env, cfg, delta, rng, report,
-                                    pair, "left_to_right")
+                sigma = _half_sweep(op, chains, env, cfg, delta, cfg.max_rank,
+                                    rng, report, pair, "left_to_right")
             except LocalSolverError:
                 break
             r = (_gram_residual(gauged, chains[0], sigma) if gram

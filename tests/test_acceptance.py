@@ -290,6 +290,31 @@ def test_macs_per_sweep_scale_linearly(family, driver):
     assert r2 >= 0.9, (r2, per_sweep)
 
 
+def test_mals_svd_first_sweep_holds_past_n64():
+    # a warm-up half sweep that kept 2K per bond made the first sweep fail
+    # from N~65 on (residual 0.70 at N=80), and the second sweep, at full
+    # rank, cost 9.1 G MACs against 0.7 G at N=60; with one sweep and no
+    # restart allowed, each solve must converge and cost linearly in N
+    n_values = [20, 40, 60, 80, 100]
+    macs = []
+    for n in n_values:
+        a, _, _, spectrum = prescribed_svd_matrix(n, 0.5, k0=25, rank=5,
+                                                  seed=0)
+        with count_macs() as counter:
+            sig, _, _, rep = mals_svd(a, SolverConfig(
+                k=10, epsilon=1e-8, seed=0, max_full_sweeps=1,
+                max_restarts=0))
+        truth = spectrum[:10]
+        assert rep.termination == "converged", (n, rep.residual_history)
+        assert np.linalg.norm(sig - truth) / np.linalg.norm(truth) <= 1e-12, n
+        macs.append(counter.macs)
+    ns, macs = np.array(n_values, dtype=float), np.array(macs, dtype=float)
+    pred = np.polyval(np.polyfit(ns, macs, 1), ns)
+    r2 = 1.0 - float(np.sum((macs - pred) ** 2)
+                     / np.sum((macs - macs.mean()) ** 2))
+    assert r2 >= 0.9, (r2, macs)
+
+
 def test_acceptance_09_single_triplet_behavior():
     worst = 0.0
     for seed in (100, 101, 102):

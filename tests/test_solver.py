@@ -592,6 +592,24 @@ def test_max_rank_cap_is_enforced_per_micro_iteration():
     assert max(u.ranks) <= 2 and max(v.ranks) <= 2
 
 
+def test_warmup_half_sweep_keeps_at_most_k_plus_five():
+    # from the rank-1 start a merged-pair split of the warm-up (the first
+    # N-1 records) could keep 2K per bond, a one-core split K; the bound
+    # K + 5 binds only for merged pairs at K > 5
+    n = 12
+    a, _, _, _ = prescribed_svd_matrix(n, 0.5, k0=25, rank=5, seed=0)
+
+    def warmup_max_rank(driver, k):
+        _, _, _, rep = driver(a, SolverConfig(k=k, epsilon=1e-8, seed=0))
+        warmup = rep.micro[:n - 1]
+        assert {m["direction"] for m in warmup} == {"right_to_left"}
+        return max(max(m["rank_u"], m["rank_v"]) for m in warmup)
+
+    assert warmup_max_rank(mals_svd, 10) <= 15  # 20 without the bound
+    assert warmup_max_rank(mals_svd, 4) == 8
+    assert warmup_max_rank(als_svd, 10) <= 10
+
+
 def test_records_replay_the_rank_profiles():
     # an attempt starts from _block_rank_profile(modes, K, 1), each micro
     # record sets one bond of each chain, and each history entry holds the
