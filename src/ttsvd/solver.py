@@ -60,14 +60,24 @@ A new block takes one Householder QR of [basis | block] while the basis
 holds at most one block, and projections against a wider basis
 (``_orthonormalize_block``).
 
-Every attempt starts from random rank-1 chains.  Its first right-to-left
-half sweep, the warm-up, truncates at ``_FIRST_HALFSWEEP_DELTA_FACTOR``
-times the working delta and keeps at most K + ``_WARMUP_OVERSAMPLE`` =
-K + 5 per bond (``max_rank`` if that is smaller): it acts as a randomized
-range finder, for which K samples and a small oversampling suffice (Halko,
-Martinsson & Tropp, SIAM Rev. 53 (2011)).  From the rank-1 start a
-one-core split keeps at most K and a merged-pair split at most 2K, so the
-bound binds only for the merged-pair solvers at K > 5.
+Every attempt starts from random rank-1 chains.  A right-to-left split
+leaves the block index K on the left of the bond it sets, so an exact split
+needs up to K times that bond's rank r, which the next left-to-right half
+sweep, with K on the right, cuts back.  So a right-to-left split keeps at
+most max(K + ``_OVERSAMPLE``, ``_RANK_GROWTH`` r) = max(K + 5, 2r) per bond
+(``max_rank`` if that is smaller), r read before the split.  A bond whose r
+is the product of the mode sizes left of it (2, 4, 8, ... at the left end
+of a chain of 2s) is not bounded: there a left-to-right split kept all it
+could, so r says nothing about what the block needs.  A left-to-right split
+keeps at most ``max_rank``.  The first right-to-left half sweep of an
+attempt, the warm-up, also truncates at ``_FIRST_HALFSWEEP_DELTA_FACTOR``
+times the working delta.  Its start holds at most ceil(K/2) per bond, so
+there the bound is K + 5: the warm-up acts as a randomized range finder,
+for which K samples and a small oversampling suffice (Halko, Martinsson &
+Tropp, SIAM Rev. 53 (2011)).  From the rank-1 start a one-core split keeps
+at most K and a merged-pair split at most 2K, so in the warm-up the bound
+binds only for the merged-pair solvers at K > 5.  A one-core split at
+K <= 2 keeps at most K r <= 2r, so the bound never binds there.
 
 Rank floors: truncated splits keep at least enough rank that the next
 window's local problem can still hold K orthonormal columns (mirroring the
@@ -135,18 +145,36 @@ split_block_core_als = split_block_core_mals = split_block_core
 # with no resolved change in time.
 _FIRST_HALFSWEEP_DELTA_FACTOR = 100.0
 _RESTART_DELTA_SHRINK = 0.1
-# That first half sweep also keeps at most K + _WARMUP_OVERSAMPLE per bond.
-# It buys a first sweep that holds at large N: where the merged-pair warm-up
-# kept 2K, prescribed mals_svd (beta 0.5, k0 25, rank 5, K=10, epsilon 1e-8,
-# seed 0) took 213/455/711/9130/11850 M MACs at N=20/40/60/80/100, its first
-# sweep failing from N=80 on (residual 0.70 at N=80); at K + 5 it takes
-# 131/268/414/559/702 M, one sweep each.  perfbench/run.py prescribed-svd
-# (30 s runs, seed 7, 10 alternating pairs, one BLAS thread, 2-vCPU x86-64)
-# read solve_s_tail 0.083 -> 0.060 s and pass_s 0.458 -> 0.407 s, better
-# in 10 of 10 pairs.  At K + 0, 5 of 120 prescribed mals_svd solves (K 6-12,
-# N 10-50, seeds 0-5) took a second sweep; at K + 5 none took more sweeps
-# than at 2K.  At K <= 5 the bound, K + 5 >= 2K, never binds.
-_WARMUP_OVERSAMPLE = 5
+# A right-to-left split keeps at most max(K + _OVERSAMPLE, _RANK_GROWTH r)
+# per bond, r the rank the bond holds before the split, unless r is the
+# product of the mode sizes left of the bond (see the module docstring).  In
+# the warm-up, where r <= ceil(K/2), this is K + 5, which buys
+# a first sweep that holds at large N: where the merged-pair warm-up kept 2K,
+# prescribed mals_svd (beta 0.5, k0 25, rank 5, K=10, epsilon 1e-8, seed 0)
+# took 213/455/711/9130/11850 M MACs at N=20/40/60/80/100, its first sweep
+# failing from N=80 on (residual 0.70 at N=80); at K + 5 it takes
+# 131/268/414/559/702 M, one sweep each.  At K + 0, 5 of 120 prescribed
+# mals_svd solves (K 6-12, N 10-50, seeds 0-5) took a second sweep.  In later
+# sweeps, unbounded, every right-to-left half sweep of prescribed als_svd
+# (same family, K=10) regrew U and V K-fold (13 -> 50) only for the next
+# left-to-right half sweep to cut them back to 13: at N=50 seeds 1-3 it took
+# 42/22/23 sweeps with 2/1/1 restarts (3.6-6.8 s), and at N=64 seeds 0-2 it
+# ended "restarted" after 60 sweeps (13-15 s, sigma error up to 0.10); with
+# the bound each converges in 2 sweeps (0.10-0.13 s, sigma error <= 6e-15).
+# perfbench/run.py prescribed-svd (30 s runs, seed 47, 10 alternating pairs,
+# one BLAS thread, 2-vCPU AMD EPYC) read pass_s PASS_OLD -> PASS_NEW s, better in
+# WINS of 10 pairs, as its fixed restart case (als_svd N=30, seed 50) went from
+# 3 sweeps and a restart to 2 sweeps; every other solve there is
+# bit-identical.  Bounding the bonds at the mode limit too made Hilbert N=12
+# (delta 1e-8) als_svd at K=10, epsilon 1e-12 take 60 sweeps and end
+# "restarted" where it converged in 22 (seed 0), or 41 sweeps instead of 2
+# (seed 1): at the left end the exact split kept 20/37/52 where the bound
+# allowed 15/15/16.  A factor of 1, max(K + 5, r), made Hilbert N=16
+# mals_svd K=2 at epsilon 1e-10 take 22 sweeps and a restart instead of 2.
+# A one-core split at K <= 2 keeps at most K r <= 2r, so there the bound
+# never binds.
+_OVERSAMPLE = 5
+_RANK_GROWTH = 2
 # The Gram baselines round A^T A and the recovered U at epsilon divided by
 # _GRAM_DELTA_DIVISOR.  It buys verdicts, not time: on Hilbert N=6-8 (delta
 # 1e-10), K=4 and 10, epsilon 1e-3/1e-6/1e-9, both baselines, 5 sweeps, seed
@@ -195,15 +223,14 @@ class SolverConfig:
     attempts, each reseeded from ``seed``; ``max_rank``, if set, caps every
     bond rank.  The truncation delta is derived: epsilon / sqrt(N-1),
     shrunk 10x per restart, with the first half sweep of every attempt at
-    100 times that.  That first half sweep, the warm-up, also keeps at most
-    K + 5 per bond (or ``max_rank``, if smaller); the bound binds only for
-    the merged-pair sweeps at K > 5, since a one-core split of the warm-up
-    keeps at most K and a merged-pair split at most 2K.  The Gram
-    baselines round A^T A and the recovered U at epsilon / 10.  For
-    B = A^T A that is relative to ||B||_F ~ sigma_1^2, so any sigma_k below
-    about sqrt(epsilon / 10) sigma_1 is lost before the sweep starts:
-    Hilbert N=6 (delta 1e-8), K=10, epsilon 1e-3 gives sigma_5..sigma_10
-    off by 0.89 to 3.7e4 relative.
+    100 times that.  A right-to-left split also keeps at most
+    max(K + 5, 2r) per bond, r the rank the bond holds before the split,
+    unless r is the product of the mode sizes left of the bond (see the
+    module docstring); in that first half sweep, the warm-up, this is K + 5.  The Gram baselines round A^T A and the recovered U at
+    epsilon / 10.  For B = A^T A that is relative to ||B||_F ~ sigma_1^2, so
+    any sigma_k below about sqrt(epsilon / 10) sigma_1 is lost before the
+    sweep starts: Hilbert N=6 (delta 1e-8), K=10, epsilon 1e-3 gives
+    sigma_5..sigma_10 off by 0.89 to 3.7e4 relative.
     """
 
     k: int
@@ -245,9 +272,11 @@ class SweepReport:
     sweep ends with) per completed full sweep.  An attempt's chains start
     from ``generators._block_rank_profile(modes, K, 1)``, so a profile in
     mid-sweep is the previous profile (or that start) with the sweep's
-    records so far applied, bond by bond.  The attempt's first N-1 records
-    are its warm-up half sweep, which keeps at most K + 5 per bond (or
-    ``max_rank``); that bound binds only for merged-pair sweeps at K > 5.
+    records so far applied, bond by bond.  A right-to-left record keeps at
+    most max(K + 5, 2r) per chain (or ``max_rank``, if smaller), r its bond's
+    rank in that profile before the record, unless r is the product of the
+    mode sizes left of the bond; the attempt's first N-1 records, its
+    warm-up half sweep, so keep at most K + 5.
     An attempt ends at its sweep budget, on a failed local solve or on a
     stop residual below epsilon, which ends the solve.  The solve returns the
     first iterate with the lowest stop residual (if no sweep completed, a
@@ -619,8 +648,19 @@ def _min_keep(chain: BlockTT, q: int, pair: bool, k: int, r2l: bool) -> int:
     return max(1, math.ceil(k / max(cap, 1)))
 
 
+def _at_mode_limit(chain: BlockTT, m: int, r: int) -> bool:
+    """Whether rank r of the bond right of core m is the product of the
+    mode sizes of cores 0..m, the most a left-to-right split can keep."""
+    left = 1
+    for n in range(m + 1):  # stops within log2(r) + 1 cores
+        left *= chain.cores[n].shape[-2]
+        if left > r:
+            return False
+    return True
+
+
 def _split_into(chain: BlockTT, q: int, local: np.ndarray, delta: float,
-                max_rank: int | None, k: int, pair: bool, r2l: bool) -> tuple:
+                cfg: SolverConfig, pair: bool, r2l: bool) -> tuple:
     """Truncated split of a local solution; the block core moves one step.
 
     The window is core q, or the pair (q, q+1).  Splitting right to left
@@ -628,14 +668,23 @@ def _split_into(chain: BlockTT, q: int, local: np.ndarray, delta: float,
     core left-orthogonal.  A one-core split's K factor is contracted into
     the neighbouring core, which becomes the block core.  The split sets one
     bond and no other; returns (bond, rank, discarded energy), ``bond``
-    indexing ``chain.ranks``.
+    indexing ``chain.ranks``.  Every split keeps at most ``cfg.max_rank``;
+    a right-to-left split also keeps at most max(K + ``_OVERSAMPLE``,
+    ``_RANK_GROWTH`` r), r the rank its bond holds before the split, unless
+    r is the product of the mode sizes left of the bond (see the module
+    docstring).
     """
     direction = "right_to_left" if r2l else "left_to_right"
-    keep = _min_keep(chain, q, pair, k, r2l)
+    m = q + pair - 1 if r2l else q  # the split writes cores m and m + 1
+    cap = cfg.max_rank
+    r = chain.cores[m].shape[-1]
+    if r2l and not _at_mode_limit(chain, m, r):
+        bound = max(cfg.k + _OVERSAMPLE, _RANK_GROWTH * r)
+        cap = bound if cap is None else min(bound, cap)
+    keep = _min_keep(chain, q, pair, cfg.k, r2l)
     split = split_block_core_mals if pair else split_block_core_als
     left, right, rank, tail = split(local, direction, delta,
-                                    max_rank=max_rank, min_keep=keep)
-    m = q + pair - 1 if r2l else q  # the split writes cores m and m + 1
+                                    max_rank=cap, min_keep=keep)
     if not pair and r2l:
         nb = np.tensordot(chain.cores[m], left, axes=(2, 0))
         left = nb.transpose(0, 2, 1, 3)
@@ -648,14 +697,13 @@ def _split_into(chain: BlockTT, q: int, local: np.ndarray, delta: float,
 
 
 def _advance(env: Environment, a: MatrixTT, chains, locals_, q: int,
-             delta: float, max_rank: int | None, k: int, pair: bool,
-             r2l: bool) -> list:
+             delta: float, cfg: SolverConfig, pair: bool, r2l: bool) -> list:
     """Split each local solution into its chain and move the environment.
 
     ``chains`` is (U, V) for the SVD problem and (V,) for the Gram problem.
     Returns each chain's (bond, rank, discarded energy) from ``_split_into``.
     """
-    splits = [_split_into(chain, q, local, delta, max_rank, k, pair, r2l)
+    splits = [_split_into(chain, q, local, delta, cfg, pair, r2l)
               for chain, local in zip(chains, locals_)]
     u, v = chains[0], chains[-1]
     if r2l:
@@ -686,14 +734,14 @@ def _micro_record(p: int, direction: str, splits, sigma, iters: int,
 
 
 def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
-                delta: float, max_rank: int | None, rng: np.random.Generator,
-                report: SweepReport, pair: bool,
-                direction: str) -> np.ndarray:
+                delta: float, rng: np.random.Generator, report: SweepReport,
+                pair: bool, direction: str) -> np.ndarray:
     """One half sweep over ``a``; returns the Sigma of its last window.
 
     ``chains`` is (U, V) for the SVD problem over A, or (V,) for the Gram
     problem over B = A^T A.  Every split truncates at ``delta`` and keeps at
-    most ``max_rank`` (no cap if ``None``).
+    most ``cfg.max_rank`` (no cap if ``None``); a right-to-left split is
+    bounded besides (see ``_split_into``).
     """
     gram = len(chains) == 1
     r2l = direction == "right_to_left"
@@ -715,8 +763,7 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
             sigma, locals_, _ = solve(dataclasses.replace(op, path="dense"),
                                       cfg.k, start, seed)
             iters, path = _krylov_steps(op), "dense-fallback"
-        splits = _advance(env, a, chains, locals_, q, delta, max_rank, cfg.k,
-                          pair, r2l)
+        splits = _advance(env, a, chains, locals_, q, delta, cfg, pair, r2l)
         report.micro.append(_micro_record(p, direction, splits, sigma, iters,
                                           path))
     return sigma
@@ -810,9 +857,6 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     # (stop residual, Sigma, chain copies, sweeps of its attempt) of the
     # first iterate with the lowest stop residual
     best = (math.inf, np.zeros(cfg.k), None, 0)
-    warmup_cap = cfg.k + _WARMUP_OVERSAMPLE
-    if cfg.max_rank is not None:
-        warmup_cap = min(warmup_cap, cfg.max_rank)
     for attempt in range(cfg.max_restarts + 1):
         delta = cfg.epsilon / math.sqrt(a.n_cores - 1) * (
             _RESTART_DELTA_SHRINK ** attempt)
@@ -821,13 +865,13 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
         rng = np.random.default_rng(ss[-1])
         env = env_init(chains[0], op, chains[-1])
         for sweep in range(cfg.max_full_sweeps):
-            first = ((delta * _FIRST_HALFSWEEP_DELTA_FACTOR, warmup_cap)
-                     if sweep == 0 else (delta, cfg.max_rank))
+            first = delta * (_FIRST_HALFSWEEP_DELTA_FACTOR if sweep == 0
+                             else 1.0)
             try:
-                _half_sweep(op, chains, env, cfg, *first, rng, report, pair,
+                _half_sweep(op, chains, env, cfg, first, rng, report, pair,
                             "right_to_left")
-                sigma = _half_sweep(op, chains, env, cfg, delta, cfg.max_rank,
-                                    rng, report, pair, "left_to_right")
+                sigma = _half_sweep(op, chains, env, cfg, delta, rng, report,
+                                    pair, "left_to_right")
             except LocalSolverError:
                 break
             r = (_gram_residual(gauged, chains[0], sigma) if gram

@@ -315,6 +315,20 @@ def test_mals_svd_first_sweep_holds_past_n64():
     assert r2 >= 0.9, (r2, macs)
 
 
+@pytest.mark.parametrize("n, k, seed", [(50, 10, 1), (64, 10, 0), (64, 4, 1)])
+def test_als_svd_later_sweeps_hold_past_n50(n, k, seed):
+    # right-to-left half sweeps after the warm-up that regrew U and V K-fold
+    # (to 50 at K=10) ended each of these "sweep-limit" at residual
+    # 0.03-0.47; bounded at max(K + 5, 2r), r the bond's rank before the
+    # split, each converges in 2 sweeps
+    a, _, _, spectrum = prescribed_svd_matrix(n, 0.5, k0=25, rank=5, seed=seed)
+    sig, _, _, rep = als_svd(a, SolverConfig(
+        k=k, epsilon=1e-8, seed=seed, max_full_sweeps=3, max_restarts=0))
+    truth = spectrum[:k]
+    assert rep.termination == "converged", rep.residual_history
+    assert np.linalg.norm(sig - truth) / np.linalg.norm(truth) <= 1e-12
+
+
 def test_acceptance_09_single_triplet_behavior():
     worst = 0.0
     for seed in (100, 101, 102):

@@ -610,6 +610,33 @@ def test_warmup_half_sweep_keeps_at_most_k_plus_five():
     assert warmup_max_rank(als_svd, 10) <= 10
 
 
+def test_later_right_to_left_half_sweeps_keep_twice_the_bond_rank():
+    # with K on the left of a bond an exact split needs up to K times its
+    # rank r; unbounded, this case's second right-to-left half sweep grew U
+    # and V to 50 where the bound is 26, the left-to-right half sweep cut
+    # them back to 13, and the attempt restarted.  A bond whose r is the
+    # product of the mode sizes left of it is not bounded.
+    n = 30
+    a, _, _, _ = prescribed_svd_matrix(n, 0.5, k0=25, rank=5, seed=50)
+    cfg = SolverConfig(k=10, epsilon=1e-8, seed=50, max_full_sweeps=2)
+    _, _, _, rep = als_svd(a, cfg)
+    modes = {"u": a.row_sizes, "v": a.col_sizes}
+    per_sweep = 2 * (n - 1)
+    bounded = 0
+    for i, before in enumerate(rep.residual_history[:-1]):
+        r2l = rep.micro[(i + 1) * per_sweep:(i + 1) * per_sweep + n - 1]
+        assert {m["direction"] for m in r2l} == {"right_to_left"}
+        for m in r2l:
+            for side in ("u", "v"):
+                r = before["ranks_" + side][m["bond"]]
+                if r < math.prod(modes[side][:m["bond"]]):
+                    bounded += 1
+                    bound = max(cfg.k + 5, 2 * r)
+                    assert m["rank_" + side] <= bound, (i + 1, m, bound)
+    assert bounded > 40
+    assert rep.restarts_used == 0 and rep.total_sweeps == 2
+
+
 def test_records_replay_the_rank_profiles():
     # an attempt starts from _block_rank_profile(modes, K, 1), each micro
     # record sets one bond of each chain, and each history entry holds the
@@ -790,9 +817,11 @@ def test_prescribed_mals_svd_converges_at_n100():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP items 2, 4 and 9: als_svd stalls on prescribed matrices at "
-    "large N; its residuals plateau at 0.16-0.65 in every attempt, while "
-    "mals_svd converges on the same matrix"))
+    "ROADMAP items 2 and 4: als_svd at K=2 stalls on prescribed matrices "
+    "at large N, its residuals plateauing at 0.04-0.65 in every attempt; "
+    "the right-to-left bound max(K + 5, 2r) is idle at K=2, where it is at "
+    "least the exact K r of a one-core split, while at K >= 3 als_svd no "
+    "longer stalls (test_acceptance.py::test_als_svd_later_sweeps_hold_past_n50)"))
 def test_als_svd_converges_on_prescribed_n64():
     # measured: 60 sweeps, "restarted", spectrum error 3.2e-2
     a, _, _, spectrum = prescribed_svd_matrix(64, 0.5, k0=25, rank=5, seed=0)
