@@ -145,34 +145,29 @@ split_block_core_als = split_block_core_mals = split_block_core
 # with no resolved change in time.
 _FIRST_HALFSWEEP_DELTA_FACTOR = 100.0
 _RESTART_DELTA_SHRINK = 0.1
-# A right-to-left split keeps at most max(K + _OVERSAMPLE, _RANK_GROWTH r)
-# per bond, r the rank the bond holds before the split, unless r is the
-# product of the mode sizes left of the bond (see the module docstring).  In
-# the warm-up, where r <= ceil(K/2), this is K + 5, which buys
-# a first sweep that holds at large N: where the merged-pair warm-up kept 2K,
-# prescribed mals_svd (beta 0.5, k0 25, rank 5, K=10, epsilon 1e-8, seed 0)
-# took 213/455/711/9130/11850 M MACs at N=20/40/60/80/100, its first sweep
-# failing from N=80 on (residual 0.70 at N=80); at K + 5 it takes
-# 131/268/414/559/702 M, one sweep each.  At K + 0, 5 of 120 prescribed
-# mals_svd solves (K 6-12, N 10-50, seeds 0-5) took a second sweep.  In later
-# sweeps, unbounded, every right-to-left half sweep of prescribed als_svd
-# (same family, K=10) regrew U and V K-fold (13 -> 50) only for the next
-# left-to-right half sweep to cut them back to 13: at N=50 seeds 1-3 it took
-# 42/22/23 sweeps with 2/1/1 restarts (3.6-6.8 s), and at N=64 seeds 0-2 it
-# ended "restarted" after 60 sweeps (13-15 s, sigma error up to 0.10); with
-# the bound each converges in 2 sweeps (0.10-0.13 s, sigma error <= 6e-15).
-# perfbench/run.py prescribed-svd (30 s runs, seed 47, 10 alternating pairs,
-# one BLAS thread, 2-vCPU AMD EPYC) read pass_s PASS_OLD -> PASS_NEW s, better in
-# WINS of 10 pairs, as its fixed restart case (als_svd N=30, seed 50) went from
-# 3 sweeps and a restart to 2 sweeps; every other solve there is
-# bit-identical.  Bounding the bonds at the mode limit too made Hilbert N=12
-# (delta 1e-8) als_svd at K=10, epsilon 1e-12 take 60 sweeps and end
-# "restarted" where it converged in 22 (seed 0), or 41 sweeps instead of 2
-# (seed 1): at the left end the exact split kept 20/37/52 where the bound
-# allowed 15/15/16.  A factor of 1, max(K + 5, r), made Hilbert N=16
-# mals_svd K=2 at epsilon 1e-10 take 22 sweeps and a restart instead of 2.
-# A one-core split at K <= 2 keeps at most K r <= 2r, so there the bound
-# never binds.
+# The right-to-left bound max(K + _OVERSAMPLE, _RANK_GROWTH r) (see the module
+# docstring) is K + 5 in the warm-up, which buys a first sweep that holds at
+# large N: where the merged-pair warm-up kept 2K, prescribed mals_svd (beta
+# 0.5, k0 25, rank 5, K=10, epsilon 1e-8, seed 0) took
+# 213/455/711/9130/11850 M MACs at N=20/40/60/80/100, its first sweep failing
+# from N=80 on (residual 0.70 at N=80); at K + 5 it takes 131/268/414/559/702
+# M, one sweep each.  At K + 0, 5 of 120 prescribed mals_svd solves (K 6-12,
+# N 10-50, seeds 0-5) took a second sweep.  In later sweeps, unbounded, every
+# right-to-left half sweep of prescribed als_svd (same family, K=10) regrew U
+# and V K-fold (13 -> 50) only for the next left-to-right half sweep to cut
+# them back to 13: at N=50 seeds 1-3 it took 42/22/23 sweeps with 2/1/1
+# restarts (3.6-6.8 s), and at N=64 seeds 0-2 it ended "restarted" after 60
+# sweeps (13-15 s, sigma error up to 0.10); with the bound each converges in
+# 2 sweeps (0.10-0.13 s, sigma error <= 6e-15).  perfbench/run.py
+# prescribed-svd (30 s runs, seed 47, 10 alternating pairs, one BLAS thread,
+# 2-vCPU AMD EPYC) read pass_s 0.4245 -> 0.3222 s, better in 10 of 10 pairs,
+# as its fixed restart case (als_svd N=30, seed 50) went from 3 sweeps and a
+# restart to 2 sweeps; every other solve there is bit-identical.  Bounding
+# the bonds at the mode limit too made Hilbert N=12 (delta 1e-8) als_svd at
+# K=10, epsilon 1e-12 take 60 sweeps and end "restarted" where it converged
+# in 22 (seed 0), or 41 sweeps instead of 2 (seed 1): at the left end the
+# exact split kept 20/37/52 where the bound allowed 15/15/16.  A factor of 1, max(K + 5, r), made Hilbert N=16 mals_svd
+# K=2 at epsilon 1e-10 take 22 sweeps and a restart instead of 2.
 _OVERSAMPLE = 5
 _RANK_GROWTH = 2
 # The Gram baselines round A^T A and the recovered U at epsilon divided by
@@ -216,21 +211,20 @@ class SolverConfig:
     """What a caller sets for the sweep drivers.
 
     ``k`` is the block size, ``epsilon`` the threshold that the relative
-    residual on A must fall below for a "converged" verdict (the SVD
-    solvers also stop on it; the Gram baselines stop on B = A^T A's
-    residual instead, see ``SweepReport``), ``max_full_sweeps`` the sweep
-    budget of one attempt and ``max_restarts`` the number of further
-    attempts, each reseeded from ``seed``; ``max_rank``, if set, caps every
-    bond rank.  The truncation delta is derived: epsilon / sqrt(N-1),
-    shrunk 10x per restart, with the first half sweep of every attempt at
-    100 times that.  A right-to-left split also keeps at most
-    max(K + 5, 2r) per bond, r the rank the bond holds before the split,
-    unless r is the product of the mode sizes left of the bond (see the
-    module docstring); in that first half sweep, the warm-up, this is K + 5.  The Gram baselines round A^T A and the recovered U at
-    epsilon / 10.  For B = A^T A that is relative to ||B||_F ~ sigma_1^2, so
-    any sigma_k below about sqrt(epsilon / 10) sigma_1 is lost before the
-    sweep starts: Hilbert N=6 (delta 1e-8), K=10, epsilon 1e-3 gives
-    sigma_5..sigma_10 off by 0.89 to 3.7e4 relative.
+    residual on A must fall below for a "converged" verdict (the SVD solvers
+    also stop on it; the Gram baselines stop on B = A^T A's residual instead,
+    see ``SweepReport``), ``max_full_sweeps`` the sweep budget of one attempt
+    and ``max_restarts`` the number of further attempts, each reseeded from
+    ``seed``; ``max_rank``, if set, caps every bond rank.  The truncation delta
+    is derived: epsilon / sqrt(N-1), shrunk 10x per restart, with the first
+    half sweep of every attempt at 100 times that.  A right-to-left split also
+    keeps at most max(K + 5, 2r) per bond, r its bond's rank before the split
+    (the module docstring states the rule).  The Gram baselines round A^T A
+    and the recovered U at epsilon / 10.  For B = A^T A that is relative to
+    ||B||_F ~ sigma_1^2, so any sigma_k below about sqrt(epsilon / 10)
+    sigma_1 is lost before the sweep starts: Hilbert N=6 (delta 1e-8),
+    K=10, epsilon 1e-3 gives sigma_5..sigma_10 off by 0.89 to 3.7e4
+    relative.
     """
 
     k: int
@@ -273,12 +267,10 @@ class SweepReport:
     from ``generators._block_rank_profile(modes, K, 1)``, so a profile in
     mid-sweep is the previous profile (or that start) with the sweep's
     records so far applied, bond by bond.  A right-to-left record keeps at
-    most max(K + 5, 2r) per chain (or ``max_rank``, if smaller), r its bond's
-    rank in that profile before the record, unless r is the product of the
-    mode sizes left of the bond; the attempt's first N-1 records, its
-    warm-up half sweep, so keep at most K + 5.
-    An attempt ends at its sweep budget, on a failed local solve or on a
-    stop residual below epsilon, which ends the solve.  The solve returns the
+    most max(K + 5, 2r) per chain, r its bond's rank in that profile before
+    the record (the module docstring states the rule).  An attempt ends at
+    its sweep budget, on a failed local solve or on a stop residual below
+    epsilon, which ends the solve.  The solve returns the
     first iterate with the lowest stop residual (if no sweep completed, a
     zero Sigma and the last attempt's chains on the SVD route, and a
     ``ValueError`` on the Gram route, which cannot recover U).
@@ -669,10 +661,8 @@ def _split_into(chain: BlockTT, q: int, local: np.ndarray, delta: float,
     the neighbouring core, which becomes the block core.  The split sets one
     bond and no other; returns (bond, rank, discarded energy), ``bond``
     indexing ``chain.ranks``.  Every split keeps at most ``cfg.max_rank``;
-    a right-to-left split also keeps at most max(K + ``_OVERSAMPLE``,
-    ``_RANK_GROWTH`` r), r the rank its bond holds before the split, unless
-    r is the product of the mode sizes left of the bond (see the module
-    docstring).
+    a right-to-left split also keeps at most max(K + 5, 2r), r its bond's
+    rank before the split (the module docstring states the rule).
     """
     direction = "right_to_left" if r2l else "left_to_right"
     m = q + pair - 1 if r2l else q  # the split writes cores m and m + 1
@@ -835,14 +825,18 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     factors 0.4/0.7/0.9/1.2/3.1).  B is still formed because the truncation
     reads its cores, and the benchmark times its product as a layer of its
     own; forming each core of B inside the truncation would remove it.  The
-    rounded B comes out right-orthogonal, so gauging it for the stop
-    residual costs no QR.  Sigma is only taken from a completed
-    left-to-right half sweep; ``SweepReport`` states the outcome rule.  The
-    stop residual reads a copy of the swept operator that is right-gauged
-    once per solve; the sweeps keep the operator as it is.
+    rounded B comes out right-orthogonal, so gauging it costs no QR.  Sigma
+    is only taken from a completed left-to-right half sweep; ``SweepReport``
+    states the outcome rule.  Either route gauges its operator once per
+    solve, right-orthogonal on cores 1..N-1, and the environments, both half
+    sweeps and the stop residual all read that one chain.  On the SVD route
+    the gauge also cuts every bond of A wider than the mode product to its
+    right: the prescribed family's last two bonds, 49 and 169, reach the
+    sweeps as 16 and 4.
     """
     sizes = (a.col_sizes,) if gram else (a.row_sizes, a.col_sizes)
     t0 = time.perf_counter()
+    op = a
     if gram:
         # B's ranks are the squares of the reduced A's
         a = matrix_tt_round(a, 0.0)
@@ -850,9 +844,7 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
         rev = _bond_reversed(a)
         op = _bond_reversed(gram_tt_round(
             matrix_tt_matmul(matrix_tt_transpose(rev), rev), rev, rdelta))
-    else:
-        op = a
-    gauged = canonicalize(op, 0)
+    op = canonicalize(op, 0)
     report = SweepReport(solver=name, k=cfg.k)
     # (stop residual, Sigma, chain copies, sweeps of its attempt) of the
     # first iterate with the lowest stop residual
@@ -874,8 +866,8 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
                                     pair, "left_to_right")
             except LocalSolverError:
                 break
-            r = (_gram_residual(gauged, chains[0], sigma) if gram
-                 else residual(gauged, *chains, sigma))
+            r = (_gram_residual(op, chains[0], sigma) if gram
+                 else residual(op, *chains, sigma))
             report.residual_history.append(
                 {"attempt": int(attempt), "sweep": int(sweep),
                  "residual": float(r),

@@ -319,11 +319,11 @@ def gram_r_factors(a: MatrixTT) -> list:
     A tall parity input gets an R-only QR.  A wide one, which a QR cannot
     shrink, is cut to its numerical rank by ``_reduce_carry``: it keeps the
     singular values above sigma_1 * max(rows, columns) * eps, the default
-    tolerance of ``numpy.linalg.matrix_rank``, and a non-finite input is
-    kept as it is.  A right part can have a numerical rank far below its
-    bond pair's count: on the prescribed family, run on the bond-reversed
-    chain (so on B's left parts), no factor has more than r_V^2 = 25 rows,
-    where the right parts give 625.
+    tolerance of ``numpy.linalg.matrix_rank``; a non-finite input, or one
+    whose SVD fails to converge, is kept as it is.  A right part can have a
+    numerical rank far below its bond pair's count: on the prescribed
+    family, run on the bond-reversed chain (so on B's left parts), no
+    factor has more than r_V^2 = 25 rows, where the right parts give 625.
 
     A non-finite core of A raises ``ValueError``, and so does a norm of
     A^T A that overflows.
@@ -655,7 +655,8 @@ def _reduce_carry(stacked: np.ndarray, rtol: float = np.finfo(float).eps):
     for its singular values above rtol * sigma_1; at full numerical rank it
     is kept as it is.  The residual's carry uses rtol = eps, below which a
     direction is lost in the rounding of the carry anyway.  A wide matrix
-    with a NaN or inf is kept as it is.
+    with a NaN or inf, or whose SVD LAPACK fails to converge, is kept as it
+    is: that carry is exact (Q = I), only not thinned.
     """
     rows, cols = stacked.shape
     if rows >= cols or rows == 0:
@@ -663,7 +664,10 @@ def _reduce_carry(stacked: np.ndarray, rtol: float = np.finfo(float).eps):
     r = np.linalg.qr(stacked.T, mode="r")  # stacked = r^T Q^T
     if not np.isfinite(r).all():  # the norm comes out NaN or inf
         return stacked
-    u, sv, _ = np.linalg.svd(r.T)
+    try:
+        u, sv, _ = np.linalg.svd(r.T)
+    except np.linalg.LinAlgError:
+        return stacked
     keep = int(np.count_nonzero(sv > rtol * sv[0]))
     if keep == rows:
         return stacked

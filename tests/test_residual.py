@@ -225,3 +225,30 @@ def test_residual_of_zero_and_non_finite_terms():
             with np.errstate(all="ignore"), pytest.raises(ValueError,
                                                           match="NaN or inf"):
                 block_tt_residual_norm(*args)
+
+
+def _failing_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def test_reduce_carry_keeps_a_carry_whose_svd_fails(monkeypatch):
+    """A LAPACK failure keeps the wide carry unreduced, which is exact."""
+    stacked = np.random.default_rng(0).standard_normal((3, 7))
+    monkeypatch.setattr(np.linalg, "svd", _failing_svd)
+    assert tt._reduce_carry(stacked) is stacked
+
+
+def test_residual_survives_a_failing_carry_svd(monkeypatch):
+    """With every carry SVD failing, the residual keeps its value."""
+    a, sig, u, v = _solved("prescribed", 20, als_svd)
+    at, ones = matrix_tt_transpose(a), np.ones(sig.shape)
+    want = block_tt_residual_norm(at, u, ones, v, sig)
+    failed = []
+
+    def failing(*args, **kwargs):
+        failed.append(True)
+        return _failing_svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    got = block_tt_residual_norm(at, u, ones, v, sig)
+    assert failed
+    assert abs(got - want) <= 1e-15 * np.linalg.norm(sig)

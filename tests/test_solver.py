@@ -35,6 +35,7 @@ from ttsvd import (
     matrix_tt_transpose,
     random_block_tt,
     residual,
+    tt_norm,
     tt_reconstruct,
 )
 from ttsvd import solver
@@ -779,6 +780,32 @@ def test_solve_gauges_its_operator_once(driver, monkeypatch):
     assert sum(factorized) == 1
 
 
+@pytest.mark.parametrize("driver", [als_svd, mals_svd])
+def test_one_gauged_operator_reaches_every_layer(driver, monkeypatch):
+    # the environments, both half sweeps and the stop residual read the one
+    # chain the solve gauges; on the prescribed family the gauge cuts the
+    # product form's last two bonds, 49 and 169, to 16 and 4
+    a, _, _, _ = prescribed_svd_matrix(10, 0.5, k0=25, rank=5, seed=3)
+    seen = collections.defaultdict(list)
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name].append(args[1] if name == "env_init" else args[0])
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in ("env_init", "_half_sweep", "residual"):
+        monkeypatch.setattr(solver, name,
+                            recording(name, getattr(solver, name)))
+    driver(a, SolverConfig(k=10, epsilon=1e-8, seed=3))
+    assert set(seen) == {"env_init", "_half_sweep", "residual"}
+    ops = [op for calls in seen.values() for op in calls]
+    assert all(op is ops[0] for op in ops)
+    op = ops[0]
+    assert op.orth[1:] == ["R"] * (a.n_cores - 1)
+    assert a.ranks[-3:-1] == [49, 169]
+    assert op.ranks[-3:-1] == [16, 4]
+
+
 def test_runs_are_seed_deterministic():
     a, _, _, _ = prescribed_svd_matrix(5, 0.5, k0=6, rank=2, seed=31)
     cfg = SolverConfig(k=3, epsilon=1e-9, seed=32)
@@ -829,6 +856,39 @@ def test_als_svd_converges_on_prescribed_n64():
     truth = spectrum[:2]
     assert rep.termination == "converged"
     assert np.linalg.norm(sig - truth) / np.linalg.norm(truth) <= 1e-6
+
+
+def test_hilbert_spectra_interlace_from_n63_to_n64():
+    # the Hilbert block at N is the leading block of the one at N + 1, so
+    # sigma_k(N) <= sigma_k(N + 1), and Hilbert's inequality bounds sigma_1
+    # by pi; a result that skips a singular value at N + 1 reads below
+    # sigma_k(N) by nearly a gap (ROADMAP item 21)
+    delta, eps = 1e-8, 1e-6
+    cfg = SolverConfig(k=6, epsilon=eps, seed=0)
+    mats = [hilbert_submatrix_tt(n, delta) for n in (63, 64)]
+    outs = [mals_svd(a, cfg) for a in mats]
+    assert all(out[3].termination == "converged" for out in outs)
+    s63, s64 = (out[0] for out in outs)
+    # each sigma_k moves by at most delta ||H||_F in the build (Weyl) and by
+    # at most eps ||Sigma||_F at the residual the solve stopped below
+    tol = (eps * (np.linalg.norm(s63) + np.linalg.norm(s64))
+           + delta * sum(tt_norm(a) for a in mats))
+
+    def margin(small, large):
+        return float(np.min(large[:5] + tol - small[:5]))
+    assert margin(s63, s64) >= 0
+    assert s64[0] < math.pi
+    assert margin(s63, np.delete(s64, 2)) < 0
+
+
+def test_no_measurement_is_left_unfilled():
+    # a measurement comment written before its numbers were taken keeps
+    # placeholder words in the shipped source
+    src = Path(__file__).resolve().parents[1] / "src" / "ttsvd"
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        for word in ("PASS_OLD", "PASS_NEW", "WINS of"):
+            assert word not in text, f"{path.name} holds {word!r}"
 
 
 def test_tridiagonal_als_svd_n30_converges():
