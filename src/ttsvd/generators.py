@@ -28,6 +28,7 @@ from .tt import (
     MatrixTT,
     VectorTT,
     _as_matrix,
+    _fuse,
     _rf,
     block_tt_scale_columns,
     canonicalize,
@@ -35,9 +36,7 @@ from .tt import (
     matrix_tt_matmul,
     matrix_tt_transpose,
     tt_add,
-    tt_norm,
     tt_round,
-    tt_scale,
 )
 
 # Tridiagonal sums and full Toeplitz mixings are rounded at _ASSEMBLY_DELTA.
@@ -265,24 +264,13 @@ def _as_modes(modes) -> list[int]:
 
 
 def random_vector_tt(modes, rank: int, seed) -> VectorTT:
-    """Unit-norm VectorTT with standard-normal cores, then left-orthogonalized.
+    """Unit-norm, left-orthogonal VectorTT: ``random_block_tt`` at K = 1.
 
     ``modes`` is either the chain length (all mode sizes 2) or an explicit
     list of mode sizes; every interior bond gets ``rank``, clipped to what
     the mode sizes can support.
     """
-    modes = _as_modes(modes)
-    n = len(modes)
-    rng = np.random.default_rng(seed)
-    prof = _block_rank_profile(modes, 1, rank)
-    cores = [
-        rng.standard_normal((prof[m], modes[m], prof[m + 1])) for m in range(n)
-    ]
-    x = canonicalize(VectorTT(cores), n - 1)
-    nrm = tt_norm(x)
-    if nrm == 0.0:
-        raise ValueError("degenerate random chain")
-    return tt_scale(x, 1.0 / nrm)
+    return _fuse(random_block_tt(modes, 1, rank, seed))
 
 
 def _block_rank_profile(modes: list[int], k: int, rank: int) -> list[int]:

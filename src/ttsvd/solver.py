@@ -16,7 +16,7 @@ one-core split's K factor is contracted into the neighbouring core.
   incrementally.
 * ``als_eig_baseline`` / ``mals_eig_baseline`` sweep a single chain (V,)
   over the Gram matrix B = A^T A with a local eigenproblem, then recover
-  U = A V Sigma^{-1}.
+  U = A V Sigma^+ (``_pinv``).
 
 Restarts and the outcome rule (see ``SweepReport``) are the same for all
 four.  ``_local_operator`` builds each window's projected operator and
@@ -271,24 +271,28 @@ class SweepReport:
     the record (the module docstring states the rule).  An attempt ends at
     its sweep budget, on a failed local solve or on a stop residual below
     epsilon, which ends the solve.  The solve returns the
-    first iterate with the lowest stop residual (if no sweep completed, a
-    zero Sigma and the last attempt's chains on the SVD route, and a
-    ``ValueError`` on the Gram route, which cannot recover U).
+    first iterate with the lowest stop residual.  If no sweep completed,
+    every solver returns a zero Sigma, the last attempt's V, and U from the
+    last attempt on the SVD route or the zero chain A V Sigma^+ on the Gram
+    route, with ``residual`` ``inf``.
     ``sweeps_used`` counts its attempt's sweeps up to it (0 if none),
     ``total_sweeps`` is the length of the history, ``restarts_used`` the
     index of the last attempt and ``delta_final`` its truncation delta.
 
     ``residual`` is the returned iterate's relative residual
-    ||A^T U - V Sigma||_F / ||Sigma||_F on A: on the SVD route its stop
-    residual (``inf`` if no sweep completed), on the Gram route one
-    evaluation after U is recovered and rounded.  ``termination`` is
+    ||A^T U - V Sigma||_F / ||Sigma||_F on A, ``inf`` if no sweep completed:
+    on the SVD route its stop residual, on the Gram route one evaluation
+    after U is recovered and rounded.  ``termination`` is
     ``"converged"`` if ``residual`` is below epsilon, else ``"restarted"``
     if a restart ran, else ``"sweep-limit"``.  The Gram route stops on the
     residual of B = A^T A but is judged on A, so it can stop on B and still
     end ``"sweep-limit"``.  On the Gram route "converged" also needs
     ||U^T U - I||_F <= sqrt(epsilon) for the recovered U: where a sigma sits
-    at the eigenvalue noise floor of B, U = A V Sigma^-1 can lose a column
-    while the residual on A stays below epsilon.
+    at the eigenvalue noise floor of B, U = A V Sigma^+ can lose a column
+    while the residual on A stays below epsilon, and a sigma at or below
+    1e-14 sigma_1 leaves its column of U zero.  So a singular spectrum ends
+    ``"sweep-limit"`` or ``"restarted"`` on the Gram route too, not in an
+    exception.
     """
 
     solver: str = ""
@@ -514,14 +518,19 @@ def residual(a: MatrixTT, u: BlockTT, v: BlockTT, sigma,
                                   v, sig) / signorm
 
 
+def _pinv(sigma: np.ndarray) -> np.ndarray:
+    """Sigma^+: 1 / sigma, and 0 where sigma <= 1e-14 sigma_max (so all of an
+    all-zero Sigma)."""
+    cut = 1e-14 * float(sigma.max())
+    return np.where(sigma > cut, 1.0 / np.where(sigma > cut, sigma, 1.0), 0.0)
+
+
 def _gram_residual(bmat: MatrixTT, v: BlockTT, sigma: np.ndarray) -> float:
-    """Stopping metric ||B V pinv(Sigma) - V Sigma||_F / ||Sigma||_F for B = A^T A."""
+    """Stopping metric ||B V Sigma^+ - V Sigma||_F / ||Sigma||_F for B = A^T A."""
     signorm = float(np.linalg.norm(sigma))
     if signorm == 0.0:
         raise ValueError("residual is undefined for an all-zero spectrum")
-    smax = float(sigma.max())
-    pinv = np.where(sigma > 1e-14 * smax, 1.0 / np.where(sigma > 0, sigma, 1.0), 0.0)
-    return block_tt_residual_norm(bmat, v, pinv, v, sigma) / signorm
+    return block_tt_residual_norm(bmat, v, _pinv(sigma), v, sigma) / signorm
 
 
 # ---------------------------------------------------------------------------
@@ -814,25 +823,25 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     and Toeplitz families have about the same numerical rank on both sides
     at N=10 (64 against 58, 7 and 7, 36 and 36), and their set-up time did
     not change.  The solve then sweeps (V,) over the rounded B, recovers
-    U = A V Sigma^{-1} from the returned iterate, and evaluates the
-    verdict's residual on the reduced A and U's orthogonality defect
-    (``block_tt_gram``).  ``matrix_tt_matmul`` writes each core of B once,
-    with one slab (about 0.5 MB at N=10) as its only temporary, and forms B
-    at N=10 in 6 ms.  The unrounded B is held only during its rounding, so
-    a Gram solve peaks at B plus its R factors plus a few MiB (tracemalloc,
-    prescribed k0 16, rank 5, K=10: 36.0/60.1/84.3/108.4/301.7 MiB at
-    N=8/10/12/14/30, of which B is 33.9/57.7/81.5/105.4/296.1 and the R
-    factors 0.4/0.7/0.9/1.2/3.1).  B is still formed because the truncation
-    reads its cores, and the benchmark times its product as a layer of its
-    own; forming each core of B inside the truncation would remove it.  The
-    rounded B comes out right-orthogonal, so gauging it costs no QR.  Sigma
-    is only taken from a completed left-to-right half sweep; ``SweepReport``
-    states the outcome rule.  Either route gauges its operator once per
-    solve, right-orthogonal on cores 1..N-1, and the environments, both half
-    sweeps and the stop residual all read that one chain.  On the SVD route
-    the gauge also cuts every bond of A wider than the mode product to its
-    right: the prescribed family's last two bonds, 49 and 169, reach the
-    sweeps as 16 and 4.
+    U = A V Sigma^+ from the returned iterate, and, if a sweep completed,
+    evaluates the verdict's residual on the reduced A and U's orthogonality
+    defect (``block_tt_gram``).  ``matrix_tt_matmul`` writes each core of B
+    once, with one slab (about 0.5 MB at N=10) as its only temporary, and
+    forms B at N=10 in 6 ms.  The unrounded B is held only during its
+    rounding, so a Gram solve peaks at B plus its R factors plus a few MiB
+    (tracemalloc, prescribed k0 16, rank 5, K=10: 36.0/60.1/84.3/108.4/301.7
+    MiB at N=8/10/12/14/30, of which B is 33.9/57.7/81.5/105.4/296.1 and the
+    R factors 0.4/0.7/0.9/1.2/3.1).  B is still formed because the
+    truncation reads its cores, and the benchmark times its product as a
+    layer of its own; forming each core of B inside the truncation would
+    remove it.  The rounded B comes out right-orthogonal, so gauging it
+    costs no QR.  Sigma is only taken from a completed left-to-right half
+    sweep; ``SweepReport`` states the outcome rule.  Either route gauges its
+    operator once per solve, right-orthogonal on cores 1..N-1, and the
+    environments, both half sweeps and the stop residual all read that one
+    chain.  On the SVD route the gauge also cuts every bond of A wider than
+    the mode product to its right: the prescribed family's last two bonds,
+    49 and 169, reach the sweeps as 16 and 4.
     """
     sizes = (a.col_sizes,) if gram else (a.row_sizes, a.col_sizes)
     t0 = time.perf_counter()
@@ -888,24 +897,13 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     report.delta_final = delta
     orthonormal = True
     if gram:
-        if report.total_sweeps == 0:
-            raise ValueError(
-                "no sweep completed: the local solve failed in every attempt, "
-                "so there is no spectrum estimate to recover left vectors from"
-            )
-        smax = float(sigma.max()) if sigma.size else 0.0
-        if smax == 0.0 or float(sigma.min()) < 1e-13 * smax:
-            raise ValueError(
-                "spectrum estimate is numerically singular; recovering left "
-                "vectors from the Gram route needs an invertible Sigma, and the "
-                "transposed-Gram recovery is not implemented"
-            )
-        u = block_tt_scale_columns(block_tt_matvec(a, chains[0]), 1.0 / sigma)
+        u = block_tt_scale_columns(block_tt_matvec(a, chains[0]), _pinv(sigma))
         chains = (tt_round(u, rdelta), *chains)
-        r = residual(a, *chains, sigma)
-        # a column of U lost in the recovery leaves the residual on A small
-        defect = block_tt_gram(chains[0], chains[0]) - np.eye(cfg.k)
-        orthonormal = np.linalg.norm(defect) <= math.sqrt(cfg.epsilon)
+        if kept:
+            r = residual(a, *chains, sigma)
+            # a column of U lost in the recovery leaves the residual on A small
+            defect = block_tt_gram(chains[0], chains[0]) - np.eye(cfg.k)
+            orthonormal = np.linalg.norm(defect) <= math.sqrt(cfg.epsilon)
     report.residual = float(r)
     report.termination = ("converged" if r < cfg.epsilon and orthonormal
                           else "restarted" if attempt else "sweep-limit")

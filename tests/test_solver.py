@@ -531,19 +531,24 @@ def test_cost_test_agrees_with_all_dense_solves(driver, n, eps, monkeypatch):
         assert np.max(np.abs(sig - sig_dense) / sig_dense) <= 1e-8
 
 
-def test_gram_route_rejects_singular_spectra():
+def test_gram_route_judges_a_singular_spectrum():
     # A = e_1 e_1^T has rank 1, so sweeps complete with an exactly zero
-    # second singular value: U = A V Sigma^-1 cannot be recovered
+    # second singular value: U = A V Sigma^+ keeps a zero second column,
+    # and the verdict, not an exception, says the solve did not converge
     core = np.array([[1.0, 0.0], [0.0, 0.0]])[np.newaxis, :, :, np.newaxis]
     a = MatrixTT([core] * 5)
     cfg = SolverConfig(k=2, epsilon=1e-9, seed=26, max_restarts=1,
                        max_full_sweeps=2)
     for baseline in (als_eig_baseline, mals_eig_baseline):
-        with pytest.raises(ValueError, match="singular"):
-            baseline(a, cfg)
+        sig, u, _, rep = baseline(a, cfg)
+        assert np.max(np.abs(sig - [1.0, 0.0])) <= 1e-12
+        assert rep.termination != "converged"
+        defect = block_tt_gram(u, u) - np.diag([1.0, 0.0])
+        assert np.linalg.norm(defect) <= 1e-12
 
 
-def test_gram_route_says_when_no_sweep_completed(monkeypatch):
+def test_gram_route_ends_as_the_svd_route_when_no_sweep_completed(
+        monkeypatch):
     # starve the local solver so every attempt fails and Sigma stays zero
     monkeypatch.setattr(solver, "_LOCAL_MAX_ITER", 1)
     _force_dense_up_to(monkeypatch, -1)
@@ -551,9 +556,15 @@ def test_gram_route_says_when_no_sweep_completed(monkeypatch):
     a = random_matrix_tt(5, 2, rng)
     cfg = SolverConfig(k=2, epsilon=1e-9, seed=26, max_restarts=1,
                        max_full_sweeps=2)
-    for baseline in (als_eig_baseline, mals_eig_baseline):
-        with pytest.raises(ValueError, match="no sweep completed"):
-            baseline(a, cfg)
+    for driver in (als_svd, als_eig_baseline, mals_eig_baseline):
+        sig, u, _, rep = driver(a, cfg)
+        assert np.array_equal(sig, np.zeros(2))
+        assert rep.residual == math.inf
+        assert rep.total_sweeps == 0
+        assert rep.termination == "restarted"
+        if driver is not als_svd:
+            # U = A V Sigma^+ with Sigma^+ = 0
+            assert np.array_equal(tt_reconstruct(u), np.zeros((32, 2)))
 
 
 def test_report_is_json_serializable():
@@ -858,27 +869,28 @@ def test_als_svd_converges_on_prescribed_n64():
     assert np.linalg.norm(sig - truth) / np.linalg.norm(truth) <= 1e-6
 
 
-def test_hilbert_spectra_interlace_from_n63_to_n64():
+@pytest.mark.parametrize("n", [63, 255])
+def test_hilbert_spectra_interlace_from_n_to_n_plus_1(n):
     # the Hilbert block at N is the leading block of the one at N + 1, so
     # sigma_k(N) <= sigma_k(N + 1), and Hilbert's inequality bounds sigma_1
     # by pi; a result that skips a singular value at N + 1 reads below
     # sigma_k(N) by nearly a gap (ROADMAP item 21)
     delta, eps = 1e-8, 1e-6
     cfg = SolverConfig(k=6, epsilon=eps, seed=0)
-    mats = [hilbert_submatrix_tt(n, delta) for n in (63, 64)]
+    mats = [hilbert_submatrix_tt(m, delta) for m in (n, n + 1)]
     outs = [mals_svd(a, cfg) for a in mats]
     assert all(out[3].termination == "converged" for out in outs)
-    s63, s64 = (out[0] for out in outs)
+    small, large = (out[0] for out in outs)
     # each sigma_k moves by at most delta ||H||_F in the build (Weyl) and by
     # at most eps ||Sigma||_F at the residual the solve stopped below
-    tol = (eps * (np.linalg.norm(s63) + np.linalg.norm(s64))
+    tol = (eps * (np.linalg.norm(small) + np.linalg.norm(large))
            + delta * sum(tt_norm(a) for a in mats))
 
     def margin(small, large):
         return float(np.min(large[:5] + tol - small[:5]))
-    assert margin(s63, s64) >= 0
-    assert s64[0] < math.pi
-    assert margin(s63, np.delete(s64, 2)) < 0
+    assert margin(small, large) >= 0
+    assert large[0] < math.pi
+    assert margin(small, np.delete(large, 2)) < 0
 
 
 def test_no_measurement_is_left_unfilled():
@@ -991,13 +1003,15 @@ def test_gram_solve_stops_on_b_and_is_judged_on_a(driver):
 
 
 @pytest.mark.parametrize("driver", [als_eig_baseline, mals_eig_baseline])
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(30))
 def test_converged_gram_solve_of_a_rank_one_matrix_has_orthonormal_u(driver,
                                                                     seed):
     # on a rank-1 A the Gram route takes sigma_2 from the eigenvalue noise
-    # floor and U = A V Sigma^-1 loses its second column in the final
+    # floor and U = A V Sigma^+ loses its second column in the final
     # rounding: diag(U^T U) = (1, 0) with a residual on A of at most 2.2e-5,
-    # which once read "converged"; the verdict now refuses such a U
+    # which once read "converged"; the verdict now refuses such a U.  Where
+    # sigma_2 clips to 0 (als_eig seeds 9 and 15, mals_eig seeds 6, 7, 13,
+    # 15, 23, 26 and 27) the solve once raised instead of ending on a verdict
     rng = np.random.default_rng(seed)
     a = MatrixTT([np.outer(rng.standard_normal(2), rng.standard_normal(2))
                   [None, :, :, None] for _ in range(5)])
