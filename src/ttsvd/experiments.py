@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -79,21 +80,18 @@ TIMING_COLUMNS = ("experiment", "solver", "N", "K", "param", "rep", "seed",
 # experiment families
 
 
-def _positive_int(v) -> int:
-    """An integer >= 1; a bool, a fraction or a smaller value is an error."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-        raise ValueError(f"{v!r} is not a positive integer")
-    return int(v)
+# An integer >= 1 under SolverConfig's rule, as a converter (see _Family).
+_positive_int = functools.partial(solver_mod._integer, low=1)
 
 
-def _rank_cap(c):
+def _rank_cap(name: str, c):
     """A Toeplitz rank cap: None (uncapped) or a positive integer."""
-    return None if c is None else _positive_int(c)
+    return None if c is None else _positive_int(name, c)
 
 
-def _between(name: str, low: float, high: float):
+def _between(low: float, high: float):
     """A converter to a float strictly between ``low`` and ``high``."""
-    def convert(v) -> float:
+    def convert(name: str, v) -> float:
         x = float(v)
         if not low < x < high:
             raise ValueError(f"{name} must lie strictly between {low} and "
@@ -102,10 +100,10 @@ def _between(name: str, low: float, high: float):
     return convert
 
 
-def _path(v) -> str:
+def _path(name: str, v) -> str:
     """A TT container path; None (absent) or a non-string is an error."""
     if not isinstance(v, str):
-        raise ValueError(f"a path string is required, got {v!r}")
+        raise ValueError(f"{name} must be a string, got {v!r}")
     return v
 
 
@@ -154,12 +152,13 @@ class _Family:
     """What one experiment family is.
 
     ``params`` maps every ``params`` key the family reads to (default,
-    converter); a key left out of the config takes its default, and a
-    default the converter rejects (None for ``custom``'s ``path``) makes
-    the key required.  ``swept`` names the key, if any, whose values (a
-    scalar or a list, its default a tuple) are converted one by one and
-    fill the ``param`` column, one cell each; every other key is converted
-    whole into one value.  ``build(cfg, n, value, seed)`` returns the
+    converter), the converter called as ``convert(key, value)``; a key left
+    out of the config takes its default, and a default the converter
+    rejects (None for ``custom``'s ``path``) makes the key required.
+    ``swept`` names the key, if any, whose values (a scalar or a list, its
+    default a tuple) are converted one by one and fill the ``param``
+    column, one cell each; every other key is converted whole into one
+    value.  ``build(cfg, n, value, seed)`` returns the
     MatrixTT and its top-K truth or None.  ``max_n`` is the largest N, for
     the reason ``why``; None means the family takes no N.  ``caps_rank``
     makes the swept value the solvers' ``max_rank``.
@@ -181,10 +180,10 @@ _TRIDIAGONAL_MAX_N = 1022
 
 _FAMILIES = {
     "prescribed_svd": _Family(_build_prescribed, {
-        "beta": ((0.3, 0.5), _between("beta", 0, 1)),
+        "beta": ((0.3, 0.5), _between(0, 1)),
         "k0": (25, _positive_int), "rank": (5, _positive_int)}, "beta"),
     "hilbert": _Family(_build_hilbert, {
-        "delta": ((1e-8,), _between("delta", 0, math.inf))}, "delta",
+        "delta": ((1e-8,), _between(0, math.inf))}, "delta",
         max_n=_EXPSUM_MAX_N,
         why="the Hilbert quadrature covers 1 <= x < 2^(N+1), which "
             "overflows a float from N = 1023 on"),
@@ -198,12 +197,15 @@ _FAMILIES = {
 }
 
 
-def _convert(key: str, value, convert):
-    """``convert(value)``; a rejected value is a ConfigError naming the key."""
+def _checked(prefix: str, convert, /, *args, **kwargs):
+    """``convert(*args, **kwargs)``; a TypeError or ValueError becomes a
+    ConfigError, its message after ``prefix``, and a ConfigError passes."""
     try:
-        return convert(value)
+        return convert(*args, **kwargs)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad params.{key} value: {exc}") from exc
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 @dataclass
@@ -244,11 +246,7 @@ class RunConfig:
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ConfigError(f"unknown solver {s!r}")
-        if (isinstance(self.reps, bool)
-                or not isinstance(self.reps, (int, np.integer))):
-            raise ConfigError("reps must be an integer")
-        if self.reps < 1:
-            raise ConfigError("reps must be >= 1")
+        self.reps = _checked("", solver_mod._integer, "reps", self.reps, 1)
         for name in ("params", "solver_options"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be a mapping")
@@ -260,12 +258,9 @@ class RunConfig:
             self.epsilon = float(self.epsilon)
         except (TypeError, ValueError):
             raise bad_epsilon from None
-        try:
-            self.solver_config = solver_mod.SolverConfig(
-                k=self.k, epsilon=self.epsilon, seed=self.seed,
-                **self.solver_options)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad solver configuration: {exc}") from exc
+        self.solver_config = _checked(
+            "bad solver configuration: ", solver_mod.SolverConfig, k=self.k,
+            epsilon=self.epsilon, seed=self.seed, **self.solver_options)
         if fam.caps_rank and "max_rank" in self.solver_options:
             raise ConfigError(f"solver_options.max_rank is not allowed on "
                               f"{self.experiment}, whose params.{fam.swept} "
@@ -273,9 +268,9 @@ class RunConfig:
         if fam.max_n is not None:
             if not self.n_values:
                 raise ConfigError("n_values must not be empty")
+            self.n_values = [_checked("", solver_mod._integer, "N", n, 2)
+                             for n in self.n_values]
             for n in self.n_values:
-                if not isinstance(n, int) or n < 2:
-                    raise ConfigError("every N must be an integer >= 2")
                 if n > fam.max_n:
                     raise ConfigError(f"{self.experiment} needs N <= "
                                       f"{fam.max_n}: {fam.why}")
@@ -289,13 +284,15 @@ class RunConfig:
         self.swept_values, self.fixed_params = [None], {}
         for key, (default, convert) in fam.params.items():
             value = self.params.get(key, default)
+            prefix = f"bad params.{key} value: "
             if key != fam.swept:
-                self.fixed_params[key] = _convert(key, value, convert)
+                self.fixed_params[key] = _checked(prefix, convert, key, value)
                 continue
             values = value if isinstance(value, (list, tuple)) else [value]
             if not values:
                 raise ConfigError(f"params.{key} must not be empty")
-            self.swept_values = [_convert(key, v, convert) for v in values]
+            self.swept_values = [_checked(prefix, convert, key, v)
+                                 for v in values]
         if self.k > self.fixed_params.get("k0", self.k):
             raise ConfigError("k exceeds the prescribed spectrum length k0")
 
@@ -319,10 +316,7 @@ def load_run_config(path: str) -> RunConfig:
     unknown = set(doc) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        return RunConfig(**doc)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _checked("", RunConfig, **doc)
 
 
 # A text cell that build_report reads as a number; "blank" also allows "".
@@ -363,12 +357,8 @@ class TimingRow:
 
 def _build_matrix(cfg: RunConfig, n, value, seed: int):
     """Return (MatrixTT, ground-truth top-K spectrum or None)."""
-    try:
-        return _FAMILIES[cfg.experiment].build(cfg, n, value, seed)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"generator rejected N={n}: {exc}") from exc
+    return _checked(f"generator rejected N={n}: ",
+                    _FAMILIES[cfg.experiment].build, cfg, n, value, seed)
 
 
 def run_experiment(cfg: RunConfig):
@@ -445,7 +435,7 @@ def _run_cell(cfg: RunConfig, n, value, solver_name: str, first):
         numeric.append((report.sweeps_used, report.residual, spec_err, max_v,
                         report.termination))
     sweeps, resids, specs, vranks, terms = zip(*numeric)
-    agg_term = "converged" if all(t == "converged" for t in terms) else "mixed"
+    agg_term = terms[0] if len(set(terms)) == 1 else "mixed"
     spec_mean = "" if specs[0] is None else repr(float(np.mean(specs)))
     spec_std = "" if specs[0] is None else repr(_std(specs))
     rows.append(ResultRow(

@@ -112,6 +112,8 @@ from .tt import (
     BlockTT,
     MatrixTT,
     _bond_reversed,
+    _check_finite,
+    _norm,
     _rf,
     block_tt_gram,
     block_tt_matvec,
@@ -166,8 +168,9 @@ _RESTART_DELTA_SHRINK = 0.1
 # the bonds at the mode limit too made Hilbert N=12 (delta 1e-8) als_svd at
 # K=10, epsilon 1e-12 take 60 sweeps and end "restarted" where it converged
 # in 22 (seed 0), or 41 sweeps instead of 2 (seed 1): at the left end the
-# exact split kept 20/37/52 where the bound allowed 15/15/16.  A factor of 1, max(K + 5, r), made Hilbert N=16 mals_svd
-# K=2 at epsilon 1e-10 take 22 sweeps and a restart instead of 2.
+# exact split kept 20/37/52 where the bound allowed 15/15/16.  A factor of 1,
+# max(K + 5, r), made Hilbert N=16 mals_svd K=2 at epsilon 1e-10 take 22
+# sweeps and a restart instead of 2.
 _OVERSAMPLE = 5
 _RANK_GROWTH = 2
 # The Gram baselines round A^T A and the recovered U at epsilon divided by
@@ -206,6 +209,16 @@ class LocalSolverError(RuntimeError):
     """The iterative local solver failed; the sweep driver may restart."""
 
 
+def _integer(name: str, value, low: int) -> int:
+    """``value`` as an int of at least ``low``; a bool or a non-integer
+    (a float such as 2.0 included) raises ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    return int(value)
+
+
 @dataclass
 class SolverConfig:
     """What a caller sets for the sweep drivers.
@@ -238,12 +251,8 @@ class SolverConfig:
         for name, low in (("k", 1), ("max_full_sweeps", 1), ("max_restarts", 0),
                           ("seed", 0), ("max_rank", 1)):
             value = getattr(self, name)
-            if value is None and name == "max_rank":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
-            if value < low:
-                raise ValueError(f"{name} must be at least {low}")
+            if value is not None or name != "max_rank":
+                setattr(self, name, _integer(name, value, low))
         if (isinstance(self.epsilon, bool) or not isinstance(
                 self.epsilon, (int, float, np.integer, np.floating))
                 or not 0 < self.epsilon < math.inf):
@@ -499,6 +508,21 @@ def _gemm(mat: np.ndarray, axis: int):
 # residuals
 
 
+def _relative_residual(op: MatrixTT, x: BlockTT, xs, y: BlockTT,
+                       sigma: np.ndarray) -> float:
+    """||op X diag(xs) - Y Sigma||_F / ||Sigma||_F, Sigma = diag(sigma).
+
+    ||Sigma||_F is read at any magnitude (``tt._norm``), as
+    ``block_tt_residual_norm`` reads ||op||_F, so scaling A and Sigma by a
+    power of two leaves the value unchanged past 1.3e154 too, where the
+    square of ||Sigma||_F overflows.  An all-zero Sigma raises ``ValueError``.
+    """
+    signorm = _norm(sigma)
+    if signorm == 0.0:
+        raise ValueError("residual is undefined for an all-zero spectrum")
+    return block_tt_residual_norm(op, x, xs, y, sigma) / signorm
+
+
 def residual(a: MatrixTT, u: BlockTT, v: BlockTT, sigma,
              delta: float | None = None) -> float:
     """Relative residual ||A^T U - V Sigma||_F / ||Sigma||_F in TT arithmetic.
@@ -506,16 +530,14 @@ def residual(a: MatrixTT, u: BlockTT, v: BlockTT, sigma,
     Exact to about 1e-16 ||Sigma|| on solver outputs: the left-to-right
     sweep of ``block_tt_residual_norm`` never forms A^T U and cuts each
     carry to its numerical rank only in a canonical gauge.  Residuals far
-    below sqrt(machine epsilon) ||Sigma|| stay resolvable.  An A gauged by
+    below sqrt(machine epsilon) ||Sigma|| stay resolvable, at any magnitude
+    of A and Sigma (``_relative_residual``).  An A gauged by
     ``canonicalize(a, 0)`` is not gauged again.  ``delta`` is ignored,
     kept so five-argument calls keep working.
     """
     sig = np.asarray(sigma, dtype=float)
-    signorm = float(np.linalg.norm(sig))
-    if signorm == 0.0:
-        raise ValueError("residual is undefined for an all-zero spectrum")
-    return block_tt_residual_norm(matrix_tt_transpose(a), u, np.ones(sig.shape),
-                                  v, sig) / signorm
+    return _relative_residual(matrix_tt_transpose(a), u, np.ones(sig.shape),
+                              v, sig)
 
 
 def _pinv(sigma: np.ndarray) -> np.ndarray:
@@ -527,10 +549,7 @@ def _pinv(sigma: np.ndarray) -> np.ndarray:
 
 def _gram_residual(bmat: MatrixTT, v: BlockTT, sigma: np.ndarray) -> float:
     """Stopping metric ||B V Sigma^+ - V Sigma||_F / ||Sigma||_F for B = A^T A."""
-    signorm = float(np.linalg.norm(sigma))
-    if signorm == 0.0:
-        raise ValueError("residual is undefined for an all-zero spectrum")
-    return block_tt_residual_norm(bmat, v, _pinv(sigma), v, sigma) / signorm
+    return _relative_residual(bmat, v, _pinv(sigma), v, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +794,8 @@ def check_problem(a: MatrixTT, cfg: SolverConfig, name: str) -> None:
     single-core solver needs k >= 2: with one column its truncated splits
     can never grow a bond past its current value, so ranks would stay
     frozen.  An end window of a swept chain holds at most ``max_rank``
-    times its modes' product columns.  Each entry point calls this before
-    it sweeps; ``_driver`` does not.
+    times its modes' product columns.  Every core must be finite.  Each
+    entry point calls this before it sweeps; ``_driver`` does not.
     """
     pair = name.startswith("mals")
     if not pair and cfg.k < 2:
@@ -796,9 +815,7 @@ def check_problem(a: MatrixTT, cfg: SolverConfig, name: str) -> None:
             raise ValueError(
                 f"max_rank {cfg.max_rank} is too small for k={cfg.k}: a "
                 f"window at an end of the chain holds at most {room} columns")
-    for m, core in enumerate(a.cores):
-        if not np.isfinite(core).all():
-            raise ValueError(f"core {m} of the matrix holds NaN or inf")
+    _check_finite(a.cores)
 
 
 def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
@@ -841,19 +858,31 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     environments, both half sweeps and the stop residual all read that one
     chain.  On the SVD route the gauge also cuts every bond of A wider than
     the mode product to its right: the prescribed family's last two bonds,
-    49 and 169, reach the sweeps as 16 and 4.
+    49 and 169, reach the sweeps as 16 and 4.  The gauge leaves all of
+    ||A||_F in its core 0, the Gram route's reduction in the reduced A's
+    last core, and a matrix whose ||A||_F is zero or past the float range
+    raises ``ValueError`` there, before the first sweep.
     """
     sizes = (a.col_sizes,) if gram else (a.row_sizes, a.col_sizes)
     t0 = time.perf_counter()
-    op = a
+    with np.errstate(over="ignore"):  # an overflowing A is refused below
+        try:
+            # finite cores (check_problem) fail to reduce or gauge only where
+            # ||A||_F overflows
+            op = matrix_tt_round(a, 0.0) if gram else canonicalize(a, 0)
+        except ValueError:
+            norm = math.inf
+        else:
+            norm = _norm(op.cores[-1 if gram else 0])
+    if not 0.0 < norm < math.inf:
+        raise ValueError("the matrix's Frobenius norm is zero or not finite")
     if gram:
         # B's ranks are the squares of the reduced A's
-        a = matrix_tt_round(a, 0.0)
+        a = op
         rdelta = cfg.epsilon / _GRAM_DELTA_DIVISOR
         rev = _bond_reversed(a)
-        op = _bond_reversed(gram_tt_round(
-            matrix_tt_matmul(matrix_tt_transpose(rev), rev), rev, rdelta))
-    op = canonicalize(op, 0)
+        op = canonicalize(_bond_reversed(gram_tt_round(
+            matrix_tt_matmul(matrix_tt_transpose(rev), rev), rev, rdelta)), 0)
     report = SweepReport(solver=name, k=cfg.k)
     # (stop residual, Sigma, chain copies, sweeps of its attempt) of the
     # first iterate with the lowest stop residual

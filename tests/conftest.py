@@ -7,7 +7,8 @@ test compares two independent routes to the same value.
 
 import numpy as np
 
-from ttsvd import BlockTT, MatrixTT, VectorTT, tt_reconstruct, tt_to_vector
+from ttsvd import (BlockTT, MatrixTT, VectorTT, hilbert_submatrix_tt,
+                   tt_reconstruct, tt_to_vector)
 
 
 def random_matrix_tt(n, rank, rng, mode=2, scale=1.0):
@@ -23,6 +24,15 @@ def random_matrix_tt(n, rank, rng, mode=2, scale=1.0):
 def identity_tt(n):
     """The 2^n x 2^n identity as a rank-1 matrix chain."""
     return MatrixTT([np.eye(2)[np.newaxis, :, :, np.newaxis]] * n)
+
+
+def zero_or_overflowing_tt(which):
+    """Five zero cores, or Hilbert N=8 with every core times 2^150: its
+    ||A||_F, 2^1200 ||H||_F, is past the float range though every core is
+    finite."""
+    if which == "zero":
+        return MatrixTT([np.zeros((1, 2, 2, 1))] * 5)
+    return MatrixTT([c * 2.0**150 for c in hilbert_submatrix_tt(8, 1e-8).cores])
 
 
 def random_vector_tt_raw(n, rank, rng, mode=2):

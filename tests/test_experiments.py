@@ -1,5 +1,6 @@
 """Experiment harness: configs, determinism, CSV contracts, CLI verbs."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,8 +11,9 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from conftest import check_micro_records, random_matrix_tt
-from ttsvd import save_tt, solver, verify
+from conftest import (check_micro_records, random_matrix_tt,
+                      zero_or_overflowing_tt)
+from ttsvd import MatrixTT, save_tt, solver, verify
 from ttsvd.cli import main as cli_main
 from ttsvd.experiments import (
     _FAMILIES,
@@ -92,7 +94,7 @@ def test_load_reads_exponent_only_epsilon(tmp_path):
      r"unknown experiment \['hilbert'\]"),
     (lambda d: d.update(solvers=[]), "must not be empty"),
     (lambda d: d.update(solvers=["als_svd", "qr"]), "unknown solver"),
-    (lambda d: d.update(reps=0), ">= 1"),
+    (lambda d: d.update(reps=0), "reps must be at least 1"),
     (lambda d: d.update(k=0), "k must be at least 1"),
     (lambda d: d.update(epsilon=0.0), "positive"),
     (lambda d: d.update(epsilon=float("nan")), "finite"),
@@ -104,7 +106,7 @@ def test_load_reads_exponent_only_epsilon(tmp_path):
     (lambda d: d.update(reps=1.5), "reps must be an integer"),
     (lambda d: d.update(seed=0.5), "seed must be an integer"),
     (lambda d: d.update(seed=-1), "seed must be at least 0"),
-    (lambda d: d.update(n_values=[1]), ">= 2"),
+    (lambda d: d.update(n_values=[1]), "N must be at least 2"),
     (lambda d: d.update(n_values=[]), "must not be empty"),
     (lambda d: d.update(params=[1]), "params must be a mapping"),
     (lambda d: d.update(solver_options=[1]), "solver_options must be a mapping"),
@@ -161,6 +163,42 @@ def test_every_read_params_key_loads(tmp_path):
         assert len(cfg.swept_values) == len(values.get(family.swept, [None]))
         assert sorted(cfg.fixed_params) == sorted(
             set(family.params) - {family.swept})
+
+
+@pytest.mark.parametrize("name, over, read", [
+    ("k", lambda v: dict(k=v), lambda c: c.solver_config.k),
+    ("max_full_sweeps", lambda v: dict(solver_options={"max_full_sweeps": v}),
+     lambda c: c.solver_config.max_full_sweeps),
+    ("max_restarts", lambda v: dict(solver_options={"max_restarts": v}),
+     lambda c: c.solver_config.max_restarts),
+    ("seed", lambda v: dict(seed=v), lambda c: c.solver_config.seed),
+    ("max_rank", lambda v: dict(solver_options={"max_rank": v}),
+     lambda c: c.solver_config.max_rank),
+    ("reps", lambda v: dict(reps=v), lambda c: c.reps),
+    ("N", lambda v: dict(n_values=[v]), lambda c: c.n_values[0]),
+    ("k0", lambda v: dict(params={"k0": v}), lambda c: c.fixed_params["k0"]),
+    ("rank", lambda v: dict(params={"rank": v}),
+     lambda c: c.fixed_params["rank"]),
+    ("rank", lambda v: dict(experiment="toeplitz", params={"rank": v}),
+     lambda c: c.fixed_params["rank"]),
+    ("max_rank", lambda v: dict(experiment="toeplitz",
+                                params={"max_rank": [v]}),
+     lambda c: c.swept_values[0]),
+])
+def test_every_integer_takes_one_rule(name, over, read):
+    # one converter: a numpy integer is taken as an int, and a bool or a
+    # fraction is refused with SolverConfig's words.  N once refused a numpy
+    # integer and took True for 1, reps and the family params had words of
+    # their own
+    base = dict(experiment="prescribed_svd", solvers=["als_svd"],
+                n_values=[4], k=2)
+    cfg = RunConfig(**{**base, **over(np.int64(3))})
+    assert read(cfg) == 3 and type(read(cfg)) is int
+    for bad in (True, 2.5):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            RunConfig(**{**base, **over(bad)})
+    with pytest.raises(ConfigError, match=f"{name} must be at least"):
+        RunConfig(**{**base, **over(-1)})
 
 
 def test_load_rejects_non_mapping_and_missing_file(tmp_path):
@@ -369,6 +407,49 @@ def test_custom_experiment_round_trip(tmp_path):
     save_tt(a, path)
     with pytest.raises(ConfigError, match="core 1 "):
         run_experiment(cfg)
+
+
+def test_a_cell_whose_repetitions_end_alike_keeps_their_termination(
+        tmp_path, monkeypatch):
+    # A = e_1 e_1^T: the SVD solvers converge and the Gram baselines, whose
+    # U = A V Sigma^+ keeps a zero column, end "sweep-limit"; a mean row once
+    # read "mixed" unless every repetition converged
+    path = str(tmp_path / "e1.ttc")
+    save_tt(MatrixTT([np.diag([1.0, 0.0])[None, :, :, None]] * 5), path)
+    cfg = RunConfig(experiment="custom", solvers=list(SOLVERS), n_values=[],
+                    k=2, reps=2, params={"path": path})
+    means = {r.solver: r.termination for r in run_experiment(cfg)[0]
+             if r.rep == "mean"}
+    assert means == {"als_svd": "converged", "mals_svd": "converged",
+                     "als_eig": "sweep-limit", "mals_eig": "sweep-limit"}
+    # repetitions that differ still read "mixed"
+    solve = SOLVERS["als_eig"]
+
+    def restarted_at_seed_1(a, scfg):
+        sigma, u, v, report = solve(a, scfg)
+        if scfg.seed == 1:
+            report.termination = "restarted"
+        return sigma, u, v, report
+    monkeypatch.setitem(SOLVERS, "als_eig", restarted_at_seed_1)
+    rows = run_experiment(dataclasses.replace(cfg, solvers=["als_eig"]))[0]
+    assert [r.termination for r in rows] == ["sweep-limit", "restarted",
+                                             "mixed", ""]
+
+
+@pytest.mark.parametrize("which", ["zero", "overflowing"])
+def test_cli_run_refuses_a_zero_or_overflowing_matrix(tmp_path, which):
+    # its norm is read before the first sweep: exit 2 and no results.csv
+    path = str(tmp_path / "a.ttc")
+    save_tt(zero_or_overflowing_tt(which), path)
+    cfg = _cli_config(tmp_path, experiment="custom", n_values=[],
+                      solvers=list(SOLVERS), params={"path": path})
+    out = tmp_path / "out"
+    res = CliRunner().invoke(cli_main, ["run", cfg, "--strict", "--out-dir",
+                                        str(out)])
+    assert res.exit_code == 2
+    assert ("solver als_svd rejected the problem: the matrix's Frobenius "
+            "norm is zero or not finite") in res.output
+    assert not (out / "results.csv").exists()
 
 
 def test_scaling_report_fits_exact_lines():

@@ -111,6 +111,22 @@ def test_gram_residual_matches_the_qr_sweep():
         assert abs(_gram_residual(op, v, sig) * signorm - want) <= 1e-14 * signorm
 
 
+def test_residual_reads_sigma_past_the_float_range():
+    """A and Sigma scaled by one power of two leave the value unchanged.
+
+    ||Sigma||_F once came from np.linalg.norm, whose square overflows above
+    1.3e154: at 2^600 and 2^1000 the residual read 0.0.
+    """
+    a = prescribed_svd_matrix(8, 0.5, k0=16, rank=5, seed=3)[0]
+    sig, u, v, _ = als_svd(a, SolverConfig(k=4, epsilon=1e-16, seed=1,
+                                           max_full_sweeps=1, max_restarts=0))
+    want = residual(a, u, v, sig)
+    assert 5e-15 <= want <= 1e-14
+    for e in (600, 1000):
+        scaled = MatrixTT([a.cores[0] * 2.0**e, *a.cores[1:]])
+        assert residual(scaled, u, v, sig * 2.0**e) == want
+
+
 @pytest.mark.parametrize("family, n, solver", [
     ("prescribed", 30, als_svd), ("prescribed", 40, mals_svd),
     ("hilbert", 18, mals_svd),

@@ -17,6 +17,7 @@ from conftest import (
     check_micro_records,
     identity_tt,
     random_matrix_tt,
+    zero_or_overflowing_tt,
 )
 from ttsvd import (
     MatrixTT,
@@ -545,6 +546,40 @@ def test_gram_route_judges_a_singular_spectrum():
         assert rep.termination != "converged"
         defect = block_tt_gram(u, u) - np.diag([1.0, 0.0])
         assert np.linalg.norm(defect) <= 1e-12
+
+
+@pytest.mark.parametrize("which", ["zero", "overflowing"])
+@pytest.mark.parametrize("driver", ALL_DRIVERS)
+def test_a_zero_or_overflowing_matrix_is_refused_before_the_first_sweep(
+        driver, which, monkeypatch):
+    # a zero A once raised "residual is undefined for an all-zero spectrum"
+    # after its first sweep, and the overflowing one a LinAlgError from the
+    # first local SVD (SVD route) or "truncated_svd requires finite
+    # entries" (Gram route)
+    swept = []
+    monkeypatch.setattr(solver, "_half_sweep", lambda *args: swept.append(1))
+    with pytest.raises(ValueError,
+                       match="Frobenius norm is zero or not finite") as info:
+        driver(zero_or_overflowing_tt(which), SolverConfig(k=2))
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+    assert swept == []
+
+
+def test_a_solve_scaled_past_the_float_range_keeps_its_verdict():
+    # every core times 2^100: A and Sigma by 2^800, so ||Sigma||_F^2
+    # overflows.  Its stop residual once read 0.0, a false "converged", or
+    # raised an overflow RuntimeWarning; every window here is dense, so the
+    # iterate is the unscaled one to rounding
+    a = prescribed_svd_matrix(8, 0.5, k0=16, rank=5, seed=3)[0]
+    cfg = SolverConfig(k=4, epsilon=1e-16, seed=1, max_full_sweeps=1,
+                       max_restarts=0)
+    sig, _, _, rep = als_svd(a, cfg)
+    big = MatrixTT([c * 2.0**100 for c in a.cores])
+    big_sig, _, _, big_rep = als_svd(big, cfg)
+    assert {m["local_path"] for m in big_rep.micro} == {"dense"}
+    assert np.max(np.abs(big_sig / 2.0**800 - sig) / sig) <= 1e-14
+    assert rep.termination == big_rep.termination == "sweep-limit"
+    assert 5e-15 <= big_rep.residual <= 1e-14
 
 
 def test_gram_route_ends_as_the_svd_route_when_no_sweep_completed(
