@@ -268,11 +268,14 @@ class SweepReport:
     set (an index into ``chain.ranks``), that bond's new rank in U and V
     (``rank_u``, ``rank_v``) and the energy each split discarded
     (``discarded_u``, ``discarded_v``; the U fields are ``None`` on the
-    Gram route), the current Sigma estimate, the block Krylov steps spent
-    (0 exactly on the ``"dense"`` path) and its ``local_path`` (see the
-    module docstring).  ``residual_history`` has one entry (attempt, sweep,
-    stop residual, and the rank profiles ``ranks_u`` and ``ranks_v`` the
-    sweep ends with) per completed full sweep.  An attempt's chains start
+    Gram route), the current Sigma estimate (on A's scale, as the returned
+    Sigma; ``_driver`` sweeps A / 2^e), the block Krylov steps spent (0
+    exactly on the ``"dense"`` path) and its ``local_path`` (see the module
+    docstring).  A solve of 2^k A returns 2^k Sigma, 2^k times every micro
+    sigma, and the same U, V, paths, residuals and discarded energies, bit
+    for bit on the SVD route.  ``residual_history`` has one entry (attempt,
+    sweep, stop residual, and the rank profiles ``ranks_u`` and ``ranks_v``
+    the sweep ends with) per completed full sweep.  An attempt's chains start
     from ``generators._block_rank_profile(modes, K, 1)``, so a profile in
     mid-sweep is the previous profile (or that start) with the sweep's
     records so far applied, bond by bond.  A right-to-left record keeps at
@@ -862,9 +865,23 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     ||A||_F in its core 0, the Gram route's reduction in the reduced A's
     last core, and a matrix whose ||A||_F is zero or past the float range
     raises ``ValueError`` there, before the first sweep.
+
+    Otherwise that one core is divided by 2^e, e the binary exponent of
+    ||A||_F (``math.frexp``), so the whole solve runs on A / 2^e, whose
+    ||A||_F is in [0.5, 1): the sweeps, every local problem, block Krylov's
+    residual test, the Gram route's product A^T A and both stop residuals.
+    No kernel under the sweep needs a range guard of its own.  Sigma and
+    every micro record's sigma are multiplied back by 2^e at the end; U, V,
+    the residuals, the history and the discarded energies do not depend on
+    the scale.  A power of two scales every in-range operation exactly, so
+    a solve of 2^k A returns 2^k Sigma and the same U and V, bit for bit on
+    the SVD route.  The Gram route scales after its exact reduction, whose
+    LAPACK SVDs rescale input out of their range, so there the solve of
+    2^k A keeps its verdict and Sigma to rounding (within 1e-13 relative).
     """
     sizes = (a.col_sizes,) if gram else (a.row_sizes, a.col_sizes)
     t0 = time.perf_counter()
+    held = -1 if gram else 0  # the core of op that holds all of ||A||_F
     with np.errstate(over="ignore"):  # an overflowing A is refused below
         try:
             # finite cores (check_problem) fail to reduce or gauge only where
@@ -873,9 +890,11 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
         except ValueError:
             norm = math.inf
         else:
-            norm = _norm(op.cores[-1 if gram else 0])
+            norm = _norm(op.cores[held])
     if not 0.0 < norm < math.inf:
         raise ValueError("the matrix's Frobenius norm is zero or not finite")
+    e = math.frexp(norm)[1]  # every sweep runs on A / 2^e
+    op.cores[held] = np.ldexp(op.cores[held], -e)
     if gram:
         # B's ranks are the squares of the reduced A's
         a = op
@@ -936,8 +955,10 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     report.residual = float(r)
     report.termination = ("converged" if r < cfg.epsilon and orthonormal
                           else "restarted" if attempt else "sweep-limit")
+    for record in report.micro:
+        record["sigma"] = [math.ldexp(s, e) for s in record["sigma"]]
     report.wall_time_s = time.perf_counter() - t0
-    return sigma, *chains, report
+    return np.ldexp(sigma, e), *chains, report
 
 
 def als_svd(a: MatrixTT, cfg: SolverConfig):

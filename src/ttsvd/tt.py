@@ -334,32 +334,35 @@ def gram_r_factors(a: MatrixTT) -> list:
     eps = np.finfo(float).eps
     rs = [None] * len(cores) + [np.ones((1, 1))]
     n_even = 1  # leading rows of rs[n + 1] that the swap leaves unchanged
-    for n in range(len(cores) - 1, -1, -1):
-        core = cores[n]
-        p, ni, nj, q = core.shape
-        r = rs[n + 1]
-        s = r.shape[0]
-        # t[mu, (d, i), (j, a)] = sum_b R[mu, b + q d] A[a, i, j, b]
-        t = r.reshape(s * q, q) @ core.transpose(3, 1, 2, 0).reshape(q, -1)
-        # g[mu, (m, c), (j, a)] = sum_{d, i} A[c, i, m, d] t[mu, (d, i), (j, a)]
-        g = core.transpose(2, 0, 3, 1).reshape(nj * p, q * ni) @ t.reshape(
-            s, q * ni, nj * p)
-        del t
-        even, odd = _parity_qr_inputs(g.reshape(s, -1), p, nj, n_even)
-        del g
-        r_even = _reduce_carry(even, max(even.shape) * eps)
-        del even
-        r_odd = _reduce_carry(odd, max(odd.shape) * eps)
-        del odd
-        n_even = r_even.shape[0]
-        u, v = np.triu_indices(p, 1)
-        dg = np.arange(p)
-        out = np.zeros((n_even + r_odd.shape[0], p, p))  # (mu, c, a)
-        out[:n_even, dg, dg] = r_even[:, :p]
-        out[:n_even, u, v] = out[:n_even, v, u] = r_even[:, p:] * h
-        out[n_even:, u, v] = r_odd * h
-        out[n_even:, v, u] = r_odd * -h
-        rs[n] = out.reshape(out.shape[0], p * p)
+    # an overflow is refused below, where it reaches the norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(len(cores) - 1, -1, -1):
+            core = cores[n]
+            p, ni, nj, q = core.shape
+            r = rs[n + 1]
+            s = r.shape[0]
+            # t[mu, (d, i), (j, a)] = sum_b R[mu, b + q d] A[a, i, j, b]
+            t = r.reshape(s * q, q) @ core.transpose(3, 1, 2, 0).reshape(q, -1)
+            # g[mu, (m, c), (j, a)]
+            #     = sum_{d, i} A[c, i, m, d] t[mu, (d, i), (j, a)]
+            g = core.transpose(2, 0, 3, 1).reshape(nj * p, q * ni) @ t.reshape(
+                s, q * ni, nj * p)
+            del t
+            even, odd = _parity_qr_inputs(g.reshape(s, -1), p, nj, n_even)
+            del g
+            r_even = _reduce_carry(even, max(even.shape) * eps)
+            del even
+            r_odd = _reduce_carry(odd, max(odd.shape) * eps)
+            del odd
+            n_even = r_even.shape[0]
+            u, v = np.triu_indices(p, 1)
+            dg = np.arange(p)
+            out = np.zeros((n_even + r_odd.shape[0], p, p))  # (mu, c, a)
+            out[:n_even, dg, dg] = r_even[:, :p]
+            out[:n_even, u, v] = out[:n_even, v, u] = r_even[:, p:] * h
+            out[n_even:, u, v] = r_odd * h
+            out[n_even:, v, u] = r_odd * -h
+            rs[n] = out.reshape(out.shape[0], p * p)
     if not math.isfinite(rs[0][0, 0]):
         raise ValueError("the norm of a^T a overflows")
     return rs
@@ -762,17 +765,19 @@ def block_tt_residual_norm(op: MatrixTT, x: BlockTT, xs, y: BlockTT, ys) -> floa
     if xs.shape != (x.k,) or ys.shape != (x.k,):
         raise ValueError("need one weight per block column")
     p = x.block_position
-    xc = canonicalize(x, p).cores
-    yc = canonicalize(y, p).cores
-    xc[p] = xc[p] * xs[np.newaxis, :, np.newaxis, np.newaxis]
-    yc[p] = yc[p] * -ys[np.newaxis, :, np.newaxis, np.newaxis]
-    ops = [np.ascontiguousarray(c.transpose(0, 2, 1, 3))
-           for c in canonicalize(op, 0).cores]
-    nu = _norm(ops[0])
-    if nu > 0.0:
-        ops[0] = ops[0] / nu
-        xc[p] = xc[p] * nu
-    norm = _residual_sweep(ops, xc, yc, p)
+    # a NaN, an inf or an overflow is refused below, where it reaches the norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = canonicalize(x, p).cores
+        yc = canonicalize(y, p).cores
+        xc[p] = xc[p] * xs[np.newaxis, :, np.newaxis, np.newaxis]
+        yc[p] = yc[p] * -ys[np.newaxis, :, np.newaxis, np.newaxis]
+        ops = [np.ascontiguousarray(c.transpose(0, 2, 1, 3))
+               for c in canonicalize(op, 0).cores]
+        nu = _norm(ops[0])
+        if nu > 0.0:
+            ops[0] = ops[0] / nu
+            xc[p] = xc[p] * nu
+        norm = _residual_sweep(ops, xc, yc, p)
     if not math.isfinite(norm):
         raise ValueError("a core or weight of the residual holds NaN or inf, "
                          "or the residual overflows")

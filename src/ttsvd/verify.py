@@ -268,24 +268,15 @@ def _check_prescribed(rng):
     return ok, "dense SVD of the construction recovers beta^k exactly"
 
 
-def _frame_matrix(chain, p):
+def _frame_matrix(chain):
+    """Frame of the last core: its left part times the identity on its mode."""
     left = np.ones((1, 1))
-    for m in range(p):
-        c = chain.cores[m]
+    for c in chain.cores[:-1]:
         left = _rf(np.tensordot(left, c, axes=(1, 0)),
                    (left.shape[0] * c.shape[1], c.shape[2]))
-    right = np.ones((1, 1))
-    for m in range(chain.n_cores - 1, p, -1):
-        c = chain.cores[m]
-        t = np.tensordot(c, right, axes=(2, 0))
-        right = _rf(t.transpose(1, 2, 0), (c.shape[1] * right.shape[1],
-                                           c.shape[0]))
-    i_p = chain.cores[p].shape[2] if chain.block_position == p else \
-        chain.cores[p].shape[1]
-    f = np.einsum("aA,iI,bB->aibAIB", left, np.eye(i_p), right)
-    rows = left.shape[0] * i_p * right.shape[0]
-    cols = left.shape[1] * i_p * right.shape[1]
-    return _rf(f, (rows, cols))
+    i_p = chain.mode_sizes[-1]
+    f = np.einsum("aA,iI->aiAI", left, np.eye(i_p))
+    return _rf(f, (left.shape[0] * i_p, left.shape[1] * i_p))
 
 
 def _check_environments(rng):
@@ -297,8 +288,8 @@ def _check_environments(rng):
     ok = environment_deviation(env, u, a, v, n - 1) < 1e-12
     p = n - 1
     abar = dense_local_matrix(env, [a.cores[p]], p)
-    fu = _frame_matrix(u, p)
-    fv = _frame_matrix(v, p)
+    fu = _frame_matrix(u)
+    fv = _frame_matrix(v)
     ref = fu.T @ tt_reconstruct(a) @ fv
     ok = ok and np.allclose(abar, ref, atol=1e-10)
     y = rng.standard_normal(abar.shape[1])

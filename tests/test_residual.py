@@ -238,8 +238,7 @@ def test_residual_of_zero_and_non_finite_terms():
                 cores[5].flat[0] = bad
                 args[i] = (MatrixTT(cores) if which == "op"
                            else BlockTT(cores, args[i].block_position))
-            with np.errstate(all="ignore"), pytest.raises(ValueError,
-                                                          match="NaN or inf"):
+            with pytest.raises(ValueError, match="NaN or inf"):
                 block_tt_residual_norm(*args)
 
 

@@ -328,7 +328,9 @@ def test_gram_operator_is_the_rounded_gram_matrix(n, monkeypatch):
     op = seen[0]
     delta = eps / solver._GRAM_DELTA_DIVISOR
     ad = tt_reconstruct(a)
-    bd = ad.T @ ad
+    # the driver sweeps over (A / 2^e)^T (A / 2^e), e the binary exponent of
+    # ||A||_F
+    bd = np.ldexp(ad.T @ ad, -2 * math.frexp(np.linalg.norm(ad))[1])
     err = np.linalg.norm(tt_reconstruct(op) - bd)
     assert err <= delta * np.sqrt(n - 1) * np.linalg.norm(bd)
     unreduced = matrix_tt_round(matrix_tt_matmul(matrix_tt_transpose(a), a),
@@ -565,21 +567,73 @@ def test_a_zero_or_overflowing_matrix_is_refused_before_the_first_sweep(
     assert swept == []
 
 
+def _same_cores(x, y):
+    return all(np.array_equal(c, d) for c, d in zip(x.cores, y.cores))
+
+
 def test_a_solve_scaled_past_the_float_range_keeps_its_verdict():
     # every core times 2^100: A and Sigma by 2^800, so ||Sigma||_F^2
     # overflows.  Its stop residual once read 0.0, a false "converged", or
-    # raised an overflow RuntimeWarning; every window here is dense, so the
-    # iterate is the unscaled one to rounding
+    # raised an overflow RuntimeWarning, and the iterate moved by rounding;
+    # the sweeps run on A / 2^e, so the solve is the unscaled one, bit for bit
     a = prescribed_svd_matrix(8, 0.5, k0=16, rank=5, seed=3)[0]
     cfg = SolverConfig(k=4, epsilon=1e-16, seed=1, max_full_sweeps=1,
                        max_restarts=0)
-    sig, _, _, rep = als_svd(a, cfg)
     big = MatrixTT([c * 2.0**100 for c in a.cores])
-    big_sig, _, _, big_rep = als_svd(big, cfg)
-    assert {m["local_path"] for m in big_rep.micro} == {"dense"}
-    assert np.max(np.abs(big_sig / 2.0**800 - sig) / sig) <= 1e-14
-    assert rep.termination == big_rep.termination == "sweep-limit"
-    assert 5e-15 <= big_rep.residual <= 1e-14
+    for driver in (als_svd, mals_svd):
+        sig, u, v, rep = driver(a, cfg)
+        big_sig, big_u, big_v, big_rep = driver(big, cfg)
+        assert np.array_equal(big_sig, np.ldexp(sig, 800))
+        assert _same_cores(big_u, u) and _same_cores(big_v, v)
+        assert rep.termination == big_rep.termination == "sweep-limit"
+        assert big_rep.residual == rep.residual
+        assert 5e-15 <= big_rep.residual <= 1e-14
+
+
+# (matrix, power of two per core, solvers, SolverConfig arguments).  Before
+# the driver swept A / 2^e, every scaled solve but the last raised an
+# overflow RuntimeWarning (block Krylov's residual test squares sigma-sized
+# values, and the Gram route formed A^T A at A's own scale), and the last
+# returned residual 3.852e-15 where the unscaled solve returns 5.410e-15
+_ONE_SWEEP = dict(max_full_sweeps=1, max_restarts=0)
+_SCALED_SOLVES = {
+    "hilbert12-x2^66": (lambda: hilbert_submatrix_tt(12, 1e-8), 66,
+                        [mals_svd], dict(k=4, epsilon=1e-12, **_ONE_SWEEP)),
+    "prescribed8-x2^100": (
+        lambda: prescribed_svd_matrix(8, 0.5, k0=16, rank=5, seed=3)[0], 100,
+        [mals_svd], dict(k=4, epsilon=1e-16, seed=1, **_ONE_SWEEP)),
+    "hilbert8-x2^80": (lambda: hilbert_submatrix_tt(8, 1e-8), 80, ALL_DRIVERS,
+                       dict(k=2, epsilon=1e-8)),
+    "prescribed8-x2^-90": (
+        lambda: prescribed_svd_matrix(8, 0.5, k0=16, rank=5, seed=3)[0], -90,
+        [als_svd], dict(k=4, epsilon=1e-10, seed=1)),
+}
+
+
+@pytest.mark.parametrize("case, driver", [
+    (case, driver) for case, (_, _, drivers, _) in _SCALED_SOLVES.items()
+    for driver in drivers])
+def test_a_solve_of_a_power_of_two_times_a_is_the_solve_of_a(case, driver):
+    make, power, _, kwargs = _SCALED_SOLVES[case]
+    a = make()
+    big = MatrixTT([np.ldexp(c, power) for c in a.cores])
+    cfg = SolverConfig(**kwargs)
+    sig, u, v, rep = driver(a, cfg)
+    big_sig, big_u, big_v, big_rep = driver(big, cfg)
+    scale = power * a.n_cores
+    assert big_rep.termination == rep.termination
+    if driver in (als_svd, mals_svd):
+        assert np.array_equal(big_sig, np.ldexp(sig, scale))
+        assert _same_cores(big_u, u) and _same_cores(big_v, v)
+        assert big_rep.residual == rep.residual
+        assert ([m["local_path"] for m in big_rep.micro]
+                == [m["local_path"] for m in rep.micro])
+        assert all(np.array_equal(m["sigma"], np.ldexp(n["sigma"], scale))
+                   for m, n in zip(big_rep.micro, rep.micro))
+    else:
+        # the reduction's LAPACK SVDs rescale out-of-range input, so the
+        # Gram route keeps its verdict but not its bits
+        assert np.max(np.abs(np.ldexp(big_sig, -scale) - sig) / sig) <= 1e-13
 
 
 def test_gram_route_ends_as_the_svd_route_when_no_sweep_completed(
