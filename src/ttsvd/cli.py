@@ -11,7 +11,9 @@ Exit codes: 0 success; 1 verification failure; 2 configuration error
 converge in a run marked ``--strict``.  A repetition converged if its
 solver reported "converged", which every solver decides on the residual on
 A that ``relative_residual`` records; ``--strict`` names every repetition
-that did not.
+that did not.  A repetition whose residual is below epsilon and that did
+not converge is a Gram solve whose recovered U failed its orthonormality
+check, and ``--strict`` says so.
 """
 
 from __future__ import annotations
@@ -73,18 +75,22 @@ def run_cmd(config_path, seed, out_dir, reps, solvers, max_n, strict):
         sys.exit(2)
     paths = write_results(cfg.out_dir, result_rows, timing_rows,
                           config_dict=cfg.to_dict())
-    rep_rows = [r for r in result_rows if r.rep not in ("mean", "std")]
+    rep_rows = [r for r in result_rows if r.is_repetition()]
     converged = sum(1 for r in rep_rows if r.termination == "converged")
     click.echo(f"wrote {paths['results']} ({len(rep_rows)} runs, "
                f"{converged} converged)")
     failed = [r for r in rep_rows if r.termination != "converged"]
     if strict and failed:
         for r in failed:
+            # below epsilon only a Gram solve can fail: on its U check
+            cause = ("; below epsilon, so the Gram route's recovered U "
+                     "failed its check ||U^T U - I||_F <= sqrt(epsilon)"
+                     if float(r.relative_residual) < cfg.epsilon else "")
             click.echo(
                 f"strict mode: {r.experiment} {r.solver} N={r.n} param "
                 f"{r.param} rep {r.rep} did not converge: termination "
                 f"{r.termination}, relative_residual {r.relative_residual}, "
-                f"epsilon {cfg.epsilon!r}", err=True)
+                f"epsilon {cfg.epsilon!r}{cause}", err=True)
         sys.exit(3)
     sys.exit(0)
 

@@ -22,6 +22,14 @@ column order plus JSON reports:
 * ``report.json``   - aggregate statistics and linear time-vs-N fits
 * ``plotdata/*.tsv`` - one plot-ready table per (experiment, solver)
 
+Each cell's repetition rows are followed by a ``mean`` and a ``std`` row,
+summarized by one rule: every number column (a ``ResultRow`` field whose
+metadata says ``number``) takes the mean and the population std of its
+repetitions' values, a blank column stays blank, and a column that holds
+``inf`` gives ``inf``.  The mean row's termination is the repetitions'
+common one or "mixed"; the std row's is empty.  ``report.json``'s
+aggregates take ``mean_<column>`` from the mean rows.
+
 Repetition r of any cell uses seed ``base_seed + r`` for both the matrix
 generator (where randomness applies) and the solver, so runs are
 deterministic end to end.
@@ -319,15 +327,18 @@ def load_run_config(path: str) -> RunConfig:
     return _checked("", RunConfig, **doc)
 
 
-# A text cell that build_report reads as a number; "blank" also allows "".
-# Such cells stay text so a CSV rewrites byte for byte ("3" in a
-# repetition row, "3.0" in a mean row).
+# A text cell that holds a number; "blank" also allows "".  Such cells stay
+# text so a CSV rewrites byte for byte ("3" in a repetition row, "3.0" in a
+# mean row).  These fields are the columns a cell's mean and std rows and
+# build_report's aggregates summarize.
 _NUMBER = {"number": True}
 _NUMBER_OR_BLANK = {"number": True, "blank": True}
 
 
 @dataclass
-class ResultRow:
+class RowKey:
+    """The key columns that a result row and a timing row share."""
+
     experiment: str
     solver: str
     n: int
@@ -335,6 +346,14 @@ class ResultRow:
     param: str
     rep: str
     seed: str
+
+    def is_repetition(self) -> bool:
+        """False for a cell's ``mean`` and ``std`` rows."""
+        return self.rep not in ("mean", "std")
+
+
+@dataclass
+class ResultRow(RowKey):
     sweeps: str = field(metadata=_NUMBER)
     relative_residual: str = field(metadata=_NUMBER)
     spectrum_rel_error: str = field(metadata=_NUMBER_OR_BLANK)
@@ -343,16 +362,15 @@ class ResultRow:
 
 
 @dataclass
-class TimingRow:
-    experiment: str
-    solver: str
-    n: int
-    k: int
-    param: str
-    rep: str
-    seed: str
+class TimingRow(RowKey):
     wall_time_s: float
     construction_s: float
+
+
+def _numbers(row) -> dict:
+    """The text of each number field of ``row``, by field name."""
+    return {f.name: getattr(row, f.name) for f in fields(row)
+            if f.metadata.get("number")}
 
 
 def _build_matrix(cfg: RunConfig, n, value, seed: int):
@@ -408,7 +426,6 @@ def _run_cell(cfg: RunConfig, n, value, solver_name: str, first):
         param_str = str(value)
     run = SOLVERS[solver_name]
     rows, times = [], []
-    numeric = []
     for rep in range(cfg.reps):
         a, truth, construction, scfg = (
             first if rep == 0 else _prepare(cfg, n, value, solver_name, rep))
@@ -417,36 +434,35 @@ def _run_cell(cfg: RunConfig, n, value, solver_name: str, first):
         except ValueError as exc:
             raise ConfigError(f"solver {solver_name} rejected the problem: "
                               f"{exc}") from exc
-        if truth is not None:
-            spec_err = float(np.linalg.norm(sigma - truth)
-                             / np.linalg.norm(truth))
-        else:
-            spec_err = None
-        n_out = a.n_cores if n is None else n
-        max_v = max(v.ranks)
+        spec_err = "" if truth is None else repr(float(
+            np.linalg.norm(sigma - truth) / np.linalg.norm(truth)))
+        key = (cfg.experiment, solver_name, a.n_cores if n is None else n,
+               cfg.k, param_str, str(rep), str(scfg.seed))
         rows.append(ResultRow(
-            cfg.experiment, solver_name, n_out, cfg.k, param_str, str(rep),
-            str(scfg.seed), str(report.sweeps_used), repr(report.residual),
-            "" if spec_err is None else repr(spec_err), str(max_v),
-            report.termination))
-        times.append(TimingRow(
-            cfg.experiment, solver_name, n_out, cfg.k, param_str, str(rep),
-            str(scfg.seed), float(report.wall_time_s), float(construction)))
-        numeric.append((report.sweeps_used, report.residual, spec_err, max_v,
-                        report.termination))
-    sweeps, resids, specs, vranks, terms = zip(*numeric)
-    agg_term = terms[0] if len(set(terms)) == 1 else "mixed"
-    spec_mean = "" if specs[0] is None else repr(float(np.mean(specs)))
-    spec_std = "" if specs[0] is None else repr(_std(specs))
-    rows.append(ResultRow(
-        cfg.experiment, solver_name, n_out, cfg.k, param_str, "mean", "",
-        repr(float(np.mean(sweeps))), repr(float(np.mean(resids))), spec_mean,
-        repr(float(np.mean(vranks))), agg_term))
-    rows.append(ResultRow(
-        cfg.experiment, solver_name, n_out, cfg.k, param_str, "std", "",
-        repr(_std(sweeps)), repr(_std(resids)), spec_std, repr(_std(vranks)),
-        ""))
-    return rows, times
+            *key, str(report.sweeps_used), repr(report.residual), spec_err,
+            str(max(v.ranks)), report.termination))
+        times.append(TimingRow(*key, float(report.wall_time_s),
+                               float(construction)))
+    return rows + _summary_rows(rows), times
+
+
+def _summary_rows(reps: list) -> list:
+    """A cell's ``mean`` and ``std`` rows by the module's summary rule; each
+    value is read back from the repetitions' text, which ``repr`` and
+    ``str`` round-trip exactly."""
+    terms = {r.termination for r in reps}
+    columns = {name: [getattr(r, name) for r in reps]
+               for name in _numbers(reps[0])}
+    out = []
+    for rep, stat, term in (
+            ("mean", np.mean, terms.pop() if len(terms) == 1 else "mixed"),
+            ("std", _std, "")):
+        numbers = {name: "" if "" in texts else
+                   repr(float(stat([float(t) for t in texts])))
+                   for name, texts in columns.items()}
+        out.append(dataclasses.replace(reps[0], rep=rep, seed="",
+                                       termination=term, **numbers))
+    return out
 
 
 def _std(values) -> float:
@@ -517,9 +533,7 @@ def scaling_report(timing_rows) -> dict:
     time profile (zero variance) fits perfectly, so R^2 reports 1.0 there.
     """
     per = {}
-    for row in timing_rows:
-        if row.rep in ("mean", "std"):
-            continue
+    for row in filter(RowKey.is_repetition, timing_rows):
         per.setdefault(row.solver, {}).setdefault(row.n, []).append(
             row.wall_time_s)
     fits = {}
@@ -547,25 +561,14 @@ def scaling_report(timing_rows) -> dict:
 
 
 def build_report(result_rows, timing_rows, config_dict=None) -> dict:
-    terminations = Counter(row.termination for row in result_rows
-                           if row.rep not in ("mean", "std"))
-    aggregates = []
-    for row in result_rows:
-        if row.rep != "mean":
-            continue
-        aggregates.append({
-            "experiment": row.experiment,
-            "solver": row.solver,
-            "N": row.n,
-            "K": row.k,
-            "param": row.param,
-            "mean_sweeps": float(row.sweeps),
-            "mean_relative_residual": float(row.relative_residual),
-            "mean_spectrum_rel_error": (None if row.spectrum_rel_error == ""
-                                        else float(row.spectrum_rel_error)),
-            "mean_max_v_rank": float(row.max_v_rank),
-            "termination": row.termination,
-        })
+    terminations = Counter(row.termination for row in
+                           filter(RowKey.is_repetition, result_rows))
+    aggregates = [{
+        "experiment": row.experiment, "solver": row.solver, "N": row.n,
+        "K": row.k, "param": row.param, "termination": row.termination,
+        **{f"mean_{name}": None if text == "" else float(text)
+           for name, text in _numbers(row).items()},
+    } for row in result_rows if row.rep == "mean"]
     report = {
         "aggregates": aggregates,
         "termination_counts": dict(terminations),
@@ -581,15 +584,13 @@ def write_plotdata(out_dir: str, result_rows, timing_rows) -> list:
     plot_dir = os.path.join(out_dir, "plotdata")
     os.makedirs(plot_dir, exist_ok=True)
     times = {}
-    for t in timing_rows:
-        if t.rep not in ("mean", "std"):
-            times.setdefault((t.experiment, t.solver, t.n, t.param),
-                             []).append(t.wall_time_s)
+    for t in filter(RowKey.is_repetition, timing_rows):
+        times.setdefault((t.experiment, t.solver, t.n, t.param),
+                         []).append(t.wall_time_s)
     groups = {}
     for row in result_rows:
-        if row.rep != "mean":
-            continue
-        groups.setdefault((row.experiment, row.solver), []).append(row)
+        if row.rep == "mean":
+            groups.setdefault((row.experiment, row.solver), []).append(row)
     written = []
     for (experiment, solver_name), rows in sorted(groups.items()):
         path = os.path.join(plot_dir, f"{experiment}_{solver_name}.tsv")

@@ -545,19 +545,14 @@ def tt_add(x, y):
     if n == 1:
         return _restore(VectorTT([fx.cores[0] + fy.cores[0]]), x)
     cores = []
-    for m in range(n):
-        cx, cy = fx.cores[m], fy.cores[m]
-        if m == 0:
-            cores.append(np.concatenate([cx, cy], axis=2))
-        elif m == n - 1:
-            cores.append(np.concatenate([cx, cy], axis=0))
-        else:
-            rx, i, rx2 = cx.shape
-            ry, _, ry2 = cy.shape
-            c = np.zeros((rx + ry, i, rx2 + ry2))
-            c[:rx, :, :rx2] = cx
-            c[rx:, :, rx2:] = cy
-            cores.append(c)
+    for m, (cx, cy) in enumerate(zip(fx.cores, fy.cores)):
+        (rx, i, sx), (ry, _, sy) = cx.shape, cy.shape
+        # the first core shares its one row, the last its one column
+        r, s = (0 if m == 0 else rx), (0 if m == n - 1 else sx)
+        c = np.zeros((r + ry, i, s + sy))
+        c[:rx, :, :sx] = cx
+        c[r:, :, s:] = cy
+        cores.append(c)
     return _restore(VectorTT(cores), x)
 
 

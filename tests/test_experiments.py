@@ -25,6 +25,7 @@ from ttsvd.experiments import (
     RunConfig,
     TimingRow,
     _build_matrix,
+    _std,
     build_report,
     load_run_config,
     parse_rows_csv,
@@ -265,6 +266,41 @@ def test_cell_layout_and_aggregate_math():
     assert all(t.construction_s >= 0.0 for t in times)
 
 
+
+def test_every_number_column_is_summarized_by_one_rule():
+    # Hilbert has no truth, so spectrum_rel_error is blank; at epsilon 1e-14
+    # and two sweeps the Gram repetitions differ in their sweep counts
+    cfg = RunConfig(experiment="hilbert", solvers=list(SOLVERS),
+                    n_values=[5], k=3, epsilon=1e-14, reps=3,
+                    solver_options={"max_full_sweeps": 2, "max_restarts": 0})
+    rows, times = run_experiment(cfg)
+    numbers = [f.name for f in dataclasses.fields(ResultRow)
+               if f.metadata.get("number")]
+    assert numbers == ["sweeps", "relative_residual", "spectrum_rel_error",
+                       "max_v_rank"]
+    aggregates = build_report(rows, times)["aggregates"]
+    assert len(rows) == 5 * len(SOLVERS) == 5 * len(aggregates)
+    spread = set()
+    for at, agg in zip(range(0, len(rows), 5), aggregates):
+        reps, (mean, std) = rows[at:at + 3], rows[at + 3:at + 5]
+        assert (mean.rep, std.rep, mean.seed, std.seed) == ("mean", "std",
+                                                            "", "")
+        for name in numbers:
+            texts = [getattr(r, name) for r in reps]
+            if name == "spectrum_rel_error":
+                assert texts == [""] * 3
+                assert getattr(mean, name) == getattr(std, name) == ""
+                assert agg[f"mean_{name}"] is None
+                continue
+            values = [float(t) for t in texts]
+            assert getattr(mean, name) == repr(float(np.mean(values)))
+            assert getattr(std, name) == repr(_std(values))
+            assert agg[f"mean_{name}"] == float(getattr(mean, name))
+            spread.add((name, getattr(std, name) != "0.0"))
+        assert agg["termination"] == mean.termination
+    # the rule is checked on a non-zero std too
+    assert ("sweeps", True) in spread and ("relative_residual", True) in spread
+
 def test_csv_round_trip():
     cfg = _small_cfg()
     rows, times = run_experiment(cfg)
@@ -409,15 +445,20 @@ def test_custom_experiment_round_trip(tmp_path):
         run_experiment(cfg)
 
 
-def test_a_cell_whose_repetitions_end_alike_keeps_their_termination(
-        tmp_path, monkeypatch):
-    # A = e_1 e_1^T: the SVD solvers converge and the Gram baselines, whose
-    # U = A V Sigma^+ keeps a zero column, end "sweep-limit"; a mean row once
-    # read "mixed" unless every repetition converged
+def _e1_container(tmp_path):
+    """A = e_1 e_1^T at N=5 saved as a container: the SVD solvers converge
+    and the Gram baselines, whose U = A V Sigma^+ keeps a zero column, end
+    "sweep-limit" at a residual of 0.0."""
     path = str(tmp_path / "e1.ttc")
     save_tt(MatrixTT([np.diag([1.0, 0.0])[None, :, :, None]] * 5), path)
+    return path
+
+
+def test_a_cell_whose_repetitions_end_alike_keeps_their_termination(
+        tmp_path, monkeypatch):
+    # a mean row once read "mixed" unless every repetition converged
     cfg = RunConfig(experiment="custom", solvers=list(SOLVERS), n_values=[],
-                    k=2, reps=2, params={"path": path})
+                    k=2, reps=2, params={"path": _e1_container(tmp_path)})
     means = {r.solver: r.termination for r in run_experiment(cfg)[0]
              if r.rep == "mean"}
     assert means == {"als_svd": "converged", "mals_svd": "converged",
@@ -738,7 +779,30 @@ def test_cli_run_strict_flags_a_residual_above_epsilon(tmp_path):
         assert (r.termination == "converged") == (
             float(r.relative_residual) < 1e-3)
         assert (r.termination == "converged") == r.solver.endswith("svd")
+    # above epsilon a failure needs no cause beyond the residual
+    assert "recovered U" not in res.output
 
+
+def test_cli_run_strict_says_why_a_gram_repetition_below_epsilon_failed(
+        tmp_path):
+    # the Gram baselines end at a residual of 0.0 on A = e_1 e_1^T, refused
+    # by the orthonormality check of their recovered U, which the strict
+    # line names; the SVD solvers converge and are not named
+    cfg = _cli_config(tmp_path, experiment="custom", n_values=[],
+                      solvers=list(SOLVERS), reps=2,
+                      params={"path": _e1_container(tmp_path)})
+    res = CliRunner().invoke(cli_main, ["run", cfg, "--strict"])
+    assert res.exit_code == 3, res.output
+    named = [line for line in res.output.splitlines()
+             if line.startswith("strict mode:")]
+    assert [line.split()[3:5] for line in named] == [
+        ["als_eig", "N=5"], ["als_eig", "N=5"],
+        ["mals_eig", "N=5"], ["mals_eig", "N=5"]]
+    for line in named:
+        assert line.endswith(
+            "termination sweep-limit, relative_residual 0.0, epsilon 1e-08; "
+            "below epsilon, so the Gram route's recovered U failed its check "
+            "||U^T U - I||_F <= sqrt(epsilon)")
 
 def test_run_evaluates_one_residual_per_stop_test(monkeypatch):
     # the written relative_residual is the solver's own: an SVD repetition
@@ -811,23 +875,32 @@ def test_cli_report_rebuilds_from_csv(tmp_path):
 
 def test_cli_report_matches_the_run_outputs(tmp_path):
     # report rebuilds plotdata byte for byte, and report.json up to the
-    # config, which a results.csv does not carry
+    # config, which a results.csv does not carry; Hilbert's cells have a
+    # blank spectrum_rel_error column
     runner = CliRunner()
-    cfg_path = _cli_config(tmp_path, n_values=[4, 5], reps=2)
-    assert runner.invoke(cli_main, ["run", cfg_path]).exit_code == 0
-    out, target = tmp_path / "out", tmp_path / "rebuilt"
-    res = runner.invoke(cli_main, ["report", str(out / "results.csv"),
-                                   "--out-dir", str(target)])
-    assert res.exit_code == 0, res.output
-    plots = sorted(p.name for p in (out / "plotdata").iterdir())
-    assert plots == sorted(p.name for p in (target / "plotdata").iterdir())
-    for name in plots:
-        assert ((out / "plotdata" / name).read_bytes()
-                == (target / "plotdata" / name).read_bytes())
-    run_report = json.loads((out / "report.json").read_text())
-    assert "config" in run_report
-    del run_report["config"]
-    assert run_report == json.loads((target / "report.json").read_text())
+    for experiment, params in (("prescribed_svd", {"beta": [0.5], "k0": 6,
+                                                   "rank": 2}),
+                               ("hilbert", {})):
+        cfg_path = _cli_config(tmp_path, experiment=experiment,
+                               n_values=[4, 5], reps=2, params=params,
+                               out_dir=str(tmp_path / experiment))
+        assert runner.invoke(cli_main, ["run", cfg_path]).exit_code == 0
+        out, target = tmp_path / experiment, tmp_path / f"{experiment}-rebuilt"
+        res = runner.invoke(cli_main, ["report", str(out / "results.csv"),
+                                       "--out-dir", str(target)])
+        assert res.exit_code == 0, res.output
+        plots = sorted(p.name for p in (out / "plotdata").iterdir())
+        assert plots == sorted(p.name for p in (target / "plotdata").iterdir())
+        for name in plots:
+            assert ((out / "plotdata" / name).read_bytes()
+                    == (target / "plotdata" / name).read_bytes())
+        run_report = json.loads((out / "report.json").read_text())
+        assert "config" in run_report
+        del run_report["config"]
+        assert run_report == json.loads((target / "report.json").read_text())
+        blank = {agg["mean_spectrum_rel_error"] is None
+                 for agg in run_report["aggregates"]}
+        assert blank == {experiment == "hilbert"}
 
 
 def test_cli_report_rejects_malformed_csv(tmp_path):
