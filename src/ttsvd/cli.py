@@ -13,7 +13,7 @@ solver reported "converged", which every solver decides on the residual on
 A that ``relative_residual`` records; ``--strict`` names every repetition
 that did not.  A repetition whose residual is below epsilon and that did
 not converge is a Gram solve whose recovered U failed its orthonormality
-check, and ``--strict`` says so.
+check, and ``--strict`` says so, with the ``u_defect`` that failed it.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def run_cmd(config_path, seed, out_dir, reps, solvers, max_n, strict):
         for r in failed:
             # below epsilon only a Gram solve can fail: on its U check
             cause = ("; below epsilon, so the Gram route's recovered U "
-                     "failed its check ||U^T U - I||_F <= sqrt(epsilon)"
+                     "failed its check ||U^T U - I||_F <= sqrt(epsilon): "
+                     f"u_defect {r.u_defect}"
                      if float(r.relative_residual) < cfg.epsilon else "")
             click.echo(
                 f"strict mode: {r.experiment} {r.solver} N={r.n} param "

@@ -58,11 +58,8 @@ def truncated_svd(
         thr2 = np.ldexp(float(frob_threshold), -e) ** 2
     else:
         thr2 = (float(delta) ** 2) * float(energies.sum())
-    keep = len(s)
-    for r in range(1, len(s) + 1):
-        if suffix[r] <= thr2:
-            keep = r
-            break
+    # the first r >= 1 that meets the bound; suffix[len(s)] = 0 always does
+    keep = 1 + int(np.argmax(suffix[1:] <= thr2))
     if min_rank is not None:
         keep = max(keep, min(int(min_rank), len(s)))
     if max_rank is not None:

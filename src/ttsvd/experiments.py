@@ -14,7 +14,7 @@ column order plus JSON reports:
 
 * ``results.csv``   - experiment,solver,N,K,param,rep,seed,sweeps,
                       relative_residual,spectrum_rel_error,max_v_rank,
-                      termination
+                      u_defect,termination
 * ``timings.csv``   - experiment,solver,N,K,param,rep,seed,wall_time_s,
                       construction_s
 * ``metadata.json`` - timestamps and environment info (kept out of the
@@ -79,7 +79,7 @@ SOLVERS = {
 
 RESULT_COLUMNS = ("experiment", "solver", "N", "K", "param", "rep", "seed",
                   "sweeps", "relative_residual", "spectrum_rel_error",
-                  "max_v_rank", "termination")
+                  "max_v_rank", "u_defect", "termination")
 TIMING_COLUMNS = ("experiment", "solver", "N", "K", "param", "rep", "seed",
                   "wall_time_s", "construction_s")
 
@@ -358,6 +358,8 @@ class ResultRow(RowKey):
     relative_residual: str = field(metadata=_NUMBER)
     spectrum_rel_error: str = field(metadata=_NUMBER_OR_BLANK)
     max_v_rank: str = field(metadata=_NUMBER)
+    # ||U^T U - I||_F of the Gram route's recovered U; blank on the SVD route
+    u_defect: str = field(metadata=_NUMBER_OR_BLANK)
     termination: str
 
 
@@ -436,11 +438,12 @@ def _run_cell(cfg: RunConfig, n, value, solver_name: str, first):
                               f"{exc}") from exc
         spec_err = "" if truth is None else repr(float(
             np.linalg.norm(sigma - truth) / np.linalg.norm(truth)))
+        defect = "" if report.u_defect is None else repr(report.u_defect)
         key = (cfg.experiment, solver_name, a.n_cores if n is None else n,
                cfg.k, param_str, str(rep), str(scfg.seed))
         rows.append(ResultRow(
             *key, str(report.sweeps_used), repr(report.residual), spec_err,
-            str(max(v.ranks)), report.termination))
+            str(max(v.ranks)), defect, report.termination))
         times.append(TimingRow(*key, float(report.wall_time_s),
                                float(construction)))
     return rows + _summary_rows(rows), times

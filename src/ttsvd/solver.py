@@ -299,12 +299,13 @@ class SweepReport:
     if a restart ran, else ``"sweep-limit"``.  The Gram route stops on the
     residual of B = A^T A but is judged on A, so it can stop on B and still
     end ``"sweep-limit"``.  On the Gram route "converged" also needs
-    ||U^T U - I||_F <= sqrt(epsilon) for the recovered U: where a sigma sits
-    at the eigenvalue noise floor of B, U = A V Sigma^+ can lose a column
-    while the residual on A stays below epsilon, and a sigma at or below
-    1e-14 sigma_1 leaves its column of U zero.  So a singular spectrum ends
-    ``"sweep-limit"`` or ``"restarted"`` on the Gram route too, not in an
-    exception.
+    ``u_defect`` = ||U^T U - I||_F <= sqrt(epsilon) for the recovered U
+    (``None`` on the SVD route and where no sweep completed): where a sigma
+    sits at the eigenvalue noise floor of B, U = A V Sigma^+ can lose a
+    column while the residual on A stays below epsilon, and a sigma at or
+    below 1e-14 sigma_1 leaves its column of U zero.  So a singular spectrum
+    ends ``"sweep-limit"`` or ``"restarted"`` on the Gram route too, not in
+    an exception.
     """
 
     solver: str = ""
@@ -318,6 +319,7 @@ class SweepReport:
     termination: str = ""
     delta_final: float = 0.0
     residual: float = math.inf
+    u_defect: float | None = None
 
     def to_json(self) -> dict:
         return {("micro_iterations" if key == "micro" else key): value
@@ -576,17 +578,22 @@ class _LocalOperator:
     rows: tuple  # local tensor shape of the row (U) side
     cols: tuple  # local tensor shape of the column (V) side
     path: str
-    dense_fallback: bool
+    # block Krylov's step budget and start block; 0 and None on the dense path
+    steps: int = 0
+    start: np.ndarray | None = None
 
 
-def _local_operator(env: Environment, a: MatrixTT, q: int, pair: bool,
-                    k: int, gram: bool) -> _LocalOperator:
-    """Projected operator at core q, or on the merged pair (q, q+1).
+def _local_operator(env: Environment, a: MatrixTT, chain: BlockTT, q: int,
+                    pair: bool, k: int, gram: bool) -> _LocalOperator:
+    """Projected operator at core q, or on the merged pair (q, q+1), planned.
 
     The only place that picks the local path (see the module docstring),
     by the MAC estimates of ``local_solve_macs``.  On the dense path the
-    local solver decomposes ``build()``.  ``dense_fallback`` is set when
-    that costs no more than ``_LOCAL_MAX_ITER`` Krylov steps.
+    local solver decomposes ``build()``.  On a Krylov path block Krylov
+    starts from ``start``, the V side of ``chain``'s block core, and gets
+    ``steps``: ``_KRYLOV_STEPS`` where a dense solve costs no more than
+    ``_LOCAL_MAX_ITER`` steps and can take over, ``_LOCAL_MAX_ITER``
+    otherwise.
     """
     cores = tuple(a.cores[q:q + 1 + pair])
     left, right = env.lefts[q], env.rights[q + pair]
@@ -603,30 +610,26 @@ def _local_operator(env: Environment, a: MatrixTT, q: int, pair: bool,
     built = build_macs + _KRYLOV_STEPS * gemm_step <= _KRYLOV_STEPS * free_step
     step = gemm_step if built else free_step
     if decompose <= _KRYLOV_STEPS * step + build_macs * built:
-        path = "dense"
-    elif built:
-        path = "krylov-dense-op"
+        return _LocalOperator(matvec, rmatvec, build, rows, cols, "dense")
+    path = "krylov-dense-op" if built else "krylov-matrix-free"
+    if built:
         mat = build()
         matvec, rmatvec, build = _gemm(mat, 1), _gemm(mat, 0), lambda: mat
-    else:
-        path = "krylov-matrix-free"
-    return _LocalOperator(matvec, rmatvec, build, rows, cols, path,
-                          decompose <= _LOCAL_MAX_ITER * step)
+    steps = (_KRYLOV_STEPS if decompose <= _LOCAL_MAX_ITER * step
+             else _LOCAL_MAX_ITER)
+    return _LocalOperator(matvec, rmatvec, build, rows, cols, path, steps,
+                          _block_as_local(chain, q, pair))
 
 
-def _krylov_steps(op: _LocalOperator) -> int:
-    """Block Krylov's step budget: short where a dense solve can take over."""
-    return _KRYLOV_STEPS if op.dense_fallback else _LOCAL_MAX_ITER
-
-
-def local_block_svd(op: _LocalOperator, k: int, start: np.ndarray, seed: int,
+def local_block_svd(op: _LocalOperator, k: int, seed: int,
                     tol: float = _LOCAL_TOL):
     """K dominant singular triplets of the local matrix of ``op``.
 
     On the dense path the built matrix is decomposed (0 iterations);
-    otherwise block Krylov runs on the operator from ``start``, the
-    (local size, K) V side of the block core.  Returns (Sigma, (U, V),
-    iterations), U and V shaped ``op.rows`` and ``op.cols`` + (K,).
+    otherwise block Krylov runs on the operator from ``op.start``, the
+    (local size, K) V side of the block core, for at most ``op.steps``
+    steps.  Returns (Sigma, (U, V), iterations), U and V shaped ``op.rows``
+    and ``op.cols`` + (K,).
     """
     if op.path == "dense":
         u, sigma, v = dense_block_svd(op.build(), k)
@@ -634,11 +637,11 @@ def local_block_svd(op: _LocalOperator, k: int, start: np.ndarray, seed: int,
     else:
         u, sigma, v, iters = krylov_block_svd(
             op.matvec, op.rmatvec, math.prod(op.rows), math.prod(op.cols), k,
-            max_iter=_krylov_steps(op), seed=seed, start=start, tol=tol)
+            max_iter=op.steps, seed=seed, start=op.start, tol=tol)
     return sigma, (_rf(u, op.rows + (k,)), _rf(v, op.cols + (k,))), iters
 
 
-def local_block_eig(op: _LocalOperator, k: int, start: np.ndarray, seed: int,
+def local_block_eig(op: _LocalOperator, k: int, seed: int,
                     tol: float = _LOCAL_TOL):
     """K largest eigenpairs of the local Gram matrix of ``op``.
 
@@ -650,8 +653,8 @@ def local_block_eig(op: _LocalOperator, k: int, start: np.ndarray, seed: int,
         iters = 0
     else:
         lam, v, iters = krylov_block_eig(
-            op.matvec, math.prod(op.cols), k, max_iter=_krylov_steps(op),
-            seed=seed, start=start, tol=tol)
+            op.matvec, math.prod(op.cols), k, max_iter=op.steps, seed=seed,
+            start=op.start, tol=tol)
     return np.sqrt(np.maximum(lam, 0.0)), (_rf(v, op.cols + (k,)),), iters
 
 
@@ -767,23 +770,22 @@ def _half_sweep(a: MatrixTT, chains, env: Environment, cfg: SolverConfig,
     gram = len(chains) == 1
     r2l = direction == "right_to_left"
     positions = range(a.n_cores - 1, 0, -1) if r2l else range(0, a.n_cores - 1)
+    solve = local_block_eig if gram else local_block_svd
     sigma = None
     for p in positions:
         q = p - 1 if pair and r2l else p
-        op = _local_operator(env, a, q, pair, cfg.k, gram)
-        start = _block_as_local(chains[-1], q, pair)
+        op = _local_operator(env, a, chains[-1], q, pair, cfg.k, gram)
         seed = int(rng.integers(0, 2**63 - 1))
-        solve = local_block_eig if gram else local_block_svd
         path = op.path
         try:
-            sigma, locals_, iters = solve(op, cfg.k, start, seed,
+            sigma, locals_, iters = solve(op, cfg.k, seed,
                                           cfg.epsilon * _EPS_TOL_FACTOR)
         except LocalSolverError:
-            if not op.dense_fallback:
+            if op.steps == _LOCAL_MAX_ITER:
                 raise
             sigma, locals_, _ = solve(dataclasses.replace(op, path="dense"),
-                                      cfg.k, start, seed)
-            iters, path = _krylov_steps(op), "dense-fallback"
+                                      cfg.k, seed)
+            iters, path = op.steps, "dense-fallback"
         splits = _advance(env, a, chains, locals_, q, delta, cfg, pair, r2l)
         report.micro.append(_micro_record(p, direction, splits, sigma, iters,
                                           path))
@@ -845,10 +847,11 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     not change.  The solve then sweeps (V,) over the rounded B, recovers
     U = A V Sigma^+ from the returned iterate, and, if a sweep completed,
     evaluates the verdict's residual on the reduced A and U's orthogonality
-    defect (``block_tt_gram``).  ``matrix_tt_matmul`` writes each core of B
-    once, with one slab (about 0.5 MB at N=10) as its only temporary, and
-    forms B at N=10 in 6 ms.  The unrounded B is held only during its
-    rounding, so a Gram solve peaks at B plus its R factors plus a few MiB
+    defect (``block_tt_gram``), which the report keeps as ``u_defect``.
+    ``matrix_tt_matmul`` writes each core of B once, with one slab (about
+    0.5 MB at N=10) as its only temporary, and forms B at N=10 in 6 ms.
+    The unrounded B is held only during its rounding, so a Gram solve
+    peaks at B plus its R factors plus a few MiB
     (tracemalloc, prescribed k0 16, rank 5, K=10: 36.0/60.1/84.3/108.4/301.7
     MiB at N=8/10/12/14/30, of which B is 33.9/57.7/81.5/105.4/296.1 and the
     R factors 0.4/0.7/0.9/1.2/3.1).  B is still formed because the
@@ -943,16 +946,16 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     report.total_sweeps = len(report.residual_history)
     report.restarts_used = attempt
     report.delta_final = delta
-    orthonormal = True
     if gram:
         u = block_tt_scale_columns(block_tt_matvec(a, chains[0]), _pinv(sigma))
         chains = (tt_round(u, rdelta), *chains)
         if kept:
             r = residual(a, *chains, sigma)
             # a column of U lost in the recovery leaves the residual on A small
-            defect = block_tt_gram(chains[0], chains[0]) - np.eye(cfg.k)
-            orthonormal = np.linalg.norm(defect) <= math.sqrt(cfg.epsilon)
+            report.u_defect = float(np.linalg.norm(
+                block_tt_gram(chains[0], chains[0]) - np.eye(cfg.k)))
     report.residual = float(r)
+    orthonormal = (report.u_defect or 0.0) <= math.sqrt(cfg.epsilon)
     report.termination = ("converged" if r < cfg.epsilon and orthonormal
                           else "restarted" if attempt else "sweep-limit")
     for record in report.micro:

@@ -93,6 +93,43 @@ def test_truncated_svd_rank_controls():
     assert len(truncated_svd(m, 0.9, min_rank=50).s) == 5
 
 
+def _first_r(s, delta, frob_threshold=None, min_rank=None, max_rank=None):
+    """The rank rule written out: the smallest r >= 1 whose discarded tail
+    energy is at most the bound, then the floor, then the cap."""
+    scale = 2.0 ** -int(np.frexp(s[0])[1])
+    energy = (s * scale) ** 2
+    bound = (delta ** 2 * energy.sum() if frob_threshold is None
+             else (frob_threshold * scale) ** 2)
+    keep = next(r for r in range(1, len(s) + 1) if energy[r:].sum() <= bound)
+    if min_rank is not None:
+        keep = max(keep, min(min_rank, len(s)))
+    if max_rank is not None:
+        keep = min(keep, max_rank)
+    return max(keep, 1)
+
+
+@pytest.mark.parametrize("s, kw, kept", [
+    # the tail at rank 3 equals the bound exactly: the smaller rank wins
+    ([1, 1, 1, 1], {"delta": 0.5}, 3),
+    ([1, 1, 1, 1], {"delta": 0.0, "frob_threshold": 1.0}, 3),
+    ([1, 1, 1, 1], {"delta": 1.0}, 1),
+    ([1, 1, 1, 1], {"delta": 0.0}, 4),
+    # a zero tail is dropped even at delta 0; an all-zero matrix keeps one
+    ([4, 2, 2, 0, 0], {"delta": 0.0}, 3),
+    ([0, 0, 0], {"delta": 0.0}, 1),
+    # the floor clips to what exists, and the cap wins on conflict
+    ([4, 2, 2, 0, 0], {"delta": 0.0, "min_rank": 4}, 4),
+    ([4, 2, 2, 0, 0], {"delta": 0.0, "min_rank": 50}, 5),
+    ([4, 2, 2, 0, 0], {"delta": 0.0, "max_rank": 2}, 2),
+    ([4, 2, 2, 0, 0], {"delta": 0.0, "min_rank": 4, "max_rank": 2}, 2),
+])
+def test_truncated_svd_keeps_the_first_rank_that_meets_the_bound(s, kw, kept):
+    s = np.array(s, dtype=float)
+    f = truncated_svd(np.diag(s), **kw)
+    assert len(f.s) == kept == _first_r(s, **kw)
+    assert f.discarded_energy == float(np.sum(s[kept:] ** 2))
+
+
 def test_truncated_svd_absolute_threshold_overrides_delta():
     m = np.diag([3.0, 1.0])
     f = truncated_svd(m, 0.0, frob_threshold=1.5)

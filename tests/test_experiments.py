@@ -268,8 +268,9 @@ def test_cell_layout_and_aggregate_math():
 
 
 def test_every_number_column_is_summarized_by_one_rule():
-    # Hilbert has no truth, so spectrum_rel_error is blank; at epsilon 1e-14
-    # and two sweeps the Gram repetitions differ in their sweep counts
+    # Hilbert has no truth, so spectrum_rel_error is blank, and u_defect is
+    # blank on the SVD route; at epsilon 1e-14 and two sweeps the Gram
+    # repetitions differ in their sweep counts
     cfg = RunConfig(experiment="hilbert", solvers=list(SOLVERS),
                     n_values=[5], k=3, epsilon=1e-14, reps=3,
                     solver_options={"max_full_sweeps": 2, "max_restarts": 0})
@@ -277,7 +278,7 @@ def test_every_number_column_is_summarized_by_one_rule():
     numbers = [f.name for f in dataclasses.fields(ResultRow)
                if f.metadata.get("number")]
     assert numbers == ["sweeps", "relative_residual", "spectrum_rel_error",
-                       "max_v_rank"]
+                       "max_v_rank", "u_defect"]
     aggregates = build_report(rows, times)["aggregates"]
     assert len(rows) == 5 * len(SOLVERS) == 5 * len(aggregates)
     spread = set()
@@ -287,7 +288,8 @@ def test_every_number_column_is_summarized_by_one_rule():
                                                             "", "")
         for name in numbers:
             texts = [getattr(r, name) for r in reps]
-            if name == "spectrum_rel_error":
+            if name == "spectrum_rel_error" or (
+                    name == "u_defect" and mean.solver.endswith("svd")):
                 assert texts == [""] * 3
                 assert getattr(mean, name) == getattr(std, name) == ""
                 assert agg[f"mean_{name}"] is None
@@ -798,11 +800,17 @@ def test_cli_run_strict_says_why_a_gram_repetition_below_epsilon_failed(
     assert [line.split()[3:5] for line in named] == [
         ["als_eig", "N=5"], ["als_eig", "N=5"],
         ["mals_eig", "N=5"], ["mals_eig", "N=5"]]
+    # U's second column is zero (sigma_2 = 0), so U^T U - I = -e_2 e_2^T
     for line in named:
         assert line.endswith(
             "termination sweep-limit, relative_residual 0.0, epsilon 1e-08; "
             "below epsilon, so the Gram route's recovered U failed its check "
-            "||U^T U - I||_F <= sqrt(epsilon)")
+            "||U^T U - I||_F <= sqrt(epsilon): u_defect 1.0")
+    with open(tmp_path / "out" / "results.csv") as fh:
+        rows = parse_rows_csv(fh.read(), ResultRow, RESULT_COLUMNS)
+    assert {(r.solver, r.u_defect) for r in rows if r.rep != "std"} == {
+        ("als_svd", ""), ("mals_svd", ""), ("als_eig", "1.0"),
+        ("mals_eig", "1.0")}
 
 def test_run_evaluates_one_residual_per_stop_test(monkeypatch):
     # the written relative_residual is the solver's own: an SVD repetition

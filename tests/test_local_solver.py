@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ttsvd import (Environment, LocalSolverError, MatrixTT, count_macs,
-                   local_operator_macs, local_solve_macs, solver)
+from ttsvd import (BlockTT, Environment, LocalSolverError, MatrixTT,
+                   count_macs, local_operator_macs, local_solve_macs, solver)
 from ttsvd.solver import (
     _gemm,
     _sign_fix,
@@ -25,9 +25,11 @@ def _ops(m):
 
 
 def _op(m, path):
-    """A local operator of the built matrix m on the given path."""
+    """A local operator of the built matrix m on the given path; block
+    Krylov gets every step from a seeded random start."""
+    steps = 0 if path == "dense" else solver._LOCAL_MAX_ITER
     return _LocalOperator(*_ops(m), lambda: m, (m.shape[0],), (m.shape[1],),
-                          path, False)
+                          path, steps)
 
 
 def test_dense_block_svd_matches_numpy_with_sign_convention():
@@ -214,11 +216,11 @@ def test_block_size_validation():
 def test_dispatch_crossover_routes_to_dense():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((14, 11))
-    s, (u, v), iters = local_block_svd(_op(m, "dense"), 3, None, 0)
+    s, (u, v), iters = local_block_svd(_op(m, "dense"), 3, 0)
     assert iters == 0  # direct dense solve
     assert u.shape == (14, 3) and v.shape == (11, 3)
     # on a Krylov path block Krylov runs on the operator's maps
-    s2, _, iters2 = local_block_svd(_op(m, "krylov-matrix-free"), 3, None, 3)
+    s2, _, iters2 = local_block_svd(_op(m, "krylov-matrix-free"), 3, 3)
     assert iters2 >= 1
     assert np.allclose(s, s2, atol=1e-8)
 
@@ -227,9 +229,9 @@ def test_dispatch_crossover_eig():
     rng = np.random.default_rng(10)
     c = rng.standard_normal((10, 10))
     b = c @ c.T
-    sigma, (v,), iters = local_block_eig(_op(b, "dense"), 2, None, 0)
+    sigma, (v,), iters = local_block_eig(_op(b, "dense"), 2, 0)
     assert iters == 0 and v.shape == (10, 2)
-    sigma2, _, iters2 = local_block_eig(_op(b, "krylov-dense-op"), 2, None, 4)
+    sigma2, _, iters2 = local_block_eig(_op(b, "krylov-dense-op"), 2, 4)
     assert iters2 >= 1
     # the Gram problem's Sigma is the square root of its eigenvalues
     lam = np.linalg.eigvalsh(b)[::-1][:2]
@@ -322,7 +324,13 @@ def _operator_at(rng, left, cores, right, k, gram=False):
     a = MatrixTT([rng.standard_normal((1, 2, 2, cores[0][0]))]
                  + [rng.standard_normal(c) for c in cores]
                  + [rng.standard_normal((cores[-1][3], 2, 2, 1))])
-    return _local_operator(env, a, n, len(cores) == 2, k, gram)
+    # V with its block core at n, on the environments' V-side bonds
+    lv, rv, modes = left[2], right[2], [c[2] for c in cores]
+    v = BlockTT([rng.standard_normal((1, 2, lv)),
+                 rng.standard_normal((lv, k, modes[0], rv)),
+                 *(rng.standard_normal((rv, m, rv)) for m in modes[1:]),
+                 rng.standard_normal((rv, 2, 1))], n)
+    return _local_operator(env, a, v, n, len(cores) == 2, k, gram)
 
 
 def _shape_macs(shape, k):
@@ -350,7 +358,9 @@ def test_local_path_follows_the_mac_cost_model():
     assert (build, mv + rmv) == (4_312_500, 25_000_000)
     assert _solve_macs(shape, k) == (build, 400 ** 3, 3_200_000, mv + rmv)
     op = _operator_at(rng, *shape, k)
-    assert op.path == "krylov-dense-op" and op.dense_fallback
+    assert op.path == "krylov-dense-op" and op.steps == solver._KRYLOV_STEPS
+    # block Krylov starts from V's block core, laid out as the local matrix
+    assert op.start.shape == (400, k)
     # its operator is the built matrix, applied by a counted GEMM
     abar = op.build()
     y, x = rng.standard_normal((400, k)), rng.standard_normal((400, k))
@@ -377,7 +387,9 @@ def test_local_path_follows_the_mac_cost_model():
     assert _operator_at(rng, *shape, 30).path == "dense"
     shape = ((5, 8, 5), [(8, 2, 2, 8), (8, 2, 2, 8)], (2, 8, 2))
     assert _solve_macs(shape, k)[:3] == (44_800, 40 ** 3, 32_000)
-    assert _operator_at(rng, *shape, k).path == "dense"
+    op = _operator_at(rng, *shape, k)
+    # a dense window plans no Krylov step and reads no start block
+    assert (op.path, op.steps, op.start) == ("dense", 0, None)
 
     # A rank 3 (a tridiagonal operator) with U, V ranks 10: building
     # (0.50M) is cheaper than one matrix-free block apply (0.91M), but
@@ -401,5 +413,6 @@ def test_local_path_follows_the_mac_cost_model():
     assert build > mv + rmv and build > mv
     assert 1800 ** 3 > solver._LOCAL_MAX_ITER * (mv + rmv)
     op = _operator_at(rng, *shape, 2)
-    assert op.path == "krylov-matrix-free" and not op.dense_fallback
+    assert op.path == "krylov-matrix-free"
+    assert op.steps == solver._LOCAL_MAX_ITER
     assert _operator_at(rng, *shape, 2, gram=True).path == "krylov-matrix-free"

@@ -781,6 +781,22 @@ def test_dense_fallback_has_its_own_path():
                 == (record["local_iterations"] == 0)), record
 
 
+def test_only_krylov_windows_read_a_start_block(monkeypatch):
+    # the plan reads V's block core as block Krylov's start, so a "dense"
+    # window builds no start block; this solve takes three paths
+    read, calls = solver._block_as_local, []
+
+    def counted(*args):
+        calls.append(None)
+        return read(*args)
+    monkeypatch.setattr(solver, "_block_as_local", counted)
+    _, _, _, rep = mals_svd(hilbert_submatrix_tt(10, 1e-8),
+                            SolverConfig(k=10, epsilon=1e-8, seed=0))
+    paths = collections.Counter(m["local_path"] for m in rep.micro)
+    assert set(paths) == {"dense", "krylov-dense-op", "krylov-matrix-free"}
+    assert len(calls) == len(rep.micro) - paths["dense"]
+
+
 def test_tridiagonal_als_svd_takes_all_four_local_paths():
     # the benchmark's workloads take only "dense" and "krylov-dense-op";
     # this cell (56 dense, 2 krylov-dense-op, 2 krylov-matrix-free and 16
