@@ -53,7 +53,6 @@ from .tt import (
     matrix_tt_matmul,
     matrix_tt_round,
     matrix_tt_transpose,
-    merge_cores,
     split_block_core,
     tt_add,
     tt_norm,

@@ -533,7 +533,8 @@ def scaling_report(timing_rows) -> dict:
     """Least-squares fit wall_time = a*N + b per solver over mean rep times.
 
     Solvers with fewer than 3 distinct N values are skipped.  A constant
-    time profile (zero variance) fits perfectly, so R^2 reports 1.0 there.
+    time profile (all means equal) fits perfectly, so R^2 reports 1.0 there,
+    whatever rounding the fit and the mean leave.
     """
     per = {}
     for row in filter(RowKey.is_repetition, timing_rows):
@@ -546,13 +547,11 @@ def scaling_report(timing_rows) -> dict:
         ns = np.array(sorted(by_n), dtype=float)
         means = np.array([float(np.mean(by_n[int(n)])) for n in ns])
         a, b = np.polyfit(ns, means, 1)
-        pred = a * ns + b
-        ss_res = float(np.sum((means - pred) ** 2))
-        ss_tot = float(np.sum((means - means.mean()) ** 2))
-        if ss_tot == 0.0:
-            r2 = 1.0 if ss_res <= 1e-30 else 0.0
+        if np.ptp(means) == 0.0:
+            r2 = 1.0
         else:
-            r2 = 1.0 - ss_res / ss_tot
+            ss_res = float(np.sum((means - (a * ns + b)) ** 2))
+            r2 = 1.0 - ss_res / float(np.sum((means - means.mean()) ** 2))
         fits[solver_name] = {
             "slope": float(a),
             "intercept": float(b),

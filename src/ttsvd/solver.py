@@ -124,7 +124,6 @@ from .tt import (
     matrix_tt_matmul,
     matrix_tt_round,
     matrix_tt_transpose,
-    merge_cores,
     split_block_core,
     tt_round,
 )
@@ -562,11 +561,12 @@ def _gram_residual(bmat: MatrixTT, v: BlockTT, sigma: np.ndarray) -> float:
 
 
 def _block_as_local(chain: BlockTT, q: int, pair: bool) -> np.ndarray:
-    """Block core at q, or the merged pair (q, q+1), as a (local size, K) matrix."""
+    """Block core at q, or the pair (q, q+1) contracted, as a (local size, K)
+    matrix: the local layout (R_{q-1}, I_q[, I_{q+1}], R, K), K moved last."""
+    t = chain.cores[q]
     if pair:
-        t = merge_cores(chain, q + 1)
-    else:
-        t = chain.cores[q].transpose(0, 2, 3, 1)
+        t = np.tensordot(t, chain.cores[q + 1], axes=(-1, 0))
+    t = np.moveaxis(t, 1 + chain.block_position - q, -1)
     return _rf(t, (-1, t.shape[-1]))
 
 

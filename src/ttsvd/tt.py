@@ -309,12 +309,16 @@ def gram_r_factors(a: MatrixTT) -> list:
     times row (x, mu).  So each mode pair j < m enters once, scaled by
     sqrt(2), and a diagonal pair j = m only with the rows mu of parity e
     (with the others it cancels); the Gram matrix, and with it the R
-    factor, is unchanged.  The input comes straight from A's cores and
-    ``rs[n+1]`` by two matrix products,
-    sum_{b,d,i} A[a,i,j,b] A[c,i,m,d] R[mu, b + q d], so B's cores are never
-    read.  Each factor is mapped back to the natural bond columns, even rows
-    first: it is not triangular, but rs^T rs is the Gram matrix of the right
-    part, which is all the rounding sweep needs.
+    factor, is unchanged.  The row slabs follow the pairs j <= m, j outer:
+    all s rows mu for j < m; for j = m, the first ``n_even`` rows in the
+    even block and the rest in the odd one.  The even columns are e_aa,
+    then (e_uv + e_vu)/sqrt(2) for u < v in ``np.triu_indices`` order; the
+    odd columns are (e_uv - e_vu)/sqrt(2).  The input comes straight from
+    A's cores and ``rs[n+1]`` by two matrix products,
+    g[mu, m, c, j, a] = sum_{b,d,i} A[a,i,j,b] A[c,i,m,d] R[mu, b + q d], so
+    B's cores are never read.  Each factor is mapped back to the natural
+    bond columns, even rows first: it is not triangular, but rs^T rs is the
+    Gram matrix of the right part, which is all the rounding sweep needs.
 
     A tall parity input gets an R-only QR.  A wide one, which a QR cannot
     shrink, is cut to its numerical rank by ``_reduce_carry``: it keeps the
@@ -341,6 +345,8 @@ def gram_r_factors(a: MatrixTT) -> list:
             p, ni, nj, q = core.shape
             r = rs[n + 1]
             s = r.shape[0]
+            u, v = np.triu_indices(p, 1)
+            dg = np.arange(p)
             # t[mu, (d, i), (j, a)] = sum_b R[mu, b + q d] A[a, i, j, b]
             t = r.reshape(s * q, q) @ core.transpose(3, 1, 2, 0).reshape(q, -1)
             # g[mu, (m, c), (j, a)]
@@ -348,15 +354,28 @@ def gram_r_factors(a: MatrixTT) -> list:
             g = core.transpose(2, 0, 3, 1).reshape(nj * p, q * ni) @ t.reshape(
                 s, q * ni, nj * p)
             del t
-            even, odd = _parity_qr_inputs(g.reshape(s, -1), p, nj, n_even)
-            del g
+            g = g.reshape(s, nj, p, nj, p)  # (mu, m, c, j, a)
+            even, odd = [], []
+            for j in range(nj):
+                for m in range(j, nj):
+                    if j < m:
+                        x_even = x_odd = g[:, m, :, j, :]  # (mu, c, a)
+                        w_diag, w_pair = math.sqrt(2.0), 1.0
+                    else:
+                        x_even = g[:n_even, m, :, j, :]
+                        x_odd = g[n_even:, m, :, j, :]
+                        w_diag, w_pair = 1.0, h
+                    even.append(np.hstack((
+                        x_even[:, dg, dg] * w_diag,
+                        (x_even[:, u, v] + x_even[:, v, u]) * w_pair)))
+                    odd.append((x_odd[:, u, v] - x_odd[:, v, u]) * w_pair)
+            del g, x_even, x_odd
+            even, odd = np.vstack(even), np.vstack(odd)
             r_even = _reduce_carry(even, max(even.shape) * eps)
             del even
             r_odd = _reduce_carry(odd, max(odd.shape) * eps)
             del odd
             n_even = r_even.shape[0]
-            u, v = np.triu_indices(p, 1)
-            dg = np.arange(p)
             out = np.zeros((n_even + r_odd.shape[0], p, p))  # (mu, c, a)
             out[:n_even, dg, dg] = r_even[:, :p]
             out[:n_even, u, v] = out[:n_even, v, u] = r_even[:, p:] * h
@@ -366,46 +385,6 @@ def gram_r_factors(a: MatrixTT) -> list:
     if not math.isfinite(rs[0][0, 0]):
         raise ValueError("the norm of a^T a overflows")
     return rs
-
-
-def _parity_qr_inputs(g, p, nj, n_even):
-    """The even and the odd QR input of ``gram_r_factors`` at one core.
-
-    ``g`` is (s, (m, c, j, a)), a fastest.  Even columns: e_aa, then
-    (e_uv + e_vu)/sqrt(2) for u < v; odd columns (e_uv - e_vu)/sqrt(2).
-    Rows: for each mode pair j < m all s rows, times sqrt(2); for each j = m
-    the first ``n_even`` rows in the even block and the rest in the odd one.
-    """
-    s = g.shape[0]
-    h = math.sqrt(0.5)
-    u, v = np.triu_indices(p, 1)
-    dg = np.arange(p)
-    n_pairs = nj * (nj - 1) // 2
-    even = np.empty((n_pairs * s + nj * n_even, p + len(u)))
-    odd = np.empty((n_pairs * s + nj * (s - n_even), len(u)))
-    at_even = at_odd = 0
-    for j in range(nj):
-        for m in range(j, nj):
-            col = (m * p * nj + j) * p + dg[:, None] * (nj * p) + dg  # (c, a)
-            upper = np.take(g, col[u, v], axis=1)
-            lower = np.take(g, col[v, u], axis=1)
-            diag = np.take(g, col[dg, dg], axis=1)
-            if j < m:
-                ev = od = slice(None)
-                w_diag, w_pair = math.sqrt(2.0), 1.0
-            else:
-                ev, od = slice(None, n_even), slice(n_even, None)
-                w_diag, w_pair = 1.0, h
-            blk = even[at_even:at_even + len(diag[ev])]
-            np.multiply(diag[ev], w_diag, out=blk[:, :p])
-            np.add(upper[ev], lower[ev], out=blk[:, p:])
-            blk[:, p:] *= w_pair
-            at_even += len(blk)
-            blk = odd[at_odd:at_odd + len(upper[od])]
-            np.subtract(upper[od], lower[od], out=blk)
-            blk *= w_pair
-            at_odd += len(blk)
-    return even, odd
 
 
 def tt_norm(x) -> float:
@@ -780,29 +759,7 @@ def block_tt_residual_norm(op: MatrixTT, x: BlockTT, xs, y: BlockTT, ys) -> floa
 
 
 # ---------------------------------------------------------------------------
-# merge / split mechanics for the sweep algorithms
-
-
-def merge_cores(u: BlockTT, n: int) -> np.ndarray:
-    """Contract cores n-1 and n of a BlockTT into one fifth-order tensor.
-
-    The block must sit at position n-1 or n.  The result is returned in the
-    normalized local layout (R_{n-2}, I_{n-1}, I_n, R_n, K) with the block
-    mode last, which is the layout the local solvers and split routines use.
-    """
-    if n < 1:
-        raise ValueError("merge_cores needs n >= 1")
-    p = u.block_position
-    if p not in (n - 1, n):
-        raise ValueError("block core must be adjacent to the merge point")
-    left, right = u.cores[n - 1], u.cores[n]
-    if p == n:
-        # left (r, i, b) x right (b, k, j, r2) -> (r, i, k, j, r2)
-        g = np.tensordot(left, right, axes=(2, 0))
-        return g.transpose(0, 1, 3, 4, 2)
-    # left (r, k, i, b) x right (b, j, r2) -> (r, k, i, j, r2)
-    g = np.tensordot(left, right, axes=(3, 0))
-    return g.transpose(0, 2, 3, 4, 1)
+# split mechanics for the sweep algorithms
 
 
 def split_block_core(local: np.ndarray, direction: str, delta: float,

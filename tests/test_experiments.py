@@ -517,6 +517,15 @@ def test_scaling_report_fits_exact_lines():
     assert fit["n_values"] == [4, 6, 8]
 
 
+@pytest.mark.parametrize("seconds", [0.01, 3.3, 100.0, 1234.5])
+def test_scaling_report_flat_profile_fits_exactly(seconds):
+    # the mean of three 3.3s is 3.2999999999999994, and the fit at 100 s
+    # leaves a residual of 2.8e-27: neither may read as a poor fit
+    rows = [TimingRow("prescribed_svd", "als_svd", n, 2, "0.5", "0", "0",
+                      seconds, 0.0) for n in (4, 6, 8)]
+    assert scaling_report(rows)["als_svd"]["r_squared"] == 1.0
+
+
 def test_build_report_and_write_results(tmp_path):
     cfg = _small_cfg(out_dir=str(tmp_path / "out"))
     rows, times = run_experiment(cfg)
@@ -747,6 +756,26 @@ def test_cli_run_names_a_corrupt_custom_container(tmp_path):
         assert "generator rejected" not in res.output
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("missing container", "cannot read TT container"),
+    ("malformed yaml", "malformed config"),
+])
+def test_cli_run_rejects_an_unreadable_input(tmp_path, fault, message):
+    if fault == "missing container":
+        cfg = _cli_config(tmp_path, experiment="custom", n_values=[],
+                          params={"path": str(tmp_path / "absent.ttc")})
+    else:
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("schema_version: 1\nexperiment: [hilbert\n")
+    out = tmp_path / "out"
+    res = CliRunner().invoke(cli_main, ["run", str(cfg), "--out-dir",
+                                        str(out)])
+    assert res.exit_code == 2, res.output
+    assert "configuration error:" in res.output
+    assert message in res.output
+    assert not (out / "results.csv").exists()
+
+
 def test_cli_run_strict_flags_non_convergence(tmp_path):
     runner = CliRunner()
     cfg_path = _cli_config(
@@ -944,6 +973,21 @@ def test_cli_verify_passes():
     res = runner.invoke(cli_main, ["verify"])
     assert res.exit_code == 0, res.output
     assert "all checks passed" in res.output
+
+
+def test_cli_verify_counts_a_failing_and_a_raising_check(monkeypatch):
+    def raises(rng):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "_CHECKS", [
+        ("fails", lambda rng: (False, "wrong")), ("raises", raises),
+        ("passes", lambda rng: (True, "ok"))])
+    res = CliRunner().invoke(cli_main, ["verify"])
+    assert res.exit_code == 1, res.output
+    assert "FAIL fails: wrong" in res.output
+    assert "FAIL raises: raised RuntimeError: boom" in res.output
+    assert "PASS passes: ok" in res.output  # a raise does not abort the run
+    assert "2 check(s) failed" in res.output
 
 
 @pytest.mark.parametrize("name", ["round-structural-ranks", "gram-round"])

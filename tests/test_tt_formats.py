@@ -1,6 +1,7 @@
 """TT containers and arithmetic against dense oracles."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,13 +26,16 @@ from ttsvd import (
     block_tt_scale_columns,
     canonicalize,
     diag_embed,
+    full_toeplitz_tt,
     gram_r_factors,
     gram_tt_round,
+    hankel_submatrix_tt,
+    hilbert_submatrix_tt,
     matrix_tt_matmul,
     matrix_tt_round,
     matrix_tt_transpose,
-    merge_cores,
     split_block_core,
+    tridiagonal_tt,
     tt_add,
     tt_norm,
     tt_reconstruct,
@@ -42,6 +46,7 @@ from ttsvd import (
     truncated_svd,
 )
 from ttsvd.generators import prescribed_svd_matrix, random_vector_tt
+from ttsvd.solver import _block_as_local
 from ttsvd.tt import _bond_reversed, _fuse, _right_r_factors
 
 
@@ -77,6 +82,38 @@ def test_block_tt_validation():
         BlockTT(cores, 2)  # position out of range
     with pytest.raises(ValueError):
         BlockTT(cores, 0)  # fourth-order core not at the block position
+
+
+def _block(modes, k, position):
+    return random_block_tt_at(modes, k, 2, position,
+                              np.random.default_rng(0))
+
+
+def _vector(n):
+    return VectorTT([np.ones((1, 2, 1))] * n)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: tt_reconstruct(np.ones(4)), TypeError, "cannot reconstruct"),
+    (lambda: block_tt_gram(_block([2, 2, 2], 2, 1), _block([2, 3, 2], 2, 1)),
+     ValueError, "block_tt_gram shape mismatch"),
+    (lambda: block_tt_gram(_block([2, 2, 2], 2, 1), _block([2, 2, 2], 3, 1)),
+     ValueError, "block_tt_gram shape mismatch"),
+    (lambda: block_tt_gram(_block([2, 2, 2], 2, 1), _block([2, 2, 2], 2, 2)),
+     ValueError, "block_tt_gram requires matching block positions"),
+    (lambda: tridiagonal_tt(_vector(3), _vector(4), _vector(3)), ValueError,
+     "tridiagonal diagonals must share mode sizes"),
+    (lambda: full_toeplitz_tt(_vector(1)), ValueError,
+     "need length >= 4 (at least two cores)"),
+    (lambda: hankel_submatrix_tt(_vector(1)), ValueError,
+     "need at least two cores to restrict and fold"),
+    (lambda: hilbert_submatrix_tt(1, 1e-8), ValueError, "need n >= 2"),
+    (lambda: truncated_svd(np.ones((0, 3)), 0.0), ValueError,
+     "empty matrix has no singular values"),
+])
+def test_public_input_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -700,27 +737,20 @@ def test_block_round_bound_and_cap():
 
 
 # ---------------------------------------------------------------------------
-# merge / split mechanics
+# the window as a local matrix, and split mechanics
 
 
-def test_merge_cores_oracle():
+def test_block_as_local_oracle():
     rng = np.random.default_rng(20)
     u = random_block_tt_at([2, 3, 2, 2], 4, 2, 1, rng)
-    # block left of the merge point
-    g = merge_cores(u, 2)
-    bc, nxt = u.cores[1], u.cores[2]
-    ref = np.einsum("akib,bjc->aijck", bc, nxt)
-    assert g.shape == (2, 3, 2, 2, 4)
-    assert np.allclose(g, ref, atol=1e-13)
-    # block right of the merge point
-    g2 = merge_cores(u, 1)
-    prv = u.cores[0]
-    ref2 = np.einsum("aib,bkjc->aijck", prv, bc)
-    assert np.allclose(g2, ref2, atol=1e-13)
-    with pytest.raises(ValueError):
-        merge_cores(u, 0)
-    with pytest.raises(ValueError):
-        merge_cores(u, 3)  # block not adjacent
+    prv, bc, nxt = u.cores[0], u.cores[1], u.cores[2]
+    # block core left of the pair (1, 2), right of the pair (0, 1), and alone
+    for q, pair, ref in ((1, True, np.einsum("akib,bjc->aijck", bc, nxt)),
+                         (0, True, np.einsum("aib,bkjc->aijck", prv, bc)),
+                         (1, False, np.einsum("akic->aick", bc))):
+        m = _block_as_local(u, q, pair)
+        assert m.shape == (ref.size // 4, 4)
+        assert np.allclose(m, ref.reshape((-1, 4), order="F"), atol=1e-13)
 
 
 def _local4(rng, shape=(3, 2, 4, 5)):
