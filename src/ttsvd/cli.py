@@ -97,7 +97,8 @@ def run_cmd(config_path, seed, out_dir, reps, solvers, max_n, strict):
 
 
 @main.command(name="verify")
-@click.option("--seed", type=int, default=0, help="base seed for the checks")
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              help="base seed for the checks, at least 0")
 def verify_cmd(seed):
     """Run the built-in oracle and property checks; exit 1 on any failure."""
     failures = run_verification(seed=seed, echo=click.echo)

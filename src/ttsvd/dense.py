@@ -70,6 +70,16 @@ def truncated_svd(
     return SvdFactors(u[:, :keep], s[:keep], vt.T[:, :keep], discarded)
 
 
+def _integer(name: str, value, low: int) -> int:
+    """``value`` as an int of at least ``low``; a bool or a non-integer
+    (a float such as 2.0 included) raises ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    return int(value)
+
+
 def _check_delta(delta: float) -> None:
     """A truncation delta must be a finite nonnegative number."""
     if not 0 <= delta < math.inf:

@@ -54,6 +54,7 @@ import numpy as np
 import yaml
 
 from . import solver as solver_mod
+from .dense import _integer
 from .generators import (
     _EXPSUM_MAX_N,
     full_toeplitz_tt,
@@ -89,7 +90,7 @@ TIMING_COLUMNS = ("experiment", "solver", "N", "K", "param", "rep", "seed",
 
 
 # An integer >= 1 under SolverConfig's rule, as a converter (see _Family).
-_positive_int = functools.partial(solver_mod._integer, low=1)
+_positive_int = functools.partial(_integer, low=1)
 
 
 def _rank_cap(name: str, c):
@@ -98,8 +99,11 @@ def _rank_cap(name: str, c):
 
 
 def _between(low: float, high: float):
-    """A converter to a float strictly between ``low`` and ``high``."""
+    """A converter to a float strictly between ``low`` and ``high``; a bool
+    is no number here, though ``float`` would read it as 0 or 1."""
     def convert(name: str, v) -> float:
+        if isinstance(v, bool):
+            raise ValueError(f"{name} must be a number, got {v!r}")
         x = float(v)
         if not low < x < high:
             raise ValueError(f"{name} must lie strictly between {low} and "
@@ -191,7 +195,7 @@ _FAMILIES = {
         "beta": ((0.3, 0.5), _between(0, 1)),
         "k0": (25, _positive_int), "rank": (5, _positive_int)}, "beta"),
     "hilbert": _Family(_build_hilbert, {
-        "delta": ((1e-8,), _between(0, math.inf))}, "delta",
+        "delta": ((1e-8,), _between(0, 1))}, "delta",
         max_n=_EXPSUM_MAX_N,
         why="the Hilbert quadrature covers 1 <= x < 2^(N+1), which "
             "overflows a float from N = 1023 on"),
@@ -254,7 +258,7 @@ class RunConfig:
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ConfigError(f"unknown solver {s!r}")
-        self.reps = _checked("", solver_mod._integer, "reps", self.reps, 1)
+        self.reps = _checked("", _integer, "reps", self.reps, 1)
         for name in ("params", "solver_options"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be a mapping")
@@ -276,7 +280,7 @@ class RunConfig:
         if fam.max_n is not None:
             if not self.n_values:
                 raise ConfigError("n_values must not be empty")
-            self.n_values = [_checked("", solver_mod._integer, "N", n, 2)
+            self.n_values = [_checked("", _integer, "N", n, 2)
                              for n in self.n_values]
             for n in self.n_values:
                 if n > fam.max_n:

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .dense import dense_qr
+from .dense import _integer, dense_qr
 from .tt import (
     BlockTT,
     MatrixTT,
@@ -224,16 +224,21 @@ def hilbert_submatrix_tt(n: int, delta: float) -> MatrixTT:
     ||H_tt - H||_F <= delta ||H||_F down to an error floor of about 1e-13
     relative.  The build takes about 4/5/22/74 ms at N=16/20/50/100 and
     delta 1e-8 (one BLAS thread, AMD EPYC); each chunk rounding sweeps all
-    n cores, so it grows as O(n^2).  n may not exceed _EXPSUM_MAX_N.
+    n cores, so it grows as O(n^2).  n may not exceed _EXPSUM_MAX_N, and
+    delta must lie in (0, 1): from delta = 1 on, the bound asks for nothing
+    (the zero matrix meets it), and from delta = 10 on the cut-off
+    ln ln(1/q) is undefined.
     """
+    n = _integer("n", n, 1)
     if n < 2:
         raise ValueError("need n >= 2")
     if n > _EXPSUM_MAX_N:
         raise ValueError(f"need n <= {_EXPSUM_MAX_N}: the Hilbert quadrature "
                          f"covers 1 <= x < 2^(n+1), which overflows a float "
                          f"from n = 1023 on")
-    if not 0 < delta < math.inf:
-        raise ValueError("delta must be positive and finite")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie strictly between 0 and 1, got "
+                         f"{delta!r}")
     q = max(delta / 10, _EXPSUM_TARGET_FLOOR)
     h = math.pi ** 2 / math.log(10 / q)
     first = math.log(q) - (n + 1) * math.log(2.0)
@@ -259,8 +264,8 @@ def hilbert_submatrix_tt(n: int, delta: float) -> MatrixTT:
 
 def _as_modes(modes) -> list[int]:
     if np.isscalar(modes):
-        return [2] * int(modes)
-    return [int(m) for m in modes]
+        return [2] * _integer("n", modes, 1)
+    return [_integer("mode size", m, 1) for m in modes]
 
 
 def random_vector_tt(modes, rank: int, seed) -> VectorTT:
@@ -285,7 +290,7 @@ def _block_rank_profile(modes: list[int], k: int, rank: int) -> list[int]:
     changes no bond and no integer grows toward prod(modes).
     """
     n = len(modes)
-    bound = max(int(rank), k)
+    bound = max(rank, k)
     earlier, later = [1] * (n + 1), [1] * (n + 1)
     for m in range(n):
         earlier[m + 1] = min(earlier[m] * modes[m], bound)
@@ -294,7 +299,7 @@ def _block_rank_profile(modes: list[int], k: int, rank: int) -> list[int]:
     for bond in range(1, n):
         floor = math.ceil(k / later[bond])
         cap = min(earlier[bond], k * later[bond])
-        r = max(int(rank), floor)
+        r = max(rank, floor)
         prof.append(max(1, min(r, cap)))
     return [1] + prof + [1]
 
@@ -308,7 +313,8 @@ def random_block_tt(modes, k: int, rank: int, seed) -> BlockTT:
     """
     modes = _as_modes(modes)
     n = len(modes)
-    if k < 1 or k > math.prod(modes):
+    k, rank = _integer("k", k, 1), _integer("rank", rank, 1)
+    if k > math.prod(modes):
         raise ValueError("block size k out of range")
     rng = np.random.default_rng(seed)
     prof = _block_rank_profile(modes, k, rank)
@@ -344,7 +350,8 @@ def prescribed_svd_matrix(n: int, beta: float, k0: int = 25, rank: int = 5,
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
-    if k0 < 1 or k0 > 2 ** n:
+    n, k0 = _integer("n", n, 1), _integer("k0", k0, 1)
+    if k0 > 2 ** n:
         raise ValueError("k0 out of range")
     ss = np.random.SeedSequence(seed).spawn(2)
     u0 = random_block_tt(n, k0, rank, ss[0])

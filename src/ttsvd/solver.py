@@ -97,6 +97,7 @@ from typing import Callable
 import numpy as np
 
 from .counting import tdot
+from .dense import _integer
 from .environments import (
     Environment,
     dense_local_matrix,
@@ -206,16 +207,6 @@ _LOCAL_MAX_ITER = 400
 
 class LocalSolverError(RuntimeError):
     """The iterative local solver failed; the sweep driver may restart."""
-
-
-def _integer(name: str, value, low: int) -> int:
-    """``value`` as an int of at least ``low``; a bool or a non-integer
-    (a float such as 2.0 included) raises ``ValueError`` naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer")
-    if value < low:
-        raise ValueError(f"{name} must be at least {low}")
-    return int(value)
 
 
 @dataclass
@@ -857,14 +848,16 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     R factors 0.4/0.7/0.9/1.2/3.1).  B is still formed because the
     truncation reads its cores, and the benchmark times its product as a
     layer of its own; forming each core of B inside the truncation would
-    remove it.  The rounded B comes out right-orthogonal, so gauging it
-    costs no QR.  Sigma is only taken from a completed left-to-right half
-    sweep; ``SweepReport`` states the outcome rule.  Either route gauges its
-    operator once per solve, right-orthogonal on cores 1..N-1, and the
-    environments, both half sweeps and the stop residual all read that one
-    chain.  On the SVD route the gauge also cuts every bond of A wider than
-    the mode product to its right: the prescribed family's last two bonds,
-    49 and 169, reach the sweeps as 16 and 4.  The gauge leaves all of
+    remove it.  The rounding tags cores 0..N-2 "L", which the reversal
+    turns into "R" on cores 1..N-1: the rounded B is already in the gauge,
+    so no ``canonicalize`` runs on it.  Sigma is only taken from a
+    completed left-to-right half sweep; ``SweepReport`` states the outcome
+    rule.  Either route gauges its operator once per solve,
+    right-orthogonal on cores 1..N-1, and the environments, both half
+    sweeps and the stop residual all read that one chain.  On the SVD
+    route the gauge also cuts every bond of A wider than the mode product
+    to its right: the prescribed family's last two bonds, 49 and 169,
+    reach the sweeps as 16 and 4.  The gauge leaves all of
     ||A||_F in its core 0, the Gram route's reduction in the reduced A's
     last core, and a matrix whose ||A||_F is zero or past the float range
     raises ``ValueError`` there, before the first sweep.
@@ -903,8 +896,8 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
         a = op
         rdelta = cfg.epsilon / _GRAM_DELTA_DIVISOR
         rev = _bond_reversed(a)
-        op = canonicalize(_bond_reversed(gram_tt_round(
-            matrix_tt_matmul(matrix_tt_transpose(rev), rev), rev, rdelta)), 0)
+        op = _bond_reversed(gram_tt_round(
+            matrix_tt_matmul(matrix_tt_transpose(rev), rev), rev, rdelta))
     report = SweepReport(solver=name, k=cfg.k)
     # (stop residual, Sigma, chain copies, sweeps of its attempt) of the
     # first iterate with the lowest stop residual

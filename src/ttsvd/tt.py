@@ -139,16 +139,13 @@ class BlockTT(_Chain):
 
 
 def _fuse(x) -> VectorTT:
-    """The fused view of a chain; a VectorTT is its own, tags included."""
-    if isinstance(x, VectorTT):
-        return x
-    return VectorTT([_rf(c, (c.shape[0], -1, c.shape[-1])) for c in x.cores])
+    """The fused view of a chain: views of its cores, and its tags."""
+    return VectorTT([_rf(c, (c.shape[0], -1, c.shape[-1])) for c in x.cores],
+                    x.orth)
 
 
 def _restore(y: VectorTT, like):
     """Inverse of ``_fuse``: ``y``'s cores unfused to the middle modes of ``like``."""
-    if isinstance(like, VectorTT):
-        return y
     cores = [_rf(c, (c.shape[0], *o.shape[1:-1], c.shape[-1]))
              for c, o in zip(y.cores, like.cores)]
     return like._with(cores, y.orth)
@@ -405,13 +402,12 @@ def _round_sweep(cores, rs, delta: float) -> VectorTT:
 
     ``rs`` is as ``_right_r_factors`` returns it; only rs[n]^T rs[n] is
     used, so any factor with that product (triangular or not) gives the
-    same singular values and left vectors at every bond.
+    same singular values and left vectors at every bond.  A zero chain
+    (rs[0] = 0) needs no case of its own: at the threshold 0 every
+    ``truncated_svd`` keeps its one column, so it comes out a zero chain
+    with all-one ranks, its cores 0..N-2 orthonormal like any other's.
     """
-    norm = abs(float(rs[0][0, 0]))
-    if norm == 0.0:
-        # a zero chain collapses to minimal all-one ranks
-        return VectorTT([np.zeros((1, c.shape[1], 1)) for c in cores])
-    thr = delta * norm
+    thr = delta * abs(float(rs[0][0, 0]))
     out = []
     carry = np.ones((1, 1))
     for n, c in enumerate(cores):
@@ -521,8 +517,6 @@ def tt_add(x, y):
         raise ValueError("tt_add shape mismatch")
     fx, fy = _fuse(x), _fuse(y)
     n = x.n_cores
-    if n == 1:
-        return _restore(VectorTT([fx.cores[0] + fy.cores[0]]), x)
     cores = []
     for m, (cx, cy) in enumerate(zip(fx.cores, fy.cores)):
         (rx, i, sx), (ry, _, sy) = cx.shape, cy.shape
@@ -530,7 +524,7 @@ def tt_add(x, y):
         r, s = (0 if m == 0 else rx), (0 if m == n - 1 else sx)
         c = np.zeros((r + ry, i, s + sy))
         c[:rx, :, :sx] = cx
-        c[r:, :, s:] = cy
+        c[r:, :, s:] += cy  # one core is the first and the last: they add
         cores.append(c)
     return _restore(VectorTT(cores), x)
 

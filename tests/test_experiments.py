@@ -134,6 +134,14 @@ def test_load_reads_exponent_only_epsilon(tmp_path):
     (lambda d: d.update(experiment="hilbert", params={"delta": []}),
      "params.delta must not be empty"),
     (lambda d: d.update(params={"k0": [16, 25]}), "bad params.k0 value"),
+    # delta 10 once failed in the generator ("math domain error"), and a
+    # bool once ran as the float 0 or 1
+    (lambda d: d.update(experiment="hilbert", params={"delta": [10]}),
+     "bad params.delta value: delta must lie strictly between 0 and 1"),
+    (lambda d: d.update(experiment="hilbert", params={"delta": [True]}),
+     "bad params.delta value: delta must be a number, got True"),
+    (lambda d: d.update(params={"beta": [False]}),
+     "bad params.beta value: beta must be a number, got False"),
     (lambda d: d.update(experiment="custom", params={"path": 5}),
      "bad params.path value"),
 ])
@@ -973,6 +981,13 @@ def test_cli_verify_passes():
     res = runner.invoke(cli_main, ["verify"])
     assert res.exit_code == 0, res.output
     assert "all checks passed" in res.output
+
+
+def test_cli_verify_refuses_a_negative_seed():
+    # once a numpy traceback and exit 1, the code of a failed verification
+    res = CliRunner().invoke(cli_main, ["verify", "--seed", "-1"])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--seed'" in res.output
 
 
 def test_cli_verify_counts_a_failing_and_a_raising_check(monkeypatch):

@@ -176,6 +176,41 @@ def test_hilbert_submatrix_entries_and_budget():
         hilbert_submatrix_tt(1030, 1e-8)
 
 
+@pytest.mark.parametrize("delta", [1.0, 10.0, 1e3, True])
+def test_hilbert_delta_must_lie_below_1(delta):
+    # from delta = 10 on the quadrature's cut-off ln ln(1/q) was undefined
+    # ("math domain error"); at 1 <= delta < 10 the bound asks for nothing,
+    # since the zero matrix meets it
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        hilbert_submatrix_tt(6, delta)
+
+
+@pytest.mark.parametrize("call, message", [
+    # each of these once truncated silently or raised a raw TypeError
+    (lambda: prescribed_svd_matrix(6.7, 0.5, k0=8, rank=3),
+     "n must be an integer"),
+    (lambda: prescribed_svd_matrix(6, 0.5, k0=8.0), "k0 must be an integer"),
+    (lambda: prescribed_svd_matrix(6, 0.5, k0=0), "k0 must be at least 1"),
+    (lambda: prescribed_svd_matrix(6, 0.5, k0=8, rank=2.0),
+     "rank must be an integer"),
+    (lambda: random_block_tt([2, 2.5, 2], 2, 2, 0),
+     "mode size must be an integer"),
+    (lambda: random_block_tt([2, 0, 2], 2, 2, 0), "mode size must be at least 1"),
+    (lambda: random_block_tt(4, 2.0, 2, 0), "k must be an integer"),
+    (lambda: random_block_tt(4, 0, 2, 0), "k must be at least 1"),
+    (lambda: random_block_tt(4, 2, 0, 0), "rank must be at least 1"),
+    (lambda: random_vector_tt(5, True, 0), "rank must be an integer"),
+    (lambda: random_vector_tt(5.0, 2, 0), "n must be an integer"),
+    (lambda: random_vector_tt(True, 2, 0), "n must be an integer"),
+    (lambda: hilbert_submatrix_tt(6.5, 1e-8), "n must be an integer"),
+], ids=["prescribed-n", "prescribed-k0", "prescribed-k0-0", "prescribed-rank",
+        "block-mode", "block-mode-0", "block-k", "block-k-0", "block-rank-0",
+        "vector-rank-bool", "vector-n", "vector-n-bool", "hilbert-n"])
+def test_generators_take_only_integer_sizes(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_hilbert_quadrature_is_sized_to_delta(monkeypatch):
     # a quadrature fixed at 1e-13 took 169 terms at N=20 for every delta
     terms = []

@@ -461,6 +461,50 @@ def test_matrix_tags_survive_transpose_and_rounding():
         _assert_canonical(t, b.orth.index(None))
 
 
+@pytest.mark.parametrize("fmt", ["vector", "matrix", "block"])
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+def test_round_of_a_zero_chain_is_a_left_orthogonal_zero_chain(fmt, delta):
+    # a zero chain takes the general rounding path: every bond keeps the one
+    # column truncated_svd never drops, so it comes out with all-one ranks,
+    # exactly zero, and its cores 0..N-2 orthonormal and tagged "L"
+    rng = np.random.default_rng(16)
+    x = {"vector": random_vector_tt_raw(5, 3, rng),
+         "matrix": random_matrix_tt(5, 3, rng),
+         "block": random_block_tt_at([2] * 5, 3, 3, 2, rng)}[fmt]
+    x.cores[3] = np.zeros_like(x.cores[3])
+    y = tt_round(x, delta)
+    assert type(y) is type(x) and y.ranks == [1] * 6
+    assert not np.any(tt_reconstruct(y))
+    assert y.orth == ["L"] * 4 + [None]
+    _assert_canonical(_fuse(y), 4)
+
+
+def test_fused_views_and_random_vectors_carry_their_tags():
+    rng = np.random.default_rng(17)
+    x = random_vector_tt(5, 2, 0)
+    assert x.orth == ["L"] * 4 + [None]
+    a = canonicalize(random_matrix_tt(5, 3, rng), 2)
+    u = canonicalize(random_block_tt_at([2] * 5, 3, 2, 2, rng), 2)
+    for c in (x, a, u):
+        f = _fuse(c)
+        assert f.orth == c.orth
+        _assert_canonical(f, c.orth.index(None))  # and the tags are true
+        assert all(np.shares_memory(fc, cc) for fc, cc in zip(f.cores, c.cores))
+
+
+@pytest.mark.parametrize("fmt", ["vector", "matrix", "block"])
+def test_one_core_chains_add_entrywise(fmt):
+    # the one core is the first and the last, so the two blocks overlap
+    rng = np.random.default_rng(18)
+    make = {"vector": lambda: random_vector_tt_raw(1, 1, rng, mode=3),
+            "matrix": lambda: random_matrix_tt(1, 1, rng, mode=3),
+            "block": lambda: random_block_tt_at([3], 2, 1, 0, rng)}[fmt]
+    x, y = make(), make()
+    s = tt_add(x, y)
+    assert type(s) is type(x) and s.ranks == [1, 1]
+    assert np.array_equal(s.cores[0], x.cores[0] + y.cores[0])
+
+
 # ---------------------------------------------------------------------------
 # matrix chains
 
