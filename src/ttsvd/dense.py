@@ -36,13 +36,13 @@ def truncated_svd(
     both are given and conflict.  The rank is chosen right at any scale of
     the singular values; ``discarded_energy`` is inf where the discarded
     energy itself exceeds the float range.  Deterministic for a fixed
-    input; an empty matrix, a non-finite entry or a negative or non-finite
-    delta raises ``ValueError``.
+    input; an empty matrix or a non-finite entry raises ``ValueError``, as
+    does a delta that is not a finite nonnegative real (``_real``).
     """
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         raise ValueError("empty matrix has no singular values")
-    _check_delta(delta)
+    delta = _real("delta", delta, 0, low_closed=True)
     if not np.all(np.isfinite(m)):
         raise ValueError("truncated_svd requires finite entries")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
@@ -57,7 +57,7 @@ def truncated_svd(
     if frob_threshold is not None:
         thr2 = np.ldexp(float(frob_threshold), -e) ** 2
     else:
-        thr2 = (float(delta) ** 2) * float(energies.sum())
+        thr2 = delta ** 2 * float(energies.sum())
     # the first r >= 1 that meets the bound; suffix[len(s)] = 0 always does
     keep = 1 + int(np.argmax(suffix[1:] <= thr2))
     if min_rank is not None:
@@ -80,10 +80,23 @@ def _integer(name: str, value, low: int) -> int:
     return int(value)
 
 
-def _check_delta(delta: float) -> None:
-    """A truncation delta must be a finite nonnegative number."""
-    if not 0 <= delta < math.inf:
-        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
+def _real(name: str, value, low, high=math.inf, *, low_closed=False) -> float:
+    """``value`` as a float in (low, high), or in [low, high) with
+    ``low_closed``.  A bool or a non-real (a str, None or a complex), NaN
+    or a value out of range raises ``ValueError`` naming ``name``.  Below
+    an infinite ``high``, ``low`` is 0 or -inf; below a finite one it is
+    open."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    x = float(value)
+    if not (low <= x if low_closed else low < x) or not x < high:
+        sign = "nonnegative" if low_closed else "positive"
+        rule = (f"lie strictly between {low:g} and {high:g}" if high < math.inf
+                else "be finite" if low == -math.inf
+                else f"be {sign} and finite")
+        raise ValueError(f"{name} must {rule}, got {x!r}")
+    return x
 
 
 def dense_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

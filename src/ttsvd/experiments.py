@@ -54,7 +54,7 @@ import numpy as np
 import yaml
 
 from . import solver as solver_mod
-from .dense import _integer
+from .dense import _integer, _real
 from .generators import (
     _EXPSUM_MAX_N,
     full_toeplitz_tt,
@@ -98,18 +98,20 @@ def _rank_cap(name: str, c):
     return None if c is None else _positive_int(name, c)
 
 
-def _between(low: float, high: float):
-    """A converter to a float strictly between ``low`` and ``high``; a bool
-    is no number here, though ``float`` would read it as 0 or 1."""
-    def convert(name: str, v) -> float:
-        if isinstance(v, bool):
-            raise ValueError(f"{name} must be a number, got {v!r}")
-        x = float(v)
-        if not low < x < high:
-            raise ValueError(f"{name} must lie strictly between {low} and "
-                             f"{high}, got {x!r}")
-        return x
-    return convert
+def _parsed(v):
+    """``v``, or the float that the string ``v`` spells: YAML reads 1e-8 (no
+    dot) as a string.  Other text stays text, which ``_real`` refuses."""
+    if isinstance(v, str):
+        try:
+            return float(v)
+        except ValueError:
+            pass
+    return v
+
+
+def _unit(name: str, v) -> float:
+    """A real strictly between 0 and 1 under ``dense._real``'s rule."""
+    return _real(name, _parsed(v), 0, 1)
 
 
 def _path(name: str, v) -> str:
@@ -192,10 +194,10 @@ _TRIDIAGONAL_MAX_N = 1022
 
 _FAMILIES = {
     "prescribed_svd": _Family(_build_prescribed, {
-        "beta": ((0.3, 0.5), _between(0, 1)),
+        "beta": ((0.3, 0.5), _unit),
         "k0": (25, _positive_int), "rank": (5, _positive_int)}, "beta"),
     "hilbert": _Family(_build_hilbert, {
-        "delta": ((1e-8,), _between(0, 1))}, "delta",
+        "delta": ((1e-8,), _unit)}, "delta",
         max_n=_EXPSUM_MAX_N,
         why="the Hilbert quadrature covers 1 <= x < 2^(N+1), which "
             "overflows a float from N = 1023 on"),
@@ -229,8 +231,9 @@ class RunConfig:
     ([None] for a family that sweeps none), each other key into
     ``fixed_params``, which the builders read.  It also builds
     ``solver_config``, the ``SolverConfig`` that checks ``k``, ``seed``,
-    ``epsilon`` and ``solver_options`` and that every repetition copies
-    with its own seed (and cap).
+    ``epsilon`` (text parsed by ``float()`` first, as for ``params``) and
+    ``solver_options`` and that every repetition copies with its own seed
+    (and cap); ``epsilon`` is then its checked float.
     """
 
     experiment: str
@@ -262,17 +265,11 @@ class RunConfig:
         for name in ("params", "solver_options"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be a mapping")
-        # YAML reads 1e-8 (no dot) as a string; float() parses it, as for params.delta
-        bad_epsilon = ConfigError(f"epsilon must be a number, got {self.epsilon!r}")
-        if isinstance(self.epsilon, bool):
-            raise bad_epsilon
-        try:
-            self.epsilon = float(self.epsilon)
-        except (TypeError, ValueError):
-            raise bad_epsilon from None
         self.solver_config = _checked(
             "bad solver configuration: ", solver_mod.SolverConfig, k=self.k,
-            epsilon=self.epsilon, seed=self.seed, **self.solver_options)
+            epsilon=_parsed(self.epsilon), seed=self.seed,
+            **self.solver_options)
+        self.epsilon = self.solver_config.epsilon
         if fam.caps_rank and "max_rank" in self.solver_options:
             raise ConfigError(f"solver_options.max_rank is not allowed on "
                               f"{self.experiment}, whose params.{fam.swept} "

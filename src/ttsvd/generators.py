@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .dense import _integer, dense_qr
+from .dense import _integer, _real, dense_qr
 from .tt import (
     BlockTT,
     MatrixTT,
@@ -225,20 +225,16 @@ def hilbert_submatrix_tt(n: int, delta: float) -> MatrixTT:
     relative.  The build takes about 4/5/22/74 ms at N=16/20/50/100 and
     delta 1e-8 (one BLAS thread, AMD EPYC); each chunk rounding sweeps all
     n cores, so it grows as O(n^2).  n may not exceed _EXPSUM_MAX_N, and
-    delta must lie in (0, 1): from delta = 1 on, the bound asks for nothing
-    (the zero matrix meets it), and from delta = 10 on the cut-off
-    ln ln(1/q) is undefined.
+    delta must be a real in (0, 1) (``dense._real``): from delta = 1 on,
+    the bound asks for nothing (the zero matrix meets it), and from
+    delta = 10 on the cut-off ln ln(1/q) is undefined.
     """
-    n = _integer("n", n, 1)
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = _integer("n", n, 2)
     if n > _EXPSUM_MAX_N:
         raise ValueError(f"need n <= {_EXPSUM_MAX_N}: the Hilbert quadrature "
                          f"covers 1 <= x < 2^(n+1), which overflows a float "
                          f"from n = 1023 on")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie strictly between 0 and 1, got "
-                         f"{delta!r}")
+    delta = _real("delta", delta, 0, 1)
     q = max(delta / 10, _EXPSUM_TARGET_FLOOR)
     h = math.pi ** 2 / math.log(10 / q)
     first = math.log(q) - (n + 1) * math.log(2.0)
@@ -309,14 +305,17 @@ def random_block_tt(modes, k: int, rank: int, seed) -> BlockTT:
 
     Cores are drawn standard-normal at the feasibility-clipped rank profile,
     the chain is left-orthogonalized, and the block core is orthonormalized
-    column-wise by a QR factorization.
+    column-wise by a QR factorization.  ``seed`` is a
+    ``np.random.SeedSequence`` or an integer of at least 0 (``dense._integer``);
+    None, which would draw fresh OS entropy, is refused.
     """
     modes = _as_modes(modes)
     n = len(modes)
     k, rank = _integer("k", k, 1), _integer("rank", rank, 1)
     if k > math.prod(modes):
         raise ValueError("block size k out of range")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed if isinstance(seed, np.random.SeedSequence)
+                                else _integer("seed", seed, 0))
     prof = _block_rank_profile(modes, k, rank)
     cores = [
         rng.standard_normal((prof[m], modes[m], prof[m + 1]))
@@ -347,13 +346,14 @@ def prescribed_svd_matrix(n: int, beta: float, k0: int = 25, rank: int = 5,
     product u0 diag(spectrum) v0^T of the factors' matrix views
     (``matrix_tt_matmul``), so its bond ranks are the products of theirs
     and its reconstruction equals u0 @ diag(spectrum) @ v0.T exactly.
+    ``beta`` is a real in (0, 1) (``dense._real``) and ``seed`` an integer
+    of at least 0.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie strictly between 0 and 1")
+    beta = _real("beta", beta, 0, 1)
     n, k0 = _integer("n", n, 1), _integer("k0", k0, 1)
     if k0 > 2 ** n:
         raise ValueError("k0 out of range")
-    ss = np.random.SeedSequence(seed).spawn(2)
+    ss = np.random.SeedSequence(_integer("seed", seed, 0)).spawn(2)
     u0 = random_block_tt(n, k0, rank, ss[0])
     v0 = random_block_tt(n, k0, rank, ss[1])
     spectrum = beta ** np.arange(k0, dtype=float)

@@ -97,7 +97,7 @@ from typing import Callable
 import numpy as np
 
 from .counting import tdot
-from .dense import _integer
+from .dense import _integer, _real
 from .environments import (
     Environment,
     dense_local_matrix,
@@ -227,7 +227,10 @@ class SolverConfig:
     ||B||_F ~ sigma_1^2, so any sigma_k below about sqrt(epsilon / 10)
     sigma_1 is lost before the sweep starts: Hilbert N=6 (delta 1e-8),
     K=10, epsilon 1e-3 gives sigma_5..sigma_10 off by 0.89 to 3.7e4
-    relative.
+    relative.  Construction checks every field: the integers under
+    ``dense._integer``'s rule, and epsilon under ``dense._real``'s, as a
+    positive finite real kept as a Python float, so that a NumPy float32
+    epsilon does not make every working delta float32.
     """
 
     k: int
@@ -243,10 +246,7 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None or name != "max_rank":
                 setattr(self, name, _integer(name, value, low))
-        if (isinstance(self.epsilon, bool) or not isinstance(
-                self.epsilon, (int, float, np.integer, np.floating))
-                or not 0 < self.epsilon < math.inf):
-            raise ValueError("epsilon must be a positive and finite real number")
+        self.epsilon = _real("epsilon", self.epsilon, 0)
 
 
 @dataclass

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .dense import _check_delta, dense_qr, truncated_svd
+from .dense import _real, dense_qr, truncated_svd
 
 
 def _rf(a: np.ndarray, shape) -> np.ndarray:
@@ -204,7 +204,7 @@ def tt_svd_compress(t: np.ndarray, delta: float) -> VectorTT:
     delta * sqrt(N-1) * ||t||_F.  Cores come out left-orthogonal except the
     last one.
     """
-    _check_delta(delta)
+    delta = _real("delta", delta, 0, low_closed=True)
     t = np.asarray(t, dtype=float)
     shape = t.shape
     n_modes = t.ndim
@@ -436,13 +436,14 @@ def tt_round(x, delta: float):
     n and carries U^T X into core n+1.  At delta = 0 only orthogonal
     transforms act, and each bond shrinks to at most the row or the column
     count of X R_{n+1}^T, whichever is smaller.  Cores 0..N-2 come out
-    tagged "L"; a zero chain collapses to all-one ranks; a non-finite core
+    tagged "L"; a zero chain collapses to all-one ranks; a non-finite core,
+    or a delta that is not a finite nonnegative real (``dense._real``),
     raises ``ValueError``.
 
     Any chain format rounds on its fused view, so only bond ranks change:
     the K columns of a BlockTT are not mixed.
     """
-    _check_delta(delta)
+    delta = _real("delta", delta, 0, low_closed=True)
     cores = _fuse(x).cores
     return _restore(_round_sweep(cores, _right_r_factors(cores), delta), x)
 
@@ -473,7 +474,7 @@ def gram_tt_round(b: MatrixTT, a: MatrixTT, delta: float) -> MatrixTT:
     a's column modes as its rows and columns and the squares of a's bonds,
     or ``ValueError`` is raised.
     """
-    _check_delta(delta)
+    delta = _real("delta", delta, 0, low_closed=True)
     if (b.ranks != [r * r for r in a.ranks] or b.row_sizes != a.col_sizes
             or b.col_sizes != a.col_sizes):
         raise ValueError("gram_tt_round needs b = a^T a")
@@ -501,8 +502,9 @@ def matrix_tt_round(a: MatrixTT, delta: float) -> MatrixTT:
 
 
 def tt_scale(x: VectorTT, alpha: float) -> VectorTT:
+    """x times ``alpha``, a finite real (``dense._real``)."""
     cores = [c.copy() for c in x.cores]
-    cores[0] = cores[0] * float(alpha)
+    cores[0] = cores[0] * _real("alpha", alpha, -math.inf)
     return VectorTT(cores)
 
 

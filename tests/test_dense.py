@@ -1,11 +1,28 @@
 """Dense kernels: the counted tensordot and the QR/SVD contracts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttsvd import count_macs, dense_qr, truncated_svd
+from ttsvd import (
+    SolverConfig,
+    count_macs,
+    dense_qr,
+    gram_tt_round,
+    hilbert_submatrix_tt,
+    matrix_tt_matmul,
+    matrix_tt_transpose,
+    prescribed_svd_matrix,
+    random_vector_tt,
+    split_block_core,
+    tt_round,
+    tt_scale,
+    tt_svd_compress,
+    truncated_svd,
+)
 from ttsvd.counting import tdot
 
 
@@ -154,6 +171,34 @@ def test_truncated_svd_keeps_rank_at_any_scale(s, delta, kept):
 def test_truncated_svd_rejects_negative_delta():
     with pytest.raises(ValueError):
         truncated_svd(np.eye(2), -0.1)
+
+
+def _gram_round(delta):
+    a = prescribed_svd_matrix(3, 0.5, k0=2, rank=1)[0]
+    return gram_tt_round(matrix_tt_matmul(matrix_tt_transpose(a), a), a, delta)
+
+
+# every public real-valued input, with one value out of its range; each of
+# these once ran True as 1, raised a raw TypeError on text or None, or
+# accepted NaN
+@pytest.mark.parametrize("call, name, out_of_range", [
+    (lambda x: truncated_svd(np.eye(2), x), "delta", -0.1),
+    (lambda x: split_block_core(np.ones((1, 2, 2, 1, 2)), "left_to_right", x),
+     "delta", -0.1),
+    (lambda x: tt_svd_compress(np.ones((2, 2, 2)), x), "delta", math.inf),
+    (lambda x: tt_round(random_vector_tt(4, 2, 0), x), "delta", -1e-3),
+    (_gram_round, "delta", math.inf),
+    (lambda x: tt_scale(random_vector_tt(4, 2, 0), x), "alpha", -math.inf),
+    (lambda x: hilbert_submatrix_tt(4, x), "delta", 1.0),
+    (lambda x: prescribed_svd_matrix(4, x, k0=4), "beta", 0.0),
+    (lambda x: SolverConfig(k=2, epsilon=x), "epsilon", 0.0),
+], ids=["truncated_svd", "split_block_core", "tt_svd_compress", "tt_round",
+        "gram_tt_round", "tt_scale", "hilbert_submatrix_tt",
+        "prescribed_svd_matrix", "SolverConfig"])
+def test_every_real_input_takes_one_rule(call, name, out_of_range):
+    for bad in (True, "1e-3", None, 1e-3j, math.nan, out_of_range):
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            call(bad)
 
 
 def test_dense_qr_contract():

@@ -142,6 +142,11 @@ def test_load_reads_exponent_only_epsilon(tmp_path):
      "bad params.delta value: delta must be a number, got True"),
     (lambda d: d.update(params={"beta": [False]}),
      "bad params.beta value: beta must be a number, got False"),
+    # text that spells no number once gave float()'s own message
+    (lambda d: d.update(params={"beta": ["abc"]}),
+     "bad params.beta value: beta must be a number, got 'abc'"),
+    (lambda d: d.update(params={"beta": [None]}),
+     "bad params.beta value: beta must be a number, got None"),
     (lambda d: d.update(experiment="custom", params={"path": 5}),
      "bad params.path value"),
 ])

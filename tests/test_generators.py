@@ -180,8 +180,11 @@ def test_hilbert_submatrix_entries_and_budget():
 def test_hilbert_delta_must_lie_below_1(delta):
     # from delta = 10 on the quadrature's cut-off ln ln(1/q) was undefined
     # ("math domain error"); at 1 <= delta < 10 the bound asks for nothing,
-    # since the zero matrix meets it
-    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+    # since the zero matrix meets it.  A bool is no number, though float()
+    # would read it as 1.
+    message = ("delta must be a number, got True" if delta is True
+               else "strictly between 0 and 1")
+    with pytest.raises(ValueError, match=message):
         hilbert_submatrix_tt(6, delta)
 
 
@@ -209,6 +212,27 @@ def test_hilbert_delta_must_lie_below_1(delta):
 def test_generators_take_only_integer_sizes(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("3", "seed must be an integer"), (2.5, "seed must be an integer"),
+    (1.5, "seed must be an integer"), (True, "seed must be an integer"),
+    # None would draw OS entropy and break the deterministic runs
+    (None, "seed must be an integer"), (-1, "seed must be at least 0"),
+])
+def test_generator_seeds_take_the_integer_rule(seed, message):
+    for call in (lambda: random_block_tt(4, 2, 2, seed),
+                 lambda: random_vector_tt(4, 2, seed),
+                 lambda: prescribed_svd_matrix(4, 0.5, k0=4, seed=seed)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_generator_seeds_take_a_seed_sequence_or_a_numpy_integer():
+    want = random_block_tt(4, 2, 2, 3).cores
+    for seed in (np.int64(3), np.random.SeedSequence(3)):
+        got = random_block_tt(4, 2, 2, seed).cores
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_hilbert_quadrature_is_sized_to_delta(monkeypatch):

@@ -838,7 +838,7 @@ def test_driver_validation():
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(k=2, **bad)
     for bad in (True, False, "1e-8", None, 1e-8j):
-        with pytest.raises(ValueError, match="epsilon must be a positive and finite real"):
+        with pytest.raises(ValueError, match="epsilon must be a number"):
             SolverConfig(k=2, epsilon=bad)
     assert SolverConfig(k=2, epsilon=np.float32(1e-3)).epsilon == np.float32(1e-3)
     for name in ("k", "max_full_sweeps", "max_restarts", "seed", "max_rank"):
@@ -851,6 +851,14 @@ def test_driver_validation():
             SolverConfig(k=2, **bad)
     assert SolverConfig(k=np.int64(2)).k == 2
     assert SolverConfig(k=2, max_rank=np.int64(1), max_restarts=0).max_rank == 1
+
+
+def test_epsilon_is_kept_as_a_python_float():
+    # a float32 epsilon once stayed float32, and under NumPy 2's promotion
+    # every working delta of the solve with it: 3.3333337e-05 where the
+    # float64 value is 3.333333491658171e-05
+    eps = SolverConfig(k=2, epsilon=np.float32(1e-3)).epsilon
+    assert type(eps) is float and eps == float(np.float32(1e-3))
 
 
 @pytest.mark.parametrize("driver, cap, k, runs", [

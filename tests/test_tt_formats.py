@@ -107,7 +107,7 @@ def _vector(n):
      "need length >= 4 (at least two cores)"),
     (lambda: hankel_submatrix_tt(_vector(1)), ValueError,
      "need at least two cores to restrict and fold"),
-    (lambda: hilbert_submatrix_tt(1, 1e-8), ValueError, "need n >= 2"),
+    (lambda: hilbert_submatrix_tt(1, 1e-8), ValueError, "n must be at least 2"),
     (lambda: truncated_svd(np.ones((0, 3)), 0.0), ValueError,
      "empty matrix has no singular values"),
 ])
