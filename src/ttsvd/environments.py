@@ -57,6 +57,8 @@ def env_update_left(env: Environment, u, a: MatrixTT, v, n: int) -> Environment:
     Contraction order (L^{<n}, U-core, A-core, V-core), each step touching
     the smallest intermediate.
     """
+    if n + 1 >= env.n_cores:
+        raise ValueError("cannot extend the left environment past the chain")
     left = env.lefts[n]
     if left is None:
         raise ValueError(f"L^<{n} missing; update environments in order")
@@ -64,10 +66,7 @@ def env_update_left(env: Environment, u, a: MatrixTT, v, n: int) -> Environment:
     t = tdot(left, cu, axes=(0, 0))              # (ra, rv, i, ru2)
     t = tdot(t, ca, axes=((0, 2), (0, 1)))       # (rv, ru2, j, ra2)
     t = tdot(t, cv, axes=((0, 2), (0, 1)))       # (ru2, ra2, rv2)
-    if n + 1 < env.n_cores:
-        env.lefts[n + 1] = t
-    else:
-        raise ValueError("cannot extend the left environment past the chain")
+    env.lefts[n + 1] = t
     return env
 
 
@@ -76,6 +75,8 @@ def env_update_right(env: Environment, u, a: MatrixTT, v, n: int) -> Environment
 
     Contraction order (R^{>n}, V-core, A-core, U-core).
     """
+    if n - 1 < 0:
+        raise ValueError("cannot extend the right environment past the chain")
     right = env.rights[n]
     if right is None:
         raise ValueError(f"R^>{n} missing; update environments in order")
@@ -83,10 +84,7 @@ def env_update_right(env: Environment, u, a: MatrixTT, v, n: int) -> Environment
     t = tdot(cv, right, axes=(2, 2))             # (rv, j, ru_n, ra_n)
     t = tdot(t, ca, axes=((1, 3), (2, 3)))       # (rv, ru_n, ra, i)
     t = tdot(t, cu, axes=((1, 3), (2, 1)))       # (rv, ra, ru)
-    if n - 1 >= 0:
-        env.rights[n - 1] = t.transpose(2, 1, 0)
-    else:
-        raise ValueError("cannot extend the right environment past the chain")
+    env.rights[n - 1] = t.transpose(2, 1, 0)
     return env
 
 

@@ -7,10 +7,11 @@ every ``params`` key it reads to that key's default and converter, the key
 it sweeps into the ``param`` column, its builder, its largest N, and
 whether the swept value caps the solvers' rank.  A ``RunConfig`` is checked
 whole against it on construction and converts every key once, so a bad N
-or ``params`` value fails before the first solve; ``run_experiment`` then
-builds each cell's first matrix and puts it to its solver's own checks
-before it solves any cell.  Results are written as two CSVs with a stable
-column order plus JSON reports:
+or ``params`` value, or a solver, N or swept value listed twice, fails
+before the first solve; ``run_experiment`` then builds each grid point's
+first matrix and puts it to every solver's own checks before it solves
+any cell.  Results are written as two CSVs with a stable column order
+plus JSON reports:
 
 * ``results.csv``   - experiment,solver,N,K,param,rep,seed,sweeps,
                       relative_residual,spectrum_rel_error,max_v_rank,
@@ -30,9 +31,10 @@ repetitions' values, a blank column stays blank, and a column that holds
 common one or "mixed"; the std row's is empty.  ``report.json``'s
 aggregates take ``mean_<column>`` from the mean rows.
 
-Repetition r of any cell uses seed ``base_seed + r`` for both the matrix
-generator (where randomness applies) and the solver, so runs are
-deterministic end to end.
+Repetition r of a grid point (N, param) builds its matrix once, with seed
+``base_seed + r`` where the generator is random, and every solver solves
+that one matrix with the same seed, so runs are deterministic end to end.
+``construction_s`` is that build's time, on every solver's timing row.
 """
 
 from __future__ import annotations
@@ -222,6 +224,14 @@ def _checked(prefix: str, convert, /, *args, **kwargs):
         raise ConfigError(f"{prefix}{exc}") from exc
 
 
+def _distinct(axis: str, values: list) -> list:
+    """``values``; a value listed twice is a ConfigError naming ``axis``."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{axis} lists {v!r} twice")
+    return values
+
+
 @dataclass
 class RunConfig:
     """One run's configuration, checked whole on construction.
@@ -261,6 +271,7 @@ class RunConfig:
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ConfigError(f"unknown solver {s!r}")
+        _distinct("solvers", self.solvers)
         self.reps = _checked("", _integer, "reps", self.reps, 1)
         for name in ("params", "solver_options"):
             if not isinstance(getattr(self, name), dict):
@@ -277,8 +288,8 @@ class RunConfig:
         if fam.max_n is not None:
             if not self.n_values:
                 raise ConfigError("n_values must not be empty")
-            self.n_values = [_checked("", _integer, "N", n, 2)
-                             for n in self.n_values]
+            self.n_values = _distinct("n_values", [
+                _checked("", _integer, "N", n, 2) for n in self.n_values])
             for n in self.n_values:
                 if n > fam.max_n:
                     raise ConfigError(f"{self.experiment} needs N <= "
@@ -300,8 +311,8 @@ class RunConfig:
             values = value if isinstance(value, (list, tuple)) else [value]
             if not values:
                 raise ConfigError(f"params.{key} must not be empty")
-            self.swept_values = [_checked(prefix, convert, key, v)
-                                 for v in values]
+            self.swept_values = _distinct(f"params.{key}", [
+                _checked(prefix, convert, key, v) for v in values])
         if self.k > self.fixed_params.get("k0", self.k):
             raise ConfigError("k exceeds the prescribed spectrum length k0")
 
@@ -385,69 +396,67 @@ def _build_matrix(cfg: RunConfig, n, value, seed: int):
 def run_experiment(cfg: RunConfig):
     """Run the full grid; returns (result_rows, timing_rows).
 
-    Every cell's repetition-0 matrix is built and put to its solver's own
-    checks (``solver.check_problem``) before the first solve, so a cell no
-    solver can take fails the run with a ConfigError and nothing solved;
-    each such matrix is kept for its repetition 0.  Per-repetition rows
-    come first within each cell, followed by mean and population-std
+    Each grid point (N, param) builds repetition r's matrix once and every
+    solver in ``cfg.solvers`` solves it.  Every point's repetition-0 matrix
+    is built and put to each solver's own checks (``solver.check_problem``)
+    before the first solve, so a point some solver cannot take fails the
+    run with a ConfigError and nothing solved; each such matrix is kept for
+    its repetition 0.  Rows come out cell by cell, in (N, param, solver)
+    order: a cell's per-repetition rows, then its mean and population-std
     aggregate rows (rep = "mean" / "std", empty seed).
     """
     takes_n = _FAMILIES[cfg.experiment].max_n is not None
-    cells = [(n, value, solver_name)
-             for n in (cfg.n_values if takes_n else [None])
-             for value in cfg.swept_values for solver_name in cfg.solvers]
-    firsts = [_prepare(cfg, *cell, 0) for cell in cells]
+    points = [(n, value) for n in (cfg.n_values if takes_n else [None])
+              for value in cfg.swept_values]
+    firsts = [_prepare(cfg, n, value, 0) for n, value in points]
     results, timings = [], []
-    for cell, first in zip(cells, firsts):
-        cell_res, cell_tim = _run_cell(cfg, *cell, first)
-        results.extend(cell_res)
-        timings.extend(cell_tim)
+    for (n, value), first in zip(points, firsts):
+        solved = {name: [] for name in cfg.solvers}
+        for rep in range(cfg.reps):
+            problem = first if rep == 0 else _prepare(cfg, n, value, rep)
+            for name, pairs in solved.items():
+                pairs.append(_solve(cfg, n, value, name, rep, *problem))
+        for pairs in solved.values():
+            rows, times = map(list, zip(*pairs))
+            results += rows + _summary_rows(rows)
+            timings += times
     return results, timings
 
 
-def _prepare(cfg: RunConfig, n, value, solver_name: str, rep: int):
-    """Repetition ``rep`` of a cell, checked as its solver would check it:
-    (matrix, truth, construction seconds, solver config)."""
+def _prepare(cfg: RunConfig, n, value, rep: int):
+    """Repetition ``rep`` of a grid point, checked as each solver would
+    check it: (matrix, truth, construction seconds, solver config)."""
     seed = cfg.seed + rep
     t0 = time.perf_counter()
     a, truth = _build_matrix(cfg, n, value, seed)
     construction = time.perf_counter() - t0
     cap = {"max_rank": value} if _FAMILIES[cfg.experiment].caps_rank else {}
     scfg = dataclasses.replace(cfg.solver_config, seed=seed, **cap)
-    try:
-        solver_mod.check_problem(a, scfg, solver_name)
-    except ValueError as exc:
-        raise ConfigError(f"solver {solver_name} rejected the problem: "
-                          f"{exc}") from exc
+    for name in cfg.solvers:
+        _checked(f"solver {name} rejected the problem: ",
+                 solver_mod.check_problem, a, scfg, name)
     return a, truth, construction, scfg
 
 
-def _run_cell(cfg: RunConfig, n, value, solver_name: str, first):
+def _solve(cfg: RunConfig, n, value, name: str, rep: int, a, truth,
+           construction: float, scfg):
+    """Solver ``name``'s solve of repetition ``rep``'s matrix ``a``, as its
+    (ResultRow, TimingRow)."""
+    sigma, u, v, report = _checked(f"solver {name} rejected the problem: ",
+                                   SOLVERS[name], a, scfg)
     if value is None:
-        param_str = "none" if _FAMILIES[cfg.experiment].swept else ""
+        param = "none" if _FAMILIES[cfg.experiment].swept else ""
     else:
-        param_str = str(value)
-    run = SOLVERS[solver_name]
-    rows, times = [], []
-    for rep in range(cfg.reps):
-        a, truth, construction, scfg = (
-            first if rep == 0 else _prepare(cfg, n, value, solver_name, rep))
-        try:
-            sigma, u, v, report = run(a, scfg)
-        except ValueError as exc:
-            raise ConfigError(f"solver {solver_name} rejected the problem: "
-                              f"{exc}") from exc
-        spec_err = "" if truth is None else repr(float(
-            np.linalg.norm(sigma - truth) / np.linalg.norm(truth)))
-        defect = "" if report.u_defect is None else repr(report.u_defect)
-        key = (cfg.experiment, solver_name, a.n_cores if n is None else n,
-               cfg.k, param_str, str(rep), str(scfg.seed))
-        rows.append(ResultRow(
-            *key, str(report.sweeps_used), repr(report.residual), spec_err,
-            str(max(v.ranks)), defect, report.termination))
-        times.append(TimingRow(*key, float(report.wall_time_s),
-                               float(construction)))
-    return rows + _summary_rows(rows), times
+        param = str(value)
+    spec_err = "" if truth is None else repr(float(
+        np.linalg.norm(sigma - truth) / np.linalg.norm(truth)))
+    defect = "" if report.u_defect is None else repr(report.u_defect)
+    key = (cfg.experiment, name, a.n_cores if n is None else n, cfg.k,
+           param, str(rep), str(scfg.seed))
+    return (ResultRow(*key, str(report.sweeps_used), repr(report.residual),
+                      spec_err, str(max(v.ranks)), defect,
+                      report.termination),
+            TimingRow(*key, float(report.wall_time_s), float(construction)))
 
 
 def _summary_rows(reps: list) -> list:

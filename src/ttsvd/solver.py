@@ -829,13 +829,15 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     side on the prescribed family: its A = U diag(sigma) V^T has
     left-orthogonal factor chains, and summing over the row modes turns U's
     left part into the identity, so B's left parts have numerical rank at
-    most r_V^2 = 25, against r_U^2 r_V^2 = 625 on the right.  There the
-    set-up at N=10 (reduction, factors, product and rounding) took 60 -> 19
-    ms, and the factors have at most 25 rows instead of 625 (2-vCPU AMD
-    EPYC, one BLAS thread, best of 3, seeds 1-3).  The Hilbert, tridiagonal
-    and Toeplitz families have about the same numerical rank on both sides
-    at N=10 (64 against 58, 7 and 7, 36 and 36), and their set-up time did
-    not change.  The solve then sweeps (V,) over the rounded B, recovers
+    most r_V^2 = 25, against r_U^2 r_V^2 = 625 on the right, and the
+    factors have at most 25 rows instead of 625.  There the set-up
+    (reduction, reversal, product and rounding) takes 15-17, 36-44 and
+    59-73 ms at N = 6, 8 and 10 (k0 16, rank 5, seed 3, rounding delta
+    1e-9; 2-vCPU Intel Xeon, one BLAS thread, best of 5 in each of four
+    runs).  The Hilbert, tridiagonal and Toeplitz families have about the
+    same numerical rank on both sides at N=10 (64 against 58, 7 and 7, 36
+    and 36), and rounding from the right did not change their set-up time.
+    The solve then sweeps (V,) over the rounded B, recovers
     U = A V Sigma^+ from the returned iterate, and, if a sweep completed,
     evaluates the verdict's residual on the reduced A and U's orthogonality
     defect (``block_tt_gram``), which the report keeps as ``u_defect``.

@@ -174,17 +174,21 @@ def test_update_order_and_block_guards():
     n = 4
     u, a, v = _triple(rng, n=n, pos=2)
     env = Environment(n)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"L\^<1 missing"):
         env_update_left(env, u, a, v, 1)  # lefts[1] not built yet
     env_update_left(env, u, a, v, 0)
-    with pytest.raises(ValueError):
+    env_update_left(env, u, a, v, 1)
+    with pytest.raises(ValueError, match="core 2 is the block core"):
         env_update_left(env, u, a, v, 2)  # would read the block core
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"R\^>2 missing"):
         env_update_right(env, u, a, v, 2)
     env_update_right(env, u, a, v, 3)
     assert env.rights[2] is not None
-    with pytest.raises(ValueError):
+    # the chain ends are refused before any environment is read
+    with pytest.raises(ValueError, match="right environment past the chain"):
         env_update_right(Environment(n), u, a, v, 0)  # past the chain start
+    with pytest.raises(ValueError, match="left environment past the chain"):
+        env_update_left(Environment(n), u, a, v, n - 1)  # past the chain end
 
 
 def test_environment_deviation_detects_corruption():

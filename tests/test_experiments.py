@@ -149,6 +149,19 @@ def test_load_reads_exponent_only_epsilon(tmp_path):
      "bad params.beta value: beta must be a number, got None"),
     (lambda d: d.update(experiment="custom", params={"path": 5}),
      "bad params.path value"),
+    # a value listed twice once ran its cells twice and wrote every row twice
+    (lambda d: d.update(solvers=["als_svd", "mals_svd", "als_svd"]),
+     "solvers lists 'als_svd' twice"),
+    (lambda d: d.update(n_values=[4, 6, 4]), "n_values lists 4 twice"),
+    (lambda d: d.update(params={"beta": [0.3, 0.5, 0.3]}),
+     r"params.beta lists 0.3 twice"),
+    # values are compared once converted: YAML's text "1e-8" is 1e-8
+    (lambda d: d.update(experiment="hilbert",
+                        params={"delta": ["1e-8", 1e-8]}),
+     r"params.delta lists 1e-08 twice"),
+    (lambda d: d.update(experiment="toeplitz",
+                        params={"max_rank": [None, 4, None]}),
+     r"params.max_rank lists None twice"),
 ])
 def test_load_rejects_bad_configs(tmp_path, mutate, fragment):
     doc = {
@@ -735,6 +748,77 @@ def test_cli_run_rejects_a_bad_grid_before_any_solve(tmp_path, monkeypatch,
     assert fragment in res.output
     assert calls == []
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_refuses_a_solver_listed_twice(tmp_path, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    res = CliRunner().invoke(cli_main, ["run", _cli_config(tmp_path),
+                                        "--solvers", "als_svd,als_svd"])
+    assert res.exit_code == 2, res.output
+    assert "solvers lists 'als_svd' twice" in res.output
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def _count_builds(monkeypatch, experiment: str) -> list:
+    """The (N, param, seed) of every matrix that ``experiment``'s builder
+    makes from now on, in order."""
+    calls = []
+    family = _FAMILIES[experiment]
+
+    def counted(cfg, n, value, seed):
+        calls.append((n, value, seed))
+        return family.build(cfg, n, value, seed)
+    monkeypatch.setitem(_FAMILIES, experiment,
+                        dataclasses.replace(family, build=counted))
+    return calls
+
+
+def test_each_grid_point_builds_each_repetition_once(monkeypatch):
+    # P = 2 points, R = 2 repetitions, S = 3 solvers: P * R builds, where
+    # one build per cell and repetition once made P * R * S = 12
+    builds = _count_builds(monkeypatch, "prescribed_svd")
+    solves = _count_solves(monkeypatch)
+    cfg = _small_cfg(solvers=["als_svd", "mals_svd", "als_eig"],
+                     params={"beta": [0.3, 0.5], "k0": 6, "rank": 2})
+    rows, _ = run_experiment(cfg)
+    # every repetition-0 matrix is built before the first solve
+    assert builds == [(4, 0.3, 0), (4, 0.5, 0), (4, 0.3, 1), (4, 0.5, 1)]
+    assert len(solves) == 2 * 2 * 3
+    assert [(r.param, r.solver) for r in rows[::4]] == [
+        (beta, name) for beta in ("0.3", "0.5") for name in cfg.solvers]
+
+
+def test_a_grid_of_all_solvers_rows_as_one_solver_runs():
+    cfg = _small_cfg(solvers=list(SOLVERS), n_values=[4, 5])
+    rows, _ = run_experiment(cfg)
+    alone = {name: run_experiment(dataclasses.replace(cfg, solvers=[name]))[0]
+             for name in SOLVERS}
+    expected = [row for n in cfg.n_values for name in SOLVERS
+                for row in alone[name] if row.n == n]
+    assert rows == expected
+
+
+def test_every_solver_gets_the_one_matrix_and_leaves_it_unchanged(
+        monkeypatch):
+    handed = []
+    for name, run in list(SOLVERS.items()):
+        def checked(a, scfg, name=name, run=run):
+            before = [c.copy() for c in a.cores]
+            out = run(a, scfg)
+            handed.append((name, scfg.seed, a))
+            assert len(a.cores) == len(before)
+            for c, kept in zip(a.cores, before):
+                assert c.dtype == kept.dtype and c.shape == kept.shape
+                assert c.tobytes() == kept.tobytes(), name
+            return out
+        monkeypatch.setitem(SOLVERS, name, checked)
+    run_experiment(_small_cfg(solvers=list(SOLVERS)))
+    assert sorted((name, seed) for name, seed, _ in handed) == sorted(
+        (name, seed) for name in SOLVERS for seed in (0, 1))
+    for seed in (0, 1):
+        first, *others = [a for _, s, a in handed if s == seed]
+        assert all(a is first for a in others)
 
 
 def test_cli_run_max_n_keeps_a_custom_run(tmp_path, monkeypatch):
