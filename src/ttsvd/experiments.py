@@ -17,7 +17,7 @@ plus JSON reports:
                       relative_residual,spectrum_rel_error,max_v_rank,
                       u_defect,termination
 * ``timings.csv``   - experiment,solver,N,K,param,rep,seed,wall_time_s,
-                      construction_s
+                      setup_s,construction_s
 * ``metadata.json`` - timestamps and environment info (kept out of the
                       CSVs so identical configs produce identical CSVs)
 * ``report.json``   - aggregate statistics and linear time-vs-N fits
@@ -35,6 +35,10 @@ Repetition r of a grid point (N, param) builds its matrix once, with seed
 ``base_seed + r`` where the generator is random, and every solver solves
 that one matrix with the same seed, so runs are deterministic end to end.
 ``construction_s`` is that build's time, on every solver's timing row.
+``setup_s`` and ``wall_time_s`` are the solve's ``SweepReport`` fields: the
+Gram solvers of one matrix share its set-up, so each of their rows reports
+the time it took to make.  Their sum is the solve's time, which the
+time-vs-N fits and the plot tables read.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ RESULT_COLUMNS = ("experiment", "solver", "N", "K", "param", "rep", "seed",
                   "sweeps", "relative_residual", "spectrum_rel_error",
                   "max_v_rank", "u_defect", "termination")
 TIMING_COLUMNS = ("experiment", "solver", "N", "K", "param", "rep", "seed",
-                  "wall_time_s", "construction_s")
+                  "wall_time_s", "setup_s", "construction_s")
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +382,12 @@ class ResultRow(RowKey):
 @dataclass
 class TimingRow(RowKey):
     wall_time_s: float
+    setup_s: float
     construction_s: float
+
+    def solve_s(self) -> float:
+        """The solve's time on its own: its set-up and what came after."""
+        return self.wall_time_s + self.setup_s
 
 
 def _numbers(row) -> dict:
@@ -456,7 +465,8 @@ def _solve(cfg: RunConfig, n, value, name: str, rep: int, a, truth,
     return (ResultRow(*key, str(report.sweeps_used), repr(report.residual),
                       spec_err, str(max(v.ranks)), defect,
                       report.termination),
-            TimingRow(*key, float(report.wall_time_s), float(construction)))
+            TimingRow(*key, float(report.wall_time_s), float(report.setup_s),
+                      float(construction)))
 
 
 def _summary_rows(reps: list) -> list:
@@ -540,7 +550,9 @@ def parse_rows_csv(text: str, row_type, columns) -> list:
 
 
 def scaling_report(timing_rows) -> dict:
-    """Least-squares fit wall_time = a*N + b per solver over mean rep times.
+    """Least-squares fit time = a*N + b per solver over mean rep times.
+
+    A repetition's time is ``TimingRow.solve_s``, set-up included.
 
     Solvers with fewer than 3 distinct N values are skipped.  A constant
     time profile (all means equal) fits perfectly, so R^2 reports 1.0 there,
@@ -549,7 +561,7 @@ def scaling_report(timing_rows) -> dict:
     per = {}
     for row in filter(RowKey.is_repetition, timing_rows):
         per.setdefault(row.solver, {}).setdefault(row.n, []).append(
-            row.wall_time_s)
+            row.solve_s())
     fits = {}
     for solver_name, by_n in per.items():
         if len(by_n) < 3:
@@ -592,13 +604,16 @@ def build_report(result_rows, timing_rows, config_dict=None) -> dict:
 
 
 def write_plotdata(out_dir: str, result_rows, timing_rows) -> list:
-    """One TSV per (experiment, solver) with mean quantities by (N, param)."""
+    """One TSV per (experiment, solver) with mean quantities by (N, param).
+
+    ``mean_wall_time_s`` is the mean ``TimingRow.solve_s``, set-up included.
+    """
     plot_dir = os.path.join(out_dir, "plotdata")
     os.makedirs(plot_dir, exist_ok=True)
     times = {}
     for t in filter(RowKey.is_repetition, timing_rows):
         times.setdefault((t.experiment, t.solver, t.n, t.param),
-                         []).append(t.wall_time_s)
+                         []).append(t.solve_s())
     groups = {}
     for row in result_rows:
         if row.rep == "mean":

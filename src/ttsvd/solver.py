@@ -91,6 +91,7 @@ import dataclasses
 import functools
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -296,6 +297,13 @@ class SweepReport:
     below 1e-14 sigma_1 leaves its column of U zero.  So a singular spectrum
     ends ``"sweep-limit"`` or ``"restarted"`` on the Gram route too, not in
     an exception.
+
+    ``setup_s`` is the time the solve's set-up took when it was made: the
+    gauge and scaling of A on the SVD route, and on the Gram route the
+    reduction of A, its scaling and the forming and rounding of B.  A Gram
+    solve that reuses a set-up (see ``_driver``) reports the time it took
+    to make.  ``wall_time_s`` covers everything after the set-up, so their
+    sum is what the solve costs on its own.
     """
 
     solver: str = ""
@@ -306,6 +314,7 @@ class SweepReport:
     total_sweeps: int = 0
     restarts_used: int = 0
     wall_time_s: float = 0.0
+    setup_s: float = 0.0
     termination: str = ""
     delta_final: float = 0.0
     residual: float = math.inf
@@ -814,6 +823,78 @@ def check_problem(a: MatrixTT, cfg: SolverConfig, name: str) -> None:
     _check_finite(a.cores)
 
 
+@dataclass(frozen=True)
+class _SetUp:
+    """A solve's operator, made by ``_set_up``.
+
+    ``op`` is what the sweeps read: the gauged A on the SVD route, the
+    rounded B on the Gram route.  ``a`` is the A the Gram route recovers U
+    from and judges on, its reduced A; on the SVD route it is ``op``.  Both
+    hold A / 2^e.  ``seconds`` is the time the set-up took when it was made.
+    """
+
+    op: MatrixTT
+    a: MatrixTT
+    e: int
+    seconds: float
+
+
+# The last Gram set-up made: [(weak reference to its matrix, (its _content,
+# rounding delta), _SetUp)], or [] once that matrix is gone (see _driver).
+_gram_memo: list = []
+
+
+def _forget(ref) -> None:
+    if _gram_memo and _gram_memo[0][0] is ref:
+        _gram_memo.clear()
+
+
+def _content(a: MatrixTT) -> list:
+    """The dtype, shape and bytes of every core of ``a``.  A copy of its
+    entries, far smaller than the rounded B kept with it, and exact where a
+    digest could collide."""
+    return [(c.dtype.str, c.shape, c.tobytes()) for c in a.cores]
+
+
+def _set_up(a: MatrixTT, gram: bool, rdelta: float) -> _SetUp:
+    """The gauged (SVD) or reduced (Gram) A / 2^e and the operator swept.
+
+    A Gram set-up is memoized for the matrix object it was made from (see
+    ``_driver``); the SVD route makes its set-up every time.
+    """
+    t0 = time.perf_counter()
+    if gram:
+        key = (_content(a), rdelta)
+        if _gram_memo and _gram_memo[0][0]() is a and _gram_memo[0][1] == key:
+            return _gram_memo[0][2]
+        _gram_memo.clear()  # a miss replaces the entry; B forms without it
+    held = -1 if gram else 0  # the core of op that holds all of ||A||_F
+    with np.errstate(over="ignore"):  # an overflowing A is refused below
+        try:
+            # finite cores (check_problem) fail to reduce or gauge only where
+            # ||A||_F overflows
+            op = matrix_tt_round(a, 0.0) if gram else canonicalize(a, 0)
+        except ValueError:
+            norm = math.inf
+        else:
+            norm = _norm(op.cores[held])
+    if not 0.0 < norm < math.inf:
+        raise ValueError("the matrix's Frobenius norm is zero or not finite")
+    e = math.frexp(norm)[1]  # every sweep runs on A / 2^e
+    op.cores[held] = np.ldexp(op.cores[held], -e)
+    if not gram:
+        return _SetUp(op, op, e, time.perf_counter() - t0)
+    # B's ranks are the squares of the reduced A's
+    rev = _bond_reversed(op)
+    b = _bond_reversed(gram_tt_round(
+        matrix_tt_matmul(matrix_tt_transpose(rev), rev), rev, rdelta))
+    made = _SetUp(b, op, e, time.perf_counter() - t0)
+    for c in (*b.cores, *op.cores):
+        c.flags.writeable = False
+    _gram_memo.append((weakref.ref(a, _forget), key, made))
+    return made
+
+
 def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     """Restarted sweeps; returns (Sigma, U, V, report) of the best iterate.
 
@@ -842,7 +923,13 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     evaluates the verdict's residual on the reduced A and U's orthogonality
     defect (``block_tt_gram``), which the report keeps as ``u_defect``.
     ``matrix_tt_matmul`` writes each core of B once, with one slab (about
-    0.5 MB at N=10) as its only temporary, and forms B at N=10 in 6 ms.
+    0.5 MB at N=10) as its only temporary.  Its time depends on whether B's
+    pages are already mapped: at N=10 it forms B's 57.7 MB in 16-17 ms
+    where the allocator hands back pages it kept, and in 19-24 ms where
+    about 3000 minor page faults map them fresh, as they do when glibc
+    returns each freed core of B to the system (2-vCPU Intel Xeon, one
+    BLAS thread, best of 5 in each of three rounds; pages kept with glibc's
+    MALLOC_MMAP_THRESHOLD_ and MALLOC_TRIM_THRESHOLD_ set past B's size).
     The unrounded B is held only during its rounding, so a Gram solve
     peaks at B plus its R factors plus a few MiB
     (tracemalloc, prescribed k0 16, rank 5, K=10: 36.0/60.1/84.3/108.4/301.7
@@ -876,31 +963,30 @@ def _driver(a: MatrixTT, cfg: SolverConfig, pair: bool, gram: bool, name: str):
     the SVD route.  The Gram route scales after its exact reduction, whose
     LAPACK SVDs rescale input out of their range, so there the solve of
     2^k A keeps its verdict and Sigma to rounding (within 1e-13 relative).
+
+    ``_set_up`` makes the gauged or reduced A / 2^e and, on the Gram route,
+    B.  A Gram set-up is made once per matrix object and rounding delta,
+    and shared: the last one made stays in a one-entry memo, held through a
+weak reference to its matrix, so it is freed with the matrix.  A later
+    Gram solve of that object whose cores hold the same bytes as when the
+    set-up was made (the entry keeps a copy of them), at the same delta,
+    sweeps the same reduced A and rounded B, whose arrays are read-only,
+    and returns what a solve of a fresh copy returns, bit for bit.  An edited core or another epsilon
+    makes the set-up again; only such a miss replaces the entry, so an SVD
+    solve in between leaves it.  So a grid that runs both Gram baselines
+    on one matrix rounds A^T A once for it.  The report's ``setup_s`` is
+    the time the set-up took when it was made, also on a solve that reuses
+    it, and ``wall_time_s`` the time after it.  The SVD route's gauge is
+    made for every solve: it takes 2-6% of one (0.7-2.3 ms against
+    15-95 ms after it on prescribed k0 25 at N = 10-30 and Hilbert N = 16
+    and 18, K=10).
     """
     sizes = (a.col_sizes,) if gram else (a.row_sizes, a.col_sizes)
+    rdelta = cfg.epsilon / _GRAM_DELTA_DIVISOR
+    setup = _set_up(a, gram, rdelta)
     t0 = time.perf_counter()
-    held = -1 if gram else 0  # the core of op that holds all of ||A||_F
-    with np.errstate(over="ignore"):  # an overflowing A is refused below
-        try:
-            # finite cores (check_problem) fail to reduce or gauge only where
-            # ||A||_F overflows
-            op = matrix_tt_round(a, 0.0) if gram else canonicalize(a, 0)
-        except ValueError:
-            norm = math.inf
-        else:
-            norm = _norm(op.cores[held])
-    if not 0.0 < norm < math.inf:
-        raise ValueError("the matrix's Frobenius norm is zero or not finite")
-    e = math.frexp(norm)[1]  # every sweep runs on A / 2^e
-    op.cores[held] = np.ldexp(op.cores[held], -e)
-    if gram:
-        # B's ranks are the squares of the reduced A's
-        a = op
-        rdelta = cfg.epsilon / _GRAM_DELTA_DIVISOR
-        rev = _bond_reversed(a)
-        op = _bond_reversed(gram_tt_round(
-            matrix_tt_matmul(matrix_tt_transpose(rev), rev), rev, rdelta))
-    report = SweepReport(solver=name, k=cfg.k)
+    op, a, e = setup.op, setup.a, setup.e
+    report = SweepReport(solver=name, k=cfg.k, setup_s=setup.seconds)
     # (stop residual, Sigma, chain copies, sweeps of its attempt) of the
     # first iterate with the lowest stop residual
     best = (math.inf, np.zeros(cfg.k), None, 0)

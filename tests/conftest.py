@@ -7,7 +7,7 @@ test compares two independent routes to the same value.
 
 import numpy as np
 
-from ttsvd import (BlockTT, MatrixTT, VectorTT, hilbert_submatrix_tt,
+from ttsvd import (BlockTT, MatrixTT, VectorTT, hilbert_submatrix_tt, solver,
                    tt_reconstruct, tt_to_vector)
 
 
@@ -24,6 +24,19 @@ def random_matrix_tt(n, rank, rng, mode=2, scale=1.0):
 def identity_tt(n):
     """The 2^n x 2^n identity as a rank-1 matrix chain."""
     return MatrixTT([np.eye(2)[np.newaxis, :, :, np.newaxis]] * n)
+
+
+def count_gram_set_ups(monkeypatch) -> list:
+    """One entry per Gram set-up that the solvers make from now on: each
+    rounds its B = A^T A once, through ``ttsvd.solver.gram_tt_round``."""
+    calls = []
+    round_ = solver.gram_tt_round
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return round_(*args, **kwargs)
+    monkeypatch.setattr(solver, "gram_tt_round", counted)
+    return calls
 
 
 def zero_or_overflowing_tt(which):

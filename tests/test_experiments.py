@@ -11,8 +11,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from conftest import (check_micro_records, random_matrix_tt,
-                      zero_or_overflowing_tt)
+from conftest import (check_micro_records, count_gram_set_ups,
+                      random_matrix_tt, zero_or_overflowing_tt)
 from ttsvd import MatrixTT, save_tt, solver, verify
 from ttsvd.cli import main as cli_main
 from ttsvd.experiments import (
@@ -522,18 +522,19 @@ def test_cli_run_refuses_a_zero_or_overflowing_matrix(tmp_path, which):
 
 
 def test_scaling_report_fits_exact_lines():
+    # the fit reads each solve's time with its set-up: 0.5 N + 0.1 here
     rows = []
     for n in (4, 6, 8):
         for rep in range(2):
             rows.append(TimingRow("prescribed_svd", "als_svd", n, 2, "0.5",
-                                  str(rep), str(rep), 0.5 * n + 0.1, 0.0))
+                                  str(rep), str(rep), 0.5 * n, 0.1, 0.0))
     # aggregate rows and a short-grid solver must both be ignored
     rows.append(TimingRow("prescribed_svd", "als_svd", 99, 2, "0.5", "mean",
-                          "", 1e9, 0.0))
+                          "", 1e9, 0.0, 0.0))
     rows.append(TimingRow("prescribed_svd", "mals_svd", 4, 2, "0.5", "0", "0",
-                          1.0, 0.0))
+                          1.0, 0.0, 0.0))
     rows.append(TimingRow("prescribed_svd", "mals_svd", 6, 2, "0.5", "0", "0",
-                          2.0, 0.0))
+                          2.0, 0.0, 0.0))
     fits = scaling_report(rows)
     assert set(fits) == {"als_svd"}
     fit = fits["als_svd"]
@@ -548,7 +549,7 @@ def test_scaling_report_flat_profile_fits_exactly(seconds):
     # the mean of three 3.3s is 3.2999999999999994, and the fit at 100 s
     # leaves a residual of 2.8e-27: neither may read as a poor fit
     rows = [TimingRow("prescribed_svd", "als_svd", n, 2, "0.5", "0", "0",
-                      seconds, 0.0) for n in (4, 6, 8)]
+                      seconds, 0.0, 0.0) for n in (4, 6, 8)]
     assert scaling_report(rows)["als_svd"]["r_squared"] == 1.0
 
 
@@ -575,8 +576,11 @@ def test_build_report_and_write_results(tmp_path):
         assert json.load(fh)["termination_counts"] == {"converged": 2}
     assert paths["plotdata"]
     with open(paths["plotdata"][0]) as fh:
-        header = fh.readline()
+        header, line = fh.readline(), fh.readline()
     assert header.startswith("N\tparam\t")
+    # the mean time of a cell includes each solve's set-up
+    assert float(line.split("\t")[-1]) == np.mean([t.solve_s() for t in times])
+    assert all(t.setup_s > 0.0 for t in times)
     assert os.path.basename(paths["plotdata"][0]) == "prescribed_svd_als_svd.tsv"
 
 
@@ -787,6 +791,19 @@ def test_each_grid_point_builds_each_repetition_once(monkeypatch):
     assert len(solves) == 2 * 2 * 3
     assert [(r.param, r.solver) for r in rows[::4]] == [
         (beta, name) for beta in ("0.3", "0.5") for name in cfg.solvers]
+
+
+def test_the_gram_solvers_of_a_grid_share_each_matrix_set_up(monkeypatch):
+    # P = 2 points, R = 2 repetitions: each matrix's A^T A is rounded once
+    # for both Gram solvers, P * R times, where each solve once did it
+    calls = count_gram_set_ups(monkeypatch)
+    _, times = run_experiment(_small_cfg(solvers=["als_eig", "mals_eig"],
+                                         n_values=[4, 5]))
+    assert len(calls) == 2 * 2
+    # both solvers of a matrix report its one set-up's time
+    for als, mals in zip(times[:2] + times[4:6], times[2:4] + times[6:]):
+        assert (als.solver, mals.solver) == ("als_eig", "mals_eig")
+        assert als.setup_s == mals.setup_s
 
 
 def test_a_grid_of_all_solvers_rows_as_one_solver_runs():

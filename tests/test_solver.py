@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import gc
 import importlib
 import json
 import math
@@ -15,6 +16,7 @@ import pytest
 from conftest import (
     MICRO_KEYS,
     check_micro_records,
+    count_gram_set_ups,
     identity_tt,
     random_matrix_tt,
     zero_or_overflowing_tt,
@@ -284,7 +286,7 @@ def test_merged_core_callback_is_sigma_consistent(monkeypatch):
 
 
 @pytest.mark.parametrize("driver", [als_eig_baseline, mals_eig_baseline])
-def test_gram_wall_time_includes_forming_the_gram_matrix(driver, monkeypatch):
+def test_gram_setup_time_includes_forming_the_gram_matrix(driver, monkeypatch):
     round_ = solver.matrix_tt_round
 
     def slow_round(*args, **kwargs):
@@ -293,8 +295,89 @@ def test_gram_wall_time_includes_forming_the_gram_matrix(driver, monkeypatch):
 
     monkeypatch.setattr(solver, "matrix_tt_round", slow_round)
     a, _, _, _ = prescribed_svd_matrix(4, 0.5, k0=6, rank=2, seed=15)
-    _, _, _, rep = driver(a, SolverConfig(k=3, epsilon=1e-9, seed=16))
-    assert rep.wall_time_s >= 0.3
+    cfg = SolverConfig(k=3, epsilon=1e-9, seed=16)
+    _, _, _, rep = driver(a, cfg)
+    assert rep.setup_s >= 0.3 > rep.wall_time_s
+    # a solve that reuses the set-up reports the time it took to make
+    _, _, _, again = driver(a, cfg)
+    assert again.setup_s == rep.setup_s
+
+
+def _assert_same_solve(out, fresh):
+    """Equal sigma, U and V cores, and report up to its timings."""
+    (s1, u1, v1, r1), (s2, u2, v2, r2) = out, fresh
+    assert s1.tobytes() == s2.tobytes()
+    for x, y in ((u1, u2), (v1, v2)):
+        assert x.ranks == y.ranks
+        assert all(c.tobytes() == d.tobytes() for c, d in zip(x.cores, y.cores))
+    untimed = [{k: v for k, v in r.to_json().items()
+                if k not in ("wall_time_s", "setup_s")} for r in (r1, r2)]
+    assert untimed[0] == untimed[1]
+
+
+def _gram_matrix():
+    return prescribed_svd_matrix(6, 0.5, k0=8, rank=3, seed=21)[0]
+
+
+_GRAM_CFG = SolverConfig(k=4, epsilon=1e-9, max_full_sweeps=3, seed=22)
+
+
+def test_gram_solves_of_one_matrix_share_one_set_up(monkeypatch):
+    calls = count_gram_set_ups(monkeypatch)
+    a = _gram_matrix()
+    first = mals_eig_baseline(a, _GRAM_CFG)
+    shared = als_eig_baseline(a, _GRAM_CFG)
+    assert len(calls) == 1
+    assert shared[3].setup_s == first[3].setup_s
+    # the entry's arrays are read-only
+    made = solver._gram_memo[0][2]
+    assert not any(c.flags.writeable for c in made.op.cores + made.a.cores)
+    # an equal matrix is another object: it prepares again
+    _assert_same_solve(shared, als_eig_baseline(_gram_matrix(), _GRAM_CFG))
+    assert len(calls) == 2
+
+
+def test_an_svd_solve_leaves_the_gram_set_up_in_place(monkeypatch):
+    calls = count_gram_set_ups(monkeypatch)
+    a = _gram_matrix()
+    mals_eig_baseline(a, _GRAM_CFG)
+    als_svd(a, _GRAM_CFG)
+    shared = als_eig_baseline(a, _GRAM_CFG)
+    assert len(calls) == 1
+    _assert_same_solve(shared, als_eig_baseline(_gram_matrix(), _GRAM_CFG))
+
+
+def test_an_edited_matrix_or_another_epsilon_prepares_again(monkeypatch):
+    calls = count_gram_set_ups(monkeypatch)
+    a = _gram_matrix()
+    als_eig_baseline(a, _GRAM_CFG)
+    a.cores[2][0, 1, 1, 0] += 1e-3
+    edited = als_eig_baseline(a, _GRAM_CFG)
+    assert len(calls) == 2
+    fresh = a.copy()
+    _assert_same_solve(edited, als_eig_baseline(fresh, _GRAM_CFG))
+    loose = dataclasses.replace(_GRAM_CFG, epsilon=1e-6)
+    out = mals_eig_baseline(a, loose)
+    assert len(calls) == 4
+    _assert_same_solve(out, mals_eig_baseline(fresh, loose))
+
+
+def test_the_gram_set_up_dies_with_its_matrix():
+    a = _gram_matrix()
+    als_eig_baseline(a, _GRAM_CFG)
+    assert solver._gram_memo[0][0]() is a
+    del a
+    gc.collect()
+    assert solver._gram_memo == []
+
+
+@pytest.mark.parametrize("which", ["zero", "overflow"])
+def test_a_refused_gram_matrix_leaves_no_set_up(which):
+    a = _gram_matrix()
+    als_eig_baseline(a, _GRAM_CFG)
+    with pytest.raises(ValueError, match="norm is zero or not finite"):
+        mals_eig_baseline(zero_or_overflowing_tt(which), SolverConfig(k=2))
+    assert solver._gram_memo == []
 
 
 @pytest.mark.parametrize("n", [6, 8])
